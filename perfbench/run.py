@@ -4,7 +4,9 @@
 
 ``--trace 0`` measures the end-to-end metrics with tracing off: the
 workload is set up several times (``setup_s`` is their median), then its
-seeded schedule runs in a closed loop for ``--seconds``.  ``--trace 1``
+seeded schedule runs in a closed loop for ``--seconds``.  Its timings are
+given at the host's reference speed, which ``probe.py`` tracks beside the
+loop; the raw ones print above the result line.  ``--trace 1``
 runs a fixed prefix of the same schedule twice, once with the per-layer
 timing wrappers and ``repro.obs`` tracing on and once without, and reports
 the per-layer metrics.  Every response passes the policy-compliance oracle.
@@ -33,6 +35,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+import probe
+
 ROOT = Path(__file__).resolve().parent.parent
 #: failures whose traceback is printed (standard error) before going quiet.
 SHOWN_FAILURES = 5
@@ -45,6 +49,26 @@ def percentile(values: List[float], share: float) -> float:
     return ordered[int(rank) - 1]
 
 
+def settle() -> None:
+    """Collect, then freeze the surviving heap (the set-up's data).
+
+    The cyclic collector then skips the set-up's objects, and every
+    operation starts from an empty young generation (:meth:`Tally.run`
+    collects before it, untimed), so the collections that run inside an
+    operation depend on that operation alone, not on where the previous
+    one left the allocation counters.
+    """
+    gc.collect()
+    gc.freeze()
+
+
+def unsettle(workload: Any) -> None:
+    """Undo :func:`settle` and drop the workload's stacks."""
+    gc.unfreeze()
+    workload.close()
+    gc.collect()
+
+
 class Tally:
     """Attempted and failed operations, and per-kind latencies."""
 
@@ -53,6 +77,8 @@ class Tally:
         self.failed = 0
         self.leaks = 0
         self.latencies: Dict[str, List[float]] = defaultdict(list)
+        #: the moment each latency was taken at: its operation's midpoint.
+        self.moments: Dict[str, List[float]] = defaultdict(list)
         self.baseline: Dict[str, List[float]] = defaultdict(list)
         #: the largest share of an operation's wall time its layers' self
         #: times added up to (traced runs only).
@@ -69,9 +95,11 @@ class Tally:
 
         self.attempted += 1
         try:
+            gc.collect()
             if tracer is not None:
                 tracer.begin_op()
             seconds, result = workload.request(op)
+            moment = time.perf_counter() - seconds / 2
             if tracer is not None:
                 share = tracer.op_self_s() / seconds
                 self.self_share_max = max(self.self_share_max, share)
@@ -81,6 +109,8 @@ class Tally:
                         leak=False,
                     )
             workload.check(op, result)
+            if pair:
+                gc.collect()
             baseline = workload.pair(op) if pair else None
         except workloads.Failure as failure:
             self._fail(op, failure, failure.leak)
@@ -90,6 +120,7 @@ class Tally:
             return None
         kind = workload.metric_kind(op)
         self.latencies[kind].append(seconds)
+        self.moments[kind].append(moment)
         if baseline is not None:
             self.baseline[kind].append(baseline)
         return seconds
@@ -113,42 +144,80 @@ def set_up(workload: Any) -> float:
     return time.perf_counter() - started
 
 
+def scaled_set_up(workload: Any) -> tuple:
+    """:func:`set_up`'s seconds, raw and at the host's reference speed (the
+    slowdown is the mean of the probe's readings before and after)."""
+    before = probe.measure()
+    seconds = set_up(workload)
+    return seconds, seconds * 2 / (before + probe.measure())
+
+
 def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def timed_run(workload: Any, seconds: float) -> tuple:
-    """The end-to-end metrics, tracing off."""
+    """The end-to-end metrics, tracing off.
+
+    The timed loop takes operations in turn from the cycled schedule.  A
+    workload with ``window_ops`` is set up again (untimed) before each
+    window of that many operations, so its writes start from the seeded
+    state every time; a window starts only when one fits in the time left,
+    so every window it measures is whole.  Every timing is reported at the
+    host's reference speed (``probe.py``); the raw ones print above the
+    result line.
+    """
     setups = []
     for index in range(workload.setups):
         if index:
-            workload.close()
-            gc.collect()
-        setups.append(set_up(workload))
-    gc.collect()
+            unsettle(workload)
+        setups.append(scaled_set_up(workload))
+    settle()
     tally = Tally()
-    deadline = time.perf_counter() + seconds
-    for op in itertools.cycle(workload.schedule):
-        if time.perf_counter() >= deadline:
-            break
-        tally.run(workload, op)
-    workload.close()
-    everything = tally.all_latencies()
+    speed = probe.SpeedProbe()
+    ops = itertools.cycle(workload.schedule)
+    started = time.perf_counter()
+    deadline = started + seconds
+    windows = 0
+    while True:
+        if windows:
+            elapsed = time.perf_counter() - started
+            if not workload.window_ops or elapsed * (windows + 1) / windows > seconds:
+                break
+            unsettle(workload)
+            setups.append(scaled_set_up(workload))
+            settle()
+        windows += 1
+        for op in itertools.islice(ops, workload.window_ops or None):
+            if time.perf_counter() >= deadline:
+                break
+            speed.update()
+            tally.run(workload, op)
+    speed.sample()
+    unsettle(workload)
+    kinds = [
+        [value / speed.slowdown_at(moment) for value, moment in zip(values, tally.moments[kind])]
+        for kind, values in tally.latencies.items()
+    ]
+    everything = [value for values in kinds for value in values]
     if not everything:
         raise SystemExit("no operation completed")
-    kinds = list(tally.latencies.values())
     metrics = {
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(scaled for _raw, scaled in setups), "s"),
         "peak_rss_mb": (rss_mb(), "MB"),
         "throughput_ops_s": (len(everything) / sum(everything), "1/s"),
         "kind_p50_geomean_ms": (
             statistics.geometric_mean(statistics.median(v) for v in kinds) * 1e3, "ms"),
-        "kind_p95_geomean_ms": (
-            statistics.geometric_mean(percentile(v, 0.95) for v in kinds) * 1e3, "ms"),
+        "kind_p90_geomean_ms": (
+            statistics.geometric_mean(percentile(v, 0.90) for v in kinds) * 1e3, "ms"),
     }
+    raw = tally.all_latencies()
     detail: Dict[str, tuple] = {}
-    detail["latency_p50_ms"] = (statistics.median(everything) * 1e3, "ms", len(everything))
-    detail["latency_p95_ms"] = (percentile(everything, 0.95) * 1e3, "ms", len(everything))
+    detail["host_slowdown"] = (sum(raw) / sum(everything), "ratio", len(raw))
+    detail["raw_setup_s"] = (
+        statistics.median(unscaled for unscaled, _scaled in setups), "s", len(setups))
+    detail["latency_p50_ms"] = (statistics.median(raw) * 1e3, "ms", len(raw))
+    detail["latency_p95_ms"] = (percentile(raw, 0.95) * 1e3, "ms", len(raw))
     for kind, values in sorted(tally.latencies.items()):
         detail[f"{kind}_p50_ms"] = (statistics.median(values) * 1e3, "ms", len(values))
         detail[f"{kind}_p95_ms"] = (percentile(values, 0.95) * 1e3, "ms", len(values))
@@ -181,6 +250,7 @@ def traced_run(workload: Any) -> tuple:
                 tracer.wrap_views(app)
             compile_ms = tracer.self_s["analysis.compile"] * 1e3
             tracer.reset()
+            settle()
             counters_before = obs.totals.snapshot()
             caches_before = workload.cache_stats()
             traced = [tally.run(workload, op, tracer, pair=False) for op in ops]
@@ -188,13 +258,13 @@ def traced_run(workload: Any) -> tuple:
             caches = workload.cache_stats()
     finally:
         tracer.uninstall()
-    workload.close()
-    gc.collect()
+    unsettle(workload)
 
     untraced_tally = Tally()
     set_up(workload)
+    settle()
     untraced = [untraced_tally.run(workload, op) for op in ops]
-    workload.close()
+    unsettle(workload)
     tally.attempted += untraced_tally.attempted
     tally.failed += untraced_tally.failed
     tally.leaks += untraced_tally.leaks

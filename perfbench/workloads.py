@@ -109,6 +109,9 @@ class _ConfWorkload:
     trace_ops = 0
     #: set-ups per untraced run; ``setup_s`` is their median.
     setups = 9
+    #: when set, the timed loop sets the workload up again before each
+    #: window of this many operations (whole blocks, dividing the schedule).
+    window_ops = 0
     #: operation kind -> the latency series it is reported under.
     METRIC_KIND: Dict[str, str] = {}
 
@@ -328,6 +331,10 @@ class ConfChurn(_ConfWorkload):
     papers = 128
     cache_config = CacheConfig()
     trace_ops = 250
+    #: each window replays the next 250 operations from the seeded state,
+    #: so reviews do not pile up on the hot papers as a run goes on.
+    window_ops = 250
+    setups = 3
     ZIPF = 1.2
     BLOCK = (("paper_page", 14), ("user_page", 6), ("review", 4), ("submit", 1))
     METRIC_KIND = {"review": "write", "submit": "write"}
@@ -352,7 +359,8 @@ class FormBulk:
     name = "form-bulk"
     records = 10000
     trace_ops = 30
-    setups = 5
+    setups = 3
+    window_ops = 0
     KINDS = ("bulk_fetch", "bulk_count", "bulk_update")
 
     def __init__(self, seed: int, workdir: str) -> None:
