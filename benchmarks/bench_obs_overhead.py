@@ -26,14 +26,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from typing import Callable, List, Tuple
 
-from repro import obs
-from repro.apps.conf.seed import seed_conference
-from repro.apps.conf.views import build_conf_app, setup_conf
-from repro.web import TestClient
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+from repro import obs  # noqa: E402
+from repro.apps.conf.seed import seed_conference  # noqa: E402
+from repro.apps.conf.views import build_conf_app, setup_conf  # noqa: E402
+from repro.web import TestClient  # noqa: E402
 
 BENCH_SIZE = 48
 REPEATS = 200

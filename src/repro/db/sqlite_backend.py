@@ -25,7 +25,7 @@ import datetime
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.db.backend import Backend
 from repro.db.expr import Expression
@@ -135,6 +135,9 @@ class SqliteBackend(Backend):
         self._is_memory = path == ":memory:"
         self._write_lock = threading.RLock()
         self._schemas: Dict[str, TableSchema] = {}
+        #: table -> its (column, decode) pairs for the BOOLEAN/DATETIME
+        #: columns, the only ones whose stored form differs from Python's
+        self._row_decoders: Dict[str, Tuple[Tuple[str, Callable[[Any], Any]], ...]] = {}
         self._emit_indexes = emit_indexes
         #: Every CREATE INDEX statement this backend has executed, in order
         #: (the captured-DDL record index-coverage tests assert against).
@@ -200,6 +203,7 @@ class SqliteBackend(Backend):
             connection.commit()
             self._index_ddl.extend(index_statements)
             self._schemas[schema.name] = schema
+            self._row_decoders[schema.name] = _row_decoder(schema)
             self._seed_facet_bit(connection, schema)
         self._publish_schema_change()
 
@@ -266,6 +270,7 @@ class SqliteBackend(Backend):
             connection.execute(f'DROP TABLE IF EXISTS "{name}"')
             connection.commit()
             dropped = self._schemas.pop(name, None) is not None
+            self._row_decoders.pop(name, None)
         if dropped:
             self._publish_schema_change(name)
 
@@ -472,8 +477,15 @@ class SqliteBackend(Backend):
             columns = self._join_column_names(query)
             rows = [dict(zip(columns, tuple(row))) for row in raw_rows]
         else:
+            decoders = self._row_decoders.get(query.table)
+            if decoders is None:
+                self.schema(query.table)  # raises SchemaError
             rows = [dict(row) for row in raw_rows]
-            rows = [self._decode_row(self.schema(query.table), row) for row in rows]
+            for name, decode in decoders:
+                for row in rows:
+                    value = row.get(name)
+                    if value is not None:
+                        row[name] = decode(value)
         return rows
 
     def aggregate(self, query: Query) -> Any:
@@ -558,22 +570,10 @@ class SqliteBackend(Backend):
 
     @staticmethod
     def _decode_value(column: Column, value: Any) -> Any:
-        if value is None:
-            return None
-        if column.type is ColumnType.BOOLEAN:
-            return bool(value)
-        if column.type is ColumnType.DATETIME and isinstance(value, str):
-            return datetime.datetime.fromisoformat(value)
-        return value
-
-    @staticmethod
-    def _decode_row(schema: TableSchema, row: Dict[str, Any]) -> Dict[str, Any]:
-        decoded = {}
-        for name, value in row.items():
-            if schema.has_column(name) and value is not None:
-                value = SqliteBackend._decode_value(schema.column(name), value)
-            decoded[name] = value
-        return decoded
+        decode = _COLUMN_DECODERS.get(column.type)
+        if value is None or decode is None:
+            return value
+        return decode(value)
 
     def _source_column(self, query: Query, name: str) -> Optional[Column]:
         """Resolve a (possibly qualified) column against the query's tables."""
@@ -624,3 +624,26 @@ class SqliteBackend(Backend):
             for column in self.schema(table).columns:
                 names.append(f"{table}.{column.name}")
         return names
+
+
+def _decode_datetime(value: Any) -> Any:
+    return datetime.datetime.fromisoformat(value) if isinstance(value, str) else value
+
+
+#: Column types stored in a different form than their Python values, and the
+#: decoder turning a non-NULL stored value back into the Python value.
+_COLUMN_DECODERS: Dict[ColumnType, Callable[[Any], Any]] = {
+    ColumnType.BOOLEAN: bool,
+    ColumnType.DATETIME: _decode_datetime,
+}
+
+
+def _row_decoder(schema: TableSchema) -> Tuple[Tuple[str, Callable[[Any], Any]], ...]:
+    """The ``(column, decode)`` pairs a row of ``schema`` needs, built once per
+    table so a read decodes only those columns instead of looking up the
+    schema for every value."""
+    return tuple(
+        (column.name, _COLUMN_DECODERS[column.type])
+        for column in schema.columns
+        if column.type in _COLUMN_DECODERS
+    )

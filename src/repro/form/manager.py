@@ -16,6 +16,9 @@ Execution has two modes:
 
 from __future__ import annotations
 
+import threading
+import weakref
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro import obs
@@ -50,6 +53,7 @@ from repro.form.aggregates import (
 )
 from repro.form.context import FORM, current_form, current_viewer
 from repro.form.fields import ForeignKey
+from repro.form.model import JModel
 from repro.form.policies import evaluate_policy
 from repro.form.marshal import (
     JvarBranch,
@@ -77,6 +81,10 @@ _STATS_SPECS: Dict[str, Tuple[str, ...]] = {
 
 class QuerySet:
     """A lazily executed query over one Jacqueline model."""
+
+    #: ``(column, keys)`` of a batched load's ``column IN (keys)`` conjunct
+    #: (see :func:`_load_batch`); ``None`` for every application query.
+    _key_filter: Optional[Tuple[str, Tuple[Any, ...]]] = None
 
     def __init__(
         self,
@@ -123,7 +131,9 @@ class QuerySet:
         """Execute the query.
 
         Returns a plain list of instances inside a viewer context, or a
-        faceted collection otherwise.
+        faceted collection otherwise.  A viewer-context list of two or more
+        records shares one :class:`_Siblings`, so a per-record lookup on
+        any member runs once for the whole list (batched loading).
         """
         form = current_form()
         with obs.span("form.fetch", model=self.model._meta.table_name):
@@ -136,8 +146,11 @@ class QuerySet:
                     # already kept exactly the facet rows visible to this
                     # viewer -- no Python-side label resolution.
                     obs.add("plan.policy_pushdown")
-                    return [instance for _jid, _branches, instance in entries]
-                return self._pruned(form, entries, viewer)
+                    result = [instance for _jid, _branches, instance in entries]
+                else:
+                    result = self._pruned(form, entries, viewer)
+                _note_visible_fk_ids(self.model, result)
+                return result
             obs.add("worlds.merged", len(entries))
             return build_faceted_collection(
                 [(branches, instance) for _jid, branches, instance in entries]
@@ -639,6 +652,11 @@ class QuerySet:
         entries cache per viewer, never shared, and a store repopulation
         invalidates them through ``tables_read()`` like any other write.
 
+        Inside a viewer context, entries spanning two or more records share
+        one :class:`_Siblings` (a batched load's own entries excepted): the
+        policies ``_pruned`` evaluates on them can then batch their
+        per-record lookups.
+
         Returns ``(entries, pushed)``; ``pushed`` means the statement's
         pruning predicate already did the viewer's pruning.
         """
@@ -676,6 +694,10 @@ class QuerySet:
             for jid, branches, values in self._limit_entries(raw_entries)
         ]
         obs.add("facet.rows.unmarshalled", len(entries))
+        if len(entries) > 1 and self._key_filter is None:
+            viewer = current_viewer()
+            if viewer is not None:
+                _track_siblings(form, viewer, entries)
         return entries, pushed
 
     def _limit_entries(
@@ -704,6 +726,9 @@ class QuerySet:
         has_join = any("__" in lookup for lookup in self.filters)
         for lookup, value in self.filters.items():
             query = self._apply_filter(meta, query, joined, lookup, value, has_join)
+        if self._key_filter is not None:
+            column, keys = self._key_filter
+            query = query.filter(InList(col(column), keys))
         return query, joined
 
     def _ordered_query(self, meta) -> Tuple[Query, List[str]]:
@@ -973,8 +998,6 @@ class QuerySet:
     def _apply_filter(
         self, meta, query: Query, joined: List[str], lookup: str, value: Any, has_join: bool = False
     ) -> Query:
-        from repro.form.model import JModel
-
         if "__" in lookup:
             fk_name, _, related = lookup.partition("__")
             field = meta.fields.get(fk_name)
@@ -1191,8 +1214,6 @@ class Manager:
         racing on the same logical record always hash to the same lock --
         ``repr`` of live instances would not be stable across copies.
         """
-        from repro.form.model import JModel
-
         meta = self.model._meta
         parts = []
         for name, value in filters.items():
@@ -1304,8 +1325,16 @@ class Manager:
 
     def get(self, **filters: Any) -> Any:
         """The matching record, or ``None`` (the Jacqueline API never raises
-        for a missing row, unlike Django -- see Figure 7 vs Figure 8)."""
-        return QuerySet(self.model, filters).first()
+        for a missing row, unlike Django -- see Figure 7 vs Figure 8).
+
+        A foreign-key filter set to a member of a viewer-context result
+        list (the Figure 7 policy's ``paper=paper``) is answered from one
+        batched load over the whole list -- see :func:`_batched_get`.
+        """
+        found = _batched_get(self.model, filters)
+        if found is _PER_RECORD:
+            found = QuerySet(self.model, filters).first()
+        return found
 
     def get_or_raise(self, **filters: Any) -> Any:
         found = self.get(**filters)
@@ -1352,6 +1381,210 @@ def _replace_rows_chunked(
         form.database.replace_rows(
             table, InList(col("jid"), tuple(chunk)), chunk_rows
         )
+
+
+# -- batched loading ------------------------------------------------------------------
+
+#: Returned by the batched lookups when a call must take the per-record path.
+_PER_RECORD = object()
+
+
+class _Siblings:
+    """The batch state shared by the members of one viewer-context result list.
+
+    Holds the list's jids, the foreign-key ids of its visible members and
+    the memo of batched lookups made on them -- never the members
+    themselves, so no instance -> siblings -> instance cycle forms.  The
+    FORM and viewer are held weakly for the same reason: a viewer may be a
+    member of the list it speculated on.
+    """
+
+    __slots__ = ("_form", "_viewer", "_thread", "jids", "fk_ids", "memo")
+
+    def __init__(self, form: FORM, viewer: Any, jids: Tuple[int, ...]) -> None:
+        self._form = weakref.ref(form)
+        try:
+            self._viewer = weakref.ref(viewer)
+        except TypeError:  # viewers that cannot be weakly referenced
+            self._viewer = lambda: viewer
+        self._thread = threading.get_ident()
+        self.jids = jids
+        #: foreign-key field name -> the visible members' distinct ids
+        self.fk_ids: Dict[str, Tuple[Any, ...]] = {}
+        #: lookup key -> (stamp, {key value: visible matches})
+        self.memo: Dict[Tuple, Tuple[Tuple[int, int, int], Dict[Any, List[Any]]]] = {}
+
+    def serves(self, form: FORM, viewer: Any) -> bool:
+        """Whether a call on this thread, FORM and viewer may use the memo.
+
+        ``viewer`` must not be ``None``: a collected viewer's weak reference
+        answers ``None`` too, and a call outside any viewer context must
+        never see a pruned answer.
+        """
+        return (
+            viewer is not None
+            and self._thread == threading.get_ident()
+            and self._form() is form
+            and self._viewer() is viewer
+        )
+
+    def dereference(self, field: ForeignKey, target_jid: Any) -> Any:
+        """``member.<field>``, answered from one load of every visible
+        member's target when :func:`_batched_lookup` allows it."""
+        target = field.target_model()
+        keys = self.fk_ids.get(field.name)
+        found = _PER_RECORD
+        if keys is not None and not isinstance(target_jid, Facet):
+            found = _batched_lookup(
+                self, target, "jid", target_jid, keys, {}, (field.name,)
+            )
+        if found is _PER_RECORD:
+            found = target.objects.get_by_jid(target_jid)
+        return found
+
+
+def _track_siblings(
+    form: FORM, viewer: Any, entries: Sequence[Tuple[int, Tuple[JvarBranch, ...], Any]]
+) -> None:
+    """Attach one shared :class:`_Siblings` to every entry's instance when
+    the entries span two or more records."""
+    jids = tuple(dict.fromkeys(map(itemgetter(0), entries)))
+    if len(jids) < 2:
+        return
+    siblings = _Siblings(form, viewer, jids)
+    for _jid, _branches, instance in entries:
+        instance._siblings = siblings
+
+
+def _note_visible_fk_ids(model: Type, visible: List[Any]) -> None:
+    """Record the foreign-key ids of a pruned list's visible members."""
+    siblings = visible[0]._siblings if visible else None
+    if siblings is None:
+        return
+    for name, field in model._meta.fields.items():
+        if isinstance(field, ForeignKey):
+            ids = dict.fromkeys(map(attrgetter(field.column_name), visible))
+            ids.pop(None, None)
+            siblings.fk_ids[name] = tuple(ids)
+
+
+def _batched_get(model: Type, filters: Dict[str, Any]) -> Any:
+    """``model.objects.get(**filters)`` from a batched load, or :data:`_PER_RECORD`.
+
+    Applies when exactly one filter value is a member of a viewer-context
+    result list, set on a foreign-key field of ``model``, and every other
+    value is a plain hashable value or a record (compared by jid).  The
+    load covers every member's jid with the other filters unchanged.
+    """
+    batched = None
+    others: List[Tuple[str, str, Any]] = []
+    for lookup, value in filters.items():
+        if isinstance(value, JModel):
+            siblings = value._siblings
+            if siblings is None:
+                others.append((lookup, type(value).__name__, value.jid))
+            elif batched is None:
+                batched = (lookup, value, siblings)
+            else:
+                return _PER_RECORD
+        elif "__" in lookup or isinstance(value, Facet):
+            return _PER_RECORD
+        else:
+            try:
+                hash(value)
+            except TypeError:
+                return _PER_RECORD
+            others.append((lookup, type(value).__name__, value))
+    if batched is None:
+        return _PER_RECORD
+    lookup, record, siblings = batched
+    field = model._meta.fields.get(lookup)
+    if not isinstance(field, ForeignKey):
+        return _PER_RECORD
+    rest = {name: value for name, value in filters.items() if name != lookup}
+    memo_key = (model._meta.table_name, lookup, tuple(sorted(others)))
+    return _batched_lookup(
+        siblings, model, field.column_name, record.jid, siblings.jids, rest, memo_key
+    )
+
+
+def _batched_lookup(
+    siblings: _Siblings,
+    model: Type,
+    column: str,
+    key: Any,
+    keys: Tuple[Any, ...],
+    filters: Dict[str, Any],
+    memo_key: Tuple,
+) -> Any:
+    """The record of ``model`` whose ``column`` equals ``key`` under
+    ``filters``, answered from one load over all of ``keys``.
+
+    Returns a copy of the one visible match, ``None`` when nothing
+    visible matches, or :data:`_PER_RECORD` whenever the answer might
+    differ from the per-record ``get()``: another thread, FORM or viewer;
+    a label resolution in flight while ``model`` may carry labels (its
+    load would see the re-entrancy guard's optimistic answers); a write,
+    schema change or policy-epoch bump since the load; or several matches
+    (``get()`` would pick one in engine order).
+    """
+    form = current_form()
+    if not siblings.serves(form, current_viewer()):
+        return _PER_RECORD
+    meta = model._meta
+    if _resolving_labels(form) and (
+        meta.policy_groups or form.database.may_have_facets(meta.table_name)
+    ):
+        obs.add("plan.batched_load.fallback.resolving")
+        return _PER_RECORD
+    bus = form.database.invalidation
+    stamp = (bus.events_published, bus.schema_generation, policy_epoch())
+    batch = siblings.memo.get(memo_key)
+    if batch is None:
+        if key not in keys:
+            return _PER_RECORD
+        # Stamped before the load, so a write racing it leaves the memo stale.
+        batch = (stamp, _load_batch(model, column, keys, filters))
+        siblings.memo[memo_key] = batch
+    elif batch[0] != stamp:
+        obs.add("plan.batched_load.fallback.stale")
+        return _PER_RECORD
+    matches = batch[1].get(key)
+    if matches is None:
+        return _PER_RECORD
+    if len(matches) > 1:
+        obs.add("plan.batched_load.fallback.multiple_matches")
+        return _PER_RECORD
+    return _detached_copy(matches[0]) if matches else None
+
+
+def _load_batch(
+    model: Type, column: str, keys: Tuple[Any, ...], filters: Dict[str, Any]
+) -> Dict[Any, List[Any]]:
+    """Fetch ``model`` rows with ``column IN (keys)`` under ``filters`` for
+    the current viewer, grouped by key (every key present).
+
+    The IN list is chunked at :data:`repro.form.writes.MAX_BOUND_VARIABLES`,
+    as :meth:`QuerySet._rows_for_jids` chunks its jid lists.
+    """
+    answers: Dict[Any, List[Any]] = {key: [] for key in keys}
+    for chunk in writes.chunked(keys):
+        obs.add("plan.batched_load")
+        batch = QuerySet(model, filters)
+        batch._key_filter = (column, tuple(chunk))
+        for instance in batch.fetch():
+            matches = answers.get(getattr(instance, column))
+            if matches is not None:
+                matches.append(instance)
+    return answers
+
+
+def _detached_copy(instance: Any) -> Any:
+    """A fresh instance with ``instance``'s state, so no two members of a
+    list share the record a batched lookup returns."""
+    copy = type(instance).__new__(type(instance))
+    copy.__dict__.update(instance.__dict__)
+    return copy
 
 
 def _resolving_labels(form: FORM) -> set:

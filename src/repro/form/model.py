@@ -191,6 +191,10 @@ class JModel(metaclass=ModelMeta):
     """
 
     _meta: ModelOptions
+    #: The batch state shared with the other members of the viewer-context
+    #: result list this instance came from (``repro.form.manager._Siblings``);
+    #: ``None`` for every other instance.
+    _siblings: Any = None
 
     def __init__(self, **kwargs: Any) -> None:
         self.jid: Optional[int] = kwargs.pop("jid", None)
@@ -248,8 +252,12 @@ class JModel(metaclass=ModelMeta):
             target_jid = self.__dict__.get(field.column_name)
             if target_jid is None:
                 return None
-            target = field.target_model()
-            resolved = target.objects.get_by_jid(target_jid)
+            # A member of a viewer-context result list loads the targets of
+            # all its visible siblings at once (batched loading).
+            if self._siblings is not None:
+                resolved = self._siblings.dereference(field, target_jid)
+            else:
+                resolved = field.target_model().objects.get_by_jid(target_jid)
             self.__dict__[cache_name] = resolved
             return resolved
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")

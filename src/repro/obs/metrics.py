@@ -49,6 +49,22 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     ),
     "plan.bounded": "bounded reads compiled to the jid-subselect pushdown",
     "plan.keys": "projected record-key queries (write fallback jid scans)",
+    "plan.batched_load": (
+        "batched-load statements: one pruned IN (...) fetch answering a "
+        "per-record lookup for every member of a viewer-context result list"
+    ),
+    "plan.batched_load.fallback.multiple_matches": (
+        "batched lookups sent to the per-record get() because their key has "
+        "several visible matches (get() picks one in engine order)"
+    ),
+    "plan.batched_load.fallback.resolving": (
+        "batched lookups sent to the per-record get() because a label "
+        "resolution is in flight and the target model may carry labels"
+    ),
+    "plan.batched_load.fallback.stale": (
+        "batched lookups sent to the per-record get() because a write, "
+        "schema change or policy-epoch bump followed the batched load"
+    ),
     "plan.aggregate_pushdown": "aggregates compiled to one grouped statement",
     "plan.update_pushdown": "updates compiled to one UPDATE statement",
     "plan.delete_pushdown": "deletes compiled to one DELETE statement",
