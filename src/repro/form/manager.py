@@ -131,9 +131,10 @@ class QuerySet:
         """Execute the query.
 
         Returns a plain list of instances inside a viewer context, or a
-        faceted collection otherwise.  A viewer-context list of two or more
-        records shares one :class:`_Siblings`, so a per-record lookup on
-        any member runs once for the whole list (batched loading).
+        faceted collection otherwise.  The members of a viewer-context
+        list of two or more records share their per-record lookups, which
+        then run once for the whole list (batched loading, see
+        :func:`_batched_lookup`).
         """
         form = current_form()
         with obs.span("form.fetch", model=self.model._meta.table_name):
@@ -1434,7 +1435,7 @@ class _Siblings:
         target = field.target_model()
         keys = self.fk_ids.get(field.name)
         found = _PER_RECORD
-        if keys is not None and not isinstance(target_jid, Facet):
+        if keys is not None:
             found = _batched_lookup(
                 self, target, "jid", target_jid, keys, {}, (field.name,)
             )
@@ -1526,10 +1527,11 @@ def _batched_lookup(
     a label resolution in flight while ``model`` may carry labels (its
     load would see the re-entrancy guard's optimistic answers); a write,
     schema change or policy-epoch bump since the load; or several matches
-    (``get()`` would pick one in engine order).
+    (``get()`` would pick one in engine order).  Keys are jids, so any
+    other key (a faceted or application-assigned value) is per-record too.
     """
     form = current_form()
-    if not siblings.serves(form, current_viewer()):
+    if not isinstance(key, int) or not siblings.serves(form, current_viewer()):
         return _PER_RECORD
     meta = model._meta
     if _resolving_labels(form) and (

@@ -45,7 +45,7 @@ from repro.apps.conf.views import setup_conf
 from repro.cache import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend
-from repro.form import use_form, viewer_context
+from repro.form import use_form, viewer_context, writes
 
 BACKENDS = ("memory", "sqlite")
 SEEDS = range(12)
@@ -241,6 +241,19 @@ def test_one_statement_answers_every_member(backend):
     # Siblings never share an instance, even when they share a target.
     visible = [author for author in authors if author is not None]
     assert len({id(author) for author in visible}) == len(visible) == 4
+
+
+def test_in_lists_are_chunked_at_the_bound_variable_limit(monkeypatch):
+    form, pc, _papers = _conference()
+    monkeypatch.setattr(writes, "MAX_BOUND_VARIABLES", 2)
+    with use_form(form), viewer_context(pc):
+        # The Figure 7 policy looks the conflicts up while pruning.
+        with form.database.observe_statements() as log:
+            members = Paper.objects.all().fetch()
+            conflicts = [PaperPCConflict.objects.get(paper=m, pc=pc) for m in members]
+    assert [conflict is not None for conflict in conflicts] == [True] + [False] * 4
+    lookups = [sql for sql in log.statements if "PaperPCConflict" in sql]
+    assert len(lookups) == 3, lookups  # five jids, two per statement
 
 
 def test_other_threads_and_viewers_take_the_per_record_path():
