@@ -1,32 +1,29 @@
-"""Policy pushdown: compiled Early Pruning tiers vs the Python path.
+"""Policy pushdown: compiled Early Pruning vs the Python path.
 
-On an eligible policied model (equality-on-viewer, own-row reads), a
-viewer-context ``fetch()``/``count()`` compiles the pruning predicate into
-the statement itself.  At the **direct tier** the predicate renders inline
--- no label store in the statement at all::
+On a policied model whose one policy group compiles to an inline
+predicate (equality on the viewer, own-row reads), a viewer-context
+``fetch()``/``count()`` renders that predicate into the statement
+itself::
 
     SELECT ... FROM "BenchDoc"
     WHERE (jvars = ? OR ((jvars = (? || jid || ?) AND owner_id IS ?)
                       OR (jvars = (? || jid || ?) AND (NOT owner_id IS ?))))
 
-Capping the planner (``form.policy_pushdown_tier_cap = "store"``) demotes
-the same query to the **store tier**, which carries the label-assignment
-subquery over ``__jacq_labels__``.  The Python path (Early Pruning label
-resolution over the fetched secret facets) remains the fallback -- and
-the differential oracle this benchmark compares against.
+The Python path (Early Pruning label resolution over the fetched secret
+facets) remains the fallback -- and the differential oracle this
+benchmark compares against.
 
 Per backend (memory engine and SQLite) this verifies:
 
-* **single statement**: the warmed direct-tier fetch and count each issue
-  exactly one statement with no label-store reference, the store-tier
-  count carries the subquery, and ``explain()`` reports the executed SQL
-  string and the serving tier (asserted on captured SQL against SQLite);
-* **correctness**: direct- and store-tier results -- visible titles and
-  the count -- match the Python oracle
-  (``form.policy_pushdown_enabled = False``) bit for bit;
-* **speedup**: at 10k records the direct-tier ``count()`` is >=5x faster
-  than Python pruning (full run only; ``--smoke`` checks shape and parity
-  at CI size).
+* **single statement**: the warmed pushed fetch and count each issue
+  exactly one statement, and ``explain()`` reports the executed SQL
+  string (asserted on captured SQL against SQLite);
+* **correctness**: the pushed results -- visible titles and the count --
+  match the Python oracle (``form.policy_pushdown_enabled = False``) bit
+  for bit;
+* **speedup**: at 10k records the pushed ``count()`` is >=5x faster than
+  Python pruning (full run only; ``--smoke`` checks shape and parity at
+  CI size).
 
 Usage::
 
@@ -70,7 +67,6 @@ from repro.form import (  # noqa: E402
     use_form,
     viewer_context,
 )
-from repro.form.pushdown import STORE_TABLE  # noqa: E402
 
 
 class BenchOwner(JModel):
@@ -136,7 +132,7 @@ def run(rows: int, smoke: bool) -> int:
         form, database, alice, _bob = _build_form(backend_factory, rows)
         log = StatementLog(database.backend) if backend_name == "sqlite" else None
 
-        # -- direct tier: inline predicate, no label store ------------------
+        # -- pushdown: the inline predicate --------------------------------
         with use_form(form):
             with viewer_context(alice):
                 BenchDoc.objects.all().fetch()  # warm the branch-key probe
@@ -144,19 +140,14 @@ def run(rows: int, smoke: bool) -> int:
                 count_report = BenchDoc.objects.all().explain("count")
                 if log is not None:
                     log.clear()
-                direct_fetch_time, direct_docs = _timed(
+                pushed_fetch_time, pushed_docs = _timed(
                     lambda: BenchDoc.objects.all().fetch(), repeats=1
                 )
                 if log is not None:
                     if len(log.statements) != 1:
                         failures.append(
-                            f"sqlite: direct-tier fetch issued "
+                            f"sqlite: pushed fetch issued "
                             f"{len(log.statements)} statements, expected 1"
-                        )
-                    elif STORE_TABLE in log.statements[0]:
-                        failures.append(
-                            "sqlite: direct-tier fetch statement still "
-                            f"references the label store: {log.statements[0]}"
                         )
                     elif log.statements != [fetch_report["sql"]]:
                         failures.append(
@@ -165,14 +156,14 @@ def run(rows: int, smoke: bool) -> int:
                             f"{log.statements!r}"
                         )
                     log.clear()
-                direct_count_time, direct_count = _timed(
+                pushed_count_time, pushed_count = _timed(
                     lambda: BenchDoc.objects.all().count()
                 )
                 if log is not None:
                     statements = sorted(set(log.statements))
                     if len(statements) != 1:
                         failures.append(
-                            f"sqlite: direct-tier count issued "
+                            f"sqlite: pushed count issued "
                             f"{len(statements)} distinct statements, expected 1"
                         )
                     elif statements != [count_report["sql"]]:
@@ -185,42 +176,6 @@ def run(rows: int, smoke: bool) -> int:
                         f"{backend_name}: fetch explain mode is "
                         f"{fetch_report.get('mode')!r}, expected 'policy-pushdown'"
                     )
-                if fetch_report.get("tier") != "direct":
-                    failures.append(
-                        f"{backend_name}: fetch explain tier is "
-                        f"{fetch_report.get('tier')!r}, expected 'direct'"
-                    )
-
-            # -- store tier: the tier cap restores the label-store subquery -
-            form.policy_pushdown_tier_cap = "store"
-            with viewer_context(alice):
-                BenchDoc.objects.all().fetch()  # warm the label store
-                store_report = BenchDoc.objects.all().explain()
-                if log is not None:
-                    log.clear()
-                store_fetch_time, store_docs = _timed(
-                    lambda: BenchDoc.objects.all().fetch(), repeats=1
-                )
-                if log is not None:
-                    if len(log.statements) != 1:
-                        failures.append(
-                            f"sqlite: store-tier fetch issued "
-                            f"{len(log.statements)} statements, expected 1"
-                        )
-                    elif STORE_TABLE not in log.statements[0]:
-                        failures.append(
-                            "sqlite: store-tier fetch statement lacks the "
-                            f"label-store subquery: {log.statements[0]}"
-                        )
-                store_count_time, store_count = _timed(
-                    lambda: BenchDoc.objects.all().count()
-                )
-                if store_report.get("tier") != "store":
-                    failures.append(
-                        f"{backend_name}: capped explain tier is "
-                        f"{store_report.get('tier')!r}, expected 'store'"
-                    )
-            form.policy_pushdown_tier_cap = None
 
             # -- the Python oracle ------------------------------------------
             form.policy_pushdown_enabled = False
@@ -234,42 +189,35 @@ def run(rows: int, smoke: bool) -> int:
             form.policy_pushdown_enabled = True
 
         oracle_titles = sorted(doc.title for doc in oracle_docs)
-        for tier_name, docs, count in (
-            ("direct", direct_docs, direct_count),
-            ("store", store_docs, store_count),
-        ):
-            titles = sorted(doc.title for doc in docs)
-            if titles != oracle_titles:
-                failures.append(
-                    f"{backend_name}: {tier_name}-tier fetch diverged from "
-                    f"the Python oracle ({len(titles)} vs "
-                    f"{len(oracle_titles)} rows)"
-                )
-            if count != oracle_count:
-                failures.append(
-                    f"{backend_name}: {tier_name}-tier count {count} != "
-                    f"oracle count {oracle_count}"
-                )
+        titles = sorted(doc.title for doc in pushed_docs)
+        if titles != oracle_titles:
+            failures.append(
+                f"{backend_name}: pushed fetch diverged from the Python "
+                f"oracle ({len(titles)} vs {len(oracle_titles)} rows)"
+            )
+        if pushed_count != oracle_count:
+            failures.append(
+                f"{backend_name}: pushed count {pushed_count} != "
+                f"oracle count {oracle_count}"
+            )
 
-        timings[backend_name] = (direct_count_time, oracle_count_time)
-        direct_speedup = (
-            oracle_count_time / direct_count_time
-            if direct_count_time
+        timings[backend_name] = (pushed_count_time, oracle_count_time)
+        pushed_speedup = (
+            oracle_count_time / pushed_count_time
+            if pushed_count_time
             else float("inf")
         )
         fetch_speedup = (
-            oracle_fetch_time / direct_fetch_time
-            if direct_fetch_time
+            oracle_fetch_time / pushed_fetch_time
+            if pushed_fetch_time
             else float("inf")
         )
         print(
             f"[{backend_name}] rows={rows}  count: "
-            f"direct={direct_count_time * 1000:.2f}ms "
-            f"store={store_count_time * 1000:.2f}ms "
+            f"pushed={pushed_count_time * 1000:.2f}ms "
             f"python={oracle_count_time * 1000:.2f}ms "
-            f"({direct_speedup:.1f}x)  fetch: "
-            f"direct={direct_fetch_time * 1000:.2f}ms "
-            f"store={store_fetch_time * 1000:.2f}ms "
+            f"({pushed_speedup:.1f}x)  fetch: "
+            f"pushed={pushed_fetch_time * 1000:.2f}ms "
             f"python={oracle_fetch_time * 1000:.2f}ms ({fetch_speedup:.1f}x)"
         )
         database.close()
@@ -278,7 +226,7 @@ def run(rows: int, smoke: bool) -> int:
         for backend_name, (pushed, oracle) in timings.items():
             if oracle < pushed * 5:
                 failures.append(
-                    f"{backend_name}: direct-tier count only "
+                    f"{backend_name}: pushed count only "
                     f"{oracle / pushed:.1f}x faster than Python pruning "
                     f"(need >=5x)"
                 )

@@ -9,8 +9,9 @@ Three consumers share one AST toolkit:
   column some public-facet method reads is forced onto the batched
   rewrite, closing the stored-snapshot staleness hole;
 * the **policy classifier** (:mod:`repro.analysis.classify`) emits
-  machine-readable policy shapes, the planning input for compiling Early
-  Pruning into SQL.
+  machine-readable policy shapes for the CLI report, and the **symbolic
+  compiler** (:mod:`repro.analysis.symbolic`) emits the predicate IR the
+  FORM renders when it compiles Early Pruning into SQL.
 
 Import side effects are kept minimal: this package never imports
 ``repro.form`` at module level (the form imports *us* lazily), so the

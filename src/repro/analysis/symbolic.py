@@ -7,9 +7,8 @@ normalized predicate IR — and/or/not trees over :class:`Atom` leaves
 own-row columns (:class:`OwnColumn`), viewer attribute chains
 (:class:`ViewerAttr`), or the row/viewer objects themselves.  Anything the
 interpreter cannot model soundly becomes :class:`Top` ("unknown"), and
-every consumer treats TOP conservatively: pushdown falls back to the label
-store or the Python path, and the unsatisfiability check treats it as
-satisfiable.
+every consumer treats TOP conservatively: pushdown falls back to the
+Python path, and the unsatisfiability check treats it as satisfiable.
 
 The interpreter is *typed*: own-row attribute reads resolve through the
 model's :class:`~repro.analysis.types.TypeEnv`, so each :class:`OwnColumn`

@@ -23,7 +23,6 @@ from repro.cache.integration import FormCaches
 from repro.core.runtime import JeevesRuntime
 from repro.db.engine import Database
 from repro.db.query import Query
-from repro.form.pushdown import LabelAssignmentStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.form.model import JModel
@@ -68,16 +67,10 @@ class FORM:
         self.caches = FormCaches(self.cache_config)
         if self.cache_config.enabled:
             self.caches.bind(self.database.invalidation)
-        #: compile Early Pruning into SQL where the policy shapes allow it
-        #: (:mod:`repro.form.pushdown`); flip off to force the Python
-        #: pruning path -- the differential-testing oracle.
+        #: compile Early Pruning into SQL where a model's policy renders
+        #: inline (:mod:`repro.form.pushdown`); flip off to force the
+        #: Python pruning path -- the differential-testing oracle.
         self.policy_pushdown_enabled = True
-        #: cap the pushdown tier: ``"store"`` demotes direct/indexable
-        #: rendering to the label-store tier (a fuzzing knob; ``None`` =
-        #: uncapped).
-        self.policy_pushdown_tier_cap: Optional[str] = None
-        self.pushdown_store = LabelAssignmentStore()
-        self.pushdown_store.bind(self.database.invalidation)
 
     # -- model registration -------------------------------------------------------
 
@@ -141,7 +134,6 @@ class FORM:
         self.runtime.reset()
         self.registered_labels.clear()
         self.caches.clear()
-        self.pushdown_store.reset()
         with self._jid_lock:
             for name in self._jid_counters:
                 self._jid_counters[name] = 0

@@ -28,7 +28,7 @@ from repro.core.facets import Facet, collect_labels, facet_map
 from repro.core.labels import Label
 import dataclasses
 
-from repro.db.expr import InList, and_all, col, eq, eq_or_null
+from repro.db.expr import Expression, InList, and_all, col, eq, eq_or_null
 from repro.db.query import (
     Aggregate,
     Query,
@@ -225,11 +225,10 @@ class QuerySet:
         (``limited``) -- the bound counts records, which the grouped plan
         cannot see.  For a known viewer on a policied model the pruning
         predicate itself joins the statement (policy pushdown,
-        :mod:`repro.form.pushdown`) whenever the model's policies classify
-        as viewer-independent or equality-on-viewer, keeping the count a
-        single SQL statement; only opaque policies (counted as
-        ``plan.policy_pushdown.opaque_fallback``) fetch and prune in
-        Python.
+        :mod:`repro.form.pushdown`) whenever the model's policy renders
+        inline, keeping the count a single SQL statement; every other
+        policied count (counted under its fallback reason) fetches and
+        prunes in Python.
         """
         plan = self._aggregate_groups(("COUNT",))
         if plan is None:
@@ -491,7 +490,7 @@ class QuerySet:
         form = current_form()
         meta = self.model._meta
         if operation == "fetch":
-            query, _joined, pushed = self._build_query(meta, populate=False)
+            query, _joined, pushed = self._build_query(meta, probe=False)
             report = query.explain()
             # Backend plan detail: the memory engine's cost-model choice
             # (chosen_plan / considered_plans), SQLite's EXPLAIN QUERY PLAN.
@@ -499,8 +498,6 @@ class QuerySet:
             report["operation"] = "fetch"
             if pushed:
                 report["mode"] = "policy-pushdown"
-                report["tier"] = pushed.tiers.get(meta.table_name)
-                report["tiers"] = dict(pushed.tiers)
             else:
                 report["mode"] = (
                     "pruned" if current_viewer() is not None else "faceted"
@@ -524,7 +521,7 @@ class QuerySet:
             pushed = False
             if not bounded:
                 agg_query, _group_columns, _specs, pushed = self._aggregate_plan(
-                    functions, column, populate=False
+                    functions, column, probe=False
                 )
             pruned_policied = (
                 current_viewer() is not None
@@ -544,8 +541,6 @@ class QuerySet:
             report["operation"] = operation
             if pushed:
                 report["mode"] = "policy-pushdown"
-                report["tier"] = pushed.tiers.get(meta.table_name)
-                report["tiers"] = dict(pushed.tiers)
             return report
         if operation == "update":
             resolved = writes.resolve_update_fields(meta, values)
@@ -648,10 +643,10 @@ class QuerySet:
         i.e. the pre-pruning result shared by every viewer -- and instances
         are rebuilt per fetch, so per-request state attached to instances
         (resolved foreign keys, application mutations) never crosses fetches
-        or viewers.  Policy-pushdown statements embed the viewer key in
-        their store subquery (and so in the cache key): their already-pruned
-        entries cache per viewer, never shared, and a store repopulation
-        invalidates them through ``tables_read()`` like any other write.
+        or viewers.  Policy-pushdown statements embed the viewer's bound
+        values in their inline predicate (and so in the cache key): their
+        already-pruned entries are shared only by viewers binding the same
+        values, which the predicate prunes identically.
 
         Inside a viewer context, entries spanning two or more records share
         one :class:`_Siblings` (a batched load's own entries excepted): the
@@ -756,8 +751,8 @@ class QuerySet:
         return query, joined
 
     def _build_query(
-        self, meta, populate: bool = True
-    ) -> Tuple[Query, List[str], Optional["pushdown_sql.PushdownPlan"]]:
+        self, meta, probe: bool = True
+    ) -> Tuple[Query, List[str], Optional[List[Expression]]]:
         query, joined = self._ordered_query(meta)
         # Bounded queries compile to the jid-subselect pushdown: the LIMIT
         # counts DISTINCT jids inside a subquery, so the database prunes to
@@ -766,23 +761,22 @@ class QuerySet:
         if query.limit is not None or query.offset:
             query = plan_bounded(query, "jid", query.limit, query.offset)
             obs.add("plan.bounded")
-            return query, joined, False
-        # Unbounded pruned queries on eligible policied models additionally
-        # compile the pruning predicate into the statement (policy
-        # pushdown): the engine keeps exactly the viewer-visible facet
+            return query, joined, None
+        # Unbounded pruned queries on inline-profile policied models
+        # additionally compile the pruning predicate into the statement
+        # (policy pushdown): the engine keeps exactly the viewer-visible facet
         # rows, so the Python side skips label resolution entirely.  The
         # bounded form stays on the Python path -- its record bound counts
         # *matching* records pre-pruning, and :meth:`first`'s
         # invisible-match fallback depends on seeing them.
         viewer = current_viewer()
-        plan: Optional[pushdown_sql.PushdownPlan] = None
+        plan: Optional[List[Expression]] = None
         if viewer is not None:
             plan = pushdown_sql.pruning_conjuncts(
-                current_form(), self.model, joined, viewer, populate=populate
+                current_form(), self.model, joined, viewer, probe=probe
             )
-            if plan is not None:
-                for conjunct in plan.conjuncts:
-                    query = query.filter(conjunct)
+            for conjunct in plan or ():
+                query = query.filter(conjunct)
         return query, joined, plan
 
     # -- aggregate pushdown -------------------------------------------------------------
@@ -791,40 +785,33 @@ class QuerySet:
         self,
         functions: Tuple[str, ...],
         column: Optional[str] = None,
-        populate: bool = True,
-    ) -> Tuple[
-        Query,
-        List[str],
-        Tuple[Aggregate, ...],
-        Optional["pushdown_sql.PushdownPlan"],
-    ]:
+        probe: bool = True,
+    ) -> Tuple[Query, List[str], Tuple[Aggregate, ...], Optional[List[Expression]]]:
         """Compile this query set's grouped jvars-partition statement.
 
         The plan-construction half of :meth:`_aggregate_groups`, shared with
         :meth:`explain` so the reported SQL is the executed SQL by
         construction.  Returns ``(query, group_columns, specs, pushed)``;
-        ``pushed`` is the :class:`~repro.form.pushdown.PushdownPlan` when
-        the statement carries the viewer's pruning predicate (policy
-        pushdown, ``None`` otherwise), so every returned partition is fully
-        visible -- and the jvars GROUP BY is dropped entirely: with the
+        ``pushed`` is the list of pruning conjuncts when the statement
+        carries the viewer's pruning predicate (policy pushdown, ``None``
+        otherwise), so every returned partition is fully visible -- and
+        the jvars GROUP BY is dropped entirely: with the
         engine pruning, partitioning by label assignment would only split
         one visible world across thousands of per-record groups to be
-        re-summed in Python.  ``populate=False`` plans without refreshing
-        the label-assignment store (``explain``) -- the predicate's SQL
-        does not depend on the store's contents, so the two spellings
-        agree.
+        re-summed in Python.  ``probe=False`` plans without the facet-row
+        probe statement (``explain``) -- the predicate's SQL does not
+        depend on the probe, so the two spellings agree.
         """
         meta = self.model._meta
         query, joined = self._filtered_query(meta)
-        pushed: Optional[pushdown_sql.PushdownPlan] = None
+        pushed: Optional[List[Expression]] = None
         viewer = current_viewer()
         if viewer is not None and self.limit is None and not self.offset:
             pushed = pushdown_sql.pruning_conjuncts(
-                current_form(), self.model, joined, viewer, populate=populate
+                current_form(), self.model, joined, viewer, probe=probe
             )
-            if pushed is not None:
-                for conjunct in pushed.conjuncts:
-                    query = query.filter(conjunct)
+            for conjunct in pushed or ():
+                query = query.filter(conjunct)
         if column is not None and joined and "." not in column:
             column = f"{meta.table_name}.{column}"
         specs = tuple(
@@ -852,15 +839,14 @@ class QuerySet:
         Returns ``None`` when the grouped plan does not apply: bounded
         query sets (the bound counts records, which a grouped plan cannot
         see), and pruned queries on policied models whose pruning predicate
-        could *not* be compiled into the statement (opaque policies,
-        unknown viewer identity, store population failure) -- there Early
-        Pruning must evaluate policies against the fetched secret facet,
-        which a no-fetch plan cannot do.
+        could *not* be compiled into the statement (opaque policies, a
+        predicate that does not bind for the viewer, unreadable facet
+        rows) -- there Early Pruning must evaluate policies against the
+        fetched secret facet, which a no-fetch plan cannot do.
 
         Results are cached in the faceted query cache under the aggregate
         plan's own key; ``tables_read()`` registers the base and joined
-        tables (for pushed plans also the label-assignment store), so any
-        write to them invalidates the cached partitions.
+        tables, so any write to them invalidates the cached partitions.
         """
         if self.limit is not None or self.offset:
             return None

@@ -1,205 +1,77 @@
 """Policy pushdown: compile Early Pruning into the SQL statement itself.
 
-Every policied read used to fetch facet rows and resolve each guarding
-label in Python -- O(labels) policy evaluations per request.  This module
-materialises policy *outcomes* instead: a label-assignment store table
-(:data:`STORE_TABLE`) holds, per ``(model table, viewer)``, every non-empty
-``jvars`` encoding whose branches are all consistent with the viewer's
-resolved label assignment.  A pruned query then appends one predicate per
-involved table::
+The Python Early Pruning path (``QuerySet._pruned``) fetches every facet
+row and resolves each guarding label -- O(labels) policy evaluations per
+request.  When a model's one policy group compiles
+(:mod:`repro.analysis.symbolic`) to a predicate over own-row columns,
+viewer attributes and constants, this module renders that predicate into
+the WHERE clause instead, one conjunct per involved table::
 
-    (jvars = '' OR jvars IN (SELECT jvars FROM "__jacq_labels__"
-                             WHERE table_name = ? AND viewer_key = ?))
+    jvars = ''                                         -- unfaceted rows
+    OR (jvars = 'T.<jid>.g=True'  AND <predicate>)     -- secret facet rows
+    OR (jvars = 'T.<jid>.g=False' AND NOT <predicate>) -- public facet rows
 
 and the *database engine* prunes -- one SQL statement for
 ``filter().fetch()``, ``count()`` and ``aggregate()`` on both backends.
+The viewer-only parts of the predicate fold to booleans when it binds.
 
-Correctness is by construction, not by re-deriving policies in SQL: the
-store is populated by the same :func:`repro.form.manager._resolve_label`
-pipeline the Python path uses (the Python path stays both the fallback and
-the differential-testing oracle, see ``tests/fuzz/``).  Because label names
-embed the record (``Table.jid.group``) and :func:`repro.form.marshal.format_jvars`
-canonicalises branch order, a non-empty ``jvars`` string identifies its
-label assignment exactly, so membership of the *string* decides visibility
-of the *row*.
+Every other viewer-context read of a policied model takes the Python
+path, which is also the differential-testing oracle (``tests/fuzz/``),
+and is counted under its reason:
 
-The decision procedure consumes :mod:`repro.analysis.classify` shapes:
+* a model with several policy groups, or whose predicate contains TOP or
+  fails to compile, has the ``"opaque"`` profile
+  (``plan.policy_pushdown.opaque_fallback``);
+* the predicate does not bind for this viewer
+  (``plan.policy_pushdown.fallback.bind``);
+* a table holds facet rows the branch test cannot read, or probing them
+  failed (``plan.policy_pushdown.fallback.facet_rows``).
 
-* ``viewer-independent`` / ``equality-on-viewer`` models are eligible;
-* any ``opaque`` group keeps the model on the Python path and counts
-  ``plan.policy_pushdown.opaque_fallback`` -- no silent third state.
-
-Invalidation (epoch coherence):
-
-* every store entry is stamped with the global policy epoch, the schema
-  generation and a write mark taken *before* the population read;
-* models whose policies provably read only their own row (shape checks
-  pass, inferred read set is not TOP, no cross-record reads, no ORM query
-  in the policy body) invalidate *narrowly* on their own table's write
-  generation; everything else invalidates on any write (a broad counter
-  fed by the invalidation bus);
-* out-of-band policy inputs (e.g. the conference phase) must call
-  :func:`repro.cache.epoch.bump_policy_epoch` -- the same contract the
-  label cache already imposes.
-
->>> _is_model_label("not a label")
-False
->>> _viewer_key_text(("User", 3))
-"('User', 3)"
+>>> from repro.apps.conf.models import ConfUser, Review
+>>> profile_for(ConfUser).tier, profile_for(Review).tier
+('inline', 'opaque')
 """
 
 from __future__ import annotations
 
-import ast
-import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
 from repro import obs
 from repro.analysis import symbolic as sym
-from repro.cache.bus import InvalidationBus, subscribe_weak
-from repro.cache.epoch import policy_epoch
-from repro.cache.label_cache import viewer_cache_key
 from repro.db.expr import (
     AndExpr,
     ColumnRef,
     Comparison,
     Expression,
     FacetBranch,
-    InSubquery,
     IsNull,
     Literal,
     NotExpr,
     NullSafeEq,
     OrExpr,
-    and_all,
     eq,
-    ne,
     prefix_range,
 )
-from repro.db.query import Query
-from repro.db.schema import Column, ColumnType, IndexSpec, TableSchema
-from repro.form.marshal import parse_jvars
-
-#: The label-assignment store: per (model table, viewer), the jvars
-#: encodings visible to that viewer.  The double-underscore name keeps it
-#: out of the application namespace, like Django's own meta tables.
-STORE_TABLE = "__jacq_labels__"
-
-
-def _store_schema() -> TableSchema:
-    # The composite (table_name, viewer_key) index backs the store-slice
-    # subselect every pushed-down statement joins against -- one probe per
-    # (model table, viewer) slice instead of two single-column narrowings.
-    return TableSchema(
-        STORE_TABLE,
-        (
-            Column("id", ColumnType.INTEGER, primary_key=True),
-            Column("table_name", ColumnType.TEXT, indexed=True),
-            Column("viewer_key", ColumnType.TEXT, indexed=True),
-            Column("jvars", ColumnType.TEXT, default=""),
-        ),
-        indexes=(IndexSpec(("table_name", "viewer_key")),),
-    )
-
-
-def _viewer_key_text(viewer_key: Hashable) -> str:
-    """The stored spelling of a viewer identity (stable across requests)."""
-    return repr(viewer_key)
-
-
-def _is_model_label(name: str) -> bool:
-    """Whether a label follows the FORM convention and resolves to a
-    registered model's policy group.
-
-    Anything else (pc labels pushed by application code, ad-hoc value-facet
-    labels) has no write/epoch invalidation hook the store could subscribe
-    to, so tables carrying such labels stay on the Python path.
-    """
-    parts = name.split(".")
-    if len(parts) != 3:
-        return False
-    table, jid_text, group_key = parts
-    try:
-        int(jid_text)
-    except ValueError:
-        return False
-    from repro.form.model import ModelRegistry
-
-    try:
-        model = ModelRegistry.get(table)
-    except LookupError:
-        return False
-    return any(g.key == group_key for g in model._meta.policy_groups)
-
-
-def _has_orm_query(node: Optional[ast.AST]) -> bool:
-    """Whether a policy body mentions ``.objects`` anywhere.
-
-    Read-set inference only flags cross-record reads it can prove; an ORM
-    query whose argument is an attribute chain escapes it.  For *narrow*
-    invalidation we must be certain the policy reads nothing but its own
-    row, so any ``.objects`` mention forces broad invalidation.
-    """
-    if node is None:
-        return True
-    return any(
-        isinstance(sub, ast.Attribute) and sub.attr == "objects"
-        for sub in ast.walk(node)
-    )
 
 
 @dataclass(frozen=True)
 class PushdownProfile:
-    """The per-model decision record of the pushdown planner.
+    """How viewer-context reads of one model prune (cached per model).
 
-    ``eligible`` -- every policy group is viewer-independent or
-    equality-on-viewer (classifier shapes), so the store can serve this
-    model.  ``opaque`` -- at least one group is opaque; queries touching the
-    model fall back and count ``plan.policy_pushdown.opaque_fallback``.
-    ``narrow`` -- outcomes provably depend only on the model's own rows
-    (plus epoch-guarded globals): invalidate on the own-table write
-    generation instead of every write.
-
-    ``tier`` is the *static* ceiling the symbolic predicate IR admits:
-
-    * ``"direct"`` -- single policy group whose compiled predicate renders
-      inline with two-valued atoms (equality on viewer values, membership,
-      null tests), skipping the label store entirely;
-    * ``"indexable"`` -- like direct but with prefix/range atoms that
-      compile through ``Like``/``Between``-family expressions over
-      non-nullable columns (servable from ordered indexes);
-    * ``"store"`` -- eligible, served by the label-assignment store;
-    * ``"opaque"`` -- Python fallback; ``"none"`` -- no policy groups.
-
-    Runtime conditions (viewer bind success, canonical facet-branch state)
-    can still demote direct/indexable to store per query; demotion never
-    skips to the Python path while the model stays eligible.
+    ``tier`` is ``"inline"`` when the model's one policy group compiles to
+    a predicate :func:`_renders_inline` accepts (kept in ``predicate``),
+    ``"opaque"`` when its reads take the Python path (several policy
+    groups, TOP in the predicate, or compilation failing) and ``"none"``
+    when the model has no policy groups.
     """
 
-    eligible: bool
-    narrow: bool
-    opaque: bool
-    shapes: Dict[str, str] = field(default_factory=dict)
-    tier: str = "store"
+    tier: str
     predicate: Optional[sym.Pred] = None
 
-    @property
-    def inline(self) -> bool:
-        return self.tier in ("direct", "indexable")
 
-
-#: Atom ops renderable as two-valued equality-family SQL (direct tier).
-_DIRECT_OPS = frozenset(
-    {"eq", "ne", "in", "not-in", "is-null", "not-null", "truthy"}
-)
-#: Atom ops renderable as range/prefix probes (indexable tier).
-_RANGE_OPS = frozenset({"lt", "le", "gt", "ge", "prefix"})
-
-
-def _atom_tier(atom: sym.Atom) -> Optional[str]:
-    """``"direct"`` / ``"indexable"`` when the atom is renderable, else
-    ``None`` (store fallback).
+def _atom_renders(atom: sym.Atom) -> bool:
+    """Whether an atom renders as two-valued SQL or folds at bind time.
 
     Atoms not reading an own-row column fold to booleans at bind time with
     Python semantics, so any op is fine.  Own-column atoms must render with
@@ -212,107 +84,64 @@ def _atom_tier(atom: sym.Atom) -> Optional[str]:
     rhs_own = isinstance(rhs, sym.OwnColumn)
     if not lhs_own and not rhs_own:
         if {type(lhs), type(rhs)} == {sym.RowSelf, sym.ViewerSelf}:
-            return "direct" if atom.op in ("eq", "ne") else None
-        if isinstance(lhs, sym.RowSelf) or isinstance(rhs, sym.RowSelf):
-            return None
-        return "direct"  # viewer/constant only: folds at bind time
+            return atom.op in ("eq", "ne")
+        # viewer/constant only: folds at bind time
+        return not isinstance(lhs, sym.RowSelf) and not isinstance(rhs, sym.RowSelf)
     if not lhs_own:
-        return None  # own column in a non-canonical position (e.g. prefix rhs)
+        return False  # own column in a non-canonical position (e.g. prefix rhs)
     value_ok = isinstance(rhs, (sym.ConstVal, sym.ViewerAttr, sym.OwnColumn))
     if atom.op in ("eq", "ne"):
-        return "direct" if value_ok else None
+        return value_ok
     if atom.op in ("in", "not-in"):
-        return (
-            "direct"
-            if isinstance(rhs, sym.ConstVal) and isinstance(rhs.value, tuple)
-            else None
-        )
+        return isinstance(rhs, sym.ConstVal) and isinstance(rhs.value, tuple)
     if atom.op in ("is-null", "not-null"):
-        return "direct"
+        return True
     if atom.op == "truthy":
-        return "direct" if lhs.kind == "bool" else None
+        return lhs.kind == "bool"
     if atom.op in ("lt", "le", "gt", "ge"):
-        if lhs.nullable or not value_ok:
-            return None
-        if rhs_own and rhs.nullable:
-            return None
-        return "indexable"
+        return value_ok and not lhs.nullable and not (rhs_own and rhs.nullable)
     if atom.op == "prefix":
-        if lhs.kind != "text" or lhs.nullable or rhs_own:
-            return None
-        return "indexable" if value_ok else None
-    return None
+        return lhs.kind == "text" and not lhs.nullable and not rhs_own and value_ok
+    return False
 
 
-def _predicate_tier(pred: sym.Pred, guarded_columns: frozenset) -> str:
-    """The static tier a compiled single-group predicate admits."""
+def _renders_inline(pred: sym.Pred, guarded_columns: frozenset) -> bool:
+    """Whether a compiled single-group predicate renders inline."""
     if sym.contains_top(pred):
-        return "store"
+        return False
     if sym.own_columns(pred) & guarded_columns:
-        # The predicate reads a column its own group guards: the negative
+        # The predicate reads a column its own group guards: the public
         # facet row carries the public value, so inline evaluation would
         # diverge from the oracle.
-        return "store"
-    tier = "direct"
-    for atom in sym.iter_atoms(pred):
-        atom_tier = _atom_tier(atom)
-        if atom_tier is None:
-            return "store"
-        if atom_tier == "indexable":
-            tier = "indexable"
-    return tier
+        return False
+    return all(_atom_renders(atom) for atom in sym.iter_atoms(pred))
 
 
 def _compute_profile(model: type) -> PushdownProfile:
     meta = model._meta
     if not meta.policy_groups:
-        return PushdownProfile(
-            eligible=True, narrow=True, opaque=False, tier="none"
-        )
-    try:
-        from repro.analysis.classify import classify_policy
-        from repro.analysis.facts import facts_for_model
-
-        facts = facts_for_model(model)
-        records = [classify_policy(group, facts) for group in facts.groups]
-    except Exception:
-        # Classification itself failing (lost source, exotic bodies) is the
-        # opaque case: the Python evaluator stays the oracle.
-        return PushdownProfile(
-            eligible=False, narrow=False, opaque=True, tier="opaque"
-        )
-    shapes = {record["group"]: record["shape"] for record in records}
-    opaque = any(record["shape"] == "opaque" for record in records)
-    eligible = not opaque and len(records) == len(meta.policy_groups)
-    narrow = eligible and all(
-        record["reads"] != "TOP" and not record["cross_record"]
-        for record in records
-    ) and not any(_has_orm_query(group.node) for group in facts.groups)
-    tier = "store" if eligible else "opaque"
-    predicate: Optional[sym.Pred] = None
-    if eligible and len(facts.groups) == 1:
+        return PushdownProfile("none")
+    if len(meta.policy_groups) > 1:
         # Inline rendering covers exactly one policy group: a record's
         # facet rows split on that group's single branch, so visibility is
         # one two-way decision the WHERE clause can encode.
+        return PushdownProfile("opaque")
+    try:
+        from repro.analysis.facts import facts_for_model
+
+        facts = facts_for_model(model)
         group = facts.groups[0]
-        guarded = frozenset(
-            meta.fields[name].column_name
-            for name in group.fields
-            if name in meta.fields
-        )
-        try:
-            compiled = sym.compile_policy(group, facts)
-            candidate = _predicate_tier(compiled, guarded)
-        except Exception:
-            candidate = "store"
-        else:
-            if candidate in ("direct", "indexable"):
-                predicate = compiled
-        tier = candidate
-    return PushdownProfile(
-        eligible=eligible, narrow=narrow, opaque=opaque or not eligible,
-        shapes=shapes, tier=tier, predicate=predicate,
+        predicate = sym.compile_policy(group, facts)
+    except Exception:
+        # Lost source or an exotic body: the Python evaluator stays the
+        # oracle.
+        return PushdownProfile("opaque")
+    guarded = frozenset(
+        meta.fields[name].column_name for name in group.fields if name in meta.fields
     )
+    if not _renders_inline(predicate, guarded):
+        return PushdownProfile("opaque")
+    return PushdownProfile("inline", predicate)
 
 
 def profile_for(model: type) -> PushdownProfile:
@@ -325,186 +154,12 @@ def profile_for(model: type) -> PushdownProfile:
     return meta._pushdown_profile
 
 
-class LabelAssignmentStore:
-    """Maintains :data:`STORE_TABLE` write-through and tracks its validity.
-
-    One instance per FORM, subscribed (weakly) to the database's
-    invalidation bus.  ``ensure()`` is the only populater: it snapshots the
-    validity stamps *before* reading, resolves every distinct non-empty
-    jvars encoding through the Python resolver, and swaps the viewer's
-    slice of the store atomically with ``replace_rows`` -- so a write
-    racing the population can only make the recorded stamps stale, never
-    leave a stale store looking valid.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        #: (table, viewer_key) -> (narrow, epoch, schema_gen, mark, ok)
-        self._valid: Dict[Tuple[str, Hashable], Tuple[bool, int, int, int, bool]] = {}
-        #: bumped on every non-store write (the broad invalidation mark)
-        self._any_write = 0
-        self._count_lock = threading.Lock()
-        self._local = threading.local()
-        self._subscription = None
-
-    # -- bus wiring -----------------------------------------------------------------
-
-    def bind(self, bus: InvalidationBus) -> None:
-        self._subscription = subscribe_weak(
-            bus, self, LabelAssignmentStore._on_write
-        )
-
-    def _on_write(self, table: str) -> None:
-        # The store's own repopulation writes must not invalidate the store.
-        if table == STORE_TABLE:
-            return
-        with self._count_lock:
-            self._any_write += 1
-
-    # -- re-entrancy ------------------------------------------------------------------
-
-    @property
-    def populating(self) -> bool:
-        """Whether *this thread* is inside a population resolution cycle.
-
-        Policies evaluated during population may issue queries of their
-        own; those nested queries must take the Python path (the store
-        being filled is not yet trustworthy, and recursing into ensure()
-        could loop).
-        """
-        return getattr(self._local, "active", False)
-
-    # -- validity ---------------------------------------------------------------------
-
-    def _entry_current(
-        self, bus: InvalidationBus, table: str,
-        entry: Tuple[bool, int, int, int, bool],
-    ) -> bool:
-        narrow, epoch, schema, mark, _ok = entry
-        if epoch != policy_epoch() or schema != bus.schema_generation:
-            return False
-        current = bus.write_generation(table) if narrow else self._any_write
-        return mark == current
-
-    def predicts(self, model: type, viewer_key: Hashable) -> bool:
-        """Whether planning (``explain``) should assume the store serves
-        this (table, viewer) -- without populating it.
-
-        Optimistic for never-attempted pairs (profiles were already
-        checked); pessimistic after a recorded population failure, which
-        only unknown (non-model) labels cause and which writes rarely cure.
-        """
-        entry = self._valid.get((model._meta.table_name, viewer_key))
-        return True if entry is None else entry[4]
-
-    # -- population --------------------------------------------------------------------
-
-    def ensure(self, form: Any, model: type, viewer: Any, viewer_key: Hashable) -> bool:
-        """Make the store current for ``(model's table, viewer)``.
-
-        Returns ``True`` when the store can serve the pruning predicate;
-        ``False`` when population failed (some stored label does not follow
-        the model convention) and the caller must fall back.
-        """
-        meta = model._meta
-        table = meta.table_name
-        bus = form.database.invalidation
-        with self._lock:
-            entry = self._valid.get((table, viewer_key))
-            if entry is not None and self._entry_current(bus, table, entry):
-                return entry[4]
-            if not form.database.has_table(STORE_TABLE):
-                form.database.create_table(_store_schema())
-            # Stamp snapshots come BEFORE the read they guard (the label
-            # cache's fill-vs-write pattern): a racing write makes the
-            # recorded entry stale, forcing repopulation on the next query.
-            epoch = policy_epoch()
-            schema = bus.schema_generation
-            narrow_mark = bus.write_generation(table)
-            broad_mark = self._any_write
-            self._local.active = True
-            try:
-                outcome = self._visible_jvars(form, meta, viewer)
-            finally:
-                self._local.active = False
-            profile = profile_for(model)
-            if outcome is None:
-                ok, narrow = False, profile.narrow
-            else:
-                visible, only_own = outcome
-                ok = True
-                narrow = profile.narrow and only_own
-                key_text = _viewer_key_text(viewer_key)
-                where = and_all(
-                    [eq("table_name", table), eq("viewer_key", key_text)]
-                )
-                rows = [
-                    {"table_name": table, "viewer_key": key_text, "jvars": encoded}
-                    for encoded in visible
-                ]
-                form.database.replace_rows(STORE_TABLE, where, rows)
-                obs.add("pushdown.store.refresh")
-            mark = narrow_mark if narrow else broad_mark
-            self._valid[(table, viewer_key)] = (narrow, epoch, schema, mark, ok)
-            return ok
-
-    def _visible_jvars(
-        self, form: Any, meta: Any, viewer: Any
-    ) -> Optional[Tuple[List[str], bool]]:
-        """Resolve every distinct non-empty jvars encoding of a table.
-
-        Returns ``(visible encodings, only own-table labels seen)``, or
-        ``None`` when an encoding mentions a label the store cannot keep
-        coherent (population failure -> Python fallback).  Resolution goes
-        through the exact oracle pipeline (:func:`_resolve_label`), memoised
-        per label for the scan.
-        """
-        from repro.form.manager import _resolve_label
-
-        query = (
-            Query(table=meta.table_name)
-            .select("jvars")
-            .filter(ne("jvars", ""))
-            .distinct_rows()
-        )
-        rows = form.database.execute(query)
-        prefix = f"{meta.table_name}."
-        memo: Dict[str, bool] = {}
-        visible: List[str] = []
-        only_own = True
-        for row in rows:
-            encoded = row.get("jvars")
-            keep = True
-            for name, polarity in parse_jvars(encoded):
-                if not name.startswith(prefix):
-                    only_own = False
-                outcome = memo.get(name)
-                if outcome is None:
-                    if not _is_model_label(name):
-                        return None
-                    outcome = bool(_resolve_label(form, name, viewer))
-                    memo[name] = outcome
-                if outcome != polarity:
-                    keep = False
-                    break
-            if keep:
-                visible.append(encoded)
-        return visible, only_own
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Forget all validity stamps (``FORM.clear()``)."""
-        with self._lock:
-            self._valid.clear()
-
-
-# -- inline predicate rendering (direct / indexable tiers) -----------------------
+# -- inline predicate rendering ----------------------------------------------------
 
 
 class _Demote(Exception):
-    """Raised during binding when inline rendering must fall back to the
-    label store for this (model, viewer) -- never past it to Python."""
+    """Raised during binding when the inline predicate cannot render for
+    this viewer: the read takes the Python path."""
 
 
 def _viewer_value(source: sym.ViewerAttr, viewer: Any) -> Any:
@@ -518,8 +173,8 @@ def _viewer_value(source: sym.ViewerAttr, viewer: Any) -> Any:
             else:
                 value = getattr(value, attr)
         except AttributeError:
-            # The oracle would raise here too; the store tier reproduces
-            # that (population evaluates the policy in Python).
+            # The oracle would raise here too: the Python path reproduces
+            # that, since it evaluates the policy itself.
             raise _Demote(f"viewer has no attribute {attr!r}")
     return value
 
@@ -600,8 +255,8 @@ def _fold_viewer_atom(atom: sym.Atom, viewer: Any) -> bool:
     except _Demote:
         raise
     except Exception as error:
-        # The oracle would raise evaluating this; let the store tier (same
-        # Python evaluation) reproduce the behaviour faithfully.
+        # The oracle would raise evaluating this: the Python path
+        # reproduces the behaviour faithfully.
         raise _Demote(f"viewer-side evaluation failed: {error}")
 
 
@@ -697,26 +352,15 @@ def _bind_predicate(
     raise _Demote(f"unrenderable node {type(pred).__name__}")
 
 
-def _inline_conjunct(
-    form: Any, model: type, viewer: Any, qualify: bool, probe: bool = True
-) -> Optional[Expression]:
-    """The direct/indexable-tier conjunct for one model, or ``None`` when a
-    runtime condition demotes this (model, viewer) to the store tier.
+def _inline_conjunct(model: type, viewer: Any, qualify: bool) -> Expression:
+    """The pruning conjunct of one table: ``jvars = ''`` for an unpolicied
+    model, the bound inline predicate for an ``"inline"`` one.
 
-    Soundness gates checked here, per query:
+    Raises :class:`_Demote` when the predicate does not bind against this
+    viewer: an attribute chain fails, a value does not match its column's
+    kind, or a viewer-only atom raises.
 
-    * the table's facet rows are all canonical single-group branches of
-      this model's one policy group (:meth:`facet_branch_keys`), so the
-      positive/negative branch of every record is selected by one
-      :class:`~repro.db.expr.FacetBranch` match;
-    * the predicate binds against this viewer (attribute chains resolve,
-      values convert, viewer-only atoms fold without error).
-
-    ``probe=False`` (``explain``) skips the facet-row gate optimistically
-    instead of running its probe statement -- the same stance the store's
-    :meth:`LabelAssignmentStore.predicts` takes for never-attempted pairs.
-
-    The conjunct admits: unguarded rows (``jvars = ''``), positive-branch
+    The conjunct admits unguarded rows (``jvars = ''``), positive-branch
     rows where the bound predicate holds, and negative-branch rows where
     its (two-valued) negation holds.  The predicate provably reads no
     guarded column, so evaluating it on either facet row of a record gives
@@ -724,21 +368,13 @@ def _inline_conjunct(
     """
     meta = model._meta
     table = meta.table_name
-    profile = profile_for(model)
-    group = meta.policy_groups[0]
-    if probe:
-        try:
-            branch_keys = form.database.facet_branch_keys(table)
-        except Exception:
-            return None
-        if branch_keys is None or not branch_keys <= {group.key}:
-            return None  # exotic labels: only the store understands them
     colname = (lambda name: f"{table}.{name}") if qualify else (lambda name: name)
-    try:
-        bound = _bind_predicate(profile.predicate, model, viewer, colname)
-    except _Demote:
-        return None
     unguarded = eq(colname("jvars"), "")
+    profile = profile_for(model)
+    if profile.tier == "none":
+        return unguarded
+    bound = _bind_predicate(profile.predicate, model, viewer, colname)
+    group = meta.policy_groups[0]
     positive = FacetBranch(table, group.key, True, qualify)
     negative = FacetBranch(table, group.key, False, qualify)
     if bound is True:
@@ -751,16 +387,25 @@ def _inline_conjunct(
     )
 
 
+def _canonical_facet_rows(form: Any, model: type) -> bool:
+    """Whether one :class:`~repro.db.expr.FacetBranch` match selects each
+    record's branch in the model's table.
+
+    Holds when every facet row is a canonical single-group branch of one
+    of the model's policy groups (``Database.facet_branch_keys``), so an
+    unpolicied table must hold no facet rows at all.
+    """
+    meta = model._meta
+    try:
+        branch_keys = form.database.facet_branch_keys(meta.table_name)
+    except Exception:
+        return False
+    return branch_keys is not None and branch_keys <= {
+        group.key for group in meta.policy_groups
+    }
+
+
 # -- the planning entry point ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PushdownPlan:
-    """What ``pruning_conjuncts`` decided: the per-table predicates plus
-    the tier each policied table is served at (``explain()`` reports it)."""
-
-    conjuncts: List[Expression]
-    tiers: Dict[str, str]
 
 
 def pruning_conjuncts(
@@ -768,27 +413,19 @@ def pruning_conjuncts(
     model: type,
     joined_tables: List[str],
     viewer: Any,
-    populate: bool = True,
-) -> Optional[PushdownPlan]:
+    probe: bool = True,
+) -> Optional[List[Expression]]:
     """The per-table pruning predicates of a viewer-context query, or
     ``None`` when the Python path must prune.
 
-    One conjunct per involved table (base plus joins).  Per table, the
-    profile's static tier is tried first: direct/indexable render the
-    compiled predicate inline (no store round-trip); runtime demotion or a
-    ``policy_pushdown_tier_cap`` of ``"store"`` falls back to
-    ``jvars = '' OR jvars IN (store slice)``.  ``populate=False`` builds
-    the same predicates without touching the store (``explain``); no
-    predicate's SQL depends on the store's *contents*, so the reported
-    statement string-equals the executed one.
+    One conjunct per involved table (base plus joins), each from
+    :func:`_inline_conjunct`.  A policied read that falls back is counted
+    under its reason.  ``probe=False`` (``explain``) assumes the facet
+    rows are canonical instead of running the probe statement; no
+    conjunct's SQL depends on the probe, so the reported statement
+    string-equals the executed one.
     """
     if not getattr(form, "policy_pushdown_enabled", True):
-        return None
-    store = getattr(form, "pushdown_store", None)
-    if store is None or store.populating:
-        return None
-    key = viewer_cache_key(viewer)
-    if key is None:
         return None
     from repro.form.model import ModelRegistry
 
@@ -803,55 +440,15 @@ def pruning_conjuncts(
         # already optimal (and unpolicied pc-label rows stay on the
         # resolver path, whose semantics they were written against).
         return None
-    for m in models:
-        profile = profile_for(m)
-        if not profile.eligible:
-            if profile.opaque:
-                obs.add("plan.policy_pushdown.opaque_fallback")
-            return None
+    if any(profile_for(m).tier == "opaque" for m in models):
+        obs.add("plan.policy_pushdown.opaque_fallback")
+        return None
+    if probe and not all(_canonical_facet_rows(form, m) for m in models):
+        obs.add("plan.policy_pushdown.fallback.facet_rows")
+        return None
     qualify = bool(joined_tables)
-    cap = getattr(form, "policy_pushdown_tier_cap", None)
-    tiers: Dict[str, str] = {}
-    inline: Dict[str, Expression] = {}
-    for m in models:
-        table = m._meta.table_name
-        profile = profile_for(m)
-        tier = profile.tier
-        if tier in ("direct", "indexable") and cap != "store":
-            conjunct = _inline_conjunct(form, m, viewer, qualify, probe=populate)
-            if conjunct is not None:
-                inline[table] = conjunct
-                tiers[table] = tier
-                continue
-        # Unpolicied tables ("none") take the store path too: population
-        # walks their stored encodings, so a pc/ad-hoc label on such a
-        # table still forces the Python fallback instead of being hidden.
-        tiers[table] = "store"
-    for m in models:
-        if tiers[m._meta.table_name] in ("direct", "indexable"):
-            continue
-        if populate:
-            if not store.ensure(form, m, viewer, key):
-                return None
-        elif not store.predicts(m, key):
-            return None
-    key_text = _viewer_key_text(key)
-    conjuncts: List[Expression] = []
-    for m in models:
-        table = m._meta.table_name
-        tier = tiers[table]
-        if tier in ("direct", "indexable"):
-            obs.add(f"plan.policy_pushdown.{tier}")
-            conjuncts.append(inline[table])
-            continue
-        column = f"{table}.jvars" if qualify else "jvars"
-        store_slice = (
-            Query(table=STORE_TABLE)
-            .select("jvars")
-            .filter(eq("table_name", table))
-            .filter(eq("viewer_key", key_text))
-        )
-        conjuncts.append(
-            OrExpr(eq(column, ""), InSubquery(ColumnRef(column), store_slice))
-        )
-    return PushdownPlan(conjuncts, tiers)
+    try:
+        return [_inline_conjunct(m, viewer, qualify) for m in models]
+    except _Demote:
+        obs.add("plan.policy_pushdown.fallback.bind")
+        return None

@@ -73,16 +73,17 @@ COUNTER_GLOSSARY: Dict[str, str] = {
         "statement (Early Pruning in SQL, repro.form.pushdown)"
     ),
     "plan.policy_pushdown.opaque_fallback": (
-        "pruned reads kept on the Python path because a policy classified "
-        "as opaque (repro.analysis.classify)"
+        "pruned reads kept on the Python path because a policied model's "
+        "profile is opaque: several policy groups, or a compiled predicate "
+        "that contains TOP (repro.analysis.symbolic)"
     ),
-    "plan.policy_pushdown.direct": (
-        "policied tables served at the direct tier: the compiled symbolic "
-        "predicate rendered inline in the WHERE clause, no label store"
+    "plan.policy_pushdown.fallback.bind": (
+        "pruned reads sent to the Python path because the inline predicate "
+        "does not bind for the viewer (attribute, kind or evaluation error)"
     ),
-    "plan.policy_pushdown.indexable": (
-        "policied tables served at the indexable tier: inline predicate "
-        "with prefix/range atoms servable from ordered indexes"
+    "plan.policy_pushdown.fallback.facet_rows": (
+        "pruned reads sent to the Python path because a table holds facet "
+        "rows the inline branch test cannot read, or probing them failed"
     ),
     "plan.index.hash_probe": (
         "memory-engine reads served by a hash-index bucket probe "
@@ -99,10 +100,6 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     "plan.index.full_scan": (
         "memory-engine reads where the cost model chose (or was forced "
         "to) a full heap scan"
-    ),
-    "pushdown.store.refresh": (
-        "label-assignment store repopulations (one per stale "
-        "(table, viewer) slice; Early Pruning in SQL)"
     ),
     "db.statements": "SQL statements executed by the backends",
     "db.rows": "rows returned or changed by those statements",

@@ -81,8 +81,14 @@ def serve(
 class BackgroundServer:
     """Run an application on a daemon thread for the ``with`` block.
 
-    >>> with BackgroundServer(app) as server:
-    ...     urllib.request.urlopen(server.url + "/papers")
+    >>> import urllib.request
+    >>> from repro.apps.conf import build_conf_app, seed_conference, setup_conf
+    >>> form = setup_conf()
+    >>> _ = seed_conference(form, papers=2)
+    >>> with BackgroundServer(build_conf_app(form)) as server:
+    ...     with urllib.request.urlopen(server.url + "/papers", timeout=10) as response:
+    ...         response.status
+    200
     """
 
     def __init__(

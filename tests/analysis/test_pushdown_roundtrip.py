@@ -1,21 +1,17 @@
-"""Classifier-atom round-tripping into the pushdown decision procedure.
+"""Compiled policy predicates round-tripping into the pushdown decision.
 
-Every policy shape :func:`repro.analysis.classify.classify_policy` emits
-for the four demo applications must land the model in exactly one tier:
+Every policied model of the four demo applications must land in exactly
+one tier:
 
-* ``direct`` -- the compiled symbolic predicate renders inline in the
-  WHERE clause; a viewer-context query counts ``plan.policy_pushdown``
-  and ``plan.policy_pushdown.direct``;
-* ``indexable`` -- inline with prefix/range atoms; counts
-  ``plan.policy_pushdown.indexable``;
-* ``store`` -- the label-assignment-store subquery; counts
-  ``plan.policy_pushdown`` with neither inline counter;
+* ``inline`` -- the compiled symbolic predicate renders in the WHERE
+  clause; a viewer-context query counts ``plan.policy_pushdown``;
 * ``opaque`` -- the Python path; counts
   ``plan.policy_pushdown.opaque_fallback``.
 
-There is no silent fifth state: a policied model the planner skips
-without a counter would mean a classifier shape the decision procedure
-forgot.
+An inline query that falls back at run time counts its reason
+(``plan.policy_pushdown.fallback.bind`` or ``.facet_rows``).  There is
+no silent third state: a policied query the planner skips without a
+counter would mean a case the decision procedure forgot.
 """
 
 import datetime
@@ -30,10 +26,15 @@ from repro.apps.health.models import HEALTH_MODELS, HealthRecord, HealthUser
 from repro.cache.config import CacheConfig
 from repro.db import Database
 from repro.form import FORM, use_form, viewer_context
+from repro.analysis.symbolic import contains_top
 from repro.form.pushdown import profile_for
 
-PUSHDOWN_SHAPES = {"viewer-independent", "equality-on-viewer", "symbolic"}
-POLICIED_TIERS = {"direct", "indexable", "store", "opaque"}
+POLICIED_TIERS = {"inline", "opaque"}
+FALLBACK_COUNTERS = (
+    "plan.policy_pushdown.opaque_fallback",
+    "plan.policy_pushdown.fallback.bind",
+    "plan.policy_pushdown.fallback.facet_rows",
+)
 
 APPS = {
     "conf": CONF_MODELS,
@@ -62,42 +63,31 @@ def _policied_models():
 def test_every_demo_policy_shape_round_trips():
     for app, model in _policied_models():
         profile = profile_for(model)
-        # Exhaustive outcome at classification time: exactly one tier.
+        # Exhaustive outcome at profile time: exactly one tier.
         assert profile.tier in POLICIED_TIERS, (app, model.__name__, profile)
-        assert profile.eligible != profile.opaque, (app, model.__name__, profile)
-        assert profile.eligible == (profile.tier != "opaque"), (
-            app, model.__name__, profile,
-        )
-        # Every policy group got a shape (nothing skipped silently).
-        assert set(profile.shapes) == {
-            group.key for group in model._meta.policy_groups
-        }, (app, model.__name__)
-        if profile.eligible:
-            assert set(profile.shapes.values()) <= PUSHDOWN_SHAPES, (
-                app, model.__name__, profile.shapes,
-            )
-            if profile.tier in ("direct", "indexable"):
-                assert profile.predicate is not None, (app, model.__name__)
+        if profile.tier == "inline":
+            # One policy group, compiled without TOP.
+            assert len(model._meta.policy_groups) == 1, (app, model.__name__)
+            assert profile.predicate is not None, (app, model.__name__)
+            assert not contains_top(profile.predicate), (app, model.__name__)
         else:
-            assert "opaque" in profile.shapes.values(), (
-                app, model.__name__, profile.shapes,
-            )
+            assert profile.predicate is None, (app, model.__name__)
 
 
 def test_demo_tiers_are_the_expected_ones():
     """The concrete assignment the docs and benchmarks talk about: the
-    conf app's viewer model is direct, the multi-group models ride the
-    store, and every cross-record policy is opaque."""
+    conf app's viewer model is inline, and the multi-group models and
+    every cross-record policy are opaque."""
     tiers = {
         model.__name__: profile_for(model).tier
         for _app, model in _policied_models()
     }
     assert tiers == {
-        "ConfUser": "direct",
+        "ConfUser": "inline",
         "Paper": "opaque",
-        "Review": "store",
+        "Review": "opaque",
         "Course": "opaque",
-        "Submission": "store",
+        "Submission": "opaque",
         "HealthUser": "opaque",
         "HealthRecord": "opaque",
         "Event": "opaque",
@@ -144,25 +134,16 @@ def test_every_demo_query_is_counted_pushdown_or_fallback(app):
             if not model._meta.policy_groups:
                 continue
             with viewer_context(viewer):
-                model.objects.all().fetch()  # warm probe/store population
+                model.objects.all().fetch()  # warm the facet-row probe
             obs.reset()
             with obs.tracing(), viewer_context(viewer):
                 model.objects.all().fetch()
             pushed = obs.totals.get("plan.policy_pushdown")
-            fallback = obs.totals.get("plan.policy_pushdown.opaque_fallback")
-            inline = {
-                tier: obs.totals.get(f"plan.policy_pushdown.{tier}")
-                for tier in ("direct", "indexable")
-            }
+            fallbacks = sum(obs.totals.get(name) for name in FALLBACK_COUNTERS)
+            opaque = obs.totals.get("plan.policy_pushdown.opaque_fallback")
             profile = profile_for(model)
-            assert pushed + fallback >= 1, (app, model.__name__, profile)
-            if profile.tier in ("direct", "indexable"):
-                assert pushed >= 1, (app, model.__name__, profile)
-                assert inline[profile.tier] >= 1, (app, model.__name__, inline)
-            elif profile.tier == "store":
-                assert pushed >= 1, (app, model.__name__, profile)
-                assert inline == {"direct": 0, "indexable": 0}, (
-                    app, model.__name__, inline,
-                )
+            assert pushed + fallbacks >= 1, (app, model.__name__, profile)
+            if profile.tier == "inline":
+                assert pushed >= 1 and opaque == 0, (app, model.__name__, profile)
             else:
-                assert fallback >= 1 and pushed == 0, (app, model.__name__)
+                assert opaque >= 1 and pushed == 0, (app, model.__name__)

@@ -10,7 +10,10 @@ runs -- and pin the counts on both backends:
   papers, at most 4 including the session-user load, for a PC member, an
   author and the chair;
 * course ``/courses`` issues the same number at 8 and 64 courses;
-* ``/paper/<jid>`` and ``/user/<jid>`` issue no more than 6 and 4.
+* ``/paper/<jid>`` and ``/user/<jid>`` issue no more than 6 and 4;
+* the first ``/paper/<jid>`` after a PC member's ``POST /review`` issues
+  the same number at 8 and 64 papers, for a PC member, an author and the
+  chair: a write leaves nothing behind that the next read must refill.
 
 ``tests/apps/test_conf.py::test_jacqueline_and_baseline_render_identical_pages``
 keeps guarding the page bodies themselves.
@@ -90,4 +93,41 @@ def test_courses_page_issues_a_constant_number_of_statements(backend):
             client.force_login(user.jid, role)
             counts.append(_statements(form, client, "/courses"))
         by_size[courses] = counts
+    assert by_size[8] == by_size[64], by_size
+
+
+def _paper_after_review_counts(backend, papers):
+    """Statements of each viewer's first ``/paper/<jid>`` after a review."""
+    form = setup_conf(_database(backend), cache_config=CacheConfig.disabled())
+    created = seed_conference(form, papers=papers, users=papers, pc_members=4)
+    app = build_conf_app(form)
+    reviewer = TestClient(app)
+    reviewer.force_login(created["pc"][1].jid, "pc")
+    paper_jid = created["papers"][2].jid
+    viewers = {
+        "pc": (created["pc"][0], "pc"),
+        "author": (created["users"][2], "normal"),
+        "chair": (created["chair"][0], "chair"),
+    }
+    counts = {}
+    for role, (user, level) in viewers.items():
+        client = TestClient(app)
+        client.force_login(user.jid, level)
+        assert client.get(f"/paper/{paper_jid}").status == 200
+        posted = reviewer.post(
+            "/review", paper=str(paper_jid), contents=f"review for {role}", score="3"
+        )
+        assert posted.status in (302, 303), posted.body
+        with form.database.observe_statements() as log:
+            response = client.get(f"/paper/{paper_jid}")
+        assert response.status == 200, response.body
+        assert f"review for {role}" in response.body or role == "author"
+        counts[role] = len(log.statements)
+    ConferencePhase.reset()
+    return counts
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_paper_page_after_a_review_issues_a_constant_number_of_statements(backend):
+    by_size = {papers: _paper_after_review_counts(backend, papers) for papers in (8, 64)}
     assert by_size[8] == by_size[64], by_size

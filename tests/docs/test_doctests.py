@@ -1,9 +1,10 @@
 """Execute every documentation example so the docs can never rot.
 
-Runs doctest over ``docs/*.md`` and over the ``repro.db`` public-API
-docstrings.  CI additionally runs ``python -m doctest docs/*.md`` and the
-``examples/quickstart.py`` smoke in its docs job; this test keeps the same
-guarantee inside the tier-1 suite.
+Runs doctest over ``docs/*.md`` and over every ``src/repro`` module whose
+source contains a ``>>>`` example, found by scanning the tree so a new
+module's examples run without being listed.  CI additionally runs
+``python -m doctest docs/*.md`` and the ``examples/quickstart.py`` smoke in
+its docs job; this test keeps the same guarantee inside the tier-1 suite.
 """
 
 import doctest
@@ -15,28 +16,22 @@ import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 DOCS = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+SRC = os.path.join(REPO_ROOT, "src")
 
-DOCTESTED_MODULES = [
-    "repro.analysis.astutils",
-    "repro.analysis.classify",
-    "repro.analysis.cli",
-    "repro.analysis.diagnostics",
-    "repro.analysis.facts",
-    "repro.analysis.readsets",
-    "repro.analysis.rules",
-    "repro.db.backend",
-    "repro.db.engine",
-    "repro.db.expr",
-    "repro.db.observe",
-    "repro.db.planner",
-    "repro.db.query",
-    "repro.db.schema",
-    "repro.db.sqlgen",
-    "repro.form.aggregates",
-    "repro.form.writes",
-    "repro.obs.metrics",
-    "repro.obs.trace",
-]
+
+def _doctested_modules():
+    """Dotted names of the ``repro`` modules whose source has ``>>>``."""
+    names = []
+    for path in glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            if ">>>" not in handle.read():
+                continue
+        module = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+        names.append(module[: -len(".__init__")] if module.endswith(".__init__") else module)
+    return sorted(names)
+
+
+DOCTESTED_MODULES = _doctested_modules()
 
 
 def test_docs_directory_is_populated():

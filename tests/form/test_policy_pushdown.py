@@ -1,29 +1,19 @@
 """Policy pushdown: Early Pruning compiled into the SQL statement.
 
-The PR 8 tentpole, extended with the symbolic tiers.  On models whose
-policies classify as viewer-independent or equality-on-viewer, a
-viewer-context ``fetch()``, ``count()`` or ``aggregate()`` appends a
-pruning predicate and the database prunes -- one statement on both
-backends.  The predicate now has tiers: ``direct``/``indexable`` render
-the compiled symbolic predicate inline (no label store in the statement),
-``store`` falls back to
-
-    jvars = '' OR jvars IN (SELECT jvars FROM "__jacq_labels__"
-                            WHERE table_name = ? AND viewer_key = ?)
-
-populated by the same Python resolver Early Pruning uses.  Runtime
-demotion (bind failures, exotic facet rows, the ``policy_pushdown_tier_cap``
-knob) steps inline tiers down to the store, never straight to Python.
-Opaque policies, bounded sets, pc-labelled rows and unknown viewers keep
-the Python path, which doubles as the oracle throughout
-(``form.policy_pushdown_enabled = False``).
+On a model whose one policy group compiles to an inline predicate, a
+viewer-context ``fetch()``, ``count()`` or ``aggregate()`` renders that
+predicate into the WHERE clause and the database prunes -- one statement
+on both backends.  Every other policied read takes the Python path, which
+doubles as the oracle throughout (``form.policy_pushdown_enabled =
+False``), and is counted under its reason: an opaque profile, a predicate
+that does not bind for the viewer, or facet rows the branch test cannot
+read.  Bounded sets take the Python path too.
 """
 
 import pytest
 
 from repro import obs
 from repro.cache.config import CacheConfig
-from repro.cache.epoch import bump_policy_epoch
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend, StatementLog
 from repro.form import (
@@ -37,7 +27,7 @@ from repro.form import (
     use_form,
     viewer_context,
 )
-from repro.form.pushdown import STORE_TABLE, profile_for
+from repro.form.pushdown import profile_for
 
 
 class Owner(JModel):
@@ -63,8 +53,8 @@ class Doc(JModel):
 
 
 class Audit(JModel):
-    """Equality-on-viewer policy that queries another model: eligible but
-    *broad* -- outcomes may depend on Owner rows, so any write invalidates."""
+    """A policy that queries another model: TOP in the predicate, so the
+    Python path prunes."""
 
     owner = ForeignKey(Owner)
     body = CharField(max_length=64)
@@ -82,7 +72,7 @@ class Audit(JModel):
 
 
 class Vault(JModel):
-    """A policy body the classifier cannot shape: opaque, Python fallback."""
+    """A policy body the symbolic compiler cannot model: opaque."""
 
     body = CharField(max_length=64)
 
@@ -101,7 +91,8 @@ class Vault(JModel):
 
 
 class Wiki(JModel):
-    """Prefix-on-viewer policy over a non-nullable column: indexable tier."""
+    """Prefix-on-viewer policy over a non-nullable column: an inline
+    predicate with a range atom, servable from an ordered index."""
 
     path = CharField(max_length=64, nullable=False, default="/")
     body = CharField(max_length=64)
@@ -118,9 +109,9 @@ class Wiki(JModel):
 
 
 class Badge(JModel):
-    """Direct-shaped policy whose bound value can mismatch the column kind
-    (int column vs. text viewer attribute): binding demotes to the store
-    tier at runtime, never to Python."""
+    """Inline policy whose bound value can mismatch the column kind (int
+    column vs. text viewer attribute): binding fails at run time and the
+    read takes the Python path."""
 
     code = IntegerField(default=0)
     body = CharField(max_length=64)
@@ -136,7 +127,24 @@ class Badge(JModel):
         return badge.code == getattr(ctxt, "name", None)
 
 
-MODELS = [Owner, Doc, Audit, Vault, Wiki, Badge]
+class Gate(JModel):
+    """Viewer-only policy: the predicate folds to a boolean when it binds,
+    evaluating the comparison with Python semantics."""
+
+    body = CharField(max_length=64)
+
+    @staticmethod
+    def jacqueline_get_public_body(gate):
+        return "[closed]"
+
+    @staticmethod
+    @label_for("body")
+    @jacqueline
+    def jacqueline_restrict_body(gate, ctxt):
+        return ctxt is not None and ctxt.name > "m"
+
+
+MODELS = [Owner, Doc, Audit, Vault, Wiki, Badge, Gate]
 
 
 @pytest.fixture(autouse=True)
@@ -186,24 +194,16 @@ def _oracle(form, run):
 
 
 def test_profiles_classify_the_three_shapes():
-    doc = profile_for(Doc)
-    assert (doc.eligible, doc.narrow, doc.opaque) == (True, True, False)
-    audit = profile_for(Audit)
-    assert (audit.eligible, audit.narrow, audit.opaque) == (True, False, False)
-    vault = profile_for(Vault)
-    assert (vault.eligible, vault.opaque) == (False, True)
-    plain = profile_for(Owner)
-    assert (plain.eligible, plain.narrow) == (True, True)
+    assert profile_for(Doc).tier == "inline"
+    assert profile_for(Vault).tier == "opaque"
+    assert profile_for(Owner).tier == "none"  # no policy groups at all
 
 
 def test_profiles_report_the_symbolic_tier():
-    assert profile_for(Doc).tier == "direct"
-    assert profile_for(Wiki).tier == "indexable"
-    assert profile_for(Badge).tier == "direct"
-    assert profile_for(Audit).tier == "store"  # ORM query in the body: TOP
-    assert profile_for(Vault).tier == "opaque"
-    assert profile_for(Owner).tier == "none"  # no policy groups at all
-    assert profile_for(Doc).predicate is not None
+    for model in (Doc, Wiki, Badge, Gate):
+        assert profile_for(model).tier == "inline", model.__name__
+        assert profile_for(model).predicate is not None, model.__name__
+    assert profile_for(Audit).tier == "opaque"  # ORM query in the body: TOP
     assert profile_for(Audit).predicate is None
 
 
@@ -213,40 +213,40 @@ def test_fetch_is_one_statement_with_parity(pushdown_form):
         Doc.objects.all().fetch()  # warm the one-time branch-key probe
         with pushdown_form.database.observe_statements() as log:
             docs = Doc.objects.all().fetch()
-        # The direct tier renders the predicate inline: one statement that
-        # never touches (or populates) the label-assignment store.
+        # The predicate renders inline: one statement whose branch tests
+        # match each record's facet rows.
         assert len(log.statements) == 1
-        assert STORE_TABLE not in log.statements[0]
+        assert "jvars = (? || jid || ?)" in log.statements[0]
         titles = sorted(doc.title for doc in docs)
         oracle = _oracle(
             pushdown_form,
             lambda: sorted(doc.title for doc in Doc.objects.all().fetch()),
         )
-    assert obs.totals.get("plan.policy_pushdown.direct") >= 1
+    assert obs.totals.get("plan.policy_pushdown") >= 1
     assert titles == oracle
     assert titles == ["[secret]", "[secret]", "t1", "t3"]
 
 
-def test_store_tier_cap_restores_the_store_statement(pushdown_form):
+def test_join_with_an_unpolicied_table_is_one_statement_with_parity(pushdown_form):
     ada, _bob = _seed_docs(pushdown_form)
-    pushdown_form.policy_pushdown_tier_cap = "store"
+    query = lambda: sorted(  # noqa: E731
+        doc.title for doc in Doc.objects.filter(owner__name="ada").fetch()
+    )
     with obs.tracing(), viewer_context(ada):
-        Doc.objects.all().fetch()  # warm the label-assignment store
+        query()  # warm the one-time branch-key probes
         with pushdown_form.database.observe_statements() as log:
-            docs = Doc.objects.all().fetch()
+            titles = query()
+        # The unpolicied joined table holds no facet rows: its conjunct
+        # keeps only unfaceted rows.
         assert len(log.statements) == 1
-        assert STORE_TABLE in log.statements[0]
-        titles = sorted(doc.title for doc in docs)
-        oracle = _oracle(
-            pushdown_form,
-            lambda: sorted(doc.title for doc in Doc.objects.all().fetch()),
-        )
-    assert obs.totals.get("plan.policy_pushdown.direct") == 0
-    assert titles == oracle
-    assert titles == ["[secret]", "[secret]", "t1", "t3"]
+        assert "Owner.jvars = ?" in log.statements[0]
+        oracle = _oracle(pushdown_form, query)
+    assert obs.totals.get("plan.policy_pushdown") >= 1
+    assert titles == oracle == ["t1", "t3"]
 
 
 def test_indexable_tier_compiles_prefix_policies_to_ranges(pushdown_form):
+    """Prefix and range atoms render inline, servable from an ordered index."""
     ada, _bob = _seed_docs(pushdown_form)
     Wiki.objects.create(path="ada/notes", body="ada's notes")
     Wiki.objects.create(path="bob/notes", body="bob's notes")
@@ -255,7 +255,6 @@ def test_indexable_tier_compiles_prefix_policies_to_ranges(pushdown_form):
         with pushdown_form.database.observe_statements() as log:
             pages = Wiki.objects.all().order_by("path").fetch()
         assert len(log.statements) == 1
-        assert STORE_TABLE not in log.statements[0]
         bodies = [page.body for page in pages]
         oracle = _oracle(
             pushdown_form,
@@ -264,29 +263,65 @@ def test_indexable_tier_compiles_prefix_policies_to_ranges(pushdown_form):
                 for page in Wiki.objects.all().order_by("path").fetch()
             ],
         )
-    assert obs.totals.get("plan.policy_pushdown.indexable") >= 1
+    assert obs.totals.get("plan.policy_pushdown") >= 1
     assert bodies == oracle
     assert bodies == ["ada's notes", "[wiki]"]
 
 
-def test_kind_mismatch_demotes_to_the_store_tier(pushdown_form):
+def _fallback_counts():
+    return {
+        reason: obs.totals.get(f"plan.policy_pushdown.fallback.{reason}")
+        for reason in ("bind", "facet_rows")
+    }
+
+
+def _run_counted(form, run):
+    """``run()`` with pushdown on, checked against the Python path, plus
+    the fallback counters and pushed reads it bumped."""
+    obs.reset()
+    with obs.tracing():
+        answer = run()
+    counts = _fallback_counts()
+    counts["pushed"] = obs.totals.get("plan.policy_pushdown")
+    assert answer == _oracle(form, run)
+    return answer, counts
+
+
+def test_runtime_fallbacks_are_counted_with_a_reason(pushdown_form, monkeypatch):
     ada, _bob = _seed_docs(pushdown_form)
+    nameless = Owner.objects.create(name=None)
     Badge.objects.create(code=7, body="lucky")
-    with obs.tracing(), viewer_context(ada):
-        with pushdown_form.database.observe_statements() as log:
-            bodies = [badge.body for badge in Badge.objects.all().fetch()]
-        # Statically direct, but the bound value ("ada", text) cannot probe
-        # the int column soundly: the query demotes to the store tier --
-        # still one pushed statement, never the Python path.
-        assert len(log.statements) >= 1
-        assert STORE_TABLE in log.statements[-1]
-        oracle = _oracle(
-            pushdown_form,
-            lambda: [badge.body for badge in Badge.objects.all().fetch()],
-        )
-    assert obs.totals.get("plan.policy_pushdown.direct") == 0
-    assert obs.totals.get("plan.policy_pushdown") >= 1
-    assert bodies == oracle == ["[badge]"]
+    Gate.objects.create(body="open")
+    badges = lambda: [badge.body for badge in Badge.objects.all().fetch()]  # noqa: E731
+    docs = lambda: sorted(doc.title for doc in Doc.objects.all().fetch())  # noqa: E731
+    gates = lambda: [gate.body for gate in Gate.objects.all().fetch()]  # noqa: E731
+
+    def broken_probe(table):
+        raise RuntimeError("probe failed")
+
+    with viewer_context(ada):
+        # The bound value ("ada", text) cannot probe the int column soundly.
+        answer, counts = _run_counted(pushdown_form, badges)
+        assert answer == ["[badge]"]
+        assert counts == {"bind": 1, "facet_rows": 0, "pushed": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(pushdown_form.database, "facet_branch_keys", broken_probe)
+            answer, counts = _run_counted(pushdown_form, docs)
+        assert answer == ["[secret]", "[secret]", "t1", "t3"]
+        assert counts == {"bind": 0, "facet_rows": 1, "pushed": 0}
+        # The viewer-only comparison folds at bind time.
+        answer, counts = _run_counted(pushdown_form, gates)
+        assert answer == ["[closed]"]
+        assert counts == {"bind": 0, "facet_rows": 0, "pushed": 1}
+    # The same comparison raises for a viewer without a name: the fold
+    # falls back, and the Python path raises exactly as the oracle does.
+    with viewer_context(nameless):
+        obs.reset()
+        with obs.tracing(), pytest.raises(TypeError):
+            gates()
+        assert _fallback_counts() == {"bind": 1, "facet_rows": 0}
+        with pytest.raises(TypeError):
+            _oracle(pushdown_form, gates)
 
 
 def test_count_and_exists_are_one_statement_with_parity(pushdown_form):
@@ -296,7 +331,6 @@ def test_count_and_exists_are_one_statement_with_parity(pushdown_form):
         with pushdown_form.database.observe_statements() as log:
             count = Doc.objects.all().count()
         assert len(log.statements) == 1
-        assert STORE_TABLE not in log.statements[0]
         assert count == _oracle(pushdown_form, Doc.objects.all().count)
         assert count == 4  # every record stays visible; titles facet instead
         assert Doc.objects.filter(score=2).exists() is True
@@ -334,35 +368,29 @@ def test_explain_sql_string_equals_the_executed_statement(pushdown_form):
         Doc.objects.all().fetch()  # warm
         report = Doc.objects.all().explain()
         assert report["mode"] == "policy-pushdown"
-        assert report["tier"] == "direct"
         with pushdown_form.database.observe_statements() as log:
             Doc.objects.all().fetch()
         assert log.statements == [report["sql"]]
         report = Doc.objects.all().explain("count")
         assert report["mode"] == "policy-pushdown"
-        assert report["tier"] == "direct"
         with pushdown_form.database.observe_statements() as log:
             Doc.objects.all().count()
         assert log.statements == [report["sql"]]
 
 
-def test_explain_reports_the_tier_per_knob_and_model(pushdown_form):
+def test_explain_reports_the_mode_per_model(pushdown_form):
     ada, _bob = _seed_docs(pushdown_form)
     Wiki.objects.create(path="ada/notes", body="n")
+    Badge.objects.create(code=7, body="lucky")
     with viewer_context(ada):
-        assert Wiki.objects.all().explain()["tier"] == "indexable"
-        Audit.objects.all().fetch()  # warm the store for Audit
-        assert Audit.objects.all().explain()["tier"] == "store"
-        pushdown_form.policy_pushdown_tier_cap = "store"
-        try:
-            Doc.objects.all().fetch()  # warm the store for Doc
-            report = Doc.objects.all().explain()
-            assert report["tier"] == "store"
-            with pushdown_form.database.observe_statements() as log:
-                Doc.objects.all().fetch()
-            assert log.statements == [report["sql"]]
-        finally:
-            pushdown_form.policy_pushdown_tier_cap = None
+        report = Wiki.objects.all().explain()
+        assert report["mode"] == "policy-pushdown"
+        with pushdown_form.database.observe_statements() as log:
+            Wiki.objects.all().fetch()
+        assert log.statements[-1:] == [report["sql"]]
+        # Opaque, and an inline predicate that does not bind for ada.
+        assert Audit.objects.all().explain()["mode"] == "pruned"
+        assert Badge.objects.all().explain()["mode"] == "pruned"
 
 
 def test_explain_executes_no_statements(pushdown_form):
@@ -406,47 +434,13 @@ def test_bounded_sets_and_first_stay_on_the_python_path(pushdown_form):
 
 
 def test_own_table_write_invalidates_a_narrow_store(pushdown_form):
+    """A write to the policied table shows on the next pruned read."""
     ada, _bob = _seed_docs(pushdown_form)
     with viewer_context(ada):
         before = sorted(doc.title for doc in Doc.objects.all().fetch())
         Doc.objects.create(owner=ada, title="t9", score=9)
         after = sorted(doc.title for doc in Doc.objects.all().fetch())
     assert "t9" not in before and "t9" in after
-
-
-def test_unrelated_write_does_not_refresh_a_narrow_store(pushdown_form):
-    ada, _bob = _seed_docs(pushdown_form)
-    pushdown_form.policy_pushdown_tier_cap = "store"  # exercise the store tier
-    with viewer_context(ada):
-        Doc.objects.all().fetch()  # warm: one refresh
-        Owner.objects.create(name="carol")  # unrelated to Doc's outcomes
-        with obs.tracing():
-            Doc.objects.all().fetch()
-    assert obs.totals.get("plan.policy_pushdown") == 1
-    assert obs.totals.get("pushdown.store.refresh") == 0
-
-
-def test_any_write_refreshes_a_broad_store(pushdown_form):
-    ada, _bob = _seed_docs(pushdown_form)
-    Audit.objects.create(owner=ada, body="ada only")
-    with viewer_context(ada):
-        assert [audit.body for audit in Audit.objects.all().fetch()] == ["ada only"]
-        Owner.objects.create(name="carol")  # Audit outcomes read Owner rows
-        with obs.tracing():
-            Audit.objects.all().fetch()
-    assert obs.totals.get("plan.policy_pushdown") == 1
-    assert obs.totals.get("pushdown.store.refresh") >= 1
-
-
-def test_policy_epoch_bump_refreshes_the_store(pushdown_form):
-    ada, _bob = _seed_docs(pushdown_form)
-    pushdown_form.policy_pushdown_tier_cap = "store"  # exercise the store tier
-    with viewer_context(ada):
-        Doc.objects.all().fetch()  # warm
-        bump_policy_epoch()
-        with obs.tracing():
-            Doc.objects.all().fetch()
-    assert obs.totals.get("pushdown.store.refresh") >= 1
 
 
 def test_pc_labelled_rows_force_the_python_fallback(pushdown_form):
@@ -464,9 +458,10 @@ def test_pc_labelled_rows_force_the_python_fallback(pushdown_form):
             pushdown_form,
             lambda: sorted(doc.title for doc in Doc.objects.all().fetch()),
         )
-    # The pc label is not a model label: population fails, the Python path
-    # prunes, and the two paths agree bit for bit.
+    # The pc-labelled facet row is not a canonical branch of Doc's policy
+    # group: the Python path prunes, and the two paths agree bit for bit.
     assert obs.totals.get("plan.policy_pushdown") == 0
+    assert obs.totals.get("plan.policy_pushdown.fallback.facet_rows") >= 1
     assert titles == oracle
     assert "guarded" in titles
 
@@ -483,14 +478,3 @@ def test_no_cross_viewer_leak_with_caches_enabled():
             assert ada_titles == ["[secret]", "[secret]", "t1", "t3"]
             assert bob_titles == ["[secret]", "[secret]", "t0", "t2"]
     database.close()
-
-
-def test_clear_resets_the_store(pushdown_form):
-    ada, _bob = _seed_docs(pushdown_form)
-    with viewer_context(ada):
-        Doc.objects.all().fetch()
-    pushdown_form.clear()
-    ada = Owner.objects.create(name="ada")
-    Doc.objects.create(owner=ada, title="fresh", score=1)
-    with viewer_context(ada):
-        assert [doc.title for doc in Doc.objects.all().fetch()] == ["fresh"]

@@ -1,4 +1,4 @@
-"""Differential fuzzing: policy-pushdown tiers vs the Python pruning oracle.
+"""Differential fuzzing: policy pushdown vs the Python pruning oracle.
 
 Each iteration draws a random *program* -- creates, set-oriented updates
 and deletes, guarded (pc) creates, viewer-context fetches, counts and
@@ -6,17 +6,15 @@ aggregates -- from a seeded stdlib ``random.Random``, then runs it once
 per pushdown configuration on the same backend:
 
 * ``"off"`` -- the Python Early Pruning path (the oracle);
-* ``"store"`` -- pushdown capped at the label-store tier
-  (``policy_pushdown_tier_cap = "store"``);
-* ``"direct"`` -- uncapped: direct/indexable predicates render inline.
+* ``"on"`` -- inline predicates render into the SQL statement.
 
-Every configuration must produce identical observables, and none may ever
-leak a secret to the wrong viewer -- checked against the fetched rows'
-own unpolicied columns (``owner_id``, ``path``), independent of any path.
-The model set covers all inline tiers: ``FuzzDoc`` is the direct shape
-(equality on the viewer's jid), ``FuzzOrgDoc`` the indexable shape
-(``path.startswith(viewer.path)``), ``FuzzAudit`` stays store-only (its
-policy queries another model).
+Both configurations must produce identical observables, and neither may
+ever leak a secret to the wrong viewer -- checked against the fetched
+rows' own unpolicied columns (``owner_id``, ``path``), independent of any
+path.  ``FuzzDoc`` renders inline with an equality on the viewer's jid,
+``FuzzOrgDoc`` with a prefix range (``path.startswith(viewer.path)``),
+and ``FuzzAudit`` exercises the Python path (its policy queries another
+model).
 
 On failure the seed is printed, the failing program is greedily shrunk,
 and the repro is emitted as a paste-able test case calling
@@ -54,7 +52,7 @@ class FuzzOwner(JModel):
 
 
 class FuzzDoc(JModel):
-    """Equality-on-viewer, own-row-only policy: the direct tier."""
+    """Equality-on-viewer, own-row-only policy: rendered inline."""
 
     owner = ForeignKey(FuzzOwner)
     title = CharField(max_length=128)
@@ -72,9 +70,9 @@ class FuzzDoc(JModel):
 
 
 class FuzzOrgDoc(JModel):
-    """Prefix-on-viewer policy over a non-nullable column: the indexable
-    tier (org-tree visibility -- a doc is visible to viewers whose subtree
-    contains it)."""
+    """Prefix-on-viewer policy over a non-nullable column, rendered inline
+    as a range (org-tree visibility -- a doc is visible to viewers whose
+    subtree contains it)."""
 
     path = CharField(max_length=32, nullable=False, default="/")
     body = CharField(max_length=64)
@@ -91,7 +89,7 @@ class FuzzOrgDoc(JModel):
 
 
 class FuzzAudit(JModel):
-    """Eligible but broad: the policy queries another model's rows."""
+    """Opaque: the policy queries another model's rows."""
 
     owner = ForeignKey(FuzzOwner)
     body = CharField(max_length=64)
@@ -111,8 +109,8 @@ class FuzzAudit(JModel):
 MODELS = [FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit]
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 ORG_PATHS = ("/", "/eng", "/eng/db", "/ops")
-#: pushdown configurations compared pairwise against the "off" oracle
-CONFIGS = ("off", "store", "direct")
+#: pushdown configurations compared against the "off" oracle
+CONFIGS = ("off", "on")
 
 
 # -- program generation --------------------------------------------------------------
@@ -185,7 +183,6 @@ def _run_program(kind, program, config):
     form = FORM(database, cache_config=CacheConfig.disabled())
     form.register_all(MODELS)
     form.policy_pushdown_enabled = config != "off"
-    form.policy_pushdown_tier_cap = "store" if config == "store" else None
     observables = []
     leaks = []
     owners = []
