@@ -1,9 +1,12 @@
 """WHERE-clause expressions.
 
-Expressions form a small tree evaluated row-by-row by the in-memory engine
-and rendered to parameterised SQL by the SQLite backend and the SQL
-generator.  Column references may be qualified (``"Event.location"``) for
-join queries.
+Expressions form a small tree with two renderings.  :meth:`~Expression.to_sql`
+gives the parameterised SQL the SQLite backend and the SQL generator send.
+:meth:`~Expression.compile` gives the in-memory engine's one evaluator: a
+closure built once per statement and called once per row.  It follows
+SQL's three-valued logic, with ``None`` as UNKNOWN, so both backends
+select the same rows.  Column references may be qualified
+(``"Event.location"``) for join queries.
 """
 
 from __future__ import annotations
@@ -20,24 +23,27 @@ class Expression:
     __slots__ = ()
 
     def evaluate(self, row: Dict[str, Any]) -> Any:
-        raise NotImplementedError
+        """Evaluate against one row: a one-off ``self.compile()(row)``."""
+        return self.compile()(row)
 
     def compile(self) -> Callable[[Dict[str, Any]], Any]:
-        """A fused evaluator closure, semantically identical to :meth:`evaluate`.
+        """The evaluator closure of this tree, to call once per row.
 
-        The in-memory engine compiles a WHERE tree once per statement and
-        runs the closure per row, replacing the per-row method dispatch and
-        attribute traffic of interpretive evaluation -- the difference is
-        several-fold on scan-heavy predicates such as the direct-tier
-        policy pushdown.  Nodes without a specialised compiler fall back to
-        their bound ``evaluate`` (which for unresolved subquery nodes
-        correctly raises on first call).
+        The in-memory engine compiles a WHERE tree once per statement, so
+        per-statement work (an ``IN`` list's member set, a ``LIKE``
+        pattern's regex) is done once and each row costs one call per
+        node.  A result of ``None`` is SQL's UNKNOWN; a WHERE clause keeps
+        the rows whose result is truthy.  Subquery nodes raise
+        :class:`TypeError` here: materialise them first with
+        :func:`resolve_subqueries`.
 
         >>> pred = (eq("rank", 1) | eq("name", "ada")).compile()
         >>> pred({"rank": 2, "name": "ada"})
         True
+        >>> pred({"rank": None, "name": "bob"}) is None
+        True
         """
-        return self.evaluate
+        raise NotImplementedError
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         """Render to a SQL fragment and its bound parameters.
@@ -76,19 +82,33 @@ class Expression:
         return NotExpr(self)
 
 
-def _lookup(row: Dict[str, Any], name: str) -> Any:
-    """Resolve a (possibly qualified) column name against a row dict."""
+_MISSING = object()
+
+
+def column_value(row: Dict[str, Any], name: str, default: Any = _MISSING) -> Any:
+    """The value of a possibly qualified column name in a row dict.
+
+    A qualified name falls back to its bare column and a bare name to any
+    ``"Table.name"`` key.  A missing column raises :class:`KeyError`, or
+    gives ``default`` when one is passed.
+
+    >>> column_value({"Paper.title": "x"}, "title"), column_value({}, "id", None)
+    ('x', None)
+    """
     if name in row:
         return row[name]
     if "." in name:
-        _, bare = name.rsplit(".", 1)
+        bare = name.rsplit(".", 1)[1]
         if bare in row:
             return row[bare]
     else:
+        suffix = "." + name
         for key, value in row.items():
-            if key.endswith("." + name):
+            if key.endswith(suffix):
                 return value
-    raise KeyError(f"row has no column {name!r}")
+    if default is _MISSING:
+        raise KeyError(f"row has no column {name!r}")
+    return default
 
 
 @dataclass(frozen=True)
@@ -97,9 +117,6 @@ class ColumnRef(Expression):
 
     name: str
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        return _lookup(row, self.name)
-
     def compile(self) -> Callable[[Dict[str, Any]], Any]:
         name = self.name
 
@@ -107,7 +124,7 @@ class ColumnRef(Expression):
             try:
                 return row[name]
             except KeyError:
-                return _lookup(row, name)
+                return column_value(row, name)
 
         return lookup
 
@@ -123,9 +140,6 @@ class Literal(Expression):
     """A constant value."""
 
     value: Any
-
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        return self.value
 
     def compile(self) -> Callable[[Dict[str, Any]], Any]:
         value = self.value
@@ -157,17 +171,10 @@ class Comparison(Expression):
         if self.op not in _OPERATORS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
+    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
         # SQL three-valued semantics: comparing against NULL is UNKNOWN
         # (None) for every operator, matching SQLite.  Use IsNull for
         # explicit NULL tests.
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return None
-        return _OPERATORS[self.op](left, right)
-
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
         left, right = self.left.compile(), self.right.compile()
         op = _OPERATORS[self.op]
 
@@ -196,12 +203,14 @@ class Comparison(Expression):
 class InList(Expression):
     """Membership test ``column IN (v1, v2, ...)``.
 
-    Follows SQL's three-valued NULL semantics, which matters now that
+    Follows SQL's three-valued NULL semantics, which matters because
     subqueries resolve to ``InList`` on the in-memory engine: a ``None``
     operand yields UNKNOWN (``None``), and a miss against a list containing
     ``None`` also yields UNKNOWN -- so ``x IN (NULL)`` never matches *and*
-    ``x NOT IN ('a', NULL)`` never matches, exactly as on SQLite.  WHERE
-    filtering treats UNKNOWN as a non-match; :class:`NotExpr` propagates it.
+    ``x NOT IN ('a', NULL)`` never matches, exactly as on SQLite.  An empty
+    list is FALSE for every operand, NULL included, so ``NOT (x IN ())``
+    keeps every row.  WHERE filtering treats UNKNOWN as a non-match;
+    :class:`NotExpr` propagates it.
 
     >>> InList(col("id"), (None, 2)).evaluate({"id": None}) is None
     True
@@ -211,38 +220,37 @@ class InList(Expression):
     True
     >>> InList(col("id"), (1, 2)).evaluate({"id": 3})
     False
+    >>> InList(col("id"), ()).evaluate({"id": None})
+    False
     """
 
     operand: Expression
     values: Tuple[Any, ...]
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
+    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+        if not self.values:  # no member to compare: FALSE even for NULL
+            return lambda row: False
+        operand = self.operand.compile()
+        miss = None if None in self.values else False
+        listed = tuple(item for item in self.values if item is not None)
         # Hot path of resolved pushdown subqueries: the outer scan tests
-        # every row against the IN list, so membership is a cached set.
-        cached = self.__dict__.get("_members")
-        if cached is None:
-            has_null = any(item is None for item in self.values)
+        # every row against the list, so membership is a set probe.
+        try:
+            members: Any = frozenset(listed)
+        except TypeError:  # unhashable list values
+            members = listed
+
+        def member(row: Dict[str, Any]) -> Optional[bool]:
+            value = operand(row)
+            if value is None:
+                return None
             try:
-                members = frozenset(item for item in self.values if item is not None)
-            except TypeError:  # unhashable list values
-                members = False
-            cached = (members, has_null)
-            object.__setattr__(self, "_members", cached)
-        members, has_null = cached
-        if members is not False:
-            try:
-                if value in members:
-                    return True
-            except TypeError:
-                pass
-            else:
-                return None if has_null else False
-        if any(item is not None and item == value for item in self.values):
-            return True
-        return None if has_null else False
+                found = value in members
+            except TypeError:  # unhashable operand value
+                found = value in listed
+            return True if found else miss
+
+        return member
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -269,7 +277,7 @@ class InSubquery(Expression):
     ``subquery`` is a :class:`~repro.db.query.Query` that must select exactly
     one column.  SQL backends render it inline (a correlated-free subselect);
     the in-memory engine materialises it first with
-    :func:`resolve_subqueries`, so :meth:`evaluate` on an unresolved tree is
+    :func:`resolve_subqueries`, so :meth:`compile` on an unresolved tree is
     an error rather than a silently wrong answer.
 
     >>> from repro.db.query import Query
@@ -281,7 +289,7 @@ class InSubquery(Expression):
     operand: Expression
     subquery: Any
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
+    def compile(self) -> Callable[[Dict[str, Any]], Any]:
         raise TypeError(
             "InSubquery cannot be evaluated row-by-row; materialise it first "
             "with repro.db.expr.resolve_subqueries(expression, run_subquery)"
@@ -324,7 +332,7 @@ class ExistsSubquery(Expression):
 
     subquery: Any
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
+    def compile(self) -> Callable[[Dict[str, Any]], Any]:
         raise TypeError(
             "ExistsSubquery cannot be evaluated row-by-row; materialise it "
             "first with repro.db.expr.resolve_subqueries(expression, run_subquery)"
@@ -345,19 +353,8 @@ class AndExpr(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
-        # SQL three-valued AND: FALSE dominates, then UNKNOWN (None).
-        left = self.left.evaluate(row)
-        if left is not None and not left:
-            return False
-        right = self.right.evaluate(row)
-        if right is not None and not right:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-
     def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+        # SQL three-valued AND: FALSE dominates, then UNKNOWN (None).
         left, right = self.left.compile(), self.right.compile()
 
         def conjoin(row: Dict[str, Any]) -> Optional[bool]:
@@ -390,19 +387,8 @@ class OrExpr(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
-        # SQL three-valued OR: TRUE dominates, then UNKNOWN (None).
-        left = self.left.evaluate(row)
-        if left is not None and left:
-            return True
-        right = self.right.evaluate(row)
-        if right is not None and right:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-
     def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+        # SQL three-valued OR: TRUE dominates, then UNKNOWN (None).
         left, right = self.left.compile(), self.right.compile()
 
         def disjoin(row: Dict[str, Any]) -> Optional[bool]:
@@ -434,16 +420,10 @@ class OrExpr(Expression):
 class NotExpr(Expression):
     operand: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
+    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
         # SQL three-valued NOT: UNKNOWN stays UNKNOWN, so a NOT IN filter
         # over a NULL operand (or a NULL-containing list) matches nothing
         # on both backends instead of everything on the memory engine.
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        return not bool(value)
-
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
         operand = self.operand.compile()
 
         def negate(row: Dict[str, Any]) -> Optional[bool]:
@@ -467,14 +447,10 @@ class NotExpr(Expression):
 
 @dataclass(frozen=True)
 class IsNull(Expression):
-    """``column IS NULL`` / ``IS NOT NULL`` tests."""
+    """``column IS NULL`` / ``IS NOT NULL`` tests (never UNKNOWN)."""
 
     operand: Expression
     negated: bool = False
-
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        is_null = self.operand.evaluate(row) is None
-        return not is_null if self.negated else is_null
 
     def compile(self) -> Callable[[Dict[str, Any]], bool]:
         operand = self.operand.compile()
@@ -501,10 +477,10 @@ class NullSafeEq(Expression):
     SQLite's ``IS`` operator compares any two values with NULL treated as
     an ordinary (equal-to-NULL) value, so the result is always TRUE or
     FALSE -- never UNKNOWN.  The in-memory engine mirrors that with plain
-    Python ``==``.  This is the rendering direct-WHERE policy pushdown
-    uses: a compiled policy predicate must be *two-valued* so that its
-    negation selects exactly the complement rows, which three-valued
-    ``=`` cannot guarantee on nullable columns.
+    Python ``==``.  This is the rendering inline policy pushdown uses: a
+    compiled policy predicate must be *two-valued* so that its negation
+    selects exactly the complement rows, which three-valued ``=`` cannot
+    guarantee on nullable columns.
 
     >>> NullSafeEq(col("owner_id"), lit(None)).evaluate({"owner_id": None})
     True
@@ -517,10 +493,6 @@ class NullSafeEq(Expression):
     left: Expression
     right: Expression
     negated: bool = False
-
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        result = self.left.evaluate(row) == self.right.evaluate(row)
-        return not result if self.negated else result
 
     def compile(self) -> Callable[[Dict[str, Any]], bool]:
         left, right = self.left.compile(), self.right.compile()
@@ -569,11 +541,6 @@ class FacetBranch(Expression):
     def _column(self, name: str) -> str:
         return f"{self.table}.{name}" if self.qualify else name
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        jvars = _lookup(row, self._column("jvars"))
-        jid = _lookup(row, self._column("jid"))
-        return jvars == f"{self.table}.{jid}.{self.key}={self.polarity}"
-
     def compile(self) -> Callable[[Dict[str, Any]], bool]:
         jvars_col, jid_col = self._column("jvars"), self._column("jid")
         prefix = f"{self.table}."
@@ -584,8 +551,8 @@ class FacetBranch(Expression):
                 jvars = row[jvars_col]
                 jid = row[jid_col]
             except KeyError:
-                jvars = _lookup(row, jvars_col)
-                jid = _lookup(row, jid_col)
+                jvars = column_value(row, jvars_col)
+                jid = column_value(row, jid_col)
             return jvars == f"{prefix}{jid}{suffix}"
 
         return match
@@ -606,11 +573,11 @@ class FacetBranch(Expression):
 class Between(Expression):
     """Range test ``operand BETWEEN low AND high`` (inclusive both ends).
 
-    SQL defines it as ``operand >= low AND operand <= high`` and the
-    three-valued semantics follow from that expansion: a NULL operand or
-    bound makes the corresponding comparison UNKNOWN, but a definite FALSE
-    on either side still dominates (``5 BETWEEN 7 AND NULL`` is FALSE on
-    SQLite, not UNKNOWN).
+    SQL defines it as ``operand >= low AND operand <= high``, and it
+    compiles to exactly that expansion, so the three-valued semantics
+    follow: a NULL operand or bound makes the corresponding comparison
+    UNKNOWN, but a definite FALSE on either side still dominates
+    (``5 BETWEEN 7 AND NULL`` is FALSE on SQLite, not UNKNOWN).
 
     >>> between("score", 2, 5).evaluate({"score": 3})
     True
@@ -626,20 +593,11 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
-        value = self.operand.evaluate(row)
-        low = self.low.evaluate(row)
-        high = self.high.evaluate(row)
-        ge = None if value is None or low is None else value >= low
-        le = None if value is None or high is None else value <= high
-        # Three-valued AND of the two comparisons.
-        if ge is not None and not ge:
-            return False
-        if le is not None and not le:
-            return False
-        if ge is None or le is None:
-            return None
-        return True
+    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+        return AndExpr(
+            Comparison(">=", self.operand, self.low),
+            Comparison("<=", self.operand, self.high),
+        ).compile()
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -704,23 +662,27 @@ class Like(Expression):
     pattern: str
     case_sensitive: bool = False
 
-    def evaluate(self, row: Dict[str, Any]) -> Optional[bool]:
-        value = self.operand.evaluate(row)
-        if value is None or self.pattern is None:
-            return None
-        regex = self.__dict__.get("_regex")
-        if regex is None:
-            translated = "".join(
-                ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-                for ch in self.pattern
-            )
-            flags = re.DOTALL
-            if not self.case_sensitive:
-                # SQLite's LIKE folds case for ASCII letters only.
-                flags |= re.IGNORECASE | re.ASCII
-            regex = re.compile(translated, flags)
-            object.__setattr__(self, "_regex", regex)
-        return regex.fullmatch(_like_text(value)) is not None
+    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+        if self.pattern is None:
+            return lambda row: None
+        operand = self.operand.compile()
+        translated = "".join(
+            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+            for ch in self.pattern
+        )
+        flags = re.DOTALL
+        if not self.case_sensitive:
+            # SQLite's LIKE folds case for ASCII letters only.
+            flags |= re.IGNORECASE | re.ASCII
+        fullmatch = re.compile(translated, flags).fullmatch
+
+        def match(row: Dict[str, Any]) -> Optional[bool]:
+            value = operand(row)
+            if value is None:
+                return None
+            return fullmatch(_like_text(value)) is not None
+
+        return match
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -812,7 +774,7 @@ def subquery_values(rows: List[Dict[str, Any]], subquery: Any) -> List[Any]:
     values = []
     for row in rows:
         try:
-            values.append(_lookup(row, name))
+            values.append(column_value(row, name))
         except KeyError:
             # Fail loudly: silently treating a misnamed column as NULL would
             # make the memory engine match rows SQL never would ("x IN

@@ -14,7 +14,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.db.backend import Backend
-from repro.db.expr import Expression, resolve_subqueries, subquery_values
+from repro.db.expr import Expression, column_value, resolve_subqueries, subquery_values
 from repro.db.observe import insert_summary, replace_summary
 from repro.db.query import (
     DeletePlan,
@@ -169,7 +169,7 @@ class MemoryBackend(Backend):
         concurrent reader observes the table before or after the whole
         set-oriented write -- mirroring the one statement SQLite executes.
         The resolved ``key IN (...)`` list is narrowed by the table's hash
-        index (see :meth:`Table.candidate_rows`), keeping the mutation
+        index (see :meth:`Table.matching_rows`), keeping the mutation
         O(matches) instead of O(table).
         """
         return self.update(plan.table, plan.where, plan.values)
@@ -196,9 +196,10 @@ class MemoryBackend(Backend):
         written: List[Dict[str, Any]] = []
         with self._lock:
             target = self._table(table)
-            where = self._resolve_expression(where)
-            replaced = target.scan(where)
-            target.delete(where)
+            replaced = target.matching_rows(self._resolve_expression(where))
+            pk_name = target.schema.primary_key.name
+            for old_row in replaced:
+                target.remove(old_row[pk_name])
             pks: List[int] = []
             try:
                 for row in rows:
@@ -359,8 +360,6 @@ class MemoryBackend(Backend):
         return identical rows.  With no GROUP BY the whole match set is one
         group (SQL semantics: always exactly one result row).
         """
-        from repro.db.query import _qualified_get
-
         # Grouped aggregates read live rows and reduce entirely under the
         # lock (result rows are fresh dicts, so nothing live escapes).
         with self._lock:
@@ -376,13 +375,13 @@ class MemoryBackend(Backend):
                 column = query.group_by[0]
                 keyed: Dict[Any, List[Dict[str, Any]]] = {}
                 for row in rows:
-                    key = row[column] if column in row else _qualified_get(row, column)
+                    key = row[column] if column in row else column_value(row, column, None)
                     keyed.setdefault(key, []).append(row)
                 grouped = {(key,): group for key, group in keyed.items()}
             else:
                 for row in rows:
                     key = tuple(
-                        _qualified_get(row, column) for column in query.group_by
+                        column_value(row, column, None) for column in query.group_by
                     )
                     grouped.setdefault(key, []).append(row)
             if not query.group_by and not grouped:
@@ -499,8 +498,6 @@ class MemoryBackend(Backend):
         values themselves.  Matches the SQL sqlgen renders for the same
         query, so the jid sets a bounded query keeps are backend-identical.
         """
-        from repro.db.query import _qualified_get
-
         groups: Dict[Any, list] = {}
         ordered_keys: List[Any] = []
         for row in rows:
@@ -511,7 +508,7 @@ class MemoryBackend(Backend):
                 entry = groups[key] = [projected, [[] for _ in query.order_by]]
                 ordered_keys.append(key)
             for index, order in enumerate(query.order_by):
-                entry[1][index].append(_qualified_get(row, order.column))
+                entry[1][index].append(column_value(row, order.column, None))
         items = [groups[key] for key in ordered_keys]
         # Stable sorts from the last criterion to the first: tie-break on
         # the projected values, then each order term (None-safe, mirroring

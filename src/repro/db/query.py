@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.db.expr import Expression
+from repro.db.expr import Expression, column_value
 
 
 @dataclass(frozen=True)
@@ -675,7 +675,7 @@ def apply_order(rows: List[Dict[str, Any]], order_by: Sequence[Order]) -> List[D
     result = list(rows)
     for order in reversed(order_by):
         def key(row: Dict[str, Any], column: str = order.column) -> Tuple[int, Any]:
-            value = _qualified_get(row, column)
+            value = column_value(row, column, None)
             return (value is None, value)
 
         result.sort(key=key, reverse=not order.ascending)
@@ -786,7 +786,7 @@ def compute_aggregate(rows: List[Dict[str, Any]], aggregate: Aggregate) -> Any:
     values = [
         value
         for row in rows
-        if (value := _qualified_get(row, aggregate.column)) is not None
+        if (value := column_value(row, aggregate.column, None)) is not None
     ]
     if aggregate.distinct:
         try:
@@ -806,17 +806,3 @@ def compute_aggregate(rows: List[Dict[str, Any]], aggregate: Aggregate) -> Any:
     if function == "MAX":
         return max(values)
     raise ValueError(f"unknown aggregate function {function!r}")  # pragma: no cover
-
-
-def _qualified_get(row: Dict[str, Any], column: str) -> Any:
-    if column in row:
-        return row[column]
-    if "." in column:
-        bare = column.rsplit(".", 1)[-1]
-        if bare in row:
-            return row[bare]
-    else:
-        for key, value in row.items():
-            if key.endswith("." + column):
-                return value
-    return None

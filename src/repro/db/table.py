@@ -224,28 +224,20 @@ class Table:
 
     def update(self, where: Optional[Expression], values: Dict[str, Any]) -> int:
         """Update matching rows in place; returns the number updated."""
-        count = 0
-        rows, exact = self._narrowed_rows(where)
+        rows = self.matching_rows(where)
         coerced = [
             (name, self.schema.column(name), value) for name, value in values.items()
         ]
         for row in rows:
-            if exact or where is None or where.evaluate(row):
-                self._index_remove(row)
-                for name, column, value in coerced:
-                    row[name] = column.coerce(value)
-                self._index_add(row)
-                count += 1
-        return count
+            self._index_remove(row)
+            for name, column, value in coerced:
+                row[name] = column.coerce(value)
+            self._index_add(row)
+        return len(rows)
 
     def delete(self, where: Optional[Expression]) -> int:
         """Delete matching rows; returns the number deleted."""
-        rows, exact = self._narrowed_rows(where)
-        doomed = (
-            rows
-            if exact
-            else [row for row in rows if where is None or where.evaluate(row)]
-        )
+        doomed = self.matching_rows(where)
         pk_name = self.schema.primary_key.name
         for row in doomed:
             self._index_remove(row)
@@ -275,35 +267,42 @@ class Table:
         row = self._rows.get(pk)
         return dict(row) if row is not None else None
 
-    def scan(self, where: Optional[Expression] = None) -> List[Dict[str, Any]]:
-        """Return copies of all rows matching ``where`` (all rows if ``None``)."""
-        result = []
-        for row in self._candidate_rows(where):
-            if where is None or where.evaluate(row):
-                result.append(dict(row))
-        return result
-
     def rows(self) -> List[Dict[str, Any]]:
         return [dict(row) for row in self._rows.values()]
+
+    def matching_rows(self, where: Optional[Expression]) -> List[Dict[str, Any]]:
+        """The live rows matching ``where`` (every row when ``None``).
+
+        The rows every write mutates.  The cost model narrows the heap to
+        an access path's candidates; the compiled predicate then filters
+        them, unless the path is exact.  The rows stay live: callers hold
+        the backend lock and must copy any row that escapes it.
+        """
+        rows, exact = self._narrowed_rows(where)
+        if exact:
+            return rows
+        predicate = where.compile()
+        return [row for row in rows if predicate(row)]
 
     def candidate_rows(
         self, where: Optional[Expression], copy: bool = True
     ) -> List[Dict[str, Any]]:
         """The rows an index narrows ``where`` down to.
 
-        A conservative superset of the matching rows: callers still
-        evaluate ``where`` per row.  Equality, ``IN (...)`` lists (the
-        resolved form of a jid-subselect pushdown) and ``IS NULL`` probes on
-        a hash-indexed column read the hash buckets, and range/``BETWEEN``/
-        prefix-``LIKE`` probes on an ordered-indexed column read the sorted
-        entries -- which is what keeps the memory backend's bounded and
-        grouped query paths O(matches) instead of O(table).
+        A conservative superset of the matching rows, for readers that
+        filter it themselves with ``where.compile()`` (to stream it, or to
+        stop early).  Equality, ``IN (...)`` lists (the resolved form of a
+        jid-subselect pushdown) and ``IS NULL`` probes on a hash-indexed
+        column read the hash buckets, and range/``BETWEEN``/prefix-``LIKE``
+        probes on an ordered-indexed column read the sorted entries --
+        which is what keeps the memory backend's bounded and grouped query
+        paths O(matches) instead of O(table).
 
         ``copy=False`` returns the live row dicts -- only for callers that
         read under the backend lock and never return them (the aggregate
         paths), where per-row copies would dominate the statement cost.
         """
-        rows = self._candidate_rows(where)
+        rows, _exact = self._narrowed_rows(where)
         if not copy:
             return rows
         return [dict(row) for row in rows]
@@ -392,11 +391,6 @@ class Table:
         return list(self._rows.values()), False
 
     # -- indexes ------------------------------------------------------------------------
-
-    def _candidate_rows(self, where: Optional[Expression]) -> List[Dict[str, Any]]:
-        """Use an index to narrow the scan when the filter allows it."""
-        rows, _exact = self._narrowed_rows(where)
-        return rows
 
     def _narrowed_rows(
         self, where: Optional[Expression]

@@ -246,6 +246,20 @@ def test_not_in_duplicate_valued_subquery(database):
     assert [row["jid"] for row in database.execute(negated)] == [3]
 
 
+def test_not_in_empty_subquery_keeps_null_rows(database):
+    # x IN (empty) is FALSE for every x, NULL included, so its negation
+    # keeps every row -- the NULL row too -- on reads and writes alike.
+    database.define_table("T", x=ColumnType.INTEGER)
+    database.define_table("U", y=ColumnType.INTEGER)
+    database.insert_many("T", [{"x": None}, {"x": 1}])
+    empty = Query("U").select("y")
+    assert database.execute(Query("T").filter(in_subquery("x", empty))) == []
+    negated = Query("T").filter(~in_subquery("x", empty))
+    assert [row["x"] for row in database.execute(negated)] == [None, 1]
+    assert database.count("T", ~in_subquery("x", empty)) == 2
+    assert database.delete("T", ~in_subquery("x", empty)) == 2
+
+
 def test_update_and_delete_with_subquery_where(database):
     # Writes accept subquery filters like reads do (SQLite renders the
     # subselect inline; the memory engine materialises it first).

@@ -2,9 +2,9 @@
 
 Runs doctest over ``docs/*.md`` and over every ``src/repro`` module whose
 source contains a ``>>>`` example, found by scanning the tree so a new
-module's examples run without being listed.  CI additionally runs
-``python -m doctest docs/*.md`` and the ``examples/quickstart.py`` smoke in
-its docs job; this test keeps the same guarantee inside the tier-1 suite.
+module's examples run without being listed.  It runs in the tier-1 suite,
+and CI's docs job runs it again beside the ``examples/quickstart.py``
+smoke.
 """
 
 import doctest
