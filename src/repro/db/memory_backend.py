@@ -24,6 +24,7 @@ from repro.db.query import (
     apply_order,
     compute_aggregate,
     dedupe_rows,
+    dedupe_values,
     order_outside_selection,
     row_key,
 )
@@ -170,7 +171,9 @@ class MemoryBackend(Backend):
         set-oriented write -- mirroring the one statement SQLite executes.
         The resolved ``key IN (...)`` list is narrowed by the table's hash
         index (see :meth:`Table.matching_rows`), keeping the mutation
-        O(matches) instead of O(table).
+        O(matches) instead of O(table).  :meth:`Table.update` coerces the
+        SET values before it touches a row, so a failing statement changes
+        nothing, and it maintains only the indexes on assigned columns.
         """
         return self.update(plan.table, plan.where, plan.values)
 
@@ -260,24 +263,41 @@ class MemoryBackend(Backend):
             where = self._resolved_where(query)
             if query.distinct and not query.order_by:
                 # Unordered distinct (the record-key subquery of the bounded
-                # and write pushdowns): stream filter -> project -> dedupe,
-                # with an early exit at limit+offset distinct rows when
-                # bounded.  Projection builds fresh dicts, so the scan reads
-                # the live rows without per-row copies; only an unprojected
-                # distinct must copy (its rows escape the lock verbatim).
-                source = self._source_rows(query, where, copy=not columns)
+                # and write pushdowns): stream filter -> dedupe, with an
+                # early exit at limit+offset distinct rows when bounded.
+                # The scan reads the live rows: a projection builds fresh
+                # dicts, and an unprojected distinct copies only the rows
+                # it keeps.
+                source = self._source_rows(query, where)
                 predicate = None if where is None else where.compile()
                 matching = (
                     row for row in source if predicate is None or predicate(row)
                 )
-                projected = (
-                    self._pick_columns(row, columns) if columns else row
-                    for row in matching
-                )
                 stop_after = (
                     query.limit + query.offset if query.limit is not None else None
                 )
-                rows = dedupe_rows(projected, stop_after=stop_after)
+                if columns and len(columns) == 1:
+                    # One column: dedupe on the value, then build one
+                    # {column: value} row per distinct value.
+                    name = columns[0]
+                    values = dedupe_values(
+                        (
+                            row[name] if name in row else self._pick_value(row, name)
+                            for row in matching
+                        ),
+                        stop_after,
+                    )
+                    rows = [{name: value} for value in values]
+                elif columns:
+                    rows = dedupe_rows(
+                        (self._pick_columns(row, columns) for row in matching),
+                        stop_after=stop_after,
+                    )
+                else:
+                    rows = [
+                        dict(row)
+                        for row in dedupe_rows(matching, stop_after=stop_after)
+                    ]
                 return rows[query.offset:] if query.offset else rows
             if not query.is_join() and not query.distinct and query.order_by:
                 # Ask the cost model whether an ordered index can serve the
@@ -291,11 +311,10 @@ class MemoryBackend(Backend):
                     if columns:
                         rows = [self._pick_columns(row, columns) for row in rows]
                     return rows
-            source = self._source_rows(query, where)
-            rows = source
-            if where is not None:
-                predicate = where.compile()
-                rows = [row for row in rows if predicate(row)]
+            rows = self._matching_rows(query, where)
+            if not query.is_join():
+                # Copy only the matches: they outlive the lock.
+                rows = [dict(row) for row in rows]
         if order_outside_selection(query):
             # Ordered distinct over non-selected columns: evaluate in the
             # same grouped MIN/MAX form sqlgen renders, so both backends
@@ -330,7 +349,7 @@ class MemoryBackend(Backend):
                 return False
             with self._lock:
                 where = self._resolved_where(query)
-                source = self._source_rows(query, where, copy=False)
+                source = self._source_rows(query, where)
                 predicate = None if where is None else where.compile()
                 needed = query.offset + 1
                 for row in source:
@@ -344,11 +363,7 @@ class MemoryBackend(Backend):
         # Scalar aggregates never return row dicts, so they read the live
         # rows and compute entirely under the lock -- no per-row copies.
         with self._lock:
-            where = self._resolved_where(query)
-            rows = self._source_rows(query, where, copy=False)
-            if where is not None:
-                predicate = where.compile()
-                rows = [row for row in rows if predicate(row)]
+            rows = self._matching_rows(query, self._resolved_where(query))
             return compute_aggregate(rows, query.aggregate)
 
     def _aggregate_rows(self, query: Query) -> List[Dict[str, Any]]:
@@ -363,13 +378,12 @@ class MemoryBackend(Backend):
         # Grouped aggregates read live rows and reduce entirely under the
         # lock (result rows are fresh dicts, so nothing live escapes).
         with self._lock:
-            where = self._resolved_where(query)
-            rows = self._source_rows(query, where, copy=False)
-            if where is not None:
-                predicate = where.compile()
-                rows = [row for row in rows if predicate(row)]
+            rows = self._matching_rows(query, self._resolved_where(query))
             grouped: Dict[tuple, List[Dict[str, Any]]] = {}
-            if len(query.group_by) == 1:
+            if not query.group_by:
+                # The whole match set is the one group: no per-row key.
+                grouped[()] = rows
+            elif len(query.group_by) == 1:
                 # Hot path (the FORM groups by one jvars column): scalar
                 # keys, no per-row tuple construction.
                 column = query.group_by[0]
@@ -384,8 +398,6 @@ class MemoryBackend(Backend):
                         column_value(row, column, None) for column in query.group_by
                     )
                     grouped.setdefault(key, []).append(row)
-            if not query.group_by and not grouped:
-                grouped[()] = []
             result = []
             for key, group in grouped.items():
                 out: Dict[str, Any] = dict(zip(query.group_by, key))
@@ -416,20 +428,35 @@ class MemoryBackend(Backend):
                     break
         return matched[query.offset:] if query.offset else matched
 
-    def _source_rows(
-        self, query: Query, where, copy: bool = True
-    ) -> List[Dict[str, Any]]:
-        """The FROM/JOIN row set, narrowed by a hash index when possible.
+    def _source_rows(self, query: Query, where) -> List[Dict[str, Any]]:
+        """The FROM/JOIN row set, narrowed by an index when possible.
 
         For single-table queries an indexed equality / IN / IS NULL filter
         (e.g. the resolved ``jid IN (...)`` of a bounded pushdown) reads the
-        index buckets instead of copying the whole heap -- the memory
-        backend's answer to SQLite walking its B-tree index.  ``copy=False``
-        hands out live row dicts for under-lock read-only consumers.
+        index buckets instead of the whole heap -- the memory backend's
+        answer to SQLite walking its B-tree index.  Single-table rows are
+        the live row dicts, for callers that filter them as they stream
+        (to stop early) under the lock.
         """
         if not query.is_join():
-            return self._table(query.table).candidate_rows(where, copy=copy)
+            return self._table(query.table).candidate_rows(where)
         return self._join_rows(query)
+
+    def _matching_rows(self, query: Query, where) -> List[Dict[str, Any]]:
+        """The FROM/JOIN rows matching ``where``.
+
+        A single-table read takes the table's live rows from
+        :meth:`Table.matching_rows` (no predicate work on an exact index
+        path); callers hold the lock and copy any row that escapes it.
+        Joined rows are fresh dicts, filtered here.
+        """
+        if not query.is_join():
+            return self._table(query.table).matching_rows(where)
+        rows = self._join_rows(query)
+        if where is None:
+            return rows
+        predicate = where.compile()
+        return [row for row in rows if predicate(row)]
 
     def explain_query(self, query: Query) -> Dict[str, Any]:
         """The access path the cost model chooses for this query, unexecuted.
@@ -565,13 +592,16 @@ class MemoryBackend(Backend):
         return column if "." in column else f"{table}.{column}"
 
     @staticmethod
+    def _pick_value(row: Dict[str, Any], name: str) -> Any:
+        if name in row:
+            return row[name]
+        if "." in name and name.rsplit(".", 1)[-1] in row:
+            return row[name.rsplit(".", 1)[-1]]
+        return None
+
+    @staticmethod
     def _pick_columns(row: Dict[str, Any], columns) -> Dict[str, Any]:
         picked = {}
         for name in columns:
-            if name in row:
-                picked[name] = row[name]
-            elif "." in name and name.rsplit(".", 1)[-1] in row:
-                picked[name] = row[name.rsplit(".", 1)[-1]]
-            else:
-                picked[name] = None
+            picked[name] = row[name] if name in row else MemoryBackend._pick_value(row, name)
         return picked

@@ -742,6 +742,32 @@ def dedupe_rows(
     return unique
 
 
+def dedupe_values(
+    values: Iterable[Any], stop_after: Optional[int] = None
+) -> List[Any]:
+    """:func:`dedupe_rows` for the values of one column.
+
+    Hashing the value itself keys exactly as ``row_key`` of a one-column
+    row does (``1``, ``1.0`` and ``True`` are one value; ``None`` is one).
+
+    >>> dedupe_values([2, None, 2.0, 1, None, True, 3])
+    [2, None, 1, 3]
+    >>> dedupe_values([2, None, 2, 1, 3], stop_after=2)
+    [2, None]
+    """
+    if stop_after is None:
+        return list(dict.fromkeys(values))
+    if stop_after <= 0:
+        return []
+    seen: Dict[Any, None] = {}
+    for value in values:
+        if value not in seen:
+            seen[value] = None
+            if len(seen) >= stop_after:
+                break
+    return list(seen)
+
+
 def limit_by_key(items: List[Any], key, limit: Optional[int]) -> List[Any]:
     """Keep every item of the first ``limit`` distinct keys, in order.
 

@@ -223,16 +223,39 @@ class Table:
         return pk
 
     def update(self, where: Optional[Expression], values: Dict[str, Any]) -> int:
-        """Update matching rows in place; returns the number updated."""
+        """Update matching rows in place; returns the number updated.
+
+        The SET values are coerced once, before any row changes, so a
+        statement that fails (a NOT NULL or type violation) leaves the
+        rows and indexes as they were.  An unknown column raises
+        :class:`SchemaError` even when nothing matches; the NOT NULL and
+        type checks run only when a row does, as SQL checks them per row.
+        Only the indexes containing an assigned column are maintained;
+        with none, each row costs one ``dict.update``.
+        """
         rows = self.matching_rows(where)
-        coerced = [
-            (name, self.schema.column(name), value) for name, value in values.items()
+        assigned = [(self.schema.column(name), value) for name, value in values.items()]
+        if not rows:
+            return 0
+        coerced = {column.name: column.coerce(value) for column, value in assigned}
+        # Every index entry carries the primary key: assigning it touches all.
+        every = self.schema.primary_key.name in coerced
+        hashes = {
+            column: index for column, index in self._indexes.items()
+            if every or column in coerced
+        }
+        ordered = [
+            index for index in self._ordered.values()
+            if every or not coerced.keys().isdisjoint(index.columns)
         ]
+        if not hashes and not ordered:
+            for row in rows:
+                row.update(coerced)
+            return len(rows)
         for row in rows:
-            self._index_remove(row)
-            for name, column, value in coerced:
-                row[name] = column.coerce(value)
-            self._index_add(row)
+            self._index_remove(row, hashes, ordered)
+            row.update(coerced)
+            self._index_add(row, hashes, ordered)
         return len(rows)
 
     def delete(self, where: Optional[Expression]) -> int:
@@ -284,10 +307,8 @@ class Table:
         predicate = where.compile()
         return [row for row in rows if predicate(row)]
 
-    def candidate_rows(
-        self, where: Optional[Expression], copy: bool = True
-    ) -> List[Dict[str, Any]]:
-        """The rows an index narrows ``where`` down to.
+    def candidate_rows(self, where: Optional[Expression]) -> List[Dict[str, Any]]:
+        """The live rows an index narrows ``where`` down to.
 
         A conservative superset of the matching rows, for readers that
         filter it themselves with ``where.compile()`` (to stream it, or to
@@ -295,17 +316,13 @@ class Table:
         jid-subselect pushdown) and ``IS NULL`` probes on a hash-indexed
         column read the hash buckets, and range/``BETWEEN``/prefix-``LIKE``
         probes on an ordered-indexed column read the sorted entries --
-        which is what keeps the memory backend's bounded and grouped query
-        paths O(matches) instead of O(table).
-
-        ``copy=False`` returns the live row dicts -- only for callers that
-        read under the backend lock and never return them (the aggregate
-        paths), where per-row copies would dominate the statement cost.
+        which is what keeps the memory backend's streaming DISTINCT and
+        EXISTS paths O(matches) instead of O(table).  Like
+        :meth:`matching_rows`, the rows stay live: callers hold the backend
+        lock and must copy any row that escapes it.
         """
         rows, _exact = self._narrowed_rows(where)
-        if not copy:
-            return rows
-        return [dict(row) for row in rows]
+        return rows
 
     # -- planning ------------------------------------------------------------------------
 
@@ -413,21 +430,23 @@ class Table:
         self.last_plan = choice
         return self.rows_for_path(choice.chosen, copy=False)
 
-    def _index_add(self, row: Dict[str, Any]) -> None:
+    def _index_add(self, row: Dict[str, Any], hashes=None, ordered=None) -> None:
+        """Enter ``row`` in the ``hashes`` and ``ordered`` indexes (default: all)."""
         pk = row[self.schema.primary_key.name]
-        for column, index in self._indexes.items():
+        for column, index in (self._indexes if hashes is None else hashes).items():
             index.setdefault(row.get(column), set()).add(pk)
-        for ordered in self._ordered.values():
-            ordered.add(row, pk)
+        for index in self._ordered.values() if ordered is None else ordered:
+            index.add(row, pk)
 
-    def _index_remove(self, row: Dict[str, Any]) -> None:
+    def _index_remove(self, row: Dict[str, Any], hashes=None, ordered=None) -> None:
+        """Drop ``row`` from the ``hashes`` and ``ordered`` indexes (default: all)."""
         pk = row[self.schema.primary_key.name]
-        for column, index in self._indexes.items():
+        for column, index in (self._indexes if hashes is None else hashes).items():
             bucket = index.get(row.get(column))
             if bucket is not None:
                 bucket.discard(pk)
-        for ordered in self._ordered.values():
-            ordered.remove(row, pk)
+        for index in self._ordered.values() if ordered is None else ordered:
+            index.remove(row, pk)
 
     def __repr__(self) -> str:
         return f"Table({self.schema.name!r}, rows={len(self._rows)})"

@@ -668,15 +668,27 @@ class QuerySet:
             raw_entries = cache.get(key)
         if raw_entries is None:
             rows = form.database.execute(query)
-            raw_entries = []
-            for row in rows:
-                values = self._base_values(meta, row, joined_tables)
-                branches = list(parse_jvars(values.get("jvars")))
-                # Joins contribute the jvars of every joined table (Table 2).
-                for table in joined_tables:
-                    branches.extend(parse_jvars(row.get(f"{table}.jvars")))
-                jid = int(values.get("jid"))
-                raw_entries.append((jid, tuple(dict.fromkeys(branches)), values))
+            if not joined_tables:
+                # Both backends hand out fresh row dicts from execute, so a
+                # non-join row serves as its entry's values uncopied.
+                raw_entries = [
+                    (
+                        int(row.get("jid")),
+                        tuple(dict.fromkeys(parse_jvars(row.get("jvars")))),
+                        row,
+                    )
+                    for row in rows
+                ]
+            else:
+                raw_entries = []
+                for row in rows:
+                    values = self._base_values(meta, row)
+                    branches = list(parse_jvars(values.get("jvars")))
+                    # Joins contribute the jvars of every joined table (Table 2).
+                    for table in joined_tables:
+                        branches.extend(parse_jvars(row.get(f"{table}.jvars")))
+                    jid = int(values.get("jid"))
+                    raw_entries.append((jid, tuple(dict.fromkeys(branches)), values))
             if cache is not None:
                 # Bounded queries carry their jid subselect in the query (and
                 # so in the cache key): each (filters, ordering, limit,
@@ -1042,10 +1054,8 @@ class QuerySet:
         )
 
     @staticmethod
-    def _base_values(meta, row: Dict[str, Any], joined_tables: List[str]) -> Dict[str, Any]:
-        """Extract the base table's columns from a (possibly joined) row."""
-        if not joined_tables:
-            return dict(row)
+    def _base_values(meta, row: Dict[str, Any]) -> Dict[str, Any]:
+        """Extract the base table's columns from a joined row."""
         prefix = f"{meta.table_name}."
         return {
             name[len(prefix):]: value for name, value in row.items() if name.startswith(prefix)
@@ -1594,14 +1604,16 @@ def _resolving_labels(form: FORM) -> set:
 
 
 def _instance_from_row(model: Type, values: Dict[str, Any]) -> Any:
-    """Build a model instance from one database row (already unqualified)."""
-    meta = model._meta
+    """Build a model instance from one database row (already unqualified).
+
+    Fills the instance's ``__dict__`` from the model's unmarshal plan
+    (:attr:`ModelOptions.unmarshal_plan`), built once per model.
+    """
     instance = model.__new__(model)
-    instance.jid = values.get("jid")
-    for name, field in meta.fields.items():
-        column = field.column_name
-        raw = values.get(column)
-        setattr(instance, column, field.from_db(raw))
+    state = instance.__dict__
+    state["jid"] = values.get("jid")
+    for column, from_db in model._meta.unmarshal_plan:
+        state[column] = from_db(values.get(column))
     return instance
 
 

@@ -74,6 +74,11 @@ class ModelOptions:
         self.fields = fields
         self.policy_groups: List[PolicyGroup] = []
         self.public_methods: Dict[str, Callable[[Any], Any]] = {}
+        #: ``(column, from_db)`` per field, in field order: how a row
+        #: becomes an instance's attributes, resolved once per model.
+        self.unmarshal_plan: Tuple[Tuple[str, Callable[[Any], Any]], ...] = tuple(
+            (field.column_name, field.from_db) for field in fields.values()
+        )
 
     # -- schema -------------------------------------------------------------------
 

@@ -93,6 +93,33 @@ def test_update_and_delete(database):
     assert db.count("Event") == 0
 
 
+def _not_null_table(database):
+    database.create_table(TableSchema("T", (
+        Column("id", ColumnType.INTEGER, primary_key=True),
+        Column("k", ColumnType.INTEGER, indexed=True),
+        Column("n", ColumnType.TEXT, nullable=False),
+    )))
+    database.insert_many("T", [{"k": 1, "n": "x"} for _ in range(3)])
+
+
+def test_failing_update_leaves_rows_and_indexes_unchanged(database):
+    """A statement that fails part-way changes nothing: SQLite rolls it
+    back, and the memory engine coerces every SET value before touching a
+    row (or an index bucket)."""
+    _not_null_table(database)
+    with pytest.raises(Exception):
+        database.update("T", eq("k", 1), k=2, n=None)
+    assert sorted(row["id"] for row in database.rows("T", where=eq("k", 1))) == [1, 2, 3]
+    assert database.rows("T", where=eq("k", 2)) == []
+
+
+def test_update_matching_nothing_checks_columns_not_values(database):
+    _not_null_table(database)
+    with pytest.raises(SchemaError):
+        database.update("T", eq("k", 5), missing=1)
+    assert database.update("T", eq("k", 5), n=None) == 0
+
+
 def test_order_by_and_limit(database):
     db = seeded(database)
     ordered = db.rows("Event", order_by=["attendees"], limit=2)

@@ -166,6 +166,32 @@ def test_distinct_limit_zero_is_empty(database):
     assert database.execute(bounded) == []
 
 
+#: One column with duplicates and NULLs, in insertion (first-appearance) order.
+_KEYS = [3, None, 3, 1, None, 2, 1]
+
+
+def _key_table(database: Database) -> Query:
+    database.define_table("Key", key=ColumnType.INTEGER)
+    database.insert_many("Key", [{"key": key} for key in _KEYS])
+    return Query("Key").select("key").distinct_rows()
+
+
+def test_unordered_one_column_distinct_keeps_each_value_once(database):
+    rows = database.execute(_key_table(database))
+    keys = [row["key"] for row in rows]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {1, 2, 3, None}
+
+
+def test_unordered_one_column_distinct_keeps_first_appearance_order():
+    database = Database(MemoryBackend())
+    query = _key_table(database)
+    assert database.execute(query) == [
+        {"key": 3}, {"key": None}, {"key": 1}, {"key": 2}
+    ]
+    assert database.execute(query.limited(2, offset=1)) == [{"key": None}, {"key": 1}]
+
+
 def test_count_with_subquery_where(database):
     _seed_people(database)
     sub = Query("Person").filter(eq("team", "blue")).select("id").distinct_rows()

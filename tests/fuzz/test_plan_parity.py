@@ -1,11 +1,12 @@
 """Differential fuzzing: index-backed plans vs the forced-scan oracle.
 
-Each iteration draws a random *program* -- batch inserts, range updates
-and deletes, fetches with range/BETWEEN/prefix-LIKE predicates, ORDER BY
-(asc/desc, with NULLs and duplicates), LIMIT/OFFSET, counts and
-aggregates -- from a seeded stdlib ``random.Random``, then runs it twice
-on the same backend: once with the cost-aware planner free to use the
-ordered/hash indexes, and once forced to scan (the oracle;
+Each iteration draws a random *program* -- batch inserts, updates of any
+indexed column and deletes over range predicates, fetches with
+range/BETWEEN/prefix-LIKE predicates, ORDER BY (asc/desc, with NULLs and
+duplicates), LIMIT/OFFSET, counts and aggregates -- from a seeded stdlib
+``random.Random``, then runs it twice on the same backend: once with the
+cost-aware planner free to use the ordered/hash indexes, and once forced
+to scan (the oracle;
 ``MemoryBackend(use_indexes=False)`` / ``SqliteBackend(emit_indexes=False)``).
 Access-path choice must never change observable results.
 
@@ -61,6 +62,9 @@ SCORES = list(range(10)) + [None]
 RANKS = [0, 1, 2, None]  # heavy duplicates: ORDER BY ties are the point
 NAMES = ["alpha", "Alpha", "alps", "beta", "Beta", "bet", "gamma", "ga_ma", None]
 TAGS = ["x", "y", "z", None]
+#: The value pool of each column an ``update`` op may assign: a composite
+#: ordered index (score, id), single-column ordered indexes and a hash index.
+POOLS = {"score": SCORES, "rank": RANKS, "name": NAMES, "tag": TAGS}
 PATTERNS = ["al%", "Al%", "BE%", "b_t%", "ga%", "%ma", "alp%"]
 RANGE_COLUMNS = ("score", "rank", "name")
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -140,9 +144,10 @@ def _gen_program(rng, length=14):
                 ("insert", tuple(_gen_row(rng) for _ in range(rng.randrange(1, 5))))
             )
         elif roll < 0.28:
-            program.append(
-                ("update", _gen_where(rng), SCORES[rng.randrange(len(SCORES))])
-            )
+            where = _gen_where(rng)
+            column = tuple(POOLS)[rng.randrange(len(POOLS))]
+            pool = POOLS[column]
+            program.append(("update", where, column, pool[rng.randrange(len(pool))]))
         elif roll < 0.36:
             program.append(("delete", _gen_where(rng)))
         elif roll < 0.70:
@@ -223,7 +228,7 @@ def _run_program(kind, program, indexed):
             elif name == "update":
                 observables.append(
                     database.update(
-                        "FuzzRow", _build_where(args[0]), score=args[1]
+                        "FuzzRow", _build_where(args[0]), **{args[1]: args[2]}
                     )
                 )
             elif name == "delete":
