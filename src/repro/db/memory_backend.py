@@ -282,7 +282,7 @@ class MemoryBackend(Backend):
                     name = columns[0]
                     values = dedupe_values(
                         (
-                            row[name] if name in row else self._pick_value(row, name)
+                            row[name] if name in row else column_value(row, name, None)
                             for row in matching
                         ),
                         stop_after,
@@ -592,16 +592,13 @@ class MemoryBackend(Backend):
         return column if "." in column else f"{table}.{column}"
 
     @staticmethod
-    def _pick_value(row: Dict[str, Any], name: str) -> Any:
-        if name in row:
-            return row[name]
-        if "." in name and name.rsplit(".", 1)[-1] in row:
-            return row[name.rsplit(".", 1)[-1]]
-        return None
-
-    @staticmethod
     def _pick_columns(row: Dict[str, Any], columns) -> Dict[str, Any]:
         picked = {}
         for name in columns:
-            picked[name] = row[name] if name in row else MemoryBackend._pick_value(row, name)
+            if name in row:
+                picked[name] = row[name]
+            elif "." in name and name.rsplit(".", 1)[-1] in row:
+                picked[name] = row[name.rsplit(".", 1)[-1]]
+            else:
+                picked[name] = None
         return picked

@@ -249,6 +249,8 @@ class Table:
             if every or not coerced.keys().isdisjoint(index.columns)
         ]
         if not hashes and not ordered:
+            # No index to maintain: the two index calls per row would
+            # nearly double this statement's cost.
             for row in rows:
                 row.update(coerced)
             return len(rows)

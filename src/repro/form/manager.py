@@ -668,27 +668,15 @@ class QuerySet:
             raw_entries = cache.get(key)
         if raw_entries is None:
             rows = form.database.execute(query)
-            if not joined_tables:
-                # Both backends hand out fresh row dicts from execute, so a
-                # non-join row serves as its entry's values uncopied.
-                raw_entries = [
-                    (
-                        int(row.get("jid")),
-                        tuple(dict.fromkeys(parse_jvars(row.get("jvars")))),
-                        row,
-                    )
-                    for row in rows
-                ]
-            else:
-                raw_entries = []
-                for row in rows:
-                    values = self._base_values(meta, row)
-                    branches = list(parse_jvars(values.get("jvars")))
-                    # Joins contribute the jvars of every joined table (Table 2).
-                    for table in joined_tables:
-                        branches.extend(parse_jvars(row.get(f"{table}.jvars")))
-                    jid = int(values.get("jid"))
-                    raw_entries.append((jid, tuple(dict.fromkeys(branches)), values))
+            raw_entries = []
+            for row in rows:
+                values = self._base_values(meta, row, joined_tables)
+                branches = list(parse_jvars(values.get("jvars")))
+                # Joins contribute the jvars of every joined table (Table 2).
+                for table in joined_tables:
+                    branches.extend(parse_jvars(row.get(f"{table}.jvars")))
+                jid = int(values.get("jid"))
+                raw_entries.append((jid, tuple(dict.fromkeys(branches)), values))
             if cache is not None:
                 # Bounded queries carry their jid subselect in the query (and
                 # so in the cache key): each (filters, ordering, limit,
@@ -1054,8 +1042,11 @@ class QuerySet:
         )
 
     @staticmethod
-    def _base_values(meta, row: Dict[str, Any]) -> Dict[str, Any]:
-        """Extract the base table's columns from a joined row."""
+    def _base_values(meta, row: Dict[str, Any], joined_tables: List[str]) -> Dict[str, Any]:
+        """Extract the base table's columns from a (possibly joined) row."""
+        if not joined_tables:
+            # Both backends return fresh dicts from execute: no copy needed.
+            return row
         prefix = f"{meta.table_name}."
         return {
             name[len(prefix):]: value for name, value in row.items() if name.startswith(prefix)
