@@ -2,7 +2,7 @@
 
 Stdlib-only: parsing, dotted-name resolution, parent links and source
 recovery for live functions.  Everything downstream (facts extraction,
-read-set inference, rules, the classifier) builds on these few primitives.
+read-set inference, rules, the tier decision) builds on these few primitives.
 
 >>> import ast
 >>> node = ast.parse("Paper.objects.get(author=row)").body[0].value
@@ -15,6 +15,8 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import types
+import weakref
 from typing import Iterator, Optional
 
 
@@ -42,15 +44,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def root_name(node: ast.AST) -> Optional[str]:
-    """The leftmost Name of an attribute chain (``a`` for ``a.b.c``)."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
     return None
 
 
@@ -107,13 +100,27 @@ def decorator_names(func: ast.AST) -> list:
     return names
 
 
+#: Parsed definitions by function object.  A function's source does not
+#: change while it lives, and recovering it costs a tokenize and a parse.
+_FUNCTION_ASTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def function_ast(func) -> Optional[ast.FunctionDef]:
     """The definition AST of a live function, or ``None`` when unavailable.
 
     ``None`` (source lost: doctest/exec-defined functions, builtins) is the
-    conservative answer -- read-set inference maps it to TOP.
+    conservative answer -- read-set inference maps it to TOP.  Each
+    function is parsed once.
     """
     target = getattr(func, "__func__", func)
+    if not isinstance(target, types.FunctionType):
+        return None
+    if target not in _FUNCTION_ASTS:
+        _FUNCTION_ASTS[target] = _parse_function(target)
+    return _FUNCTION_ASTS[target]
+
+
+def _parse_function(target: types.FunctionType) -> Optional[ast.FunctionDef]:
     try:
         source = textwrap.dedent(inspect.getsource(target))
         tree = ast.parse(source)

@@ -1,234 +1,147 @@
-"""Policy-shape classification: the planning input for policy pushdown.
+"""Policy tiers: how a model's viewer-context reads prune, decided once.
 
-The ROADMAP's biggest open item compiles Early Pruning into SQL; its first
-step is knowing, per ``@label_for`` policy, *how* the decision depends on
-the viewer.  Three shapes, checked in order:
+Every model gets one tier, decided from its compiled policy predicates
+(:mod:`repro.analysis.symbolic`) alone.  The pushdown planner caches the
+decision per model class (``repro.form.pushdown.profile_for``) and the
+analyzer CLI prints it in its ``policies`` report, so the two never
+disagree:
 
-* ``viewer-independent`` -- the viewer parameter never occurs: the policy
-  is a pure function of the row and global state (e.g. the conference
-  phase) and one evaluation covers every viewer;
-* ``equality-on-viewer`` -- every viewer occurrence is an identity test
-  (``==``/``!=``/``is``/``in``) of the viewer or one of its attributes
-  against a row value or a constant (helpers inlined): the outcome can be
-  joined against an indexed ``(label, viewer_key, visible)`` table;
-* ``symbolic`` -- the occurrence walk fails but the symbolic predicate
-  interpreter (:mod:`repro.analysis.symbolic`) captures the whole body
-  without TOP: the policy still reads only own-row columns and viewer
-  attributes (e.g. ``row.path.startswith(viewer.prefix)``);
-* ``opaque`` -- anything else, most importantly the viewer flowing into an
-  ORM query as a filter value (membership checks): the Python evaluator
-  stays the oracle.
-
-Each ``equality-on-viewer`` verdict carries its *atoms*, the individual
-identity tests, machine-readably.
+* ``inline`` -- the model has one policy group, and its predicate renders
+  in the WHERE clause with two-valued SQL: one statement prunes;
+* ``opaque`` -- the Python Early Pruning path prunes.  ``reason`` names the
+  first check the model fails: several policy groups, a ``Top`` in the
+  predicate (its own reason), a read of a column the group guards, or an
+  atom with no two-valued rendering;
+* ``none`` -- the model has no policy groups.
 
 >>> from repro.analysis.facts import facts_for_source
 >>> mod = facts_for_source('''
 ... class Paper(JModel):
+...     title = CharField()
 ...     author = ForeignKey("User")
 ...     @staticmethod
-...     @label_for("author")
-...     def restrict_author(paper, viewer):
+...     @label_for("title")
+...     def restrict_title(paper, viewer):
 ...         return viewer is not None and viewer.jid == paper.author_id
+... class Event(JModel):
+...     name = CharField()
+...     @staticmethod
+...     @label_for("name")
+...     def restrict_name(event, viewer):
+...         if viewer is None:
+...             return False
+...         return True
 ... ''', "m.py")
->>> shape = classify_policy(mod.models[0].groups[0], mod.models[0])
->>> shape["shape"]
-'equality-on-viewer'
->>> [a["kind"] for a in shape["atoms"]]
-['is-not', 'eq']
+>>> model_tier(mod.models[0]).tier
+'inline'
+>>> model_tier(mod.models[1])
+PolicyTier(tier='opaque', predicate=None, reason='unsupported statement If')
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
-from repro.analysis.astutils import (
-    attach_parents,
-    const_str,
-    dotted_name,
-    positional_params,
-)
-from repro.analysis.facts import GroupFacts, ModelFacts, ModuleFacts
-from repro.analysis.readsets import MAX_DEPTH, infer_method_reads
-from repro.analysis.symbolic import compile_policy, contains_top, predicate_json
+from repro.analysis import symbolic as sym
+from repro.analysis.facts import ModelFacts, ModuleFacts
 
-_ATOM_KINDS = {
-    ast.Eq: "eq",
-    ast.NotEq: "ne",
-    ast.Is: "is",
-    ast.IsNot: "is-not",
-    ast.In: "in",
-    ast.NotIn: "not-in",
-}
+# Called through this module's own name, which perfbench's traced runs
+# time as the analysis.compile layer.
+from repro.analysis.symbolic import compile_policy
 
 
-def _describe_operand(node: ast.AST) -> Any:
-    """A JSON-friendly description of a comparison operand."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(
-        isinstance(e, ast.Constant) for e in node.elts
-    ):
-        return [e.value for e in node.elts]
-    name = dotted_name(node)
-    return name if name is not None else "<expr>"
+@dataclass(frozen=True)
+class PolicyTier:
+    """The tier of one model.
+
+    ``predicate`` is the compiled predicate of an ``inline`` model and
+    ``reason`` the first failed check of an ``opaque`` one; both are
+    ``None`` otherwise.
+    """
+
+    tier: str
+    predicate: Optional[sym.Pred] = None
+    reason: Optional[str] = None
 
 
-def _viewer_chain(name_node: ast.Name) -> Tuple[ast.AST, str]:
-    """Climb ``viewer.attr...`` to the outermost attribute; spell the chain."""
-    current: ast.AST = name_node
-    spelling = name_node.id
-    parent = getattr(current, "_parent", None)
-    while isinstance(parent, ast.Attribute) and parent.value is current:
-        current = parent
-        spelling += "." + parent.attr
-        parent = getattr(current, "_parent", None)
-    return current, spelling
+def _atom_renders(atom: sym.Atom) -> bool:
+    """Whether an atom renders as two-valued SQL or folds at bind time.
+
+    Atoms not reading an own-row column fold to booleans at bind time with
+    Python semantics, so any op is fine.  Own-column atoms must render with
+    *two-valued* SQL: equality-family ops use ``IS``-style comparisons;
+    range and prefix ops are only exact on non-nullable columns (a NULL
+    would be UNKNOWN in SQL where Python raises).
+    """
+    lhs, rhs = atom.lhs, atom.rhs
+    lhs_own = isinstance(lhs, sym.OwnColumn)
+    rhs_own = isinstance(rhs, sym.OwnColumn)
+    if not lhs_own and not rhs_own:
+        if {type(lhs), type(rhs)} == {sym.RowSelf, sym.ViewerSelf}:
+            return atom.op in ("eq", "ne")
+        # viewer/constant only: folds at bind time
+        return not isinstance(lhs, sym.RowSelf) and not isinstance(rhs, sym.RowSelf)
+    if not lhs_own:
+        return False  # own column in a non-canonical position (e.g. prefix rhs)
+    value_ok = isinstance(rhs, (sym.ConstVal, sym.ViewerAttr, sym.OwnColumn))
+    if atom.op in ("eq", "ne"):
+        return value_ok
+    if atom.op in ("in", "not-in"):
+        return isinstance(rhs, sym.ConstVal) and isinstance(rhs.value, tuple)
+    if atom.op in ("is-null", "not-null"):
+        return True
+    if atom.op == "truthy":
+        return lhs.kind == "bool"
+    if atom.op in ("lt", "le", "gt", "ge"):
+        return value_ok and not lhs.nullable and not (rhs_own and rhs.nullable)
+    if atom.op == "prefix":
+        return lhs.kind == "text" and not lhs.nullable and not rhs_own and value_ok
+    return False
 
 
-class _PolicyClassifier:
-    def __init__(self, facts: ModelFacts) -> None:
-        self.facts = facts
-        self.atoms: List[Dict[str, Any]] = []
-        self.opaque_reasons: List[str] = []
-        self.occurrences = 0
-
-    def classify(
-        self, node: Optional[ast.FunctionDef], viewer_param: Optional[str],
-        depth: int = 0, stack: Tuple[str, ...] = (),
-    ) -> None:
-        if node is None:
-            self.opaque_reasons.append("policy source unavailable")
-            self.occurrences += 1
-            return
-        if viewer_param is None:
-            return
-        if depth > MAX_DEPTH or node.name in stack:
-            self.opaque_reasons.append("helper recursion too deep")
-            self.occurrences += 1
-            return
-        attach_parents(node)
-        for sub in ast.walk(node):
-            if not (isinstance(sub, ast.Name) and sub.id == viewer_param
-                    and isinstance(sub.ctx, ast.Load)):
-                continue
-            self.occurrences += 1
-            self._classify_occurrence(sub, node, depth, stack + (node.name,))
-
-    def _classify_occurrence(
-        self, name_node: ast.Name, func: ast.FunctionDef,
-        depth: int, stack: Tuple[str, ...],
-    ) -> None:
-        # getattr(viewer, "attr"[, default]) reads a viewer attribute; the
-        # call node stands in for the attribute chain.
-        parent = getattr(name_node, "_parent", None)
-        if (
-            isinstance(parent, ast.Call)
-            and dotted_name(parent.func) == "getattr"
-            and parent.args
-            and parent.args[0] is name_node
-            and len(parent.args) >= 2
-            and const_str(parent.args[1]) is not None
-        ):
-            chain: ast.AST = parent
-            spelling = f"{name_node.id}.{const_str(parent.args[1])}"
-        else:
-            chain, spelling = _viewer_chain(name_node)
-        outer = getattr(chain, "_parent", None)
-        # A keyword argument wraps its value in an ast.keyword node; the
-        # interesting parent is the call it belongs to.
-        if isinstance(outer, ast.keyword):
-            outer = getattr(outer, "_parent", None)
-        if isinstance(outer, ast.Compare):
-            ops = outer.ops
-            if all(type(op) in _ATOM_KINDS for op in ops):
-                operands = [outer.left] + list(outer.comparators)
-                others = [op for op in operands if op is not chain]
-                self.atoms.append({
-                    "kind": _ATOM_KINDS[type(ops[0])],
-                    "viewer": spelling,
-                    "other": _describe_operand(others[0]) if others else None,
-                })
-                return
-            self.opaque_reasons.append(
-                f"non-identity comparison on {spelling} (line {name_node.lineno})"
-            )
-            return
-        if isinstance(outer, ast.Call):
-            func_name = dotted_name(outer.func)
-            if func_name is not None and ".objects." in func_name:
-                self.opaque_reasons.append(
-                    f"{spelling} used as a query filter value in "
-                    f"{func_name}() (line {name_node.lineno})"
-                )
-                return
-            helper = self.facts.helper(func_name) if func_name else None
-            if helper is None and func_name in self.facts.methods:
-                helper = self.facts.methods[func_name]
-            if helper is not None and chain is name_node:
-                params = positional_params(helper)
-                bound: Optional[str] = None
-                for index, arg in enumerate(outer.args):
-                    if arg is chain and index < len(params):
-                        bound = params[index]
-                for kw in outer.keywords:
-                    if kw.value is chain and kw.arg in params:
-                        bound = kw.arg
-                if bound is not None:
-                    self.classify(helper, bound, depth + 1, stack)
-                    return
-            self.opaque_reasons.append(
-                f"{spelling} escapes into {func_name or '<dynamic>'}() "
-                f"(line {name_node.lineno})"
-            )
-            return
-        self.opaque_reasons.append(
-            f"{spelling} used outside an identity comparison "
-            f"(line {name_node.lineno})"
-        )
-
-
-def classify_policy(group: GroupFacts, facts: ModelFacts) -> Dict[str, Any]:
-    """Classify one policy group into its machine-readable shape record."""
-    classifier = _PolicyClassifier(facts)
-    viewer = None
-    if group.node is not None:
-        params = positional_params(group.node)
-        viewer = params[1] if len(params) > 1 else None
-    classifier.classify(group.node, viewer)
-    if classifier.occurrences == 0 and group.node is not None:
-        shape = "viewer-independent"
-    elif not classifier.opaque_reasons:
-        shape = "equality-on-viewer"
-    else:
-        shape = "opaque"
+def model_tier(facts: ModelFacts) -> PolicyTier:
+    """The tier of one model, with the first check an opaque model fails."""
+    if not facts.groups:
+        return PolicyTier("none")
+    if len(facts.groups) > 1:
+        # Inline rendering covers exactly one policy group: a record's
+        # facet rows split on that group's single branch, so visibility is
+        # one two-way decision the WHERE clause can encode.
+        keys = ", ".join(group.key for group in facts.groups)
+        return PolicyTier("opaque", reason=f"{len(facts.groups)} policy groups ({keys})")
+    group = facts.groups[0]
     predicate = compile_policy(group, facts)
-    if shape == "opaque" and not contains_top(predicate):
-        # The occurrence walk could not place every viewer use, but the
-        # symbolic interpreter captured the whole body: a TOP-free
-        # predicate provably reads nothing beyond own-row columns and
-        # viewer attributes (e.g. prefix tests, ``startswith``).
-        shape = "symbolic"
-    reads = infer_method_reads(group.node, facts)
-    return {
-        "model": facts.name,
-        "group": group.key,
-        "fields": list(group.fields),
-        "policy": group.method_name,
-        "shape": shape,
-        "atoms": classifier.atoms,
-        "opaque_reasons": classifier.opaque_reasons,
-        "reads": reads.report(),
-        "cross_record": reads.cross_record,
-        "predicate": predicate_json(predicate),
-    }
+    top = sym.first_top(predicate)
+    if top is not None:
+        return PolicyTier("opaque", reason=top.reason or "TOP")
+    guarded = {facts.fields[name].column for name in group.fields if name in facts.fields}
+    read = sorted(sym.own_columns(predicate) & guarded)
+    if read:
+        # The public facet row carries the public value, so inline
+        # evaluation would diverge from the oracle.
+        return PolicyTier("opaque", reason=f"reads its own guarded column {', '.join(read)}")
+    for atom in sym.iter_atoms(predicate):
+        if not _atom_renders(atom):
+            reason = f"no two-valued rendering for {sym.atom_text(atom)}"
+            return PolicyTier("opaque", reason=reason)
+    return PolicyTier("inline", predicate)
 
 
 def classify_module(module: ModuleFacts) -> List[Dict[str, Any]]:
-    """Shape records for every policy group declared in a module."""
+    """One record per policy group declared in a module: the group, its
+    model's tier and reason, and the group's compiled predicate."""
     records = []
     for model in module.models:
+        decision = model_tier(model)
         for group in model.groups:
-            records.append(classify_policy(group, model))
+            records.append({
+                "model": model.name,
+                "group": group.key,
+                "fields": list(group.fields),
+                "policy": group.method_name,
+                "tier": decision.tier,
+                "reason": decision.reason,
+                "predicate": sym.predicate_json(compile_policy(group, model)),
+            })
     return records

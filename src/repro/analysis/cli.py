@@ -1,7 +1,7 @@
 """The analyzer command line: ``python -m repro.analysis [paths]``.
 
-Walks the given files/directories, runs every JQL rule, the policy
-classifier and read-set inference over each module, and prints a text or
+Walks the given files/directories, runs every JQL rule, the tier
+decision and read-set inference over each module, and prints a text or
 JSON report.  Exit codes are stable (CI contracts on them):
 
 * ``0`` -- no findings (warnings allowed unless ``--strict``);

@@ -1,9 +1,9 @@
 """Diagnostics: findings, severities and reports for the static analyzer.
 
 A :class:`Diagnostic` is one finding of one rule at one source location.
-:class:`Report` collects findings (and the policy classifications computed
-alongside them), renders them as text or JSON, and turns them into the
-CLI's exit code.
+:class:`Report` collects findings (and the policy tiers and read sets
+computed alongside them), renders them as text or JSON, and turns them
+into the CLI's exit code.
 
 >>> d = Diagnostic("JQL001", Severity.ERROR, "no such field", "m.py", 3)
 >>> d.is_error
@@ -87,9 +87,10 @@ class Diagnostic:
 class Report:
     """The full outcome of one analyzer run.
 
-    ``diagnostics`` are rule findings; ``policies`` are the classifier's
-    machine-readable policy shapes (the planning input for policy
-    pushdown); ``read_sets`` maps ``Model.method`` to the inferred column
+    ``diagnostics`` are rule findings; ``policies`` has one record per
+    policy group, with its model's tier and reason
+    (:func:`repro.analysis.classify.classify_module`); ``read_sets`` maps
+    ``Model.method`` of each public-facet method to its inferred column
     read set (``"TOP"`` when inference gave up).
     """
 

@@ -5,7 +5,8 @@ Two front doors build the same :class:`ModelFacts` shape:
 * :func:`facts_for_source` / :func:`facts_for_path` -- purely syntactic,
   used by the linter CLI over application source trees (no imports run);
 * :func:`facts_for_model` -- built from a *live* registered model class
-  (``model._meta``), used at runtime by read-set inference.
+  (``model._meta``), used at runtime by read-set inference and the
+  pushdown tier.
 
 Model detection in source is nominal: a class is a Jacqueline model when a
 base is spelled ``JModel`` (possibly qualified) or is another model defined
@@ -40,6 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.analysis.astutils import (
     attach_parents,
     const_str,
@@ -141,12 +143,6 @@ class ModuleFacts:
     tree: ast.Module
     models: List[ModelFacts] = field(default_factory=list)
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
-
-    def model_named(self, name: str) -> Optional[ModelFacts]:
-        for model in self.models:
-            if model.name == name:
-                return model
-        return None
 
 
 def _is_model_base(base: ast.AST, known_models: Dict[str, ModelFacts]) -> bool:
@@ -273,8 +269,8 @@ def facts_for_model(model) -> ModelFacts:
     Field and group structure come from ``model._meta`` (authoritative);
     method bodies are recovered with ``inspect.getsource`` and may be
     ``None`` when the source is lost (doctest-defined classes), which
-    read-set inference treats as TOP.  Same-module helpers resolve through
-    ``sys.modules[model.__module__]``.
+    read-set inference and the symbolic compiler treat as TOP.  Same-module
+    helpers resolve through ``sys.modules[model.__module__]``.
     """
     meta = model._meta
     defining_module = sys.modules.get(model.__module__)
@@ -296,7 +292,9 @@ def facts_for_model(model) -> ModelFacts:
             try:
                 fk_target = fld.target_model().__name__
             except Exception:
-                fk_target = None
+                # An unregistered target: the type env keeps the key's
+                # kind and loses only its target.
+                obs.add("analysis.facts.fk_target_unresolved")
         facts.fields[name] = FieldFacts(
             name,
             fld.column_name,

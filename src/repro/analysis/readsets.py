@@ -45,6 +45,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.analysis.astutils import (
     attach_parents,
     const_str,
@@ -299,19 +300,12 @@ def infer_method_reads(
 
 
 def model_read_sets(facts: ModelFacts) -> Dict[str, ReadSet]:
-    """Read sets of every trusted method on a model, by method name.
-
-    Covers the ``jacqueline_get_public_*`` methods *and* the ``@label_for``
-    policies (policies re-evaluate on every read so they cannot go stale,
-    but their read sets feed the pushdown classifier and the report).
-    """
-    result: Dict[str, ReadSet] = {}
-    for _field, (method_name, node) in sorted(facts.public_methods.items()):
-        result[method_name] = infer_method_reads(node, facts)
-    for group in facts.groups:
-        if group.method_name not in result:
-            result[group.method_name] = infer_method_reads(group.node, facts)
-    return result
+    """Read sets of a model's ``jacqueline_get_public_*`` methods, by
+    method name (the CLI's ``read_sets`` report)."""
+    return {
+        method_name: infer_method_reads(node, facts)
+        for _field, (method_name, node) in sorted(facts.public_methods.items())
+    }
 
 
 def public_read_columns(facts: ModelFacts) -> Optional[FrozenSet[str]]:
@@ -329,12 +323,14 @@ def public_read_columns_for_model(model) -> Optional[FrozenSet[str]]:
     """Runtime entry: inferred public read columns of a live model.
 
     ``None`` is TOP -- returned both when inference gives up and when it
-    *fails* (any exception), so the write decision procedure errs toward
-    the always-correct batched rewrite, never toward staleness.
+    *fails* (any exception, counted as ``analysis.read_set.failed``), so
+    the write decision procedure errs toward the always-correct batched
+    rewrite, never toward staleness.
     """
     from repro.analysis.facts import facts_for_model
 
     try:
         return public_read_columns(facts_for_model(model))
     except Exception:
+        obs.add("analysis.read_set.failed")
         return None

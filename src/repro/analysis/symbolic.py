@@ -574,14 +574,25 @@ def iter_atoms(pred: Pred) -> Iterator[Atom]:
         yield from iter_atoms(pred.item)
 
 
-def contains_top(pred: Pred) -> bool:
+def first_top(pred: Pred) -> Optional[Top]:
+    """The first :class:`Top` of the predicate, depth first, or ``None``."""
     if isinstance(pred, Top):
-        return True
+        return pred
     if isinstance(pred, (And, Or)):
-        return any(contains_top(item) for item in pred.items)
-    if isinstance(pred, Not):
-        return contains_top(pred.item)
-    return False
+        items = pred.items
+    elif isinstance(pred, Not):
+        items = (pred.item,)
+    else:
+        return None
+    for item in items:
+        top = first_top(item)
+        if top is not None:
+            return top
+    return None
+
+
+def contains_top(pred: Pred) -> bool:
+    return first_top(pred) is not None
 
 
 def own_columns(pred: Pred) -> Set[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Subscriber signature: called with the affected table name.  Events that
 #: concern every table (``clear``) are delivered once per known table plus
@@ -74,10 +74,6 @@ class InvalidationBus:
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             subscriber(table)
-
-    def publish_many(self, tables: Iterable[str]) -> None:
-        for table in dict.fromkeys(tables):
-            self.publish(table)
 
     def publish_all(self) -> None:
         """Announce a write of unknown extent (``clear``): every cache entry

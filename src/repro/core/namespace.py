@@ -47,10 +47,6 @@ class Cell:
         else:
             self._value = value
 
-    def set_raw(self, value: Any) -> None:
-        """Store ``value`` ignoring the path condition (trusted code only)."""
-        self._value = value
-
     def __repr__(self) -> str:
         return f"Cell({self._value!r})"
 

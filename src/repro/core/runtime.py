@@ -48,7 +48,6 @@ class JeevesRuntime:
         # request workers sharing one runtime each get their own stack and
         # cannot observe (or corrupt) each other's speculative branches.
         self._pc_state = threading.local()
-        self._viewer_hint: Any = None
 
     # -- labels and policies -----------------------------------------------------
 
@@ -229,13 +228,6 @@ class JeevesRuntime:
 
     # -- Early Pruning -----------------------------------------------------------------
 
-    def speculate_viewer(self, viewer: Any) -> None:
-        """Record a viewer hint for Early Pruning (e.g. the session user)."""
-        self._viewer_hint = viewer
-
-    def viewer_hint(self) -> Any:
-        return self._viewer_hint
-
     def prune_for_viewer(self, value: Any, viewer: Any) -> Any:
         """Early Pruning at the value level.
 
@@ -254,7 +246,6 @@ class JeevesRuntime:
         """Drop all policies and path conditions (fresh application state)."""
         self.policy_env = PolicyEnv()
         self._pc_state = threading.local()
-        self._viewer_hint = None
 
 
 _runtime_local = threading.local()

@@ -17,15 +17,6 @@ class ColumnType(enum.Enum):
     BOOLEAN = "BOOLEAN"
     DATETIME = "DATETIME"
 
-    def python_type(self) -> type:
-        return {
-            ColumnType.INTEGER: int,
-            ColumnType.REAL: float,
-            ColumnType.TEXT: str,
-            ColumnType.BOOLEAN: bool,
-            ColumnType.DATETIME: datetime.datetime,
-        }[self]
-
     def coerce(self, value: Any) -> Any:
         """Coerce a Python value into this column type (``None`` passes)."""
         if value is None:
@@ -236,9 +227,3 @@ class TableSchema:
         existing = set(self.column_names())
         appended = tuple(column for column in extra if column.name not in existing)
         return TableSchema(self.name, self.columns + appended, self.indexes)
-
-    def with_indexes(self, extra: Sequence[IndexSpec]) -> "TableSchema":
-        """A copy of this schema with additional ordered indexes appended."""
-        existing = {spec.columns for spec in self.indexes}
-        appended = tuple(spec for spec in extra if spec.columns not in existing)
-        return TableSchema(self.name, self.columns, self.indexes + appended)

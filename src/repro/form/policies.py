@@ -13,7 +13,7 @@ marker kept for source compatibility with the paper's listings.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Tuple
+from typing import Any, Callable
 
 POLICY_ATTRIBUTE = "_jacqueline_label_for"
 JACQUELINE_ATTRIBUTE = "_jacqueline_policy"
@@ -47,12 +47,6 @@ def jacqueline(fn: Callable) -> Callable:
     return fn
 
 
-def policy_fields(fn: Callable) -> Tuple[str, ...]:
-    """The fields guarded by a policy method (empty if it is not a policy)."""
-    target = fn.__func__ if isinstance(fn, staticmethod) else fn
-    return tuple(getattr(target, POLICY_ATTRIBUTE, ()))
-
-
 def evaluate_policy(method: Callable, row: Any, viewer: Any) -> Any:
     """Invoke one policy method, counting it as a policy evaluation.
 
@@ -65,10 +59,3 @@ def evaluate_policy(method: Callable, row: Any, viewer: Any) -> Any:
 
     obs.add("policy.evaluations")
     return method(row, viewer)
-
-
-def public_method_field(name: str) -> str:
-    """The field a ``jacqueline_get_public_<field>`` method computes, or ``""``."""
-    if name.startswith(PUBLIC_METHOD_PREFIX):
-        return name[len(PUBLIC_METHOD_PREFIX):]
-    return ""

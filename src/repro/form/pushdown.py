@@ -19,9 +19,9 @@ Every other viewer-context read of a policied model takes the Python
 path, which is also the differential-testing oracle (``tests/fuzz/``),
 and is counted under its reason:
 
-* a model with several policy groups, or whose predicate contains TOP or
-  fails to compile, has the ``"opaque"`` profile
-  (``plan.policy_pushdown.opaque_fallback``);
+* a model in the query has the ``"opaque"`` tier
+  (:func:`repro.analysis.classify.model_tier`), whose ``reason`` names
+  why (``plan.policy_pushdown.opaque_fallback``);
 * the predicate does not bind for this viewer
   (``plan.policy_pushdown.fallback.bind``);
 * a table holds facet rows the branch test cannot read, or probing them
@@ -34,11 +34,12 @@ and is counted under its reason:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro import obs
 from repro.analysis import symbolic as sym
+from repro.analysis.classify import PolicyTier, model_tier
+from repro.analysis.facts import facts_for_model
 from repro.db.expr import (
     AndExpr,
     ColumnRef,
@@ -55,103 +56,22 @@ from repro.db.expr import (
 )
 
 
-@dataclass(frozen=True)
-class PushdownProfile:
-    """How viewer-context reads of one model prune (cached per model).
-
-    ``tier`` is ``"inline"`` when the model's one policy group compiles to
-    a predicate :func:`_renders_inline` accepts (kept in ``predicate``),
-    ``"opaque"`` when its reads take the Python path (several policy
-    groups, TOP in the predicate, or compilation failing) and ``"none"``
-    when the model has no policy groups.
-    """
-
-    tier: str
-    predicate: Optional[sym.Pred] = None
-
-
-def _atom_renders(atom: sym.Atom) -> bool:
-    """Whether an atom renders as two-valued SQL or folds at bind time.
-
-    Atoms not reading an own-row column fold to booleans at bind time with
-    Python semantics, so any op is fine.  Own-column atoms must render with
-    *two-valued* SQL: equality-family ops use ``IS``-style comparisons;
-    range and prefix ops are only exact on non-nullable columns (a NULL
-    would be UNKNOWN in SQL where Python raises).
-    """
-    lhs, rhs = atom.lhs, atom.rhs
-    lhs_own = isinstance(lhs, sym.OwnColumn)
-    rhs_own = isinstance(rhs, sym.OwnColumn)
-    if not lhs_own and not rhs_own:
-        if {type(lhs), type(rhs)} == {sym.RowSelf, sym.ViewerSelf}:
-            return atom.op in ("eq", "ne")
-        # viewer/constant only: folds at bind time
-        return not isinstance(lhs, sym.RowSelf) and not isinstance(rhs, sym.RowSelf)
-    if not lhs_own:
-        return False  # own column in a non-canonical position (e.g. prefix rhs)
-    value_ok = isinstance(rhs, (sym.ConstVal, sym.ViewerAttr, sym.OwnColumn))
-    if atom.op in ("eq", "ne"):
-        return value_ok
-    if atom.op in ("in", "not-in"):
-        return isinstance(rhs, sym.ConstVal) and isinstance(rhs.value, tuple)
-    if atom.op in ("is-null", "not-null"):
-        return True
-    if atom.op == "truthy":
-        return lhs.kind == "bool"
-    if atom.op in ("lt", "le", "gt", "ge"):
-        return value_ok and not lhs.nullable and not (rhs_own and rhs.nullable)
-    if atom.op == "prefix":
-        return lhs.kind == "text" and not lhs.nullable and not rhs_own and value_ok
-    return False
-
-
-def _renders_inline(pred: sym.Pred, guarded_columns: frozenset) -> bool:
-    """Whether a compiled single-group predicate renders inline."""
-    if sym.contains_top(pred):
-        return False
-    if sym.own_columns(pred) & guarded_columns:
-        # The predicate reads a column its own group guards: the public
-        # facet row carries the public value, so inline evaluation would
-        # diverge from the oracle.
-        return False
-    return all(_atom_renders(atom) for atom in sym.iter_atoms(pred))
-
-
-def _compute_profile(model: type) -> PushdownProfile:
-    meta = model._meta
-    if not meta.policy_groups:
-        return PushdownProfile("none")
-    if len(meta.policy_groups) > 1:
-        # Inline rendering covers exactly one policy group: a record's
-        # facet rows split on that group's single branch, so visibility is
-        # one two-way decision the WHERE clause can encode.
-        return PushdownProfile("opaque")
-    try:
-        from repro.analysis.facts import facts_for_model
-
-        facts = facts_for_model(model)
-        group = facts.groups[0]
-        predicate = sym.compile_policy(group, facts)
-    except Exception:
-        # Lost source or an exotic body: the Python evaluator stays the
-        # oracle.
-        return PushdownProfile("opaque")
-    guarded = frozenset(
-        meta.fields[name].column_name for name in group.fields if name in meta.fields
-    )
-    if not _renders_inline(predicate, guarded):
-        return PushdownProfile("opaque")
-    return PushdownProfile("inline", predicate)
-
-
-def profile_for(model: type) -> PushdownProfile:
-    """The (cached) pushdown profile of a model class."""
+def profile_for(model: type) -> PolicyTier:
+    """The tier of a model class (:func:`repro.analysis.classify.model_tier`),
+    cached on its meta."""
     meta = model._meta
     try:
         return meta._pushdown_profile
     except AttributeError:
-        meta._pushdown_profile = _compute_profile(model)
-    return meta._pushdown_profile
+        pass
+    try:
+        profile = model_tier(facts_for_model(model))
+    except Exception as error:
+        # A class whose facts cannot be built: the Python evaluator stays
+        # the oracle, and the profile says why.
+        profile = PolicyTier("opaque", reason=f"cannot derive the tier: {error!r}")
+    meta._pushdown_profile = profile
+    return profile
 
 
 # -- inline predicate rendering ----------------------------------------------------

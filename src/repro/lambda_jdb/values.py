@@ -90,10 +90,6 @@ class TableV:
 Value = object  # raw constants | Address | Closure | FacetV | TableV
 
 
-def is_table(value: Value) -> bool:
-    return isinstance(value, TableV)
-
-
 def is_facet(value: Value) -> bool:
     return isinstance(value, FacetV)
 

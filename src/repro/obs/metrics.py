@@ -74,8 +74,8 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     ),
     "plan.policy_pushdown.opaque_fallback": (
         "pruned reads kept on the Python path because a policied model's "
-        "profile is opaque: several policy groups, or a compiled predicate "
-        "that contains TOP (repro.analysis.symbolic)"
+        "tier is opaque; the profile's reason names why "
+        "(repro.analysis.classify)"
     ),
     "plan.policy_pushdown.fallback.bind": (
         "pruned reads sent to the Python path because the inline predicate "
@@ -100,6 +100,14 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     "plan.index.full_scan": (
         "memory-engine reads where the cost model chose (or was forced "
         "to) a full heap scan"
+    ),
+    "analysis.read_set.failed": (
+        "public read-set inferences on a live model that raised, taken as "
+        "TOP: its fast-path updates take the batched rewrite (repro.analysis)"
+    ),
+    "analysis.facts.fk_target_unresolved": (
+        "live foreign keys whose target model did not resolve, recorded "
+        "with no target in the model's facts (repro.analysis)"
     ),
     "db.statements": "SQL statements executed by the backends",
     "db.rows": "rows returned or changed by those statements",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.solver.cnf import CNF, Clause, Literal, is_tseitin_var
+from repro.solver.cnf import CNF, Clause, Literal
 
 
 class DPLLSolver:
@@ -49,13 +49,6 @@ class DPLLSolver:
             if name not in result:
                 result[name] = self.prefer.get(name, True)
         return result
-
-    def model_without_auxiliary(self) -> Optional[Dict[str, bool]]:
-        """Like :meth:`solve` but with Tseitin auxiliary variables removed."""
-        model = self.solve()
-        if model is None:
-            return None
-        return {name: value for name, value in model.items() if not is_tseitin_var(name)}
 
     # -- search ----------------------------------------------------------------
 

@@ -66,9 +66,6 @@ class Formula:
         """Apply constant folding and shallow boolean identities."""
         return self
 
-    def is_const(self) -> bool:
-        return isinstance(self, Const)
-
 
 def _coerce(value: object) -> Formula:
     """Coerce Python booleans into formula constants."""

@@ -170,8 +170,3 @@ def render_template(source: str, context: Optional[Dict[str, Any]] = None) -> st
         template = Template(source)
         _template_cache.put(source, template)
     return template.render(context)
-
-
-def template_cache_stats() -> Dict[str, Any]:
-    """Hit/miss statistics of the parse cache (for diagnostics)."""
-    return _template_cache.stats.snapshot()

@@ -1,38 +1,38 @@
-"""Policy-shape classification tests (repro.analysis.classify)."""
+"""Policy-tier tests (repro.analysis.classify).
 
+One inline policy, one opaque policy per reason, the report record, and
+parity between the tier the analyzer reports from source and the tier
+the pushdown planner uses at run time.
+"""
+
+import importlib
 import os
 
-from repro.analysis.classify import classify_module, classify_policy
+import pytest
+
+from repro.analysis.classify import classify_module, model_tier
 from repro.analysis.facts import facts_for_path, facts_for_source
+from repro.analysis.symbolic import predicate_text
+from repro.form import pushdown
+from repro.form.pushdown import profile_for
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
+APPS = ("conf", "course", "health", "calendar")
 
 
-def _shape(source):
-    module = facts_for_source(source, "m.py")
-    model = module.models[0]
-    return classify_policy(model.groups[0], model)
+def _tier(source):
+    return model_tier(facts_for_source(source, "m.py").models[0])
 
 
-def test_viewer_independent_shape():
-    shape = _shape('''
-class Paper(JModel):
-    title = CharField()
-
-    @staticmethod
-    @label_for("title")
-    def restrict(paper, viewer):
-        return phase() == "public"
-''')
-    assert shape["shape"] == "viewer-independent"
-    assert shape["atoms"] == []
-    assert shape["opaque_reasons"] == []
+def _app_records(app):
+    path = os.path.join(REPO_ROOT, "src", "repro", "apps", app, "models.py")
+    return classify_module(facts_for_path(path))
 
 
-def test_equality_on_viewer_shape_with_atoms():
-    shape = _shape('''
+def test_single_group_predicate_renders_inline():
+    decision = _tier('''
 class Paper(JModel):
     title = CharField()
     author = ForeignKey("User")
@@ -42,14 +42,15 @@ class Paper(JModel):
     def restrict(paper, viewer):
         return viewer is not None and viewer.jid == paper.author_id
 ''')
-    assert shape["shape"] == "equality-on-viewer"
-    assert [a["kind"] for a in shape["atoms"]] == ["is-not", "eq"]
-    assert shape["atoms"][1]["viewer"] == "viewer.jid"
-    assert shape["atoms"][1]["other"] == "paper.author_id"
+    assert decision.tier == "inline"
+    assert decision.reason is None
+    assert predicate_text(decision.predicate) == (
+        "(viewer is not None and author_id == viewer.jid)"
+    )
 
 
 def test_helper_with_getattr_inlines_to_equality():
-    shape = _shape('''
+    decision = _tier('''
 def _is_staff(user):
     return getattr(user, "level", None) in ("pc", "chair")
 
@@ -62,14 +63,32 @@ class Paper(JModel):
     def restrict(paper, viewer):
         return _is_staff(viewer)
 ''')
-    assert shape["shape"] == "equality-on-viewer"
-    assert shape["atoms"] == [
-        {"kind": "in", "viewer": "user.level", "other": ["pc", "chair"]}
-    ]
+    assert decision.tier == "inline"
+    assert predicate_text(decision.predicate) == "viewer.level in ('pc', 'chair')"
+
+
+def test_several_policy_groups_are_opaque():
+    decision = _tier('''
+class Paper(JModel):
+    title = CharField()
+    author = ForeignKey("User")
+
+    @staticmethod
+    @label_for("title")
+    def restrict_title(paper, viewer):
+        return viewer is not None
+
+    @staticmethod
+    @label_for("author")
+    def restrict_author(paper, viewer):
+        return viewer == paper.author
+''')
+    assert (decision.tier, decision.predicate) == ("opaque", None)
+    assert decision.reason == "2 policy groups (title, author)"
 
 
 def test_viewer_as_query_filter_is_opaque():
-    shape = _shape('''
+    decision = _tier('''
 class Event(JModel):
     name = CharField()
 
@@ -78,12 +97,41 @@ class Event(JModel):
     def restrict(event, viewer):
         return Guest.objects.get(event=event, guest=viewer) is not None
 ''')
-    assert shape["shape"] == "opaque"
-    assert any("query filter" in r for r in shape["opaque_reasons"])
+    assert (decision.tier, decision.predicate) == ("opaque", None)
+    assert decision.reason == "null test on unmodelled operand"
 
 
-def test_shape_record_carries_group_metadata_and_reads():
-    shape = _shape('''
+def test_range_on_nullable_column_is_opaque():
+    decision = _tier('''
+class Doc(JModel):
+    body = CharField()
+    score = IntegerField()
+
+    @staticmethod
+    @label_for("body")
+    def restrict(doc, viewer):
+        return doc.score > 3
+''')
+    assert decision.tier == "opaque"
+    assert decision.reason == "no two-valued rendering for score > 3"
+
+
+def test_read_of_own_guarded_column_is_opaque():
+    decision = _tier('''
+class Doc(JModel):
+    owner = CharField()
+
+    @staticmethod
+    @label_for("owner")
+    def restrict(doc, viewer):
+        return viewer is not None and doc.owner == viewer.name
+''')
+    assert decision.tier == "opaque"
+    assert decision.reason == "reads its own guarded column owner"
+
+
+def test_tier_record_carries_group_metadata():
+    module = facts_for_source('''
 class Paper(JModel):
     title = CharField()
     author = ForeignKey("User")
@@ -92,36 +140,65 @@ class Paper(JModel):
     @label_for("title")
     def restrict(paper, viewer):
         return viewer == paper.author
-''')
-    assert shape["model"] == "Paper"
-    assert shape["group"] == "title"
-    assert shape["fields"] == ["title"]
-    assert shape["policy"] == "restrict"
-    assert shape["reads"] == ["author_id"]
+''', "m.py")
+    (record,) = classify_module(module)
+    assert record["model"] == "Paper"
+    assert record["group"] == "title"
+    assert record["fields"] == ["title"]
+    assert record["policy"] == "restrict"
+    assert record["tier"] == "opaque"
+    assert record["reason"] == "object compared against a value"
+    assert record["predicate"] == {"top": "object compared against a value"}
 
 
 def test_conf_app_policies_classify_as_verified():
-    module = facts_for_path(
-        os.path.join(REPO_ROOT, "src", "repro", "apps", "conf", "models.py")
-    )
-    shapes = {
-        (s["model"], s["group"]): s["shape"] for s in classify_module(module)
+    tiers = {
+        (r["model"], r["group"]): (r["tier"], r["reason"])
+        for r in _app_records("conf")
     }
-    assert shapes == {
-        ("ConfUser", "email"): "equality-on-viewer",
-        ("Paper", "author"): "opaque",
-        ("Paper", "accepted"): "equality-on-viewer",
-        ("Review", "reviewer"): "equality-on-viewer",
-        ("Review", "contents"): "equality-on-viewer",
+    assert tiers == {
+        ("ConfUser", "email"): ("inline", None),
+        ("Paper", "author"): ("opaque", "2 policy groups (author, accepted)"),
+        ("Paper", "accepted"): ("opaque", "2 policy groups (author, accepted)"),
+        ("Review", "reviewer"): ("opaque", "2 policy groups (reviewer, contents)"),
+        ("Review", "contents"): ("opaque", "2 policy groups (reviewer, contents)"),
     }
 
 
 def test_calendar_app_membership_policies_are_opaque():
-    module = facts_for_path(
-        os.path.join(REPO_ROOT, "src", "repro", "apps", "calendar", "models.py")
-    )
-    shapes = {
-        (s["model"], s["group"]): s["shape"] for s in classify_module(module)
+    tiers = {(r["model"], r["group"]): r["tier"] for r in _app_records("calendar")}
+    assert tiers[("Event", "name")] == "opaque"
+    assert tiers[("EventGuest", "guest")] == "opaque"
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_static_tiers_match_the_live_profiles(app):
+    models = importlib.import_module(f"repro.apps.{app}.models")
+    policied = {
+        model.__name__: model
+        for model in getattr(models, f"{app.upper()}_MODELS")
+        if model._meta.policy_groups
     }
-    assert shapes[("Event", "name")] == "opaque"
-    assert shapes[("EventGuest", "guest")] == "opaque"
+    records = _app_records(app)
+    assert {record["model"] for record in records} == set(policied)
+    for record in records:
+        profile = profile_for(policied[record["model"]])
+        assert (record["tier"], record["reason"]) == (profile.tier, profile.reason)
+        if record["tier"] == "opaque":
+            assert record["reason"]
+
+
+def test_facts_failure_gives_opaque_with_its_reason(monkeypatch):
+    from repro.apps.conf.models import ConfUser
+
+    def lost(model):
+        raise OSError("could not get source code")
+
+    assert profile_for(ConfUser).tier == "inline"
+    # Both patches are undone in reverse order: the cached inline profile
+    # comes back after the test.
+    monkeypatch.setattr(pushdown, "facts_for_model", lost)
+    monkeypatch.delattr(ConfUser._meta, "_pushdown_profile")
+    profile = profile_for(ConfUser)
+    assert (profile.tier, profile.predicate) == ("opaque", None)
+    assert "could not get source code" in profile.reason

@@ -1,8 +1,10 @@
-"""The repo's own applications and examples pass their own linter.
+"""The repo's own applications, examples and benchmarks pass their own
+linter.
 
 This is the same invocation CI runs (``python -m repro.analysis
-src/repro/apps examples``); keeping it in tier-1 means a policy change
-that trips a JQL rule fails fast, locally.
+src/repro/apps examples benchmarks``); keeping it in tier-1 means a policy
+change that trips a JQL rule fails fast, locally.  The benchmarks'
+models back the pushdown gates, so they are linted like the apps.
 """
 
 import os
@@ -18,6 +20,7 @@ def _analyze():
     return analyze_paths([
         os.path.join(REPO_ROOT, "src", "repro", "apps"),
         os.path.join(REPO_ROOT, "examples"),
+        os.path.join(REPO_ROOT, "benchmarks"),
     ])
 
 
@@ -33,3 +36,4 @@ def test_every_app_model_got_analyzed():
     report = _analyze()
     names = set(report.models)
     assert {"Paper", "Review", "Event", "EventGuest", "HealthRecord"} <= names
+    assert {"BenchDoc", "BenchRecord", "BenchSecret"} <= names

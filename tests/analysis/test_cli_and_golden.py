@@ -32,21 +32,17 @@ GOLDEN = {
             "group": "title",
             "fields": ["title"],
             "policy": "restrict_title",
-            "shape": "equality-on-viewer",
-            "atoms": [{"kind": "eq", "viewer": "viewer.name", "other": "owner"}],
+            "tier": "inline",
+            "reason": None,
             "predicate": {
                 "atom": "eq",
                 "lhs": {"viewer": "name", "default": None},
                 "rhs": {"const": "owner"},
             },
-            "opaque_reasons": [],
-            "reads": [],
-            "cross_record": False,
         }
     ],
     "read_sets": {
         "Memo.jacqueline_get_public_title": ["priority"],
-        "Memo.restrict_title": [],
     },
     "summary": {"files": 1, "models": 1, "errors": 0, "warnings": 0},
 }

@@ -1,6 +1,7 @@
 """Unit tests for read-set inference (repro.analysis.readsets)."""
 
-from repro.analysis.facts import facts_for_source
+from repro import obs
+from repro.analysis.facts import facts_for_model, facts_for_source
 from repro.analysis.readsets import (
     infer_method_reads,
     model_read_sets,
@@ -167,7 +168,8 @@ class Memo(JModel):
 ''')
     sets = model_read_sets(model)
     assert sets["jacqueline_get_public_title"].report() == ["priority"]
-    assert sets["restrict_title"].report() == ["jid"]
+    # Policies re-evaluate on every read, so nothing consumes their reads.
+    assert "restrict_title" not in sets
     assert public_read_columns(model) == frozenset({"priority"})
 
 
@@ -198,8 +200,26 @@ def test_live_model_entry_point_matches_static_inference():
 
 
 def test_live_entry_point_never_raises():
-    # A class with no _meta at all: inference fails, TOP (None) comes back.
+    # A class with no _meta at all: inference fails, TOP (None) comes back,
+    # counted under its reason.
     class NotAModel:
         pass
 
-    assert public_read_columns_for_model(NotAModel) is None
+    before = obs.totals.get("analysis.read_set.failed")
+    with obs.tracing():
+        assert public_read_columns_for_model(NotAModel) is None
+    assert obs.totals.get("analysis.read_set.failed") == before + 1
+
+
+def test_unresolvable_foreign_key_target_is_counted():
+    from repro.form import ForeignKey, JModel
+
+    class Pin(JModel):
+        board = ForeignKey("NoSuchBoard")
+
+    before = obs.totals.get("analysis.facts.fk_target_unresolved")
+    with obs.tracing():
+        facts = facts_for_model(Pin)
+    assert facts.fields["board"].fk_target is None
+    assert facts.fields["board"].column == "board_id"
+    assert obs.totals.get("analysis.facts.fk_target_unresolved") == before + 1

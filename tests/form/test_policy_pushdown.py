@@ -35,7 +35,7 @@ class Owner(JModel):
 
 
 class Doc(JModel):
-    """Equality-on-viewer policy reading only its own row: narrow pushdown."""
+    """A policy reading only its own row and the viewer: renders inline."""
 
     owner = ForeignKey(Owner)
     title = CharField(max_length=128)

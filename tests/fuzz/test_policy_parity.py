@@ -20,8 +20,9 @@ On failure the seed is printed, the failing program is greedily shrunk,
 and the repro is emitted as a paste-able test case calling
 :func:`_assert_parity`.
 
-``FUZZ_ITERATIONS`` (default 20 per backend; CI's nightly job runs 500)
-and ``FUZZ_SEED`` tune the sweep from the environment.
+``FUZZ_ITERATIONS`` (default 20 per backend) and ``FUZZ_SEED`` tune the
+sweep from the environment.  CI's fuzz job runs 500 programs per backend
+through ``benchmarks/bench_policy_pushdown.py --fuzz-iterations=500``.
 """
 
 import os
@@ -52,7 +53,7 @@ class FuzzOwner(JModel):
 
 
 class FuzzDoc(JModel):
-    """Equality-on-viewer, own-row-only policy: rendered inline."""
+    """A policy reading only its own row and the viewer: renders inline."""
 
     owner = ForeignKey(FuzzOwner)
     title = CharField(max_length=128)

@@ -82,8 +82,8 @@ def test_bounded_fetch_explain_reports_key_subselect(form):
 def test_explain_mode_reflects_the_viewer_context(form):
     form_, _backend, author = form
     with viewer_context(author):
-        # Paper's policy is equality-on-viewer, so the pruning predicate
-        # compiles into the statement itself.
+        # Paper's policy renders inline, so the pruning predicate compiles
+        # into the statement itself.
         assert Paper.objects.all().explain()["mode"] == "policy-pushdown"
         form_.policy_pushdown_enabled = False
         try:
