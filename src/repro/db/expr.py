@@ -2,19 +2,32 @@
 
 Expressions form a small tree with two renderings.  :meth:`~Expression.to_sql`
 gives the parameterised SQL the SQLite backend and the SQL generator send.
-:meth:`~Expression.compile` gives the in-memory engine's one evaluator: a
-closure built once per statement and called once per row.  It follows
+:meth:`~Expression.compile` gives the in-memory engine's one evaluator: one
+generated Python function per statement, called once per row.  It follows
 SQL's three-valued logic, with ``None`` as UNKNOWN, so both backends
 select the same rows.  Column references may be qualified
 (``"Event.location"``) for join queries.
+
+``compile()`` splits a tree into its *shape* (node kinds, operators,
+column names, which literals are NULL, ...) and its per-statement
+constants (literal values, ``IN`` member sets, ``LIKE`` matchers).  The
+source of one function is generated per shape and cached process-wide
+(:data:`SHAPE_CACHE_SIZE` shapes), so a statement whose shape was seen
+before only binds its constants.
 """
 
 from __future__ import annotations
 
 import datetime
 import re
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro import obs
+
+#: A row predicate: SQL's TRUE/FALSE/UNKNOWN as ``True``/``False``/``None``.
+Predicate = Callable[[Dict[str, Any]], Any]
 
 
 class Expression:
@@ -26,22 +39,37 @@ class Expression:
         """Evaluate against one row: a one-off ``self.compile()(row)``."""
         return self.compile()(row)
 
-    def compile(self) -> Callable[[Dict[str, Any]], Any]:
-        """The evaluator closure of this tree, to call once per row.
+    def compile(self) -> Predicate:
+        """The evaluator of this tree, to call once per row.
 
-        The in-memory engine compiles a WHERE tree once per statement, so
-        per-statement work (an ``IN`` list's member set, a ``LIKE``
-        pattern's regex) is done once and each row costs one call per
-        node.  A result of ``None`` is SQL's UNKNOWN; a WHERE clause keeps
-        the rows whose result is truthy.  Subquery nodes raise
-        :class:`TypeError` here: materialise them first with
-        :func:`resolve_subqueries`.
+        The in-memory engine compiles a WHERE tree once per statement.  One
+        walk takes the tree's shape and its constants, so per-statement
+        work (an ``IN`` list's member set, a ``LIKE`` pattern's regex) is
+        done once.  The shape selects a generated function; the first tree
+        of a shape generates its source.  Each row then costs one call.  A
+        result of ``None`` is SQL's UNKNOWN; a WHERE clause keeps the rows
+        whose result is truthy.  Subquery nodes raise :class:`TypeError`
+        here: materialise them first with :func:`resolve_subqueries`.
 
         >>> pred = (eq("rank", 1) | eq("name", "ada")).compile()
         >>> pred({"rank": 2, "name": "ada"})
         True
         >>> pred({"rank": None, "name": "bob"}) is None
         True
+        """
+        constants: List[Any] = []
+        shape = self._shape(constants)
+        factory = _FACTORIES.get(shape)
+        if factory is None:
+            factory = _cached_factory(shape)
+        return factory(*constants)
+
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        """This node's shape key, appending its constants to ``constants``.
+
+        The key starts with the node's class and holds what the generated
+        source depends on; the constants are what it reads at run time,
+        in the order :class:`_Writer` numbers them.
         """
         raise NotImplementedError
 
@@ -117,16 +145,8 @@ class ColumnRef(Expression):
 
     name: str
 
-    def compile(self) -> Callable[[Dict[str, Any]], Any]:
-        name = self.name
-
-        def lookup(row: Dict[str, Any]) -> Any:
-            try:
-                return row[name]
-            except KeyError:
-                return column_value(row, name)
-
-        return lookup
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (ColumnRef, self.name)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         return self.name, []
@@ -141,22 +161,18 @@ class Literal(Expression):
 
     value: Any
 
-    def compile(self) -> Callable[[Dict[str, Any]], Any]:
-        value = self.value
-        return lambda row: value
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        if self.value is None:
+            return (Literal, False)
+        constants.append(self.value)
+        return (Literal, True)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         return "?", [self.value]
 
 
-_OPERATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a is not None and b is not None and a < b,
-    "<=": lambda a, b: a is not None and b is not None and a <= b,
-    ">": lambda a, b: a is not None and b is not None and a > b,
-    ">=": lambda a, b: a is not None and b is not None and a >= b,
-}
+#: SQL comparison operator -> its Python spelling.
+_OPERATORS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 @dataclass(frozen=True)
@@ -171,21 +187,10 @@ class Comparison(Expression):
         if self.op not in _OPERATORS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
-        # SQL three-valued semantics: comparing against NULL is UNKNOWN
-        # (None) for every operator, matching SQLite.  Use IsNull for
-        # explicit NULL tests.
-        left, right = self.left.compile(), self.right.compile()
-        op = _OPERATORS[self.op]
-
-        def compare(row: Dict[str, Any]) -> Optional[bool]:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            return op(a, b)
-
-        return compare
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (
+            Comparison, self.op, self.left._shape(constants), self.right._shape(constants)
+        )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         left_sql, left_params = self.left.to_sql()
@@ -227,30 +232,18 @@ class InList(Expression):
     operand: Expression
     values: Tuple[Any, ...]
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
         if not self.values:  # no member to compare: FALSE even for NULL
-            return lambda row: False
-        operand = self.operand.compile()
-        miss = None if None in self.values else False
-        listed = tuple(item for item in self.values if item is not None)
+            return (InList,)
+        operand = self.operand._shape(constants)
         # Hot path of resolved pushdown subqueries: the outer scan tests
-        # every row against the list, so membership is a set probe.
+        # every row against the list, so membership is a set probe.  Only
+        # a non-NULL operand probes it, so a listed NULL may stay in it.
         try:
-            members: Any = frozenset(listed)
+            constants.append(frozenset(self.values))
         except TypeError:  # unhashable list values
-            members = listed
-
-        def member(row: Dict[str, Any]) -> Optional[bool]:
-            value = operand(row)
-            if value is None:
-                return None
-            try:
-                found = value in members
-            except TypeError:  # unhashable operand value
-                found = value in listed
-            return True if found else miss
-
-        return member
+            constants.append(self.values)
+        return (InList, operand, None in self.values)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -289,7 +282,7 @@ class InSubquery(Expression):
     operand: Expression
     subquery: Any
 
-    def compile(self) -> Callable[[Dict[str, Any]], Any]:
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
         raise TypeError(
             "InSubquery cannot be evaluated row-by-row; materialise it first "
             "with repro.db.expr.resolve_subqueries(expression, run_subquery)"
@@ -332,7 +325,7 @@ class ExistsSubquery(Expression):
 
     subquery: Any
 
-    def compile(self) -> Callable[[Dict[str, Any]], Any]:
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
         raise TypeError(
             "ExistsSubquery cannot be evaluated row-by-row; materialise it "
             "first with repro.db.expr.resolve_subqueries(expression, run_subquery)"
@@ -353,22 +346,8 @@ class AndExpr(Expression):
     left: Expression
     right: Expression
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
-        # SQL three-valued AND: FALSE dominates, then UNKNOWN (None).
-        left, right = self.left.compile(), self.right.compile()
-
-        def conjoin(row: Dict[str, Any]) -> Optional[bool]:
-            a = left(row)
-            if a is not None and not a:
-                return False
-            b = right(row)
-            if b is not None and not b:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-
-        return conjoin
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (AndExpr, self.left._shape(constants), self.right._shape(constants))
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         left_sql, left_params = self.left.to_sql()
@@ -387,22 +366,8 @@ class OrExpr(Expression):
     left: Expression
     right: Expression
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
-        # SQL three-valued OR: TRUE dominates, then UNKNOWN (None).
-        left, right = self.left.compile(), self.right.compile()
-
-        def disjoin(row: Dict[str, Any]) -> Optional[bool]:
-            a = left(row)
-            if a:
-                return True
-            b = right(row)
-            if b:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-
-        return disjoin
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (OrExpr, self.left._shape(constants), self.right._shape(constants))
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         left_sql, left_params = self.left.to_sql()
@@ -420,19 +385,8 @@ class OrExpr(Expression):
 class NotExpr(Expression):
     operand: Expression
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
-        # SQL three-valued NOT: UNKNOWN stays UNKNOWN, so a NOT IN filter
-        # over a NULL operand (or a NULL-containing list) matches nothing
-        # on both backends instead of everything on the memory engine.
-        operand = self.operand.compile()
-
-        def negate(row: Dict[str, Any]) -> Optional[bool]:
-            value = operand(row)
-            if value is None:
-                return None
-            return not bool(value)
-
-        return negate
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (NotExpr, self.operand._shape(constants))
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -452,11 +406,8 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def compile(self) -> Callable[[Dict[str, Any]], bool]:
-        operand = self.operand.compile()
-        if self.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (IsNull, self.operand._shape(constants), self.negated)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -494,11 +445,13 @@ class NullSafeEq(Expression):
     right: Expression
     negated: bool = False
 
-    def compile(self) -> Callable[[Dict[str, Any]], bool]:
-        left, right = self.left.compile(), self.right.compile()
-        if self.negated:
-            return lambda row: left(row) != right(row)
-        return lambda row: left(row) == right(row)
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (
+            NullSafeEq,
+            self.left._shape(constants),
+            self.right._shape(constants),
+            self.negated,
+        )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         left_sql, left_params = self.left.to_sql()
@@ -541,21 +494,8 @@ class FacetBranch(Expression):
     def _column(self, name: str) -> str:
         return f"{self.table}.{name}" if self.qualify else name
 
-    def compile(self) -> Callable[[Dict[str, Any]], bool]:
-        jvars_col, jid_col = self._column("jvars"), self._column("jid")
-        prefix = f"{self.table}."
-        suffix = f".{self.key}={self.polarity}"
-
-        def match(row: Dict[str, Any]) -> bool:
-            try:
-                jvars = row[jvars_col]
-                jid = row[jid_col]
-            except KeyError:
-                jvars = column_value(row, jvars_col)
-                jid = column_value(row, jid_col)
-            return jvars == f"{prefix}{jid}{suffix}"
-
-        return match
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (FacetBranch, self.table, self.key, self.polarity, self.qualify)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         jvars = self._column("jvars")
@@ -593,11 +533,13 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
-        return AndExpr(
-            Comparison(">=", self.operand, self.low),
-            Comparison("<=", self.operand, self.high),
-        ).compile()
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+        return (
+            Between,
+            self.operand._shape(constants),
+            self.low._shape(constants),
+            self.high._shape(constants),
+        )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -662,10 +604,10 @@ class Like(Expression):
     pattern: str
     case_sensitive: bool = False
 
-    def compile(self) -> Callable[[Dict[str, Any]], Optional[bool]]:
+    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
         if self.pattern is None:
-            return lambda row: None
-        operand = self.operand.compile()
+            return (Like,)
+        operand = self.operand._shape(constants)
         translated = "".join(
             ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
             for ch in self.pattern
@@ -674,15 +616,8 @@ class Like(Expression):
         if not self.case_sensitive:
             # SQLite's LIKE folds case for ASCII letters only.
             flags |= re.IGNORECASE | re.ASCII
-        fullmatch = re.compile(translated, flags).fullmatch
-
-        def match(row: Dict[str, Any]) -> Optional[bool]:
-            value = operand(row)
-            if value is None:
-                return None
-            return fullmatch(_like_text(value)) is not None
-
-        return match
+        constants.append(re.compile(translated, flags).fullmatch)
+        return (Like, operand, self.case_sensitive)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -720,6 +655,269 @@ class Like(Expression):
 
     def subqueries(self) -> List[Any]:
         return self.operand.subqueries()
+
+
+# -- the generator ---------------------------------------------------------------
+
+#: How many WHERE shapes keep their generated factory.  Shapes come from
+#: schemas and query code, not from data, so the cache stays well below
+#: this; past it the oldest shape is dropped.
+SHAPE_CACHE_SIZE = 512
+
+#: shape key -> factory binding a statement's constants into its predicate.
+_FACTORIES: Dict[Tuple[Any, ...], Callable[..., Predicate]] = {}
+_FACTORIES_LOCK = threading.Lock()
+
+# What a written expression can evaluate to.
+_BOOL = "bool"  # exactly True or False
+_TRI = "tri"  # True, False or None (UNKNOWN)
+_VALUE = "value"  # a column value, None included
+_CONST = "const"  # a non-NULL literal
+_NULLABLE = (_TRI, _VALUE)
+
+
+def _cached_factory(shape: Tuple[Any, ...]) -> Callable[..., Predicate]:
+    """The factory of ``shape``, generating its source on a cache miss."""
+    with _FACTORIES_LOCK:
+        factory = _FACTORIES.get(shape)
+        if factory is None:
+            namespace = {
+                "_col": column_value, "_contains": _contains, "_like_text": _like_text,
+            }
+            exec(compile(_factory_source(shape), "<where shape>", "exec"), namespace)
+            factory = namespace["factory"]
+            obs.add("db.predicate.generated")
+            if len(_FACTORIES) >= SHAPE_CACHE_SIZE:
+                del _FACTORIES[next(iter(_FACTORIES))]
+            _FACTORIES[shape] = factory
+    return factory
+
+
+def _factory_source(shape: Tuple[Any, ...]) -> str:
+    """The source of ``factory(c0, c1, ...)``, which returns the predicate.
+
+    The predicate tries the fast spelling, which reads ``row[name]`` and
+    probes ``IN`` sets directly.  On a :class:`KeyError` or
+    :class:`TypeError` it evaluates the row again with the general
+    spelling, which resolves qualified and bare names (:func:`column_value`)
+    and tests unhashable ``IN`` operands; an error that spelling raises
+    too (a missing column, unorderable values) propagates.
+    """
+    names: Dict[str, str] = {}
+    fast = _Writer(False, names).write(shape)[0]
+    writer = _Writer(True, names)
+    general = writer.write(shape)[0]
+    lines = [f"def factory({', '.join(f'c{i}' for i in range(writer.constants))}):"]
+    lines += [f"    {variable} = {name!r}" for name, variable in names.items()]
+    lines += [
+        "    def predicate(row):",
+        "        try:",
+        f"            return {fast}",
+        "        except (KeyError, TypeError):",
+        "            pass",
+        f"        return {general}",
+        "    return predicate",
+    ]
+    return "\n".join(lines)
+
+
+def _contains(members: Any, value: Any) -> bool:
+    """``value in members`` for an operand value that may be unhashable."""
+    try:
+        return value in members
+    except TypeError:  # unhashable operand value
+        return value in tuple(members)
+
+
+def _fstring_text(text: str) -> str:
+    """``text`` escaped as the literal part of a single-quoted f-string."""
+    # repr() of a string holding a double quote always picks single quotes.
+    return repr(text + '"')[1:-2].replace("{", "{{").replace("}", "}}")
+
+
+def _chain(tag: type, shape: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
+    """The operands of a run of ``tag`` (AND or OR) nodes, left to right.
+
+    SQL's AND and OR are associative, so a chain is written flat: deep
+    ``and_all`` conjunctions stay one Python expression level.
+    """
+    if shape[0] is tag:
+        return _chain(tag, shape[1]) + _chain(tag, shape[2])
+    return [shape]
+
+
+class _Writer:
+    """Writes one spelling of a shape as a Python expression over ``row``.
+
+    Each node becomes ``(code, kind)``, ``kind`` being what the code can
+    evaluate to (``_BOOL``, ``_TRI``, ``_VALUE`` or ``_CONST``).  A node
+    that cannot be NULL is written as plain ``and``/``or``/``not``/``==``;
+    the others follow SQL's three-valued logic with ``None`` as UNKNOWN.
+    Operands are evaluated left to right with the short-circuits of SQL's
+    AND and OR, so a row raises exactly where the tree says it should.
+    Constants are numbered ``c0, c1, ...`` in the order
+    :meth:`Expression._shape` appends them.
+    """
+
+    def __init__(self, general: bool, names: Dict[str, str]) -> None:
+        self.general = general
+        #: column names read inside an f-string -> their factory variable
+        self.names = names
+        self.constants = 0
+        self.temps = 0
+
+    def constant(self) -> str:
+        self.constants += 1
+        return f"c{self.constants - 1}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def read(self, name: str) -> str:
+        """The code reading column ``name`` (a literal or a variable)."""
+        return f"_col(row, {name})" if self.general else f"row[{name}]"
+
+    def write(self, shape: Tuple[Any, ...]) -> Tuple[str, str]:
+        return _WRITERS[shape[0]](self, *shape[1:])
+
+    def boolean(self, shape: Tuple[Any, ...]) -> Tuple[str, str]:
+        """``shape`` as an operand of AND, OR or NOT: boolean or UNKNOWN."""
+        code, kind = self.write(shape)
+        if kind == _CONST:
+            return f"bool({code})", _BOOL
+        if kind == _VALUE:
+            temp = self.temp()
+            return f"(None if ({temp} := {code}) is None else bool({temp}))", _TRI
+        return code, kind
+
+    def column(self, name: str) -> Tuple[str, str]:
+        return self.read(repr(name)), _VALUE
+
+    def literal(self, present: bool) -> Tuple[str, str]:
+        return (self.constant(), _CONST) if present else ("None", _TRI)
+
+    def comparison(self, op: str, left: Tuple[Any, ...], right: Tuple[Any, ...]):
+        return self.compare(_OPERATORS[op], self.write(left), self.write(right))
+
+    def compare(self, op: str, left: Tuple[str, str], right: Tuple[str, str]):
+        """Comparing against NULL is UNKNOWN for every operator, as in SQL."""
+        (a, a_kind), (b, b_kind) = left, right
+        if a_kind not in _NULLABLE and b_kind not in _NULLABLE:
+            return f"({a} {op} {b})", _BOOL
+        if b_kind == _CONST:  # ``column op ?``, the form every caller builds
+            temp = self.temp()
+            return f"(None if ({temp} := {a}) is None else {temp} {op} {b})", _TRI
+        first, second = self.temp(), self.temp()
+        return (
+            f"(None if (({first} := {a}) is None) | (({second} := {b}) is None) "
+            f"else {first} {op} {second})",
+            _TRI,
+        )
+
+    def in_list(self, operand: Tuple[Any, ...] = None, has_null: bool = False):
+        """A NULL operand is UNKNOWN; so is a miss when the list holds NULL."""
+        if operand is None:  # an empty list: FALSE without reading the operand
+            return "False", _BOOL
+        value, members, probe = self.write(operand)[0], self.constant(), self.temp()
+        found = (
+            f"_contains({members}, {probe})" if self.general else f"({probe} in {members})"
+        )
+        if has_null:
+            found = f"({found} or None)"
+        return f"(None if ({probe} := {value}) is None else {found})", _TRI
+
+    def conjunction(self, left: Tuple[Any, ...], right: Tuple[Any, ...]):
+        shapes = _chain(AndExpr, (AndExpr, left, right))
+        return self.all_of([self.boolean(shape) for shape in shapes])
+
+    def all_of(self, items: List[Tuple[str, str]]) -> Tuple[str, str]:
+        """Three-valued AND: FALSE dominates, then UNKNOWN."""
+        parts, unknowns = [], []
+        for code, kind in items:
+            if kind == _BOOL:
+                parts.append(code)
+                continue
+            temp = self.temp()
+            parts.append(f"({temp} := {code}) is not False")
+            unknowns.append(temp)
+        if unknowns:  # each is True or None here
+            parts.append(f"({' and '.join(unknowns)})")
+        return f"({' and '.join(parts)})", _TRI if unknowns else _BOOL
+
+    def disjunction(self, left: Tuple[Any, ...], right: Tuple[Any, ...]):
+        """Three-valued OR: TRUE dominates, then UNKNOWN."""
+        parts, unknowns = [], []
+        for shape in _chain(OrExpr, (OrExpr, left, right)):
+            code, kind = self.boolean(shape)
+            if kind == _BOOL:
+                parts.append(code)
+                continue
+            temp = self.temp()
+            parts.append(f"({temp} := {code})")
+            unknowns.append(temp)
+        if unknowns:  # each is False or None here
+            missing = " or ".join(f"{temp} is None" for temp in unknowns)
+            parts.append(f"(None if {missing} else False)")
+        return f"({' or '.join(parts)})", _TRI if unknowns else _BOOL
+
+    def negation(self, operand: Tuple[Any, ...]) -> Tuple[str, str]:
+        """Three-valued NOT: UNKNOWN stays UNKNOWN."""
+        code, kind = self.boolean(operand)
+        if kind == _BOOL:
+            return f"(not {code})", _BOOL
+        temp = self.temp()
+        return f"(None if ({temp} := {code}) is None else not {temp})", _TRI
+
+    def is_null(self, operand: Tuple[Any, ...], negated: bool) -> Tuple[str, str]:
+        code, _kind = self.write(operand)
+        return f"({code} is {'not ' if negated else ''}None)", _BOOL
+
+    def null_safe_eq(self, left, right, negated: bool) -> Tuple[str, str]:
+        a, b = self.write(left)[0], self.write(right)[0]
+        return f"({a} {'!=' if negated else '=='} {b})", _BOOL
+
+    def facet_branch(self, table: str, key: str, polarity: bool, qualify: bool):
+        """``jvars == f'{table}.{jid}.{key}={polarity}'`` for the row's jid."""
+        jvars, jid = (f"{table}.jvars", f"{table}.jid") if qualify else ("jvars", "jid")
+        # An f-string may not quote inside its braces before Python 3.12,
+        # so the jid column's name is a factory variable.
+        variable = self.names.setdefault(jid, f"n{len(self.names)}")
+        prefix, suffix = _fstring_text(f"{table}."), _fstring_text(f".{key}={polarity}")
+        text = f"f'{prefix}{{{self.read(variable)}}}{suffix}'"
+        return f"({self.read(repr(jvars))} == {text})", _BOOL
+
+    def between(self, operand, low, high) -> Tuple[str, str]:
+        """``operand >= low AND operand <= high``, as SQL defines it."""
+        value, low, high = self.write(operand), self.write(low), self.write(high)
+        return self.all_of([self.compare(">=", value, low), self.compare("<=", value, high)])
+
+    def like(self, operand: Tuple[Any, ...] = None, case_sensitive: bool = False):
+        """A NULL operand or pattern is UNKNOWN."""
+        if operand is None:  # a NULL pattern
+            return "None", _TRI
+        value, match, temp = self.write(operand)[0], self.constant(), self.temp()
+        return (
+            f"(None if ({temp} := {value}) is None "
+            f"else {match}(_like_text({temp})) is not None)",
+            _TRI,
+        )
+
+
+_WRITERS = {
+    ColumnRef: _Writer.column,
+    Literal: _Writer.literal,
+    Comparison: _Writer.comparison,
+    InList: _Writer.in_list,
+    AndExpr: _Writer.conjunction,
+    OrExpr: _Writer.disjunction,
+    NotExpr: _Writer.negation,
+    IsNull: _Writer.is_null,
+    NullSafeEq: _Writer.null_safe_eq,
+    FacetBranch: _Writer.facet_branch,
+    Between: _Writer.between,
+    Like: _Writer.like,
+}
 
 
 # -- subquery resolution ---------------------------------------------------------

@@ -139,7 +139,10 @@ class QuerySet:
         form = current_form()
         with obs.span("form.fetch", model=self.model._meta.table_name):
             entries, pushed = self._fetch_entries(form)
-            self._register_policies(form, entries)
+            if not pushed:
+                # A pushed read's result holds no label, so it registers
+                # none; the first other read of a record registers them.
+                self._register_policies(form, entries)
             viewer = current_viewer()
             if viewer is not None:
                 if pushed:
@@ -654,7 +657,9 @@ class QuerySet:
         per-record lookups.
 
         Returns ``(entries, pushed)``; ``pushed`` means the statement's
-        pruning predicate already did the viewer's pruning.
+        pruning predicate already did the viewer's pruning.  A pushed read
+        leaves every entry's branches empty: its rows are the viewer's
+        facet, so nothing reads their ``jvars``.
         """
         meta = self.model._meta
         query, joined_tables, pushed = self._build_query(meta)
@@ -671,12 +676,14 @@ class QuerySet:
             raw_entries = []
             for row in rows:
                 values = self._base_values(meta, row, joined_tables)
-                branches = list(parse_jvars(values.get("jvars")))
-                # Joins contribute the jvars of every joined table (Table 2).
-                for table in joined_tables:
-                    branches.extend(parse_jvars(row.get(f"{table}.jvars")))
-                jid = int(values.get("jid"))
-                raw_entries.append((jid, tuple(dict.fromkeys(branches)), values))
+                branches: Tuple[JvarBranch, ...] = ()
+                if not pushed:
+                    parsed = list(parse_jvars(values.get("jvars")))
+                    # Joins contribute the jvars of every joined table (Table 2).
+                    for table in joined_tables:
+                        parsed.extend(parse_jvars(row.get(f"{table}.jvars")))
+                    branches = tuple(dict.fromkeys(parsed))
+                raw_entries.append((int(values.get("jid")), branches, values))
             if cache is not None:
                 # Bounded queries carry their jid subselect in the query (and
                 # so in the cache key): each (filters, ordering, limit,

@@ -110,6 +110,10 @@ COUNTER_GLOSSARY: Dict[str, str] = {
         "with no target in the model's facts (repro.analysis)"
     ),
     "db.statements": "SQL statements executed by the backends",
+    "db.predicate.generated": (
+        "WHERE shapes whose evaluator source the memory engine generated "
+        "(shape-cache misses of repro.db.expr)"
+    ),
     "db.rows": "rows returned or changed by those statements",
     "web.requests": "requests dispatched by the web applications",
     "web.wsgi.requests": "requests arriving through the WSGI adapter",

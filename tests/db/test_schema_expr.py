@@ -5,22 +5,28 @@ import datetime
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import obs
 from repro.db.expr import (
     AndExpr,
     ColumnRef,
     Comparison,
+    ExistsSubquery,
+    FacetBranch,
     InList,
     IsNull,
     Literal,
     NotExpr,
+    NullSafeEq,
     OrExpr,
     and_all,
     col,
     eq,
     filters_to_expr,
+    like,
     lit,
     ne,
 )
+from repro.db.query import Query
 from repro.db.schema import Column, ColumnType, SchemaError, TableSchema
 
 
@@ -154,3 +160,81 @@ def test_comparison_property_matches_python(left, right):
     row = {"x": left}
     assert Comparison("<", col("x"), lit(right)).evaluate(row) == (left < right)
     assert eq("x", right).evaluate(row) == (left == right)
+
+
+# -- the generated evaluator and its shape cache -----------------------------------
+
+
+def _generated(run):
+    """How many evaluator sources ``run`` generated (shape-cache misses)."""
+    with obs.tracing():
+        before = obs.totals.get("db.predicate.generated")
+        run()
+        return obs.totals.get("db.predicate.generated") - before
+
+
+def test_null_and_non_null_literals_of_one_tree():
+    for value, expected in ((3, True), (4, False), (None, None)):
+        assert eq("n", value).evaluate({"n": 3}) is expected
+        assert (~eq("n", value)).evaluate({"n": 3}) is (None if expected is None else not expected)
+    assert eq("n", 3).evaluate({"n": None}) is None
+    assert NullSafeEq(col("n"), lit(None)).evaluate({"n": None}) is True
+    assert NullSafeEq(col("n"), lit(None)).evaluate({"n": 3}) is False
+    assert NullSafeEq(col("n"), lit(3), negated=True).evaluate({"n": None}) is True
+
+
+@pytest.mark.parametrize(
+    "values, operand, expected",
+    [
+        ((), None, False),  # an empty list is FALSE, even for NULL
+        ((), 1, False),
+        ((1, None), 1, True),
+        ((1, None), 2, None),  # a miss against a listed NULL is UNKNOWN
+        ((1, None), None, None),
+        ((1, 2), 2, True),
+        ((1, 2), 3, False),
+        ((1, 2), None, None),
+        (([1],), [1], True),  # unhashable list values
+        ((1, 2), [1], False),  # an unhashable operand value
+        ((1, None), [1], None),
+    ],
+)
+def test_in_lists(values, operand, expected):
+    assert InList(col("x"), values).evaluate({"x": operand}) is expected
+    negated = None if expected is None else not expected
+    assert NotExpr(InList(col("x"), values)).evaluate({"x": operand}) is negated
+
+
+def test_facet_branch_names_resolve_qualified_and_bare():
+    # test_expression_evaluation covers the same fallback for comparisons.
+    branch = FacetBranch("Doc", "title", True, qualify=True)
+    assert branch.evaluate({"jid": 7, "jvars": "Doc.7.title=True"}) is True
+    assert FacetBranch("Doc", "title", False).evaluate(
+        {"Doc.jid": 7, "Doc.jvars": "Doc.7.title=True"}
+    ) is False
+    with pytest.raises(KeyError):
+        eq("missing", 1).evaluate({"name": "x"})
+
+
+def test_rare_paths_still_raise():
+    with pytest.raises(TypeError):  # unorderable mixed types
+        Comparison("<", col("age"), lit("x")).evaluate({"age": 3})
+    with pytest.raises(TypeError):  # unresolved subquery
+        (eq("a", 1) & ExistsSubquery(Query("T").select("id"))).compile()
+
+
+def test_a_seen_shape_with_new_constants_generates_no_source():
+    def statement(jid, names, pattern):
+        return (eq("shape_probe", jid) | InList(col("name"), names)) & like("name", pattern)
+
+    statement(1, ("a", "b"), "a%").compile()
+
+    def again():
+        pred = statement(2, ("c", "d", "e"), "%d").compile()
+        assert pred({"shape_probe": 2, "name": "xd"}) is True
+        assert pred({"shape_probe": 3, "name": "e"}) is False
+        assert pred({"shape_probe": None, "name": "zzd"}) is None
+
+    assert _generated(again) == 0
+    # A NULL literal changes the shape: its comparison is always UNKNOWN.
+    assert _generated(lambda: statement(None, ("c",), "c").compile()) == 1

@@ -4,6 +4,7 @@ These are the invariants the WSGI serving layer relies on; the concurrent
 load benchmark stress-tests the same properties at request granularity.
 """
 
+import sys
 import threading
 
 import pytest
@@ -295,3 +296,68 @@ def test_concurrent_saves_of_one_record_leave_consistent_rows(conc_form):
     # One facet row (no policies on ConcUser) with one of the written tags.
     assert len(rows) == 1
     assert rows[0]["tag"] in {f"tag-{i}" for i in range(6)}
+
+
+def test_the_shape_cache_gives_each_thread_its_own_viewers_rows(monkeypatch):
+    """8 threads evaluate the inline ``ConfUser`` predicates of 8 viewers
+    over one memory table: one shape bound to different jids, interleaved
+    with compiles of other shapes.  The process-wide shape cache starts
+    empty and is cut to 4 entries, so the threads race on the first
+    generation, and shapes are evicted and generated again while others
+    read them."""
+    from repro.apps.conf.models import ConfUser
+    from repro.apps.conf.seed import seed_conference
+    from repro.apps.conf.views import setup_conf
+    from repro.cache.config import CacheConfig
+    from repro.db import expr
+    from repro.db.query import Query
+    from repro.form.pushdown import pruning_conjuncts
+
+    monkeypatch.setattr(expr, "_FACTORIES", {})
+    monkeypatch.setattr(expr, "SHAPE_CACHE_SIZE", 4)
+    form = setup_conf(cache_config=CacheConfig.disabled())
+    viewers = seed_conference(form, papers=16)["users"][:8]
+    with use_form(form):
+        rows = form.database.execute(Query(table="ConfUser"))
+        conjuncts = []
+        for viewer in viewers:
+            with viewer_context(viewer):
+                (conjunct,) = pruning_conjuncts(form, ConfUser, [], viewer)
+            conjuncts.append(conjunct)
+    # A row is visible when it is unfaceted, or it is the branch of its
+    # record that the viewer's own-email policy selects.
+    expected = [
+        sorted(
+            (row["jid"], row["jvars"])
+            for row in rows
+            if row["jvars"] in ("", f"ConfUser.{row['jid']}.email={row['jid'] == viewer.jid}")
+        )
+        for viewer in viewers
+    ]
+    assert len({tuple(rows) for rows in expected}) == len(viewers)
+    failures = []
+
+    def evaluate(index):
+        try:
+            for round_ in range(40):
+                predicate = conjuncts[index].compile()
+                seen = sorted((row["jid"], row["jvars"]) for row in rows if predicate(row))
+                if seen != expected[index]:
+                    failures.append((index, round_))
+                expr.eq(f"other_{index}", round_).compile()  # another shape
+        except Exception as exc:  # pragma: no cover - surfaced via assert
+            failures.append((index, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(expr._FACTORIES) <= 4

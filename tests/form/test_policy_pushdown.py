@@ -7,7 +7,9 @@ on both backends.  Every other policied read takes the Python path, which
 doubles as the oracle throughout (``form.policy_pushdown_enabled =
 False``), and is counted under its reason: an opaque profile, a predicate
 that does not bind for the viewer, or facet rows the branch test cannot
-read.  Bounded sets take the Python path too.
+read.  Bounded sets take the Python path too.  A pushed read skips the
+facet bookkeeping: it registers no label, and its instances equal the
+Python path's field for field.
 """
 
 import pytest
@@ -477,4 +479,66 @@ def test_no_cross_viewer_leak_with_caches_enabled():
                 bob_titles = sorted(d.title for d in Doc.objects.all().fetch())
             assert ada_titles == ["[secret]", "[secret]", "t1", "t3"]
             assert bob_titles == ["[secret]", "[secret]", "t0", "t2"]
+    database.close()
+
+
+# -- pushed reads skip facet bookkeeping -------------------------------------------
+
+
+def _field_values(instances):
+    """Every instance's jid and column values, in a stable order."""
+    columns = ["jid"] + [column for column, _from_db in Doc._meta.unmarshal_plan]
+    return sorted(tuple(doc.__dict__[column] for column in columns) for doc in instances)
+
+
+def test_pushed_fetch_registers_no_labels(pushdown_form):
+    ada, _bob = _seed_docs(pushdown_form)
+    assert pushdown_form.registered_labels == set()
+    with obs.tracing(), viewer_context(ada):
+        Doc.objects.all().fetch()
+    assert obs.totals.get("plan.policy_pushdown") >= 1
+    assert pushdown_form.registered_labels == set()
+
+
+def test_pushed_fetch_returns_the_python_paths_instances(pushdown_form):
+    ada, bob = _seed_docs(pushdown_form)
+    for viewer in (ada, bob):
+        with obs.tracing(), viewer_context(viewer):
+            pushed = Doc.objects.all().fetch()
+            python = _oracle(pushdown_form, lambda: Doc.objects.all().fetch())
+        assert _field_values(pushed) == _field_values(python)
+    assert obs.totals.get("plan.policy_pushdown") == 2
+
+
+def test_a_no_viewer_read_after_a_pushed_read_concretizes_for_every_viewer(pushdown_form):
+    ada, bob = _seed_docs(pushdown_form)
+    with viewer_context(ada):
+        Doc.objects.all().fetch()  # pushed: registers nothing
+    faceted = Doc.objects.all().fetch()  # the first read that registers
+    expected = {
+        ada: ["[secret]", "[secret]", "t1", "t3"],
+        bob: ["[secret]", "[secret]", "t0", "t2"],
+        None: ["[secret]"] * 4,
+    }
+    for viewer, titles in expected.items():
+        docs = pushdown_form.runtime.concretize(faceted, viewer)
+        assert sorted(doc.title for doc in docs) == titles
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_the_python_path_never_reads_a_pushed_cache_entry(kind):
+    form, database = _make_form(kind, cache_config=CacheConfig())
+    with use_form(form):
+        ada, _bob = _seed_docs(form)
+        stats = form.caches.queries.stats
+        with obs.tracing(), viewer_context(ada):
+            pushed = Doc.objects.all().fetch()
+            hits = stats.hits
+            assert _field_values(Doc.objects.all().fetch()) == _field_values(pushed)
+            assert stats.hits == hits + 1  # the pushed entry serves its own query
+            misses = stats.misses
+            python = _oracle(form, lambda: Doc.objects.all().fetch())
+            assert stats.hits == hits + 1 and stats.misses > misses
+    assert obs.totals.get("plan.policy_pushdown") == 2
+    assert _field_values(python) == _field_values(pushed)
     database.close()

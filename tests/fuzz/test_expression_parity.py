@@ -5,7 +5,12 @@ draws a table of about 60 rows of INTEGER, TEXT and BOOLEAN values (NULLs
 included) and a batch of random WHERE trees from a seeded stdlib
 ``random.Random``.  The memory engine must select the same row ids as
 SQLite, once with its indexes and once forced to scan
-(``MemoryBackend(use_indexes=False)``).  The trees cover:
+(``MemoryBackend(use_indexes=False)``).  Each tree's exact value on every
+row must match too: ``SELECT id, <tree> FROM ExprRow`` on SQLite (1, 0 or
+NULL) against ``tree.compile()(row)`` (``True``, ``False`` or ``None``).
+A selected-id check cannot tell FALSE from UNKNOWN at the top of a tree,
+which is where the evaluator's NULL-free spellings differ from its general
+ones.  The trees cover:
 
 * ``Comparison`` with all six operators, against a literal or a column;
 * ``InList`` with empty lists, lists holding NULL, and plain lists;
@@ -13,6 +18,11 @@ SQLite, once with its indexes and once forced to scan
 * ``Like`` in both case modes, with ``%``, ``_`` and the GLOB
   metacharacters ``*?[``, on TEXT and INTEGER columns;
 * ``IsNull`` and ``NullSafeEq``, each negated and not;
+* ``FacetBranch`` of both polarities, the branch test every inline
+  pushdown predicate holds, over ``jid`` and ``jvars`` columns whose
+  ``jvars`` is ``''`` or a canonical ``ExprRow.<jid>.<key>=True|False``
+  string for the row's own jid or another one.  Neither column is NULL,
+  because the FORM always writes both;
 * nesting under ``AndExpr``, ``OrExpr`` and ``NotExpr``.
 
 Each literal takes its column's type.  Mixed-type comparisons diverge on
@@ -39,6 +49,7 @@ from repro.db.expr import (
     Between,
     ColumnRef,
     Comparison,
+    FacetBranch,
     InList,
     IsNull,
     Like,
@@ -57,6 +68,8 @@ SCHEMA = TableSchema(
         Column("t", ColumnType.TEXT, ordered=True),
         Column("s", ColumnType.TEXT, indexed=True),
         Column("b", ColumnType.BOOLEAN, indexed=True),
+        Column("jid", ColumnType.INTEGER, nullable=False),
+        Column("jvars", ColumnType.TEXT, nullable=False),
     ),
 )
 
@@ -71,6 +84,8 @@ POOLS = {
     "b": [True, False, None],
 }
 COLUMNS = tuple(POOLS)
+JIDS = (1, 2, 3)
+BRANCH_KEYS = ("k", "g")
 #: The other column of the same type, for column-vs-column comparisons.
 SIBLINGS = {"n": "m", "m": "n", "t": "s", "s": "t", "b": "b"}
 LIKE_COLUMNS = ("n", "m", "t", "s")
@@ -100,7 +115,7 @@ def _operand(rng, column):
 
 def _gen_leaf(rng):
     column = _pick(rng, COLUMNS)
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         return Comparison(_pick(rng, OPERATORS), ColumnRef(column), _operand(rng, column))
     if kind == 1:
@@ -114,6 +129,8 @@ def _gen_leaf(rng):
         return Like(ColumnRef(_pick(rng, LIKE_COLUMNS)), pattern, rng.random() < 0.5)
     if kind == 4:
         return IsNull(ColumnRef(column), negated=rng.random() < 0.5)
+    if kind == 5:
+        return FacetBranch("ExprRow", _pick(rng, BRANCH_KEYS), rng.random() < 0.5)
     return NullSafeEq(ColumnRef(column), _operand(rng, column), rng.random() < 0.5)
 
 
@@ -128,11 +145,21 @@ def _gen_tree(rng, depth=0):
     return NotExpr(_gen_tree(rng, depth + 1))
 
 
+def _gen_jvars(rng, jid):
+    """``''`` or a canonical branch of this row's jid or of another one."""
+    if rng.random() < 0.25:
+        return ""
+    owner = jid if rng.random() < 0.7 else _pick(rng, JIDS)
+    return f"ExprRow.{owner}.{_pick(rng, BRANCH_KEYS)}={rng.random() < 0.5}"
+
+
 def _gen_rows(rng):
-    return [
-        tuple(_pick(rng, POOLS[column]) for column in COLUMNS)
-        for _ in range(ROW_COUNT)
-    ]
+    rows = []
+    for _ in range(ROW_COUNT):
+        values = tuple(_pick(rng, POOLS[column]) for column in COLUMNS)
+        jid = _pick(rng, JIDS)
+        rows.append(values + (jid, _gen_jvars(rng, jid)))
+    return rows
 
 
 # -- execution ---------------------------------------------------------------------
@@ -142,7 +169,8 @@ def _database(backend, rows):
     database = Database(backend)
     database.create_table(SCHEMA)
     database.insert_many(
-        "ExprRow", [dict(zip(COLUMNS, row), id=pk) for pk, row in enumerate(rows, 1)]
+        "ExprRow",
+        [dict(zip(COLUMNS + ("jid", "jvars"), row), id=pk) for pk, row in enumerate(rows, 1)],
     )
     return database
 
@@ -152,14 +180,45 @@ def _selected(database, tree):
     return sorted(row["id"] for row in database.execute(query))
 
 
+def _sql_value(value):
+    """A compiled result as SQLite spells it: 1, 0 or NULL (else flagged)."""
+    if value is None:
+        return None
+    if value is True or value is False:
+        return int(value)
+    return f"not a boolean: {value!r}"
+
+
+def _values(memory, sqlite, tree):
+    """``{id: value}`` of the compiled tree on the memory engine's rows and
+    of ``SELECT id, <tree>`` on SQLite."""
+    predicate = tree.compile()
+    rows = memory.execute(memory.query("ExprRow"))
+    actual = {row["id"]: _sql_value(predicate(row)) for row in rows}
+    sql, params = tree.to_sql()
+    with sqlite.backend._reading() as connection:
+        expected = dict(
+            tuple(row)
+            for row in connection.execute(f'SELECT id, {sql} FROM "ExprRow"', params)
+        )
+    return actual, expected
+
+
 def _divergence(memory, sqlite, tree):
-    """``(memory ids, sqlite ids)`` when the backends disagree, else ``None``."""
+    """``(memory, sqlite)`` when the backends disagree, else ``None``: the
+    selected ids, or the ``{id: value}`` of the rows whose values differ."""
     expected = _selected(sqlite, tree)
     try:
         actual = _selected(memory, tree)
+        values, expected_values = _values(memory, sqlite, tree)
     except TypeError as exc:  # e.g. an unorderable pair of values
         actual = f"raised {exc!r}"
-    return None if actual == expected else (actual, expected)
+    if actual != expected:
+        return actual, expected
+    odd = [pk for pk in expected_values if values[pk] != expected_values[pk]]
+    if odd:
+        return {pk: values[pk] for pk in odd}, {pk: expected_values[pk] for pk in odd}
+    return None
 
 
 def _children(tree):
@@ -191,8 +250,8 @@ def _repro(use_indexes, rows, memory, sqlite, tree):
     ones when that alone still diverges (row ids are 1-based positions)."""
     tree = _shrink(memory, sqlite, tree)
     actual, expected = _divergence(memory, sqlite, tree)
-    if isinstance(actual, list):
-        odd = sorted(set(actual) ^ set(expected))
+    if not isinstance(actual, str):
+        odd = sorted(actual) if isinstance(actual, dict) else sorted(set(actual) ^ set(expected))
         fewer = [rows[pk - 1] for pk in odd]
         with _database(MemoryBackend(use_indexes=use_indexes), fewer) as small_memory, \
                 _database(SqliteBackend(), fewer) as small_sqlite:
