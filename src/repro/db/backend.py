@@ -14,7 +14,7 @@ False
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.cache.bus import InvalidationBus
@@ -84,10 +84,11 @@ class Backend(abc.ABC):
     def _facet_tables(self) -> Dict[str, bool]:
         """Per-table "may hold faceted rows" bits (``jvars != ''``).
 
+        Seeded when the table is created (:meth:`_seed_facet_state`).
         ``True`` is sticky until the table is cleared or dropped; ``False``
         is trustworthy because every write path inspects the rows it writes
-        via :meth:`_note_facet_write`.  Absent means unknown (e.g. a
-        reopened persistent table) and :meth:`may_have_facets` probes once.
+        via :meth:`_note_facet_write`.  Absent means unknown (seeding
+        failed), which :meth:`may_have_facets` answers as ``True``.
         """
         state = getattr(self, "_facet_state", None)
         if state is None:
@@ -104,16 +105,37 @@ class Backend(abc.ABC):
         ``"{table}.{jid}.{key}={bool}"`` for the row's own ``jid``);
         ``None`` is the sticky "exotic" verdict (multi-branch rows,
         program-counter labels, foreign-jid labels, or an update whose new
-        ``jvars`` cannot be checked against a row id).  Absent means
-        unknown -- writes skip it and :meth:`facet_branch_keys` probes the
-        table's current rows once, which is correct regardless of write
-        history.
+        ``jvars`` cannot be checked against a row id).  Seeded when the
+        table is created and updated in place by every write; absent means
+        unknown (seeding failed), which :meth:`facet_branch_keys` answers
+        as ``None``.
         """
         state = getattr(self, "_branch_state", None)
         if state is None:
             state = {}
             self._branch_state = state
         return state
+
+    def _seed_facet_state(
+        self, table: str, faceted_rows: Iterable[Sequence[Any]] = ()
+    ) -> None:
+        """Know a just-created table's facet state before its first read.
+
+        ``faceted_rows`` yields the ``(jid, jvars)`` of every row with
+        non-empty ``jvars``: none for a fresh table, the adopted rows of a
+        persistent one (streamed once, at schema time).
+        """
+        keys: Optional[set] = set()
+        found = False
+        for jid, encoded in faceted_rows:
+            found = True
+            key = self._own_branch_key(table, jid, encoded)
+            if key is None:
+                keys = None
+                break
+            keys.add(key)
+        self._facet_tables[table] = found
+        self._branch_keys[table] = keys
 
     @staticmethod
     def _own_branch_key(table: str, jid: Any, encoded: str) -> Optional[str]:
@@ -147,11 +169,9 @@ class Backend(abc.ABC):
             if not encoded:
                 continue
             self._facet_tables[table] = True
-            if table not in branches:
-                continue  # unknown: the probe will scan current rows
-            known = branches[table]
+            known = branches.get(table)
             if known is None:
-                continue  # already exotic (sticky)
+                continue  # exotic (sticky) or unknown
             key = (
                 self._own_branch_key(table, row["jid"], encoded)
                 if "jid" in row
@@ -166,45 +186,22 @@ class Backend(abc.ABC):
         """The policy-group keys of ``table``'s faceted rows, or ``None``.
 
         A ``frozenset`` (possibly empty) means every faceted row currently
-        in the table -- and every one written since -- is a canonical
-        single-group facet row whose group key is in the set, which is the
-        soundness condition for rendering a policy branch inline with
-        :class:`~repro.db.expr.FacetBranch`.  ``None`` means exotic labels
-        may be present and inline rendering must not be used.  Unknown
-        tables are probed once by scanning their faceted rows' ``jvars``.
+        in the table -- and every one written since it was created -- is a
+        canonical single-group facet row whose group key is in the set,
+        which is the soundness condition for rendering a policy branch
+        inline with :class:`~repro.db.expr.FacetBranch`.  ``None`` means
+        exotic labels may be present, or the state is unknown, and inline
+        rendering must not be used.  Runs no statement.
         """
-        state = self._branch_keys
-        if table in state:
-            known = state[table]
-            return None if known is None else frozenset(known)
-        if not self.may_have_facets(table):
-            state[table] = set()
-            return frozenset()
-        try:
-            from repro.db.expr import ne
-
-            rows = self.execute(
-                Query(table=table, where=ne("jvars", "")).select("jid", "jvars")
-            )
-        except Exception:  # pragma: no cover - conservative on probe failure
-            return None
-        keys: set = set()
-        for row in rows:
-            key = self._own_branch_key(table, row.get("jid"), row.get("jvars") or "")
-            if key is None:
-                state[table] = None
-                return None
-            keys.add(key)
-        state[table] = keys
-        return frozenset(keys)
+        known = self._branch_keys.get(table)
+        return None if known is None else frozenset(known)
 
     def may_have_facets(self, table: str) -> bool:
         """Whether ``table`` may hold faceted rows (non-empty ``jvars``).
 
-        Served from the write-maintained bit when known; otherwise one
-        ``EXISTS(jvars != '')`` probe runs and its result is cached (kept
-        coherent by the write hooks).  Tables without a ``jvars`` column can
-        never hold facets.  Errors stay conservative (``True``).
+        Served from the bit seeded at creation and maintained by every
+        write; runs no statement.  Tables without a ``jvars`` column never
+        hold facets, and an unknown table answers ``True``.
 
         >>> from repro.db import Database
         >>> from repro.db.schema import ColumnType
@@ -215,25 +212,7 @@ class Backend(abc.ABC):
         ...     (before, db.backend.may_have_facets("Paper"))
         (False, True)
         """
-        state = self._facet_tables
-        known = state.get(table)
-        if known is not None:
-            return known
-        try:
-            schema = self.schema(table)
-        except Exception:
-            return True
-        if not schema.has_column("jvars"):
-            state[table] = False
-            return False
-        try:
-            from repro.db.expr import ne
-
-            found = bool(self.exists(table, ne("jvars", "")))
-        except Exception:  # pragma: no cover - conservative on probe failure
-            return True
-        state[table] = found
-        return found
+        return self._facet_tables.get(table, True)
 
     # -- statement observation -----------------------------------------------------
 

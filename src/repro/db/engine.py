@@ -239,9 +239,10 @@ class Database:
     def may_have_facets(self, table: str) -> bool:
         """Whether ``table`` may hold faceted rows (write-maintained bit).
 
-        Backed by :meth:`repro.db.backend.Backend.may_have_facets`: writes
-        keep a per-table bit, so the hot paths (guarded-delete pushdown)
-        skip the ``EXISTS(jvars != '')`` probe statement entirely.
+        Backed by :meth:`repro.db.backend.Backend.may_have_facets`: a
+        per-table bit seeded when the table is created and kept by every
+        write, so no caller (the guarded-delete pushdown, batched loading)
+        runs a probe statement.
 
         >>> with Database() as db:
         ...     _ = db.define_table("Paper", jvars=ColumnType.TEXT)
@@ -256,7 +257,8 @@ class Database:
         Backed by :meth:`repro.db.backend.Backend.facet_branch_keys`: a
         ``frozenset`` of group keys when every faceted row is a canonical
         single-group facet row, ``None`` when exotic labels may be present
-        (the direct-WHERE pushdown soundness gate).
+        (the inline pushdown's soundness gate).  Seeded when the table is
+        created and kept by every write, like :meth:`may_have_facets`.
 
         >>> with Database() as db:
         ...     _ = db.define_table("Doc", jid=ColumnType.INTEGER, jvars=ColumnType.TEXT)

@@ -56,7 +56,7 @@ class MemoryBackend(Backend):
             table.use_indexes = self._use_indexes
             self._tables[schema.name] = table
         # A freshly created in-memory table is empty, hence facet-free.
-        self._facet_tables[schema.name] = False
+        self._seed_facet_state(schema.name)
         self._publish_schema_change()
 
     def drop_table(self, name: str) -> None:

@@ -25,7 +25,7 @@ import datetime
 import sqlite3
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.backend import Backend
 from repro.db.expr import Expression
@@ -204,7 +204,12 @@ class SqliteBackend(Backend):
             self._index_ddl.extend(index_statements)
             self._schemas[schema.name] = schema
             self._row_decoders[schema.name] = _row_decoder(schema)
-            self._seed_facet_bit(connection, schema)
+            try:
+                self._seed_facet_state(
+                    schema.name, self._adopted_facet_rows(connection, schema)
+                )
+            except sqlite3.Error:  # the state stays unknown: read conservatively
+                pass
         self._publish_schema_change()
 
     @staticmethod
@@ -243,27 +248,21 @@ class SqliteBackend(Backend):
         """The ``CREATE INDEX`` statements executed so far, in order."""
         return list(self._index_ddl)
 
-    def _seed_facet_bit(self, connection: sqlite3.Connection, schema: TableSchema) -> None:
-        """Initialise the facet bit for a just-created table.
+    def _adopted_facet_rows(
+        self, connection: sqlite3.Connection, schema: TableSchema
+    ) -> Iterable[Tuple[Any, str]]:
+        """The ``(jid, jvars)`` of a just-created table's faceted rows.
 
         ``CREATE TABLE IF NOT EXISTS`` may have adopted a pre-existing table
-        in a persistent file, so file databases probe the adopted rows once
-        here (at schema time, never on the write/delete path); in-memory
-        databases are always fresh and therefore facet-free.
+        in a persistent file, so a file database streams them once, here
+        at schema time; in-memory databases are always fresh and therefore
+        facet-free.
         """
-        if not schema.has_column("jvars"):
-            self._facet_tables[schema.name] = False
-            return
-        if self._is_memory:
-            self._facet_tables[schema.name] = False
-            return
-        try:
-            cursor = connection.execute(
-                f'SELECT EXISTS(SELECT 1 FROM "{schema.name}" WHERE "jvars" != \'\')'
-            )
-            self._facet_tables[schema.name] = bool(cursor.fetchone()[0])
-        except sqlite3.Error:  # pragma: no cover - stay unknown, probe lazily
-            pass
+        if self._is_memory or not schema.has_column("jvars"):
+            return ()
+        return connection.execute(
+            f'SELECT "jid", "jvars" FROM "{schema.name}" WHERE "jvars" != \'\''
+        )
 
     def drop_table(self, name: str) -> None:
         with self._writing() as connection:

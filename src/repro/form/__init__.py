@@ -30,8 +30,6 @@ procedure and the pc-guard algebra live in :mod:`repro.form.writes`.
 from repro.cache import CacheConfig
 from repro.form.aggregates import (
     ColumnStats,
-    finalise_stats,
-    merge_counts,
     merge_stats,
     visible_value,
 )
@@ -63,9 +61,7 @@ from repro.form.migrations import add_metadata_columns, migrate_legacy_rows
 __all__ = [
     "CacheConfig",
     "ColumnStats",
-    "merge_counts",
     "merge_stats",
-    "finalise_stats",
     "visible_value",
     "Field",
     "CharField",

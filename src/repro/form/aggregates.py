@@ -25,12 +25,11 @@ NULLs (``COUNT(col)`` counts non-NULL values; SUM/AVG/MIN/MAX of none is
 NULL), and the merge preserves that -- a world whose partitions hold no
 non-NULL values aggregates to ``None`` (0 for COUNT).
 
->>> merge_counts([((("k", True),), 2), ((("k", False),), 1)])
+>>> add = lambda a, b: a + b
+>>> merge_groups([((("k", True),), 2), ((("k", False),), 1)], add, 0)
 <k ? 2 : 1>
->>> merge_counts([((("k", True),), 2), ((("k", False),), 2)])
+>>> merge_groups([((("k", True),), 2), ((("k", False),), 2)], add, 0)
 2
->>> merge_counts([])
-0
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
-from repro.core.facets import facet_apply, facet_map, mk_facet_branches
+from repro.core.facets import facet_apply, mk_facet_branches
 from repro.core.labels import Branch, Label
 from repro.db.schema import ColumnType
 from repro.form.marshal import JvarBranch
@@ -194,32 +193,19 @@ def merge_groups(
     return acc
 
 
-def merge_counts(groups: Iterable[AggregateGroup]) -> Any:
-    """Per-world row counts from per-partition ``COUNT(*)`` values.
-
-    The faceted form of ``QuerySet.count()``: each world counts exactly the
-    facet rows its label assignment selects.  A record whose facet rows all
-    matched contributes 1 everywhere and leaves no facet behind.
-
-    >>> merge_counts([((), 3)])
-    3
-    >>> merge_counts([((("k", True),), 1)])
-    <k ? 1 : 0>
-    """
-    from repro import obs
-
-    groups = list(groups)
-    obs.add("worlds.merged", len(groups))
-    return merge_groups(groups, lambda a, b: a + b, 0)
-
-
 def merge_stats(groups: Iterable[AggregateGroup]) -> Any:
     """Per-world :class:`ColumnStats` from per-partition stats.
+
+    The faceted form of ``QuerySet.count()``, ``exists()`` and
+    ``aggregate()``: each world combines exactly the facet rows its label
+    assignment selects.  A record whose facet rows all matched contributes
+    to every world alike and leaves no facet behind.
 
     >>> merged = merge_stats([
     ...     ((), ColumnStats(count=1, total=4, minimum=4, maximum=4)),
     ...     ((("k", True),), ColumnStats(count=1, total=6, minimum=6, maximum=6)),
     ... ])
+    >>> from repro.core.facets import facet_map
     >>> facet_map(lambda stats: stats.finalise("SUM"), merged)
     <k ? 10 : 4>
     """
@@ -228,15 +214,6 @@ def merge_stats(groups: Iterable[AggregateGroup]) -> Any:
     groups = list(groups)
     obs.add("worlds.merged", len(groups))
     return merge_groups(groups, ColumnStats.combine, ColumnStats())
-
-
-def finalise_stats(merged: Any, function: str) -> Any:
-    """Apply :meth:`ColumnStats.finalise` across a (faceted) merge result.
-
-    >>> finalise_stats(ColumnStats(count=2, total=8), "AVG")
-    4.0
-    """
-    return facet_map(lambda stats: stats.finalise(function), merged)
 
 
 def visible_value(

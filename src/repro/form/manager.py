@@ -4,34 +4,40 @@
 ``all``, ``filter``, ``get``, ``count``); a :class:`QuerySet` describes one
 query and executes it against the active FORM.
 
-Execution has two modes:
+Each read decides once who prunes its rows (:meth:`QuerySet._plan`), and
+every read verb and ``explain()`` run that one decision:
 
+* **Faceted** (no viewer context): results are faceted collections that must
+  be concretised with ``runtime.concretize(value, viewer)`` before display.
 * **Pruned** (inside ``viewer_context(user)``): policies are resolved for the
   known viewer while unmarshalling and only the visible facet rows are kept,
   so results are plain Python lists of model instances.  This is the Early
   Pruning optimisation the paper's web benchmarks rely on.
-* **Faceted** (no viewer context): results are faceted collections that must
-  be concretised with ``runtime.concretize(value, viewer)`` before display.
+* **Policy pushdown** (pruned, where the policy renders inline): the
+  database prunes instead, inside the statement (:mod:`repro.form.pushdown`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import weakref
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type,
+)
 
 from repro import obs
 from repro.cache.epoch import policy_epoch
 from repro.cache.label_cache import viewer_cache_key
 from repro.core.facets import Facet, collect_labels, facet_map
 from repro.core.labels import Label
-import dataclasses
-
-from repro.db.expr import Expression, InList, and_all, col, eq, eq_or_null
+from repro.db.expr import InList, and_all, col, eq, eq_or_null, subquery_values
 from repro.db.query import (
     Aggregate,
+    DeletePlan,
     Query,
+    UpdatePlan,
     limit_by_key,
     plan_aggregate,
     plan_bounded,
@@ -45,8 +51,6 @@ from repro.form.aggregates import (
     FACET_AGGREGATE_FUNCTIONS,
     ColumnStats,
     check_aggregate_field,
-    finalise_stats,
-    merge_counts,
     merge_stats,
     stats_of_values,
     visible_value,
@@ -77,6 +81,20 @@ _STATS_SPECS: Dict[str, Tuple[str, ...]] = {
     "MIN": ("MIN",),
     "MAX": ("MAX",),
 }
+
+
+class _ReadPlan(NamedTuple):
+    """One read's pruning decision, made once by :meth:`QuerySet._plan`."""
+
+    #: ``"faceted"`` (no viewer), ``"policy-pushdown"`` (the database
+    #: prunes) or ``"pruned"`` (Python prunes, :meth:`QuerySet._pruned`)
+    mode: str
+    #: the filters and joins, with any pruning conjuncts attached
+    query: Query
+    joined: List[str]
+    #: whether the grouped jvars-partition statement can serve ``count()``
+    #: and ``aggregate()``; otherwise they fetch and reduce in Python
+    grouped: bool
 
 
 class QuerySet:
@@ -136,29 +154,7 @@ class QuerySet:
         then run once for the whole list (batched loading, see
         :func:`_batched_lookup`).
         """
-        form = current_form()
-        with obs.span("form.fetch", model=self.model._meta.table_name):
-            entries, pushed = self._fetch_entries(form)
-            if not pushed:
-                # A pushed read's result holds no label, so it registers
-                # none; the first other read of a record registers them.
-                self._register_policies(form, entries)
-            viewer = current_viewer()
-            if viewer is not None:
-                if pushed:
-                    # Policy pushdown: the statement's pruning predicate
-                    # already kept exactly the facet rows visible to this
-                    # viewer -- no Python-side label resolution.
-                    obs.add("plan.policy_pushdown")
-                    result = [instance for _jid, _branches, instance in entries]
-                else:
-                    result = self._pruned(form, entries, viewer)
-                _note_visible_fk_ids(self.model, result)
-                return result
-            obs.add("worlds.merged", len(entries))
-            return build_faceted_collection(
-                [(branches, instance) for _jid, branches, instance in entries]
-            )
+        return self._fetch(current_form(), self._plan())
 
     def __iter__(self) -> Iterator[Any]:
         result = self.fetch()
@@ -197,7 +193,7 @@ class QuerySet:
         if self.limit is None and viewer is not None:
             form = current_form()
             bounded = self.limited(1, self.offset)
-            entries, _pushed = bounded._fetch_entries(form)
+            entries = bounded._fetch_entries(form, bounded._plan())
             if not entries:
                 return None  # no matching record at all: no fallback needed
             bounded._register_policies(form, entries)
@@ -209,8 +205,6 @@ class QuerySet:
             # that matched an inaccessible facet).
         result = self.fetch()
         if isinstance(result, Facet):
-            from repro.core.facets import facet_map
-
             return facet_map(lambda items: items[0] if items else None, result)
         return result[0] if result else None
 
@@ -222,57 +216,25 @@ class QuerySet:
         and reducing in Python.  Outside a viewer context the per-partition
         counts merge into a ``Facet`` of per-world counts (identical to
         what ``facet_map(len, fetch())`` would produce); inside one, only
-        the partitions visible to the viewer are summed.
-
-        Falls back to the fetching path only when the query set is bounded
-        (``limited``) -- the bound counts records, which the grouped plan
-        cannot see.  For a known viewer on a policied model the pruning
-        predicate itself joins the statement (policy pushdown,
-        :mod:`repro.form.pushdown`) whenever the model's policy renders
-        inline, keeping the count a single SQL statement; every other
-        policied count (counted under its fallback reason) fetches and
-        prunes in Python.
+        the partitions visible to the viewer are summed.  When the read
+        plan pushes the viewer's pruning predicate (policy pushdown,
+        :mod:`repro.form.pushdown`) the count stays one statement.
+        Bounded sets (the bound counts records, which the grouped plan
+        cannot see) and every other policied count fetch and prune in
+        Python (see :meth:`_aggregate`).
         """
-        plan = self._aggregate_groups(("COUNT",))
-        if plan is None:
-            result = self.fetch()
-            if isinstance(result, Facet):
-                return facet_map(len, result)
-            return len(result)
-        form, groups, specs, pushed = plan
-        key = specs[0].result_key()
-        counts = [
-            (branches, int(row.get(key) or 0)) for branches, row in groups
-        ]
-        viewer = current_viewer()
-        if viewer is not None:
-            if pushed:
-                # Every partition the statement returned is fully visible
-                # to the viewer (the pruning predicate saw to that).
-                obs.add("plan.policy_pushdown")
-                return sum(count for _branches, count in counts)
-            resolve = self._label_resolver(form, viewer)
-            return visible_value(counts, resolve, lambda a, b: a + b, 0)
-        merged = merge_counts(counts)
-        self._register_result_policies(form, merged)
-        return merged
+        return self._aggregate("COUNT", None, attrgetter("count"))
 
     def exists(self) -> Any:
-        """Whether any record matches, per world (one grouped statement).
+        """Whether any record matches, per world: :meth:`count`'s grouped
+        statement, reduced to ``COUNT(*) > 0``.
 
-        Shares :meth:`count`'s jvars-partition plan rather than a bare
-        ``SELECT EXISTS``: a row's existence in the database does not mean
-        every world sees it, so existence is per label assignment.  (The
-        relational layer's ``EXISTS`` pushdown serves the baseline ORM,
-        where rows are world-independent.)
+        Not a bare ``SELECT EXISTS``: a row's existence in the database
+        does not mean every world sees it, so existence is per label
+        assignment.  (The relational layer's ``EXISTS`` pushdown serves the
+        baseline ORM, where rows are world-independent.)
         """
-        count = self.count()
-        if isinstance(count, Facet):
-            result = facet_map(bool, count)
-            form = current_form()
-            self._register_result_policies(form, result)
-            return result
-        return bool(count)
+        return self._aggregate("COUNT", None, lambda stats: stats.count > 0)
 
     def aggregate(self, field_name: str, function: str) -> Any:
         """Aggregate a field over the matching rows, per world.
@@ -288,32 +250,8 @@ class QuerySet:
         function = function.upper()
         if function not in FACET_AGGREGATE_FUNCTIONS:
             raise ValueError(f"unknown aggregate function {function!r}")
-        meta = self.model._meta
-        column = self._aggregate_column(meta, field_name, function)
-        plan = self._aggregate_groups(_STATS_SPECS[function], column)
-        if plan is None:
-            return self._aggregate_from_instances(column, function)
-        form, groups, specs, pushed = plan
-        stats = [
-            (branches, self._stats_from_row(row, specs))
-            for branches, row in groups
-        ]
-        viewer = current_viewer()
-        if viewer is not None:
-            if pushed:
-                obs.add("plan.policy_pushdown")
-                merged = ColumnStats()
-                for _branches, partition in stats:
-                    merged = ColumnStats.combine(merged, partition)
-                return merged.finalise(function)
-            resolve = self._label_resolver(form, viewer)
-            merged = visible_value(
-                stats, resolve, ColumnStats.combine, ColumnStats()
-            )
-            return merged.finalise(function)
-        merged = finalise_stats(merge_stats(stats), function)
-        self._register_result_policies(form, merged)
-        return merged
+        column = self._aggregate_column(self.model._meta, field_name, function)
+        return self._aggregate(function, column, lambda stats: stats.finalise(function))
 
     def sum(self, field_name: str) -> Any:
         """``SUM(field)`` per world (NULLs skipped; ``None`` if no values)."""
@@ -340,7 +278,7 @@ class QuerySet:
         rows, so the faceted encoding stays consistent.  Matching is
         viewer-independent: writes are not pruned by ``viewer_context``.
 
-        Decision procedure (see ``repro.form.writes``):
+        Decision procedure (:meth:`_update_plan`; see ``repro.form.writes``):
 
         * assigning concrete values to columns outside every policy group,
           with an empty path condition, compiles to **one** SQL statement --
@@ -368,19 +306,12 @@ class QuerySet:
             return 0
         form = current_form()
         meta = self.model._meta
-        resolved = writes.resolve_update_fields(meta, values)
-        column_values = writes.fast_path_values(meta, resolved)
-        pc = form.runtime.current_pc()
-        if column_values is not None and not pc:
-            forced = writes.read_set_forced_columns(meta, column_values)
-            if forced:
-                obs.add("writes.forced_fallback.read_set")
-                column_values = None
-        if column_values is not None and not pc:
+        plan, resolved, forced = self._update_plan(form, values)
+        if forced:
+            obs.add("writes.forced_fallback.read_set")
+        if plan is not None:
             obs.add("writes.fast_path")
             obs.add("plan.update_pushdown")
-            query, _joined = self._ordered_query(meta)
-            plan = plan_update(query, column_values, key_column="jid")
             with form._save_lock, obs.span("form.update.fast", model=meta.table_name):
                 return form.database.execute_update(plan)
         # Batched facet rewrite: one jid projection, one chunked fetch, one
@@ -409,19 +340,8 @@ class QuerySet:
         ``SELECT DISTINCT jid`` query (no instance unmarshalling), their
         rows fetched once, and the complement-assignment survivors swapped
         in with one atomic ``replace_rows`` batch -- viewers outside the
-        branch keep seeing the records.
-
-        One guarded shape still compiles to a single statement: a
-        single-branch pc on a model with no policy groups, over a table
-        whose rows all carry empty jvars (served by the write-maintained
-        per-table facet bit, so no probe statement runs -- pc labels are
-        then *statically absent* from the stored encodings).  Every
-        matching record's sole facet row
-        survives confined to the negated branch, so the whole delete is
-        ``UPDATE t SET jvars = '<negated>' WHERE jid IN (...) AND jvars =
-        ''`` (counted as ``plan.delete_guarded_pushdown``); the per-row
-        ``jvars = ''`` guard keeps rows created with facet structure after
-        the probe untouched.
+        branch keep seeing the records.  One guarded shape still compiles
+        to a single statement (see :meth:`_delete_plan`).
 
         Returns the number of facet rows removed (guarded: rewritten).
         Runs under the FORM save lock so deletions cannot interleave with a
@@ -429,52 +349,47 @@ class QuerySet:
         """
         form = current_form()
         meta = self.model._meta
-        pc = form.runtime.current_pc()
-        if not pc:
-            obs.add("writes.fast_path")
-            obs.add("plan.delete_pushdown")
-            query, _joined = self._ordered_query(meta)
-            plan = plan_delete(query, key_column="jid")
-            with form._save_lock, obs.span("form.delete.fast", model=meta.table_name):
-                return form.database.execute_delete(plan)
-        guarded_values = writes.guarded_delete_values(meta, pc)
-        if guarded_values is not None:
-            with form._save_lock:
-                if not form.database.may_have_facets(meta.table_name):
-                    obs.add("writes.fast_path")
-                    obs.add("plan.delete_guarded_pushdown")
-                    plan = self._guarded_delete_plan(meta, guarded_values)
-                    with obs.span(
-                        "form.delete.guarded_pushdown", model=meta.table_name
-                    ):
-                        return form.database.execute_update(plan)
-        obs.add("writes.fallback")
-        with form._save_lock, obs.span("form.delete.guarded", model=meta.table_name):
-            jids = self._matching_jids(form)
-            if not jids:
-                return 0
-            existing = self._rows_for_jids(form, meta, jids)
-            pc_branches = writes.pc_branch_list(pc)
-            rows_by_jid = writes.group_rows_by_jid(existing)
-            survivors: List[Dict[str, Any]] = []
-            for jid in jids:
-                rows = rows_by_jid.get(jid, [])
-                survivors.extend(writes.guarded_survivors(jid, rows, pc_branches))
-            _replace_rows_chunked(form, meta.table_name, jids, survivors)
-            return len(existing)
+        with form._save_lock:
+            plan = self._delete_plan(form)
+            if plan is not None:
+                obs.add("writes.fast_path")
+                if isinstance(plan, DeletePlan):
+                    obs.add("plan.delete_pushdown")
+                    with obs.span("form.delete.fast", model=meta.table_name):
+                        return form.database.execute_delete(plan)
+                obs.add("plan.delete_guarded_pushdown")
+                with obs.span("form.delete.guarded_pushdown", model=meta.table_name):
+                    return form.database.execute_update(plan)
+            obs.add("writes.fallback")
+            with obs.span("form.delete.guarded", model=meta.table_name):
+                jids = self._matching_jids(form)
+                if not jids:
+                    return 0
+                existing = self._rows_for_jids(form, meta, jids)
+                pc_branches = writes.pc_branch_list(form.runtime.current_pc())
+                rows_by_jid = writes.group_rows_by_jid(existing)
+                survivors: List[Dict[str, Any]] = []
+                for jid in jids:
+                    rows = rows_by_jid.get(jid, [])
+                    survivors.extend(writes.guarded_survivors(jid, rows, pc_branches))
+                _replace_rows_chunked(form, meta.table_name, jids, survivors)
+                return len(existing)
 
     def explain(self, operation: str = "fetch", **values: Any) -> Dict[str, Any]:
         """The plan and SQL this query set would run, without executing it.
 
-        ``operation`` selects which entry point to explain:
+        A read reports the record of :meth:`_plan`, the one its verb runs:
+        ``mode`` is ``"faceted"`` outside a viewer context,
+        ``"policy-pushdown"`` when the viewer's pruning predicate joins the
+        statement and ``"pruned"`` when Python prunes.  A write reports
+        what :meth:`_update_plan` / :meth:`_delete_plan` return, the
+        helpers its verb runs.  ``operation`` selects the entry point:
 
-        * ``"fetch"`` -- the row-fetching statement behind :meth:`fetch`
-          (``mode`` reports ``"pruned"`` inside a viewer context,
-          ``"faceted"`` outside);
+        * ``"fetch"`` -- the row-fetching statement behind :meth:`fetch`;
         * ``"count"`` / ``"aggregate"`` -- the grouped jvars-partition
           statement (pass ``field`` and ``function`` keywords for
-          ``aggregate``); when the pushdown does not apply the report names
-          the fetching fallback instead;
+          ``aggregate``); when the plan cannot group, the report names the
+          fetching fallback (``plan: "fetch-fallback"`` and a ``reason``);
         * ``"update"`` -- pass the assignment as keywords, exactly as
           :meth:`update` takes them; ``path`` reports ``"fast"`` (one
           pushed-down statement, whose SQL is returned) or ``"fallback"``
@@ -486,124 +401,408 @@ class QuerySet:
           a guarded delete meeting the static pushdown shape reports
           ``plan: "guarded-delete-pushdown"`` with ``path: "fast"``.
 
-        For every pushdown path the returned ``sql`` string is exactly the
-        statement a statement observer (:class:`repro.db.StatementLog`)
-        captures when the operation runs.
+        The returned ``sql`` string is exactly the statement a statement
+        observer (:class:`repro.db.StatementLog`) captures when the
+        operation runs.
         """
         form = current_form()
         meta = self.model._meta
-        if operation == "fetch":
-            query, _joined, pushed = self._build_query(meta, probe=False)
-            report = query.explain()
-            # Backend plan detail: the memory engine's cost-model choice
-            # (chosen_plan / considered_plans), SQLite's EXPLAIN QUERY PLAN.
-            report.update(form.database.backend.explain_query(query))
-            report["operation"] = "fetch"
-            if pushed:
-                report["mode"] = "policy-pushdown"
+        if operation in ("fetch", "count", "aggregate"):
+            plan = self._plan()
+            if operation != "fetch" and plan.grouped:
+                function, column = "COUNT", None
+                if operation == "aggregate":
+                    function = str(values.get("function", "COUNT")).upper()
+                    field_name = values.get("field")
+                    if field_name is not None:
+                        column = self._aggregate_column(meta, field_name, function)
+                report = self._grouped_query(plan, function, column)[0].explain()
             else:
-                report["mode"] = (
-                    "pruned" if current_viewer() is not None else "faceted"
-                )
-            return report
-        if operation in ("count", "aggregate"):
-            if operation == "count":
-                functions: Tuple[str, ...] = ("COUNT",)
-                column = None
-            else:
-                function = str(values.get("function", "COUNT")).upper()
-                field_name = values.get("field")
-                functions = _STATS_SPECS.get(function, (function,))
-                column = (
-                    self._aggregate_column(meta, field_name, function)
-                    if field_name is not None
-                    else None
-                )
-            bounded = self.limit is not None or self.offset
-            agg_query = None
-            pushed = False
-            if not bounded:
-                agg_query, _group_columns, _specs, pushed = self._aggregate_plan(
-                    functions, column, probe=False
-                )
-            pruned_policied = (
-                current_viewer() is not None
-                and bool(meta.policy_groups)
-                and not pushed
-            )
-            if bounded or pruned_policied:
-                report = self.explain("fetch")
-                report["operation"] = operation
-                report["plan"] = "fetch-fallback"
-                report["reason"] = (
-                    "bounded query set" if bounded
-                    else "pruned query on a policied model"
-                )
-                return report
-            report = agg_query.explain()
-            report["operation"] = operation
-            if pushed:
-                report["mode"] = "policy-pushdown"
-            return report
-        if operation == "update":
-            resolved = writes.resolve_update_fields(meta, values)
-            column_values = writes.fast_path_values(meta, resolved)
-            pc = form.runtime.current_pc()
-            query, _joined = self._ordered_query(meta)
+                query = self._fetch_query(plan)
+                report = query.explain()
+                # Backend plan detail: the memory engine's cost-model choice
+                # (chosen_plan / considered_plans), SQLite's EXPLAIN QUERY PLAN.
+                report.update(form.database.backend.explain_query(query))
+                if operation != "fetch":
+                    report["plan"] = "fetch-fallback"
+                    report["reason"] = (
+                        "bounded query set" if self.limit is not None or self.offset
+                        else "pruned query on a policied model"
+                    )
+            report["mode"] = plan.mode
+        elif operation in ("update", "delete"):
             forced: Tuple[str, ...] = ()
-            if column_values is not None and not pc:
-                forced = writes.read_set_forced_columns(meta, column_values)
-            if column_values is not None and not pc and not forced:
-                report = plan_update(query, column_values, key_column="jid").explain()
-                report["path"] = "fast"
+            if operation == "update":
+                write, _resolved, forced = self._update_plan(form, values)
             else:
-                report = plan_keys(query, "jid").explain()
-                report["plan"] = "batched-facet-rewrite"
-                report["path"] = "fallback"
-                if forced:
-                    report["forced_by"] = "read_set"
-                    report["forced_columns"] = list(forced)
-            report["operation"] = "update"
-            return report
-        if operation == "delete":
-            pc = form.runtime.current_pc()
-            query, _joined = self._ordered_query(meta)
-            if not pc:
-                report = plan_delete(query, key_column="jid").explain()
-                report["path"] = "fast"
+                write = self._delete_plan(form)
+            if write is None:
+                report = self._keys_query().explain()
+                report.update(plan="batched-facet-rewrite", path="fallback")
             else:
-                guarded_values = writes.guarded_delete_values(meta, pc)
-                if guarded_values is not None and not form.database.may_have_facets(
-                    meta.table_name
-                ):
-                    report = self._guarded_delete_plan(meta, guarded_values).explain()
+                report = write.explain()
+                report["path"] = "fast"
+                if operation == "delete" and isinstance(write, UpdatePlan):
                     report["plan"] = "guarded-delete-pushdown"
-                    report["path"] = "fast"
-                else:
-                    report = plan_keys(query, "jid").explain()
-                    report["plan"] = "batched-facet-rewrite"
-                    report["path"] = "fallback"
-            report["operation"] = "delete"
-            return report
-        raise ValueError(f"unknown explain operation {operation!r}")
+            if forced:
+                report.update(forced_by="read_set", forced_columns=list(forced))
+        else:
+            raise ValueError(f"unknown explain operation {operation!r}")
+        report["operation"] = operation
+        return report
 
-    # -- internals -----------------------------------------------------------------------
+    # -- the read plan ------------------------------------------------------------------
 
-    def _guarded_delete_plan(self, meta, guarded_values: Dict[str, Any]):
-        """The single-statement plan of a pushed-down guarded delete.
+    def _plan(self) -> _ReadPlan:
+        """Decide who prunes this read's rows, once (the F-PRUNE rule).
 
-        ``plan_update`` supplies the jid subselect; the appended ``jvars =
-        ''`` conjunct restricts the rewrite to unguarded rows (the only
-        rows the static shape covers), row by row.
+        Outside a viewer context nobody does: the result is faceted.
+        Inside one, the database prunes when
+        :func:`repro.form.pushdown.pruning_conjuncts` renders the viewer's
+        pruning predicate, which the plan's query then carries; otherwise
+        Python prunes (:meth:`_pruned`), and a fallback is counted under
+        its reason.  Bounded sets never push: their record bound counts
+        *matching* records pre-pruning, and :meth:`first`'s invisible-match
+        fallback depends on seeing them.
+
+        Every read verb runs the record this returns and :meth:`explain`
+        reports it, so each read counts its fallback once and the reported
+        statement is the executed one.
         """
-        query, _joined = self._ordered_query(meta)
-        base = plan_update(query, guarded_values, key_column="jid")
-        guard = eq("jvars", "")
-        where = and_all([w for w in (base.where, guard) if w is not None])
-        return dataclasses.replace(base, where=where)
+        meta = self.model._meta
+        query, joined = self._filtered_query(meta)
+        bounded = self.limit is not None or bool(self.offset)
+        viewer = current_viewer()
+        if viewer is None:
+            return _ReadPlan("faceted", query, joined, not bounded)
+        conjuncts = None
+        if not bounded:
+            conjuncts = pushdown_sql.pruning_conjuncts(
+                current_form(), self.model, joined, viewer
+            )
+        if conjuncts:
+            for conjunct in conjuncts:
+                query = query.filter(conjunct)
+            return _ReadPlan("policy-pushdown", query, joined, True)
+        # Early Pruning on a policied model evaluates its policies against
+        # the fetched secret facets, which a grouped statement cannot return.
+        return _ReadPlan("pruned", query, joined, not bounded and not meta.policy_groups)
 
-    def _matching_jids(self, form: FORM) -> List[int]:
-        """The DISTINCT jids matching this query set, in one projected query.
+    def _fetch(self, form: FORM, plan: _ReadPlan) -> Any:
+        """Run a read plan's row-fetching statement and prune per its mode."""
+        with obs.span("form.fetch", model=self.model._meta.table_name):
+            entries = self._fetch_entries(form, plan)
+            if plan.mode == "policy-pushdown":
+                # The statement's pruning predicate already kept exactly the
+                # facet rows visible to this viewer -- no label resolution,
+                # and the result holds no label to register (the first
+                # other read of a record registers them).
+                obs.add("plan.policy_pushdown")
+                result = [instance for _jid, _branches, instance in entries]
+            else:
+                self._register_policies(form, entries)
+                if plan.mode == "faceted":
+                    obs.add("worlds.merged", len(entries))
+                    return build_faceted_collection(
+                        [(branches, instance) for _jid, branches, instance in entries]
+                    )
+                result = self._pruned(form, entries, current_viewer())
+            _note_visible_fk_ids(self.model, result)
+            return result
+
+    def _fetch_query(self, plan: _ReadPlan) -> Query:
+        """The row-fetching statement of a read plan.
+
+        A bounded set compiles to the jid-subselect pushdown: the LIMIT
+        counts DISTINCT jids inside a subquery, so the database prunes to
+        the first n records instead of this side scanning the full match
+        set and truncating.
+        """
+        query = self._ordered_query(self.model._meta, plan.query, plan.joined)
+        if self.limit is None and not self.offset:
+            return query
+        obs.add("plan.bounded")
+        return plan_bounded(query, "jid", self.limit, self.offset)
+
+    def _fetch_entries(
+        self, form: FORM, plan: _ReadPlan
+    ) -> List[Tuple[int, Tuple[JvarBranch, ...], Any]]:
+        """Run a plan's row-fetching statement and unmarshal rows into
+        ``(jid, branches, instance)`` entries (one per facet row).
+
+        Results are served from the FORM's faceted query cache when enabled.
+        The cache stores the raw ``(jid, branches, column values)`` rows --
+        i.e. the pre-pruning result shared by every viewer -- and instances
+        are rebuilt per fetch, so per-request state attached to instances
+        (resolved foreign keys, application mutations) never crosses fetches
+        or viewers.  Policy-pushdown statements embed the viewer's bound
+        values in their inline predicate (and so in the cache key): their
+        already-pruned entries are shared only by viewers binding the same
+        values, which the predicate prunes identically.  A pushed read
+        leaves every entry's branches empty: its rows are the viewer's
+        facet, so nothing reads their ``jvars``.
+
+        Inside a viewer context, entries spanning two or more records share
+        one :class:`_Siblings` (a batched load's own entries excepted): the
+        policies ``_pruned`` evaluates on them can then batch their
+        per-record lookups.
+        """
+        meta = self.model._meta
+        joined_tables = plan.joined
+        pushed = plan.mode == "policy-pushdown"
+
+        def unmarshal(rows):
+            raw_entries = []
+            for row in rows:
+                values = self._base_values(meta, row, joined_tables)
+                branches: Tuple[JvarBranch, ...] = ()
+                if not pushed:
+                    parsed = list(parse_jvars(values.get("jvars")))
+                    # Joins contribute the jvars of every joined table (Table 2).
+                    for table in joined_tables:
+                        parsed.extend(parse_jvars(row.get(f"{table}.jvars")))
+                    branches = tuple(dict.fromkeys(parsed))
+                raw_entries.append((int(values.get("jid")), branches, values))
+            return raw_entries
+
+        raw_entries = self._cached(form, self._fetch_query(plan), unmarshal)
+        entries = [
+            (jid, branches, _instance_from_row(self.model, values))
+            for jid, branches, values in self._limit_entries(raw_entries)
+        ]
+        obs.add("facet.rows.unmarshalled", len(entries))
+        if len(entries) > 1 and self._key_filter is None:
+            viewer = current_viewer()
+            if viewer is not None:
+                _track_siblings(form, viewer, entries)
+        return entries
+
+    def _cached(self, form: FORM, query: Query, convert: Callable[[Any], Any]) -> Any:
+        """``convert`` of ``query``'s rows, through the faceted query cache
+        when it is enabled.
+
+        Bounded queries carry their jid subselect in the query (and so in
+        the cache key): each (filters, ordering, limit, offset) combination
+        caches its own already-bounded result.  The registered tables come
+        from ``tables_read()`` -- base, joined and subquery tables -- so a
+        write to any of them invalidates the entry.
+        """
+        cache = form.caches.queries if form.caches.query_cache_enabled else None
+        if cache is None:
+            return convert(form.database.execute(query))
+        key = cache.key_for(self.model._meta.table_name, query)
+        value = cache.get(key)
+        if value is None:
+            value = convert(form.database.execute(query))
+            cache.put(key, list(query.tables_read()), value)
+        return value
+
+    def _limit_entries(
+        self, entries: List[Tuple[int, Tuple[JvarBranch, ...], Any]]
+    ) -> List[Tuple[int, Tuple[JvarBranch, ...], Any]]:
+        """Apply ``self.limit`` per distinct record (jid), not per facet row.
+
+        With the jid-subselect pushdown the database already bounds the
+        result to ``limit`` distinct jids (offset included), making this a
+        no-op safety net; it still guarantees -- independently of backend
+        behaviour -- that a limited result can never undercount records or
+        show a viewer the wrong facet of a record.  Record order follows
+        first appearance, which matches the query's ORDER BY.
+        """
+        return limit_by_key(entries, lambda entry: entry[0], self.limit)
+
+    def _filtered_query(self, meta) -> Tuple[Query, List[str]]:
+        """The filter/join part of the query (no ordering, no bound).
+
+        The common input of the read plan (:meth:`_plan`) and the write
+        plans; the row-fetching statement adds ORDER BY and the bounded
+        jid subselect, the aggregate statement the jvars GROUP BY instead.
+        """
+        query = Query(table=meta.table_name)
+        joined: List[str] = []
+        has_join = any("__" in lookup for lookup in self.filters)
+        for lookup, value in self.filters.items():
+            query = self._apply_filter(meta, query, joined, lookup, value, has_join)
+        if self._key_filter is not None:
+            column, keys = self._key_filter
+            query = query.filter(InList(col(column), keys))
+        return query, joined
+
+    def _ordered_query(self, meta, query: Query, joined: List[str]) -> Query:
+        """A filter/join query plus ordering and the raw record bound.
+
+        ``limit``/``offset`` ride on the query verbatim: the read path
+        wraps them in the jid subselect (:meth:`_fetch_query`), and the
+        write planners (``plan_update``/``plan_delete``/``plan_keys``) push
+        the whole query into their own jid subselect.
+        """
+        for field, ascending in self.order_fields:
+            column = self._column_for(meta, field)
+            if joined and "." not in column:
+                # Under a join, both tables carry jid/jvars (and possibly
+                # application columns with the same name); an unqualified
+                # ORDER BY column is ambiguous on SQLite and resolved
+                # arbitrarily by the in-memory engine.
+                column = f"{meta.table_name}.{column}"
+            query = query.ordered_by(column, ascending)
+        if self.limit is not None or self.offset:
+            query = query.limited(self.limit, self.offset)
+        return query
+
+    # -- aggregates ---------------------------------------------------------------------
+
+    def _aggregate(
+        self,
+        function: str,
+        column: Optional[str],
+        finish: Callable[[ColumnStats], Any],
+    ) -> Any:
+        """The one aggregate path behind :meth:`count`, :meth:`exists` and
+        :meth:`aggregate`; ``column`` ``None`` aggregates ``*``.
+
+        ``finish`` maps the merged :class:`ColumnStats` of the rows a world
+        sees to the result.  When the read plan can group, one statement
+        returns the per-jvars-partition stats (:meth:`_grouped_query`),
+        merged per world without a viewer and over the visible partitions
+        with one.  Otherwise -- a bounded set, or Early Pruning that must
+        evaluate policies against the fetched secret facets -- the plan's
+        fetch runs and its instances reduce with the same SQL NULL rules,
+        so both paths agree on every edge case.
+
+        Grouped results are cached in the faceted query cache under the
+        statement's own key; ``tables_read()`` registers the base and
+        joined tables, so any write to them invalidates the cached
+        partitions.
+        """
+        form = current_form()
+        plan = self._plan()
+        if not plan.grouped:
+            def reduce(items: List[Any]) -> Any:
+                if column is None:
+                    return finish(ColumnStats(count=len(items)))
+                return finish(stats_of_values([getattr(item, column, None) for item in items]))
+
+            result = self._fetch(form, plan)
+            return facet_map(reduce, result) if isinstance(result, Facet) else reduce(result)
+        query, group_columns, specs = self._grouped_query(plan, function, column)
+        obs.add("plan.aggregate_pushdown")
+
+        def partitions(rows):
+            groups = []
+            for row in rows:
+                branches: List[JvarBranch] = []
+                for group_column in group_columns:
+                    branches.extend(parse_jvars(row.get(group_column)))
+                groups.append(
+                    (tuple(dict.fromkeys(branches)), self._stats_from_row(row, specs))
+                )
+            return groups
+
+        groups = self._cached(form, query, partitions)
+        if plan.mode == "faceted":
+            merged = facet_map(finish, merge_stats(groups))
+            self._register_result_policies(form, merged)
+            return merged
+        resolve = None
+        if plan.mode == "policy-pushdown":
+            # Every partition is fully visible to the viewer (the pruning
+            # predicate saw to that) and carries no branch to resolve.
+            obs.add("plan.policy_pushdown")
+        else:
+            resolve = self._label_resolver(form, current_viewer())
+        return finish(visible_value(groups, resolve, ColumnStats.combine, ColumnStats()))
+
+    def _grouped_query(
+        self, plan: _ReadPlan, function: str, column: Optional[str]
+    ) -> Tuple[Query, List[str], Tuple[Aggregate, ...]]:
+        """The grouped statement of an aggregate over a read plan:
+        ``SELECT jvars..., AGG... GROUP BY jvars...``.
+
+        Every joined table's jvars column joins the grouping, exactly as
+        its branches would have joined each row's branch set.  A pushed
+        plan drops the GROUP BY entirely: with the engine pruning,
+        partitioning by label assignment would only split one visible world
+        across thousands of per-record groups to be re-summed in Python.
+        Returns ``(query, group_columns, specs)``.
+        """
+        meta = self.model._meta
+        if column is not None and plan.joined and "." not in column:
+            column = f"{meta.table_name}.{column}"
+        specs = tuple(
+            Aggregate(name) if column is None else Aggregate(name, column)
+            for name in _STATS_SPECS.get(function, (function,))
+        )
+        group_columns: List[str] = []
+        if plan.mode != "policy-pushdown":
+            group_columns.append(f"{meta.table_name}.jvars" if plan.joined else "jvars")
+            group_columns.extend(f"{table}.jvars" for table in plan.joined)
+        return plan_aggregate(plan.query, group_columns, specs), group_columns, specs
+
+    @staticmethod
+    def _stats_from_row(row: Dict[str, Any], specs: Sequence[Aggregate]) -> ColumnStats:
+        """One partition's :class:`ColumnStats` from its aggregate row."""
+        values = {spec.function.upper(): row.get(spec.result_key()) for spec in specs}
+        return ColumnStats(
+            count=int(values.get("COUNT") or 0),
+            total=values.get("SUM"),
+            minimum=values.get("MIN"),
+            maximum=values.get("MAX"),
+        )
+
+    # -- write plans --------------------------------------------------------------------
+
+    def _update_plan(
+        self, form: FORM, values: Dict[str, Any]
+    ) -> Tuple[Optional[UpdatePlan], Dict[str, Any], Tuple[str, ...]]:
+        """Decide how :meth:`update` writes ``values``.
+
+        Returns ``(plan, resolved, forced)``: the one-statement plan, or
+        ``None`` for the batched facet rewrite; the resolved field
+        assignments the rewrite applies; and the assigned columns some
+        public method reads, which force the rewrite.
+        """
+        meta = self.model._meta
+        resolved = writes.resolve_update_fields(meta, values)
+        column_values = writes.fast_path_values(meta, resolved)
+        if column_values is None or form.runtime.current_pc():
+            return None, resolved, ()
+        forced = writes.read_set_forced_columns(meta, column_values)
+        if forced:
+            return None, resolved, forced
+        query = self._ordered_query(meta, *self._filtered_query(meta))
+        return plan_update(query, column_values, key_column="jid"), resolved, ()
+
+    def _delete_plan(self, form: FORM) -> "DeletePlan | UpdatePlan | None":
+        """The one statement :meth:`delete` runs, or ``None`` for the
+        guarded facet rewrite.
+
+        Outside a path condition: ``DELETE FROM t WHERE jid IN (SELECT
+        DISTINCT jid ...)``.  Under one, a single-branch pc on a model with
+        no policy groups, over a table holding no facet rows (the
+        write-maintained facet bit), has a static shape: every matching
+        record's sole facet row survives confined to the negated branch, so
+        the whole delete is ``UPDATE t SET jvars = '<negated>' WHERE jid IN
+        (...) AND jvars = ''``.  :meth:`delete` calls this under the FORM
+        save lock, so no write lands between the facet-bit check and the
+        statement; the per-row ``jvars = ''`` guard is the second line of
+        defence, leaving any row with facet structure untouched.
+        """
+        meta = self.model._meta
+        query = self._ordered_query(meta, *self._filtered_query(meta))
+        pc = form.runtime.current_pc()
+        if not pc:
+            return plan_delete(query, key_column="jid")
+        values = writes.guarded_delete_values(meta, pc)
+        if values is None or form.database.may_have_facets(meta.table_name):
+            return None
+        plan = plan_update(query, values, key_column="jid")
+        guard = eq("jvars", "")
+        return dataclasses.replace(
+            plan, where=and_all([w for w in (plan.where, guard) if w is not None])
+        )
+
+    def _keys_query(self) -> Query:
+        """The projected ``SELECT DISTINCT jid`` query of the matching records.
 
         ``plan_keys`` keeps the filters and joins (and, for bounded sets,
         the ordering and bound), selecting only the jid column -- the slow
@@ -611,11 +810,12 @@ class QuerySet:
         read their jids.
         """
         meta = self.model._meta
-        query, _joined = self._ordered_query(meta)
-        subquery = plan_keys(query, "jid")
-        obs.add("plan.keys")
-        from repro.db.expr import subquery_values
+        return plan_keys(self._ordered_query(meta, *self._filtered_query(meta)), "jid")
 
+    def _matching_jids(self, form: FORM) -> List[int]:
+        """The DISTINCT jids matching this query set (:meth:`_keys_query`)."""
+        subquery = self._keys_query()
+        obs.add("plan.keys")
         return [int(value) for value in
                 subquery_values(form.database.execute(subquery), subquery)]
 
@@ -635,289 +835,17 @@ class QuerySet:
             ))
         return rows
 
-    def _fetch_entries(
-        self, form: FORM
-    ) -> Tuple[List[Tuple[int, Tuple[JvarBranch, ...], Any]], bool]:
-        """Run the relational query and unmarshal rows into
-        ``(jid, branches, instance)`` entries (one per facet row).
+    # -- label resolution ---------------------------------------------------------------
 
-        Results are served from the FORM's faceted query cache when enabled.
-        The cache stores the raw ``(jid, branches, column values)`` rows --
-        i.e. the pre-pruning result shared by every viewer -- and instances
-        are rebuilt per fetch, so per-request state attached to instances
-        (resolved foreign keys, application mutations) never crosses fetches
-        or viewers.  Policy-pushdown statements embed the viewer's bound
-        values in their inline predicate (and so in the cache key): their
-        already-pruned entries are shared only by viewers binding the same
-        values, which the predicate prunes identically.
-
-        Inside a viewer context, entries spanning two or more records share
-        one :class:`_Siblings` (a batched load's own entries excepted): the
-        policies ``_pruned`` evaluates on them can then batch their
-        per-record lookups.
-
-        Returns ``(entries, pushed)``; ``pushed`` means the statement's
-        pruning predicate already did the viewer's pruning.  A pushed read
-        leaves every entry's branches empty: its rows are the viewer's
-        facet, so nothing reads their ``jvars``.
-        """
-        meta = self.model._meta
-        query, joined_tables, pushed = self._build_query(meta)
-        cache = form.caches.queries if form.caches.query_cache_enabled else None
-        key = None
-        raw_entries: Optional[
-            List[Tuple[int, Tuple[JvarBranch, ...], Dict[str, Any]]]
-        ] = None
-        if cache is not None:
-            key = cache.key_for(meta.table_name, query)
-            raw_entries = cache.get(key)
-        if raw_entries is None:
-            rows = form.database.execute(query)
-            raw_entries = []
-            for row in rows:
-                values = self._base_values(meta, row, joined_tables)
-                branches: Tuple[JvarBranch, ...] = ()
-                if not pushed:
-                    parsed = list(parse_jvars(values.get("jvars")))
-                    # Joins contribute the jvars of every joined table (Table 2).
-                    for table in joined_tables:
-                        parsed.extend(parse_jvars(row.get(f"{table}.jvars")))
-                    branches = tuple(dict.fromkeys(parsed))
-                raw_entries.append((int(values.get("jid")), branches, values))
-            if cache is not None:
-                # Bounded queries carry their jid subselect in the query (and
-                # so in the cache key): each (filters, ordering, limit,
-                # offset) combination caches its own already-bounded result.
-                # The registered tables come from tables_read(), so a write
-                # to a table referenced only inside the subquery still
-                # invalidates the entry.
-                cache.put(key, list(query.tables_read()), raw_entries)
-        entries = [
-            (jid, branches, _instance_from_row(self.model, values))
-            for jid, branches, values in self._limit_entries(raw_entries)
-        ]
-        obs.add("facet.rows.unmarshalled", len(entries))
-        if len(entries) > 1 and self._key_filter is None:
-            viewer = current_viewer()
-            if viewer is not None:
-                _track_siblings(form, viewer, entries)
-        return entries, pushed
-
-    def _limit_entries(
-        self, entries: List[Tuple[int, Tuple[JvarBranch, ...], Any]]
-    ) -> List[Tuple[int, Tuple[JvarBranch, ...], Any]]:
-        """Apply ``self.limit`` per distinct record (jid), not per facet row.
-
-        With the jid-subselect pushdown the database already bounds the
-        result to ``limit`` distinct jids (offset included), making this a
-        no-op safety net; it still guarantees -- independently of backend
-        behaviour -- that a limited result can never undercount records or
-        show a viewer the wrong facet of a record.  Record order follows
-        first appearance, which matches the query's ORDER BY.
-        """
-        return limit_by_key(entries, lambda entry: entry[0], self.limit)
-
-    def _filtered_query(self, meta) -> Tuple[Query, List[str]]:
-        """The filter/join part of the query (no ordering, no bound).
-
-        Shared by the row-fetching plan (which adds ORDER BY and the
-        bounded jid subselect) and the aggregate plan (which adds the
-        jvars GROUP BY instead).
-        """
-        query = Query(table=meta.table_name)
-        joined: List[str] = []
-        has_join = any("__" in lookup for lookup in self.filters)
-        for lookup, value in self.filters.items():
-            query = self._apply_filter(meta, query, joined, lookup, value, has_join)
-        if self._key_filter is not None:
-            column, keys = self._key_filter
-            query = query.filter(InList(col(column), keys))
-        return query, joined
-
-    def _ordered_query(self, meta) -> Tuple[Query, List[str]]:
-        """Filters, joins, ordering and the raw record bound -- un-planned.
-
-        The common input of the read planner (:meth:`_build_query`, which
-        wraps the bound in the jid subselect) and the write planners
-        (``plan_update``/``plan_delete``, which push the whole thing into
-        their own jid subselect).  ``limit``/``offset`` ride on the query
-        verbatim; no plan is applied here.
-        """
-        query, joined = self._filtered_query(meta)
-        for field, ascending in self.order_fields:
-            column = self._column_for(meta, field)
-            if joined and "." not in column:
-                # Under a join, both tables carry jid/jvars (and possibly
-                # application columns with the same name); an unqualified
-                # ORDER BY column is ambiguous on SQLite and resolved
-                # arbitrarily by the in-memory engine.
-                column = f"{meta.table_name}.{column}"
-            query = query.ordered_by(column, ascending)
-        if self.limit is not None or self.offset:
-            query = query.limited(self.limit, self.offset)
-        return query, joined
-
-    def _build_query(
-        self, meta, probe: bool = True
-    ) -> Tuple[Query, List[str], Optional[List[Expression]]]:
-        query, joined = self._ordered_query(meta)
-        # Bounded queries compile to the jid-subselect pushdown: the LIMIT
-        # counts DISTINCT jids inside a subquery, so the database prunes to
-        # the first n records instead of this side scanning the full match
-        # set and truncating (the ROADMAP LIMIT-pushdown item).
-        if query.limit is not None or query.offset:
-            query = plan_bounded(query, "jid", query.limit, query.offset)
-            obs.add("plan.bounded")
-            return query, joined, None
-        # Unbounded pruned queries on inline-profile policied models
-        # additionally compile the pruning predicate into the statement
-        # (policy pushdown): the engine keeps exactly the viewer-visible facet
-        # rows, so the Python side skips label resolution entirely.  The
-        # bounded form stays on the Python path -- its record bound counts
-        # *matching* records pre-pruning, and :meth:`first`'s
-        # invisible-match fallback depends on seeing them.
-        viewer = current_viewer()
-        plan: Optional[List[Expression]] = None
-        if viewer is not None:
-            plan = pushdown_sql.pruning_conjuncts(
-                current_form(), self.model, joined, viewer, probe=probe
-            )
-            for conjunct in plan or ():
-                query = query.filter(conjunct)
-        return query, joined, plan
-
-    # -- aggregate pushdown -------------------------------------------------------------
-
-    def _aggregate_plan(
-        self,
-        functions: Tuple[str, ...],
-        column: Optional[str] = None,
-        probe: bool = True,
-    ) -> Tuple[Query, List[str], Tuple[Aggregate, ...], Optional[List[Expression]]]:
-        """Compile this query set's grouped jvars-partition statement.
-
-        The plan-construction half of :meth:`_aggregate_groups`, shared with
-        :meth:`explain` so the reported SQL is the executed SQL by
-        construction.  Returns ``(query, group_columns, specs, pushed)``;
-        ``pushed`` is the list of pruning conjuncts when the statement
-        carries the viewer's pruning predicate (policy pushdown, ``None``
-        otherwise), so every returned partition is fully visible -- and
-        the jvars GROUP BY is dropped entirely: with the
-        engine pruning, partitioning by label assignment would only split
-        one visible world across thousands of per-record groups to be
-        re-summed in Python.  ``probe=False`` plans without the facet-row
-        probe statement (``explain``) -- the predicate's SQL does not
-        depend on the probe, so the two spellings agree.
-        """
-        meta = self.model._meta
-        query, joined = self._filtered_query(meta)
-        pushed: Optional[List[Expression]] = None
-        viewer = current_viewer()
-        if viewer is not None and self.limit is None and not self.offset:
-            pushed = pushdown_sql.pruning_conjuncts(
-                current_form(), self.model, joined, viewer, probe=probe
-            )
-            for conjunct in pushed or ():
-                query = query.filter(conjunct)
-        if column is not None and joined and "." not in column:
-            column = f"{meta.table_name}.{column}"
-        specs = tuple(
-            Aggregate(function) if column is None else Aggregate(function, column)
-            for function in functions
-        )
-        if pushed:
-            group_columns: List[str] = []
-        else:
-            group_columns = [f"{meta.table_name}.jvars" if joined else "jvars"]
-            group_columns.extend(f"{table}.jvars" for table in joined)
-        return plan_aggregate(query, group_columns, specs), group_columns, specs, pushed
-
-    def _aggregate_groups(self, functions: Tuple[str, ...], column: Optional[str] = None):
-        """Fetch the jvars-partitioned aggregates behind count()/aggregate().
-
-        Compiles the filter/join part of this query set to one grouped
-        statement -- ``SELECT jvars..., AGG... GROUP BY jvars...`` (every
-        joined table's jvars column joins the grouping, exactly as its
-        branches would have joined each row's branch set) -- and returns
-        ``(form, groups, specs, pushed)`` where ``groups`` pairs each
-        partition's parsed branches with its aggregate row and ``pushed``
-        means the statement carried the viewer's pruning predicate.
-
-        Returns ``None`` when the grouped plan does not apply: bounded
-        query sets (the bound counts records, which a grouped plan cannot
-        see), and pruned queries on policied models whose pruning predicate
-        could *not* be compiled into the statement (opaque policies, a
-        predicate that does not bind for the viewer, unreadable facet
-        rows) -- there Early Pruning must evaluate policies against the
-        fetched secret facet, which a no-fetch plan cannot do.
-
-        Results are cached in the faceted query cache under the aggregate
-        plan's own key; ``tables_read()`` registers the base and joined
-        tables, so any write to them invalidates the cached partitions.
-        """
-        if self.limit is not None or self.offset:
-            return None
-        meta = self.model._meta
-        form = current_form()
-        agg_query, group_columns, specs, pushed = self._aggregate_plan(
-            functions, column
-        )
-        if current_viewer() is not None and meta.policy_groups and not pushed:
-            return None
-        obs.add("plan.aggregate_pushdown")
-        cache = form.caches.queries if form.caches.query_cache_enabled else None
-        key = None
-        groups = None
-        if cache is not None:
-            key = cache.key_for(meta.table_name, agg_query)
-            groups = cache.get(key)
-        if groups is None:
-            rows = form.database.execute(agg_query)
-            groups = []
-            for row in rows:
-                branches: List[JvarBranch] = []
-                for group_column in group_columns:
-                    branches.extend(parse_jvars(row.get(group_column)))
-                groups.append((tuple(dict.fromkeys(branches)), dict(row)))
-            if cache is not None:
-                cache.put(key, list(agg_query.tables_read()), groups)
-        return form, groups, specs, pushed
-
-    @staticmethod
-    def _stats_from_row(row: Dict[str, Any], specs: Sequence[Aggregate]) -> ColumnStats:
-        """One partition's :class:`ColumnStats` from its aggregate row."""
-        values = {spec.function.upper(): row.get(spec.result_key()) for spec in specs}
-        return ColumnStats(
-            count=int(values.get("COUNT") or 0),
-            total=values.get("SUM"),
-            minimum=values.get("MIN"),
-            maximum=values.get("MAX"),
-        )
-
-    def _aggregate_from_instances(self, column: str, function: str) -> Any:
-        """Python-side aggregate fallback (bounded or pruned-policied sets).
-
-        Fetches through the normal (pruned or faceted) path and reduces the
-        instances' field values with the same SQL NULL rules the pushdown
-        uses, so both paths agree on every edge case.
-        """
-        result = self.fetch()
-
-        def reduce(items: List[Any]) -> Any:
-            values = [getattr(item, column, None) for item in items]
-            return stats_of_values(values).finalise(function)
-
-        if isinstance(result, Facet):
-            return facet_map(reduce, result)
-        return reduce(result)
-
-    def _label_resolver(self, form: FORM, viewer: Any, resolve_label=None):
+    def _label_resolver(
+        self, form: FORM, viewer: Any, fetched: Optional[Dict[int, Any]] = None
+    ):
         """A memoised ``label name -> polarity`` resolver for one viewer.
 
         The one label-resolution pipeline shared by Early Pruning
-        (``_pruned``, which passes its hint-based ``resolve_label``) and
-        the aggregate pushdown's visibility filter: per-call memo, then the
-        cross-request label cache, then full policy resolution.  Outcomes
+        (``_pruned``, which passes the secret facets it fetched) and the
+        aggregate path's visibility filter: per-call memo, then the
+        cross-request label cache, then :func:`_resolve_label`.  Outcomes
         observed inside an in-flight resolution cycle are never written to
         the cross-request cache -- the re-entrancy guard reports the label
         being resolved as optimistically visible, which is only valid
@@ -926,9 +854,7 @@ class QuerySet:
         """
         label_cache = form.caches.labels if form.caches.label_cache_enabled else None
         viewer_key = viewer_cache_key(viewer) if label_cache is not None else None
-        if resolve_label is None:
-            def resolve_label(name: str) -> bool:
-                return _resolve_label(form, name, viewer)
+        model = self.model
         memo: Dict[str, bool] = {}
 
         def resolve(label_name: str) -> bool:
@@ -941,7 +867,7 @@ class QuerySet:
                 if label_cache is not None:
                     generation = label_cache.generation
                     epoch = policy_epoch()
-                cached = resolve_label(label_name)
+                cached = _resolve_label(form, label_name, viewer, model, fetched)
                 obs.add("labels.resolved")
                 if (
                     label_cache is not None
@@ -1093,61 +1019,18 @@ class QuerySet:
         re-reading the row -- the effect behind the paper's observation that
         Jacqueline can beat hand-coded checks on some pages.
         """
-        meta = self.model._meta
-        prefix = f"{meta.table_name}."
-        secret_instances: Dict[int, Any] = {}
+        prefix = f"{self.model._meta.table_name}."
+        fetched: Dict[int, Any] = {}
         for jid, branches, instance in entries:
             own = [polarity for name, polarity in branches if name.startswith(prefix)]
             if all(own):
-                secret_instances.setdefault(jid, instance)
-
-        groups_by_key = {group.key: group for group in meta.policy_groups}
-        resolve = self._label_resolver(
-            form,
-            viewer,
-            resolve_label=lambda name: self._resolve_with_hint(
-                form, name, viewer, prefix, groups_by_key, secret_instances
-            ),
-        )
-        result: List[Any] = []
-        for _jid, branches, instance in entries:
-            if all(resolve(name) == polarity for name, polarity in branches):
-                result.append(instance)
-        return result
-
-    @staticmethod
-    def _resolve_with_hint(
-        form: FORM,
-        label_name: str,
-        viewer: Any,
-        prefix: str,
-        groups_by_key: Dict[str, Any],
-        secret_instances: Dict[int, Any],
-    ) -> bool:
-        hint_group = None
-        hint_instance = None
-        if label_name.startswith(prefix):
-            parts = label_name.split(".")
-            if len(parts) == 3:
-                hint_group = groups_by_key.get(parts[2])
-                hint_instance = secret_instances.get(int(parts[1]))
-        if hint_group is None or hint_instance is None:
-            return _resolve_label(form, label_name, viewer)
-
-        # Same re-entrancy guard as _resolve_label: a policy that queries the
-        # data it guards sees its own label optimistically as visible.
-        resolving = _resolving_labels(form)
-        key = (label_name, id(viewer))
-        if key in resolving:
-            return True
-        resolving.add(key)
-        try:
-            outcome = evaluate_policy(hint_group.method, hint_instance, viewer)
-            if isinstance(outcome, Facet):
-                outcome = form.runtime.concretize(outcome, viewer)
-            return bool(outcome)
-        finally:
-            resolving.discard(key)
+                fetched.setdefault(jid, instance)
+        resolve = self._label_resolver(form, viewer, fetched)
+        return [
+            instance
+            for _jid, branches, instance in entries
+            if all(resolve(name) == polarity for name, polarity in branches)
+        ]
 
 
 class Manager:
@@ -1339,8 +1222,6 @@ class Manager:
 
     def get_by_jid(self, jid: Any) -> Any:
         if isinstance(jid, Facet):
-            from repro.core.facets import facet_map
-
             return facet_map(lambda j: self.get(jid=j) if j is not None else None, jid)
         return self.get(jid=jid)
 
@@ -1654,13 +1535,22 @@ def _policy_closure(model: Type, jid: int, group, form: FORM):
     return policy
 
 
-def _resolve_label(form: FORM, label_name: str, viewer: Any) -> bool:
+def _resolve_label(
+    form: FORM,
+    label_name: str,
+    viewer: Any,
+    model: Optional[Type] = None,
+    fetched: Optional[Dict[int, Any]] = None,
+) -> bool:
     """Resolve one label for a known viewer (Early Pruning).
 
     Labels named by the FORM convention ``Table.jid.group`` are resolved by
-    evaluating the model's policy directly; other labels (e.g. created by
-    application code through the runtime) fall back to the runtime's policy
-    environment.
+    evaluating the model's policy directly on the record's secret facet:
+    ``fetched[jid]`` when the read already holds it, else a fresh read of
+    the row.  ``model`` is the read's own model, whose labels need no
+    registry lookup; ``fetched`` holds its instances only.  Other labels
+    (e.g. created by application code through the runtime) fall back to
+    the runtime's policy environment.
 
     Policies may depend on the data they guard (the guest-list example of
     Section 2.3): evaluating such a policy issues a query whose pruning asks
@@ -1675,35 +1565,37 @@ def _resolve_label(form: FORM, label_name: str, viewer: Any) -> bool:
         return True
     resolving.add(key)
     try:
-        return _resolve_label_inner(form, label_name, viewer)
-    finally:
-        resolving.discard(key)
+        group = None
+        parts = label_name.split(".")
+        if len(parts) == 3:
+            table, jid_text, group_key = parts
+            if model is None or model._meta.table_name != table:
+                from repro.form.model import ModelRegistry
 
-
-def _resolve_label_inner(form: FORM, label_name: str, viewer: Any) -> bool:
-    parts = label_name.split(".")
-    if len(parts) == 3:
-        table, jid_text, group_key = parts
-        from repro.form.model import ModelRegistry
-
-        try:
-            model = ModelRegistry.get(table)
-        except LookupError:
-            model = None
-        if model is not None:
-            meta = model._meta
-            group = next((g for g in meta.policy_groups if g.key == group_key), None)
-            if group is not None:
-                row = _secret_instance(model, int(jid_text), form)
+                fetched = None
+                try:
+                    model = ModelRegistry.get(table)
+                except LookupError:
+                    model = None
+            if model is not None:
+                group = next(
+                    (g for g in model._meta.policy_groups if g.key == group_key), None
+                )
+        if group is not None:
+            jid = int(jid_text)
+            row = fetched.get(jid) if fetched else None
+            if row is None:
+                row = _secret_instance(model, jid, form)
                 if row is None:
                     return False
-                outcome = evaluate_policy(group.method, row, viewer)
-                if isinstance(outcome, Facet):
-                    outcome = form.runtime.concretize(outcome, viewer)
-                return bool(outcome)
-    label = Label(hint=label_name, name=label_name)
-    obs.add("policy.evaluations")
-    outcome = form.runtime.policy_env.evaluate(label, viewer)
-    if isinstance(outcome, Facet):
-        outcome = form.runtime.concretize(outcome, viewer)
-    return bool(outcome)
+            outcome = evaluate_policy(group.method, row, viewer)
+        else:
+            obs.add("policy.evaluations")
+            outcome = form.runtime.policy_env.evaluate(
+                Label(hint=label_name, name=label_name), viewer
+            )
+        if isinstance(outcome, Facet):
+            outcome = form.runtime.concretize(outcome, viewer)
+        return bool(outcome)
+    finally:
+        resolving.discard(key)

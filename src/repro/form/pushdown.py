@@ -24,8 +24,8 @@ and is counted under its reason:
   why (``plan.policy_pushdown.opaque_fallback``);
 * the predicate does not bind for this viewer
   (``plan.policy_pushdown.fallback.bind``);
-* a table holds facet rows the branch test cannot read, or probing them
-  failed (``plan.policy_pushdown.fallback.facet_rows``).
+* a table holds facet rows the branch test cannot read, or its facet
+  state is unknown (``plan.policy_pushdown.fallback.facet_rows``).
 
 >>> from repro.apps.conf.models import ConfUser, Review
 >>> profile_for(ConfUser).tier, profile_for(Review).tier
@@ -312,8 +312,9 @@ def _canonical_facet_rows(form: Any, model: type) -> bool:
     record's branch in the model's table.
 
     Holds when every facet row is a canonical single-group branch of one
-    of the model's policy groups (``Database.facet_branch_keys``), so an
-    unpolicied table must hold no facet rows at all.
+    of the model's policy groups (``Database.facet_branch_keys``, known
+    from the table's creation), so an unpolicied table must hold no facet
+    rows at all.
     """
     meta = model._meta
     try:
@@ -333,17 +334,14 @@ def pruning_conjuncts(
     model: type,
     joined_tables: List[str],
     viewer: Any,
-    probe: bool = True,
 ) -> Optional[List[Expression]]:
     """The per-table pruning predicates of a viewer-context query, or
     ``None`` when the Python path must prune.
 
     One conjunct per involved table (base plus joins), each from
     :func:`_inline_conjunct`.  A policied read that falls back is counted
-    under its reason.  ``probe=False`` (``explain``) assumes the facet
-    rows are canonical instead of running the probe statement; no
-    conjunct's SQL depends on the probe, so the reported statement
-    string-equals the executed one.
+    under its reason.  Runs no statement, so ``QuerySet.explain()`` makes
+    the same decision as the read it reports.
     """
     if not getattr(form, "policy_pushdown_enabled", True):
         return None
@@ -363,7 +361,7 @@ def pruning_conjuncts(
     if any(profile_for(m).tier == "opaque" for m in models):
         obs.add("plan.policy_pushdown.opaque_fallback")
         return None
-    if probe and not all(_canonical_facet_rows(form, m) for m in models):
+    if not all(_canonical_facet_rows(form, m) for m in models):
         obs.add("plan.policy_pushdown.fallback.facet_rows")
         return None
     qualify = bool(joined_tables)

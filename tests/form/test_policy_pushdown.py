@@ -21,6 +21,7 @@ from repro.db import Database, SqliteBackend, StatementLog
 from repro.form import (
     FORM,
     CharField,
+    QuerySet,
     ForeignKey,
     IntegerField,
     JModel,
@@ -542,3 +543,106 @@ def test_the_python_path_never_reads_a_pushed_cache_entry(kind):
     assert obs.totals.get("plan.policy_pushdown") == 2
     assert _field_values(python) == _field_values(pushed)
     database.close()
+
+
+# -- one decision per read -----------------------------------------------------------
+
+
+def _branch_label(form, name=None):
+    """Declare a pc label whose policy shows its branch to "ada" only."""
+    label = Label(hint="branch", name=name)
+    form.runtime.policy_env.declare(label)
+    form.runtime.policy_env.restrict(
+        label, lambda viewer: getattr(viewer, "name", None) == "ada"
+    )
+    return label
+
+
+def _guard_doc(form, owner):
+    """Create one Doc under a path condition, so Doc holds a pc-labelled
+    facet row; returns the label's name."""
+    label = _branch_label(form)
+    with form.runtime.under_branch(label, True):
+        Doc.objects.create(owner=owner, title="guarded", score=7)
+    return label.name
+
+
+@pytest.mark.parametrize("operation", ["fetch", "count"])
+def test_explain_reports_what_runs_over_pc_labelled_rows(pushdown_form, operation):
+    ada, _bob = _seed_docs(pushdown_form)
+    _guard_doc(pushdown_form, ada)
+    with viewer_context(ada):
+        report = Doc.objects.all().explain(operation)
+        with obs.tracing(), pushdown_form.database.observe_statements() as log:
+            getattr(Doc.objects.all(), operation)()
+    # Doc's facet rows are not all canonical: the read prunes in Python,
+    # and explain() says so, with the statement the read runs.
+    assert report["mode"] == "pruned"
+    assert report["sql"] in log.statements
+    assert obs.totals.get("plan.policy_pushdown") == 0
+    assert obs.totals.get("plan.policy_pushdown.fallback.facet_rows") == 1
+
+
+@pytest.mark.parametrize(
+    "reason, model, field",
+    [
+        ("opaque_fallback", Vault, "body"),
+        ("fallback.bind", Badge, "code"),
+        ("fallback.facet_rows", Doc, "score"),
+    ],
+)
+def test_each_count_exists_and_aggregate_counts_its_fallback_once(
+    pushdown_form, reason, model, field
+):
+    ada, _bob = _seed_docs(pushdown_form)
+    Vault.objects.create(body="launch codes")
+    Badge.objects.create(code=7, body="lucky")
+    _guard_doc(pushdown_form, ada)
+    reads = [QuerySet.count, QuerySet.exists, lambda qs: qs.aggregate(field, "MAX")]
+    with viewer_context(ada):
+        for read in reads:
+            obs.reset()
+            with obs.tracing():
+                read(model.objects.all())
+            assert obs.totals.get(f"plan.policy_pushdown.{reason}") == 1, read
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["canonical", "pc-labelled"])
+def test_an_adopted_sqlite_file_knows_its_facet_state(tmp_path, guarded):
+    path = str(tmp_path / "docs.sqlite")
+    database = Database(SqliteBackend(path))
+    form = FORM(database, cache_config=CacheConfig.disabled())
+    form.register_all(MODELS)
+    with use_form(form):
+        ada, _bob = _seed_docs(form)
+        label = _guard_doc(form, ada) if guarded else None
+    database.close()
+    # Reopening adopts the file's tables and their rows.
+    database = Database(SqliteBackend(path))
+    form = FORM(database, cache_config=CacheConfig.disabled())
+    form.register_all(MODELS)
+    try:
+        if guarded:
+            _branch_label(form, name=label)
+        assert database.may_have_facets("Doc") is True
+        assert database.may_have_facets("Owner") is False
+        assert database.facet_branch_keys("Owner") == frozenset()
+        expected_keys = None if guarded else frozenset({"title"})
+        assert database.facet_branch_keys("Doc") == expected_keys
+        query = lambda: sorted(doc.title for doc in Doc.objects.all().fetch())  # noqa: E731
+        with use_form(form):
+            ada = Owner.objects.get(name="ada")
+            with viewer_context(ada):
+                mode = Doc.objects.all().explain()["mode"]
+                with obs.tracing(), database.observe_statements() as log:
+                    titles = query()
+                oracle = _oracle(form, query)
+        pushed = not guarded
+        assert mode == ("policy-pushdown" if pushed else "pruned")
+        assert obs.totals.get("plan.policy_pushdown") == int(pushed)
+        assert len(log.statements) == 1  # no probe statement, either way
+        assert titles == oracle
+        expected = ["[secret]", "[secret]", "t1", "t3"] + (["guarded"] if guarded else [])
+        assert titles == sorted(expected)
+    finally:
+        database.close()
