@@ -19,13 +19,12 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 from repro.db.engine import Database
 from repro.db.expr import eq, eq_or_null
 from repro.db.query import (
+    Aggregate,
     Query,
     limit_by_key,
+    plan_aggregate,
     plan_bounded,
-    plan_count_distinct,
     plan_delete,
-    plan_exists,
-    plan_scalar_aggregate,
     plan_update,
 )
 from repro.db.schema import Column, ColumnType, TableSchema
@@ -312,7 +311,9 @@ class BaselineQuerySet:
             return len(self.fetch())
         db = current_baseline_db().database
         query, _joined = self._build_query(self.model._meta)
-        return int(db.aggregate(plan_count_distinct(query, "id")) or 0)
+        return db.aggregate(
+            plan_aggregate(query, (), [Aggregate("COUNT", "id", distinct=True)])
+        )
 
     def exists(self) -> bool:
         """Whether any record matches, via one ``SELECT EXISTS(...)``.
@@ -324,7 +325,7 @@ class BaselineQuerySet:
             return bool(self.fetch())
         db = current_baseline_db().database
         query, _joined = self._build_query(self.model._meta)
-        return bool(db.aggregate(plan_exists(query)))
+        return db.aggregate(plan_aggregate(query, (), [Aggregate("EXISTS")]))
 
     def aggregate(self, field_name: str, function: str) -> Any:
         """Aggregate a field over the matching rows in one SQL statement.
@@ -354,7 +355,7 @@ class BaselineQuerySet:
             return stats_of_values(values).finalise(function)
         db = current_baseline_db().database
         query, _joined = self._build_query(meta)
-        return db.aggregate(plan_scalar_aggregate(query, function, column))
+        return db.aggregate(plan_aggregate(query, (), [Aggregate(function, column)]))
 
     def sum(self, field_name: str) -> Any:
         """``SUM(field)`` in one statement (``None`` when no values)."""

@@ -22,7 +22,6 @@ from repro.db.expr import (
     Between,
     ColumnRef,
     Comparison,
-    ExistsSubquery,
     Expression,
     InList,
     InSubquery,
@@ -32,7 +31,6 @@ from repro.db.expr import (
     OrExpr,
     between,
     col,
-    exists_subquery,
     gt,
     gte,
     in_subquery,
@@ -58,11 +56,8 @@ from repro.db.query import (
     UpdatePlan,
     plan_aggregate,
     plan_bounded,
-    plan_count_distinct,
     plan_delete,
-    plan_exists,
     plan_keys,
-    plan_scalar_aggregate,
     plan_update,
 )
 from repro.db.table import Table
@@ -108,18 +103,13 @@ __all__ = [
     "Order",
     "Aggregate",
     "InSubquery",
-    "ExistsSubquery",
     "in_subquery",
-    "exists_subquery",
     "UpdatePlan",
     "DeletePlan",
     "plan_aggregate",
     "plan_bounded",
-    "plan_count_distinct",
     "plan_delete",
-    "plan_exists",
     "plan_keys",
-    "plan_scalar_aggregate",
     "plan_update",
     "Table",
     "Database",

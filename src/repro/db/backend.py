@@ -62,53 +62,34 @@ class Backend(abc.ABC):
 
     def _publish_clear(self) -> None:
         # clear() removes every row, so every table is facet-free again.
-        state = getattr(self, "_facet_state", None)
-        if state is not None:
-            for name in self.table_names():
-                state[name] = False
-        branches = getattr(self, "_branch_state", None)
-        if branches is not None:
-            for name in self.table_names():
-                branches[name] = set()
+        branches = self._branch_keys
+        for name in self.table_names():
+            branches[name] = set()
         self.invalidation.publish_all()
 
     def _publish_schema_change(self, table: Optional[str] = None) -> None:
         if table is not None:
-            self._facet_tables.pop(table, None)
             self._branch_keys.pop(table, None)
         self.invalidation.schema_changed(table)
 
     # -- facet bookkeeping ---------------------------------------------------------
 
     @property
-    def _facet_tables(self) -> Dict[str, bool]:
-        """Per-table "may hold faceted rows" bits (``jvars != ''``).
-
-        Seeded when the table is created (:meth:`_seed_facet_state`).
-        ``True`` is sticky until the table is cleared or dropped; ``False``
-        is trustworthy because every write path inspects the rows it writes
-        via :meth:`_note_facet_write`.  Absent means unknown (seeding
-        failed), which :meth:`may_have_facets` answers as ``True``.
-        """
-        state = getattr(self, "_facet_state", None)
-        if state is None:
-            state = {}
-            self._facet_state = state
-        return state
-
-    @property
     def _branch_keys(self) -> Dict[str, Optional[set]]:
-        """Per-table policy-group branch keys seen in faceted rows.
+        """Per-table facet state: the policy-group branch keys of its
+        faceted rows.
 
         ``set`` of keys when every faceted row written so far was a
         canonical single-group facet row (``jvars`` exactly
-        ``"{table}.{jid}.{key}={bool}"`` for the row's own ``jid``);
-        ``None`` is the sticky "exotic" verdict (multi-branch rows,
-        program-counter labels, foreign-jid labels, or an update whose new
-        ``jvars`` cannot be checked against a row id).  Seeded when the
-        table is created and updated in place by every write; absent means
-        unknown (seeding failed), which :meth:`facet_branch_keys` answers
-        as ``None``.
+        ``"{table}.{jid}.{key}={bool}"`` for the row's own ``jid``), so the
+        empty set means the table holds no faceted row; ``None`` is the
+        sticky "exotic" verdict (multi-branch rows, program-counter labels,
+        foreign-jid labels, or an update whose new ``jvars`` cannot be
+        checked against a row id).  Seeded when the table is created
+        (:meth:`_seed_facet_state`), updated in place by every write
+        (:meth:`_note_facet_write`) and reset to the empty set by
+        ``clear()``; absent means unknown (seeding failed), which
+        :meth:`facet_branch_keys` answers as ``None``.
         """
         state = getattr(self, "_branch_state", None)
         if state is None:
@@ -126,15 +107,12 @@ class Backend(abc.ABC):
         persistent one (streamed once, at schema time).
         """
         keys: Optional[set] = set()
-        found = False
         for jid, encoded in faceted_rows:
-            found = True
             key = self._own_branch_key(table, jid, encoded)
             if key is None:
                 keys = None
                 break
             keys.add(key)
-        self._facet_tables[table] = found
         self._branch_keys[table] = keys
 
     @staticmethod
@@ -162,13 +140,12 @@ class Backend(abc.ABC):
         return None
 
     def _note_facet_write(self, table: str, rows: Sequence[Dict[str, Any]]) -> None:
-        """Record that ``rows`` were written (facet bit + branch keys)."""
+        """Record the branch keys of the faceted ``rows`` just written."""
         branches = self._branch_keys
         for row in rows:
             encoded = row.get("jvars")
             if not encoded:
                 continue
-            self._facet_tables[table] = True
             known = branches.get(table)
             if known is None:
                 continue  # exotic (sticky) or unknown
@@ -199,9 +176,10 @@ class Backend(abc.ABC):
     def may_have_facets(self, table: str) -> bool:
         """Whether ``table`` may hold faceted rows (non-empty ``jvars``).
 
-        Served from the bit seeded at creation and maintained by every
-        write; runs no statement.  Tables without a ``jvars`` column never
-        hold facets, and an unknown table answers ``True``.
+        True unless the table's facet state (:attr:`_branch_keys`) is the
+        empty set, so it always equals ``facet_branch_keys(table) !=
+        frozenset()``; runs no statement.  Tables without a ``jvars``
+        column never hold facets, and an unknown table answers ``True``.
 
         >>> from repro.db import Database
         >>> from repro.db.schema import ColumnType
@@ -212,7 +190,8 @@ class Backend(abc.ABC):
         ...     (before, db.backend.may_have_facets("Paper"))
         (False, True)
         """
-        return self._facet_tables.get(table, True)
+        keys = self._branch_keys.get(table)
+        return keys is None or bool(keys)
 
     # -- statement observation -----------------------------------------------------
 
@@ -346,9 +325,29 @@ class Backend(abc.ABC):
     def execute(self, query: Query) -> List[Dict[str, Any]]:
         """Run a select query; join results use qualified column keys."""
 
-    @abc.abstractmethod
     def aggregate(self, query: Query) -> Any:
-        """Run an aggregate query and return the scalar result."""
+        """The value of a one-aggregate selection without GROUP BY.
+
+        Runs the selection through :meth:`execute` -- one statement on both
+        backends, the ``EXISTS`` probe included -- and reads its one result
+        row.  A grouped selection is read with :meth:`execute`.
+
+        >>> from repro.db import Database
+        >>> from repro.db.query import Aggregate
+        >>> from repro.db.schema import ColumnType
+        >>> with Database() as db:
+        ...     _ = db.define_table("Paper", score=ColumnType.INTEGER)
+        ...     _ = db.insert_many("Paper", [{"score": 3}, {"score": 5}])
+        ...     db.backend.aggregate(db.query("Paper").select_aggregates(Aggregate("MAX", "score")))
+        5
+        """
+        if len(query.aggregates) != 1 or query.group_by:
+            raise ValueError(
+                "aggregate() reads one aggregate without GROUP BY; "
+                "read other selections with execute()"
+            )
+        rows = self.execute(query)
+        return rows[0][query.aggregates[0].result_key()] if rows else None
 
     def explain_query(self, query: Query) -> Dict[str, Any]:
         """Backend-specific plan detail merged into ``Query.explain()``.
@@ -359,74 +358,6 @@ class Backend(abc.ABC):
         emit statement-observer events.  Default: nothing to add.
         """
         return {}
-
-    @staticmethod
-    def _check_aggregate(query: Query):
-        """Validate an aggregate query; returns its :class:`Aggregate`.
-
-        Shared by both backends so invalid shapes fail identically instead
-        of diverging (e.g. EXISTS has no grouped form in SQL).
-        """
-        aggregate = query.aggregate
-        if aggregate is None:
-            raise ValueError("aggregate() requires a query with an aggregate")
-        if aggregate.function.upper() == "EXISTS" and query.group_by:
-            raise ValueError("EXISTS cannot be combined with GROUP BY")
-        return aggregate
-
-    def _grouped_aggregate_dict(self, query: Query) -> Dict[tuple, Any]:
-        """The legacy ``{group key tuple: value}`` form of a GROUP BY aggregate.
-
-        Rewrites the scalar aggregate as a grouped aggregate *selection* and
-        executes it -- one statement on SQLite, the index-aware grouped path
-        on the memory engine -- so both backends share one grouping
-        implementation.
-        """
-        from dataclasses import replace
-
-        grouped = replace(query, aggregate=None, aggregates=(query.aggregate,))
-        key_name = query.aggregate.result_key()
-        return {
-            tuple(row.get(column) for column in query.group_by): row.get(key_name)
-            for row in self.execute(grouped)
-        }
-
-    def count(self, table: str, where: Optional[Expression] = None) -> int:
-        """Convenience COUNT(*) helper.
-
-        ``where`` may contain subqueries: both backends resolve them (the
-        SQL backend inline, the memory engine by materialisation).
-
-        >>> from repro.db import Database
-        >>> from repro.db.schema import ColumnType
-        >>> with Database() as db:
-        ...     _ = db.define_table("Paper", title=ColumnType.TEXT)
-        ...     _ = db.insert("Paper", title="facets")
-        ...     db.backend.count("Paper")
-        1
-        """
-        query = Query(table=table, where=where).with_aggregate("COUNT")
-        return int(self.aggregate(query) or 0)
-
-    def exists(self, table: str, where: Optional[Expression] = None) -> bool:
-        """Convenience ``SELECT EXISTS(...)`` helper: any matching row?
-
-        One statement on both backends -- SQLite stops at the first hit,
-        the memory engine early-exits its scan -- so probing a huge table
-        never fetches (or counts) its rows.
-
-        >>> from repro.db import Database
-        >>> from repro.db.schema import ColumnType
-        >>> with Database() as db:
-        ...     _ = db.define_table("Paper", title=ColumnType.TEXT)
-        ...     before = db.backend.exists("Paper")
-        ...     _ = db.insert("Paper", title="facets")
-        ...     (before, db.backend.exists("Paper"))
-        (False, True)
-        """
-        from repro.db.query import plan_exists
-
-        return bool(self.aggregate(plan_exists(Query(table=table, where=where))))
 
     # -- lifecycle -----------------------------------------------------------------------
 

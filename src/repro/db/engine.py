@@ -13,7 +13,7 @@ from repro.cache.bus import InvalidationBus
 from repro.db.backend import Backend
 from repro.db.expr import Expression, filters_to_expr
 from repro.db.memory_backend import MemoryBackend
-from repro.db.query import DeletePlan, Query, UpdatePlan
+from repro.db.query import Aggregate, DeletePlan, Query, UpdatePlan
 from repro.db.schema import Column, ColumnType, TableSchema
 
 
@@ -208,13 +208,17 @@ class Database:
     def count(self, table: str, where: Optional[Expression] = None) -> int:
         """COUNT(*) of the rows matching ``where`` (all rows when ``None``).
 
+        ``where`` may contain subqueries: both backends resolve them (the
+        SQL backend inline, the memory engine by materialisation).
+
         >>> with Database() as db:
         ...     _ = db.define_table("Paper", title=ColumnType.TEXT)
         ...     _ = db.insert_many("Paper", [{"title": "a"}, {"title": "b"}])
         ...     db.count("Paper")
         2
         """
-        return self.backend.count(table, where)
+        query = Query(table=table, where=where).select_aggregates(Aggregate("COUNT"))
+        return self.aggregate(query)
 
     def count_distinct(
         self, table: str, column: str, where: Optional[Expression] = None
@@ -231,18 +235,17 @@ class Database:
         ...     db.count_distinct("Paper", "jid")
         2
         """
-        from repro.db.query import plan_count_distinct
-
-        query = plan_count_distinct(Query(table=table, where=where), column)
-        return int(self.backend.aggregate(query) or 0)
+        count = Aggregate("COUNT", column, distinct=True)
+        return self.aggregate(Query(table=table, where=where).select_aggregates(count))
 
     def may_have_facets(self, table: str) -> bool:
-        """Whether ``table`` may hold faceted rows (write-maintained bit).
+        """Whether ``table`` may hold faceted rows (write-maintained state).
 
-        Backed by :meth:`repro.db.backend.Backend.may_have_facets`: a
-        per-table bit seeded when the table is created and kept by every
-        write, so no caller (the guarded-delete pushdown, batched loading)
-        runs a probe statement.
+        Backed by :meth:`repro.db.backend.Backend.may_have_facets`: read
+        off the per-table facet state that :meth:`facet_branch_keys` also
+        reads, seeded when the table is created and kept by every write,
+        so no caller (the guarded-delete pushdown, batched loading) runs a
+        probe statement.
 
         >>> with Database() as db:
         ...     _ = db.define_table("Paper", jvars=ColumnType.TEXT)
@@ -271,13 +274,19 @@ class Database:
     def exists(self, table: str, where: Optional[Expression] = None) -> bool:
         """``SELECT EXISTS(...)``: any matching row, without fetching rows.
 
+        One statement on both backends -- SQLite stops at the first hit,
+        the memory engine early-exits its scan -- so probing a huge table
+        never fetches (or counts) its rows.
+
         >>> with Database() as db:
         ...     _ = db.define_table("Paper", title=ColumnType.TEXT)
+        ...     before = db.exists("Paper")
         ...     _ = db.insert("Paper", title="facets")
-        ...     db.exists("Paper")
-        True
+        ...     (before, db.exists("Paper"))
+        (False, True)
         """
-        return self.backend.exists(table, where)
+        query = Query(table=table, where=where).select_aggregates(Aggregate("EXISTS"))
+        return self.aggregate(query)
 
     def execute(self, query: Query) -> List[Dict[str, Any]]:
         return self.backend.execute(query)
@@ -308,12 +317,13 @@ class Database:
         return report
 
     def aggregate(self, query: Query) -> Any:
-        """Run a scalar (or GROUP-BY dict) aggregate query.
+        """The value of a one-aggregate selection without GROUP BY
+        (:meth:`~repro.db.backend.Backend.aggregate`).
 
         >>> with Database() as db:
         ...     _ = db.define_table("Paper", score=ColumnType.INTEGER)
         ...     _ = db.insert_many("Paper", [{"score": 3}, {"score": 5}])
-        ...     db.aggregate(db.query("Paper").with_aggregate("MAX", "score"))
+        ...     db.aggregate(db.query("Paper").select_aggregates(Aggregate("MAX", "score")))
         5
         """
         return self.backend.aggregate(query)

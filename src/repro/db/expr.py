@@ -303,45 +303,6 @@ class InSubquery(Expression):
 
 
 @dataclass(frozen=True)
-class ExistsSubquery(Expression):
-    """Membership probe against a nested select: ``EXISTS (SELECT ...)``.
-
-    Unlike :class:`InSubquery` this tests whether the subquery returns *any*
-    row at all, which SQL answers without materialising the rows.  SQL
-    backends render the subselect inline; the in-memory engine materialises
-    it with :func:`resolve_subqueries` (the subquery must select exactly one
-    column, like every other memory-resolved subquery) and replaces the node
-    with a boolean literal.
-
-    EXISTS never yields UNKNOWN -- an empty result is plain FALSE -- so it
-    composes with NOT without the three-valued caveats of ``NOT IN``.
-
-    >>> from repro.db.query import Query
-    >>> from repro.db.expr import eq
-    >>> sub = Query("Review").filter(eq("score", 5)).select("id")
-    >>> ExistsSubquery(sub).to_sql()
-    ('EXISTS (SELECT "id" FROM "Review" WHERE score = ?)', [5])
-    """
-
-    subquery: Any
-
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        raise TypeError(
-            "ExistsSubquery cannot be evaluated row-by-row; materialise it "
-            "first with repro.db.expr.resolve_subqueries(expression, run_subquery)"
-        )
-
-    def to_sql(self) -> Tuple[str, List[Any]]:
-        from repro.db.sqlgen import query_to_sql
-
-        sub_sql, sub_params = query_to_sql(self.subquery, qualify=self.subquery.is_join())
-        return f"EXISTS ({sub_sql})", sub_params
-
-    def subqueries(self) -> List[Any]:
-        return [self.subquery]
-
-
-@dataclass(frozen=True)
 class AndExpr(Expression):
     left: Expression
     right: Expression
@@ -937,8 +898,6 @@ def resolve_subqueries(
         return expression
     if isinstance(expression, InSubquery):
         return InList(expression.operand, tuple(run(expression.subquery)))
-    if isinstance(expression, ExistsSubquery):
-        return Literal(bool(run(expression.subquery)))
     if isinstance(expression, AndExpr):
         return AndExpr(
             resolve_subqueries(expression.left, run),
@@ -1160,16 +1119,6 @@ def prefix_range(column: str, prefix: str) -> Expression:
 def in_subquery(column: str, subquery: Any) -> InSubquery:
     """``column IN (SELECT ...)`` against a :class:`~repro.db.query.Query`."""
     return InSubquery(ColumnRef(column), subquery)
-
-
-def exists_subquery(subquery: Any) -> ExistsSubquery:
-    """``EXISTS (SELECT ...)`` against a :class:`~repro.db.query.Query`.
-
-    >>> from repro.db.query import Query
-    >>> exists_subquery(Query("Review").select("id")).to_sql()
-    ('EXISTS (SELECT "id" FROM "Review")', [])
-    """
-    return ExistsSubquery(subquery)
 
 
 def and_all(expressions: Sequence[Expression]) -> Optional[Expression]:

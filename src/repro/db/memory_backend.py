@@ -239,24 +239,10 @@ class MemoryBackend(Backend):
         )
         return rows
 
-    def aggregate(self, query: Query) -> Any:
-        self._check_aggregate(query)
-        if query.group_by:
-            # Reported by execute() on the rewritten grouped selection --
-            # exactly one SELECT event, like the SQLite backend's pushdown.
-            return self._grouped_aggregate_dict(query)
-        if not self._observing():
-            return self._aggregate_query(query)
-        statement, params = query_to_sql(query, qualify=query.is_join())
-        started = time.perf_counter()
-        value = self._aggregate_query(query)
-        self._notify_statement(
-            "SELECT", statement, params, 1, time.perf_counter() - started
-        )
-        return value
-
     def _execute_query(self, query: Query) -> List[Dict[str, Any]]:
         if query.aggregates:
+            if query.aggregates[0].function.upper() == "EXISTS":
+                return [{"EXISTS": self._exists(query)}]
             return self._aggregate_rows(query)
         columns = query.qualified_columns() if query.is_join() else query.columns
         with self._lock:
@@ -338,33 +324,28 @@ class MemoryBackend(Backend):
                 rows = [self._pick_columns(row, columns) for row in rows]
         return rows
 
-    def _aggregate_query(self, query: Query) -> Any:
-        if query.aggregate.function.upper() == "EXISTS":
-            # Early exit: stop scanning once enough matches are seen, like
-            # the database behind SELECT EXISTS(...).  LIMIT/OFFSET stay
-            # inside the SQL subselect, so they must be honoured here too:
-            # the window is non-empty iff more than ``offset`` rows match
-            # (and the limit allows at least one row through).
-            if query.limit is not None and query.limit <= 0:
-                return False
-            with self._lock:
-                where = self._resolved_where(query)
-                source = self._source_rows(query, where)
-                predicate = None if where is None else where.compile()
-                needed = query.offset + 1
-                for row in source:
-                    if predicate is None or predicate(row):
-                        needed -= 1
-                        if needed == 0:
-                            return True
-                return False
-        if query.group_by:
-            return self._grouped_aggregate_dict(query)
-        # Scalar aggregates never return row dicts, so they read the live
-        # rows and compute entirely under the lock -- no per-row copies.
+    def _exists(self, query: Query) -> bool:
+        """The ``SELECT EXISTS(...)`` probe, with an early exit.
+
+        Stops scanning the index-narrowed candidates once enough matches
+        are seen, like the database behind the probe.  LIMIT/OFFSET stay
+        inside the SQL subselect, so they are honoured here too: the window
+        is non-empty iff more than ``offset`` rows match (and the limit
+        allows at least one row through).
+        """
+        if query.limit is not None and query.limit <= 0:
+            return False
         with self._lock:
-            rows = self._matching_rows(query, self._resolved_where(query))
-            return compute_aggregate(rows, query.aggregate)
+            where = self._resolved_where(query)
+            source = self._source_rows(query, where)
+            predicate = None if where is None else where.compile()
+            needed = query.offset + 1
+            for row in source:
+                if predicate is None or predicate(row):
+                    needed -= 1
+                    if needed == 0:
+                        return True
+            return False
 
     def _aggregate_rows(self, query: Query) -> List[Dict[str, Any]]:
         """Grouped aggregate selections: one result row per group.

@@ -8,7 +8,7 @@ FORM needs when it adds ``jvars`` columns from every joined table (Table 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.expr import Expression, column_value
@@ -42,7 +42,7 @@ class Aggregate:
     record-counting form of the FORM's ``count()`` pushdown, where one
     logical record spans several facet rows sharing a ``jid``.
     ``EXISTS`` is the whole-query membership test (``SELECT EXISTS(...)``);
-    it takes no column.
+    it takes no column and is the only aggregate of its selection.
 
     >>> Aggregate("COUNT", "jid", distinct=True).result_key()
     'COUNT(DISTINCT jid)'
@@ -98,17 +98,27 @@ class Query:
     order_by: Tuple[Order, ...] = ()
     limit: Optional[int] = None
     offset: int = 0
-    aggregate: Optional[Aggregate] = None
     group_by: Tuple[str, ...] = ()
     #: SELECT DISTINCT: deduplicate result rows (after column projection).
     distinct: bool = False
     #: Aggregate *selections*: ``SELECT group_by..., AGG1, AGG2 ... GROUP BY
     #: group_by`` executed through :meth:`Backend.execute`, one result row
     #: per group keyed by the group columns plus each aggregate's
-    #: ``result_key()``.  Unlike :attr:`aggregate` (a single scalar through
-    #: ``Backend.aggregate``), this is the planner's grouped form -- the
-    #: FORM's per-jvars-partition aggregates ride on it.
+    #: ``result_key()``; without GROUP BY, one row.  The only aggregate
+    #: form: the FORM's per-jvars-partition aggregates ride on it, and
+    #: :meth:`Backend.aggregate` reads the value of a one-aggregate one.
     aggregates: Tuple[Aggregate, ...] = ()
+
+    def __post_init__(self) -> None:
+        # EXISTS probes the whole query (SELECT EXISTS(SELECT 1 ...)), so
+        # it has no grouped or multi-aggregate form: both backends reject
+        # such a selection here, where it is built.
+        if self.aggregates and (len(self.aggregates) > 1 or self.group_by) and any(
+            aggregate.function.upper() == "EXISTS" for aggregate in self.aggregates
+        ):
+            raise ValueError(
+                "EXISTS must be a selection's only aggregate, without GROUP BY"
+            )
 
     # -- fluent builders --------------------------------------------------------------
 
@@ -183,18 +193,6 @@ class Query:
 
         return self.filter(InSubquery(ColumnRef(column), subquery))
 
-    def with_aggregate(
-        self, function: str, column: str = "*", distinct: bool = False
-    ) -> "Query":
-        """Turn the query into a scalar aggregate (COUNT/SUM/AVG/MIN/MAX/EXISTS).
-
-        >>> Query("Paper").with_aggregate("COUNT").aggregate
-        Aggregate(function='COUNT', column='*', distinct=False)
-        >>> Query("Paper").with_aggregate("COUNT", "jid", distinct=True).aggregate.result_key()
-        'COUNT(DISTINCT jid)'
-        """
-        return replace(self, aggregate=Aggregate(function, column, distinct))
-
     def select_aggregates(self, *aggregates: Aggregate) -> "Query":
         """Select aggregate computations as result columns (grouped rows).
 
@@ -207,13 +205,17 @@ class Query:
         ...      .grouped_by("jvars"))
         >>> [a.result_key() for a in q.aggregates]
         ['COUNT(*)']
+        >>> Query("Paper").select_aggregates(Aggregate("EXISTS")).grouped_by("jvars")
+        Traceback (most recent call last):
+            ...
+        ValueError: EXISTS must be a selection's only aggregate, without GROUP BY
         """
         return replace(self, aggregates=tuple(aggregates))
 
     def grouped_by(self, *columns: str) -> "Query":
         """GROUP BY for aggregate queries.
 
-        >>> Query("Paper").with_aggregate("COUNT").grouped_by("author").group_by
+        >>> Query("Paper").select_aggregates(Aggregate("COUNT")).grouped_by("author").group_by
         ('author',)
         """
         return replace(self, group_by=tuple(columns))
@@ -260,10 +262,9 @@ class Query:
         """The plan shape and rendered SQL of this query, without executing.
 
         The SQL is exactly what a backend reports through the statement
-        observer when the query runs (a grouped scalar aggregate renders as
-        the grouped selection both backends actually execute).  Plan shapes:
-        ``grouped-aggregate``, ``scalar-aggregate``, ``key-subselect`` (a
-        record-key pushdown subselect in the WHERE) or ``scan``.
+        observer when the query runs.  Plan shapes: ``grouped-aggregate``
+        (any aggregate selection), ``key-subselect`` (a record-key pushdown
+        subselect in the WHERE) or ``scan``.
 
         >>> from repro.db.expr import eq
         >>> plan = plan_bounded(Query("Paper").filter(eq("ok", True)), "jid", 2).explain()
@@ -271,25 +272,18 @@ class Query:
         'key-subselect'
         >>> plan["sql"]
         'SELECT * FROM "Paper" WHERE (ok = ? AND jid IN (SELECT DISTINCT "jid" FROM "Paper" WHERE ok = ? LIMIT 2))'
-        >>> Query("Paper").with_aggregate("COUNT").grouped_by("jvars").explain()["plan"]
+        >>> Query("Paper").select_aggregates(Aggregate("COUNT")).explain()["plan"]
         'grouped-aggregate'
         """
         from repro.db.sqlgen import query_to_sql
 
-        query = self
-        if self.aggregate is not None and self.group_by:
-            # Mirror Backend._grouped_aggregate_dict: the grouped dict API
-            # executes as a grouped aggregate *selection*.
-            query = replace(self, aggregate=None, aggregates=(self.aggregate,))
-        if query.aggregates:
+        if self.aggregates:
             plan = "grouped-aggregate"
-        elif query.aggregate is not None:
-            plan = "scalar-aggregate"
-        elif query.where is not None and query.where.subqueries():
+        elif self.where is not None and self.where.subqueries():
             plan = "key-subselect"
         else:
             plan = "scan"
-        sql, params = query_to_sql(query, qualify=query.is_join())
+        sql, params = query_to_sql(self, qualify=self.is_join())
         return {
             "plan": plan,
             "sql": sql,
@@ -317,7 +311,7 @@ def order_outside_selection(query: "Query") -> bool:
     """
     if not (query.distinct and query.columns and query.order_by):
         return False
-    if query.group_by or query.aggregate is not None or query.aggregates:
+    if query.group_by or query.aggregates:
         return False
     selected = set(query.columns) | set(query.qualified_columns() or ())
     bare = {name.rsplit(".", 1)[-1] for name in selected}
@@ -486,7 +480,6 @@ def plan_keys(query: "Query", key_column: str) -> "Query":
         columns=(key_column,),
         distinct=True,
         order_by=query.order_by if bounded else (),
-        aggregate=None,
         aggregates=(),
         group_by=(),
     )
@@ -571,92 +564,43 @@ def plan_delete(query: "Query", key_column: Optional[str] = None) -> DeletePlan:
     return DeletePlan(query.table, _plan_write_where(query, key_column))
 
 
-def plan_scalar_aggregate(
-    query: "Query", function: str, column: str = "*", distinct: bool = False
-) -> "Query":
-    """Compile a filtered query to a single scalar-aggregate statement.
-
-    Strips the row-shaping clauses (projection, DISTINCT, ordering,
-    LIMIT/OFFSET) that are meaningless under a scalar aggregate, keeps the
-    filters and joins, and qualifies a bare ``column`` with the base table
-    under joins (both joined tables may carry the column).
-
-    >>> from repro.db.sqlgen import query_to_sql
-    >>> q = plan_scalar_aggregate(Query("Paper").ordered_by("title"), "MAX", "score")
-    >>> query_to_sql(q)[0]
-    'SELECT MAX("score") FROM "Paper"'
-    """
-    if column != "*" and "." not in column and query.is_join():
-        column = f"{query.table}.{column}"
-    return replace(
-        query,
-        columns=None,
-        distinct=False,
-        order_by=(),
-        limit=None,
-        offset=0,
-        aggregate=Aggregate(function, column, distinct),
-        aggregates=(),
-        group_by=(),
-    )
-
-
-def plan_count_distinct(query: "Query", key_column: str) -> "Query":
-    """Compile a record count to one ``COUNT(DISTINCT key)`` statement.
-
-    The record-counting analogue of :func:`plan_bounded`: a raw
-    ``COUNT(*)`` counts *rows*, but one logical record spans several rows
-    (one per facet for the FORM, one per join match for the baseline), so
-    the count ranges over DISTINCT record keys instead.
-
-    >>> from repro.db.sqlgen import query_to_sql
-    >>> query_to_sql(plan_count_distinct(Query("Paper"), "jid"))[0]
-    'SELECT COUNT(DISTINCT "jid") FROM "Paper"'
-    """
-    return plan_scalar_aggregate(query, "COUNT", key_column, distinct=True)
-
-
-def plan_exists(query: "Query") -> "Query":
-    """Compile a membership probe to one ``SELECT EXISTS(...)`` statement.
-
-    The database answers "does any row match?" without returning rows; the
-    in-memory engine evaluates it with the same early exit.
-
-    >>> from repro.db.expr import eq
-    >>> from repro.db.sqlgen import query_to_sql
-    >>> query_to_sql(plan_exists(Query("Paper").filter(eq("accepted", True))))[0]
-    'SELECT EXISTS(SELECT 1 FROM "Paper" WHERE accepted = ?)'
-    """
-    return plan_scalar_aggregate(query, "EXISTS")
-
-
 def plan_aggregate(
     query: "Query",
     group_columns: Sequence[str],
     aggregates: Sequence[Aggregate],
 ) -> "Query":
-    """Compile a filtered query to one grouped-aggregate statement.
+    """Compile a filtered query to one aggregate-selection statement.
 
     Keeps the query's filters and joins, drops row shaping (projection,
     DISTINCT, ordering, LIMIT/OFFSET), and selects ``aggregates`` per
     group of ``group_columns`` -- the single statement behind the FORM's
     aggregates-under-facets: grouping by the ``jvars`` columns partitions
     matching rows by label assignment, and the per-partition aggregates
-    merge into one faceted result (see ``repro.form.aggregates``).
+    merge into one faceted result (see ``repro.form.aggregates``).  With
+    no group columns it is a scalar aggregate: one result row, whose one
+    value :meth:`~repro.db.backend.Backend.aggregate` reads.
 
-    Bare group columns are qualified with the base table under joins, like
-    every other column resolution in this package.
+    Bare group and aggregate columns are qualified with the base table
+    under joins (both joined tables may carry the column), like every
+    other column resolution in this package.
 
     >>> from repro.db.sqlgen import query_to_sql
     >>> q = plan_aggregate(Query("Paper"), ["jvars"], [Aggregate("COUNT")])
     >>> query_to_sql(q)[0]
     'SELECT "jvars" AS "jvars", COUNT(*) AS "COUNT(*)" FROM "Paper" GROUP BY "jvars"'
+    >>> q = plan_aggregate(Query("Paper").ordered_by("title").limited(3), (), [Aggregate("MAX", "score")])
+    >>> query_to_sql(q)[0]
+    'SELECT MAX("score") AS "MAX(score)" FROM "Paper"'
     """
-    qualified = []
-    for name in group_columns:
-        if "." not in name and query.is_join():
-            name = f"{query.table}.{name}"
-        qualified.append(name)
+    if query.is_join():
+        def qualified(name: str) -> str:
+            return name if name == "*" or "." in name else f"{query.table}.{name}"
+
+        group_columns = [qualified(name) for name in group_columns]
+        aggregates = [
+            replace(aggregate, column=qualified(aggregate.column))
+            for aggregate in aggregates
+        ]
     return replace(
         query,
         columns=None,
@@ -664,9 +608,8 @@ def plan_aggregate(
         order_by=(),
         limit=None,
         offset=0,
-        aggregate=None,
         aggregates=tuple(aggregates),
-        group_by=tuple(qualified),
+        group_by=tuple(group_columns),
     )
 
 
@@ -805,8 +748,6 @@ def compute_aggregate(rows: List[Dict[str, Any]], aggregate: Aggregate) -> Any:
     2
     """
     function = aggregate.function.upper()
-    if function == "EXISTS":
-        return bool(rows)
     if function == "COUNT" and aggregate.column == "*":
         return len(rows)
     values = [

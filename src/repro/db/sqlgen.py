@@ -10,7 +10,7 @@ joined table and joins foreign keys on ``jid`` instead of the primary key.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.db.query import (
     Aggregate,
@@ -65,30 +65,30 @@ def query_to_sql(
     >>> print(query_to_sql(sub)[0])
     SELECT "jid" FROM "Paper" GROUP BY "jid" ORDER BY (MIN("title") IS NULL) ASC, MIN("title") ASC, "jid" ASC LIMIT 5
 
-    Aggregate pushdowns render the same way on both backends: scalar
-    aggregates (``COUNT(DISTINCT jid)``, ``EXISTS``) become one statement,
-    and grouped aggregate selections alias each aggregate with its
-    ``result_key`` so result rows are keyed identically everywhere:
+    Aggregate selections render the same way on both backends, each
+    aggregate aliased with its ``result_key`` so result rows are keyed
+    identically everywhere -- grouped, scalar (``COUNT(DISTINCT jid)``)
+    or the ``EXISTS`` probe, which wraps the whole query:
 
-    >>> print(query_to_sql(Query("Paper").with_aggregate("COUNT", "jid", distinct=True))[0])
-    SELECT COUNT(DISTINCT "jid") FROM "Paper"
-    >>> print(query_to_sql(Query("Paper").with_aggregate("EXISTS"))[0])
-    SELECT EXISTS(SELECT 1 FROM "Paper")
     >>> grouped = (Query("Paper").select_aggregates(Aggregate("SUM", "score"))
     ...            .grouped_by("jvars"))
     >>> print(query_to_sql(grouped)[0])
     SELECT "jvars" AS "jvars", SUM("score") AS "SUM(score)" FROM "Paper" GROUP BY "jvars"
+    >>> print(query_to_sql(Query("Paper").select_aggregates(Aggregate("COUNT", "jid", distinct=True)))[0])
+    SELECT COUNT(DISTINCT "jid") AS "COUNT(DISTINCT jid)" FROM "Paper"
+    >>> print(query_to_sql(Query("Paper").select_aggregates(Aggregate("EXISTS")))[0])
+    SELECT EXISTS(SELECT 1 FROM "Paper") AS "EXISTS"
     """
     params: List[Any] = []
 
-    if query.aggregate is not None and query.aggregate.function.upper() == "EXISTS":
-        # EXISTS wraps the whole (aggregate-free) query: the database
-        # answers the membership probe without returning any row.  DISTINCT
-        # and ORDER BY cannot change whether any row exists, so they are
-        # dropped from the subselect (LIMIT/OFFSET can, and stay).
-        inner = replace(query, aggregate=None, distinct=False, order_by=())
+    if query.aggregates and query.aggregates[0].function.upper() == "EXISTS":
+        # EXISTS (a selection's only aggregate) wraps the whole query: the
+        # database answers the membership probe without returning any row.
+        # DISTINCT and ORDER BY cannot change whether any row exists, so
+        # they are dropped from the subselect (LIMIT/OFFSET can, and stay).
+        inner = replace(query, aggregates=(), distinct=False, order_by=())
         inner_sql, inner_params = query_to_sql(inner, qualify=qualify, _select="1")
-        return f"SELECT EXISTS({inner_sql})", inner_params
+        return f'SELECT EXISTS({inner_sql}) AS "EXISTS"', inner_params
 
     # A distinct query ordered by non-selected columns evaluates in grouped
     # form (see order_outside_selection): DISTINCT becomes GROUP BY over
@@ -105,8 +105,6 @@ def query_to_sql(
             for aggregate in query.aggregates
         )
         select_clause = ", ".join(parts)
-    elif query.aggregate is not None:
-        select_clause = _render_aggregate(query.aggregate)
     elif query.columns:
         names = query.qualified_columns() if qualify else query.columns
         select_clause = ", ".join(_quote_name(name) for name in names)
@@ -133,7 +131,7 @@ def query_to_sql(
 
     if query.where is not None:
         where_sql, where_params = query.where.to_sql()
-        statement += f" WHERE {_quote_where(where_sql)}"
+        statement += f" WHERE {where_sql}"
         params.extend(where_params)
 
     if query.group_by:
@@ -236,15 +234,6 @@ def _quote_name(name: str) -> str:
         table, column = name.rsplit(".", 1)
         return f'"{table}"."{column}"'
     return f'"{name}"'
-
-
-def _quote_where(fragment: str) -> str:
-    """Qualify bare column tokens in a rendered where clause.
-
-    Expression.to_sql emits bare names; SQLite accepts them as-is, so the
-    clause only needs cosmetic quoting for qualified names.
-    """
-    return fragment
 
 
 # -- Table 2: Django vs. Jacqueline translations ----------------------------------------

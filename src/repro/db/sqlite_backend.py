@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.db.backend import Backend
 from repro.db.expr import Expression
 from repro.db.observe import insert_summary, replace_summary
-from repro.db.query import DeletePlan, Query, UpdatePlan, compute_aggregate
+from repro.db.query import DeletePlan, Query, UpdatePlan
 from repro.db.schema import Column, ColumnType, SchemaError, TableSchema, index_name
 from repro.db.sqlgen import delete_to_sql, query_to_sql, schema_to_sql, update_to_sql
 
@@ -466,9 +466,9 @@ class SqliteBackend(Backend):
                 time.perf_counter() - started,
             )
         if query.aggregates:
-            # Grouped aggregate selections: the SELECT list carries explicit
-            # aliases (group columns as spelled, aggregates by result_key),
-            # so the row dicts already match the memory backend's keys.
+            # Aggregate selections: the SELECT list carries explicit aliases
+            # (group columns as spelled, aggregates by result_key), so the
+            # row dicts already match the memory backend's keys.
             return [
                 self._decode_aggregate_row(query, dict(row)) for row in raw_rows
             ]
@@ -486,31 +486,6 @@ class SqliteBackend(Backend):
                     if value is not None:
                         row[name] = decode(value)
         return rows
-
-    def aggregate(self, query: Query) -> Any:
-        self._check_aggregate(query)
-        if query.group_by:
-            # Push the grouping down as one GROUP BY statement (it used to
-            # fetch every matching row and group in Python).
-            return self._grouped_aggregate_dict(query)
-        statement, params = query_to_sql(query, qualify=query.is_join())
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
-        with self._reading() as connection:
-            cursor = connection.execute(statement, self._encode_params(params))
-            row = cursor.fetchone()
-        if observing:
-            self._notify_statement(
-                "SELECT", statement, params, 1 if row is not None else 0,
-                time.perf_counter() - started,
-            )
-        value = row[0] if row is not None else None
-        function = query.aggregate.function.upper()
-        if function == "EXISTS":
-            return bool(value)
-        if function in ("MIN", "MAX"):
-            value = self._decode_aggregated_value(query, query.aggregate, value)
-        return value
 
     def explain_query(self, query: Query) -> Dict[str, Any]:
         """SQLite's own ``EXPLAIN QUERY PLAN`` rows for this query.
@@ -588,29 +563,27 @@ class SqliteBackend(Backend):
                 return schema.column(bare)
         return None
 
-    def _decode_aggregated_value(self, query: Query, aggregate, value: Any) -> Any:
-        """Decode a MIN/MAX result through its source column's type.
-
-        MIN/MAX return one of the stored values, so BOOLEAN/DATETIME
-        columns decode exactly like a plain row read -- keeping value
-        parity with the memory backend, which stores live Python objects.
-        """
-        if aggregate.column == "*":
-            return value
-        column = self._source_column(query, aggregate.column)
-        if column is None:
-            return value
-        return self._decode_value(column, value)
-
     def _decode_aggregate_row(self, query: Query, row: Dict[str, Any]) -> Dict[str, Any]:
+        """Decode one aggregate-selection row to the memory backend's values.
+
+        Group columns and MIN/MAX results decode through their source
+        column's type (MIN/MAX return one of the stored values, so
+        BOOLEAN/DATETIME columns decode exactly like a plain row read), and
+        the stored 0/1 of ``EXISTS`` becomes a ``bool``.
+        """
         for name in query.group_by:
             column = self._source_column(query, name)
             if column is not None:
                 row[name] = self._decode_value(column, row.get(name))
         for aggregate in query.aggregates:
-            if aggregate.function.upper() in ("MIN", "MAX"):
-                key = aggregate.result_key()
-                row[key] = self._decode_aggregated_value(query, aggregate, row.get(key))
+            function = aggregate.function.upper()
+            key = aggregate.result_key()
+            if function == "EXISTS":
+                row[key] = bool(row[key])
+            elif function in ("MIN", "MAX"):
+                column = self._source_column(query, aggregate.column)
+                if column is not None:
+                    row[key] = self._decode_value(column, row.get(key))
         return row
 
     def _join_column_names(self, query: Query) -> List[str]:

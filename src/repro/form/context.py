@@ -22,7 +22,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.integration import FormCaches
 from repro.core.runtime import JeevesRuntime
 from repro.db.engine import Database
-from repro.db.query import Query
+from repro.db.query import Aggregate, Query
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.form.model import JModel
@@ -88,7 +88,7 @@ class FORM:
             self._jid_counters.setdefault(options.table_name, 0)
         try:
             stored_max = self.database.aggregate(
-                Query(table=options.table_name).with_aggregate("MAX", "jid")
+                Query(table=options.table_name).select_aggregates(Aggregate("MAX", "jid"))
             )
         except Exception:
             # The table pre-exists without the jid meta-data column (legacy

@@ -95,6 +95,9 @@ class _ReadPlan(NamedTuple):
     #: whether the grouped jvars-partition statement can serve ``count()``
     #: and ``aggregate()``; otherwise they fetch and reduce in Python
     grouped: bool
+    #: the fallback counter a pruned read of a policied model bumps when
+    #: it runs (:func:`repro.form.pushdown.pruning_conjuncts`), or ``None``
+    fallback: Optional[str] = None
 
 
 class QuerySet:
@@ -381,7 +384,12 @@ class QuerySet:
         A read reports the record of :meth:`_plan`, the one its verb runs:
         ``mode`` is ``"faceted"`` outside a viewer context,
         ``"policy-pushdown"`` when the viewer's pruning predicate joins the
-        statement and ``"pruned"`` when Python prunes.  A write reports
+        statement and ``"pruned"`` when Python prunes, with ``fallback``
+        naming the counter such a read of a policied model bumps when it
+        runs.  Like :meth:`repro.db.Database.explain`, a read's report
+        carries the backend's plan detail (the memory engine's
+        ``chosen_plan``/``considered_plans``, SQLite's ``sqlite_plan``).
+        Explaining runs no statement and bumps no counter.  A write reports
         what :meth:`_update_plan` / :meth:`_delete_plan` return, the
         helpers its verb runs.  ``operation`` selects the entry point:
 
@@ -416,20 +424,19 @@ class QuerySet:
                     field_name = values.get("field")
                     if field_name is not None:
                         column = self._aggregate_column(meta, field_name, function)
-                report = self._grouped_query(plan, function, column)[0].explain()
+                query = self._grouped_query(plan, function, column)
             else:
                 query = self._fetch_query(plan)
-                report = query.explain()
-                # Backend plan detail: the memory engine's cost-model choice
-                # (chosen_plan / considered_plans), SQLite's EXPLAIN QUERY PLAN.
-                report.update(form.database.backend.explain_query(query))
-                if operation != "fetch":
-                    report["plan"] = "fetch-fallback"
-                    report["reason"] = (
-                        "bounded query set" if self.limit is not None or self.offset
-                        else "pruned query on a policied model"
-                    )
+            report = form.database.explain(query)
+            if operation != "fetch" and not plan.grouped:
+                report["plan"] = "fetch-fallback"
+                report["reason"] = (
+                    "bounded query set" if self.limit is not None or self.offset
+                    else "pruned query on a policied model"
+                )
             report["mode"] = plan.mode
+            if plan.fallback is not None:
+                report["fallback"] = plan.fallback
         elif operation in ("update", "delete"):
             forced: Tuple[str, ...] = ()
             if operation == "update":
@@ -466,8 +473,9 @@ class QuerySet:
         fallback depends on seeing them.
 
         Every read verb runs the record this returns and :meth:`explain`
-        reports it, so each read counts its fallback once and the reported
-        statement is the executed one.
+        reports it, so the reported statement is the executed one.  The
+        record names the fallback counter, which the read bumps once when
+        it runs (:meth:`_fetch`, or :meth:`_aggregate`'s grouped branch).
         """
         meta = self.model._meta
         query, joined = self._filtered_query(meta)
@@ -475,9 +483,9 @@ class QuerySet:
         viewer = current_viewer()
         if viewer is None:
             return _ReadPlan("faceted", query, joined, not bounded)
-        conjuncts = None
+        conjuncts, fallback = None, None
         if not bounded:
-            conjuncts = pushdown_sql.pruning_conjuncts(
+            conjuncts, fallback = pushdown_sql.pruning_conjuncts(
                 current_form(), self.model, joined, viewer
             )
         if conjuncts:
@@ -486,10 +494,13 @@ class QuerySet:
             return _ReadPlan("policy-pushdown", query, joined, True)
         # Early Pruning on a policied model evaluates its policies against
         # the fetched secret facets, which a grouped statement cannot return.
-        return _ReadPlan("pruned", query, joined, not bounded and not meta.policy_groups)
+        grouped = not bounded and not meta.policy_groups
+        return _ReadPlan("pruned", query, joined, grouped, fallback)
 
     def _fetch(self, form: FORM, plan: _ReadPlan) -> Any:
         """Run a read plan's row-fetching statement and prune per its mode."""
+        if plan.fallback is not None:
+            obs.add(plan.fallback)
         with obs.span("form.fetch", model=self.model._meta.table_name):
             entries = self._fetch_entries(form, plan)
             if plan.mode == "policy-pushdown":
@@ -521,7 +532,6 @@ class QuerySet:
         query = self._ordered_query(self.model._meta, plan.query, plan.joined)
         if self.limit is None and not self.offset:
             return query
-        obs.add("plan.bounded")
         return plan_bounded(query, "jid", self.limit, self.offset)
 
     def _fetch_entries(
@@ -565,6 +575,8 @@ class QuerySet:
                 raw_entries.append((int(values.get("jid")), branches, values))
             return raw_entries
 
+        if self.limit is not None or self.offset:
+            obs.add("plan.bounded")
         raw_entries = self._cached(form, self._fetch_query(plan), unmarshal)
         entries = [
             (jid, branches, _instance_from_row(self.model, values))
@@ -684,18 +696,19 @@ class QuerySet:
 
             result = self._fetch(form, plan)
             return facet_map(reduce, result) if isinstance(result, Facet) else reduce(result)
-        query, group_columns, specs = self._grouped_query(plan, function, column)
+        if plan.fallback is not None:
+            obs.add(plan.fallback)
+        query = self._grouped_query(plan, function, column)
         obs.add("plan.aggregate_pushdown")
 
         def partitions(rows):
             groups = []
             for row in rows:
                 branches: List[JvarBranch] = []
-                for group_column in group_columns:
+                for group_column in query.group_by:
                     branches.extend(parse_jvars(row.get(group_column)))
-                groups.append(
-                    (tuple(dict.fromkeys(branches)), self._stats_from_row(row, specs))
-                )
+                stats = self._stats_from_row(row, query.aggregates)
+                groups.append((tuple(dict.fromkeys(branches)), stats))
             return groups
 
         groups = self._cached(form, query, partitions)
@@ -714,7 +727,7 @@ class QuerySet:
 
     def _grouped_query(
         self, plan: _ReadPlan, function: str, column: Optional[str]
-    ) -> Tuple[Query, List[str], Tuple[Aggregate, ...]]:
+    ) -> Query:
         """The grouped statement of an aggregate over a read plan:
         ``SELECT jvars..., AGG... GROUP BY jvars...``.
 
@@ -723,20 +736,19 @@ class QuerySet:
         plan drops the GROUP BY entirely: with the engine pruning,
         partitioning by label assignment would only split one visible world
         across thousands of per-record groups to be re-summed in Python.
-        Returns ``(query, group_columns, specs)``.
+        Result rows are keyed by the query's ``group_by`` columns and its
+        aggregates' ``result_key()``, both qualified under joins by
+        :func:`~repro.db.query.plan_aggregate`.
         """
-        meta = self.model._meta
-        if column is not None and plan.joined and "." not in column:
-            column = f"{meta.table_name}.{column}"
-        specs = tuple(
+        specs = [
             Aggregate(name) if column is None else Aggregate(name, column)
             for name in _STATS_SPECS.get(function, (function,))
-        )
+        ]
         group_columns: List[str] = []
         if plan.mode != "policy-pushdown":
-            group_columns.append(f"{meta.table_name}.jvars" if plan.joined else "jvars")
+            group_columns.append("jvars")
             group_columns.extend(f"{table}.jvars" for table in plan.joined)
-        return plan_aggregate(plan.query, group_columns, specs), group_columns, specs
+        return plan_aggregate(plan.query, group_columns, specs)
 
     @staticmethod
     def _stats_from_row(row: Dict[str, Any], specs: Sequence[Aggregate]) -> ColumnStats:
@@ -779,11 +791,11 @@ class QuerySet:
         Outside a path condition: ``DELETE FROM t WHERE jid IN (SELECT
         DISTINCT jid ...)``.  Under one, a single-branch pc on a model with
         no policy groups, over a table holding no facet rows (the
-        write-maintained facet bit), has a static shape: every matching
+        write-maintained facet state), has a static shape: every matching
         record's sole facet row survives confined to the negated branch, so
         the whole delete is ``UPDATE t SET jvars = '<negated>' WHERE jid IN
         (...) AND jvars = ''``.  :meth:`delete` calls this under the FORM
-        save lock, so no write lands between the facet-bit check and the
+        save lock, so no write lands between the facet-state check and the
         statement; the per-row ``jvars = ''`` guard is the second line of
         defence, leaving any row with facet structure untouched.
         """

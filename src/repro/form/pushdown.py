@@ -17,7 +17,7 @@ The viewer-only parts of the predicate fold to booleans when it binds.
 
 Every other viewer-context read of a policied model takes the Python
 path, which is also the differential-testing oracle (``tests/fuzz/``),
-and is counted under its reason:
+and counts its reason when it runs (``QuerySet.explain()`` reports it):
 
 * a model in the query has the ``"opaque"`` tier
   (:func:`repro.analysis.classify.model_tier`), whose ``reason`` names
@@ -34,9 +34,8 @@ and is counted under its reason:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
-from repro import obs
 from repro.analysis import symbolic as sym
 from repro.analysis.classify import PolicyTier, model_tier
 from repro.analysis.facts import facts_for_model
@@ -334,17 +333,19 @@ def pruning_conjuncts(
     model: type,
     joined_tables: List[str],
     viewer: Any,
-) -> Optional[List[Expression]]:
-    """The per-table pruning predicates of a viewer-context query, or
-    ``None`` when the Python path must prune.
+) -> Tuple[Optional[List[Expression]], Optional[str]]:
+    """``(conjuncts, fallback)`` for a viewer-context query.
 
-    One conjunct per involved table (base plus joins), each from
-    :func:`_inline_conjunct`.  A policied read that falls back is counted
-    under its reason.  Runs no statement, so ``QuerySet.explain()`` makes
-    the same decision as the read it reports.
+    ``conjuncts`` are the per-table pruning predicates, one per involved
+    table (base plus joins), each from :func:`_inline_conjunct`; ``None``
+    when the Python path must prune.  ``fallback`` then names the counter
+    a policied read that falls back bumps when it runs (``None`` when
+    nothing in the query is policied).  Runs no statement and counts
+    nothing, so ``QuerySet.explain()`` makes the same decision as the read
+    it reports.
     """
     if not getattr(form, "policy_pushdown_enabled", True):
-        return None
+        return None, None
     from repro.form.model import ModelRegistry
 
     models = [model]
@@ -352,21 +353,18 @@ def pruning_conjuncts(
         try:
             models.append(ModelRegistry.get(table))
         except LookupError:
-            return None
+            return None, None
     if not any(m._meta.policy_groups for m in models):
         # Nothing policied anywhere in the query: the existing paths are
         # already optimal (and unpolicied pc-label rows stay on the
         # resolver path, whose semantics they were written against).
-        return None
+        return None, None
     if any(profile_for(m).tier == "opaque" for m in models):
-        obs.add("plan.policy_pushdown.opaque_fallback")
-        return None
+        return None, "plan.policy_pushdown.opaque_fallback"
     if not all(_canonical_facet_rows(form, m) for m in models):
-        obs.add("plan.policy_pushdown.fallback.facet_rows")
-        return None
+        return None, "plan.policy_pushdown.fallback.facet_rows"
     qualify = bool(joined_tables)
     try:
-        return [_inline_conjunct(m, viewer, qualify) for m in models]
+        return [_inline_conjunct(m, viewer, qualify) for m in models], None
     except _Demote:
-        obs.add("plan.policy_pushdown.fallback.bind")
-        return None
+        return None, "plan.policy_pushdown.fallback.bind"

@@ -83,7 +83,7 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     ),
     "plan.policy_pushdown.fallback.facet_rows": (
         "pruned reads sent to the Python path because a table holds facet "
-        "rows the inline branch test cannot read, or probing them failed"
+        "rows the inline branch test cannot read, or its facet state is unknown"
     ),
     "plan.index.hash_probe": (
         "memory-engine reads served by a hash-index bucket probe "

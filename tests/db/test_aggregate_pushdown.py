@@ -1,10 +1,10 @@
 """The aggregate-pushdown layer of ``repro.db``: rendering and evaluation.
 
 Covers :class:`~repro.db.query.Aggregate` selections (COUNT DISTINCT,
-EXISTS, grouped multi-aggregates), the ``plan_*`` compilers, SQL NULL
-semantics, the memory backend's index-narrowed scans, and backend parity --
-the memory engine must return exactly what SQLite returns for every
-aggregate shape.
+EXISTS, grouped multi-aggregates), the ``plan_aggregate`` compiler, SQL
+NULL semantics, the memory backend's index-narrowed scans, and backend
+parity -- the memory engine must return exactly what SQLite returns for
+every aggregate shape.
 """
 
 import datetime
@@ -18,14 +18,8 @@ from repro.db import (
     SqliteBackend,
     StatementLog,
 )
-from repro.db.expr import InList, col, eq, exists_subquery, in_subquery
-from repro.db.query import (
-    Query,
-    plan_aggregate,
-    plan_count_distinct,
-    plan_exists,
-    plan_scalar_aggregate,
-)
+from repro.db.expr import InList, col, eq
+from repro.db.query import Query, plan_aggregate
 from repro.db.schema import ColumnType
 from repro.db.sqlgen import query_to_sql
 from repro.db.table import Table
@@ -59,27 +53,32 @@ def test_aggregate_validation():
 
 
 def test_exists_with_group_by_rejected_identically(database):
-    # EXISTS has no grouped form in SQL; both backends must reject it the
-    # same way instead of one answering and the other crashing mid-SQL.
+    # EXISTS has no grouped form in SQL; the selection is rejected where it
+    # is built, so neither backend ever sees it.
     _seed_scores(database)
-    query = Query("Score").with_aggregate("EXISTS").grouped_by("jid")
     with pytest.raises(ValueError, match="GROUP BY"):
-        database.aggregate(query)
+        Query("Score").select_aggregates(Aggregate("EXISTS")).grouped_by("jid")
+    with pytest.raises(ValueError, match="GROUP BY"):
+        plan_aggregate(Query("Score"), ["jid"], [Aggregate("EXISTS")])
+    with pytest.raises(ValueError, match="only aggregate"):
+        Query("Score").select_aggregates(Aggregate("EXISTS"), Aggregate("COUNT"))
+    assert database.aggregate(Query("Score").select_aggregates(Aggregate("EXISTS"))) is True
 
 
 # -- SQL rendering ------------------------------------------------------------------------
 
 
 def test_count_distinct_renders_one_statement():
-    statement, params = query_to_sql(plan_count_distinct(Query("Score"), "jid"))
-    assert statement == 'SELECT COUNT(DISTINCT "jid") FROM "Score"'
+    query = plan_aggregate(Query("Score"), (), [Aggregate("COUNT", "jid", distinct=True)])
+    statement, params = query_to_sql(query)
+    assert statement == 'SELECT COUNT(DISTINCT "jid") AS "COUNT(DISTINCT jid)" FROM "Score"'
     assert params == []
 
 
 def test_exists_renders_wrapped_subselect_with_params():
-    query = plan_exists(Query("Score").filter(eq("points", 7)))
+    query = plan_aggregate(Query("Score").filter(eq("points", 7)), (), [Aggregate("EXISTS")])
     statement, params = query_to_sql(query)
-    assert statement == 'SELECT EXISTS(SELECT 1 FROM "Score" WHERE points = ?)'
+    assert statement == 'SELECT EXISTS(SELECT 1 FROM "Score" WHERE points = ?) AS "EXISTS"'
     assert params == [7]
 
 
@@ -91,15 +90,15 @@ def test_plan_scalar_aggregate_strips_row_shaping():
         .ordered_by("points")
         .limited(3, offset=1)
     )
-    planned = plan_scalar_aggregate(query, "MAX", "points")
+    planned = plan_aggregate(query, (), [Aggregate("MAX", "points")])
     statement, _params = query_to_sql(planned)
-    assert statement == 'SELECT MAX("points") FROM "Score"'
+    assert statement == 'SELECT MAX("points") AS "MAX(points)" FROM "Score"'
 
 
 def test_plan_scalar_aggregate_qualifies_column_under_joins():
     query = Query("Book").join("Author", "author_id", "id")
-    planned = plan_scalar_aggregate(query, "SUM", "pages")
-    assert planned.aggregate.column == "Book.pages"
+    planned = plan_aggregate(query, (), [Aggregate("SUM", "pages")])
+    assert planned.aggregates[0].column == "Book.pages"
 
 
 def test_grouped_aggregates_render_aliases():
@@ -119,28 +118,6 @@ def test_plan_aggregate_qualifies_group_columns_under_joins():
     assert planned.group_by == ("Paper.jvars", "ConfUser.jvars")
 
 
-def test_exists_subquery_renders_in_where():
-    sub = Query("Review").filter(eq("score", 5)).select("paper")
-    statement, params = query_to_sql(Query("Paper").filter(exists_subquery(sub)))
-    assert statement == (
-        'SELECT * FROM "Paper" WHERE EXISTS (SELECT "paper" FROM "Review" '
-        "WHERE score = ?)"
-    )
-    assert params == [5]
-
-
-def test_tables_read_includes_exists_subquery_tables():
-    sub = Query("Review").select("paper")
-    query = Query("Paper").filter(exists_subquery(sub))
-    assert query.tables_read() == ("Paper", "Review")
-
-
-def test_unresolved_exists_subquery_cannot_evaluate():
-    expression = exists_subquery(Query("Review").select("paper"))
-    with pytest.raises(TypeError, match="resolve_subqueries"):
-        expression.evaluate({})
-
-
 # -- evaluation on both backends ----------------------------------------------------------
 
 
@@ -155,12 +132,12 @@ def test_exists_honours_limit_and_offset(database):
     # engine's early exit must honour them too: the window is non-empty iff
     # more than ``offset`` rows match and the limit admits at least one.
     _seed_scores(database)
-    base = Query("Score")
-    assert database.aggregate(base.with_aggregate("EXISTS")) is True
-    assert database.aggregate(base.limited(0).with_aggregate("EXISTS")) is False
-    assert database.aggregate(base.limited(None, offset=3).with_aggregate("EXISTS")) is True
-    assert database.aggregate(base.limited(None, offset=4).with_aggregate("EXISTS")) is False
-    assert database.aggregate(base.limited(2, offset=5).with_aggregate("EXISTS")) is False
+    base = Query("Score").select_aggregates(Aggregate("EXISTS"))
+    assert database.aggregate(base) is True
+    assert database.aggregate(base.limited(0)) is False
+    assert database.aggregate(base.limited(None, offset=3)) is True
+    assert database.aggregate(base.limited(None, offset=4)) is False
+    assert database.aggregate(base.limited(2, offset=5)) is False
 
 
 def test_exists_true_false_and_empty_table(database):
@@ -171,44 +148,33 @@ def test_exists_true_false_and_empty_table(database):
     assert database.exists("Empty") is False
 
 
-def test_exists_subquery_filters_rows(database):
-    database.define_table("Paper", title=ColumnType.TEXT)
-    database.define_table("Review", paper=ColumnType.INTEGER, score=ColumnType.INTEGER)
-    database.insert_many("Paper", [{"title": "a"}, {"title": "b"}])
-    database.insert("Review", paper=1, score=5)
-    sub = Query("Review").filter(eq("score", 5)).select("paper")
-    rows = database.execute(Query("Paper").filter(exists_subquery(sub)))
-    # EXISTS is a whole-query (non-correlated) probe: it holds for every
-    # Paper row because *some* review scored 5, exactly as in SQL.
-    assert [row["title"] for row in rows] == ["a", "b"]
-    empty = Query("Review").filter(eq("score", 1)).select("paper")
-    assert database.execute(Query("Paper").filter(exists_subquery(empty))) == []
-    negated = Query("Paper").filter(~exists_subquery(empty))
-    assert len(database.execute(negated)) == 2
+def _scalar(database, query, function, column="*"):
+    """The value of ``function(column)`` over ``query``'s rows."""
+    return database.aggregate(query.select_aggregates(Aggregate(function, column)))
 
 
 def test_scalar_aggregates_follow_sql_null_rules(database):
     _seed_scores(database)
     q = Query("Score")
-    assert database.aggregate(q.with_aggregate("COUNT")) == 4
-    assert database.aggregate(q.with_aggregate("COUNT", "points")) == 2
-    assert database.aggregate(q.with_aggregate("SUM", "points")) == 17
-    assert database.aggregate(q.with_aggregate("AVG", "points")) == 8.5
-    assert database.aggregate(q.with_aggregate("MIN", "points")) == 7
-    assert database.aggregate(q.with_aggregate("MAX", "points")) == 10
+    assert _scalar(database, q, "COUNT") == 4
+    assert _scalar(database, q, "COUNT", "points") == 2
+    assert _scalar(database, q, "SUM", "points") == 17
+    assert _scalar(database, q, "AVG", "points") == 8.5
+    assert _scalar(database, q, "MIN", "points") == 7
+    assert _scalar(database, q, "MAX", "points") == 10
     all_null = Query("Score").filter(eq("jid", 3))
-    assert database.aggregate(all_null.with_aggregate("SUM", "points")) is None
-    assert database.aggregate(all_null.with_aggregate("AVG", "points")) is None
-    assert database.aggregate(all_null.with_aggregate("MIN", "points")) is None
-    assert database.aggregate(all_null.with_aggregate("COUNT", "points")) == 0
+    assert _scalar(database, all_null, "SUM", "points") is None
+    assert _scalar(database, all_null, "AVG", "points") is None
+    assert _scalar(database, all_null, "MIN", "points") is None
+    assert _scalar(database, all_null, "COUNT", "points") == 0
 
 
 def test_aggregates_on_empty_table(database):
     database.define_table("Empty", value=ColumnType.INTEGER)
     q = Query("Empty")
-    assert database.aggregate(q.with_aggregate("COUNT")) == 0
-    assert database.aggregate(q.with_aggregate("SUM", "value")) is None
-    assert database.aggregate(q.with_aggregate("MIN", "value")) is None
+    assert _scalar(database, q, "COUNT") == 0
+    assert _scalar(database, q, "SUM", "value") is None
+    assert _scalar(database, q, "MIN", "value") is None
     # Grouped selections over an empty table produce no groups (SQL).
     grouped = plan_aggregate(q, ["value"], [Aggregate("COUNT")])
     assert database.execute(grouped) == []
@@ -277,8 +243,9 @@ def test_count_distinct_under_joins(database):
     database.insert("Author", name="ada")
     database.insert_many("Book", [{"author_id": 1}, {"author_id": 1}])
     # Two books join one author: distinct author ids collapse to 1.
-    query = plan_count_distinct(
-        Query("Author").join("Book", "id", "author_id"), "id"
+    query = plan_aggregate(
+        Query("Author").join("Book", "id", "author_id"), (),
+        [Aggregate("COUNT", "id", distinct=True)],
     )
     assert database.aggregate(query) == 1
 
@@ -302,21 +269,23 @@ def test_min_max_decode_datetime_and_boolean():
             [{"when": early, "flag": True}, {"when": late, "flag": False}],
         )
         results[name] = (
-            database.aggregate(Query("Event").with_aggregate("MIN", "when")),
-            database.aggregate(Query("Event").with_aggregate("MAX", "when")),
-            database.aggregate(Query("Event").with_aggregate("MIN", "flag")),
+            _scalar(database, Query("Event"), "MIN", "when"),
+            _scalar(database, Query("Event"), "MAX", "when"),
+            _scalar(database, Query("Event"), "MIN", "flag"),
         )
         database.close()
     assert results["memory"] == results["sqlite"] == (early, late, False)
 
 
 def test_grouped_dict_aggregate_still_works(database):
-    """The legacy {group key: value} dict API now rides on the pushdown."""
+    """A grouped count is a grouped selection read with ``execute()``, one
+    row per group; ``aggregate()`` reads only ungrouped selections."""
     _seed_scores(database)
-    grouped = database.aggregate(
-        Query("Score").with_aggregate("COUNT").grouped_by("jid")
-    )
-    assert grouped == {(1,): 2, (2,): 1, (3,): 1}
+    grouped = Query("Score").select_aggregates(Aggregate("COUNT")).grouped_by("jid")
+    rows = database.execute(grouped)
+    assert {row["jid"]: row["COUNT(*)"] for row in rows} == {1: 2, 2: 1, 3: 1}
+    with pytest.raises(ValueError, match="GROUP BY"):
+        database.aggregate(grouped)
 
 
 def test_exists_is_single_statement_on_sqlite():
@@ -328,8 +297,8 @@ def test_exists_is_single_statement_on_sqlite():
     assert database.exists("Score", eq("points", 7)) is True
     assert database.count_distinct("Score", "jid") == 3
     assert log.statements == [
-        'SELECT EXISTS(SELECT 1 FROM "Score" WHERE points = ?)',
-        'SELECT COUNT(DISTINCT "jid") FROM "Score"',
+        'SELECT EXISTS(SELECT 1 FROM "Score" WHERE points = ?) AS "EXISTS"',
+        'SELECT COUNT(DISTINCT "jid") AS "COUNT(DISTINCT jid)" FROM "Score"',
     ]
     database.close()
 

@@ -5,6 +5,7 @@ import datetime
 import pytest
 
 from repro.db import (
+    Aggregate,
     Column,
     ColumnType,
     Database,
@@ -150,16 +151,16 @@ def test_join_produces_qualified_columns(database):
 def test_aggregates(database):
     db = seeded(database)
     assert db.count("Event") == 3
-    total = db.aggregate(db.query("Event").with_aggregate("SUM", "attendees"))
+    events = db.query("Event")
+    total = db.aggregate(events.select_aggregates(Aggregate("SUM", "attendees")))
     assert total == 45
-    maximum = db.aggregate(db.query("Event").with_aggregate("MAX", "attendees"))
+    maximum = db.aggregate(events.select_aggregates(Aggregate("MAX", "attendees")))
     assert maximum == 20
-    average = db.aggregate(db.query("Event").with_aggregate("AVG", "attendees"))
+    average = db.aggregate(events.select_aggregates(Aggregate("AVG", "attendees")))
     assert average == pytest.approx(15)
-    grouped = db.aggregate(
-        db.query("Event").with_aggregate("COUNT").grouped_by("jid")
-    )
-    assert grouped[(1,)] == 2 and grouped[(2,)] == 1
+    per_jid = events.select_aggregates(Aggregate("COUNT")).grouped_by("jid")
+    grouped = {row["jid"]: row["COUNT(*)"] for row in db.execute(per_jid)}
+    assert grouped[1] == 2 and grouped[2] == 1
 
 
 def test_unknown_table_raises(database):
@@ -265,6 +266,56 @@ def test_schema_changes_bump_schema_generation(database):
     db.drop_table("Extra")
     assert db.invalidation.schema_generation == generation + 2
     assert "Extra" in events  # dropped data invalidates like a write
+
+
+def _facet_state(database, table):
+    """``(may_have_facets, facet_branch_keys)`` of ``table``, checked to be
+    one record: "may have facets" exactly when the keys are not the empty
+    set."""
+    may, keys = database.may_have_facets(table), database.facet_branch_keys(table)
+    assert may == (keys != frozenset()), (table, may, keys)
+    return may, keys
+
+
+def _define_doc(database):
+    database.define_table("Doc", jid=ColumnType.INTEGER, jvars=ColumnType.TEXT)
+
+
+def test_facet_state_is_one_record_per_table(database):
+    assert _facet_state(database, "Doc") == (True, None)  # unknown table
+    _define_doc(database)
+    assert _facet_state(database, "Doc") == (False, frozenset())
+    database.insert("Doc", jid=1, jvars="")
+    assert _facet_state(database, "Doc") == (False, frozenset())
+    database.insert_many("Doc", [{"jid": 2, "jvars": "Doc.2.title=True"}])
+    assert _facet_state(database, "Doc") == (True, frozenset({"title"}))
+    database.replace_rows("Doc", eq("jid", 2), [{"jid": 2, "jvars": "Doc.2.body=False"}])
+    assert _facet_state(database, "Doc") == (True, frozenset({"title", "body"}))
+    # An UPDATE of jvars carries no row id to check the label against.
+    database.update("Doc", eq("jid", 1), jvars="Doc.1.title=False")
+    assert _facet_state(database, "Doc") == (True, None)
+    database.clear()
+    assert _facet_state(database, "Doc") == (False, frozenset())
+    database.insert("Doc", jid=3, jvars="Doc.3.title=True,Doc.3.body=True")  # exotic
+    assert _facet_state(database, "Doc") == (True, None)
+    database.drop_table("Doc")
+    assert _facet_state(database, "Doc") == (True, None)
+    _define_doc(database)
+    assert _facet_state(database, "Doc") == (False, frozenset())
+    database.insert("Doc", jid=4, jvars="Doc.5.title=True")  # a foreign jid's label
+    assert _facet_state(database, "Doc") == (True, None)
+
+
+@pytest.mark.parametrize("label", ["Doc.1.title=True", "pc=True"], ids=["canonical", "exotic"])
+def test_an_adopted_sqlite_file_keeps_one_facet_record(tmp_path, label):
+    path = str(tmp_path / "docs.sqlite")
+    for rows in ([{"jid": 1, "jvars": ""}, {"jid": 1, "jvars": label}], []):
+        database = Database(SqliteBackend(path))
+        _define_doc(database)  # the second pass adopts the first pass's rows
+        database.insert_many("Doc", rows)
+        expected_keys = frozenset({"title"}) if label.startswith("Doc") else None
+        assert _facet_state(database, "Doc") == (True, expected_keys)
+        database.close()
 
 
 def test_insert_many_single_event_and_rows_present(database):

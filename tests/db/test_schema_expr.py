@@ -10,9 +10,9 @@ from repro.db.expr import (
     AndExpr,
     ColumnRef,
     Comparison,
-    ExistsSubquery,
     FacetBranch,
     InList,
+    InSubquery,
     IsNull,
     Literal,
     NotExpr,
@@ -220,7 +220,7 @@ def test_rare_paths_still_raise():
     with pytest.raises(TypeError):  # unorderable mixed types
         Comparison("<", col("age"), lit("x")).evaluate({"age": 3})
     with pytest.raises(TypeError):  # unresolved subquery
-        (eq("a", 1) & ExistsSubquery(Query("T").select("id"))).compile()
+        (eq("a", 1) & InSubquery(col("id"), Query("T").select("id"))).compile()
 
 
 def test_a_seen_shape_with_new_constants_generates_no_source():

@@ -3,7 +3,9 @@
 Each iteration draws a random *program* -- batch inserts, updates of any
 indexed column and deletes over range predicates, fetches with
 range/BETWEEN/prefix-LIKE predicates, ORDER BY (asc/desc, with NULLs and
-duplicates), LIMIT/OFFSET, counts and aggregates -- from a seeded stdlib
+duplicates), LIMIT/OFFSET, counts, and every aggregate-selection shape:
+scalar and ``COUNT(DISTINCT col)`` values, one-column GROUP BY rows read
+through ``execute()``, and ``EXISTS`` under LIMIT/OFFSET -- from a seeded stdlib
 ``random.Random``, then runs it twice on the same backend: once with the
 cost-aware planner free to use the ordered/hash indexes, and once forced
 to scan (the oracle;
@@ -11,7 +13,8 @@ to scan (the oracle;
 Access-path choice must never change observable results.
 
 Ordered fetches are compared as (order-key sequence, sorted row multiset)
-so legitimate tie-order freedom never reads as a divergence; fetches with
+so legitimate tie-order freedom never reads as a divergence (grouped
+aggregate rows, which have no order, as a sorted multiset); fetches with
 LIMIT/OFFSET always carry an ``id`` tiebreak term, making the bounded
 result fully deterministic on both backends.
 
@@ -29,6 +32,7 @@ import random
 import pytest
 
 from repro.db import (
+    Aggregate,
     Column,
     ColumnType,
     Database,
@@ -42,6 +46,7 @@ from repro.db import (
     like,
     lt,
     lte,
+    plan_aggregate,
 )
 from repro.db.expr import AndExpr, InList, IsNull, col, eq
 
@@ -68,6 +73,8 @@ POOLS = {"score": SCORES, "rank": RANKS, "name": NAMES, "tag": TAGS}
 PATTERNS = ["al%", "Al%", "BE%", "b_t%", "ga%", "%ma", "alp%"]
 RANGE_COLUMNS = ("score", "rank", "name")
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+#: the columns a COUNT(DISTINCT col) counts and a grouped selection groups by
+GROUP_COLUMNS = ("score", "rank", "name", "tag")
 
 
 # -- program generation --------------------------------------------------------------
@@ -159,11 +166,27 @@ def _gen_program(rng, length=14):
             program.append(("fetch", where, order, limit, offset))
         elif roll < 0.82:
             program.append(("count", _gen_where(rng)))
-        else:
+        elif roll < 0.88:
+            where = _gen_where(rng)
+            if rng.random() < 0.3:
+                column = GROUP_COLUMNS[rng.randrange(len(GROUP_COLUMNS))]
+                program.append(("agg", where, "COUNT", column, True))
+            else:
+                function = AGG_FUNCTIONS[rng.randrange(len(AGG_FUNCTIONS))]
+                program.append(("agg", where, function, "score", False))
+        elif roll < 0.94:
             program.append(
-                ("agg", _gen_where(rng),
-                 AGG_FUNCTIONS[rng.randrange(len(AGG_FUNCTIONS))], "score")
+                ("group", _gen_where(rng),
+                 AGG_FUNCTIONS[rng.randrange(len(AGG_FUNCTIONS))], "score",
+                 GROUP_COLUMNS[rng.randrange(len(GROUP_COLUMNS))])
             )
+        else:
+            # EXISTS keeps LIMIT/OFFSET inside its probe, and the memory
+            # engine's early exit walks index-narrowed candidates.
+            where = _gen_where(rng) if rng.random() < 0.8 else None
+            limit = rng.randrange(0, 4) if rng.random() < 0.5 else None
+            offset = rng.randrange(0, 6) if rng.random() < 0.5 else 0
+            program.append(("exists", where, limit, offset))
     return program
 
 
@@ -206,6 +229,15 @@ def _canonical_fetch(rows, order):
         keys = tuple(tuple(row[column] for column, _ in order) for row in rows)
         return ("ordered", keys, multiset)
     return ("bag", multiset)
+
+
+def _rounded(value):
+    return round(value, 9) if isinstance(value, float) else value
+
+
+def _filtered(database, where):
+    query = database.query("FuzzRow")
+    return query if where is None else query.filter(_build_where(where))
 
 
 def _run_program(kind, program, indexed):
@@ -252,13 +284,28 @@ def _run_program(kind, program, indexed):
                     database.count("FuzzRow", _build_where(args[0]))
                 )
             elif name == "agg":
-                query = database.query("FuzzRow").with_aggregate(args[1], args[2])
-                if args[0] is not None:
-                    query = query.filter(_build_where(args[0]))
-                value = database.aggregate(query)
-                observables.append(
-                    round(value, 9) if isinstance(value, float) else value
+                where, function, column, distinct = args
+                query = plan_aggregate(
+                    _filtered(database, where), (), [Aggregate(function, column, distinct)]
                 )
+                observables.append(_rounded(database.aggregate(query)))
+            elif name == "group":
+                where, function, column, group_column = args
+                aggregate = Aggregate(function, column)
+                query = plan_aggregate(_filtered(database, where), [group_column], [aggregate])
+                rows = [
+                    (row[group_column], _rounded(row[aggregate.result_key()]))
+                    for row in database.execute(query)
+                ]
+                observables.append(
+                    sorted(rows, key=lambda row: tuple(_orderable(v) for v in row))
+                )
+            elif name == "exists":
+                where, limit, offset = args
+                query = _filtered(database, where).select_aggregates(Aggregate("EXISTS"))
+                if limit is not None or offset:
+                    query = query.limited(limit, offset=offset)
+                observables.append(database.aggregate(query))
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
     return observables

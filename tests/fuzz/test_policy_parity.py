@@ -18,11 +18,12 @@ path.  ``FuzzDoc`` renders inline with an equality on the viewer's jid,
 and ``FuzzAudit`` exercises the Python path (its policy queries another
 model), for fetches, counts, ``exists()`` and aggregates alike.
 
-In the ``"on"`` configuration every read is first explained:
-``explain()``'s ``sql`` must be among the statements the read runs, and
-its ``mode`` must match the counters the read bumps -- one
-``plan.policy_pushdown`` and no fallback for ``"policy-pushdown"``, no
-push and at most one fallback reason for ``"pruned"``.
+In the ``"on"`` configuration every read is first explained, inside the
+traced region: ``explain()`` must run no statement and bump no counter,
+its ``sql`` must be among the statements the read runs, and the pushdown
+counters the read bumps must be exactly the one the report names -- one
+``plan.policy_pushdown`` for ``"policy-pushdown"``, the reported
+``fallback`` (or nothing, when it reports none) for ``"pruned"``.
 
 On failure the seed is printed, the failing program is greedily shrunk,
 and the repro is emitted as a paste-able test case calling
@@ -122,8 +123,10 @@ AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 ORG_PATHS = ("/", "/eng", "/eng/db", "/ops")
 #: pushdown configurations compared against the "off" oracle
 CONFIGS = ("off", "on")
-#: the counters a read that falls back to the Python path bumps, one per reason
-FALLBACK_COUNTERS = (
+#: the counter a pushed read bumps, then the counters a read that falls
+#: back to the Python path bumps, one per reason
+PUSHDOWN_COUNTERS = (
+    "plan.policy_pushdown",
     "plan.policy_pushdown.opaque_fallback",
     "plan.policy_pushdown.fallback.bind",
     "plan.policy_pushdown.fallback.facet_rows",
@@ -214,14 +217,6 @@ def _gen_program(rng, length=16):
 # -- program execution ---------------------------------------------------------------
 
 
-def _plan_counters():
-    """``(policy pushdowns, pushdown fallbacks)`` counted so far."""
-    return (
-        obs.totals.get("plan.policy_pushdown"),
-        sum(obs.totals.get(name) for name in FALLBACK_COUNTERS),
-    )
-
-
 def _doc_query(filters):
     """``FuzzDoc``'s query set under the drawn ``(field, value)`` filter, if any."""
     if not filters:
@@ -248,26 +243,41 @@ def _run_program(kind, program, config):
     def read(op, viewer, query_set, run, operation="fetch", exact=True, **values):
         """``run(query_set)`` inside ``viewer``'s context.  In the "on"
         configuration ``query_set.explain(operation, **values)`` comes
-        first: its ``sql`` must run, and its ``mode`` must match the
-        counters the read bumps (``exact=False`` skips the counters, for
-        ``first()``, whose unbounded fallback makes a second plan)."""
+        first, traced like the read: it must run no statement and bump no
+        counter, its ``sql`` must run, and the pushdown counters the read
+        bumps must be the one its report names (``exact=False`` skips the
+        counters, for ``first()``, whose unbounded fallback makes a second
+        plan)."""
         with viewer_context(viewer):
             if config != "on":
                 return run(query_set)
-            report = query_set.explain(operation, **values)
             with obs.tracing(), form.database.observe_statements() as log:
-                before = _plan_counters()
+                before = obs.totals.snapshot()
+                report = query_set.explain(operation, **values)
+                explained = obs.totals.snapshot()
+                explain_statements = list(log.statements)
                 value = run(query_set)
-                after = _plan_counters()
-        pushed, fallbacks = after[0] - before[0], after[1] - before[1]
+                after = obs.totals.snapshot()
+        counted = {
+            name: total - before.get(name, 0)
+            for name, total in explained.items()
+            if total != before.get(name, 0)
+        }
+        if counted or explain_statements:
+            faults.append((op, "explain() ran or counted", explain_statements, counted))
         if report["sql"] not in log.statements:
             faults.append((op, "explained SQL did not run", report["sql"]))
+        bumped = {
+            name: after.get(name, 0) - explained.get(name, 0)
+            for name in PUSHDOWN_COUNTERS
+            if after.get(name, 0) != explained.get(name, 0)
+        }
         if report["mode"] == "policy-pushdown":
-            counted = (pushed, fallbacks) == (1, 0)
+            expected = {"plan.policy_pushdown": 1}
         else:
-            counted = pushed == 0 and fallbacks <= 1
-        if exact and not counted:
-            faults.append((op, report["mode"], {"pushed": pushed, "fallbacks": fallbacks}))
+            expected = {report["fallback"]: 1} if "fallback" in report else {}
+        if exact and bumped != expected:
+            faults.append((op, report["mode"], bumped))
         return value
 
     def check_docs(op, viewer, docs):

@@ -163,3 +163,62 @@ def test_explain_executes_nothing(form):
         Paper.objects.all().explain("update", status="x")
         Paper.objects.all().explain("delete")
     assert log.events == []
+
+
+# -- explain() counts nothing and carries the backend detail, on both backends --------
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def conf(request):
+    """The conference app, seeded, on each backend (caches off)."""
+    from repro.apps.conf.seed import seed_conference
+    from repro.apps.conf.views import setup_conf
+    from repro.cache.config import CacheConfig
+
+    database = Database() if request.param == "memory" else Database(SqliteBackend())
+    form = setup_conf(database, cache_config=CacheConfig.disabled())
+    created = seed_conference(form, papers=4)
+    with use_form(form):
+        yield request.param, created
+    database.close()
+
+
+def test_explain_bumps_no_counter_and_names_the_fallback_the_read_counts(conf):
+    from repro import obs
+    from repro.apps.conf.models import Paper as ConfPaper, Review
+
+    _kind, created = conf
+    with viewer_context(created["pc"][0]), obs.tracing():
+        before = obs.totals.snapshot()
+        report = Review.objects.all().explain()
+        bounded = Review.objects.all().limited(2).explain()
+        ConfPaper.objects.all().explain("count")
+        assert obs.totals.snapshot() == before
+        # Review's policy is opaque: the read counts the fallback its
+        # report names, once, when it runs.
+        assert report["fallback"] == "plan.policy_pushdown.opaque_fallback"
+        assert "fallback" not in bounded
+        Review.objects.all().fetch()
+        Review.objects.all().limited(2).fetch()
+    assert obs.totals.get("plan.policy_pushdown.opaque_fallback") == 1
+    assert obs.totals.get("plan.bounded") == 1
+
+
+def test_every_read_explain_carries_the_backend_plan_detail(conf):
+    from repro.apps.conf.models import ConfUser, Paper as ConfPaper
+
+    kind, created = conf
+    detail = (
+        {"chosen_plan", "considered_plans"} if kind == "memory"
+        else {"sqlite_plan", "index_ddl"}
+    )
+    with viewer_context(created["users"][0]):
+        reports = [
+            ConfUser.objects.all().explain(),
+            ConfUser.objects.all().explain("count"),
+            ConfUser.objects.all().explain("aggregate", field="jid", function="MAX"),
+        ]
+    reports.append(ConfPaper.objects.all().explain("count"))
+    assert [report["plan"] for report in reports[1:]] == ["grouped-aggregate"] * 3
+    for report in reports:
+        assert detail <= report.keys()

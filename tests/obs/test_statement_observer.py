@@ -6,7 +6,7 @@ from repro import obs
 from repro.db import Database, MemoryBackend, SqliteBackend, StatementLog
 from repro.db.expr import eq
 from repro.db.observe import insert_summary, replace_summary
-from repro.db.query import Query
+from repro.db.query import Aggregate, Query
 from repro.db.schema import ColumnType
 
 
@@ -86,7 +86,7 @@ def test_both_backends_emit_identical_event_streams():
             _seed(database)
             database.execute(Query(table="Paper"))
             database.update("Paper", eq("title", "a"), score=0)
-            database.aggregate(Query(table="Paper").with_aggregate("COUNT"))
+            database.aggregate(Query(table="Paper").select_aggregates(Aggregate("COUNT")))
             database.delete("Paper", eq("title", "b"))
             streams[kind] = [(e.kind, e.sql, e.rows) for e in log.events]
         if kind == "sqlite":
