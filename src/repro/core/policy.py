@@ -67,10 +67,21 @@ class Policy:
 
 
 class PolicyEnv:
-    """Maps labels to their policies (the label portion of the store Σ)."""
+    """Maps labels to their policies (the label portion of the store Σ).
 
-    def __init__(self) -> None:
+    ``label_policy`` maps a label to the policy it has before any
+    ``restrict`` (``None``: the default allow).  A FORM installs its label
+    lookup here, so a ``Table.jid.group`` label finds its record's policy
+    without being declared, and the checks ``restrict`` attaches conjoin
+    with it.  It is consulted whenever a policy is looked up, so it
+    reflects the models the FORM has registered by then.
+    """
+
+    def __init__(
+        self, label_policy: Optional[Callable[[Label], Optional[PolicyFn]]] = None
+    ) -> None:
         self._policies: Dict[Label, Policy] = {}
+        self.label_policy = label_policy
 
     def __contains__(self, label: Label) -> bool:
         return label in self._policies
@@ -104,8 +115,11 @@ class PolicyEnv:
         self._policies[label] = self._policies[label].conjoin(effective)
 
     def policy_for(self, label: Label) -> Policy:
-        """The policy currently attached to ``label`` (default allow)."""
-        return self._policies.get(label, Policy([always_allow]))
+        """The policy currently attached to ``label`` (default allow),
+        conjoined with its ``label_policy``."""
+        policy = self._policies.get(label, Policy([always_allow]))
+        check = self.label_policy(label) if self.label_policy is not None else None
+        return policy if check is None else policy.conjoin(check)
 
     def labels(self) -> Iterable[Label]:
         return tuple(self._policies.keys())
@@ -115,7 +129,7 @@ class PolicyEnv:
         return self.policy_for(label).evaluate(viewer)
 
     def copy(self) -> "PolicyEnv":
-        clone = PolicyEnv()
+        clone = PolicyEnv(self.label_policy)
         clone._policies = {
             label: Policy(policy.checks()) for label, policy in self._policies.items()
         }

@@ -243,8 +243,12 @@ class JeevesRuntime:
     # -- reset (used between test cases / benchmark iterations) -----------------------
 
     def reset(self) -> None:
-        """Drop all policies and path conditions (fresh application state)."""
-        self.policy_env = PolicyEnv()
+        """Drop all policies and path conditions (fresh application state).
+
+        The policy environment's ``label_policy`` (a FORM's label lookup)
+        stays.
+        """
+        self.policy_env = PolicyEnv(self.policy_env.label_policy)
         self._pc_state = threading.local()
 
 

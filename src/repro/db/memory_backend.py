@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.db.backend import Backend
 from repro.db.expr import Expression, column_value, resolve_subqueries, subquery_values
@@ -409,15 +409,16 @@ class MemoryBackend(Backend):
                     break
         return matched[query.offset:] if query.offset else matched
 
-    def _source_rows(self, query: Query, where) -> List[Dict[str, Any]]:
+    def _source_rows(self, query: Query, where) -> Iterable[Dict[str, Any]]:
         """The FROM/JOIN row set, narrowed by an index when possible.
 
         For single-table queries an indexed equality / IN / IS NULL filter
         (e.g. the resolved ``jid IN (...)`` of a bounded pushdown) reads the
         index buckets instead of the whole heap -- the memory backend's
         answer to SQLite walking its B-tree index.  Single-table rows are
-        the live row dicts, for callers that filter them as they stream
-        (to stop early) under the lock.
+        the live row dicts, and joined rows stream (:meth:`_join_rows`),
+        for callers that filter them as they go (to stop early) under the
+        lock.
         """
         if not query.is_join():
             return self._table(query.table).candidate_rows(where)
@@ -435,7 +436,7 @@ class MemoryBackend(Backend):
             return self._table(query.table).matching_rows(where)
         rows = self._join_rows(query)
         if where is None:
-            return rows
+            return list(rows)
         predicate = where.compile()
         return [row for row in rows if predicate(row)]
 
@@ -537,32 +538,32 @@ class MemoryBackend(Backend):
             items.sort(key=sort_key, reverse=not order.ascending)
         return [item[0] for item in items]
 
-    def _join_rows(self, query: Query) -> List[Dict[str, Any]]:
-        """Materialise the FROM/JOIN part of a query.
+    def _join_rows(self, query: Query) -> Iterator[Dict[str, Any]]:
+        """Stream the FROM/JOIN rows of a joined query, in base-row order.
 
-        Joined rows use qualified keys (``Table.column``); single-table
-        queries keep bare column names, matching the SQLite backend.
+        Each joined table is hashed on its join column first; the base rows
+        then pass through the joins one at a time, so a reader that stops
+        early (:meth:`_exists`) joins no more base rows than it scans.
+        Joined rows are fresh dicts with qualified keys (``Table.column``),
+        matching the SQLite backend.
         """
-        base = self._table(query.table)
-        if not query.is_join():
-            return base.rows()
-        rows = [self._qualify(query.table, row) for row in base.rows()]
+        probes = []
         for join in query.joins:
-            other = self._table(join.table)
-            other_rows = [self._qualify(join.table, row) for row in other.rows()]
-            left_key = self._qualify_name(query.table, join.left_column)
             right_key = self._qualify_name(join.table, join.right_column)
             index: Dict[Any, List[Dict[str, Any]]] = {}
-            for other_row in other_rows:
-                index.setdefault(other_row.get(right_key), []).append(other_row)
-            joined: List[Dict[str, Any]] = []
-            for row in rows:
-                for match in index.get(row.get(left_key), []):
-                    combined = dict(row)
-                    combined.update(match)
-                    joined.append(combined)
-            rows = joined
-        return rows
+            for row in self._table(join.table):
+                other = self._qualify(join.table, row)
+                index.setdefault(other.get(right_key), []).append(other)
+            probes.append((self._qualify_name(query.table, join.left_column), index))
+        for base_row in self._table(query.table):
+            rows = [self._qualify(query.table, base_row)]
+            for left_key, index in probes:
+                rows = [
+                    {**row, **match}
+                    for row in rows
+                    for match in index.get(row.get(left_key), ())
+                ]
+            yield from rows
 
     @staticmethod
     def _qualify(table: str, row: Dict[str, Any]) -> Dict[str, Any]:

@@ -15,6 +15,7 @@ only at concretisation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
@@ -31,6 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class FORM:
     """A faceted ORM instance: database + runtime + registered models.
 
+    The FORM creates and owns its runtime, whose policy environment
+    resolves every label named ``Table.jid.group`` through the model this
+    FORM registered for ``Table`` (:func:`repro.form.manager.label_policy`),
+    so concretisation needs no per-read policy registration.
+
     ``cache_config`` selects the policy-aware cache layers (on by default;
     pass ``CacheConfig.disabled()`` for paper-faithful uncached behaviour).
     The caches subscribe to the database's invalidation bus, so every write
@@ -41,11 +47,15 @@ class FORM:
     def __init__(
         self,
         database: Optional[Database] = None,
-        runtime: Optional[JeevesRuntime] = None,
         cache_config: Optional[CacheConfig] = None,
     ) -> None:
+        from repro.form.manager import label_policy  # manager imports this module
+
         self.database = database if database is not None else Database()
-        self.runtime = runtime if runtime is not None else JeevesRuntime()
+        self.runtime = JeevesRuntime()
+        self.runtime.policy_env.label_policy = functools.partial(label_policy, self)
+        #: table name -> the model registered for it: the one source of a
+        #: FORM label's policy
         self._models: Dict[str, type] = {}
         self._jid_counters: Dict[str, int] = {}
         #: serialises jid allocation across request worker threads
@@ -61,8 +71,6 @@ class FORM:
         #: hence the resolution cycle) doing the resolving -- a second
         #: request thread must evaluate the policy for real.
         self._resolving_local = threading.local()
-        #: label names whose policies have already been attached to the runtime
-        self.registered_labels: set = set()
         self.cache_config = cache_config if cache_config is not None else CacheConfig()
         self.caches = FormCaches(self.cache_config)
         if self.cache_config.enabled:
@@ -107,6 +115,13 @@ class FORM:
     def registered_models(self) -> List[type]:
         return list(self._models.values())
 
+    def model_for(self, table_name: str) -> type:
+        """The model registered for ``table_name``, whose policies decide
+        the table's labels; ``LookupError`` for a table with none."""
+        if table_name not in self._models:
+            raise LookupError(f"table {table_name!r} has no model registered with this FORM")
+        return self._models[table_name]
+
     # -- jid allocation --------------------------------------------------------------
 
     def next_jid(self, table_name: str) -> int:
@@ -132,7 +147,6 @@ class FORM:
         """Delete all rows and reset jid counters (schemas are kept)."""
         self.database.clear()
         self.runtime.reset()
-        self.registered_labels.clear()
         self.caches.clear()
         with self._jid_lock:
             for name in self._jid_counters:

@@ -20,6 +20,7 @@ every read verb and ``explain()`` run that one decision:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import weakref
 from operator import attrgetter, itemgetter
@@ -30,7 +31,7 @@ from typing import (
 from repro import obs
 from repro.cache.epoch import policy_epoch
 from repro.cache.label_cache import viewer_cache_key
-from repro.core.facets import Facet, collect_labels, facet_map
+from repro.core.facets import Facet, facet_map
 from repro.core.labels import Label
 from repro.db.expr import InList, and_all, col, eq, eq_or_null, subquery_values
 from repro.db.query import (
@@ -59,12 +60,7 @@ from repro.form.context import FORM, current_form, current_viewer
 from repro.form.fields import ForeignKey
 from repro.form.model import JModel
 from repro.form.policies import evaluate_policy
-from repro.form.marshal import (
-    JvarBranch,
-    build_faceted_collection,
-    label_name_for,
-    parse_jvars,
-)
+from repro.form.marshal import JvarBranch, build_faceted_collection, parse_jvars
 
 
 class DoesNotExist(Exception):
@@ -199,7 +195,6 @@ class QuerySet:
             entries = bounded._fetch_entries(form, bounded._plan())
             if not entries:
                 return None  # no matching record at all: no fallback needed
-            bounded._register_policies(form, entries)
             pruned = bounded._pruned(form, entries, viewer)
             if pruned:
                 return pruned[0]
@@ -476,25 +471,29 @@ class QuerySet:
         reports it, so the reported statement is the executed one.  The
         record names the fallback counter, which the read bumps once when
         it runs (:meth:`_fetch`, or :meth:`_aggregate`'s grouped branch).
+
+        Each table the read touches must have a model registered with the
+        FORM (:meth:`FORM.model_for`): that model's policies decide the
+        table's labels, whoever prunes.
         """
+        form = current_form()
         meta = self.model._meta
         query, joined = self._filtered_query(meta)
+        models = [form.model_for(table) for table in (meta.table_name, *joined)]
         bounded = self.limit is not None or bool(self.offset)
         viewer = current_viewer()
         if viewer is None:
             return _ReadPlan("faceted", query, joined, not bounded)
         conjuncts, fallback = None, None
         if not bounded:
-            conjuncts, fallback = pushdown_sql.pruning_conjuncts(
-                current_form(), self.model, joined, viewer
-            )
+            conjuncts, fallback = pushdown_sql.pruning_conjuncts(form, models, viewer)
         if conjuncts:
             for conjunct in conjuncts:
                 query = query.filter(conjunct)
             return _ReadPlan("policy-pushdown", query, joined, True)
         # Early Pruning on a policied model evaluates its policies against
         # the fetched secret facets, which a grouped statement cannot return.
-        grouped = not bounded and not meta.policy_groups
+        grouped = not bounded and not models[0]._meta.policy_groups
         return _ReadPlan("pruned", query, joined, grouped, fallback)
 
     def _fetch(self, form: FORM, plan: _ReadPlan) -> Any:
@@ -505,18 +504,15 @@ class QuerySet:
             entries = self._fetch_entries(form, plan)
             if plan.mode == "policy-pushdown":
                 # The statement's pruning predicate already kept exactly the
-                # facet rows visible to this viewer -- no label resolution,
-                # and the result holds no label to register (the first
-                # other read of a record registers them).
+                # facet rows visible to this viewer: no label resolution.
                 obs.add("plan.policy_pushdown")
                 result = [instance for _jid, _branches, instance in entries]
+            elif plan.mode == "faceted":
+                obs.add("worlds.merged", len(entries))
+                return build_faceted_collection(
+                    [(branches, instance) for _jid, branches, instance in entries]
+                )
             else:
-                self._register_policies(form, entries)
-                if plan.mode == "faceted":
-                    obs.add("worlds.merged", len(entries))
-                    return build_faceted_collection(
-                        [(branches, instance) for _jid, branches, instance in entries]
-                    )
                 result = self._pruned(form, entries, current_viewer())
             _note_visible_fk_ids(self.model, result)
             return result
@@ -713,9 +709,7 @@ class QuerySet:
 
         groups = self._cached(form, query, partitions)
         if plan.mode == "faceted":
-            merged = facet_map(finish, merge_stats(groups))
-            self._register_result_policies(form, merged)
-            return merged
+            return facet_map(finish, merge_stats(groups))
         resolve = None
         if plan.mode == "policy-pushdown":
             # Every partition is fully visible to the viewer (the pruning
@@ -895,38 +889,6 @@ class QuerySet:
 
         return resolve
 
-    def _register_result_policies(self, form: FORM, value: Any) -> None:
-        """Attach policies for this model's labels surfacing in a result.
-
-        A merged aggregate only mentions the labels that genuinely
-        discriminate between worlds; those must carry their policies before
-        the value reaches ``runtime.concretize``, or the solver would treat
-        them as unrestricted.  Labels that collapsed out of the result need
-        no registration -- nothing can ever ask for them through this
-        value.  (Joined models' labels resolve through the model registry
-        at concretisation, matching the row-fetching path.)
-        """
-        if not isinstance(value, Facet):
-            return
-        meta = self.model._meta
-        groups_by_key = {group.key: group for group in meta.policy_groups}
-        prefix = f"{meta.table_name}."
-        for label in collect_labels(value):
-            name = label.name
-            if not name.startswith(prefix) or name in form.registered_labels:
-                continue
-            parts = name.split(".")
-            if len(parts) != 3:
-                continue
-            group = groups_by_key.get(parts[2])
-            if group is None:
-                continue
-            try:
-                jid = int(parts[1])
-            except ValueError:
-                continue
-            _register_label_policy(form, self.model, jid, group, name)
-
     def _apply_filter(
         self, meta, query: Query, joined: List[str], lookup: str, value: Any, has_join: bool = False
     ) -> Query:
@@ -996,26 +958,6 @@ class QuerySet:
         return {
             name[len(prefix):]: value for name, value in row.items() if name.startswith(prefix)
         }
-
-    # -- policy registration -----------------------------------------------------------------
-
-    def _register_policies(
-        self, form: FORM, entries: Sequence[Tuple[int, Tuple[JvarBranch, ...], Any]]
-    ) -> None:
-        """Attach each record's policies to its labels in the runtime.
-
-        Policies are evaluated lazily against the *current* database state
-        (the paper enforces policies "with respect to ... the state of the
-        system at the time of output"), so the closure re-reads the secret
-        facet of the row when invoked.
-        """
-        meta = self.model._meta
-        for jid in {jid for jid, _branches, _instance in entries}:
-            for group in meta.policy_groups:
-                name = label_name_for(meta.table_name, jid, group.key)
-                if name in form.registered_labels:
-                    continue
-                _register_label_policy(form, self.model, jid, group, name)
 
     def _pruned(
         self,
@@ -1521,30 +1463,59 @@ def _secret_instance(model: Type, jid: int, form: FORM) -> Any:
     return _instance_from_row(model, writes.secret_row(rows))
 
 
-def _register_label_policy(form: FORM, model: Type, jid: int, group, name: str) -> None:
-    """Declare one record's policy-group label and attach its closure.
+def form_label(form: FORM, label_name: str) -> Optional[Tuple[Type, int, Any]]:
+    """The model, record jid and policy group a FORM label names, or ``None``.
 
-    The single registration step shared by the row-fetching path
-    (``_register_policies``) and the aggregate path
-    (``_register_result_policies``); callers check
-    ``form.registered_labels`` before calling.
+    FORM labels are named ``Table.jid.group``
+    (:func:`repro.form.marshal.label_name_for`), and the model is the one
+    ``form`` registered for ``Table``.  A label of a table the FORM did not
+    register, or of a group its model does not declare, is no FORM label.
+    This is the one lookup behind Early Pruning (:func:`_resolve_label`)
+    and concretisation (:func:`label_policy`).
     """
-    form.registered_labels.add(name)
-    label = Label(hint=name, name=name)
-    form.runtime.policy_env.declare(label)
-    form.runtime.policy_env.restrict(label, _policy_closure(model, jid, group, form))
+    parts = label_name.split(".")
+    if len(parts) != 3:
+        return None
+    table, jid_text, group_key = parts
+    model = form._models.get(table)
+    if model is None or not jid_text.isdecimal():
+        return None
+    for group in model._meta.policy_groups:
+        if group.key == group_key:
+            return model, int(jid_text), group
+    return None
 
 
-def _policy_closure(model: Type, jid: int, group, form: FORM):
-    """A policy callable bound to one record's policy group."""
+def label_policy(form: FORM, label: Label) -> Optional[Callable[[Any], Any]]:
+    """The policy of a FORM label (:func:`form_label`), or ``None`` for any
+    other label.
 
-    def policy(viewer: Any) -> Any:
+    Each FORM installs this as its runtime's ``PolicyEnv.label_policy``,
+    so ``runtime.concretize`` finds the policy of every FORM label it meets
+    -- the read's own, a joined model's, or one carried in a value facet --
+    and no read registers anything.
+    """
+    found = form_label(form, label.name)
+    if found is None:
+        return None
+    return functools.partial(_label_outcome, form, *found)
+
+
+def _label_outcome(
+    form: FORM, model: Type, jid: int, group: Any, viewer: Any, row: Any = None
+) -> Any:
+    """Run one record's policy group for ``viewer``.
+
+    The policy sees the record's secret facet: ``row`` when the caller
+    already holds it, else a fresh read, so it is enforced against the
+    state of the system at the time of output.  A deleted record's label
+    hides.
+    """
+    if row is None:
         row = _secret_instance(model, jid, form)
         if row is None:
             return False
-        return evaluate_policy(group.method, row, viewer)
-
-    return policy
+    return evaluate_policy(group.method, row, viewer)
 
 
 def _resolve_label(
@@ -1556,13 +1527,12 @@ def _resolve_label(
 ) -> bool:
     """Resolve one label for a known viewer (Early Pruning).
 
-    Labels named by the FORM convention ``Table.jid.group`` are resolved by
-    evaluating the model's policy directly on the record's secret facet:
-    ``fetched[jid]`` when the read already holds it, else a fresh read of
-    the row.  ``model`` is the read's own model, whose labels need no
-    registry lookup; ``fetched`` holds its instances only.  Other labels
-    (e.g. created by application code through the runtime) fall back to
-    the runtime's policy environment.
+    A FORM label (:func:`form_label`) runs its policy group directly
+    (:func:`_label_outcome`), on ``fetched[jid]`` when the read already
+    holds the record's secret facet: ``fetched`` holds the instances of the
+    read's own ``model`` only.  Other labels (e.g. created by application
+    code through the runtime) resolve through the runtime's policy
+    environment.
 
     Policies may depend on the data they guard (the guest-list example of
     Section 2.3): evaluating such a policy issues a query whose pruning asks
@@ -1577,30 +1547,13 @@ def _resolve_label(
         return True
     resolving.add(key)
     try:
-        group = None
-        parts = label_name.split(".")
-        if len(parts) == 3:
-            table, jid_text, group_key = parts
-            if model is None or model._meta.table_name != table:
-                from repro.form.model import ModelRegistry
-
-                fetched = None
-                try:
-                    model = ModelRegistry.get(table)
-                except LookupError:
-                    model = None
-            if model is not None:
-                group = next(
-                    (g for g in model._meta.policy_groups if g.key == group_key), None
-                )
-        if group is not None:
-            jid = int(jid_text)
-            row = fetched.get(jid) if fetched else None
-            if row is None:
-                row = _secret_instance(model, jid, form)
-                if row is None:
-                    return False
-            outcome = evaluate_policy(group.method, row, viewer)
+        found = form_label(form, label_name)
+        if found is not None:
+            label_model, jid, group = found
+            row = None
+            if fetched and label_model._meta.table_name == model._meta.table_name:
+                row = fetched.get(jid)
+            outcome = _label_outcome(form, label_model, jid, group, viewer, row)
         else:
             obs.add("policy.evaluations")
             outcome = form.runtime.policy_env.evaluate(

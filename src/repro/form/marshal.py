@@ -43,9 +43,10 @@ def parse_jvars(text: Optional[str]) -> Tuple[JvarBranch, ...]:
 def label_name_for(table: str, jid: int, group_key: str) -> str:
     """The deterministic label name guarding one policy group of one record.
 
-    Determinism lets the FORM re-create the same label (and re-attach its
-    policy) every time the record is unmarshalled, regardless of which query
-    produced it.
+    Determinism lets the FORM re-create the same label every time the
+    record is unmarshalled, regardless of which query produced it, and find
+    its policy again from the name alone
+    (:func:`repro.form.manager.form_label`).
     """
     return f"{table}.{jid}.{group_key}"
 

@@ -50,10 +50,10 @@ def jacqueline(fn: Callable) -> Callable:
 def evaluate_policy(method: Callable, row: Any, viewer: Any) -> Any:
     """Invoke one policy method, counting it as a policy evaluation.
 
-    The single choke point every FORM policy invocation goes through
-    (Early Pruning hints, lazy policy closures, direct label resolution),
-    so the ``policy.evaluations`` observability counter measures exactly
-    the paper's per-record policy-check cost.
+    The single choke point every FORM policy invocation goes through: the
+    FORM's label lookup calls it both for Early Pruning and for
+    ``runtime.concretize``, so the ``policy.evaluations`` observability
+    counter measures exactly the paper's per-record policy-check cost.
     """
     from repro import obs
 

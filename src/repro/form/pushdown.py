@@ -329,31 +329,22 @@ def _canonical_facet_rows(form: Any, model: type) -> bool:
 
 
 def pruning_conjuncts(
-    form: Any,
-    model: type,
-    joined_tables: List[str],
-    viewer: Any,
+    form: Any, models: List[type], viewer: Any
 ) -> Tuple[Optional[List[Expression]], Optional[str]]:
     """``(conjuncts, fallback)`` for a viewer-context query.
 
-    ``conjuncts`` are the per-table pruning predicates, one per involved
-    table (base plus joins), each from :func:`_inline_conjunct`; ``None``
-    when the Python path must prune.  ``fallback`` then names the counter
-    a policied read that falls back bumps when it runs (``None`` when
-    nothing in the query is policied).  Runs no statement and counts
-    nothing, so ``QuerySet.explain()`` makes the same decision as the read
-    it reports.
+    ``models`` are the models ``form`` registered for the query's tables,
+    the base table first, then each join: the same models whose policies
+    resolve the tables' labels on the Python path and at concretisation.
+    ``conjuncts`` are the per-table pruning predicates, one per model,
+    each from :func:`_inline_conjunct`; ``None`` when the Python path must
+    prune.  ``fallback`` then names the counter a policied read that falls
+    back bumps when it runs (``None`` when nothing in the query is
+    policied).  Runs no statement and counts nothing, so
+    ``QuerySet.explain()`` makes the same decision as the read it reports.
     """
     if not getattr(form, "policy_pushdown_enabled", True):
         return None, None
-    from repro.form.model import ModelRegistry
-
-    models = [model]
-    for table in joined_tables:
-        try:
-            models.append(ModelRegistry.get(table))
-        except LookupError:
-            return None, None
     if not any(m._meta.policy_groups for m in models):
         # Nothing policied anywhere in the query: the existing paths are
         # already optimal (and unpolicied pc-label rows stay on the
@@ -363,7 +354,7 @@ def pruning_conjuncts(
         return None, "plan.policy_pushdown.opaque_fallback"
     if not all(_canonical_facet_rows(form, m) for m in models):
         return None, "plan.policy_pushdown.fallback.facet_rows"
-    qualify = bool(joined_tables)
+    qualify = len(models) > 1
     try:
         return [_inline_conjunct(m, viewer, qualify) for m in models], None
     except _Demote:

@@ -250,6 +250,43 @@ def test_count_distinct_under_joins(database):
     assert database.aggregate(query) == 1
 
 
+def test_memory_joined_exists_stops_at_its_first_match(monkeypatch):
+    """The memory engine streams a join's base rows, so a joined EXISTS
+    joins no more base rows than it scans up to its first match, while a
+    joined COUNT still joins every one."""
+    database = Database(MemoryBackend())
+    database.define_table("Author", name=ColumnType.TEXT)
+    database.define_table("Book", author_id=ColumnType.INTEGER)
+    database.insert_many("Author", [{"name": f"a{i}"} for i in range(10)])
+    database.insert_many("Book", [{"author_id": 1 + i % 10} for i in range(1000)])
+    joined_tables = []
+    qualify = MemoryBackend._qualify
+
+    def counting_qualify(table, row):
+        joined_tables.append(table)
+        return qualify(table, row)
+
+    monkeypatch.setattr(MemoryBackend, "_qualify", staticmethod(counting_qualify))
+    query = Query("Book").join("Author", "author_id", "id")
+    exists = Aggregate("EXISTS")
+    assert database.aggregate(query.filter(eq("Author.name", "a2")).select_aggregates(exists))
+    assert joined_tables.count("Book") == 3  # books 1 and 2 join a0 and a1
+    assert joined_tables.count("Author") == 10
+    joined_tables.clear()
+    assert database.aggregate(
+        query.filter(eq("Author.name", "a2")).select_aggregates(exists).limited(None, offset=1)
+    )
+    assert joined_tables.count("Book") == 13
+    joined_tables.clear()
+    assert not database.aggregate(
+        query.filter(eq("Author.name", "zz")).select_aggregates(exists)
+    )
+    assert joined_tables.count("Book") == 1000
+    joined_tables.clear()
+    count = _scalar(database, query.filter(eq("Author.name", "a2")), "COUNT")
+    assert count == 100 and joined_tables.count("Book") == 1000
+
+
 def test_min_max_decode_datetime_and_boolean():
     """MIN/MAX return stored values, so SQLite must decode them through the
     column type exactly like a row read (the memory engine holds live

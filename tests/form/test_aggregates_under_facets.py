@@ -344,13 +344,15 @@ def test_cached_aggregate_plan_is_served_from_cache():
     backend.close()
 
 
-def test_registered_policies_only_for_surfacing_labels(agg_form):
+def test_only_discriminating_labels_surface_in_a_count(agg_form):
     AggSecret.objects.create(title="t0", owner="alice", score=1)
     AggSecret.objects.create(title="t1", owner="alice", score=2)
-    # Full-partition count: no label survives the merge, none registered.
+    # Full-partition count: no label survives the merge.
     assert AggSecret.objects.filter(owner="alice").count() == 2
-    assert agg_form.registered_labels == set()
-    # A discriminating filter surfaces (and registers) exactly its label.
+    # A discriminating filter surfaces exactly its label, whose policy the
+    # FORM finds at concretisation: the reads declared nothing.
     result = AggSecret.objects.filter(title="t0").count()
     assert collect_labels(result) == frozenset({Label(name="AggSecret.1.title")})
-    assert agg_form.registered_labels == {"AggSecret.1.title"}
+    assert len(agg_form.runtime.policy_env) == 0
+    assert agg_form.runtime.concretize(result, Viewer("alice")) == 1
+    assert agg_form.runtime.concretize(result, Viewer("bob")) == 0

@@ -322,7 +322,7 @@ def test_the_shape_cache_gives_each_thread_its_own_viewers_rows(monkeypatch):
         conjuncts = []
         for viewer in viewers:
             with viewer_context(viewer):
-                (conjunct,), _fallback = pruning_conjuncts(form, ConfUser, [], viewer)
+                (conjunct,), _fallback = pruning_conjuncts(form, [ConfUser], viewer)
             conjuncts.append(conjunct)
     # A row is visible when it is unfaceted, or it is the branch of its
     # record that the viewer's own-email policy selects.

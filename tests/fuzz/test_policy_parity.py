@@ -17,6 +17,17 @@ path.  ``FuzzDoc`` renders inline with an equality on the viewer's jid,
 ``FuzzOrgDoc`` with a prefix range (``path.startswith(viewer.path)``),
 and ``FuzzAudit`` exercises the Python path (its policy queries another
 model), for fetches, counts, ``exists()`` and aggregates alike.
+``FuzzNote`` is unpolicied, with a foreign key to ``FuzzDoc``: its reads
+filtered on ``doc__title`` carry the joined doc's labels.
+
+In the ``"off"`` configuration every fetch, count, ``exists()`` and
+aggregate (not ``first()``) also checks the Projection Theorem (the
+paper's Theorem 1) at the ORM level: the same read outside any viewer
+context, concretised with ``form.runtime.concretize(result, owner)``,
+must equal the read inside ``viewer_context(owner)``, for every owner of
+the program.  A no-viewer read of N records holding facet rows builds up
+to 2 ** N leaves, so the check is skipped once more than
+:data:`MAX_FACETED_RECORDS` such records exist.
 
 In the ``"on"`` configuration every read is first explained, inside the
 traced region: ``explain()`` must run no statement and bump no counter,
@@ -118,8 +129,19 @@ class FuzzAudit(JModel):
         return owner is not None and ctxt is not None and owner.jid == ctxt.jid
 
 
-MODELS = [FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit]
+class FuzzNote(JModel):
+    """Unpolicied, with a foreign key to a policied model: a joined read
+    carries the doc's labels only."""
+
+    doc = ForeignKey(FuzzDoc)
+    body = CharField(max_length=64)
+
+
+MODELS = [FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit, FuzzNote]
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+#: the projection check's limit on records holding facet rows: a no-viewer
+#: read of N such records builds up to 2 ** N leaves
+MAX_FACETED_RECORDS = 8
 ORG_PATHS = ("/", "/eng", "/eng/db", "/ops")
 #: pushdown configurations compared against the "off" oracle
 CONFIGS = ("off", "on")
@@ -147,6 +169,17 @@ def _gen_filter(rng):
     return ("title", "[secret]" if roll < 0.85 else f"d{rng.randrange(100)}")
 
 
+def _gen_note_filter(rng, titles):
+    """No filter, or a join filter on the doc's guarded ``title``: the
+    public facet, or the secret title of a doc the program created."""
+    roll = rng.random()
+    if roll < 0.2:
+        return ()
+    if roll < 0.35 or not titles:
+        return ("doc__title", "[secret]")
+    return ("doc__title", titles[rng.randrange(len(titles))])
+
+
 def _gen_program(rng, length=16):
     """A random op list.  Every program opens with two owners so viewer
     and ownership choices are always well-defined."""
@@ -154,57 +187,66 @@ def _gen_program(rng, length=16):
         ("create_owner", "ada", "/eng"),
         ("create_owner", "bob", "/ops"),
     ]
+    titles = []
     for _ in range(length):
         roll = rng.random()
-        if roll < 0.14:
+        if roll < 0.11:
+            titles.append(f"d{rng.randrange(100)}")
             program.append(
-                ("create_doc", rng.randrange(4), f"d{rng.randrange(100)}",
-                 rng.randrange(10))
+                ("create_doc", rng.randrange(4), titles[-1], rng.randrange(10))
             )
-        elif roll < 0.22:
+        elif roll < 0.16:
             program.append(
                 ("create_audit", rng.randrange(4), f"a{rng.randrange(100)}")
             )
-        elif roll < 0.28:
+        elif roll < 0.21:
             program.append(
                 ("create_owner", f"o{rng.randrange(100)}",
                  ORG_PATHS[rng.randrange(len(ORG_PATHS))])
             )
-        elif roll < 0.36:
+        elif roll < 0.27:
             program.append(
                 ("update_score", rng.randrange(10), rng.randrange(10))
             )
-        elif roll < 0.42:
+        elif roll < 0.32:
             program.append(("delete_docs", rng.randrange(10)))
-        elif roll < 0.48:
+        elif roll < 0.37:
             program.append(
                 ("guarded_create", rng.randrange(4), f"g{rng.randrange(100)}")
             )
-        elif roll < 0.56:
+        elif roll < 0.42:
             program.append(
                 ("create_orgdoc",
                  ORG_PATHS[rng.randrange(len(ORG_PATHS))],
                  f"b{rng.randrange(100)}")
             )
-        elif roll < 0.62:
+        elif roll < 0.50:
+            program.append(("create_note", rng.randrange(8), f"n{rng.randrange(100)}"))
+        elif roll < 0.55:
             program.append(("fetch_orgdocs", rng.randrange(4)))
-        elif roll < 0.70:
+        elif roll < 0.61:
             program.append(("fetch_docs", rng.randrange(4), _gen_filter(rng)))
-        elif roll < 0.76:
+        elif roll < 0.66:
             program.append(("count_docs", rng.randrange(4), _gen_filter(rng)))
-        elif roll < 0.82:
+        elif roll < 0.71:
             program.append(
                 ("agg_docs", rng.randrange(4),
                  AGG_FUNCTIONS[rng.randrange(len(AGG_FUNCTIONS))])
             )
-        elif roll < 0.86:
+        elif roll < 0.75:
             program.append(("exists_docs", rng.randrange(4), _gen_filter(rng)))
-        elif roll < 0.89:
+        elif roll < 0.78:
             program.append(("first_doc", rng.randrange(4), _gen_filter(rng)))
-        elif roll < 0.93:
+        elif roll < 0.82:
             program.append(
                 ("limited_docs", rng.randrange(4), 1 + rng.randrange(3),
                  ("fetch", "count")[rng.randrange(2)])
+            )
+        elif roll < 0.93:
+            program.append(
+                ("read_notes", rng.randrange(4),
+                 ("fetch", "count", "exists")[rng.randrange(3)],
+                 _gen_note_filter(rng, titles))
             )
         else:
             program.append(
@@ -217,12 +259,32 @@ def _gen_program(rng, length=16):
 # -- program execution ---------------------------------------------------------------
 
 
-def _doc_query(filters):
-    """``FuzzDoc``'s query set under the drawn ``(field, value)`` filter, if any."""
+def _query(model, filters):
+    """``model``'s query set under the drawn ``(field, value)`` filter, if any."""
     if not filters:
-        return FuzzDoc.objects.all()
+        return model.objects.all()
     field, value = filters
-    return FuzzDoc.objects.filter(**{field: value})
+    return model.objects.filter(**{field: value})
+
+
+def _scalar(value):
+    """A count, existence or aggregate, as an observable."""
+    return round(value, 9) if isinstance(value, float) else value
+
+
+def _rows(*fields):
+    """An observable of a fetched list: its instances' ``fields``, sorted."""
+    return lambda items: sorted(
+        tuple(getattr(item, field) for field in fields) for item in items
+    )
+
+
+def _faceted_records(form):
+    """How many records hold facet rows, over every fuzzed table."""
+    return sum(
+        len({row["jid"] for row in form.database.find(model._meta.table_name) if row["jvars"]})
+        for model in MODELS
+    )
 
 
 def _run_program(kind, program, config):
@@ -239,18 +301,44 @@ def _run_program(kind, program, config):
     observables = []
     leaks = []
     faults = []
+    owners = []
 
-    def read(op, viewer, query_set, run, operation="fetch", exact=True, **values):
-        """``run(query_set)`` inside ``viewer``'s context.  In the "on"
-        configuration ``query_set.explain(operation, **values)`` comes
-        first, traced like the read: it must run no statement and bump no
-        counter, its ``sql`` must run, and the pushdown counters the read
-        bumps must be the one its report names (``exact=False`` skips the
-        counters, for ``first()``, whose unbounded fallback makes a second
-        plan)."""
+    def read(
+        op, viewer, query_set, run, operation="fetch", exact=True, observe=None,
+        **values,
+    ):
+        """``run(query_set)`` inside ``viewer``'s context.
+
+        In the "on" configuration ``query_set.explain(operation, **values)``
+        comes first, traced like the read: it must run no statement and
+        bump no counter, its ``sql`` must run, and the pushdown counters
+        the read bumps must be the one its report names (``exact=False``
+        skips the counters, for ``first()``, whose unbounded fallback makes
+        a second plan).
+
+        In the "off" configuration a read with an ``observe`` function also
+        checks the Projection Theorem for every owner of the program: the
+        same read outside any viewer context, concretised for the owner,
+        must be observed as the read inside the owner's context -- while at
+        most :data:`MAX_FACETED_RECORDS` records hold facet rows.
+        """
+        if config != "on":
+            with viewer_context(viewer):
+                value = run(query_set)
+            if observe is not None and _faceted_records(form) <= MAX_FACETED_RECORDS:
+                faceted = run(query_set)
+                for owner in owners:
+                    seen = value
+                    if owner is not viewer:
+                        with viewer_context(owner):
+                            seen = run(query_set)
+                    concrete = form.runtime.concretize(faceted, owner)
+                    if observe(concrete) != observe(seen):
+                        faults.append(
+                            (op, "projection", owner.name, observe(concrete), observe(seen))
+                        )
+            return value
         with viewer_context(viewer):
-            if config != "on":
-                return run(query_set)
             with obs.tracing(), form.database.observe_statements() as log:
                 before = obs.totals.snapshot()
                 report = query_set.explain(operation, **values)
@@ -280,17 +368,23 @@ def _run_program(kind, program, config):
             faults.append((op, report["mode"], bumped))
         return value
 
-    def check_docs(op, viewer, docs):
-        for doc in docs:
+    doc_rows = _rows("jid", "title", "score")
+
+    def check_docs(op, viewer, fetched):
+        for doc in fetched:
             if doc.title != "[secret]" and doc.owner_id != viewer.jid:
                 leaks.append((op, doc.jid, doc.title))
-        return sorted((doc.jid, doc.title, doc.score) for doc in docs)
+        return doc_rows(fetched)
 
-    owners = []
+    docs = []
+    #: doc jid -> its owner's jid, for the note reads' leak check
+    doc_owners = {}
     with use_form(form):
         for op in program:
             name, args = op[0], op[1:]
             if not owners and name not in ("create_owner", "create_orgdoc"):
+                continue
+            if not docs and name == "create_note":
                 continue
             # The owner (and viewer) an op's leading index picks, if any.
             viewer = (
@@ -301,7 +395,10 @@ def _run_program(kind, program, config):
                 path = args[1] if len(args) > 1 else "/"
                 owners.append(FuzzOwner.objects.create(name=args[0], path=path))
             elif name == "create_doc":
-                FuzzDoc.objects.create(owner=viewer, title=args[1], score=args[2])
+                docs.append(
+                    FuzzDoc.objects.create(owner=viewer, title=args[1], score=args[2])
+                )
+                doc_owners[docs[-1].jid] = viewer.jid
             elif name == "create_audit":
                 FuzzAudit.objects.create(owner=viewer, body=args[1])
             elif name == "update_score":
@@ -320,29 +417,33 @@ def _run_program(kind, program, config):
                     ),
                 )
                 with form.runtime.under_branch(label, True):
-                    FuzzDoc.objects.create(owner=viewer, title=args[1], score=0)
+                    docs.append(FuzzDoc.objects.create(owner=viewer, title=args[1], score=0))
+                doc_owners[docs[-1].jid] = viewer.jid
+            elif name == "create_note":
+                FuzzNote.objects.create(doc=docs[args[0] % len(docs)], body=args[1])
             elif name == "fetch_docs":
-                docs = read(op, viewer, _doc_query(args[1]), QuerySet.fetch)
-                observables.append(check_docs(op, viewer, docs))
+                fetched = read(
+                    op, viewer, _query(FuzzDoc, args[1]), QuerySet.fetch, observe=doc_rows
+                )
+                observables.append(check_docs(op, viewer, fetched))
             elif name == "count_docs":
-                observables.append(
-                    read(op, viewer, _doc_query(args[1]), QuerySet.count, "count")
-                )
+                observables.append(read(
+                    op, viewer, _query(FuzzDoc, args[1]), QuerySet.count, "count",
+                    observe=_scalar,
+                ))
             elif name == "exists_docs":
-                observables.append(
-                    read(op, viewer, _doc_query(args[1]), QuerySet.exists, "count")
-                )
+                observables.append(read(
+                    op, viewer, _query(FuzzDoc, args[1]), QuerySet.exists, "count",
+                    observe=_scalar,
+                ))
             elif name == "agg_docs":
-                value = read(
+                observables.append(_scalar(read(
                     op, viewer, FuzzDoc.objects.all(),
                     lambda qs: qs.aggregate("score", args[1]),
-                    "aggregate", field="score", function=args[1],
-                )
-                observables.append(
-                    round(value, 9) if isinstance(value, float) else value
-                )
+                    "aggregate", field="score", function=args[1], observe=_scalar,
+                )))
             elif name == "first_doc":
-                query_set = _doc_query(args[1]).order_by("score", "jid")
+                query_set = _query(FuzzDoc, args[1]).order_by("score", "jid")
                 # first() opens with the bounded LIMIT 1 fetch.
                 doc = read(
                     op, viewer, query_set.limited(1),
@@ -352,38 +453,61 @@ def _run_program(kind, program, config):
             elif name == "limited_docs":
                 query_set = FuzzDoc.objects.all().order_by("score", "jid").limited(args[1])
                 if args[2] == "fetch":
-                    docs = read(op, viewer, query_set, QuerySet.fetch)
-                    observables.append(check_docs(op, viewer, docs))
+                    fetched = read(op, viewer, query_set, QuerySet.fetch, observe=doc_rows)
+                    observables.append(check_docs(op, viewer, fetched))
                 else:
-                    observables.append(read(op, viewer, query_set, QuerySet.count, "count"))
+                    observables.append(read(
+                        op, viewer, query_set, QuerySet.count, "count", observe=_scalar
+                    ))
             elif name == "create_orgdoc":
                 FuzzOrgDoc.objects.create(path=args[0], body=args[1])
             elif name == "fetch_orgdocs":
-                docs = read(op, viewer, FuzzOrgDoc.objects.all(), QuerySet.fetch)
-                for doc in docs:
+                orgdoc_rows = _rows("jid", "path", "body")
+                fetched = read(
+                    op, viewer, FuzzOrgDoc.objects.all(), QuerySet.fetch,
+                    observe=orgdoc_rows,
+                )
+                for doc in fetched:
                     if doc.body != "[hidden]" and not doc.path.startswith(
                         viewer.path
                     ):
                         leaks.append((op, doc.jid, doc.body))
-                observables.append(
-                    sorted((doc.jid, doc.path, doc.body) for doc in docs)
-                )
+                observables.append(orgdoc_rows(fetched))
             elif name == "read_audits":
                 audits = FuzzAudit.objects.all()
                 if args[1] == "fetch":
-                    fetched = read(op, viewer, audits, QuerySet.fetch)
+                    audit_rows = _rows("jid", "body")
+                    fetched = read(op, viewer, audits, QuerySet.fetch, observe=audit_rows)
                     for audit in fetched:
                         if audit.body != "[redacted]" and audit.owner_id != viewer.jid:
                             leaks.append((op, audit.jid, audit.body))
-                    observables.append(sorted((a.jid, a.body) for a in fetched))
+                    observables.append(audit_rows(fetched))
                 elif args[1] == "aggregate":
                     observables.append(read(
                         op, viewer, audits, lambda qs: qs.aggregate("body", "MAX"),
-                        "aggregate", field="body", function="MAX",
+                        "aggregate", field="body", function="MAX", observe=_scalar,
                     ))
                 else:
                     verb = getattr(QuerySet, args[1])
-                    observables.append(read(op, viewer, audits, verb, "count"))
+                    observables.append(
+                        read(op, viewer, audits, verb, "count", observe=_scalar)
+                    )
+            elif name == "read_notes":
+                notes = _query(FuzzNote, args[2])
+                if args[1] == "fetch":
+                    note_rows = _rows("jid", "doc_id", "body")
+                    fetched = read(op, viewer, notes, QuerySet.fetch, observe=note_rows)
+                    if args[2] and args[2][1] != "[secret]":
+                        # Matching a secret title shows the viewer's own docs only.
+                        for note in fetched:
+                            if doc_owners.get(note.doc_id) != viewer.jid:
+                                leaks.append((op, note.jid, note.doc_id))
+                    observables.append(note_rows(fetched))
+                else:
+                    verb = getattr(QuerySet, args[1])
+                    observables.append(
+                        read(op, viewer, notes, verb, "count", observe=_scalar)
+                    )
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
     database.close()
@@ -398,7 +522,7 @@ def _failure(kind, program):
         if run_leaks:
             return f"cross-viewer leak on the {config!r} path: {run_leaks!r}"
         if faults:
-            return f"explain() disagrees with the read under {config!r}: {faults!r}"
+            return f"a read's explain() or projection check failed under {config!r}: {faults!r}"
         runs[config] = observables
     oracle = runs["off"]
     for config in CONFIGS[1:]:
