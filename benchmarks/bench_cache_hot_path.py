@@ -20,12 +20,11 @@ from typing import Callable, Dict, Tuple
 
 from repro.apps.conf.models import Paper, ConfUser
 from repro.apps.conf.seed import seed_conference
-from repro.apps.conf.views import build_conf_app, setup_conf
+from repro.apps.conf.views import setup_conf
 from repro.bench.report import format_table
 from repro.cache import CacheConfig
 from repro.db import Database, MemoryBackend, SqliteBackend
 from repro.form import use_form, viewer_context
-from repro.web import TestClient
 
 BENCH_SIZE = 64
 REPEATS = 5
@@ -122,30 +121,6 @@ def test_cache_disabled_matches_cold_behaviour():
         Paper.objects.all().fetch()
     stats = form.caches.stats()
     assert stats["queries"]["puts"] == 0 and stats["labels"]["puts"] == 0
-
-
-def test_warm_full_page_request_faster_with_fragments():
-    """End-to-end page serving with the fragment cache on."""
-    config = CacheConfig().with_fragments(ttl=None)
-    form = setup_conf(Database(MemoryBackend()), cache_config=config)
-    created = seed_conference(form, papers=BENCH_SIZE)
-    client = TestClient(build_conf_app(form))
-    viewer = created["pc"][0]
-    client.force_login(viewer.jid, viewer.name)
-
-    def page():
-        response = client.get("/papers")
-        assert response.ok
-        return response
-
-    def cold_page():
-        form.caches.clear()
-        return page()
-
-    cold = _time_best(cold_page)
-    page()
-    warm = _time_best(page)
-    assert warm < cold
 
 
 # -- manual sweep ---------------------------------------------------------------------

@@ -13,6 +13,10 @@ importantly -- verifies integrity under load:
 * **zero cross-viewer leaks**: a logged-in author's ``/users`` page must
   show their own secret email and never any other user's (the ``email``
   policy of :mod:`repro.apps.conf.models`);
+* **no stale reads**: a ``/papers`` page must list every title whose
+  ``POST /submit`` returned before the page was requested, the worker's
+  own latest one included (titles carry no policy, so every viewer sees
+  them);
 * **unique jid allocation**: every record's facet rows agree, no jid is
   shared by two logical records, and no record lost rows;
 * **get_or_create atomicity**: all threads racing the same key observe one
@@ -96,8 +100,25 @@ class WorkerResult:
         self.violations: List[str] = []
 
 
+class SubmitLog:
+    """The titles whose ``POST /submit`` has returned, shared by workers."""
+
+    def __init__(self) -> None:
+        self._titles: List[str] = []
+        self._lock = threading.Lock()
+
+    def add(self, title: str) -> None:
+        with self._lock:
+            self._titles.append(title)
+
+    def snapshot(self) -> List[str]:
+        with self._lock:
+            return list(self._titles)
+
+
 def _worker(index: int, app, form, workers: int, iterations: int,
-            result: WorkerResult, barrier: threading.Barrier) -> None:
+            result: WorkerResult, barrier: threading.Barrier,
+            submit_log: SubmitLog) -> None:
     client = WsgiClient(app)
     own_secret = _secret_email(index)
     other_secrets = [_secret_email(j) for j in range(workers) if j != index]
@@ -122,17 +143,26 @@ def _worker(index: int, app, form, workers: int, iterations: int,
                 result.violations.append(
                     f"worker {index}: LEAK of {secret} on /users (iteration {iteration})"
                 )
+        # Every submit that returned before this request is sent must show.
+        expected = submit_log.snapshot()
         papers = client.get("/papers")
         result.requests += 1
         if papers.status != 200:
             result.violations.append(f"worker {index}: /papers -> {papers.status}")
+        else:
+            missing = [title for title in expected if f"<li>{title} " not in papers.body]
+            if missing:
+                result.violations.append(
+                    f"worker {index}: STALE /papers lacks {len(missing)} submitted "
+                    f"title(s), e.g. {missing[0]!r} (iteration {iteration})"
+                )
         if iteration % 3 == 0:
-            posted = client.post(
-                "/submit", title=f"load-paper w{index}-{iteration}"
-            )
+            title = f"load-paper w{index}-{iteration}"
+            posted = client.post("/submit", title=title)
             result.requests += 1
             if posted.status in (200, 302):
                 result.submitted += 1
+                submit_log.add(title)
             else:
                 result.violations.append(
                     f"worker {index}: /submit -> {posted.status}"
@@ -199,10 +229,11 @@ def run_config(backend: str, cache_enabled: bool, workers: int, iterations: int,
 
     results = [WorkerResult() for _ in range(workers)]
     barrier = threading.Barrier(workers)
+    submit_log = SubmitLog()
     threads = [
         threading.Thread(
             target=_worker,
-            args=(i, app, form, workers, iterations, results[i], barrier),
+            args=(i, app, form, workers, iterations, results[i], barrier, submit_log),
             name=f"load-worker-{i}",
         )
         for i in range(workers)
@@ -308,7 +339,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if failures:
         print(f"{failures} configuration(s) FAILED")
         return 1
-    print("all configurations passed: no leaks, no duplicate jids, no lost records")
+    print(
+        "all configurations passed: no leaks, no stale reads, no duplicate jids, "
+        "no lost records"
+    )
     return 0
 
 

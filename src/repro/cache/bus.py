@@ -1,68 +1,41 @@
-"""The write-through invalidation bus.
+"""The invalidation bus: the write counters that stamp cache entries.
 
 Database backends publish a table-level event after every successful write
-(insert, update, delete, clear, drop).  Caches subscribe and drop the
-entries the write could have affected, so a cached read can never observe
-rows older than the latest committed write -- the "write-through" half of
-the subsystem's correctness argument.
+(insert, update, delete, clear, drop), once the written rows are visible.
+Publishing only bumps counters; no cache is called back.  A cache stores
+each entry beside a *stamp* read from these counters before the entry's
+statement or policy ran, and an entry answers only under an equal stamp
+(:class:`~repro.cache.lru.LRUCache`).  A write that lands before a lookup
+-- even one that raced the fill -- has changed the stamp, so a cached read
+can never observe rows older than the latest committed write: the
+"write-through" half of the subsystem's correctness argument.
 
-The bus also tracks two kinds of generation counters used in cache keys:
+The counters are:
 
 * a per-table **write generation**, bumped on every data write;
+* the **write count** (:attr:`InvalidationBus.events_published`), bumped
+  once per event;
 * a global **schema generation**, bumped on create/drop table, so cached
-  query results never survive a schema change.
+  results never survive a schema change.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
-#: Subscriber signature: called with the affected table name.  Events that
-#: concern every table (``clear``) are delivered once per known table plus
-#: once with :data:`ALL_TABLES`.
-Subscriber = Callable[[str], None]
-
-#: Wildcard table name published when a write affects an unknown set of
-#: tables (e.g. ``Database.clear()``).
-ALL_TABLES = "*"
+from repro.cache.epoch import policy_epoch
 
 
 class InvalidationBus:
-    """Table-level write events plus generation counters.
-
-    Thread-safe: publishing snapshots the subscriber list under the lock and
-    invokes callbacks outside it, so a subscriber may unsubscribe (or
-    publish) re-entrantly without deadlocking.
-    """
+    """Table-level write events, counted into generations.  Thread-safe."""
 
     def __init__(self) -> None:
-        self._subscribers: List[Subscriber] = []
         self._write_generations: Dict[str, int] = {}
         self._schema_generation = 0
         self._lock = threading.Lock()
-        #: total number of events delivered (for tests and diagnostics)
+        #: total number of events published: the write count
         self.events_published = 0
-
-    # -- subscriptions --------------------------------------------------------------
-
-    def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        """Register a callback; returns it so it can be unsubscribed later."""
-        with self._lock:
-            if subscriber not in self._subscribers:
-                self._subscribers.append(subscriber)
-        return subscriber
-
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        with self._lock:
-            if subscriber in self._subscribers:
-                self._subscribers.remove(subscriber)
-
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
 
     # -- publishing ------------------------------------------------------------------
 
@@ -71,30 +44,25 @@ class InvalidationBus:
         with self._lock:
             self._write_generations[table] = self._write_generations.get(table, 0) + 1
             self.events_published += 1
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            subscriber(table)
 
-    def publish_all(self) -> None:
-        """Announce a write of unknown extent (``clear``): every cache entry
-        derived from any table must go."""
+    def publish_all(self, tables: Iterable[str]) -> None:
+        """Announce a write of unknown extent (``clear``) as one event that
+        bumps the write generation of ``tables`` and of every table already
+        written."""
         with self._lock:
-            for table in self._write_generations:
-                self._write_generations[table] += 1
+            for table in {*self._write_generations, *tables}:
+                self._write_generations[table] = self._write_generations.get(table, 0) + 1
             self.events_published += 1
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            subscriber(ALL_TABLES)
 
     def schema_changed(self, table: Optional[str] = None) -> None:
         """Announce a create/drop; bumps the schema generation and, for a
-        drop, also invalidates the table's cached data."""
+        drop, also publishes a write of the table's data."""
         with self._lock:
             self._schema_generation += 1
         if table is not None:
             self.publish(table)
 
-    # -- generations ------------------------------------------------------------------
+    # -- generations and stamps ----------------------------------------------------------
 
     @property
     def schema_generation(self) -> int:
@@ -105,31 +73,25 @@ class InvalidationBus:
         with self._lock:
             return self._write_generations.get(table, 0)
 
+    def tables_stamp(self, tables: Iterable[str]) -> Tuple[int, Tuple[int, ...]]:
+        """The stamp of a result read from ``tables``: the schema generation
+        and each table's write generation.  A write to any other table
+        leaves it unchanged."""
+        with self._lock:
+            generations = tuple(self._write_generations.get(table, 0) for table in tables)
+            return self._schema_generation, generations
+
+    def stamp(self) -> Tuple[int, int, int]:
+        """The stamp of an outcome that may depend on any table and on
+        policy inputs outside the database: ``(write count, schema
+        generation, policy epoch)``.  Every component only grows, so a
+        later stamp compares greater."""
+        with self._lock:
+            counts = (self.events_published, self._schema_generation)
+        return (*counts, policy_epoch())
+
     def __repr__(self) -> str:
         return (
-            f"InvalidationBus(subscribers={self.subscriber_count}, "
-            f"events={self.events_published}, schema_gen={self._schema_generation})"
+            f"InvalidationBus(events={self.events_published}, "
+            f"schema_gen={self._schema_generation})"
         )
-
-
-def subscribe_weak(
-    bus: InvalidationBus, owner: Any, method: Callable[[Any, str], None]
-) -> Subscriber:
-    """Subscribe ``method(owner, table)`` holding ``owner`` only weakly.
-
-    Caches live and die with their FORM, while the database (and its bus)
-    may outlive many FORMs.  A strong subscription would pin every dead
-    cache on the bus forever; this forwarder lets the cache be collected
-    and lazily unsubscribes itself on the next event after that.
-    """
-    owner_ref = weakref.ref(owner)
-
-    def forward(table: str) -> None:
-        target = owner_ref()
-        if target is None:
-            bus.unsubscribe(forward)
-            return
-        method(target, table)
-
-    bus.subscribe(forward)
-    return forward

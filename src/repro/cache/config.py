@@ -1,67 +1,26 @@
 """Cache subsystem configuration.
 
 A :class:`CacheConfig` travels on the :class:`~repro.form.context.FORM` and
-controls which layers of the cache subsystem are active.  Caching is on by
-default -- the paper-faithful benchmark baselines disable it with
+switches its cache layers on or off.  Caching is on by default -- the
+paper-faithful benchmark baselines disable it with
 ``CacheConfig.disabled()`` so cold-path numbers keep matching the paper's
-uncached measurements.
+uncached measurements.  The layers' sizes are module constants
+(:mod:`repro.cache.query_cache`, :mod:`repro.cache.label_cache`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Sizing and enablement knobs for the FORM cache layers.
-
-    * ``query_cache_*`` -- the faceted query cache: raw row+jvar entries
-      keyed before pruning, shared safely by all viewers;
-    * ``label_cache_*`` -- the per-viewer label-resolution memo;
-    * ``fragment_cache_*`` -- the per-viewer rendered-page cache in the web
-      layer (off by default: it trades strict render freshness for speed and
-      only pays off on read-heavy traffic).
-
-    TTLs are in seconds; ``None`` disables time-based expiry.
-    """
+    """The one switch of the FORM cache layers: the faceted query cache
+    and the per-viewer label-resolution memo."""
 
     enabled: bool = True
-    query_cache_size: int = 512
-    query_cache_ttl: Optional[float] = None
-    #: results with more rows than this are served but not cached -- the LRU
-    #: bound counts entries, so one huge result must not pin a full-table
-    #: copy per filter/ordering combination (``None`` = no row cap).
-    query_cache_max_rows: Optional[int] = 10_000
-    label_cache_size: int = 8192
-    label_cache_ttl: Optional[float] = None
-    fragment_cache_enabled: bool = False
-    fragment_cache_size: int = 256
-    fragment_cache_ttl: Optional[float] = 30.0
 
     @classmethod
     def disabled(cls) -> "CacheConfig":
         """A configuration with every cache layer off (benchmark baselines)."""
-        return cls(enabled=False, fragment_cache_enabled=False)
-
-    def with_fragments(self, size: int = 256, ttl: Optional[float] = 30.0) -> "CacheConfig":
-        """This configuration with the rendered-fragment cache switched on."""
-        return replace(
-            self,
-            fragment_cache_enabled=True,
-            fragment_cache_size=size,
-            fragment_cache_ttl=ttl,
-        )
-
-    @property
-    def query_cache_enabled(self) -> bool:
-        return self.enabled and self.query_cache_size != 0
-
-    @property
-    def label_cache_enabled(self) -> bool:
-        return self.enabled and self.label_cache_size != 0
-
-    @property
-    def fragments_enabled(self) -> bool:
-        return self.enabled and self.fragment_cache_enabled and self.fragment_cache_size != 0
+        return cls(enabled=False)

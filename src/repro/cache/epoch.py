@@ -4,9 +4,9 @@ Policies may consult state that lives outside the database -- the canonical
 example is the conference phase of the paper's case study, a plain class
 attribute.  Database writes flow through the invalidation bus, but such
 out-of-band policy inputs do not, so anything mutating them must call
-:func:`bump_policy_epoch`.  Viewer-dependent caches (the label memo and the
-rendered-fragment cache) stamp entries with the epoch at insertion and treat
-entries from an older epoch as misses.
+:func:`bump_policy_epoch`.  The epoch is part of the bus's viewer-facing
+stamp (:meth:`repro.cache.bus.InvalidationBus.stamp`), so a bump turns
+every memoised label outcome into a miss.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ def policy_epoch() -> int:
 
 
 def bump_policy_epoch() -> int:
-    """Invalidate every epoch-stamped cache entry; returns the new epoch."""
+    """Invalidate every entry stamped with an older epoch; returns the new
+    epoch."""
     global _current
     with _lock:
         _current = next(_counter)

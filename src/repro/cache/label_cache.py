@@ -12,21 +12,24 @@ Safety:
 
 * entries are **per-viewer** -- a viewer key never matches another viewer,
   so a memoised outcome cannot leak across users;
-* any database write clears the memo (policies may read *any* table, so
-  table-granular invalidation would be unsound for label outcomes);
-* entries are stamped with the global policy epoch
-  (:mod:`repro.cache.epoch`) so out-of-band policy inputs -- e.g. the
-  conference phase -- invalidate them too;
+* policies may read *any* table and out-of-band state such as the
+  conference phase, so every entry is stored beside the bus's viewer-facing
+  stamp (:meth:`repro.cache.bus.InvalidationBus.stamp`: write count, schema
+  generation, policy epoch) taken before its policy ran, and answers only
+  under an equal stamp.  All current entries share one stamp, so the memo
+  empties itself the first time it is used under a newer one;
 * viewers without a stable identity (no integer ``jid``) are never cached.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Hashable, Optional, Tuple
 
-from repro.cache.bus import InvalidationBus, subscribe_weak
-from repro.cache.epoch import policy_epoch
 from repro.cache.lru import LRUCache, MISSING
+
+#: The most label outcomes the memo holds (least recently used go first).
+LABEL_CACHE_SIZE = 8192
 
 
 def viewer_cache_key(viewer: Any) -> Optional[Hashable]:
@@ -45,84 +48,39 @@ def viewer_cache_key(viewer: Any) -> Optional[Hashable]:
 
 
 class LabelResolutionCache:
-    """Memoises per-viewer label outcomes, cleared on any database write."""
+    """Memoises per-viewer label outcomes under one stamp."""
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = 8192,
-        ttl: Optional[float] = None,
-        clock=None,
-    ) -> None:
-        kwargs = {} if clock is None else {"clock": clock}
-        self._lru = LRUCache(max_entries, ttl, **kwargs)
-        self._bus: Optional[InvalidationBus] = None
-        self._subscription = None
-        #: bumped on every clear; lets callers reject fills computed before
-        #: an invalidation that raced with the resolution (see :meth:`put`).
-        self._generation = 0
+    def __init__(self) -> None:
+        self._lru = LRUCache(LABEL_CACHE_SIZE)
+        #: the newest stamp the memo has been used under
+        self._stamp: Tuple = ()
+        self._lock = threading.Lock()
 
-    # -- bus wiring -----------------------------------------------------------------
+    def _use(self, stamp: Tuple) -> None:
+        """Empty the memo the first time it is used under a newer stamp.
 
-    def bind(self, bus: InvalidationBus) -> None:
-        if self._bus is bus:
-            return
-        self.unbind()
-        self._bus = bus
-        self._subscription = subscribe_weak(bus, self, LabelResolutionCache._on_write)
+        Entries answer only under their own stamp anyway
+        (:class:`~repro.cache.lru.LRUCache`); this reclaims them."""
+        if stamp > self._stamp:
+            with self._lock:
+                if stamp > self._stamp:
+                    self._stamp = stamp
+                    self._lru.clear()
 
-    def unbind(self) -> None:
-        if self._bus is not None and self._subscription is not None:
-            self._bus.unsubscribe(self._subscription)
-        self._bus = None
-        self._subscription = None
+    def get(self, label_name: str, viewer_key: Hashable, stamp: Tuple) -> Optional[bool]:
+        """The outcome memoised under ``stamp``, or ``None``."""
+        self._use(stamp)
+        outcome = self._lru.lookup((label_name, viewer_key), stamp)
+        return None if outcome is MISSING else outcome
 
-    def _on_write(self, _table: str) -> None:
-        # Policies may read any table, so every memoised outcome is suspect.
-        # Must go through clear() so the generation bumps and in-flight
-        # resolutions that started before this write cannot memoise.
-        self.clear()
-
-    # -- memoisation -------------------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Snapshot before resolving; pass to :meth:`put` to guard the fill."""
-        return self._generation
-
-    def get(self, label_name: str, viewer_key: Hashable) -> Optional[bool]:
-        """The memoised outcome, or ``None`` on a miss/stale epoch."""
-        entry = self._lru.lookup((label_name, viewer_key))
-        if entry is MISSING:
-            return None
-        outcome, epoch = entry
-        if epoch != policy_epoch():
-            self._lru.remove((label_name, viewer_key))
-            return None
-        return outcome
-
-    def put(
-        self,
-        label_name: str,
-        viewer_key: Hashable,
-        outcome: bool,
-        generation: Optional[int] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
-        """Memoise an outcome.
-
-        ``generation``/``epoch`` are the snapshots taken *before* the policy
-        ran; if an invalidation or epoch bump landed in between, the outcome
-        was computed against superseded state and is silently discarded --
-        the same fill-vs-write guard the query cache gets from
-        generation-stamped keys.
-        """
-        if generation is not None and generation != self._generation:
-            return
-        entry_epoch = policy_epoch() if epoch is None else epoch
-        self._lru.put((label_name, viewer_key), (bool(outcome), entry_epoch))
+    def put(self, label_name: str, viewer_key: Hashable, outcome: bool, stamp: Tuple) -> None:
+        """Memoise an outcome beside the stamp taken *before* its policy
+        ran: a write or epoch bump landing in between has already changed
+        the stamp, so the outcome never answers a lookup after it."""
+        self._use(stamp)
+        self._lru.put((label_name, viewer_key), bool(outcome), stamp)
 
     def clear(self) -> None:
-        self._generation += 1
         self._lru.clear()
 
     @property

@@ -1,20 +1,24 @@
-"""A generic LRU cache with TTL, size bounds and statistics.
+"""A generic LRU cache with a size bound, stamped entries and statistics.
 
-Every higher-level cache in :mod:`repro.cache` (the faceted query cache, the
-label-resolution memo, the rendered-fragment cache and the template parse
-cache) is built on this one primitive.  Entries are evicted in
-least-recently-used order once ``max_entries`` is reached; a per-cache TTL
-expires entries lazily on access.  The clock is injectable so tests can
-drive expiry deterministically.
+Every cache in :mod:`repro.cache` (the faceted query cache and the
+label-resolution memo) and the template parse cache are built on this one
+primitive.  Entries are evicted in least-recently-used order once
+``max_entries`` is reached.
+
+An entry is stored beside a *stamp* and answers only a lookup under an
+equal stamp -- the one staleness rule of the cache subsystem (stamps come
+from :class:`~repro.cache.bus.InvalidationBus`).  A lookup under another
+stamp is a miss; the stale entry stays until a put overwrites it, an
+eviction or a clear.  Callers that need no staleness rule leave the stamp
+at its default.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Hashable, Optional, Tuple
 
 #: Sentinel distinguishing "missing" from cached falsy values (False, None).
 MISSING = object()
@@ -28,7 +32,6 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
 
     @property
@@ -47,99 +50,73 @@ class CacheStats:
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "invalidations": self.invalidations,
             "hit_rate": self.hit_rate,
         }
 
     def reset(self) -> None:
         self.hits = self.misses = self.puts = 0
-        self.evictions = self.expirations = self.invalidations = 0
+        self.evictions = self.invalidations = 0
 
 
 class LRUCache:
-    """A thread-safe bounded mapping with LRU eviction and optional TTL.
+    """A thread-safe bounded mapping with LRU eviction and stamped entries.
 
-    ``max_entries`` bounds the number of live entries (``None`` means
-    unbounded); ``ttl`` is a lifetime in seconds (``None`` means entries
-    never expire).  ``on_evict(key, value)`` is invoked for entries removed
-    by eviction, expiry or explicit invalidation -- higher-level caches use
-    it to keep secondary indexes consistent.
+    ``max_entries`` bounds the number of entries (``None`` means unbounded).
     """
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = 1024,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-        on_evict: Optional[Callable[[Hashable, Any], None]] = None,
-    ) -> None:
+    def __init__(self, max_entries: Optional[int] = 1024) -> None:
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be non-negative")
         self.max_entries = max_entries
-        self.ttl = ttl
-        self._clock = clock
-        self._on_evict = on_evict
-        self._entries: "OrderedDict[Hashable, Tuple[Any, float]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Tuple[Any, Hashable]]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
     # -- core mapping operations ---------------------------------------------------
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """The cached value, or ``default``; refreshes LRU recency on hit."""
+    def get(self, key: Hashable, default: Any = None, stamp: Hashable = None) -> Any:
+        """The value stored under ``key`` and ``stamp``, or ``default``;
+        refreshes LRU recency on a hit."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry[1] != stamp:
                 self.stats.misses += 1
-                return default
-            value, stored_at = entry
-            if self._expired(stored_at):
-                del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
-                self._notify_evict(key, value)
                 return default
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return value
+            return entry[0]
 
-    def lookup(self, key: Hashable) -> Any:
+    def lookup(self, key: Hashable, stamp: Hashable = None) -> Any:
         """Like :meth:`get` but returns :data:`MISSING` on a miss, so falsy
         values (``False``, ``None``) can be cached unambiguously."""
-        return self.get(key, MISSING)
+        return self.get(key, MISSING, stamp)
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh an entry, evicting the LRU tail if needed."""
+    def put(self, key: Hashable, value: Any, stamp: Hashable = None) -> None:
+        """Insert or overwrite an entry, evicting the LRU tail if needed."""
         if self.max_entries == 0:
             return
         with self._lock:
             if key in self._entries:
                 del self._entries[key]
-            self._entries[key] = (value, self._clock())
+            self._entries[key] = (value, stamp)
             self.stats.puts += 1
             while self.max_entries is not None and len(self._entries) > self.max_entries:
-                evicted_key, (evicted_value, _at) = self._entries.popitem(last=False)
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                self._notify_evict(evicted_key, evicted_value)
 
     def remove(self, key: Hashable) -> bool:
         """Invalidate one entry; returns whether it was present."""
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
+            if self._entries.pop(key, None) is None:
                 return False
             self.stats.invalidations += 1
-            self._notify_evict(key, entry[0])
             return True
 
     def clear(self) -> int:
         """Invalidate everything; returns the number of entries dropped."""
         with self._lock:
             dropped = len(self._entries)
-            if self._on_evict is not None:
-                for key, (value, _at) in list(self._entries.items()):
-                    self._notify_evict(key, value)
             self._entries.clear()
             self.stats.invalidations += dropped
             return dropped
@@ -152,41 +129,10 @@ class LRUCache:
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            return not self._expired(entry[1])
-
-    def keys(self) -> Iterable[Hashable]:
-        with self._lock:
-            return list(self._entries.keys())
-
-    def purge_expired(self) -> int:
-        """Eagerly drop expired entries (normally expiry is lazy)."""
-        if self.ttl is None:
-            return 0
-        with self._lock:
-            doomed = [
-                key for key, (_value, stored_at) in self._entries.items()
-                if self._expired(stored_at)
-            ]
-            for key in doomed:
-                value, _at = self._entries.pop(key)
-                self.stats.expirations += 1
-                self._notify_evict(key, value)
-            return len(doomed)
-
-    # -- internals ------------------------------------------------------------------
-
-    def _expired(self, stored_at: float) -> bool:
-        return self.ttl is not None and (self._clock() - stored_at) > self.ttl
-
-    def _notify_evict(self, key: Hashable, value: Any) -> None:
-        if self._on_evict is not None:
-            self._on_evict(key, value)
+            return key in self._entries
 
     def __repr__(self) -> str:
         return (
             f"LRUCache(entries={len(self._entries)}, max={self.max_entries}, "
-            f"ttl={self.ttl}, hit_rate={self.stats.hit_rate:.2f})"
+            f"hit_rate={self.stats.hit_rate:.2f})"
         )

@@ -1,12 +1,11 @@
 """The faceted query cache.
 
-Entries are keyed by ``(table, normalized query, schema generation)`` and
-store the raw unmarshalled ``(jid, jvar branches, column values)`` rows of a
-query result *before* Early Pruning runs.  That ordering is what makes the
-cache safe to share across viewers: pruning and policy resolution still
-happen per request, for the actual viewer, against exactly the rows an
-uncached fetch would have produced.  Nothing viewer-specific is ever stored
-here.
+Entries are keyed by ``(table, normalized query)`` and store the raw
+unmarshalled ``(jid, jvar branches, column values)`` rows of a query result
+*before* Early Pruning runs.  That ordering is what makes the cache safe to
+share across viewers: pruning and policy resolution still happen per
+request, for the actual viewer, against exactly the rows an uncached fetch
+would have produced.  Nothing viewer-specific is ever stored here.
 
 The same store caches aggregate plans: an aggregate pushdown's jvars
 partitions (``(branches, per-partition aggregate row)`` pairs) are
@@ -15,18 +14,19 @@ per-viewer visibility filter both run per request -- and the aggregate
 query's own normalised text keys the entry, so a row-fetching plan and an
 aggregate plan over the same filters never collide.
 
-Invalidation is write-through: the cache subscribes to the owning database's
-:class:`~repro.cache.bus.InvalidationBus` and drops every entry whose query
-touched a written table (``Query.tables_read()`` registers joins and tables
-referenced only inside subqueries).
+Staleness: each entry is stored beside the stamp taken before its
+statement ran (:meth:`FacetedQueryCache.stamp_for`) -- the schema
+generation plus the write generation of every table the query reads.  A
+write to any of those tables changes the stamp, so the entry turns into a
+miss and the next fill overwrites it; a write to any other table leaves it
+served.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.cache.bus import ALL_TABLES, InvalidationBus, subscribe_weak
+from repro.cache.bus import InvalidationBus
 from repro.cache.lru import LRUCache, MISSING
 
 #: One cached result row: (jid, jvar branches, unqualified column values).
@@ -34,6 +34,14 @@ CachedEntry = Tuple[int, Tuple[Tuple[str, bool], ...], Dict[str, Any]]
 
 #: One cached aggregate partition: (jvar branches, per-partition aggregates).
 AggregateEntry = Tuple[Tuple[Tuple[str, bool], ...], Dict[str, Any]]
+
+#: The most results the cache holds (least recently used go first).
+QUERY_CACHE_SIZE = 512
+
+#: Results with more rows than this are served but not cached: the LRU
+#: bound counts entries, so one huge result must not pin a full-table copy
+#: per filter/ordering combination.
+QUERY_CACHE_MAX_ROWS = 10_000
 
 
 def normalize_query(query: Any) -> str:
@@ -47,129 +55,39 @@ def normalize_query(query: Any) -> str:
 
 
 class FacetedQueryCache:
-    """Caches pre-pruning query results, invalidated by table writes."""
+    """Caches pre-pruning query results under their tables' stamp."""
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = 512,
-        ttl: Optional[float] = None,
-        clock=None,
-        max_rows: Optional[int] = None,
-    ) -> None:
-        kwargs = {} if clock is None else {"clock": clock}
-        self._lru = LRUCache(max_entries, ttl, on_evict=self._forget_key, **kwargs)
-        #: row-count cap per stored result (None = uncapped); the entry-count
-        #: LRU bound alone would let one huge result pin a full-table copy.
-        self.max_rows = max_rows
-        #: table name -> keys of live entries that read from the table
-        self._keys_by_table: Dict[str, set] = {}
-        self._index_lock = threading.Lock()
-        self._bus: Optional[InvalidationBus] = None
-        self._subscription = None
-
-    # -- bus wiring -----------------------------------------------------------------
-
-    def bind(self, bus: InvalidationBus) -> None:
-        """Subscribe to a database's write events (idempotent per bus).
-
-        The subscription holds only a weak reference to this cache, so a
-        cache that goes out of scope (e.g. with a discarded FORM) does not
-        accumulate as a dead subscriber on a long-lived database's bus.
-        """
-        if self._bus is bus:
-            return
-        self.unbind()
-        self._bus = bus
-        self._subscription = subscribe_weak(bus, self, FacetedQueryCache._on_write)
-
-    def unbind(self) -> None:
-        if self._bus is not None and self._subscription is not None:
-            self._bus.unsubscribe(self._subscription)
-        self._bus = None
-        self._subscription = None
-
-    def _on_write(self, table: str) -> None:
-        if table == ALL_TABLES:
-            self.clear()
-            return
-        self.invalidate_table(table)
-
-    # -- lookups ----------------------------------------------------------------------
-
-    def key_for(self, table: str, query: Any) -> Hashable:
-        """The cache key of one query.
-
-        Besides the table and normalised query text, the key carries the
-        schema generation and the write generation of every table the query
-        reads -- joins *and* tables referenced only inside subqueries (a
-        bounded query's jid subselect reads the same tables, but a future
-        pushdown may not).  Stamping write generations makes cache fills
-        safe against concurrent writers: a result computed *before* a write
-        is stored under the pre-write generations, which no post-write
-        lookup ever produces, so it can never be served stale -- event-
-        driven invalidation then only reclaims the memory.
-        """
-        tables = self._tables_read(table, query)
-        if self._bus is not None:
-            schema_generation = self._bus.schema_generation
-            write_generations = tuple(self._bus.write_generation(t) for t in tables)
-        else:
-            schema_generation = 0
-            write_generations = ()
-        return (table, normalize_query(query), schema_generation, write_generations)
+    def __init__(self) -> None:
+        self._lru = LRUCache(QUERY_CACHE_SIZE)
 
     @staticmethod
-    def _tables_read(table: str, query: Any) -> Tuple[str, ...]:
-        """Every table ``query`` reads, subqueries included; duck-typed so
-        plain strings/objects without the Query protocol still key safely."""
-        tables_read = getattr(query, "tables_read", None)
-        if callable(tables_read):
-            tables = tables_read()
-            if table not in tables:
-                tables = (table, *tables)
-            return tuple(tables)
-        return (table, *(join.table for join in getattr(query, "joins", ())))
+    def key_for(table: str, query: Any) -> Hashable:
+        """The cache key of one query: its table and normalised text."""
+        return (table, normalize_query(query))
 
-    def get(self, key: Hashable) -> Optional[List[CachedEntry]]:
-        value = self._lru.lookup(key)
+    @staticmethod
+    def stamp_for(bus: InvalidationBus, query: Any) -> Hashable:
+        """The stamp of ``query``'s result as of now: take it *before* the
+        statement runs.  It covers every table the query reads
+        (``Query.tables_read()``: joins, and tables referenced only inside
+        subqueries)."""
+        return bus.tables_stamp(query.tables_read())
+
+    def get(self, key: Hashable, stamp: Hashable) -> Optional[List[CachedEntry]]:
+        """The result stored under ``key`` and ``stamp``, or ``None``."""
+        value = self._lru.lookup(key, stamp)
         return None if value is MISSING else value
 
-    def put(self, key: Hashable, tables: Sequence[str], entries: List[CachedEntry]) -> None:
-        """Store a result and register it for invalidation on each table.
+    def put(self, key: Hashable, stamp: Hashable, entries: List[CachedEntry]) -> None:
+        """Store a result beside the stamp taken before it was read.
 
-        Oversized results (more rows than ``max_rows``) are served but not
-        stored, bounding per-entry memory."""
-        if self.max_rows is not None and len(entries) > self.max_rows:
-            return
-        with self._index_lock:
-            for table in tables:
-                self._keys_by_table.setdefault(table, set()).add(key)
-        self._lru.put(key, entries)
-
-    # -- invalidation -----------------------------------------------------------------
-
-    def invalidate_table(self, table: str) -> int:
-        """Drop every cached result that read from ``table``."""
-        with self._index_lock:
-            keys = list(self._keys_by_table.pop(table, ()))
-        dropped = 0
-        for key in keys:
-            if self._lru.remove(key):
-                dropped += 1
-        return dropped
+        Oversized results (more than :data:`QUERY_CACHE_MAX_ROWS` rows) are
+        served but not stored, bounding per-entry memory."""
+        if len(entries) <= QUERY_CACHE_MAX_ROWS:
+            self._lru.put(key, entries, stamp)
 
     def clear(self) -> None:
         self._lru.clear()
-        with self._index_lock:
-            self._keys_by_table.clear()
-
-    def _forget_key(self, key: Hashable, _value: Any) -> None:
-        """Eviction callback: keep the table index free of dead keys."""
-        # Re-entrant: LRUCache invokes this under its own lock from put/
-        # remove/clear; never call back into the LRU from here.
-        with self._index_lock:
-            for keys in self._keys_by_table.values():
-                keys.discard(key)
 
     # -- introspection ------------------------------------------------------------------
 

@@ -69,12 +69,15 @@ class Policy:
 class PolicyEnv:
     """Maps labels to their policies (the label portion of the store Σ).
 
-    ``label_policy`` maps a label to the policy it has before any
-    ``restrict`` (``None``: the default allow).  A FORM installs its label
-    lookup here, so a ``Table.jid.group`` label finds its record's policy
-    without being declared, and the checks ``restrict`` attaches conjoin
-    with it.  It is consulted whenever a policy is looked up, so it
-    reflects the models the FORM has registered by then.
+    ``label_policy`` maps a label to the one policy it has (``None``: the
+    label takes its policy from ``declare``/``restrict``).  A FORM installs
+    its label lookup here, so a ``Table.jid.group`` label finds its
+    record's policy without being declared.  That policy is the label's
+    whole policy: Early Pruning and policy pushdown apply the model's
+    policy alone, so ``restrict`` refuses such a label rather than let
+    concretisation conjoin a check the other paths never see.  The hook is
+    consulted whenever a policy is looked up, so it reflects the models the
+    FORM has registered by then.
     """
 
     def __init__(
@@ -100,8 +103,13 @@ class PolicyEnv:
 
         The check is guarded by the current path condition so that attaching
         a policy inside a sensitive branch cannot itself leak: for viewers
-        outside the branch the added check behaves as always-allow.
+        outside the branch the added check behaves as always-allow.  A label
+        that ``label_policy`` answers is refused with :class:`PolicyError`.
         """
+        if self.label_policy is not None and self.label_policy(label) is not None:
+            raise PolicyError(
+                f"label {label.name!r} takes its policy from its model; it cannot be restricted"
+            )
         self.declare(label)
         if pc:
             guarded_branches = tuple(pc.branches())
@@ -115,11 +123,12 @@ class PolicyEnv:
         self._policies[label] = self._policies[label].conjoin(effective)
 
     def policy_for(self, label: Label) -> Policy:
-        """The policy currently attached to ``label`` (default allow),
-        conjoined with its ``label_policy``."""
-        policy = self._policies.get(label, Policy([always_allow]))
+        """``label``'s ``label_policy`` when the hook answers one, else the
+        policy attached to it (default allow)."""
         check = self.label_policy(label) if self.label_policy is not None else None
-        return policy if check is None else policy.conjoin(check)
+        if check is not None:
+            return Policy([check])
+        return self._policies.get(label, Policy([always_allow]))
 
     def labels(self) -> Iterable[Label]:
         return tuple(self._policies.keys())

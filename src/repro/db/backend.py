@@ -29,9 +29,10 @@ class Backend(abc.ABC):
 
     Write-through invalidation: every concrete backend publishes a
     table-level event on its :attr:`invalidation` bus after each successful
-    write, so caches layered above the database can never serve rows older
-    than the latest committed write.  The bus is created lazily; publishing
-    with no subscribers is a cheap counter bump.
+    write, so caches layered above the database, whose entries are stamped
+    from the bus's counters, can never serve rows older than the latest
+    committed write.  The bus is created lazily; publishing is a counter
+    bump.
 
     Thread-safety contract (relied on by the WSGI serving layer): every
     method may be called from any thread.  Writes serialise internally and
@@ -62,10 +63,11 @@ class Backend(abc.ABC):
 
     def _publish_clear(self) -> None:
         # clear() removes every row, so every table is facet-free again.
+        tables = self.table_names()
         branches = self._branch_keys
-        for name in self.table_names():
+        for name in tables:
             branches[name] = set()
-        self.invalidation.publish_all()
+        self.invalidation.publish_all(tables)
 
     def _publish_schema_change(self, table: Optional[str] = None) -> None:
         if table is not None:

@@ -3,8 +3,9 @@
 Thread safety: all table access -- reads included -- serialises on one
 coarse re-entrant lock, so request worker threads can share a backend
 without tearing the row dicts or index sets mid-scan.  Invalidation events
-publish after the lock is released, keeping subscriber callbacks free to
-touch the backend re-entrantly.
+publish after the lock is released, once the written rows are visible, so
+a cache stamp that counts a write is never taken before its rows can be
+read.
 """
 
 from __future__ import annotations
@@ -545,7 +546,8 @@ class MemoryBackend(Backend):
         then pass through the joins one at a time, so a reader that stops
         early (:meth:`_exists`) joins no more base rows than it scans.
         Joined rows are fresh dicts with qualified keys (``Table.column``),
-        matching the SQLite backend.
+        matching the SQLite backend.  A NULL key is left out of the hash, so
+        it matches nothing on either side, as SQL's ``=`` never matches NULL.
         """
         probes = []
         for join in query.joins:
@@ -553,7 +555,9 @@ class MemoryBackend(Backend):
             index: Dict[Any, List[Dict[str, Any]]] = {}
             for row in self._table(join.table):
                 other = self._qualify(join.table, row)
-                index.setdefault(other.get(right_key), []).append(other)
+                key = other.get(right_key)
+                if key is not None:
+                    index.setdefault(key, []).append(other)
             probes.append((self._qualify_name(query.table, join.left_column), index))
         for base_row in self._table(query.table):
             rows = [self._qualify(query.table, base_row)]

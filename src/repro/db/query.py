@@ -242,9 +242,9 @@ class Query:
     def tables_read(self) -> Tuple[str, ...]:
         """Every table this query reads: base, joins and nested subqueries.
 
-        The cache layer registers a cached result against each of these for
-        write-through invalidation, so a write to a table only referenced
-        inside a subquery still drops the entry.
+        The query cache stamps a cached result with the write generation of
+        each of these, so a write to a table only referenced inside a
+        subquery still makes the entry a miss.
 
         >>> sub = Query("Paper").join("Review", "jid", "paper").select("jid")
         >>> Query("Paper").in_subquery("jid", sub).tables_read()

@@ -37,11 +37,11 @@ class FORM:
     FORM registered for ``Table`` (:func:`repro.form.manager.label_policy`),
     so concretisation needs no per-read policy registration.
 
-    ``cache_config`` selects the policy-aware cache layers (on by default;
+    ``cache_config`` switches the policy-aware cache layers (on by default;
     pass ``CacheConfig.disabled()`` for paper-faithful uncached behaviour).
-    The caches subscribe to the database's invalidation bus, so every write
-    through this FORM -- or directly through the backend -- invalidates the
-    affected entries.
+    Every cache entry is stamped from the database's invalidation bus, so
+    a write through this FORM -- or directly through the backend -- turns
+    the entries it could affect into misses.
     """
 
     def __init__(
@@ -71,10 +71,7 @@ class FORM:
         #: hence the resolution cycle) doing the resolving -- a second
         #: request thread must evaluate the policy for real.
         self._resolving_local = threading.local()
-        self.cache_config = cache_config if cache_config is not None else CacheConfig()
-        self.caches = FormCaches(self.cache_config)
-        if self.cache_config.enabled:
-            self.caches.bind(self.database.invalidation)
+        self.caches = FormCaches(cache_config)
         #: compile Early Pruning into SQL where a model's policy renders
         #: inline (:mod:`repro.form.pushdown`); flip off to force the
         #: Python pruning path -- the differential-testing oracle.

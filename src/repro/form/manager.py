@@ -29,7 +29,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.cache.epoch import policy_epoch
 from repro.cache.label_cache import viewer_cache_key
 from repro.core.facets import Facet, facet_map
 from repro.core.labels import Label
@@ -591,18 +590,19 @@ class QuerySet:
 
         Bounded queries carry their jid subselect in the query (and so in
         the cache key): each (filters, ordering, limit, offset) combination
-        caches its own already-bounded result.  The registered tables come
-        from ``tables_read()`` -- base, joined and subquery tables -- so a
-        write to any of them invalidates the entry.
+        caches its own already-bounded result.  The entry's stamp, taken
+        before the statement runs, covers ``tables_read()`` -- base, joined
+        and subquery tables -- so a write to any of them makes it a miss.
         """
-        cache = form.caches.queries if form.caches.query_cache_enabled else None
-        if cache is None:
+        if not form.caches.enabled:
             return convert(form.database.execute(query))
+        cache = form.caches.queries
         key = cache.key_for(self.model._meta.table_name, query)
-        value = cache.get(key)
+        stamp = cache.stamp_for(form.database.invalidation, query)
+        value = cache.get(key, stamp)
         if value is None:
             value = convert(form.database.execute(query))
-            cache.put(key, list(query.tables_read()), value)
+            cache.put(key, stamp, value)
         return value
 
     def _limit_entries(
@@ -678,9 +678,9 @@ class QuerySet:
         so both paths agree on every edge case.
 
         Grouped results are cached in the faceted query cache under the
-        statement's own key; ``tables_read()`` registers the base and
-        joined tables, so any write to them invalidates the cached
-        partitions.
+        statement's own key, stamped with the write generations of its
+        base and joined tables, so any write to them turns the cached
+        partitions into a miss.
         """
         form = current_form()
         plan = self._plan()
@@ -855,11 +855,13 @@ class QuerySet:
         observed inside an in-flight resolution cycle are never written to
         the cross-request cache -- the re-entrancy guard reports the label
         being resolved as optimistically visible, which is only valid
-        within that cycle -- and the pre-resolution generation/epoch
-        snapshots make the put a no-op when a write raced the resolution.
+        within that cycle.  Each lookup's stamp is taken before the policy
+        runs, so an outcome computed while a write raced the resolution
+        never answers a lookup after that write.
         """
-        label_cache = form.caches.labels if form.caches.label_cache_enabled else None
-        viewer_key = viewer_cache_key(viewer) if label_cache is not None else None
+        viewer_key = viewer_cache_key(viewer) if form.caches.enabled else None
+        label_cache = form.caches.labels if viewer_key is not None else None
+        bus = form.database.invalidation
         model = self.model
         memo: Dict[str, bool] = {}
 
@@ -867,23 +869,14 @@ class QuerySet:
             if label_name in memo:
                 return memo[label_name]
             cached = None
-            if label_cache is not None and viewer_key is not None:
-                cached = label_cache.get(label_name, viewer_key)
+            if label_cache is not None:
+                stamp = bus.stamp()
+                cached = label_cache.get(label_name, viewer_key, stamp)
             if cached is None:
-                if label_cache is not None:
-                    generation = label_cache.generation
-                    epoch = policy_epoch()
                 cached = _resolve_label(form, label_name, viewer, model, fetched)
                 obs.add("labels.resolved")
-                if (
-                    label_cache is not None
-                    and viewer_key is not None
-                    and not _resolving_labels(form)
-                ):
-                    label_cache.put(
-                        label_name, viewer_key, cached,
-                        generation=generation, epoch=epoch,
-                    )
+                if label_cache is not None and not _resolving_labels(form):
+                    label_cache.put(label_name, viewer_key, cached, stamp)
             memo[label_name] = cached
             return cached
 
@@ -1368,8 +1361,7 @@ def _batched_lookup(
     ):
         obs.add("plan.batched_load.fallback.resolving")
         return _PER_RECORD
-    bus = form.database.invalidation
-    stamp = (bus.events_published, bus.schema_generation, policy_epoch())
+    stamp = form.database.invalidation.stamp()
     batch = siblings.memo.get(memo_key)
     if batch is None:
         if key not in keys:

@@ -156,7 +156,7 @@ def expand_value_facets(
         assign(index + 1, {**fixed, name: False})
 
     assign(0, {})
-    return _merge_identical(results)
+    return merge_rows(results)
 
 
 def _project(value: Any, fixed: Dict[str, bool]) -> Any:
@@ -168,10 +168,15 @@ def _project(value: Any, fixed: Dict[str, bool]) -> Any:
     return value
 
 
-def _merge_identical(
+def freeze_values(values: Dict[str, Any]) -> Tuple:
+    """A hashable identity for one row's values (dedupe key)."""
+    return tuple(sorted((name, repr(value)) for name, value in values.items()))
+
+
+def merge_rows(
     rows: List[Tuple[Tuple[JvarBranch, ...], Dict[str, Any]]]
 ) -> List[Tuple[Tuple[JvarBranch, ...], Dict[str, Any]]]:
-    """Drop labels that do not influence the concrete values (sharing).
+    """Collapse facet rows whose values do not depend on some label (sharing).
 
     If flipping a label never changes the projected row, the label is removed
     from the branch annotations, keeping the number of stored rows small --
@@ -179,27 +184,20 @@ def _merge_identical(
     """
     if not rows:
         return rows
-    label_names = [name for name, _ in rows[0][0]]
+    label_names = sorted({name for branches, _ in rows for name, _pol in branches})
     significant: List[str] = []
     for name in label_names:
         groups: Dict[Tuple, set] = {}
         for branches, values in rows:
-            other = tuple((n, p) for n, p in branches if n != name)
-            groups.setdefault(other, set()).add(
-                (branches_dict(branches)[name], _freeze(values))
-            )
-        if any(len({frozen for _pol, frozen in group}) > 1 for group in groups.values()):
+            mapping = dict(branches)
+            if name not in mapping:
+                continue
+            other = tuple(sorted((n, p) for n, p in branches if n != name))
+            groups.setdefault(other, set()).add((mapping[name], freeze_values(values)))
+        if any(len({frozen for _p, frozen in group}) > 1 for group in groups.values()):
             significant.append(name)
     merged: Dict[Tuple, Tuple[Tuple[JvarBranch, ...], Dict[str, Any]]] = {}
     for branches, values in rows:
-        kept = tuple((n, p) for n, p in branches if n in significant)
-        merged.setdefault(kept, (kept, values))
+        kept = tuple(sorted((n, p) for n, p in branches if n in significant))
+        merged.setdefault((kept, freeze_values(values)), (kept, values))
     return list(merged.values())
-
-
-def branches_dict(branches: Sequence[JvarBranch]) -> Dict[str, bool]:
-    return {name: polarity for name, polarity in branches}
-
-
-def _freeze(values: Dict[str, Any]) -> Tuple:
-    return tuple(sorted((k, repr(v)) for k, v in values.items()))

@@ -21,11 +21,11 @@ from repro.form.marshal import (
     JvarBranch,
     expand_value_facets,
     label_name_for,
+    merge_rows,
 )
 from repro.form.policies import POLICY_ATTRIBUTE, PUBLIC_METHOD_PREFIX
 from repro.form.writes import (
     facet_db_row,
-    freeze_values as _freeze_values,
     guarded_replacement,
     guarded_survivors,
     pc_branch_list,
@@ -401,7 +401,7 @@ class JModel(metaclass=ModelMeta):
                                 field.to_db(public) if not isinstance(public, Facet) else public
                             )
                 expanded.append((tuple(row_branches), row_values))
-        result = _merge_rows(expanded)
+        result = merge_rows(expanded)
         obs.add("facet.rows.expanded", len(result))
         return result
 
@@ -416,28 +416,3 @@ class JModel(metaclass=ModelMeta):
         identically.
         """
         return facet_db_row(self.jid, values, branches)
-
-
-def _merge_rows(
-    rows: List[Tuple[Tuple[JvarBranch, ...], Dict[str, Any]]]
-) -> List[Tuple[Tuple[JvarBranch, ...], Dict[str, Any]]]:
-    """Collapse facet rows whose values do not depend on some label (sharing)."""
-    if not rows:
-        return rows
-    label_names = sorted({name for branches, _ in rows for name, _pol in branches})
-    significant: List[str] = []
-    for name in label_names:
-        groups: Dict[Tuple, set] = {}
-        for branches, values in rows:
-            mapping = dict(branches)
-            if name not in mapping:
-                continue
-            other = tuple(sorted((n, p) for n, p in branches if n != name))
-            groups.setdefault(other, set()).add((mapping[name], _freeze_values(values)))
-        if any(len({frozen for _p, frozen in group}) > 1 for group in groups.values()):
-            significant.append(name)
-    merged: Dict[Tuple, Tuple[Tuple[JvarBranch, ...], Dict[str, Any]]] = {}
-    for branches, values in rows:
-        kept = tuple(sorted((n, p) for n, p in branches if n in significant))
-        merged.setdefault((kept, _freeze_values(values)), (kept, values))
-    return list(merged.values())

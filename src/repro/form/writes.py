@@ -40,6 +40,7 @@ from repro.form.marshal import (
     JvarBranch,
     build_faceted_record,
     format_jvars,
+    freeze_values,
     parse_jvars,
 )
 
@@ -306,11 +307,6 @@ def complement_assignments(
         if candidate != satisfied:
             result.append(candidate)
     return result
-
-
-def freeze_values(values: Dict[str, Any]) -> Tuple:
-    """A hashable identity for one row's values (dedupe key)."""
-    return tuple(sorted((name, repr(value)) for name, value in values.items()))
 
 
 def guarded_replacement(

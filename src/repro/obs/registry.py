@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 TRACE_RING_SIZE = 256
 
 #: ``CacheStats.snapshot`` keys that sum across cache instances.
-_SUMMABLE = ("hits", "misses", "puts", "evictions", "expirations", "invalidations")
+_SUMMABLE = ("hits", "misses", "puts", "evictions", "invalidations")
 
 
 class ObsRegistry:

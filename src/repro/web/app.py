@@ -20,9 +20,6 @@ import contextlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
-from repro.cache.epoch import policy_epoch
-from repro.cache.fragment import FragmentCache
-from repro.cache.label_cache import viewer_cache_key
 from repro.core.facets import Facet
 from repro.form.context import FORM, use_form, viewer_context
 from repro.baseline.model import BaselineDB, use_baseline_db
@@ -89,9 +86,6 @@ class Application:
         route = self.router.resolve(request)
         if route is None:
             return Response.not_found(f"no route for {request.method} {request.path}")
-        cached = self._cached_response(request)
-        if cached is not None:
-            return cached
         response: Optional[Response] = None
         try:
             with self._request_context(request):
@@ -116,12 +110,8 @@ class Application:
         """Ambient state active while the view runs."""
         yield
 
-    def _cached_response(self, request: Request) -> Optional[Response]:
-        """A whole-response cache hit, or ``None`` (default: no cache)."""
-        return None
-
     def _finish_request(self, request: Request, response: Optional[Response]) -> None:
-        """Post-dispatch hook: response caching and cache invalidation.
+        """Post-dispatch hook: cache invalidation.
 
         ``response`` is ``None`` when the view raised a non-HTTP error."""
 
@@ -174,56 +164,13 @@ class JacquelineApp(Application):
             else:
                 yield
 
-    # -- rendered-fragment cache ---------------------------------------------------------
-
-    def _fragment_slot(self, request: Request):
-        """The fragment cache and key for a request, or ``(None, None)``.
-
-        Only GET requests by viewers with a stable identity participate;
-        the viewer identity is part of the key, so a cached body is only
-        ever replayed to the viewer it was concretised for.
-        """
-        caches = getattr(self.form, "caches", None)
-        if caches is None or not caches.fragments_enabled or not request.is_get:
-            return None, None
-        key_viewer = viewer_cache_key(request.user)
-        if key_viewer is None:
-            return None, None
-        return caches.fragments, FragmentCache.key_for(
-            request.path, request.params, key_viewer
-        )
-
-    def _cached_response(self, request: Request) -> Optional[Response]:
-        fragments, key = self._fragment_slot(request)
-        if fragments is None:
-            return None
-        entry = fragments.get(key)
-        if entry is not None:
-            body, headers = entry
-            return Response(body=body, headers=headers)
-        # Miss: snapshot generation and epoch *before* the view renders, so
-        # the fill below is discarded if a write or epoch bump races it.
-        request._fragment_fill = (fragments, key, fragments.generation, policy_epoch())
-        return None
-
     def _finish_request(self, request: Request, response: Optional[Response]) -> None:
-        caches = getattr(self.form, "caches", None)
-        if caches is None:
-            return
         if not request.is_get:
             # Non-GET handlers may mutate state the invalidation bus cannot
             # observe (auth, sessions, out-of-band policy inputs), so drop
-            # the viewer-facing caches wholesale -- even when the handler
+            # the viewer-facing cache wholesale -- even when the handler
             # crashed partway through.
-            caches.on_external_change()
-            return
-        fill = getattr(request, "_fragment_fill", None)
-        if fill is not None and response is not None and response.status == 200:
-            fragments, key, generation, epoch = fill
-            fragments.put(
-                key, response.body, headers=response.headers,
-                generation=generation, epoch=epoch,
-            )
+            self.form.caches.on_external_change()
 
     def _prepare_context(self, request: Request, context: Dict[str, Any]) -> Dict[str, Any]:
         """Concretise every faceted value for the logged-in viewer.

@@ -1,11 +1,10 @@
 """Unit tests for the invalidation bus and the individual cache layers."""
 
-import pytest
+import gc
+import weakref
 
 from repro.cache import (
-    ALL_TABLES,
     FacetedQueryCache,
-    FragmentCache,
     InvalidationBus,
     LabelResolutionCache,
     bump_policy_epoch,
@@ -13,31 +12,27 @@ from repro.cache import (
 )
 from repro.db import Database, MemoryBackend, Query
 from repro.db.expr import eq
+from repro.form import FORM
 
 
-def test_bus_publishes_to_subscribers_and_counts_generations():
+def test_bus_counts_write_generations_per_table():
     bus = InvalidationBus()
-    events = []
-    bus.subscribe(events.append)
     bus.publish("Paper")
     bus.publish("Paper")
     bus.publish("Review")
-    assert events == ["Paper", "Paper", "Review"]
+    assert bus.events_published == 3
     assert bus.write_generation("Paper") == 2
     assert bus.write_generation("Review") == 1
     assert bus.write_generation("Unknown") == 0
 
 
-def test_bus_unsubscribe_and_publish_all():
+def test_bus_publish_all_is_one_event_over_every_table():
     bus = InvalidationBus()
-    events = []
-    handle = bus.subscribe(events.append)
     bus.publish("A")
-    bus.publish_all()
-    bus.unsubscribe(handle)
-    bus.publish("A")
-    assert events == ["A", ALL_TABLES]
-    assert bus.subscriber_count == 0
+    bus.publish_all(["B"])  # B was never written before the clear
+    assert bus.events_published == 2
+    assert (bus.write_generation("A"), bus.write_generation("B")) == (2, 1)
+    assert bus.write_generation("C") == 0
 
 
 def test_bus_schema_generation_bumps():
@@ -49,93 +44,117 @@ def test_bus_schema_generation_bumps():
     assert bus.write_generation("Dropped") == 1
 
 
+def test_bus_stamp_grows_with_writes_schema_changes_and_epoch_bumps():
+    bus = InvalidationBus()
+    stamps = [bus.stamp()]
+    for change in (lambda: bus.publish("T"), bus.schema_changed, bump_policy_epoch):
+        change()
+        stamps.append(bus.stamp())
+    assert stamps == sorted(stamps) and len(set(stamps)) == 4
+
+
 def test_query_cache_keys_differ_by_query_and_schema_generation():
     bus = InvalidationBus()
     cache = FacetedQueryCache()
-    cache.bind(bus)
     query_a = Query(table="Paper")
     query_b = Query(table="Paper", where=eq("title", "x"))
     key_a = cache.key_for("Paper", query_a)
     assert key_a == cache.key_for("Paper", query_a)
     assert key_a != cache.key_for("Paper", query_b)
+    stamp = cache.stamp_for(bus, query_a)
+    cache.put(key_a, stamp, [(1, (), {"title": "x"})])
+    assert cache.get(key_a, cache.stamp_for(bus, query_a)) is not None
     bus.schema_changed()
-    assert key_a != cache.key_for("Paper", query_a)
+    assert cache.stamp_for(bus, query_a) != stamp
+    assert cache.get(key_a, cache.stamp_for(bus, query_a)) is None
 
 
 def test_query_cache_write_through_invalidation_per_table():
     bus = InvalidationBus()
     cache = FacetedQueryCache()
-    cache.bind(bus)
-    paper_key = cache.key_for("Paper", Query(table="Paper"))
-    review_key = cache.key_for("Review", Query(table="Review"))
-    cache.put(paper_key, ["Paper"], [(1, (), {"title": "x"})])
-    cache.put(review_key, ["Review"], [(1, (), {"score": 3})])
+    paper, review = Query(table="Paper"), Query(table="Review")
+    paper_key = cache.key_for("Paper", paper)
+    review_key = cache.key_for("Review", review)
+    cache.put(paper_key, cache.stamp_for(bus, paper), [(1, (), {"title": "x"})])
+    cache.put(review_key, cache.stamp_for(bus, review), [(1, (), {"score": 3})])
     bus.publish("Paper")
-    assert cache.get(paper_key) is None
-    assert cache.get(review_key) is not None
-    bus.publish_all()
-    assert cache.get(review_key) is None
+    assert cache.get(paper_key, cache.stamp_for(bus, paper)) is None
+    assert cache.get(review_key, cache.stamp_for(bus, review)) is not None
+    bus.publish_all(["Paper", "Review"])  # Database.clear()
+    assert cache.get(review_key, cache.stamp_for(bus, review)) is None
+    # A stale entry is a miss, and the next fill overwrites it.
+    stats = cache.stats
+    assert (stats.hits, stats.misses, len(cache)) == (1, 2, 2)
+    cache.put(paper_key, cache.stamp_for(bus, paper), [(1, (), {"title": "y"})])
+    assert cache.get(paper_key, cache.stamp_for(bus, paper)) == [(1, (), {"title": "y"})]
+    assert len(cache) == 2
 
 
 def test_query_cache_join_entries_invalidated_by_any_joined_table():
     bus = InvalidationBus()
     cache = FacetedQueryCache()
-    cache.bind(bus)
     join_query = Query(table="Guest").join("Event", "event_id", "jid")
     key = cache.key_for("Guest", join_query)
-    cache.put(key, ["Guest", "Event"], [(1, (), {"name": "alice"})])
+    cache.put(key, cache.stamp_for(bus, join_query), [(1, (), {"name": "alice"})])
     bus.publish("Event")  # write to the joined table, not the base table
-    assert cache.get(key) is None
+    assert cache.get(key, cache.stamp_for(bus, join_query)) is None
 
 
 def test_query_cache_served_from_real_database_bus():
     db = Database(MemoryBackend())
     db.define_table("T", )
     cache = FacetedQueryCache()
-    cache.bind(db.invalidation)
-    key = cache.key_for("T", Query(table="T"))
-    cache.put(key, ["T"], [(1, (), {})])
+    query = Query(table="T")
+    key = cache.key_for("T", query)
+    cache.put(key, cache.stamp_for(db.invalidation, query), [(1, (), {})])
+    assert cache.get(key, cache.stamp_for(db.invalidation, query)) is not None
     db.insert("T")
-    assert cache.get(key) is None
+    assert cache.get(key, cache.stamp_for(db.invalidation, query)) is None
 
 
 def test_query_cache_key_changes_after_write_to_any_involved_table():
-    """Write generations in the key close the fill/write race: a result
-    computed before a write lands under a key no post-write lookup uses."""
+    """The stamp a lookup carries changes after a write to any table the
+    query reads, subquery tables included, and only then."""
     bus = InvalidationBus()
     cache = FacetedQueryCache()
-    cache.bind(bus)
     plain = Query(table="Paper")
     joined = Query(table="Guest").join("Event", "event_id", "jid")
-    plain_key = cache.key_for("Paper", plain)
-    joined_key = cache.key_for("Guest", joined)
+    nested = Query(table="Paper").in_subquery(
+        "jid", Query(table="Review").select("paper")
+    )
+    stamps = {query: cache.stamp_for(bus, query) for query in (plain, joined, nested)}
+    bus.publish("Unrelated")
+    assert {query: cache.stamp_for(bus, query) for query in stamps} == stamps
     bus.publish("Paper")
-    assert cache.key_for("Paper", plain) != plain_key
+    assert cache.stamp_for(bus, plain) != stamps[plain]
     bus.publish("Event")  # joined table only
-    assert cache.key_for("Guest", joined) != joined_key
+    assert cache.stamp_for(bus, joined) != stamps[joined]
+    stamp = cache.stamp_for(bus, nested)
+    bus.publish("Review")  # read only inside the subquery
+    assert cache.stamp_for(bus, nested) != stamp
 
 
 def test_stale_put_after_concurrent_write_is_never_served():
     bus = InvalidationBus()
     cache = FacetedQueryCache()
-    cache.bind(bus)
-    key = cache.key_for("Paper", Query(table="Paper"))
+    query = Query(table="Paper")
+    key = cache.key_for("Paper", query)
+    stamp = cache.stamp_for(bus, query)  # taken before the statement runs
     bus.publish("Paper")  # a writer lands between read and fill
-    cache.put(key, ["Paper"], [(1, (), {"title": "stale"})])
-    assert cache.get(cache.key_for("Paper", Query(table="Paper"))) is None
+    cache.put(key, stamp, [(1, (), {"title": "stale"})])
+    assert cache.get(key, cache.stamp_for(bus, query)) is None
 
 
-def test_weak_subscription_releases_dead_caches():
-    import gc
-
-    bus = InvalidationBus()
-    cache = FacetedQueryCache()
-    cache.bind(bus)
-    assert bus.subscriber_count == 1
-    del cache
+def test_discarded_form_caches_are_collected():
+    """The bus holds no reference to any cache, so the caches of a FORM
+    that goes away are collected while its database lives on."""
+    database = Database(MemoryBackend())
+    form = FORM(database)
+    caches = weakref.ref(form.caches)
+    del form
     gc.collect()
-    bus.publish("Paper")  # first event after collection unsubscribes lazily
-    assert bus.subscriber_count == 0
+    assert caches() is None
+    database.close()
 
 
 def test_viewer_cache_key_identities():
@@ -153,97 +172,58 @@ def test_viewer_cache_key_identities():
 def test_label_cache_is_per_viewer_and_cleared_on_any_write():
     bus = InvalidationBus()
     cache = LabelResolutionCache()
-    cache.bind(bus)
-    cache.put("Paper.1.author", ("ConfUser", 1), True)
-    cache.put("Paper.1.author", ("ConfUser", 2), False)
-    assert cache.get("Paper.1.author", ("ConfUser", 1)) is True
-    assert cache.get("Paper.1.author", ("ConfUser", 2)) is False
-    assert cache.get("Paper.1.author", ("ConfUser", 3)) is None
+    stamp = bus.stamp()
+    cache.put("Paper.1.author", ("ConfUser", 1), True, stamp)
+    cache.put("Paper.1.author", ("ConfUser", 2), False, stamp)
+    assert cache.get("Paper.1.author", ("ConfUser", 1), stamp) is True
+    assert cache.get("Paper.1.author", ("ConfUser", 2), stamp) is False
+    assert cache.get("Paper.1.author", ("ConfUser", 3), stamp) is None
     bus.publish("AnyTableAtAll")
-    assert cache.get("Paper.1.author", ("ConfUser", 1)) is None
+    assert cache.get("Paper.1.author", ("ConfUser", 1), bus.stamp()) is None
+    # The first use under the newer stamp emptied the memo.
+    assert len(cache) == 0 and cache.stats.invalidations == 2
 
 
 def test_label_cache_entries_expire_on_policy_epoch_bump():
+    bus = InvalidationBus()
     cache = LabelResolutionCache()
-    cache.put("k", ("U", 1), True)
-    assert cache.get("k", ("U", 1)) is True
+    cache.put("k", ("U", 1), True, bus.stamp())
+    assert cache.get("k", ("U", 1), bus.stamp()) is True
     bump_policy_epoch()
-    assert cache.get("k", ("U", 1)) is None
+    assert cache.get("k", ("U", 1), bus.stamp()) is None
 
 
 def test_label_cache_rejects_fills_computed_before_an_invalidation():
-    """A resolution that raced a write must not be memoised after the
-    write's invalidation already cleared the memo."""
+    """A resolution that raced a write must not be served after the write,
+    even when another reader already used the memo under the newer stamp."""
+    bus = InvalidationBus()
     cache = LabelResolutionCache()
-    generation = cache.generation  # snapshot before "resolving"
-    cache.clear()  # a concurrent write lands mid-resolution
-    cache.put("k", ("U", 1), True, generation=generation)
-    assert cache.get("k", ("U", 1)) is None
-    # A fill with a current snapshot goes through.
-    cache.put("k", ("U", 1), True, generation=cache.generation)
-    assert cache.get("k", ("U", 1)) is True
+    stamp = bus.stamp()  # taken before "resolving"
+    bus.publish("AnyTable")  # a concurrent write lands mid-resolution
+    assert cache.get("other", ("U", 2), bus.stamp()) is None  # another reader
+    cache.put("k", ("U", 1), True, stamp)
+    assert cache.get("k", ("U", 1), bus.stamp()) is None
+    # A fill with a current stamp goes through.
+    cache.put("k", ("U", 1), True, bus.stamp())
+    assert cache.get("k", ("U", 1), bus.stamp()) is True
 
 
 def test_label_cache_bus_event_also_bumps_generation():
-    """The write-event path must give the same guard as explicit clear()."""
+    """A bus event changes the stamp, so a fill stamped before it is never
+    served after it, whoever uses the memo first."""
     bus = InvalidationBus()
     cache = LabelResolutionCache()
-    cache.bind(bus)
-    generation = cache.generation  # snapshot before "resolving"
+    stamp = bus.stamp()  # taken before "resolving"
     bus.publish("AnyTable")  # concurrent write mid-resolution
-    cache.put("k", ("U", 1), True, generation=generation)
-    assert cache.get("k", ("U", 1)) is None
-
-
-def test_fragment_cache_bus_event_also_bumps_generation():
-    bus = InvalidationBus()
-    cache = FragmentCache()
-    cache.bind(bus)
-    key = FragmentCache.key_for("/papers", {}, ("U", 1))
-    generation = cache.generation  # snapshot before "rendering"
-    bus.publish("AnyTable")  # concurrent write mid-render
-    cache.put(key, "<stale>", generation=generation)
-    assert cache.get(key) is None
+    assert bus.stamp() > stamp
+    cache.put("k", ("U", 1), True, stamp)
+    assert cache.get("k", ("U", 1), bus.stamp()) is None
 
 
 def test_label_cache_stale_epoch_snapshot_entry_not_served():
-    from repro.cache import policy_epoch
-
-    cache = LabelResolutionCache()
-    epoch = policy_epoch()  # snapshot before "resolving"
-    bump_policy_epoch()  # epoch bump lands mid-resolution
-    cache.put("k", ("U", 1), True, epoch=epoch)
-    assert cache.get("k", ("U", 1)) is None
-
-
-def test_fragment_cache_rejects_fills_computed_before_an_invalidation():
-    cache = FragmentCache()
-    key = FragmentCache.key_for("/papers", {}, ("U", 1))
-    generation = cache.generation  # snapshot before "rendering"
-    cache.clear()  # concurrent write mid-render
-    cache.put(key, "<stale>", generation=generation)
-    assert cache.get(key) is None
-
-
-def test_fragment_cache_keys_include_viewer_and_params():
-    cache = FragmentCache()
-    key_a = FragmentCache.key_for("/papers", {"page": 1}, ("U", 1))
-    key_b = FragmentCache.key_for("/papers", {"page": 1}, ("U", 2))
-    key_c = FragmentCache.key_for("/papers", {"page": 2}, ("U", 1))
-    assert len({key_a, key_b, key_c}) == 3
-    cache.put(key_a, "<body A>", headers={"Content-Type": "text/html"})
-    assert cache.get(key_a) == ("<body A>", {"Content-Type": "text/html"})
-    assert cache.get(key_b) is None
-
-
-def test_fragment_cache_cleared_on_write_and_epoch():
     bus = InvalidationBus()
-    cache = FragmentCache()
-    cache.bind(bus)
-    key = FragmentCache.key_for("/papers", {}, ("U", 1))
-    cache.put(key, "<body>")
-    bus.publish("Paper")
-    assert cache.get(key) is None
-    cache.put(key, "<body>")
-    bump_policy_epoch()
-    assert cache.get(key) is None
+    cache = LabelResolutionCache()
+    stamp = bus.stamp()  # taken before "resolving"
+    bump_policy_epoch()  # epoch bump lands mid-resolution
+    cache.put("k", ("U", 1), True, stamp)
+    assert cache.get("k", ("U", 1), bus.stamp()) is None

@@ -139,8 +139,8 @@ def test_stats_reporting_shape(conf_form):
         Paper.objects.all().fetch()
         Paper.objects.all().fetch()
     stats = conf_form.caches.stats()
-    assert set(stats) == {"queries", "labels", "fragments"}
+    assert set(stats) == {"queries", "labels"}
     for layer in stats.values():
-        assert {"hits", "misses", "puts", "evictions", "expirations",
-                "invalidations", "hit_rate"} <= set(layer)
+        assert {"hits", "misses", "puts", "evictions", "invalidations",
+                "hit_rate"} <= set(layer)
     assert 0.0 <= stats["queries"]["hit_rate"] <= 1.0

@@ -1,19 +1,8 @@
-"""Unit tests for the generic LRU/TTL cache and its statistics."""
+"""Unit tests for the generic LRU cache, its stamps and its statistics."""
 
 import pytest
 
 from repro.cache import MISSING, LRUCache
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def test_put_get_roundtrip_and_miss():
@@ -60,27 +49,16 @@ def test_unbounded_when_max_entries_none():
     assert cache.stats.evictions == 0
 
 
-def test_ttl_expiry_is_lazy_and_counted():
-    clock = FakeClock()
-    cache = LRUCache(max_entries=8, ttl=10.0, clock=clock)
-    cache.put("a", 1)
-    clock.advance(9.9)
-    assert cache.get("a") == 1
-    clock.advance(0.2)  # now past the TTL
-    assert cache.get("a") is None
-    assert cache.stats.expirations == 1
-    assert "a" not in cache
-
-
-def test_purge_expired_drops_only_stale_entries():
-    clock = FakeClock()
-    cache = LRUCache(max_entries=8, ttl=10.0, clock=clock)
-    cache.put("old", 1)
-    clock.advance(11)
-    cache.put("fresh", 2)
-    assert cache.purge_expired() == 1
-    assert cache.get("fresh") == 2
-    assert len(cache) == 1
+def test_stamped_entry_answers_only_under_its_stamp():
+    cache = LRUCache(max_entries=8)
+    cache.put("a", 1, stamp=(0, 1))
+    assert cache.get("a", stamp=(0, 1)) == 1
+    assert cache.get("a") is None  # no stamp is a stamp of its own
+    assert cache.lookup("a", stamp=(0, 2)) is MISSING
+    assert (cache.stats.hits, cache.stats.misses) == (1, 2)
+    assert "a" in cache  # a stale entry stays until overwritten
+    cache.put("a", 2, stamp=(0, 2))
+    assert cache.get("a", stamp=(0, 2)) == 2 and len(cache) == 1
 
 
 def test_remove_and_clear_count_invalidations():
@@ -107,19 +85,6 @@ def test_stats_hit_rate():
     assert snapshot["hits"] == 2 and snapshot["hit_rate"] == pytest.approx(2 / 3)
     stats.reset()
     assert stats.lookups == 0 and stats.hit_rate == 0.0
-
-
-def test_on_evict_callback_sees_eviction_expiry_and_invalidation():
-    clock = FakeClock()
-    seen = []
-    cache = LRUCache(max_entries=2, ttl=10.0, clock=clock, on_evict=lambda k, v: seen.append(k))
-    cache.put("a", 1)
-    cache.put("b", 2)
-    cache.put("c", 3)  # evicts "a"
-    cache.remove("b")
-    clock.advance(11)
-    assert cache.get("c") is None  # expired
-    assert seen == ["a", "b", "c"]
 
 
 def test_negative_max_entries_rejected():

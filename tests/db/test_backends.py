@@ -1,6 +1,7 @@
 """Backend contract tests, run against both the memory engine and SQLite."""
 
 import datetime
+from collections import Counter
 
 import pytest
 
@@ -148,6 +149,21 @@ def test_join_produces_qualified_columns(database):
     assert row["Guest.name"] == "alice"
 
 
+def test_join_on_nullable_keys_agrees_across_backends():
+    """SQL's ``=`` never matches NULL: A(k) and B(k), each holding NULL and
+    1, join to the one row (1, 1) on both backends."""
+    joined = []
+    for backend in (MemoryBackend(), SqliteBackend()):
+        db = Database(backend)
+        for table in ("A", "B"):
+            db.define_table(table, k=ColumnType.INTEGER)
+            db.insert_many(table, [{"k": None}, {"k": 1}])
+        rows = db.execute(db.query("A").join("B", "k", "k"))
+        joined.append(Counter((row["A.k"], row["B.k"]) for row in rows))
+        db.close()
+    assert joined == [Counter({(1, 1): 1})] * 2
+
+
 def test_aggregates(database):
     db = seeded(database)
     assert db.count("Event") == 3
@@ -217,25 +233,29 @@ def test_query_to_sql_round_trips_through_sqlite():
 # -- write-through invalidation events (both backends via the `database` fixture) --
 
 
+def _counters(db, table="Event"):
+    """The bus counters a write of ``table`` bumps: the events published
+    and the table's write generation."""
+    return db.invalidation.events_published, db.invalidation.write_generation(table)
+
+
 def test_insert_update_delete_publish_events(database):
     db = seeded(database)
-    events = []
-    db.invalidation.subscribe(events.append)
+    events, writes = _counters(db)
     db.insert("Event", name="x", location="y", attendees=1, jid=9, jvars="")
-    assert events == ["Event"]
+    assert _counters(db) == (events + 1, writes + 1)
     db.update("Event", eq("jid", 9), attendees=2)
-    assert events == ["Event", "Event"]
+    assert _counters(db) == (events + 2, writes + 2)
     db.delete("Event", eq("jid", 9))
-    assert events == ["Event", "Event", "Event"]
+    assert _counters(db) == (events + 3, writes + 3)
 
 
 def test_no_op_writes_publish_nothing(database):
     db = seeded(database)
-    events = []
-    db.invalidation.subscribe(events.append)
+    counters = _counters(db)
     assert db.update("Event", eq("jid", 999), attendees=1) == 0
     assert db.delete("Event", eq("jid", 999)) == 0
-    assert events == []
+    assert _counters(db) == counters
 
 
 def test_write_generation_counters(database):
@@ -247,13 +267,17 @@ def test_write_generation_counters(database):
 
 
 def test_clear_publishes_wildcard(database):
-    from repro.cache import ALL_TABLES
-
+    """``clear()`` publishes one event that bumps every table's write
+    generation, tables no write ever announced included."""
     db = seeded(database)
-    events = []
-    db.invalidation.subscribe(events.append)
+    db.define_table("Unwritten", note=ColumnType.TEXT)
+    tables = ("Event", "Guest", "Unwritten")
+    events = db.invalidation.events_published
+    before = [db.invalidation.write_generation(table) for table in tables]
     db.clear()
-    assert events == [ALL_TABLES]
+    assert db.invalidation.events_published == events + 1
+    after = [db.invalidation.write_generation(table) for table in tables]
+    assert after == [generation + 1 for generation in before]
 
 
 def test_schema_changes_bump_schema_generation(database):
@@ -261,11 +285,11 @@ def test_schema_changes_bump_schema_generation(database):
     generation = db.invalidation.schema_generation
     db.define_table("Extra", note=ColumnType.TEXT)
     assert db.invalidation.schema_generation == generation + 1
-    events = []
-    db.invalidation.subscribe(events.append)
+    events, writes = _counters(db, "Extra")
     db.drop_table("Extra")
     assert db.invalidation.schema_generation == generation + 2
-    assert "Extra" in events  # dropped data invalidates like a write
+    # dropped data invalidates like a write
+    assert _counters(db, "Extra") == (events + 1, writes + 1)
 
 
 def _facet_state(database, table):
@@ -320,15 +344,14 @@ def test_an_adopted_sqlite_file_keeps_one_facet_record(tmp_path, label):
 
 def test_insert_many_single_event_and_rows_present(database):
     db = seeded(database)
-    events = []
-    db.invalidation.subscribe(events.append)
+    events, writes = _counters(db)
     rows = [
         {"name": f"bulk{i}", "location": "Hall", "attendees": i, "jid": 100 + i, "jvars": ""}
         for i in range(10)
     ]
     pks = db.insert_many("Event", rows)
     assert len(pks) == 10 and len(set(pks)) == 10
-    assert events == ["Event"]
+    assert _counters(db) == (events + 1, writes + 1)
     stored = db.find("Event", location="Hall")
     assert sorted(row["name"] for row in stored) == sorted(f"bulk{i}" for i in range(10))
     # Returned primary keys address the inserted rows.
@@ -353,8 +376,7 @@ def test_insert_many_partial_failure_never_leaves_silent_rows(database):
     bus: either nothing is committed (SQLite rolls the transaction back) or
     the committed prefix is announced (memory engine)."""
     db = seeded(database)
-    events = []
-    db.invalidation.subscribe(events.append)
+    events, writes = _counters(db)
     rows = [
         {"id": 200, "name": "ok", "location": "L", "attendees": 0, "jid": 70, "jvars": ""},
         {"id": 200, "name": "dup", "location": "L", "attendees": 0, "jid": 71, "jvars": ""},
@@ -363,9 +385,9 @@ def test_insert_many_partial_failure_never_leaves_silent_rows(database):
         db.insert_many("Event", rows)  # duplicate primary key fails mid-batch
     inserted = db.find("Event", jid=70)
     if inserted:
-        assert events == ["Event"]  # committed prefix was announced
+        assert _counters(db) == (events + 1, writes + 1)  # committed prefix announced
     else:
-        assert events == []  # rolled back: nothing to announce
+        assert _counters(db) == (events, writes)  # rolled back: nothing to announce
 
 
 def test_insert_many_pks_correct_after_deleting_max_id_row(database):
@@ -384,10 +406,9 @@ def test_insert_many_pks_correct_after_deleting_max_id_row(database):
 
 def test_insert_many_empty_is_a_no_op(database):
     db = seeded(database)
-    events = []
-    db.invalidation.subscribe(events.append)
+    counters = _counters(db)
     assert db.insert_many("Event", []) == []
-    assert events == []
+    assert _counters(db) == counters
 
 
 def test_table2_sql_translation_shapes():

@@ -168,16 +168,20 @@ def test_sqlite_write_plans_execute_one_statement():
 
 
 def test_write_plans_publish_invalidation(database):
-    events = []
-    database.invalidation.subscribe(lambda table: events.append(table))
+    bus = database.invalidation
+
+    def counters():
+        return bus.events_published, bus.write_generation("Doc")
+
+    events, writes = counters()
     database.execute_update(
         plan_update(database.query("Doc").filter(eq("owner", "ada")), {"owner": "eve"}, "jid")
     )
-    assert events == ["Doc"]
+    assert counters() == (events + 1, writes + 1)
     database.execute_delete(plan_delete(database.query("Doc"), "jid"))
-    assert events == ["Doc", "Doc"]
+    assert counters() == (events + 2, writes + 2)
     # A write matching nothing publishes nothing.
     database.execute_delete(
         plan_delete(database.query("Doc").filter(eq("owner", "nobody")), "jid")
     )
-    assert events == ["Doc", "Doc"]
+    assert counters() == (events + 2, writes + 2)

@@ -11,8 +11,10 @@ the result carries: a joined model's, or another model's in a value facet.
 import pytest
 
 from repro import obs
+from repro.core.errors import PolicyError
 from repro.core.facets import collect_labels, facet_map
 from repro.core.labels import Label
+from repro.core.policy import never_allow
 from repro.db import Database, MemoryBackend, SqliteBackend
 from repro.form import (
     FORM,
@@ -187,16 +189,28 @@ def test_a_read_of_a_table_without_a_registered_model_is_refused():
     database.close()
 
 
-def test_restrict_conjoins_with_the_record_policy_and_reset_keeps_the_lookup(form):
+def test_restrict_on_a_form_label_is_refused_and_reset_keeps_the_lookup(form):
+    """A FORM label's policy is its model's.  Early Pruning and pushdown
+    apply that policy alone, so a ``restrict`` that only concretisation
+    would conjoin is refused, and every path keeps agreeing."""
     alice, bob = _seed()
-    users = LabelUser.objects.filter(name="alice").fetch()
+    users = LabelUser.objects.filter(name="alice")
+    faceted = users.fetch()
 
     def emails(viewer):
-        return [user.email for user in form.runtime.concretize(users, viewer)]
+        return [user.email for user in form.runtime.concretize(faceted, viewer)]
 
     assert emails(alice) == ["alice@x"] and emails(bob) == ["[hidden]"]
     label = Label(name=f"LabelUser.{alice.jid}.email")
-    form.runtime.restrict(label, lambda viewer: viewer.name != "alice")
-    assert emails(alice) == ["[hidden]"] and emails(bob) == ["[hidden]"]
-    form.runtime.reset()  # drops the restrict, keeps the FORM's lookup
+    with pytest.raises(PolicyError, match=label.name):
+        form.runtime.restrict(label, lambda viewer: viewer.name != "alice")
+    with pytest.raises(PolicyError, match=label.name):
+        form.runtime.policy_env.restrict(label, never_allow)
+    with viewer_context(alice):
+        assert [user.email for user in users.fetch()] == emails(alice) == ["alice@x"]
+    form.runtime.reset()  # keeps the FORM's lookup
     assert emails(alice) == ["alice@x"] and emails(bob) == ["[hidden]"]
+    # A label no model answers still takes restricts.
+    hint = form.runtime.label("hint")
+    form.runtime.restrict(hint, never_allow)
+    assert form.runtime.policy_env.evaluate(hint, alice) is False

@@ -1,16 +1,21 @@
 """Differential fuzzing: policy pushdown vs the Python pruning oracle.
 
 Each iteration draws a random *program* -- creates, set-oriented updates
-and deletes, guarded (pc) creates, and viewer-context reads: filtered and
+(an owner reassignment among them, which changes who may see a doc) and
+deletes, guarded (pc) creates, and viewer-context reads: filtered and
 unfiltered fetches, ``first()``, bounded ``limited(n)`` fetches and counts,
 counts, ``exists()`` and aggregates -- from a seeded stdlib
-``random.Random``, then runs it once per pushdown configuration on the
-same backend:
+``random.Random``, then runs it once per configuration on the same
+backend:
 
-* ``"off"`` -- the Python Early Pruning path (the oracle);
-* ``"on"`` -- inline predicates render into the SQL statement.
+* ``"off"`` -- the Python Early Pruning path, caches off (the oracle);
+* ``"on"`` -- inline predicates render into the SQL statement;
+* ``"cached"`` -- pushdown on, with the default ``CacheConfig()``: the
+  query cache and the label memo.  The programs interleave writes with
+  reads, so an entry served after a write it depends on shows up as a
+  divergence from the oracle.
 
-Both configurations must produce identical observables, and neither may
+Every configuration must produce the oracle's observables, and none may
 ever leak a secret to the wrong viewer -- checked against the fetched
 rows' own unpolicied columns (``owner_id``, ``path``), independent of any
 path.  ``FuzzDoc`` renders inline with an equality on the viewer's jid,
@@ -29,10 +34,11 @@ the program.  A no-viewer read of N records holding facet rows builds up
 to 2 ** N leaves, so the check is skipped once more than
 :data:`MAX_FACETED_RECORDS` such records exist.
 
-In the ``"on"`` configuration every read is first explained, inside the
-traced region: ``explain()`` must run no statement and bump no counter,
-its ``sql`` must be among the statements the read runs, and the pushdown
-counters the read bumps must be exactly the one the report names -- one
+In the ``"on"`` configuration (not ``"cached"``, where a cache hit runs
+no statement) every read is first explained, inside the traced region:
+``explain()`` must run no statement and bump no counter, its ``sql`` must
+be among the statements the read runs, and the pushdown counters the read
+bumps must be exactly the one the report names -- one
 ``plan.policy_pushdown`` for ``"policy-pushdown"``, the reported
 ``fallback`` (or nothing, when it reports none) for ``"pruned"``.
 
@@ -143,8 +149,8 @@ AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 #: read of N such records builds up to 2 ** N leaves
 MAX_FACETED_RECORDS = 8
 ORG_PATHS = ("/", "/eng", "/eng/db", "/ops")
-#: pushdown configurations compared against the "off" oracle
-CONFIGS = ("off", "on")
+#: configurations compared against the "off" oracle
+CONFIGS = ("off", "on", "cached")
 #: the counter a pushed read bumps, then the counters a read that falls
 #: back to the Python path bumps, one per reason
 PUSHDOWN_COUNTERS = (
@@ -204,10 +210,14 @@ def _gen_program(rng, length=16):
                 ("create_owner", f"o{rng.randrange(100)}",
                  ORG_PATHS[rng.randrange(len(ORG_PATHS))])
             )
-        elif roll < 0.27:
+        elif roll < 0.25:
             program.append(
                 ("update_score", rng.randrange(10), rng.randrange(10))
             )
+        elif roll < 0.27:
+            # A write that changes who may see a doc's title: outcomes of
+            # the title labels computed before it are stale after it.
+            program.append(("reassign_docs", rng.randrange(4), rng.randrange(10)))
         elif roll < 0.32:
             program.append(("delete_docs", rng.randrange(10)))
         elif roll < 0.37:
@@ -288,14 +298,15 @@ def _faceted_records(form):
 
 
 def _run_program(kind, program, config):
-    """Execute ``program`` under a pushdown ``config``, returning
+    """Execute ``program`` under a configuration, returning
     ``(observables, leaks, faults)``; ``faults`` lists every read whose
     ``explain()`` disagreed with what it ran.  Ops that need an owner are
     skipped while none exists (shrunk programs may drop the opening
     creates) -- identically in every configuration, so parity is
     unaffected."""
     database = Database() if kind == "memory" else Database(SqliteBackend())
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    cache_config = CacheConfig() if config == "cached" else CacheConfig.disabled()
+    form = FORM(database, cache_config=cache_config)
     form.register_all(MODELS)
     form.policy_pushdown_enabled = config != "off"
     observables = []
@@ -325,7 +336,11 @@ def _run_program(kind, program, config):
         if config != "on":
             with viewer_context(viewer):
                 value = run(query_set)
-            if observe is not None and _faceted_records(form) <= MAX_FACETED_RECORDS:
+            if (
+                config == "off"
+                and observe is not None
+                and _faceted_records(form) <= MAX_FACETED_RECORDS
+            ):
                 faceted = run(query_set)
                 for owner in owners:
                     seen = value
@@ -404,6 +419,13 @@ def _run_program(kind, program, config):
             elif name == "update_score":
                 observables.append(
                     FuzzDoc.objects.filter(score=args[0]).update(score=args[1])
+                )
+            elif name == "reassign_docs":
+                observables.append(
+                    FuzzDoc.objects.filter(score=args[1]).update(owner=viewer)
+                )
+                doc_owners.update(
+                    (row["jid"], row["owner_id"]) for row in form.database.find("FuzzDoc")
                 )
             elif name == "delete_docs":
                 observables.append(FuzzDoc.objects.filter(score=args[0]).delete())
@@ -533,7 +555,7 @@ def _failure(kind, program):
             if left != right:
                 return (
                     f"observable #{index} diverges under {config!r}: "
-                    f"pushdown={left!r} oracle={right!r}"
+                    f"{config}={left!r} oracle={right!r}"
                 )
         return (
             f"observable counts diverge under {config!r}: "

@@ -97,7 +97,7 @@ def test_metrics_endpoint_serves_counters_and_cache_stats(conf):
     assert payload["counters"]["db.statements"] >= 1
     # The conf FORM registered its caches on construction.
     assert payload["caches"]["sources"] >= 1
-    assert set(payload["caches"]["layers"]) == {"queries", "labels", "fragments"}
+    assert set(payload["caches"]["layers"]) == {"queries", "labels"}
     assert payload["traces"], "recent-trace index should list the traced request"
 
 
