@@ -14,7 +14,8 @@ False
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+import time
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.bus import InvalidationBus
@@ -37,7 +38,8 @@ class Backend(abc.ABC):
     Thread-safety contract (relied on by the WSGI serving layer): every
     method may be called from any thread.  Writes serialise internally and
     publish their invalidation event exactly once, after the write is
-    committed/visible; reads return a consistent snapshot no older than the
+    committed/visible (:meth:`_end_write`, the last step of every write
+    statement); reads return a consistent snapshot no older than the
     latest completed write.  Backends that can serve reads without blocking
     a concurrent writer advertise it via :attr:`supports_concurrent_reads`.
     """
@@ -57,9 +59,38 @@ class Backend(abc.ABC):
             self._invalidation_bus = bus
         return bus
 
-    def _publish_write(self, table: str) -> None:
-        """Announce that rows of ``table`` changed (called by subclasses)."""
-        self.invalidation.publish(table)
+    def _write_started(self) -> Optional[float]:
+        """The start time of a write statement, or ``None`` when nothing
+        observes it (see :meth:`_end_write`)."""
+        return time.perf_counter() if self._observing() else None
+
+    def _end_write(
+        self,
+        table: str,
+        started: Optional[float],
+        statement: Callable[[], Tuple[str, str, Sequence[Any], int]],
+        written: Sequence[Dict[str, Any]] = (),
+        changed: bool = True,
+    ) -> None:
+        """The one ending of every write statement, once its rows are visible.
+
+        1. report the statement, if :meth:`_write_started` found an
+           observer: ``statement()`` gives its kind, SQL, parameters and
+           row count;
+        2. record the facet state of the ``written`` rows;
+        3. publish once on the invalidation bus, if any row ``changed``.
+
+        Every write calls this last, after its commit or lock release, so
+        a cache stamp that counts the write is never taken before its rows
+        can be read.
+        """
+        if started is not None:
+            duration = time.perf_counter() - started
+            kind, sql, params, rows = statement()
+            self._notify_statement(kind, sql, params, rows, duration)
+        if changed:
+            self._note_facet_write(table, written)
+            self.invalidation.publish(table)
 
     def _publish_clear(self) -> None:
         # clear() removes every row, so every table is facet-free again.
@@ -262,22 +293,12 @@ class Backend(abc.ABC):
     def insert(self, table: str, values: Dict[str, Any]) -> int:
         """Insert one row; returns the assigned primary key."""
 
+    @abc.abstractmethod
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        """Insert many rows; default implementation loops over :meth:`insert`.
-
-        Backends override this to batch the write (one statement, one
-        invalidation event) instead of paying per-row overhead.
-        """
-        return [self.insert(table, row) for row in rows]
+        """Insert many rows atomically, in one write with one invalidation
+        event; returns their primary keys."""
 
     @abc.abstractmethod
-    def update(self, table: str, where: Optional[Expression], values: Dict[str, Any]) -> int:
-        """Update matching rows; returns the number of rows changed."""
-
-    @abc.abstractmethod
-    def delete(self, table: str, where: Optional[Expression]) -> int:
-        """Delete matching rows; returns the number of rows removed."""
-
     def execute_update(self, plan: UpdatePlan) -> int:
         """Run a set-oriented :class:`~repro.db.query.UpdatePlan` in one write.
 
@@ -286,40 +307,26 @@ class Backend(abc.ABC):
         write is one statement; the memory backend materialises it and
         mutates under a single lock hold.  Returns the number of rows
         changed; publishes one invalidation event when any row changed.
-
-        >>> from repro.db import Database
-        >>> from repro.db.query import Query, plan_update
-        >>> from repro.db.schema import ColumnType
-        >>> from repro.db.expr import eq
-        >>> with Database() as db:
-        ...     _ = db.define_table("Paper", jid=ColumnType.INTEGER, ok=ColumnType.BOOLEAN)
-        ...     _ = db.insert_many("Paper", [{"jid": 1, "ok": False}, {"jid": 1, "ok": False}])
-        ...     plan = plan_update(db.query("Paper").filter(eq("ok", False)), {"ok": True}, "jid")
-        ...     db.backend.execute_update(plan)
-        2
         """
-        return self.update(plan.table, plan.where, plan.values)
 
+    @abc.abstractmethod
     def execute_delete(self, plan: DeletePlan) -> int:
         """Run a set-oriented :class:`~repro.db.query.DeletePlan` in one write.
 
         Single-statement counterpart of :meth:`execute_update` for DELETE;
         returns the number of rows removed.
         """
-        return self.delete(plan.table, plan.where)
 
+    @abc.abstractmethod
     def replace_rows(
         self, table: str, where: Optional[Expression], rows: Sequence[Dict[str, Any]]
     ) -> List[int]:
         """Replace the rows matching ``where`` with ``rows``; returns new pks.
 
-        The FORM rewrites a record's facet-row set with this on every update.
-        Concrete backends override it to make the swap atomic for readers
-        (one transaction / one lock hold) with a single invalidation event;
-        this default is the non-atomic delete + insert fallback.
+        The FORM's facet rewrite swaps records' facet-row sets with this.
+        The swap is atomic for readers (one transaction / one lock hold),
+        with a single invalidation event.
         """
-        self.delete(table, where)
-        return self.insert_many(table, rows)
 
     # -- queries -----------------------------------------------------------------------
 

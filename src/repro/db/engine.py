@@ -127,10 +127,20 @@ class Database:
         return self.backend.insert_many(table, rows)
 
     def update(self, table: str, where: Optional[Expression], **values: Any) -> int:
-        return self.backend.update(table, where, values)
+        """``UPDATE`` the rows matching ``where``; returns the number changed.
+
+        >>> from repro.db.expr import eq
+        >>> with Database() as db:
+        ...     _ = db.define_table("Paper", title=ColumnType.TEXT, ok=ColumnType.BOOLEAN)
+        ...     _ = db.insert_many("Paper", [{"title": "a", "ok": False}, {"title": "b", "ok": False}])
+        ...     db.update("Paper", eq("title", "a"), ok=True)
+        1
+        """
+        return self.backend.execute_update(UpdatePlan(table, values, where))
 
     def delete(self, table: str, where: Optional[Expression] = None) -> int:
-        return self.backend.delete(table, where)
+        """``DELETE`` the rows matching ``where`` (all rows when ``None``)."""
+        return self.backend.execute_delete(DeletePlan(table, where))
 
     def replace_rows(
         self,

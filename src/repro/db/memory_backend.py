@@ -84,17 +84,12 @@ class MemoryBackend(Backend):
     # -- data manipulation -------------------------------------------------------------
 
     def insert(self, table: str, values: Dict[str, Any]) -> int:
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        started = self._write_started()
         with self._lock:
             pk = self._table(table).insert(values)
-        if observing:
-            self._notify_statement(
-                "INSERT", insert_summary(table, 1), (), 1,
-                time.perf_counter() - started,
-            )
-        self._note_facet_write(table, (values,))
-        self._publish_write(table)
+        self._end_write(
+            table, started, lambda: ("INSERT", insert_summary(table, 1), (), 1), (values,)
+        )
         return pk
 
     def insert_many(self, table: str, rows) -> List[int]:
@@ -104,8 +99,7 @@ class MemoryBackend(Backend):
         SQLite backend's transaction rollback), so a record expanded into
         several facet rows is either fully present or fully absent.
         """
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        started = self._write_started()
         written: List[Dict[str, Any]] = []
         with self._lock:
             target = self._table(table)
@@ -118,74 +112,55 @@ class MemoryBackend(Backend):
                 for pk in pks:
                     target.remove(pk)
                 raise
-        if observing:
-            self._notify_statement(
-                "INSERT", insert_summary(table, len(pks)), (), len(pks),
-                time.perf_counter() - started,
-            )
-        self._note_facet_write(table, written)
-        if pks:
-            self._publish_write(table)
+        self._end_write(
+            table, started,
+            lambda: ("INSERT", insert_summary(table, len(pks)), (), len(pks)),
+            written, bool(pks),
+        )
         return pks
 
-    def update(self, table: str, where: Optional[Expression], values: Dict[str, Any]) -> int:
-        observing = self._observing()
-        if observing:
-            # Render the statement this write *would* be as SQL (subselects
-            # inline, exactly as the SQLite backend sends it) before the
-            # memory engine materialises them.
-            statement, params = update_to_sql(UpdatePlan(table, values, where))
-            started = time.perf_counter()
-        with self._lock:
-            count = self._table(table).update(self._resolve_expression(where), values)
-        if observing:
-            self._notify_statement(
-                "UPDATE", statement, params, count, time.perf_counter() - started
-            )
-        if count:
-            self._note_facet_write(table, (values,))
-            self._publish_write(table)
-        return count
-
-    def delete(self, table: str, where: Optional[Expression]) -> int:
-        observing = self._observing()
-        if observing:
-            statement, params = delete_to_sql(DeletePlan(table, where))
-            started = time.perf_counter()
-        with self._lock:
-            count = self._table(table).delete(self._resolve_expression(where))
-        if observing:
-            self._notify_statement(
-                "DELETE", statement, params, count, time.perf_counter() - started
-            )
-        if count:
-            self._publish_write(table)
-        return count
-
-    def execute_update(self, plan) -> int:
+    def execute_update(self, plan: UpdatePlan) -> int:
         """One logical write for an :class:`~repro.db.query.UpdatePlan`.
 
         The plan's record-key subselect materialises and the matching rows
-        mutate under a single hold of the backend lock (``update`` resolves
-        subqueries in :meth:`_resolve_expression` before scanning), so a
-        concurrent reader observes the table before or after the whole
+        mutate under a single hold of the backend lock
+        (:meth:`_resolve_expression` resolves subqueries before the scan),
+        so a concurrent reader observes the table before or after the whole
         set-oriented write -- mirroring the one statement SQLite executes.
         The resolved ``key IN (...)`` list is narrowed by the table's hash
         index (see :meth:`Table.matching_rows`), keeping the mutation
         O(matches) instead of O(table).  :meth:`Table.update` coerces the
         SET values before it touches a row, so a failing statement changes
         nothing, and it maintains only the indexes on assigned columns.
+        An observer receives the SQL this write *would* be, subselects
+        inline, exactly as the SQLite backend sends it.
         """
-        return self.update(plan.table, plan.where, plan.values)
+        started = self._write_started()
+        with self._lock:
+            count = self._table(plan.table).update(
+                self._resolve_expression(plan.where), plan.values
+            )
+        self._end_write(
+            plan.table, started, lambda: ("UPDATE", *update_to_sql(plan), count),
+            (plan.values,), bool(count),
+        )
+        return count
 
-    def execute_delete(self, plan) -> int:
+    def execute_delete(self, plan: DeletePlan) -> int:
         """One logical write for a :class:`~repro.db.query.DeletePlan`.
 
         Same contract as :meth:`execute_update`: subselect resolution,
         index narrowing and row removal share one lock hold and publish a
         single invalidation event.
         """
-        return self.delete(plan.table, plan.where)
+        started = self._write_started()
+        with self._lock:
+            count = self._table(plan.table).delete(self._resolve_expression(plan.where))
+        self._end_write(
+            plan.table, started, lambda: ("DELETE", *delete_to_sql(plan), count),
+            changed=bool(count),
+        )
+        return count
 
     def replace_rows(self, table: str, where: Optional[Expression], rows) -> List[int]:
         """Swap matching rows for ``rows`` under one lock hold, atomically.
@@ -195,8 +170,7 @@ class MemoryBackend(Backend):
         failure the swap is rolled back (inserted rows removed, deleted rows
         restored), matching the SQLite backend's transaction semantics.
         """
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        started = self._write_started()
         written: List[Dict[str, Any]] = []
         with self._lock:
             target = self._table(table)
@@ -215,14 +189,14 @@ class MemoryBackend(Backend):
                 for old_row in replaced:
                     target.insert(old_row)
                 raise
-        if observing:
-            self._notify_statement(
+        self._end_write(
+            table, started,
+            lambda: (
                 "REPLACE", replace_summary(table, len(replaced), len(pks)), (),
-                len(replaced) + len(pks), time.perf_counter() - started,
-            )
-        self._note_facet_write(table, written)
-        if replaced or pks:
-            self._publish_write(table)
+                len(replaced) + len(pks),
+            ),
+            written, bool(replaced or pks),
+        )
         return pks
 
     # -- queries --------------------------------------------------------------------------

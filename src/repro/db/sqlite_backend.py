@@ -311,18 +311,13 @@ class SqliteBackend(Backend):
     def insert(self, table: str, values: Dict[str, Any]) -> int:
         schema = self.schema(table)
         row = self._prepare_row(schema, values)
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        started = self._write_started()
         with self._writing() as connection:
             pk = self._insert_one(connection, schema, table, row)
             connection.commit()
-        if observing:
-            self._notify_statement(
-                "INSERT", insert_summary(table, 1), (), 1,
-                time.perf_counter() - started,
-            )
-        self._note_facet_write(table, (row,))
-        self._publish_write(table)
+        self._end_write(
+            table, started, lambda: ("INSERT", insert_summary(table, 1), (), 1), (row,)
+        )
         return pk
 
     def insert_many(self, table: str, rows) -> List[int]:
@@ -343,8 +338,7 @@ class SqliteBackend(Backend):
         # assigned range is contiguous from MAX(rowid).
         batchable = len(column_sets) == 1 and not any(pk_name in row for row in prepared)
         pks: List[int] = []
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        started = self._write_started()
         # The batch is one transaction (_writing rolls back on any failure),
         # so a half-inserted batch can neither linger uncommitted on the
         # connection nor be committed later by an unrelated write without an
@@ -373,53 +367,46 @@ class SqliteBackend(Backend):
                 for row in prepared:
                     pks.append(self._insert_one(connection, schema, table, row))
                 connection.commit()
-        if observing:
-            self._notify_statement(
-                "INSERT", insert_summary(table, len(prepared)), (), len(prepared),
-                time.perf_counter() - started,
-            )
-        self._note_facet_write(table, prepared)
-        self._publish_write(table)
+        self._end_write(
+            table, started,
+            lambda: ("INSERT", insert_summary(table, len(prepared)), (), len(prepared)),
+            prepared,
+        )
         return pks
 
-    def update(self, table: str, where: Optional[Expression], values: Dict[str, Any]) -> int:
-        schema = self.schema(table)
+    def execute_update(self, plan: UpdatePlan) -> int:
+        """One ``UPDATE`` statement, rendered by sqlgen: a subselect-bearing
+        WHERE (the record-key write pushdown) executes inline, exactly like
+        a read, and commits before the write lock is released."""
+        schema = self.schema(plan.table)
         encoded = {
             name: self._encode(schema.column(name), value)
-            for name, value in values.items()
+            for name, value in plan.values.items()
         }
-        # One statement, rendered by sqlgen: a subselect-bearing WHERE (the
-        # record-key write pushdown) executes inline, exactly like a read.
-        statement, params = update_to_sql(UpdatePlan(table, encoded, where))
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        statement, params = update_to_sql(UpdatePlan(plan.table, encoded, plan.where))
+        started = self._write_started()
         with self._writing() as connection:
             cursor = connection.execute(statement, self._encode_params(params))
             connection.commit()
             count = cursor.rowcount
-        if observing:
-            self._notify_statement(
-                "UPDATE", statement, params, count, time.perf_counter() - started
-            )
-        if count:
-            self._note_facet_write(table, (values,))
-            self._publish_write(table)
+        self._end_write(
+            plan.table, started, lambda: ("UPDATE", statement, params, count),
+            (plan.values,), bool(count),
+        )
         return count
 
-    def delete(self, table: str, where: Optional[Expression]) -> int:
-        statement, params = delete_to_sql(DeletePlan(table, where))
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+    def execute_delete(self, plan: DeletePlan) -> int:
+        """One ``DELETE`` statement, with any subselect inline."""
+        statement, params = delete_to_sql(plan)
+        started = self._write_started()
         with self._writing() as connection:
             cursor = connection.execute(statement, self._encode_params(params))
             connection.commit()
             count = cursor.rowcount
-        if observing:
-            self._notify_statement(
-                "DELETE", statement, params, count, time.perf_counter() - started
-            )
-        if count:
-            self._publish_write(table)
+        self._end_write(
+            plan.table, started, lambda: ("DELETE", statement, params, count),
+            changed=bool(count),
+        )
         return count
 
     def replace_rows(self, table: str, where: Optional[Expression], rows) -> List[int]:
@@ -433,22 +420,21 @@ class SqliteBackend(Backend):
         delete_params = self._encode_params(raw_params)
         prepared = [self._prepare_row(schema, values) for values in rows]
         pks: List[int] = []
-        observing = self._observing()
-        started = time.perf_counter() if observing else 0.0
+        started = self._write_started()
         with self._writing() as connection:
             cursor = connection.execute(delete_statement, delete_params)
             deleted = cursor.rowcount
             for row in prepared:
                 pks.append(self._insert_one(connection, schema, table, row))
             connection.commit()
-        if observing:
-            self._notify_statement(
+        self._end_write(
+            table, started,
+            lambda: (
                 "REPLACE", replace_summary(table, deleted, len(pks)), (),
-                deleted + len(pks), time.perf_counter() - started,
-            )
-        self._note_facet_write(table, prepared)
-        if deleted or pks:
-            self._publish_write(table)
+                deleted + len(pks),
+            ),
+            prepared, bool(deleted or pks),
+        )
         return pks
 
     # -- queries ------------------------------------------------------------------------------

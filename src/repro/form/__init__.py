@@ -21,10 +21,11 @@ reconstruct facets from the meta-data on the way out; foreign keys reference
 the target's ``jid``.  The Early Pruning optimisation keeps only the facet
 rows visible to a known viewer (Section 3.2).
 
-Writes are set-oriented too: ``QuerySet.update()``/``delete()`` compile to
-single faceted-aware SQL statements where the facet encoding allows it, and
-fall back to a batched facet rewrite where it does not -- the decision
-procedure and the pc-guard algebra live in :mod:`repro.form.writes`.
+Writes are set-oriented too: each one is a single faceted-aware SQL
+statement where the facet encoding allows it (creates included, under a
+path condition too) and one batched facet rewrite where it does not -- the
+decision, the rewrite and the pc-guard algebra live in
+:mod:`repro.form.writes`.
 """
 
 from repro.cache import CacheConfig

@@ -283,9 +283,10 @@ class QuerySet:
           both backends: no fetch, no unmarshal, bounds (``limited``) and
           join filters included in the subselect;
         * policied fields, faceted values, or a non-empty path condition
-          fall back to the *batched* facet rewrite: one projected jid
-          query, one row fetch, per-jid facet-row recomputation reusing
-          ``JModel.save``'s expansion and pc-guard algebra, and one atomic
+          fall back to the facet rewrite every save of a stored record
+          runs (:func:`repro.form.writes.rewrite`): one projected jid
+          query, one row fetch, each record rebuilt with the new values and
+          re-expanded as ``JModel.save`` expands it, and one atomic
           ``replace_rows`` batch;
         * an otherwise-eligible assignment to a column some
           ``jacqueline_get_public_*`` method *reads* is **forced** onto the
@@ -311,18 +312,27 @@ class QuerySet:
             obs.add("plan.update_pushdown")
             with form._save_lock, obs.span("form.update.fast", model=meta.table_name):
                 return form.database.execute_update(plan)
-        # Batched facet rewrite: one jid projection, one chunked fetch, one
-        # (chunked) replace.
+        # The facet rewrite, given the rows fetched here to rebuild each
+        # record from.
         obs.add("writes.fallback")
         with form._save_lock, obs.span("form.update.rewrite", model=meta.table_name):
             jids = self._matching_jids(form)
             if not jids:
                 return 0
-            existing = self._rows_for_jids(form, meta, jids)
-            replacement = writes.bulk_update_rows(
-                self.model, form, jids, existing, resolved
-            )
-            _replace_rows_chunked(form, meta.table_name, jids, replacement)
+            existing = writes.stored_rows(form, meta.table_name, jids)
+            stored = writes.group_rows_by_jid(existing)
+            records = {}
+            for jid in jids:
+                if jid not in stored:
+                    continue
+                instance = writes.reconstruct_instance(self.model, jid, stored[jid])
+                for _name, field, value in resolved:
+                    setattr(
+                        instance, field.column_name,
+                        value if isinstance(value, Facet) else field.to_db(value),
+                    )
+                records[jid] = instance._facet_rows(form)
+            writes.rewrite(form, meta.table_name, records, stored)
             return len(existing)
 
     def delete(self) -> int:
@@ -335,10 +345,11 @@ class QuerySet:
         per-record statement.  Under a non-empty path condition the delete
         is *guarded*: matching jids are collected with one projected
         ``SELECT DISTINCT jid`` query (no instance unmarshalling), their
-        rows fetched once, and the complement-assignment survivors swapped
-        in with one atomic ``replace_rows`` batch -- viewers outside the
-        branch keep seeing the records.  One guarded shape still compiles
-        to a single statement (see :meth:`_delete_plan`).
+        rows fetched once, and the facet rewrite with no new rows
+        (:func:`repro.form.writes.rewrite`) swaps in the complement-assignment
+        survivors with one atomic ``replace_rows`` batch -- viewers outside
+        the branch keep seeing the records.  One guarded shape still
+        compiles to a single statement (see :meth:`_delete_plan`).
 
         Returns the number of facet rows removed (guarded: rewritten).
         Runs under the FORM save lock so deletions cannot interleave with a
@@ -362,14 +373,11 @@ class QuerySet:
                 jids = self._matching_jids(form)
                 if not jids:
                     return 0
-                existing = self._rows_for_jids(form, meta, jids)
-                pc_branches = writes.pc_branch_list(form.runtime.current_pc())
-                rows_by_jid = writes.group_rows_by_jid(existing)
-                survivors: List[Dict[str, Any]] = []
-                for jid in jids:
-                    rows = rows_by_jid.get(jid, [])
-                    survivors.extend(writes.guarded_survivors(jid, rows, pc_branches))
-                _replace_rows_chunked(form, meta.table_name, jids, survivors)
+                existing = writes.stored_rows(form, meta.table_name, jids)
+                writes.rewrite(
+                    form, meta.table_name, dict.fromkeys(jids, ()),
+                    writes.group_rows_by_jid(existing),
+                )
                 return len(existing)
 
     def explain(self, operation: str = "fetch", **values: Any) -> Dict[str, Any]:
@@ -825,22 +833,6 @@ class QuerySet:
         return [int(value) for value in
                 subquery_values(form.database.execute(subquery), subquery)]
 
-    @staticmethod
-    def _rows_for_jids(form: FORM, meta, jids: List[int]) -> List[Dict[str, Any]]:
-        """All facet rows of the given records, via ``jid IN (...)`` fetches.
-
-        Chunked at :data:`repro.form.writes.MAX_BOUND_VARIABLES` jids per
-        statement so a match set larger than SQLite's bound-variable limit
-        (SQLITE_MAX_VARIABLE_NUMBER, 32766 by default) still compiles; the
-        common case stays a single fetch.
-        """
-        rows: List[Dict[str, Any]] = []
-        for chunk in writes.chunked(jids):
-            rows.extend(form.database.execute(
-                Query(table=meta.table_name).filter(InList(col("jid"), tuple(chunk)))
-            ))
-        return rows
-
     # -- label resolution ---------------------------------------------------------------
 
     def _label_resolver(
@@ -993,7 +985,7 @@ class Manager:
 
     def create(self, **kwargs: Any) -> Any:
         instance = self.model(**kwargs)
-        instance.save()
+        writes.store(self.model, current_form(), [instance])
         return instance
 
     def get_or_create(
@@ -1054,32 +1046,18 @@ class Manager:
         return (meta.table_name, tuple(sorted(parts)))
 
     def bulk_create(self, instances: Sequence[Any]) -> List[Any]:
-        """Save many unsaved instances with one bulk database write.
+        """Save many instances with one bulk database write.
 
-        Facet-row expansion is identical to :meth:`JModel.save`; the rows of
-        the whole batch are flushed through ``Database.insert_many`` (one
-        backend write, one invalidation event) instead of one insert per
-        facet row.  Instances that already have a jid, or saves under a
-        non-empty path condition, fall back to the full ``save`` semantics.
+        Facet-row expansion is identical to :meth:`JModel.save`.  When every
+        instance is new, the rows of the whole batch, path-condition
+        branches attached under a pc, flush through one
+        ``Database.insert_many`` (one backend write, one invalidation
+        event) instead of one insert per facet row.  Instances that already
+        have a jid make the batch one facet rewrite instead
+        (:func:`repro.form.writes.store`).
         """
-        form = current_form()
-        meta = self.model._meta
-        table = meta.table_name
         pending = list(instances)
-        rows: List[Dict[str, Any]] = []
-        deferred: List[Any] = []
-        under_pc = bool(form.runtime.current_pc())
-        for instance in pending:
-            if instance.jid is not None or under_pc:
-                deferred.append(instance)
-                continue
-            instance.jid = form.next_jid(table)
-            for branches, values in instance._facet_rows(form):
-                rows.append(instance._db_row(values, branches))
-        if rows:
-            form.database.insert_many(table, rows)
-        for instance in deferred:
-            instance.save(form)
+        writes.store(self.model, current_form(), pending)
         return pending
 
     def bulk_update(self, instances: Sequence[Any]) -> List[Any]:
@@ -1087,57 +1065,34 @@ class Manager:
 
         The set-oriented form of heterogeneous per-instance edits: each
         instance's facet-row set is expanded exactly as :meth:`JModel.save`
-        would (public facets recomputed), and the whole batch is flushed
-        through a single atomic ``replace_rows`` -- one backend write, one
-        invalidation event -- instead of one rewrite per record.  When the
-        same record appears twice, the *last* instance wins (matching
-        sequential saves).  Every instance must already have a jid; saves
-        under a non-empty path condition fall back to per-instance
-        ``save`` for the guarded-update semantics.
+        would (public facets recomputed), and the whole batch is one facet
+        rewrite (:func:`repro.form.writes.rewrite`): one atomic
+        ``replace_rows``, one invalidation event, preceded under a path
+        condition by one fetch of the stored rows the guarded update keeps.
+        When the same record appears twice, the *last* instance wins
+        (matching sequential saves).  Every instance must already have a
+        jid.
         """
-        form = current_form()
-        meta = self.model._meta
-        table = meta.table_name
         pending = list(instances)
-        by_jid: Dict[int, Any] = {}
-        for instance in pending:
-            if instance.jid is None:
-                raise ValueError(
-                    "bulk_update requires saved instances (use bulk_save "
-                    "to mix creates and updates)"
-                )
-            by_jid[instance.jid] = instance
-        if not by_jid:
-            return pending
-        if form.runtime.current_pc():
-            for instance in by_jid.values():
-                instance.save(form)
-            return pending
-        with form._save_lock:
-            rows: List[Dict[str, Any]] = []
-            for jid, instance in by_jid.items():
-                form.note_jid(table, jid)
-                rows.extend(writes.expanded_rows(instance, form))
-            _replace_rows_chunked(form, table, list(by_jid), rows)
+        if any(instance.jid is None for instance in pending):
+            raise ValueError(
+                "bulk_update requires saved instances (use bulk_save "
+                "to mix creates and updates)"
+            )
+        writes.store(self.model, current_form(), pending)
         return pending
 
     def bulk_save(self, instances: Sequence[Any]) -> List[Any]:
         """Persist a heterogeneous batch: creates and updates, both batched.
 
-        Unsaved instances flush through :meth:`bulk_create` (one
-        ``insert_many``), already-saved ones through :meth:`bulk_update`
-        (one ``replace_rows``) -- at most two backend writes for the whole
-        batch instead of one per record.  Order within the input is
-        irrelevant to the result; path-condition saves keep full ``save``
-        semantics via the two methods' own fallbacks.
+        All new: one ``insert_many``.  Any saved instance: one facet
+        rewrite for the whole batch, whose ``replace_rows`` also inserts
+        the new records' rows (:func:`repro.form.writes.store`).  So the
+        batch costs one statement, or two under a path condition, instead
+        of one per record.
         """
         pending = list(instances)
-        # Split before creating: bulk_create assigns jids, and a freshly
-        # created instance must not be rewritten again by the update half.
-        created = [i for i in pending if i.jid is None]
-        updated = [i for i in pending if i.jid is not None]
-        self.bulk_create(created)
-        self.bulk_update(updated)
+        writes.store(self.model, current_form(), pending)
         return pending
 
     # -- querying ----------------------------------------------------------------------
@@ -1180,30 +1135,6 @@ class Manager:
 
     def aggregate(self, field_name: str, function: str) -> Any:
         return QuerySet(self.model).aggregate(field_name, function)
-
-
-def _replace_rows_chunked(
-    form: FORM, table: str, jids: Sequence[int], rows: List[Dict[str, Any]]
-) -> None:
-    """Atomically swap the facet rows of the given records, chunking the
-    ``jid IN (...)`` predicate at :data:`repro.form.writes.MAX_BOUND_VARIABLES`.
-
-    The common case (fewer jids than SQLite's bound-variable limit) stays a
-    single ``replace_rows`` batch.  Past the limit the swap proceeds one jid
-    chunk at a time -- each chunk replacing exactly its own records' rows --
-    which is safe because every caller holds ``form._save_lock`` for the
-    whole loop, so no concurrent write can interleave between chunks.
-    """
-    jids = list(jids)
-    if len(jids) <= writes.MAX_BOUND_VARIABLES:
-        form.database.replace_rows(table, InList(col("jid"), tuple(jids)), rows)
-        return
-    by_jid = writes.group_rows_by_jid(rows)
-    for chunk in writes.chunked(jids):
-        chunk_rows = [row for jid in chunk for row in by_jid.get(jid, [])]
-        form.database.replace_rows(
-            table, InList(col("jid"), tuple(chunk)), chunk_rows
-        )
 
 
 # -- batched loading ------------------------------------------------------------------
@@ -1388,7 +1319,7 @@ def _load_batch(
     the current viewer, grouped by key (every key present).
 
     The IN list is chunked at :data:`repro.form.writes.MAX_BOUND_VARIABLES`,
-    as :meth:`QuerySet._rows_for_jids` chunks its jid lists.
+    as :func:`repro.form.writes.stored_rows` chunks its jid lists.
     """
     answers: Dict[Any, List[Any]] = {key: [] for key in keys}
     for chunk in writes.chunked(keys):

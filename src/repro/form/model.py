@@ -9,12 +9,12 @@ values; ``save`` expands them into jid/jvars-annotated rows.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import obs
 from repro.core.facets import Facet
-from repro.db.expr import eq
 from repro.db.schema import Column, ColumnType, IndexSpec, TableSchema
+from repro.form import writes
 from repro.form.context import FORM, current_form
 from repro.form.fields import Field, ForeignKey
 from repro.form.marshal import (
@@ -24,12 +24,6 @@ from repro.form.marshal import (
     merge_rows,
 )
 from repro.form.policies import POLICY_ATTRIBUTE, PUBLIC_METHOD_PREFIX
-from repro.form.writes import (
-    facet_db_row,
-    guarded_replacement,
-    guarded_survivors,
-    pc_branch_list,
-)
 
 
 class PolicyGroup:
@@ -281,88 +275,36 @@ class JModel(metaclass=ModelMeta):
     def save(self, form: Optional[FORM] = None) -> "JModel":
         """Write this instance to the database as jid/jvars-annotated facet rows.
 
-        Saving under a non-empty path condition (inside ``runtime.jif`` on a
-        sensitive condition) guards the update: viewers outside the branch
-        keep seeing the previous contents, as in the Dagstuhl-description
-        example of Section 2.2.
+        A new instance gets a jid and is inserted; a saved one has its facet
+        rows rewritten (:func:`repro.form.writes.store`).  Saving under a
+        non-empty path condition (inside ``runtime.jif`` on a sensitive
+        condition) guards the update: viewers outside the branch keep seeing
+        the previous contents, as in the Dagstuhl-description example of
+        Section 2.2.
         """
-        form = form or current_form()
-        meta = type(self)._meta
-        table = meta.table_name
-        created = self.jid is None
-        if created:
-            self.jid = form.next_jid(table)
-        else:
-            form.note_jid(table, self.jid)
-
-        rows = self._facet_rows(form)
-        pc = form.runtime.current_pc()
-
-        if created and not pc:
-            # One bulk write: all facet rows of the record land in a single
-            # backend transaction/lock hold with one invalidation event, so
-            # a concurrent reader can never observe a partially-created
-            # record (some facets present, others missing).
-            form.database.insert_many(
-                table, [self._db_row(values, branches) for branches, values in rows]
-            )
-            return self
-
-        # Updates rewrite the record's whole facet-row set.  The FORM save
-        # lock serialises concurrent read-modify-writes of the same record;
-        # the backend's replace_rows swaps the rows atomically, so readers
-        # observe the record before or after the update, never mid-rewrite.
-        with form._save_lock:
-            if not pc:
-                form.database.replace_rows(
-                    table,
-                    eq("jid", self.jid),
-                    [self._db_row(values, branches) for branches, values in rows],
-                )
-                return self
-
-            # Guarded update: new rows apply where the path condition holds;
-            # the previously stored rows remain for every assignment
-            # falsifying it (the pc-guard algebra in repro.form.writes,
-            # shared with the batched QuerySet.update fallback).
-            existing = form.database.find(table, jid=self.jid)
-            replacement = guarded_replacement(
-                self.jid, rows, existing, pc_branch_list(pc)
-            )
-            form.database.replace_rows(table, eq("jid", self.jid), replacement)
-            return self
+        writes.store(type(self), form or current_form(), [self])
+        return self
 
     def delete(self, form: Optional[FORM] = None) -> None:
-        """Remove every facet row of this record.
+        """Remove this record: a facet rewrite with no new rows.
 
-        Takes the FORM save lock so a delete cannot interleave with a
-        concurrent update's read-modify-write and be undone by its reinsert.
+        The rewrite (:func:`repro.form.writes.rewrite`) holds the FORM save
+        lock, so a delete cannot interleave with a concurrent update's
+        read-modify-write and be undone by its reinsert.  Under a non-empty
+        path condition the delete is *guarded*: rows survive for every
+        assignment falsifying the pc, so viewers outside the branch keep
+        seeing the record.
 
-        ``jid`` is cleared afterwards, so a later :meth:`save` re-creates
-        the record as a fresh one instead of silently resurrecting the old
-        jid through the update path.  Under a non-empty path condition the
-        delete is *guarded*: rows survive for every assignment falsifying
-        the pc (viewers outside the branch keep seeing the record), and
-        ``jid`` stays set because the record still exists in those worlds.
+        ``jid`` is cleared once no row survives, so a later :meth:`save`
+        re-creates the record as a fresh one instead of silently
+        resurrecting the old jid through the update path; it stays set
+        while the record still exists in some world.
         """
         if self.jid is None:
             return
         form = form or current_form()
-        table = type(self)._meta.table_name
-        pc = form.runtime.current_pc()
-        with form._save_lock:
-            if not pc:
-                form.database.delete(table, eq("jid", self.jid))
-                self.jid = None
-                return
-            existing = form.database.find(table, jid=self.jid)
-            survivors = guarded_survivors(self.jid, existing, pc_branch_list(pc))
-            form.database.replace_rows(table, eq("jid", self.jid), survivors)
-            if not survivors:
-                # Every stored row was already confined to the pc branch, so
-                # no complement assignment survives: the record is gone in
-                # every world and a stale jid must not resurrect it.
-                self.jid = None
+        if not writes.rewrite(form, type(self)._meta.table_name, {self.jid: ()}):
+            self.jid = None
 
     # -- row expansion ----------------------------------------------------------------------------
 
@@ -404,15 +346,3 @@ class JModel(metaclass=ModelMeta):
         result = merge_rows(expanded)
         obs.add("facet.rows.expanded", len(result))
         return result
-
-    def _db_row(
-        self, values: Dict[str, Any], branches: Sequence[JvarBranch]
-    ) -> Dict[str, Any]:
-        """The concrete database row for one facet row of this instance.
-
-        Delegates to :func:`repro.form.writes.facet_db_row` -- the single
-        marshal shared by :meth:`save`, ``Manager.bulk_create`` and the
-        batched set-oriented write paths, so every writer stores
-        identically.
-        """
-        return facet_db_row(self.jid, values, branches)

@@ -1,32 +1,35 @@
-"""Set-oriented FORM writes: plan selection + the facet-rewrite algebra.
+"""FORM writes: one decision per write, then one statement or one rewrite.
 
-The write half of the Jacqueline API mirrors its read planners.  A bulk
-write (``QuerySet.update()`` / ``QuerySet.delete()`` / ``Manager.bulk_*``)
-chooses between two paths:
+Every FORM write stores, changes or removes whole records, each kept as
+its facet rows (``jid``/``jvars``-annotated).  It makes one decision and
+then runs exactly one of two things:
 
-* **In-place (fast) path** -- the write compiles to *one* SQL statement
-  (``UPDATE``/``DELETE`` with the filters pushed through a ``jid IN
-  (SELECT DISTINCT jid ...)`` subselect, see
-  :func:`repro.db.query.plan_update` / :func:`plan_delete`).  Eligible when
-  no facet row needs to be *recomputed*: the assigned columns are not
-  guarded by any policy group, the assigned values are concrete (not
-  faceted), and the write happens outside any path condition.  Setting a
-  non-policied column to one concrete value on every facet row of a record
-  is exactly what a record-at-a-time ``save`` would have stored, so no
-  fetch or unmarshal is needed.
+* **One planned statement.**  Records with no stored rows yet are new:
+  :func:`store` expands them and writes every facet row with one
+  ``insert_many``; under a path condition each row carries the pc's
+  branches, since there is no previous content to keep outside it.
+  ``QuerySet.update()``/``delete()`` compile to one ``UPDATE``/``DELETE``
+  (:func:`repro.db.query.plan_update` / :func:`plan_delete`, filters
+  pushed through a ``jid IN (SELECT DISTINCT jid ...)`` subselect) when no
+  facet row needs recomputing: the assigned columns are outside every
+  policy group and no public method reads them, the values are concrete,
+  and the path condition is empty.  One guarded delete has a
+  single-statement shape too (:func:`guarded_delete_values`).
 
-* **Batched facet rewrite (slow) path** -- policied columns, faceted
-  values or a non-empty path condition change *which rows exist*, so the
-  write falls back to: one projected jid query, one fetch of the affected
-  facet rows, a per-jid recomputation reusing ``JModel.save``'s expansion
-  and pc-guard algebra (below), and one atomic ``replace_rows`` batch.
-  Secret/public facets and guarded-update semantics are preserved exactly
-  -- and even the slow path is O(1) statements, never one per record.
+* **The facet rewrite** (:func:`rewrite`), for everything else: saving a
+  stored record, deleting one, and the ``QuerySet`` writes whose rows
+  must be recomputed.  Under the FORM save lock it fetches the records'
+  stored rows once (under a path condition only, and only when the caller
+  has not fetched them already), merges each record's new rows through
+  :func:`guarded_replacement`, and swaps all the rows with one chunked
+  ``replace_rows``.  A delete is a rewrite with no new rows.
 
-This module holds the shared pieces: eligibility checks, the row marshal
-(:func:`facet_db_row`) used by every write path, and the pc-guard algebra
-(:func:`guarded_replacement` / :func:`guarded_survivors`) that
-``JModel.save`` and the batched paths both call.
+So ``JModel.save``, ``Manager.create`` and ``Manager.bulk_*`` are calls to
+:func:`store`; ``JModel.delete`` and the ``QuerySet`` fallbacks are calls
+to :func:`rewrite`.  A write runs a constant number of statements, never
+one per record.  This module also holds the decision's eligibility
+checks, the one row marshal (:func:`facet_db_row`) and the pc-guard
+algebra.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.facets import UNASSIGNED, Facet, facet_map
+from repro.db.expr import InList, col
+from repro.db.query import Query
 from repro.form.marshal import (
     JvarBranch,
     build_faceted_record,
@@ -205,10 +210,9 @@ def facet_db_row(
 ) -> Dict[str, Any]:
     """The concrete database row for one facet row of one record.
 
-    The single marshal shared by ``JModel.save``, ``Manager.bulk_create``
-    and every batched rewrite, so all write paths store identically:
-    ``jid``/``jvars`` meta-data columns added, unresolved facets scrubbed
-    to NULL.
+    The single marshal of every write (:func:`record_rows`), so all write
+    paths store identically: ``jid``/``jvars`` meta-data columns added,
+    unresolved facets scrubbed to NULL.
 
     >>> facet_db_row(7, {"title": "t"}, [("S.7.title", True)])
     {'title': 't', 'jid': 7, 'jvars': 'S.7.title=True'}
@@ -231,18 +235,6 @@ def application_values(row: Dict[str, Any]) -> Dict[str, Any]:
     return {
         name: value for name, value in row.items() if name not in METADATA_COLUMNS
     }
-
-
-def expanded_rows(instance, form) -> List[Dict[str, Any]]:
-    """Every database row of one instance: its full facet-row set.
-
-    Expansion is ``JModel._facet_rows`` (value facets x policy groups with
-    computed public facets), marshalled through :func:`facet_db_row`.
-    """
-    return [
-        facet_db_row(instance.jid, values, branches)
-        for branches, values in instance._facet_rows(form)
-    ]
 
 
 def secret_row(rows: Sequence[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -320,9 +312,9 @@ def guarded_replacement(
     New rows apply where the path condition holds; the previously stored
     rows remain for every assignment falsifying it -- the Dagstuhl
     description example of the paper's Section 2.2.  Contradictory branch
-    combinations are dropped, duplicates merged.  This is the algebra
-    behind ``JModel.save`` under a non-empty pc, shared verbatim with the
-    batched ``QuerySet.update`` fallback.
+    combinations are dropped, duplicates merged.  Every write under a
+    non-empty pc stores through it (:func:`record_rows`): a new record
+    has no stored rows, and a delete has no new ones.
     """
     obs.add("pc.guard.rewrites")
     replacement: List[Dict[str, Any]] = []
@@ -349,22 +341,7 @@ def guarded_replacement(
     return replacement
 
 
-def guarded_survivors(
-    jid: int,
-    existing_rows: Sequence[Dict[str, Any]],
-    pc_branches: Sequence[JvarBranch],
-) -> List[Dict[str, Any]]:
-    """The facet rows surviving a pc-guarded *delete* of one record.
-
-    A delete under a path condition removes the record only in the worlds
-    satisfying the pc: the record's previous contents survive for every
-    complement assignment.  Equivalent to a guarded rewrite with no new
-    rows.
-    """
-    return guarded_replacement(jid, [], existing_rows, pc_branches)
-
-
-# -- batched rewrites -------------------------------------------------------------------
+# -- the write path ---------------------------------------------------------------------
 
 
 def group_rows_by_jid(rows: Sequence[Dict[str, Any]]) -> Dict[int, List[Dict[str, Any]]]:
@@ -428,48 +405,131 @@ def reconstruct_instance(model, jid: int, rows: Sequence[Dict[str, Any]]):
     return instance
 
 
-def bulk_update_rows(
-    model,
-    form,
-    jids: Sequence[int],
-    existing_rows: Sequence[Dict[str, Any]],
-    field_updates: Sequence[Tuple[str, Any, Any]],
+def record_rows(
+    jid: int,
+    new_rows: Sequence[Tuple[Sequence[JvarBranch], Dict[str, Any]]],
+    stored: Sequence[Dict[str, Any]],
+    pc_branches: Sequence[JvarBranch],
 ) -> List[Dict[str, Any]]:
-    """Replacement rows for a batched faceted update of many records.
+    """The rows one record holds after a write of ``new_rows``.
 
-    For each jid: rebuild the record's faceted instance from the
-    already-fetched rows (:func:`reconstruct_instance` -- value facets on
-    unassigned columns are preserved, not collapsed to their secret
-    projection), assign the new field values, and re-expand its facet-row
-    set exactly as ``JModel.save`` would (public facets of policied
-    fields recomputed via the model's ``jacqueline_get_public_*``
-    methods).  Under a non-empty path condition each record merges
-    through :func:`guarded_replacement` instead, so complement
-    assignments keep the previous contents.
+    Outside a path condition the new facet rows are the record; under one
+    they merge with its ``stored`` rows through :func:`guarded_replacement`.
 
-    The caller flushes the result in one ``replace_rows`` batch -- a
-    single atomic backend write with one invalidation event, regardless of
-    how many records the update touched.
+    >>> record_rows(1, [((), {"body": "new"})], [], [])
+    [{'body': 'new', 'jid': 1, 'jvars': ''}]
+    >>> record_rows(1, [((), {"body": "new"})], [], [("pc", True)])
+    [{'body': 'new', 'jid': 1, 'jvars': 'pc=True'}]
     """
-    pc = form.runtime.current_pc()
-    pc_branches = pc_branch_list(pc)
-    rows_by_jid = group_rows_by_jid(existing_rows)
-    replacement: List[Dict[str, Any]] = []
-    for jid in jids:
-        rows = rows_by_jid.get(jid)
-        if not rows:
-            continue
-        instance = reconstruct_instance(model, jid, rows)
-        for _name, field, value in field_updates:
-            if isinstance(value, Facet):
-                setattr(instance, field.column_name, value)
-            else:
-                setattr(instance, field.column_name, field.to_db(value))
-        new_rows = instance._facet_rows(form)
-        if pc_branches:
-            replacement.extend(guarded_replacement(jid, new_rows, rows, pc_branches))
-        else:
-            replacement.extend(
-                facet_db_row(jid, values, branches) for branches, values in new_rows
+    if pc_branches:
+        return guarded_replacement(jid, new_rows, stored, pc_branches)
+    return [facet_db_row(jid, values, branches) for branches, values in new_rows]
+
+
+def store(model, form, instances: Sequence[Any]) -> None:
+    """Save ``instances`` as records of ``model``: every save's one entry.
+
+    ``JModel.save``, ``Manager.create`` and ``Manager.bulk_create`` /
+    ``bulk_update`` / ``bulk_save`` call this.  When no instance has a jid
+    yet, every record is new and the write is one planned statement: each
+    instance gets a jid, and its facet rows (carrying the path
+    condition's branches under a pc) go straight into one
+    ``insert_many``, an atomic backend write, so a concurrent reader never
+    sees a record with some facet rows missing.  Otherwise the whole
+    batch, new records included, is one :func:`rewrite`.  A record listed
+    twice keeps its last instance, as sequential saves would.
+    """
+    table = model._meta.table_name
+    if all(instance.jid is None for instance in instances):
+        pc_branches = pc_branch_list(form.runtime.current_pc())
+        rows: List[Dict[str, Any]] = []
+        for instance in instances:
+            if instance.jid is not None:
+                continue  # listed twice: its rows are in the batch already
+            instance.jid = form.next_jid(table)
+            rows.extend(
+                record_rows(instance.jid, instance._facet_rows(form), (), pc_branches)
             )
-    return replacement
+        if rows:
+            form.database.insert_many(table, rows)
+        return
+    latest: Dict[int, Any] = {}
+    for instance in instances:
+        if instance.jid is None:
+            instance.jid = form.next_jid(table)
+        else:
+            form.note_jid(table, instance.jid)
+        latest[instance.jid] = instance
+    rewrite(
+        form, table, {jid: instance._facet_rows(form) for jid, instance in latest.items()}
+    )
+
+
+def rewrite(
+    form,
+    table: str,
+    records: Dict[int, Sequence[Tuple[Sequence[JvarBranch], Dict[str, Any]]]],
+    stored: Optional[Dict[int, List[Dict[str, Any]]]] = None,
+) -> int:
+    """The facet rewrite: swap each record's rows for its new facet rows.
+
+    ``records`` maps a jid to the record's new facet rows, as
+    ``JModel._facet_rows`` expands them; no new rows delete it.  Under
+    the FORM save lock, and under a path condition only, the records'
+    stored rows are fetched once, unless the caller already fetched them
+    under that lock and passes them as ``stored`` (grouped by jid).  Each
+    record merges through :func:`record_rows`, and one chunked
+    ``replace_rows`` (:func:`replace_records`) swaps every record's rows
+    atomically, with one invalidation event.
+
+    Returns the number of rows written; 0 means no record is left in any
+    world.
+    """
+    pc_branches = pc_branch_list(form.runtime.current_pc())
+    jids = list(records)
+    with form._save_lock:
+        if stored is None:
+            stored = group_rows_by_jid(stored_rows(form, table, jids)) if pc_branches else {}
+        rows: List[Dict[str, Any]] = []
+        for jid, new_rows in records.items():
+            rows.extend(record_rows(jid, new_rows, stored.get(jid, ()), pc_branches))
+        replace_records(form, table, jids, rows)
+    return len(rows)
+
+
+def stored_rows(form, table: str, jids: Sequence[int]) -> List[Dict[str, Any]]:
+    """Every stored facet row of the given records, via ``jid IN (...)``.
+
+    Chunked at :data:`MAX_BOUND_VARIABLES` jids per statement so a match
+    set larger than SQLite's bound-variable limit (SQLITE_MAX_VARIABLE_NUMBER,
+    32766 by default) still compiles; the common case stays one fetch.
+    """
+    rows: List[Dict[str, Any]] = []
+    for chunk in chunked(jids):
+        rows.extend(form.database.execute(
+            Query(table=table).filter(InList(col("jid"), tuple(chunk)))
+        ))
+    return rows
+
+
+def replace_records(
+    form, table: str, jids: Sequence[int], rows: List[Dict[str, Any]]
+) -> None:
+    """Atomically swap the facet rows of the given records for ``rows``.
+
+    The ``jid IN (...)`` predicate is chunked at
+    :data:`MAX_BOUND_VARIABLES`.  The common case (fewer jids than
+    SQLite's bound-variable limit) stays a single ``replace_rows`` batch.
+    Past the limit the swap proceeds one jid chunk at a time, each chunk
+    replacing exactly its own records' rows, which is safe because the
+    caller holds ``form._save_lock`` for the whole loop, so no concurrent
+    write can interleave between chunks.
+    """
+    jids = list(jids)
+    if len(jids) <= MAX_BOUND_VARIABLES:
+        form.database.replace_rows(table, InList(col("jid"), tuple(jids)), rows)
+        return
+    by_jid = group_rows_by_jid(rows)
+    for chunk in chunked(jids):
+        chunk_rows = [row for jid in chunk for row in by_jid.get(jid, [])]
+        form.database.replace_rows(table, InList(col("jid"), tuple(chunk)), chunk_rows)

@@ -353,6 +353,100 @@ def test_guarded_delete_with_no_survivors_clears_jid(paper_form):
     assert paper.jid != old_jid
 
 
+# -- statement counts -------------------------------------------------------------------
+#
+# Each FORM write is one planned statement or one facet rewrite, on both
+# backends.  ``Paper`` has one policy group, so every record is two rows.
+
+
+def _statement_kinds(form, write):
+    with StatementLog(form.database.backend) as log:
+        write()
+    return [event.kind for event in log.events]
+
+
+def test_create_under_a_pc_is_one_insert(paper_form):
+    author, _papers = _seed(0)
+    label = _guard_label(paper_form)
+    created = []
+    with paper_form.runtime.under_branch(label, True):
+        kinds = _statement_kinds(
+            paper_form,
+            lambda: created.append(Paper.objects.create(author=author, title="t")),
+        )
+    assert kinds == ["INSERT"]
+    rows = paper_form.database.find("Paper", jid=created[0].jid)
+    assert len(rows) == 2
+    assert all(f"{label.name}=True" in row["jvars"] for row in rows)
+
+
+def test_bulk_create_under_a_pc_is_one_statement(paper_form):
+    author, _papers = _seed(0)
+    label = _guard_label(paper_form)
+    fresh = [Paper(author=author, title=f"n{i}") for i in range(5)]
+    with paper_form.runtime.under_branch(label, True):
+        kinds = _statement_kinds(paper_form, lambda: Paper.objects.bulk_create(fresh))
+    assert kinds == ["INSERT"]
+    assert len(paper_form.database.rows("Paper")) == 10
+
+
+def test_bulk_update_under_a_pc_is_one_fetch_and_one_replace(paper_form):
+    _author, papers = _seed(5)
+    label = _guard_label(paper_form)
+    for paper in papers:
+        paper.status = "accepted"
+    with paper_form.runtime.under_branch(label, True):
+        kinds = _statement_kinds(paper_form, lambda: Paper.objects.bulk_update(papers))
+    assert kinds == ["SELECT", "REPLACE"]
+    for paper in papers:
+        statuses = {
+            f"{label.name}=True" in row["jvars"]: row["status"]
+            for row in paper_form.database.find("Paper", jid=paper.jid)
+        }
+        assert statuses == {True: "accepted", False: "submitted"}
+
+
+def test_bulk_save_under_a_pc_runs_at_most_two_statements(paper_form):
+    author, papers = _seed(3)
+    label = _guard_label(paper_form)
+    papers[0].status = "revised"
+    fresh = [Paper(author=author, title=f"n{i}") for i in range(2)]
+    with paper_form.runtime.under_branch(label, True):
+        kinds = _statement_kinds(
+            paper_form, lambda: Paper.objects.bulk_save(fresh + papers)
+        )
+    assert len(kinds) <= 2
+    assert all(paper.jid is not None for paper in fresh)
+    assert len(paper_form.database.rows("Paper")) == 2 * 2 + 3 * 4
+
+
+def test_saving_a_stored_record_without_a_pc_is_one_statement(paper_form):
+    _author, papers = _seed(1)
+    papers[0].status = "revised"
+    assert len(_statement_kinds(paper_form, papers[0].save)) == 1
+
+
+def test_bulk_update_and_guarded_queryset_update_keep_their_counts(paper_form):
+    _author, papers = _seed(5)
+    for paper in papers:
+        paper.score += 10
+    assert len(_statement_kinds(paper_form, lambda: Paper.objects.bulk_update(papers))) == 1
+    label = _guard_label(paper_form)
+    with paper_form.runtime.under_branch(label, True):
+        kinds = _statement_kinds(
+            paper_form, lambda: Paper.objects.all().update(status="accepted")
+        )
+    assert kinds == ["SELECT", "SELECT", "REPLACE"]
+
+
+def test_jmodel_delete_runs_one_statement_or_two_under_a_pc(paper_form):
+    _author, papers = _seed(2)
+    assert len(_statement_kinds(paper_form, papers[0].delete)) == 1
+    label = _guard_label(paper_form)
+    with paper_form.runtime.under_branch(label, True):
+        assert len(_statement_kinds(paper_form, papers[1].delete)) == 2
+
+
 # -- bulk_update / bulk_save ------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from repro.form import (
     use_form,
 )
 from repro.form import writes
-from repro.form.manager import QuerySet, _replace_rows_chunked
 
 
 class Note(JModel):
@@ -65,13 +64,13 @@ def test_rewrite_survives_more_jids_than_sqlite_allows_variables():
     form.database.insert_many("Note", rows)
     jids = list(range(1, count + 1))
 
-    fetched = QuerySet._rows_for_jids(form, Note._meta, jids)
+    fetched = writes.stored_rows(form, "Note", jids)
     assert len(fetched) == count
 
     for row in fetched:
         row["rank"] = 7
     with form._save_lock:
-        _replace_rows_chunked(form, "Note", jids, fetched)
+        writes.replace_records(form, "Note", jids, fetched)
     assert form.database.count("Note") == count
     assert all(row["rank"] == 7 for row in form.database.rows("Note"))
 
