@@ -296,7 +296,11 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
         """Insert many rows atomically, in one write with one invalidation
-        event; returns their primary keys."""
+        event; returns their primary keys.
+
+        ``rows`` may be any iterable.  An unknown table raises
+        :class:`~repro.db.schema.SchemaError`; an empty batch returns
+        ``[]`` without reporting a statement or publishing an event."""
 
     @abc.abstractmethod
     def execute_update(self, plan: UpdatePlan) -> int:

@@ -112,10 +112,12 @@ class MemoryBackend(Backend):
                 for pk in pks:
                     target.remove(pk)
                 raise
+        if not pks:
+            return pks
         self._end_write(
             table, started,
             lambda: ("INSERT", insert_summary(table, len(pks)), (), len(pks)),
-            written, bool(pks),
+            written,
         )
         return pks
 

@@ -9,7 +9,6 @@ joined table and joins foreign keys on ``jid`` instead of the primary key.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.db.query import (
@@ -17,6 +16,7 @@ from repro.db.query import (
     DeletePlan,
     Query,
     UpdatePlan,
+    _copy,
     order_outside_selection,
 )
 from repro.db.schema import TableSchema
@@ -86,7 +86,7 @@ def query_to_sql(
         # database answers the membership probe without returning any row.
         # DISTINCT and ORDER BY cannot change whether any row exists, so
         # they are dropped from the subselect (LIMIT/OFFSET can, and stay).
-        inner = replace(query, aggregates=(), distinct=False, order_by=())
+        inner = _copy(query, aggregates=(), distinct=False, order_by=())
         inner_sql, inner_params = query_to_sql(inner, qualify=qualify, _select="1")
         return f'SELECT EXISTS({inner_sql}) AS "EXISTS"', inner_params
 

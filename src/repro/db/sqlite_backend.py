@@ -327,11 +327,11 @@ class SqliteBackend(Backend):
         heterogeneous batches fall back to row-at-a-time inside the same
         lock acquisition.
         """
-        if not rows:
-            return []
         schema = self.schema(table)
         pk_name = schema.primary_key.name
         prepared = [self._prepare_row(schema, values) for values in rows]
+        if not prepared:
+            return []
         column_sets = {tuple(sorted(row.keys())) for row in prepared}
         # executemany cannot report per-row ids; only use it when the rows
         # are homogeneous and let SQLite assign every primary key, so the

@@ -9,7 +9,7 @@ for the logged-in viewer.  This package provides those pieces:
 * :mod:`repro.web.http` -- request/response objects;
 * :mod:`repro.web.routing` -- URL routing with path parameters;
 * :mod:`repro.web.templates` -- a tiny template engine (variables, ``for``,
-  ``if``);
+  ``if``), each template compiled once to one Python function;
 * :mod:`repro.web.sessions` / :mod:`repro.web.auth` -- cookie-less sessions
   and a user store;
 * :mod:`repro.web.app` -- the application object.  ``JacquelineApp`` binds a

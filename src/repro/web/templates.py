@@ -6,18 +6,59 @@ Supports the constructs the case-study pages need::
     {% for item in items %} ... {% endfor %}
     {% if condition %} ... {% else %} ... {% endif %}
 
-Expressions are dotted lookups (``paper.title``) evaluated against the
-context; attribute access falls back to dictionary lookup.  Everything is
-escaped on output, so templates cannot smuggle raw values out by accident.
+A template source is parsed and compiled once, to the source of one Python
+function that is ``exec``'d and kept with the parsed template (see
+:func:`render_template`'s cache).  Rendering is one call of that function:
+loop variables are its locals, and nothing is interpreted per row.
+
+Expressions are dotted lookups (``paper.title``), written out as inline
+code with these rules:
+
+* the first name is the innermost enclosing loop variable of that name,
+  else the context's value (``None`` when missing); it is never called;
+* each later name is a dict's ``.get(name)``, else ``getattr(value, name,
+  None)``.  A callable result that is not a class is then called with no
+  arguments, and kept uncalled if the call raises :class:`TypeError`;
+* a ``None`` stops the chain: the expression is ``None``.
+
+``{% if %}`` tests the value's truth, and ``{% for %}`` over ``None``
+renders nothing.  Each node evaluates its own expressions, in template
+order, every time it renders: no lookup is shared or hoisted, so a
+foreign-key load or a callable in a path runs exactly as often as the
+template names it.  Every interpolation is ``html.escape(str(value))``,
+and ``None`` renders as nothing, so templates cannot smuggle raw values
+out by accident.  Template text and names reach the generated source only
+through ``repr()`` or generated local names.
+
+>>> Template("{% for p in papers %}<{{ p.title }}>{% endfor %}").render(
+...     {"papers": [{"title": "A&B"}, {"title": None}]})
+'<A&amp;B><>'
 """
 
 from __future__ import annotations
 
 import html
 import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 _TOKEN = re.compile(r"({{.*?}}|{%.*?%})", re.DOTALL)
+
+#: ``for``/``if`` blocks nested inside one generated function.  A deeper
+#: body becomes a function of its own: Python caps a function at 20
+#: statically nested blocks and 100 levels of indentation, and each level
+#: here costs at most one block and two indents (a lookup adds a ``try``).
+_MAX_NESTING = 10
+
+#: One lookup step after the first name: ``{0}`` is the indent, ``{1}`` the
+#: name's ``repr()``.
+_STEP = """\
+{0}if v is not None:
+{0}    v = v.get({1}) if isinstance(v, dict) else getattr(v, {1}, None)
+{0}    if callable(v) and not isinstance(v, type):
+{0}        try:
+{0}            v = v()
+{0}        except TypeError:
+{0}            pass"""
 
 
 class TemplateError(Exception):
@@ -25,27 +66,17 @@ class TemplateError(Exception):
 
 
 class _Node:
-    def render(self, context: Dict[str, Any]) -> str:
-        raise NotImplementedError
+    """One parsed construct; :class:`_Compiler` writes its code."""
 
 
 class _Text(_Node):
     def __init__(self, text: str) -> None:
         self.text = text
 
-    def render(self, context: Dict[str, Any]) -> str:
-        return self.text
-
 
 class _Expr(_Node):
     def __init__(self, expression: str) -> None:
         self.expression = expression.strip()
-
-    def render(self, context: Dict[str, Any]) -> str:
-        value = _lookup(self.expression, context)
-        if value is None:
-            return ""
-        return html.escape(str(value))
 
 
 class _If(_Node):
@@ -54,10 +85,6 @@ class _If(_Node):
         self.then = then
         self.orelse = orelse
 
-    def render(self, context: Dict[str, Any]) -> str:
-        branch = self.then if _truthy(_lookup(self.condition, context)) else self.orelse
-        return "".join(node.render(context) for node in branch)
-
 
 class _For(_Node):
     def __init__(self, var: str, expression: str, body: List[_Node]) -> None:
@@ -65,52 +92,93 @@ class _For(_Node):
         self.expression = expression
         self.body = body
 
-    def render(self, context: Dict[str, Any]) -> str:
-        items = _lookup(self.expression, context)
-        if items is None:
-            return ""
-        pieces = []
-        for item in items:
-            scoped = dict(context)
-            scoped[self.var] = item
-            pieces.append("".join(node.render(scoped) for node in self.body))
-        return "".join(pieces)
+
+#: Loop variables in scope, outermost first: (template name, local name).
+_Scope = Tuple[Tuple[str, str], ...]
 
 
-def _truthy(value: Any) -> bool:
-    return bool(value)
+class _Compiler:
+    """Writes the source of one template's render functions.
+
+    ``_render0(ctx, _a)`` renders the whole template: ``ctx`` is the context
+    dict and ``_a`` appends one piece of output.  A body nested deeper than
+    :data:`_MAX_NESTING` blocks is written as ``_render<n>(ctx, _a, <loop
+    locals>)`` and called where it stands.  The expression in hand is
+    always the local ``v``; loop variables are ``_l<n>``.
+    """
+
+    def __init__(self) -> None:
+        self.functions: List[List[str]] = []
+        self.loops = 0
+
+    def source(self, nodes: List[_Node]) -> str:
+        self._function(nodes, ())
+        return "\n".join(line for lines in self.functions for line in lines)
+
+    def _function(self, nodes: List[_Node], scope: _Scope) -> str:
+        name = f"_render{len(self.functions)}"
+        lines = [f"def {name}({_arguments(scope)}):"]
+        self.functions.append(lines)
+        self._block(nodes, scope, lines, 1, 0)
+        return name
+
+    def _block(
+        self, nodes: List[_Node], scope: _Scope, lines: List[str], indent: int, depth: int
+    ) -> None:
+        if depth > _MAX_NESTING:
+            lines.append("    " * indent + f"{self._function(nodes, scope)}({_arguments(scope)})")
+            return
+        pad = "    " * indent
+        start = len(lines)
+        for node in nodes:
+            if isinstance(node, _Text):
+                lines.append(f"{pad}_a({node.text!r})")
+            elif isinstance(node, _Expr):
+                self._path(node.expression, scope, lines, pad)
+                lines += [f"{pad}if v is not None:", f"{pad}    _a(escape(str(v)))"]
+            elif isinstance(node, _If):
+                self._path(node.condition, scope, lines, pad)
+                lines.append(f"{pad}if v:")
+                self._block(node.then, scope, lines, indent + 1, depth + 1)
+                if node.orelse:
+                    lines.append(f"{pad}else:")
+                    self._block(node.orelse, scope, lines, indent + 1, depth + 1)
+            else:
+                self._path(node.expression, scope, lines, pad)
+                local = f"_l{self.loops}"
+                self.loops += 1
+                lines += [f"{pad}if v is not None:", f"{pad}    for {local} in v:"]
+                inner = scope + ((node.var, local),)
+                self._block(node.body, inner, lines, indent + 2, depth + 1)
+        if len(lines) == start:
+            lines.append(f"{pad}pass")
+
+    @staticmethod
+    def _path(expression: str, scope: _Scope, lines: List[str], pad: str) -> None:
+        """Lines that leave the value of a dotted ``expression`` in ``v``."""
+        head, *steps = expression.split(".")
+        local = next((local for name, local in reversed(scope) if name == head), None)
+        lines.append(f"{pad}v = {local}" if local else f"{pad}v = ctx.get({head!r})")
+        for step in steps:
+            lines.append(_STEP.format(pad, repr(step)))
 
 
-def _lookup(expression: str, context: Dict[str, Any]) -> Any:
-    """Resolve a dotted expression against the context."""
-    parts = expression.split(".")
-    if parts[0] not in context:
-        return None
-    value: Any = context[parts[0]]
-    for part in parts[1:]:
-        if value is None:
-            return None
-        if isinstance(value, dict):
-            value = value.get(part)
-        else:
-            value = getattr(value, part, None)
-        if callable(value) and not isinstance(value, type):
-            try:
-                value = value()
-            except TypeError:
-                pass
-    return value
+def _arguments(scope: _Scope) -> str:
+    return ", ".join(["ctx", "_a"] + [local for _, local in scope])
 
 
 class Template:
-    """A parsed template ready to render repeatedly."""
+    """A template compiled to one Python function, ready to render repeatedly."""
 
     def __init__(self, source: str) -> None:
         self.source = source
         tokens = [token for token in _TOKEN.split(source) if token]
-        self.nodes, remainder = self._parse(tokens, 0, ())
+        nodes, remainder = self._parse(tokens, 0, ())
         if remainder != len(tokens):
             raise TemplateError("unbalanced template blocks")
+        namespace: Dict[str, Any] = {"escape": html.escape}
+        exec(compile(_Compiler().source(nodes), "<template>", "exec"), namespace)
+        self._render = namespace["_render0"]
 
     def _parse(
         self, tokens: List[str], index: int, stop: Tuple[str, ...]
@@ -151,20 +219,21 @@ class Template:
         return nodes, index
 
     def render(self, context: Optional[Dict[str, Any]] = None) -> str:
-        context = dict(context or {})
-        return "".join(node.render(context) for node in self.nodes)
+        out: List[str] = []
+        self._render(dict(context or {}), out.append)
+        return "".join(out)
 
 
 from repro.cache.lru import LRUCache
 
-#: Parse cache: template source -> parsed Template.  Bounded (unlike the
-#: previous plain dict) so applications rendering many distinct template
-#: strings cannot grow it without limit.
+#: Template cache: template source -> compiled Template.  Bounded (unlike
+#: the previous plain dict) so applications rendering many distinct
+#: template strings cannot grow it without limit.
 _template_cache = LRUCache(max_entries=512)
 
 
 def render_template(source: str, context: Optional[Dict[str, Any]] = None) -> str:
-    """Render template source with a per-source parse cache."""
+    """Render template source, compiling each source once (cached)."""
     template = _template_cache.get(source)
     if template is None:
         template = Template(source)

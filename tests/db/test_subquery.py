@@ -5,11 +5,13 @@ Covers :class:`~repro.db.expr.InSubquery`, the ``distinct`` flag, the
 return exactly what SQLite returns for every pushdown shape.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.db import Database, MemoryBackend, SqliteBackend
 from repro.db.expr import InSubquery, col, eq, in_subquery
-from repro.db.query import Query, plan_bounded
+from repro.db.query import Aggregate, Query, _copy, plan_bounded
 from repro.db.schema import ColumnType
 from repro.db.sqlgen import query_to_sql
 
@@ -24,6 +26,44 @@ def _seed_people(database: Database) -> None:
         {"name": "eli", "team": "blue"},
     ]
     database.insert_many("Person", rows)
+
+
+# -- query copies -----------------------------------------------------------------------
+
+
+def test_query_copies_equal_dataclasses_replace():
+    base = (
+        Query("Paper")
+        .filter(eq("ok", True))
+        .join("ConfUser", "author", "jid")
+        .ordered_by("title")
+    )
+    changes = [
+        {},
+        {"limit": 3, "offset": 1},
+        {"columns": ("jid",), "distinct": True},
+        {"where": None, "order_by": ()},
+        {"aggregates": (Aggregate("COUNT"),), "group_by": ("jvars",)},
+    ]
+    for change in changes:
+        copy, expected = _copy(base, **change), dataclasses.replace(base, **change)
+        assert copy == expected and hash(copy) == hash(expected)
+        assert type(copy) is Query and vars(copy) == vars(expected)
+    assert base.limited(3, 1) == dataclasses.replace(base, limit=3, offset=1)
+    assert base == Query("Paper").filter(eq("ok", True)).join(
+        "ConfUser", "author", "jid"
+    ).ordered_by("title")
+    aggregate = Aggregate("SUM", "score")
+    copy = _copy(aggregate, column="Paper.score")
+    expected = dataclasses.replace(aggregate, column="Paper.score")
+    assert copy == expected and hash(copy) == hash(expected)
+
+
+def test_query_copies_run_the_post_init_checks():
+    with pytest.raises(ValueError, match="EXISTS must be"):
+        _copy(Query("Paper"), aggregates=(Aggregate("EXISTS"),), group_by=("jvars",))
+    with pytest.raises(ValueError, match="DISTINCT aggregates"):
+        _copy(Aggregate("COUNT", "jid", distinct=True), column="*")
 
 
 # -- SQL rendering ----------------------------------------------------------------------

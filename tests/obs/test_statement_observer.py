@@ -7,7 +7,7 @@ from repro.db import Database, MemoryBackend, SqliteBackend, StatementLog
 from repro.db.expr import eq
 from repro.db.observe import insert_summary, replace_summary
 from repro.db.query import Aggregate, Query
-from repro.db.schema import ColumnType
+from repro.db.schema import ColumnType, SchemaError
 
 
 def _database(kind):
@@ -83,6 +83,7 @@ def test_both_backends_emit_identical_event_streams():
     for kind in ("memory", "sqlite"):
         database, backend = _database(kind)
         with StatementLog(backend) as log:
+            database.insert_many("Paper", [])
             _seed(database)
             database.execute(Query(table="Paper"))
             database.update("Paper", eq("title", "a"), score=0)
@@ -92,6 +93,21 @@ def test_both_backends_emit_identical_event_streams():
         if kind == "sqlite":
             database.close()
     assert streams["memory"] == streams["sqlite"]
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_an_empty_batch_insert_reports_and_publishes_nothing(kind):
+    database, backend = _database(kind)
+    stamp = backend.invalidation.stamp()
+    with StatementLog(backend) as log:
+        for empty in ([], iter(())):
+            assert database.insert_many("Paper", empty) == []
+        for empty in ([], iter(())):
+            with pytest.raises(SchemaError, match="Nope"):
+                database.insert_many("Nope", empty)
+    assert log.events == []
+    assert backend.invalidation.stamp() == stamp
+    database.close()
 
 
 def test_observers_detach_and_support_multiple_listeners(observed):
