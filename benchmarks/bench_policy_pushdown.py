@@ -23,7 +23,11 @@ Per backend (memory engine and SQLite) this verifies:
   for bit;
 * **speedup**: at 10k records the pushed ``count()`` is >=5x faster than
   Python pruning (full run only; ``--smoke`` checks shape and parity at
-  CI size).
+  CI size);
+* **the conference papers**: ``Paper.objects.all().fetch()`` -- two
+  policy groups, the phase global, the conflict lookup and the author
+  policy's read of the column it guards -- is one statement for a PC
+  member, an author and the chair, and keeps the Python path's rows.
 
 Usage::
 
@@ -121,8 +125,56 @@ def _timed(fn, repeats: int = 3) -> Tuple[float, object]:
     return best, result
 
 
-def run(rows: int, smoke: bool) -> int:
+def check_conference(papers: int) -> List[str]:
+    """The conference ``/papers`` read, pushed for three viewer roles."""
+    from repro.apps.conf import ConferencePhase, Paper, seed_conference, setup_conf
+
     failures: List[str] = []
+    for backend_name, backend_factory in (
+        ("memory", MemoryBackend),
+        ("sqlite", SqliteBackend),
+    ):
+        before = len(failures)
+        database = Database(backend_factory())
+        form = setup_conf(database, cache_config=CacheConfig.disabled())
+        created = seed_conference(form, papers=papers)
+        viewers = {
+            "pc": created["pc"][0],
+            "author": created["users"][1],
+            "chair": created["chair"][0],
+        }
+        with use_form(form):
+            for role, viewer in viewers.items():
+                with viewer_context(viewer):
+                    rows = lambda: sorted(  # noqa: E731
+                        (paper.jid, paper.title, paper.author_id, paper.accepted)
+                        for paper in Paper.objects.all().fetch()
+                    )
+                    rows()  # warm
+                    with database.observe_statements() as log:
+                        pushed = rows()
+                    form.policy_pushdown_enabled = False
+                    oracle = rows()
+                    form.policy_pushdown_enabled = True
+                if len(log.statements) != 1:
+                    failures.append(
+                        f"{backend_name}: conference papers for the {role} issued "
+                        f"{len(log.statements)} statements, expected 1"
+                    )
+                if pushed != oracle:
+                    failures.append(
+                        f"{backend_name}: conference papers for the {role} diverged "
+                        f"from the Python oracle ({len(pushed)} vs {len(oracle)} rows)"
+                    )
+        if len(failures) == before:
+            print(f"[{backend_name}] conference papers={papers}: one statement per viewer")
+        ConferencePhase.reset()
+        database.close()
+    return failures
+
+
+def run(rows: int, smoke: bool) -> int:
+    failures: List[str] = check_conference(16 if smoke else 256)
     timings = {}
 
     for backend_name, backend_factory in (

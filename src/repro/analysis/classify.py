@@ -6,12 +6,13 @@ decision per model class (``repro.form.pushdown.profile_for``) and the
 analyzer CLI prints it in its ``policies`` report, so the two never
 disagree:
 
-* ``inline`` -- the model has one policy group, and its predicate renders
-  in the WHERE clause with two-valued SQL: one statement prunes;
-* ``opaque`` -- the Python Early Pruning path prunes.  ``reason`` names the
-  first check the model fails: several policy groups, a ``Top`` in the
-  predicate (its own reason), a read of a column the group guards, or an
-  atom with no two-valued rendering;
+* ``inline`` -- every policy group's predicate renders in the WHERE
+  clause with two-valued SQL: one statement prunes, with one branch pair
+  per group (a group reading a column it guards tests the record's
+  secret row on the public one);
+* ``opaque`` -- the Python Early Pruning path prunes.  ``reason`` names
+  the first check the model fails, group by group: a ``Top`` in the
+  predicate (its own reason), or an atom with no two-valued rendering;
 * ``none`` -- the model has no policy groups.
 
 >>> from repro.analysis.facts import facts_for_source
@@ -30,18 +31,18 @@ disagree:
 ...     def restrict_name(event, viewer):
 ...         if viewer is None:
 ...             return False
-...         return True
+...         return Guest.objects.get(event=event, guest=viewer) is not None
 ... ''', "m.py")
 >>> model_tier(mod.models[0]).tier
 'inline'
 >>> model_tier(mod.models[1])
-PolicyTier(tier='opaque', predicate=None, reason='unsupported statement If')
+PolicyTier(tier='opaque', predicates=None, reason="lookup on unknown model 'Guest'", lookups=frozenset())
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis import symbolic as sym
 from repro.analysis.facts import ModelFacts, ModuleFacts
@@ -55,14 +56,16 @@ from repro.analysis.symbolic import compile_policy
 class PolicyTier:
     """The tier of one model.
 
-    ``predicate`` is the compiled predicate of an ``inline`` model and
-    ``reason`` the first failed check of an ``opaque`` one; both are
-    ``None`` otherwise.
+    ``predicates`` are the compiled predicates of an ``inline`` model, one
+    per policy group in declaration order, and ``reason`` the first failed
+    check of an ``opaque`` one; both are ``None`` otherwise.  ``lookups``
+    names the tables the predicates' membership atoms read.
     """
 
     tier: str
-    predicate: Optional[sym.Pred] = None
+    predicates: Optional[Tuple[sym.Pred, ...]] = None
     reason: Optional[str] = None
+    lookups: FrozenSet[str] = frozenset()
 
 
 def _atom_renders(atom: sym.Atom) -> bool:
@@ -80,14 +83,19 @@ def _atom_renders(atom: sym.Atom) -> bool:
     if not lhs_own and not rhs_own:
         if {type(lhs), type(rhs)} == {sym.RowSelf, sym.ViewerSelf}:
             return atom.op in ("eq", "ne")
-        # viewer/constant only: folds at bind time
+        # viewer/constant/global only: folds at bind time
         return not isinstance(lhs, sym.RowSelf) and not isinstance(rhs, sym.RowSelf)
     if not lhs_own:
         return False  # own column in a non-canonical position (e.g. prefix rhs)
-    value_ok = isinstance(rhs, (sym.ConstVal, sym.ViewerAttr, sym.OwnColumn))
+    value_ok = isinstance(
+        rhs, (sym.ConstVal, sym.ViewerAttr, sym.GlobalAttr, sym.OwnColumn)
+    )
     if atom.op in ("eq", "ne"):
         return value_ok
     if atom.op in ("in", "not-in"):
+        if isinstance(rhs, sym.Lookup):
+            # ``column IN (SELECT ...)`` over non-NULL values: two-valued.
+            return not lhs.nullable
         return isinstance(rhs, sym.ConstVal) and isinstance(rhs.value, tuple)
     if atom.op in ("is-null", "not-null"):
         return True
@@ -104,28 +112,19 @@ def model_tier(facts: ModelFacts) -> PolicyTier:
     """The tier of one model, with the first check an opaque model fails."""
     if not facts.groups:
         return PolicyTier("none")
-    if len(facts.groups) > 1:
-        # Inline rendering covers exactly one policy group: a record's
-        # facet rows split on that group's single branch, so visibility is
-        # one two-way decision the WHERE clause can encode.
-        keys = ", ".join(group.key for group in facts.groups)
-        return PolicyTier("opaque", reason=f"{len(facts.groups)} policy groups ({keys})")
-    group = facts.groups[0]
-    predicate = compile_policy(group, facts)
-    top = sym.first_top(predicate)
-    if top is not None:
-        return PolicyTier("opaque", reason=top.reason or "TOP")
-    guarded = {facts.fields[name].column for name in group.fields if name in facts.fields}
-    read = sorted(sym.own_columns(predicate) & guarded)
-    if read:
-        # The public facet row carries the public value, so inline
-        # evaluation would diverge from the oracle.
-        return PolicyTier("opaque", reason=f"reads its own guarded column {', '.join(read)}")
-    for atom in sym.iter_atoms(predicate):
-        if not _atom_renders(atom):
-            reason = f"no two-valued rendering for {sym.atom_text(atom)}"
-            return PolicyTier("opaque", reason=reason)
-    return PolicyTier("inline", predicate)
+    predicates = []
+    for group in facts.groups:
+        predicate = compile_policy(group, facts)
+        top = sym.first_top(predicate)
+        if top is not None:
+            return PolicyTier("opaque", reason=top.reason or "TOP")
+        for atom in sym.iter_atoms(predicate):
+            if not _atom_renders(atom):
+                reason = f"no two-valued rendering for {sym.atom_text(atom)}"
+                return PolicyTier("opaque", reason=reason)
+        predicates.append(predicate)
+    lookups = frozenset().union(*map(sym.lookup_tables, predicates))
+    return PolicyTier("inline", tuple(predicates), lookups=lookups)
 
 
 def classify_module(module: ModuleFacts) -> List[Dict[str, Any]]:

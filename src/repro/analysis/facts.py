@@ -39,7 +39,7 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.astutils import (
@@ -109,6 +109,8 @@ class ModelFacts:
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: resolver for same-module helper functions: name -> AST or None
     helper: Callable[[str], Optional[ast.FunctionDef]] = lambda name: None
+    #: resolver for same-module models: class name -> facts or None
+    model: Callable[[str], Optional["ModelFacts"]] = lambda name: None
 
     @property
     def columns(self) -> frozenset:
@@ -198,9 +200,14 @@ def _field_decl_details(value: ast.Call) -> Tuple[str, Optional[str], bool]:
 
 
 def _model_from_classdef(
-    node: ast.ClassDef, path: str, helper: Callable[[str], Optional[ast.FunctionDef]]
+    node: ast.ClassDef,
+    path: str,
+    helper: Callable[[str], Optional[ast.FunctionDef]],
+    sibling: Callable[[str], Optional[ModelFacts]],
 ) -> ModelFacts:
-    model = ModelFacts(name=node.name, file=path, line=node.lineno, helper=helper)
+    model = ModelFacts(
+        name=node.name, file=path, line=node.lineno, helper=helper, model=sibling
+    )
     for stmt in node.body:
         if isinstance(stmt, ast.Assign):
             kind = _field_call_kind(stmt.value)
@@ -251,7 +258,7 @@ def facts_for_source(source: str, path: str) -> ModuleFacts:
         if isinstance(node, ast.ClassDef) and any(
             _is_model_base(base, known) for base in node.bases
         ):
-            model = _model_from_classdef(node, path, helper)
+            model = _model_from_classdef(node, path, helper, known.get)
             known[model.name] = model
             module.models.append(model)
     return module
@@ -263,14 +270,16 @@ def facts_for_path(path: str) -> ModuleFacts:
         return facts_for_source(handle.read(), path)
 
 
-def facts_for_model(model) -> ModelFacts:
+def facts_for_model(model, bodies: bool = True) -> ModelFacts:
     """Model facts from a *live* registered model class.
 
     Field and group structure come from ``model._meta`` (authoritative);
     method bodies are recovered with ``inspect.getsource`` and may be
     ``None`` when the source is lost (doctest-defined classes), which
     read-set inference and the symbolic compiler treat as TOP.  Same-module
-    helpers resolve through ``sys.modules[model.__module__]``.
+    helpers and models resolve through ``sys.modules[model.__module__]``;
+    a model a lookup names needs its fields and groups only, so its facts
+    skip the bodies (``bodies=False``).
     """
     meta = model._meta
     defining_module = sys.modules.get(model.__module__)
@@ -279,13 +288,25 @@ def facts_for_model(model) -> ModelFacts:
         file=getattr(defining_module, "__file__", "<live>") or "<live>",
     )
 
+    def own(target: Any) -> bool:
+        return getattr(target, "__module__", None) == model.__module__
+
     def helper(name: str) -> Optional[ast.FunctionDef]:
+        # Same-module functions only, as in source: a helper reads the
+        # policy's own globals (repro.form.pushdown binds them).
         target = getattr(defining_module, name, None)
-        if callable(target):
+        if callable(target) and own(target):
             return function_ast(target)
         return None
 
+    def sibling(name: str) -> Optional[ModelFacts]:
+        target = getattr(defining_module, name, None)
+        if isinstance(target, type) and hasattr(target, "_meta") and own(target):
+            return facts_for_model(target, bodies=False)
+        return None
+
     facts.helper = helper
+    facts.model = sibling
     for name, fld in meta.fields.items():
         fk_target: Optional[str] = None
         if fld.column_name != name:
@@ -304,9 +325,10 @@ def facts_for_model(model) -> ModelFacts:
             nullable=bool(getattr(fld, "nullable", True)),
         )
     for group in meta.policy_groups:
-        facts.groups.append(
-            GroupFacts(group.fields, group.method.__name__, function_ast(group.method))
-        )
+        node = function_ast(group.method) if bodies else None
+        facts.groups.append(GroupFacts(group.fields, group.method.__name__, node))
+    if not bodies:
+        return facts
     for field_name, method in meta.public_methods.items():
         facts.public_methods[field_name] = (method.__name__, function_ast(method))
     for attr_name in dir(model):

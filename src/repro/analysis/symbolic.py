@@ -5,10 +5,13 @@ module runs a small abstract interpreter over its AST and produces a
 normalized predicate IR — and/or/not trees over :class:`Atom` leaves
 ``(lhs op rhs)`` whose value sources are constants (:class:`ConstVal`),
 own-row columns (:class:`OwnColumn`), viewer attribute chains
-(:class:`ViewerAttr`), or the row/viewer objects themselves.  Anything the
-interpreter cannot model soundly becomes :class:`Top` ("unknown"), and
-every consumer treats TOP conservatively: pushdown falls back to the
-Python path, and the unsatisfiability check treats it as satisfiable.
+(:class:`ViewerAttr`), module-level names (:class:`GlobalAttr`), the
+row/viewer objects themselves, or the hits of a lookup on an unpolicied
+model (:class:`Lookup`, from ``M.objects.get(...) is not None``).  An
+``if`` lowers to a guarded disjunction.  Anything the interpreter cannot
+model soundly becomes :class:`Top` ("unknown"), and every consumer treats
+TOP conservatively: pushdown falls back to the Python path, and the
+unsatisfiability check treats it as satisfiable.
 
 The interpreter is *typed*: own-row attribute reads resolve through the
 model's :class:`~repro.analysis.types.TypeEnv`, so each :class:`OwnColumn`
@@ -105,6 +108,29 @@ class ViewerSelf(Source):
 @dataclass(frozen=True)
 class RowSelf(Source):
     """The guarded row itself; equality against it compares ``jid``."""
+
+
+@dataclass(frozen=True)
+class GlobalAttr(Source):
+    """A module-level name and its attribute chain (``Phase.current``).
+
+    Bound when a read plans, from the policy function's ``__globals__``,
+    and folded like a viewer attribute.
+    """
+
+    path: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Lookup(Source):
+    """The ``column`` values of the unpolicied model ``table``'s rows whose
+    ``keys`` columns equal the paired sources: the right-hand side of a
+    membership atom, ``M.objects.get(f=<row>, g=<value>) is not None``
+    reading ``row-operand in M(g=<value>).f``."""
+
+    table: str
+    column: str
+    keys: Tuple[Tuple[str, Source], ...]
 
 
 class Pred:
@@ -213,20 +239,51 @@ class _Compiler:
     # -- statements ---------------------------------------------------
 
     def run(self, node: ast.FunctionDef) -> Pred:
-        for stmt in node.body:
+        return self._block(node.body)
+
+    def _block(self, stmts: List[ast.stmt]) -> Pred:
+        """The outcome of running ``stmts`` to their ``return``.
+
+        ``if c: A`` followed by ``B`` lowers to ``(c and A;B) or (not c
+        and else;B)``, where a branch ending in ``return`` drops ``B``.  A
+        local assigned inside a branch stays in that branch.
+        """
+        for index, stmt in enumerate(stmts):
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
                 continue  # docstring
+            if isinstance(stmt, ast.Pass):
+                continue
             if isinstance(stmt, ast.Assign):
-                if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
-                    self.locals[stmt.targets[0].id] = stmt.value
-                    continue
-                return Top("unsupported assignment")
+                if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
+                    return Top("unsupported assignment")
+                name = stmt.targets[0].id
+                if name in self.locals or name in self.scope:
+                    # Locals resolve by substitution at their use.
+                    return Top(f"reassigned local {name!r}")
+                self.locals[name] = stmt.value
+                continue
             if isinstance(stmt, ast.Return):
                 if stmt.value is None:
                     return Const(False)
                 return self.boolean(stmt.value)
+            if isinstance(stmt, ast.If):
+                rest = stmts[index + 1:]
+                cond = self.boolean(stmt.test)
+                return Or((
+                    And((cond, self._branch(stmt.body, rest))),
+                    And((Not(cond), self._branch(stmt.orelse, rest))),
+                ))
             return Top(f"unsupported statement {type(stmt).__name__}")
         return Top("no return statement")
+
+    def _branch(self, body: List[ast.stmt], rest: List[ast.stmt]) -> Pred:
+        """One arm of an ``if``: its body, then ``rest`` unless it returns."""
+        stmts = body if body and isinstance(body[-1], ast.Return) else body + rest
+        saved = dict(self.locals)
+        try:
+            return self._block(stmts)
+        finally:
+            self.locals = saved
 
     # -- boolean interpretation ---------------------------------------
 
@@ -256,7 +313,7 @@ class _Compiler:
         source = self.source(node)
         if isinstance(source, ConstVal):
             return Const(bool(source.value))
-        if isinstance(source, ViewerAttr):
+        if isinstance(source, (ViewerAttr, GlobalAttr)):
             return Atom("truthy", source)
         if isinstance(source, OwnColumn):
             if source.kind == "bool":
@@ -273,6 +330,9 @@ class _Compiler:
         if len(node.ops) != 1:
             return Top("chained comparison")
         op_node = node.ops[0]
+        lookup = self._lookup_test(node.left, op_node, node.comparators[0])
+        if lookup is not None:
+            return lookup
         left = self.source(node.left)
         right = self.source(node.comparators[0])
         if isinstance(op_node, (ast.Is, ast.IsNot)):
@@ -313,6 +373,8 @@ class _Compiler:
             return Top("null test on unmodelled operand")
         if isinstance(left, ConstVal):
             return Const((left.value is None) != negated)
+        if isinstance(left, RowSelf):
+            return Const(negated)  # a fetched row is never None
         return Atom(op, left)
 
     def _binary(self, op: str, left: Source, right: Source) -> Pred:
@@ -329,6 +391,71 @@ class _Compiler:
         ):
             return Top("object compared against a value")
         return Atom(op, left, right)
+
+    def _lookup_test(
+        self, left: ast.expr, op_node: ast.cmpop, right: ast.expr
+    ) -> Optional[Pred]:
+        """``M.objects.get(...) is [not] None`` as a membership atom, or
+        ``None`` when the comparison has another shape.
+
+        ``M`` must be an unpolicied model of the module, and exactly one
+        keyword operand must come from the row: the row itself or a
+        non-nullable own integer column, compared with an integer column
+        of ``M``.  Every other operand must be a viewer, constant or
+        global source.  Any other lookup is TOP with its reason.
+        """
+        if not isinstance(op_node, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)):
+            return None
+        if isinstance(right, ast.Constant) and right.value is None:
+            call = left
+        elif isinstance(left, ast.Constant) and left.value is None:
+            call = right
+        else:
+            return None
+        if isinstance(call, ast.Name) and call.id not in self.scope:
+            call = self._local(call.id) or call
+        name = dotted_name(call.func) if isinstance(call, ast.Call) else None
+        if name is None or not name.endswith(".objects.get") or name.count(".") != 2:
+            return None
+        model_name = name.split(".", 1)[0]
+        if model_name in self.scope or model_name in self.locals:
+            return None
+        target = self.facts.model(model_name)
+        if target is None:
+            return Top(f"lookup on unknown model {model_name!r}")
+        if target.groups:
+            return Top(f"lookup on policied model {model_name!r}")
+        if call.args:
+            return Top("lookup with positional arguments")
+        target_env = type_env(target)
+        row_operand: Optional[OwnColumn] = None
+        column = ""
+        keys: List[Tuple[str, Source]] = []
+        for keyword in call.keywords:
+            key_column = _lookup_column(target, keyword.arg)
+            if key_column is None:
+                return Top(f"lookup on unknown field {keyword.arg!r} of {model_name}")
+            value = self.source(keyword.value)
+            if isinstance(value, RowSelf):
+                value = OwnColumn("jid", "int", nullable=False)
+            if isinstance(value, OwnColumn):
+                if row_operand is not None:
+                    return Top("lookup with several row operands")
+                if value.nullable:
+                    return Top(f"lookup keyed on nullable column {value.column}")
+                ctype = target_env.lookup(key_column)
+                if value.kind != "int" or ctype is None or ctype.kind != "int":
+                    return Top(f"lookup compares {value.column} with {key_column}")
+                row_operand, column = value, key_column
+            elif isinstance(value, (ViewerSelf, ViewerAttr, ConstVal, GlobalAttr)):
+                keys.append((key_column, value))
+            else:
+                return Top("lookup operand is not a row, viewer, constant or global")
+        if row_operand is None:
+            return Top("lookup without a row operand")
+        negated = isinstance(op_node, (ast.IsNot, ast.NotEq))
+        return Atom("in" if negated else "not-in", row_operand,
+                    Lookup(target.name, column, tuple(keys)))
 
     def _call(self, node: ast.Call) -> Pred:
         if node.keywords:
@@ -400,14 +527,16 @@ class _Compiler:
                 return binding
             if node.id in self.scope:
                 return None  # unmodelled helper argument
-            expr = self._local(node.id)
-            if expr is not None:
+            if node.id in self.locals:
+                expr = self._local(node.id)
+                if expr is None:
+                    return None
                 self._resolving.add(node.id)
                 try:
                     return self.source(expr)
                 finally:
                     self._resolving.discard(node.id)
-            return None
+            return GlobalAttr((node.id,))
         if isinstance(node, ast.Attribute):
             return self._attribute(node)
         if isinstance(node, ast.Call):
@@ -430,6 +559,8 @@ class _Compiler:
             return ViewerAttr(tuple(path))
         if isinstance(root, ViewerAttr):
             return ViewerAttr(root.path + tuple(path))
+        if isinstance(root, GlobalAttr):
+            return GlobalAttr(root.path + tuple(path))
         return None
 
     def _getattr_call(self, node: ast.Call) -> Optional[Source]:
@@ -464,6 +595,19 @@ class _Compiler:
         if ctype is None:
             return OwnColumn(column)
         return OwnColumn(column, ctype.kind, ctype.nullable)
+
+
+def _lookup_column(model: ModelFacts, name: Optional[str]) -> Optional[str]:
+    """The column of ``model`` a ``get()`` keyword filters on, resolved as
+    ``QuerySet._apply_filter`` resolves it, or ``None``."""
+    if name is None or "__" in name:
+        return None
+    if name in ("jid", "pk"):
+        return "jid"
+    field = model.fields.get(name)
+    if field is None and name.endswith("_id"):
+        field = model.fields.get(name[:-3])
+    return field.column if field is not None else None
 
 
 def compile_policy(
@@ -607,6 +751,13 @@ def own_columns(pred: Pred) -> Set[str]:
     return columns
 
 
+def lookup_tables(pred: Pred) -> Set[str]:
+    """Tables the predicate's membership atoms read."""
+    return {
+        atom.rhs.table for atom in iter_atoms(pred) if isinstance(atom.rhs, Lookup)
+    }
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -625,6 +776,11 @@ def source_text(source: Optional[Source]) -> str:
         return "viewer"
     if isinstance(source, RowSelf):
         return "row"
+    if isinstance(source, GlobalAttr):
+        return ".".join(source.path)
+    if isinstance(source, Lookup):
+        keys = ", ".join(f"{column}={source_text(value)}" for column, value in source.keys)
+        return f"{source.table}({keys}).{source.column}"
     return "?"
 
 
@@ -687,6 +843,14 @@ def _source_json(source: Optional[Source]) -> Any:
         return {"viewer-self": True}
     if isinstance(source, RowSelf):
         return {"row-self": True}
+    if isinstance(source, GlobalAttr):
+        return {"global": ".".join(source.path)}
+    if isinstance(source, Lookup):
+        return {"lookup": {
+            "table": source.table,
+            "select": source.column,
+            "where": {column: _source_json(value) for column, value in source.keys},
+        }}
     return None
 
 
@@ -783,6 +947,8 @@ def _source_key(source: Optional[Source]) -> Optional[str]:
         return "viewer-self"
     if isinstance(source, RowSelf):
         return "row-self"
+    if isinstance(source, GlobalAttr):
+        return "global:" + ".".join(source.path)
     return None
 
 

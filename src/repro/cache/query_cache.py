@@ -44,14 +44,31 @@ QUERY_CACHE_SIZE = 512
 QUERY_CACHE_MAX_ROWS = 10_000
 
 
-def normalize_query(query: Any) -> str:
-    """A deterministic textual key for a query description.
+def normalize_query(query: Any) -> Tuple[str, str]:
+    """A deterministic textual key for a query description: the statement
+    a SQL backend runs for it, with its parameters.
 
-    ``repro.db.query.Query`` is a frozen dataclass tree (expressions
-    included), so its ``repr`` is stable and canonical for our purposes --
-    two structurally identical queries normalise to the same string.
+    ``repro.db.sqlgen.query_to_sql`` renders a ``repro.db.query.Query``
+    (expressions and subqueries included) to exactly the SQL text and
+    parameters the SQLite backend sends and the memory engine reports,
+    and the parameters' ``repr`` keeps their types apart (``1``, ``1.0``
+    and ``True`` differ), so two queries share a key when they are the
+    same statement.  It costs about half a ``repr`` of the tree, which
+    matters for a pushed read, whose statement carries the viewer's whole
+    pruning predicate.
+
+    >>> from repro.db.expr import eq
+    >>> from repro.db.query import Query
+    >>> normalize_query(Query("T").filter(eq("n", 1)))
+    ('SELECT * FROM "T" WHERE n = ?', '[1]')
+    >>> normalize_query(Query("T").filter(eq("n", True)))
+    ('SELECT * FROM "T" WHERE n = ?', '[True]')
     """
-    return repr(query)
+    # Imported here: repro.db imports this package (its invalidation bus).
+    from repro.db.sqlgen import query_to_sql
+
+    sql, params = query_to_sql(query, qualify=query.is_join())
+    return sql, repr(params)
 
 
 class FacetedQueryCache:
@@ -62,7 +79,7 @@ class FacetedQueryCache:
 
     @staticmethod
     def key_for(table: str, query: Any) -> Hashable:
-        """The cache key of one query: its table and normalised text."""
+        """The cache key of one query: its table and normalised statement."""
         return (table, normalize_query(query))
 
     @staticmethod

@@ -21,7 +21,7 @@ from __future__ import annotations
 import datetime
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -269,9 +269,11 @@ class InSubquery(Expression):
 
     ``subquery`` is a :class:`~repro.db.query.Query` that must select exactly
     one column.  SQL backends render it inline (a correlated-free subselect);
-    the in-memory engine materialises it first with
-    :func:`resolve_subqueries`, so :meth:`compile` on an unresolved tree is
-    an error rather than a silently wrong answer.
+    the in-memory engine resolves it first with :func:`resolve_subqueries`,
+    which either materialises it as an :class:`InList` or attaches
+    ``members``, which runs it the first time a row's evaluation reaches
+    it.  :meth:`compile` on an unresolved tree is an error rather than a
+    silently wrong answer.
 
     >>> from repro.db.query import Query
     >>> bounded = Query("Paper").select("jid").distinct_rows().limited(2)
@@ -281,12 +283,18 @@ class InSubquery(Expression):
 
     operand: Expression
     subquery: Any
+    #: the subquery's values, run on first use (see :func:`resolve_subqueries`)
+    members: Optional["_Members"] = field(default=None, compare=False, repr=False)
 
     def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        raise TypeError(
-            "InSubquery cannot be evaluated row-by-row; materialise it first "
-            "with repro.db.expr.resolve_subqueries(expression, run_subquery)"
-        )
+        if self.members is None:
+            raise TypeError(
+                "InSubquery cannot be evaluated row-by-row; resolve it first "
+                "with repro.db.expr.resolve_subqueries(expression, run_subquery)"
+            )
+        operand = self.operand._shape(constants)
+        constants.append(self.members)
+        return (InSubquery, operand)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         from repro.db.sqlgen import query_to_sql
@@ -788,6 +796,10 @@ class _Writer:
             found = f"({found} or None)"
         return f"(None if ({probe} := {value}) is None else {found})", _TRI
 
+    def in_subquery(self, operand: Tuple[Any, ...]) -> Tuple[str, str]:
+        """The subquery runs when the first row reaches it (:class:`_Members`)."""
+        return f"{self.constant()}.test({self.write(operand)[0]})", _TRI
+
     def conjunction(self, left: Tuple[Any, ...], right: Tuple[Any, ...]):
         shapes = _chain(AndExpr, (AndExpr, left, right))
         return self.all_of([self.boolean(shape) for shape in shapes])
@@ -870,6 +882,7 @@ _WRITERS = {
     Literal: _Writer.literal,
     Comparison: _Writer.comparison,
     InList: _Writer.in_list,
+    InSubquery: _Writer.in_subquery,
     AndExpr: _Writer.conjunction,
     OrExpr: _Writer.disjunction,
     NotExpr: _Writer.negation,
@@ -884,36 +897,104 @@ _WRITERS = {
 # -- subquery resolution ---------------------------------------------------------
 
 
+class _Members:
+    """The values of one subquery, run the first time a row needs them.
+
+    :meth:`test` is :class:`InList`'s three-valued membership, so a lazy
+    subquery selects the rows its materialised list would.  The values
+    are kept, so the subquery runs at most once per resolved tree, however
+    many rows reach it.
+    """
+
+    __slots__ = ("_run", "_values", "_has_null")
+
+    def __init__(self, run: Callable[[], List[Any]]) -> None:
+        self._run = run
+        self._values: Any = None
+        self._has_null = False
+
+    def test(self, value: Any) -> Any:
+        values = self._values
+        if values is None:
+            listed = tuple(self._run())
+            self._has_null = None in listed
+            try:
+                values = frozenset(listed)
+            except TypeError:  # unhashable values
+                values = listed
+            self._values = values
+        if not values:  # no member to compare: FALSE even for NULL
+            return False
+        if value is None:
+            return None
+        if _contains(values, value):
+            return True
+        return None if self._has_null else False
+
+
 def resolve_subqueries(
-    expression: Expression, run: Callable[[Any], List[Any]]
+    expression: Expression,
+    run: Callable[[Any], List[Any]],
+    lazy: bool = False,
+    members: Optional[Dict[int, "_Members"]] = None,
 ) -> Expression:
-    """Replace every :class:`InSubquery` with an :class:`InList` of its values.
+    """Resolve every :class:`InSubquery` so the tree compiles.
 
     ``run`` executes one subquery and returns the list of selected values.
-    The in-memory engine calls this before filtering so that row-by-row
-    evaluation never needs backend access; trees without subqueries are
-    returned unchanged (same object).
+    By default each subquery runs now and becomes an :class:`InList` of
+    its values.  With ``lazy``, a subquery under OR or NOT runs instead
+    the first time a row's evaluation reaches it (``InSubquery.members``),
+    as SQLite runs it: a row that never reaches it never pays for it, and
+    a subquery object met twice runs once, also across the resolutions
+    that share one ``members`` memo (a subquery's own nested subqueries,
+    resolved while the statement runs).  A top-level conjunct still runs
+    now, since the index planner probes with its list.  Trees without
+    subqueries are returned unchanged (same object).
     """
-    if not expression.subqueries():
-        return expression
-    if isinstance(expression, InSubquery):
-        return InList(expression.operand, tuple(run(expression.subquery)))
-    if isinstance(expression, AndExpr):
-        return AndExpr(
-            resolve_subqueries(expression.left, run),
-            resolve_subqueries(expression.right, run),
+    if members is None:
+        members = {}
+
+    def lazily(subquery: Any) -> _Members:
+        # One run per subquery object: a policy's lookup often appears on
+        # both facet branches of a record.
+        found = members.get(id(subquery))
+        if found is None:
+            found = members[id(subquery)] = _Members(lambda: run(subquery))
+        return found
+
+    return _resolve(expression, run, lazily if lazy else None, True)
+
+
+def _resolve(
+    expression: Expression,
+    run: Callable[[Any], List[Any]],
+    lazily: Optional[Callable[[Any], "_Members"]],
+    top: bool,
+) -> Expression:
+    """One pass over the tree; a subtree without subqueries comes back as
+    the same object."""
+    kind = type(expression)
+    if kind is InSubquery:
+        subquery = expression.subquery
+        if lazily is not None and not top:
+            return InSubquery(expression.operand, subquery, lazily(subquery))
+        return InList(expression.operand, tuple(run(subquery)))
+    if kind is AndExpr or kind is OrExpr:
+        top = top and kind is AndExpr
+        left = _resolve(expression.left, run, lazily, top)
+        right = _resolve(expression.right, run, lazily, top)
+        if left is expression.left and right is expression.right:
+            return expression
+        return kind(left, right)
+    if kind is NotExpr:
+        operand = _resolve(expression.operand, run, lazily, False)
+        return expression if operand is expression.operand else NotExpr(operand)
+    if expression.subqueries():
+        raise TypeError(
+            f"cannot resolve subqueries under {kind.__name__}; "
+            "InSubquery may only appear under AND/OR/NOT"
         )
-    if isinstance(expression, OrExpr):
-        return OrExpr(
-            resolve_subqueries(expression.left, run),
-            resolve_subqueries(expression.right, run),
-        )
-    if isinstance(expression, NotExpr):
-        return NotExpr(resolve_subqueries(expression.operand, run))
-    raise TypeError(
-        f"cannot resolve subqueries under {type(expression).__name__}; "
-        "InSubquery may only appear under AND/OR/NOT"
-    )
+    return expression
 
 
 def subquery_values(rows: List[Dict[str, Any]], subquery: Any) -> List[Any]:

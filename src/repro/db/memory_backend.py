@@ -216,14 +216,16 @@ class MemoryBackend(Backend):
         )
         return rows
 
-    def _execute_query(self, query: Query) -> List[Dict[str, Any]]:
+    def _execute_query(
+        self, query: Query, members: Optional[Dict[int, Any]] = None
+    ) -> List[Dict[str, Any]]:
         if query.aggregates:
             if query.aggregates[0].function.upper() == "EXISTS":
                 return [{"EXISTS": self._exists(query)}]
             return self._aggregate_rows(query)
         columns = query.qualified_columns() if query.is_join() else query.columns
         with self._lock:
-            where = self._resolved_where(query)
+            where = self._resolved_where(query, members)
             if query.distinct and not query.order_by:
                 # Unordered distinct (the record-key subquery of the bounded
                 # and write pushdowns): stream filter -> dedupe, with an
@@ -450,27 +452,44 @@ class MemoryBackend(Backend):
 
     # -- internals ---------------------------------------------------------------------------
 
-    def _resolved_where(self, query: Query):
-        """The query's where clause with subqueries materialised."""
-        return self._resolve_expression(query.where)
+    def _resolved_where(self, query: Query, members: Optional[Dict[int, Any]] = None):
+        """The query's where clause with subqueries resolved for a read:
+        one under OR or NOT runs when a row first reaches it.  ``members``
+        is the statement's memo of lazy subqueries, shared with the
+        subqueries it runs."""
+        return self._resolve_expression(query.where, lazy=True, members=members)
 
-    def _resolve_expression(self, where: Optional[Expression]) -> Optional[Expression]:
-        """Materialise any subqueries nested in a where expression.
+    def _resolve_expression(
+        self,
+        where: Optional[Expression],
+        lazy: bool = False,
+        members: Optional[Dict[int, Any]] = None,
+    ) -> Optional[Expression]:
+        """Resolve any subqueries nested in a where expression
+        (:func:`~repro.db.expr.resolve_subqueries`).
 
         Used by reads *and* writes (SQLite renders subselects inline in
         UPDATE/DELETE too, and the backends must agree on every shape).
-        Runs under the backend lock (re-entrant), so the subquery and the
-        outer scan observe the same table snapshot -- mirroring the single
-        SQL statement the SQLite backend issues.
+        A write materialises every subquery before it changes any row.
+        Runs under the backend lock (re-entrant), as does a read's scan
+        and every lazy subquery it runs, so the subquery and the outer scan
+        observe the same table snapshot -- mirroring the single SQL
+        statement the SQLite backend issues.
         """
         if where is None or not where.subqueries():
             return where
+        if members is None:
+            members = {}
         # _execute_query, not execute: the subquery is part of the *one*
         # statement being observed (SQLite renders it inline), so it must
         # not report a second event of its own.
         return resolve_subqueries(
             where,
-            lambda subquery: subquery_values(self._execute_query(subquery), subquery),
+            lambda subquery: subquery_values(
+                self._execute_query(subquery, members), subquery
+            ),
+            lazy,
+            members,
         )
 
     def _grouped_distinct(

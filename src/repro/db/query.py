@@ -265,7 +265,7 @@ class Query:
         The SQL is exactly what a backend reports through the statement
         observer when the query runs.  Plan shapes: ``grouped-aggregate``
         (any aggregate selection), ``key-subselect`` (a record-key pushdown
-        subselect in the WHERE) or ``scan``.
+        subselect among the WHERE's top-level conjuncts) or ``scan``.
 
         >>> from repro.db.expr import eq
         >>> plan = plan_bounded(Query("Paper").filter(eq("ok", True)), "jid", 2).explain()
@@ -280,7 +280,7 @@ class Query:
 
         if self.aggregates:
             plan = "grouped-aggregate"
-        elif self.where is not None and self.where.subqueries():
+        elif _has_key_subselect(self.where):
             plan = "key-subselect"
         else:
             plan = "scan"
@@ -291,6 +291,17 @@ class Query:
             "params": list(params),
             "tables": list(self.tables_read()),
         }
+
+
+def _has_key_subselect(where: Optional[Expression]) -> bool:
+    """Whether an ``IN (SELECT ...)`` is one of ``where``'s top-level
+    conjuncts, where :func:`plan_bounded` and the write plans put it (a
+    policy lookup's subquery sits under OR or NOT)."""
+    from repro.db.expr import AndExpr, InSubquery
+
+    if isinstance(where, AndExpr):
+        return _has_key_subselect(where.left) or _has_key_subselect(where.right)
+    return isinstance(where, InSubquery)
 
 
 def _field_spec(cls: type) -> Tuple[Tuple[str, ...], Any]:

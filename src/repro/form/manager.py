@@ -388,7 +388,9 @@ class QuerySet:
         ``"policy-pushdown"`` when the viewer's pruning predicate joins the
         statement and ``"pruned"`` when Python prunes, with ``fallback``
         naming the counter such a read of a policied model bumps when it
-        runs.  Like :meth:`repro.db.Database.explain`, a read's report
+        runs, and ``fallback_reason`` why the query's first opaque model
+        is opaque (:func:`repro.form.pushdown.profile_for`).  Like
+        :meth:`repro.db.Database.explain`, a read's report
         carries the backend's plan detail (the memory engine's
         ``chosen_plan``/``considered_plans``, SQLite's ``sqlite_plan``).
         Explaining runs no statement and bumps no counter.  A write reports
@@ -439,6 +441,15 @@ class QuerySet:
             report["mode"] = plan.mode
             if plan.fallback is not None:
                 report["fallback"] = plan.fallback
+            if plan.fallback == "plan.policy_pushdown.opaque_fallback":
+                tables = (meta.table_name, *plan.joined)
+                report["fallback_reason"] = next(
+                    profile.reason
+                    for profile in (
+                        pushdown_sql.profile_for(form.model_for(table)) for table in tables
+                    )
+                    if profile.tier == "opaque"
+                )
         elif operation in ("update", "delete"):
             forced: Tuple[str, ...] = ()
             if operation == "update":

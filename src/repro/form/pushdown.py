@@ -2,39 +2,50 @@
 
 The Python Early Pruning path (``QuerySet._pruned``) fetches every facet
 row and resolves each guarding label -- O(labels) policy evaluations per
-request.  When a model's one policy group compiles
+request.  When every policy group of a model compiles
 (:mod:`repro.analysis.symbolic`) to a predicate over own-row columns,
-viewer attributes and constants, this module renders that predicate into
-the WHERE clause instead, one conjunct per involved table::
+viewer attributes, module globals, constants and lookups on unpolicied
+models, this module renders the predicates into the WHERE clause
+instead, one conjunct per involved table and one branch pair per group::
 
-    jvars = ''                                         -- unfaceted rows
-    OR (jvars = 'T.<jid>.g=True'  AND <predicate>)     -- secret facet rows
-    OR (jvars = 'T.<jid>.g=False' AND NOT <predicate>) -- public facet rows
+    jvars = ''                                           -- unfaceted rows
+    OR (jvars = 'T.<jid>.g=True'  AND <predicate g>)     -- secret facet rows
+    OR (jvars = 'T.<jid>.g=False' AND NOT <predicate g>) -- public facet rows
+    OR ...                                               -- the next group
 
 and the *database engine* prunes -- one SQL statement for
 ``filter().fetch()``, ``count()`` and ``aggregate()`` on both backends.
-The viewer-only parts of the predicate fold to booleans when it binds.
+The parts of a predicate that read no column fold to booleans when it
+binds: the viewer's attributes, and globals read from the policy
+function's ``__globals__``.  A lookup renders as ``IN (SELECT ...)`` over
+the looked-up model's unfaceted rows.  A public facet row whose predicate
+still reads a column its group guards tests its record's secret row
+through a subquery (:func:`_group_pair`).  A model's bound conjunct is
+kept per binding key (:class:`_Inline`).
 
 Every other viewer-context read of a policied model takes the Python
-path, which is also the differential-testing oracle (``tests/fuzz/``),
-and counts its reason when it runs (``QuerySet.explain()`` reports it):
+path, which is also the differential-testing oracle (``tests/fuzz/``,
+``tests/analysis/test_policy_ir_oracle.py``), and counts its reason when
+it runs (``QuerySet.explain()`` reports it):
 
 * a model in the query has the ``"opaque"`` tier
   (:func:`repro.analysis.classify.model_tier`), whose ``reason`` names
-  why (``plan.policy_pushdown.opaque_fallback``);
-* the predicate does not bind for this viewer
+  why (``plan.policy_pushdown.opaque_fallback``; ``explain()`` reports
+  the reason as ``fallback_reason``);
+* a predicate does not bind for this viewer
   (``plan.policy_pushdown.fallback.bind``);
-* a table holds facet rows the branch test cannot read, or its facet
-  state is unknown (``plan.policy_pushdown.fallback.facet_rows``).
+* a table holds facet rows the branch test cannot read, its facet state
+  is unknown, or a lookup's table holds facet rows
+  (``plan.policy_pushdown.fallback.facet_rows``).
 
->>> from repro.apps.conf.models import ConfUser, Review
->>> profile_for(ConfUser).tier, profile_for(Review).tier
-('inline', 'opaque')
+>>> from repro.apps.conf.models import ConfUser, Paper, Review
+>>> profile_for(ConfUser).tier, profile_for(Paper).tier, profile_for(Review).tier
+('inline', 'inline', 'opaque')
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis import symbolic as sym
 from repro.analysis.classify import PolicyTier, model_tier
@@ -45,6 +56,7 @@ from repro.db.expr import (
     Comparison,
     Expression,
     FacetBranch,
+    InSubquery,
     IsNull,
     Literal,
     NotExpr,
@@ -53,6 +65,7 @@ from repro.db.expr import (
     eq,
     prefix_range,
 )
+from repro.db.query import Query
 
 
 def profile_for(model: type) -> PolicyTier:
@@ -64,7 +77,9 @@ def profile_for(model: type) -> PolicyTier:
     except AttributeError:
         pass
     try:
-        profile = model_tier(facts_for_model(model))
+        profile = (
+            model_tier(facts_for_model(model)) if meta.policy_groups else PolicyTier("none")
+        )
     except Exception as error:
         # A class whose facts cannot be built: the Python evaluator stays
         # the oracle, and the profile says why.
@@ -79,6 +94,21 @@ def profile_for(model: type) -> PolicyTier:
 class _Demote(Exception):
     """Raised during binding when the inline predicate cannot render for
     this viewer: the read takes the Python path."""
+
+
+class _Env(NamedTuple):
+    """What one policy group's predicate binds against."""
+
+    model: type
+    viewer: Any
+    #: the policy function's ``__globals__``, where global sources resolve
+    namespace: Dict[str, Any]
+    #: column name -> the name the statement spells it with
+    colname: Callable[[str], str]
+
+
+#: The value types a global source may bind (exact types, not subclasses).
+_GLOBAL_TYPES = (str, int, float, bool, type(None))
 
 
 def _viewer_value(source: sym.ViewerAttr, viewer: Any) -> Any:
@@ -98,13 +128,35 @@ def _viewer_value(source: sym.ViewerAttr, viewer: Any) -> Any:
     return value
 
 
-def _bind_value(source: sym.Source, viewer: Any) -> Any:
+def _global_value(source: sym.GlobalAttr, namespace: Dict[str, Any]) -> Any:
+    """Resolve a module-level ``Name.a.b`` chain in the policy's globals.
+
+    Only a str, int, float, bool or ``None`` binds: the value is folded
+    into the statement text, and so into the query-cache key.
+    """
+    head, *rest = source.path
+    if head not in namespace:
+        raise _Demote(f"no module-level name {head!r}")
+    value = namespace[head]
+    for attr in rest:
+        try:
+            value = getattr(value, attr)
+        except Exception as error:
+            raise _Demote(f"global {'.'.join(source.path)} does not resolve: {error}")
+    if type(value) not in _GLOBAL_TYPES:
+        raise _Demote(f"global {'.'.join(source.path)} is not a scalar")
+    return value
+
+
+def _bind_value(source: sym.Source, env: _Env) -> Any:
     if isinstance(source, sym.ConstVal):
         return source.value
     if isinstance(source, sym.ViewerAttr):
-        return _viewer_value(source, viewer)
+        return _viewer_value(source, env.viewer)
     if isinstance(source, sym.ViewerSelf):
-        return viewer
+        return env.viewer
+    if isinstance(source, sym.GlobalAttr):
+        return _global_value(source, env.namespace)
     raise _Demote(f"unbindable source {type(source).__name__}")
 
 
@@ -159,9 +211,9 @@ _PY_OPS = {
 _RANGE_SQL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-def _fold_viewer_atom(atom: sym.Atom, viewer: Any) -> bool:
+def _fold_viewer_atom(atom: sym.Atom, env: _Env) -> bool:
     """Evaluate an atom with no own-column operand to a plain boolean."""
-    lhs = _bind_value(atom.lhs, viewer)
+    lhs = _bind_value(atom.lhs, env)
     try:
         if atom.op == "is-null":
             return lhs is None
@@ -169,7 +221,7 @@ def _fold_viewer_atom(atom: sym.Atom, viewer: Any) -> bool:
             return lhs is not None
         if atom.op == "truthy":
             return bool(lhs)
-        rhs = _bind_value(atom.rhs, viewer)
+        rhs = _bind_value(atom.rhs, env)
         return bool(_PY_OPS[atom.op](lhs, rhs))
     except _Demote:
         raise
@@ -179,21 +231,55 @@ def _fold_viewer_atom(atom: sym.Atom, viewer: Any) -> bool:
         raise _Demote(f"viewer-side evaluation failed: {error}")
 
 
-def _bind_atom(
-    atom: sym.Atom, model: type, viewer: Any, colname
-) -> "bool | Expression":
+def _lookup_key(source: sym.Source, env: _Env) -> Any:
+    """A lookup operand, bound as ``QuerySet._apply_filter`` binds a
+    ``get()`` keyword: a record by its jid, ``None`` as ``IS NULL``."""
+    from repro.form.model import JModel
+
+    value = _bind_value(source, env)
+    if isinstance(value, JModel):
+        return value.jid
+    if value is None:
+        return None
+    raise _Demote(f"lookup operand {value!r} is neither a record nor None")
+
+
+def _bind_lookup(atom: sym.Atom, env: _Env) -> Expression:
+    """``column [NOT] IN (SELECT f FROM M WHERE g IS ? ...)``.
+
+    The subquery keeps ``M``'s unfaceted rows and drops NULL keys, so the
+    membership test is two-valued; the viewer binds before the statement
+    runs, so nothing in it is correlated.
+    """
+    lookup = atom.rhs
+    subquery = Query(lookup.table).select(lookup.column)
+    for column, source in lookup.keys:
+        subquery = subquery.filter(
+            NullSafeEq(ColumnRef(column), Literal(_lookup_key(source, env)))
+        )
+    subquery = subquery.filter(IsNull(ColumnRef(lookup.column), negated=True))
+    subquery = subquery.filter(eq("jvars", ""))
+    member = InSubquery(ColumnRef(env.colname(atom.lhs.column)), subquery)
+    return member if atom.op == "in" else NotExpr(member)
+
+
+def _bind_atom(atom: sym.Atom, env: _Env) -> "bool | Expression":
     lhs, rhs = atom.lhs, atom.rhs
+    colname = env.colname
     if {type(lhs), type(rhs)} == {sym.RowSelf, sym.ViewerSelf}:
         # ``viewer == row``: JModel.__eq__ is type-strict and compares
         # jids; an unsaved viewer (jid None) falls back to object identity,
         # which no fetched record satisfies.
-        if type(viewer) is model and viewer.jid is not None:
+        viewer = env.viewer
+        if type(viewer) is env.model and viewer.jid is not None:
             return NullSafeEq(
                 ColumnRef(colname("jid")), Literal(viewer.jid), atom.op == "ne"
             )
         return atom.op == "ne"
     if not isinstance(lhs, sym.OwnColumn):
-        return _fold_viewer_atom(atom, viewer)
+        return _fold_viewer_atom(atom, env)
+    if isinstance(rhs, sym.Lookup):
+        return _bind_lookup(atom, env)
     column = ColumnRef(colname(lhs.column))
     if atom.op in ("is-null", "not-null"):
         return IsNull(column, negated=atom.op == "not-null")
@@ -207,7 +293,7 @@ def _bind_atom(
             return Comparison(_RANGE_SQL[atom.op], column, other)
         raise _Demote(f"column/column op {atom.op!r} not renderable")
     if atom.op in ("in", "not-in"):
-        values = _bind_value(rhs, viewer)
+        values = _bind_value(rhs, env)
         members = [
             NullSafeEq(column, Literal(_bound_literal(lhs, item)))
             for item in values
@@ -218,7 +304,7 @@ def _bind_atom(
         for member in members[1:]:
             matched = OrExpr(matched, member)
         return NotExpr(matched) if atom.op == "not-in" else matched
-    value = _bound_literal(lhs, _bind_value(rhs, viewer))
+    value = _bound_literal(lhs, _bind_value(rhs, env))
     if atom.op in ("eq", "ne"):
         return NullSafeEq(column, Literal(value), atom.op == "ne")
     if atom.op == "prefix":
@@ -232,9 +318,7 @@ def _bind_atom(
     raise _Demote(f"op {atom.op!r} not renderable")
 
 
-def _bind_predicate(
-    pred: sym.Pred, model: type, viewer: Any, colname
-) -> "bool | Expression":
+def _bind_predicate(pred: sym.Pred, env: _Env) -> "bool | Expression":
     """Render IR to a two-valued expression, folding viewer-only parts.
 
     Returns a plain bool when the whole predicate folds.  Raises
@@ -247,7 +331,7 @@ def _bind_predicate(
         absorbing = not is_and
         parts: List[Expression] = []
         for item in pred.items:
-            bound = _bind_predicate(item, model, viewer, colname)
+            bound = _bind_predicate(item, env)
             if isinstance(bound, bool):
                 if bound == absorbing:
                     return absorbing
@@ -260,50 +344,170 @@ def _bind_predicate(
             combined = AndExpr(combined, part) if is_and else OrExpr(combined, part)
         return combined
     if isinstance(pred, sym.Not):
-        bound = _bind_predicate(pred.item, model, viewer, colname)
+        bound = _bind_predicate(pred.item, env)
         if isinstance(bound, bool):
             return not bound
         # Sound because every rendered atom is two-valued (IS-family,
-        # IS NULL, or ranges over non-nullable columns).
+        # IS NULL, NULL-free IN, or ranges over non-nullable columns).
         return NotExpr(bound)
     if isinstance(pred, sym.Atom):
-        return _bind_atom(pred, model, viewer, colname)
+        return _bind_atom(pred, env)
     raise _Demote(f"unrenderable node {type(pred).__name__}")
+
+
+def _plain(name: str) -> str:
+    return name
+
+
+def _group_pair(
+    model: type, group: Any, predicate: sym.Pred, viewer: Any, qualify: bool
+) -> Expression:
+    """The facet rows of one policy group's branches the viewer sees.
+
+    A positive-branch row is the record's secret facet, so it tests the
+    bound predicate on itself.  A negative-branch row tests the negation,
+    on itself when the bound predicate reads no column the group guards;
+    otherwise its guarded columns hold public values, so it tests the
+    record's secret row instead:
+    ``NOT (jid IN (SELECT jid FROM T WHERE <positive branch> AND P))``.
+    """
+    table = model._meta.table_name
+    colname = (lambda name: f"{table}.{name}") if qualify else _plain
+    env = _Env(model, viewer, group.method.__globals__, colname)
+    bound = _bind_predicate(predicate, env)
+    positive = FacetBranch(table, group.key, True, qualify)
+    negative = FacetBranch(table, group.key, False, qualify)
+    if bound is True:
+        return positive
+    if bound is False:
+        return negative
+    guarded = {model._meta.fields[name].column_name for name in group.fields}
+    hidden = bound.operand if isinstance(bound, NotExpr) else NotExpr(bound)
+    if guarded & {name.rsplit(".", 1)[-1] for name in bound.columns()}:
+        inner = _bind_predicate(predicate, env._replace(colname=_plain)) if qualify else bound
+        secret = Query(table).select("jid").filter(
+            AndExpr(FacetBranch(table, group.key, True), inner)
+        )
+        hidden = NotExpr(InSubquery(ColumnRef(colname("jid")), secret))
+    return OrExpr(AndExpr(positive, bound), AndExpr(negative, hidden))
+
+
+#: Bound conjuncts kept per model; past this many binding keys the model's
+#: store starts over.
+BINDINGS_PER_MODEL = 128
+
+
+def _bound_sources(pred: sym.Pred) -> List[sym.Source]:
+    """The viewer and global sources a predicate binds, lookup keys
+    included, each once."""
+    sources: Dict[sym.Source, None] = {}
+    for atom in sym.iter_atoms(pred):
+        operands = [atom.lhs, atom.rhs]
+        if isinstance(atom.rhs, sym.Lookup):
+            operands += [source for _column, source in atom.rhs.keys]
+        for source in operands:
+            if isinstance(source, (sym.ViewerSelf, sym.ViewerAttr, sym.GlobalAttr)):
+                sources[source] = None
+    return list(sources)
+
+
+class _Inline:
+    """One ``"inline"`` model's conjunct, bound once per binding key.
+
+    A bound conjunct is a function of the values its predicates bind: the
+    viewer's attribute chains, the globals, and the viewer object itself,
+    which the IR only null-tests, compares with the row by type and jid
+    (``viewer == row``) or binds as a lookup key (its jid).  So the key is
+    those values, with their types, and a viewer that is ``None`` or a
+    saved record by ``(type, jid)``; a viewer of any other kind, an
+    unhashable value or a chain that does not resolve binds afresh.
+    """
+
+    def __init__(self, model: type, profile: PolicyTier) -> None:
+        self.profile = profile
+        #: (source, the namespace its policy's globals resolve in), each once
+        sources: Dict[Tuple[sym.Source, int], Tuple[sym.Source, Dict[str, Any]]] = {}
+        for group, predicate in zip(model._meta.policy_groups, profile.predicates):
+            namespace = group.method.__globals__
+            for source in _bound_sources(predicate):
+                sources[source, id(namespace)] = (source, namespace)
+        self.sources = list(sources.values())
+        self.bound: Dict[Tuple[Any, ...], Expression] = {}
+
+    def conjunct(self, model: type, viewer: Any, qualify: bool) -> Expression:
+        key = self._key(viewer, qualify)
+        conjunct = self.bound.get(key) if key is not None else None
+        if conjunct is None:
+            conjunct = _bind_conjunct(model, self.profile, viewer, qualify)
+            if key is not None:
+                if len(self.bound) >= BINDINGS_PER_MODEL:
+                    self.bound.clear()
+                self.bound[key] = conjunct
+        return conjunct
+
+    def _key(self, viewer: Any, qualify: bool) -> Optional[Tuple[Any, ...]]:
+        from repro.form.model import JModel
+
+        key: List[Any] = [qualify]
+        for source, namespace in self.sources:
+            kind = type(source)
+            if kind is sym.ViewerSelf:
+                if viewer is None:
+                    key.append(None)
+                elif isinstance(viewer, JModel) and viewer.jid is not None:
+                    key.append((type(viewer), viewer.jid))
+                else:
+                    return None
+                continue
+            try:
+                if kind is sym.ViewerAttr:
+                    value = _viewer_value(source, viewer)
+                else:
+                    value = _global_value(source, namespace)
+                hash(value)
+            except (_Demote, TypeError):
+                return None
+            key.append((type(value), value))
+        return tuple(key)
+
+
+def _bind_conjunct(
+    model: type, profile: PolicyTier, viewer: Any, qualify: bool
+) -> Expression:
+    conjunct: Expression = eq(_unguarded_column(model, qualify), "")
+    for group, predicate in zip(model._meta.policy_groups, profile.predicates):
+        conjunct = OrExpr(conjunct, _group_pair(model, group, predicate, viewer, qualify))
+    return conjunct
+
+
+def _unguarded_column(model: type, qualify: bool) -> str:
+    return f"{model._meta.table_name}.jvars" if qualify else "jvars"
 
 
 def _inline_conjunct(model: type, viewer: Any, qualify: bool) -> Expression:
     """The pruning conjunct of one table: ``jvars = ''`` for an unpolicied
-    model, the bound inline predicate for an ``"inline"`` one.
+    model; for an ``"inline"`` one, also one branch pair per policy group
+    (:func:`_group_pair`), bound through the model's :class:`_Inline`.
 
-    Raises :class:`_Demote` when the predicate does not bind against this
-    viewer: an attribute chain fails, a value does not match its column's
-    kind, or a viewer-only atom raises.
+    Raises :class:`_Demote` when a predicate does not bind against this
+    viewer: an attribute chain or global fails, a value does not match its
+    column's kind, a lookup operand is neither a record nor ``None``, or a
+    viewer-only atom raises.
 
-    The conjunct admits unguarded rows (``jvars = ''``), positive-branch
-    rows where the bound predicate holds, and negative-branch rows where
-    its (two-valued) negation holds.  The predicate provably reads no
-    guarded column, so evaluating it on either facet row of a record gives
-    the record's policy outcome.
+    Sound while every facet row of the table is a canonical single-group
+    branch (:func:`_canonical_facet_rows`): a record's rows then split on
+    at most one group, whose pair selects one of them, and a column
+    another group guards holds the same value in both.
     """
-    meta = model._meta
-    table = meta.table_name
-    colname = (lambda name: f"{table}.{name}") if qualify else (lambda name: name)
-    unguarded = eq(colname("jvars"), "")
     profile = profile_for(model)
     if profile.tier == "none":
-        return unguarded
-    bound = _bind_predicate(profile.predicate, model, viewer, colname)
-    group = meta.policy_groups[0]
-    positive = FacetBranch(table, group.key, True, qualify)
-    negative = FacetBranch(table, group.key, False, qualify)
-    if bound is True:
-        return OrExpr(unguarded, positive)
-    if bound is False:
-        return OrExpr(unguarded, negative)
-    return OrExpr(
-        unguarded,
-        OrExpr(AndExpr(positive, bound), AndExpr(negative, NotExpr(bound))),
-    )
+        return eq(_unguarded_column(model, qualify), "")
+    meta = model._meta
+    inline = getattr(meta, "_pushdown_inline", None)
+    if inline is None or inline.profile is not profile:
+        inline = _Inline(model, profile)
+        meta._pushdown_inline = inline
+    return inline.conjunct(model, viewer, qualify)
 
 
 def _canonical_facet_rows(form: Any, model: type) -> bool:
@@ -323,6 +527,17 @@ def _canonical_facet_rows(form: Any, model: type) -> bool:
     return branch_keys is not None and branch_keys <= {
         group.key for group in meta.policy_groups
     }
+
+
+def _facet_free(form: Any, table: str) -> bool:
+    """Whether a lookup's table is registered and holds no facet rows: its
+    rows are then exactly what the Python path's ``get()`` sees, which
+    would otherwise resolve the rows' labels."""
+    try:
+        form.model_for(table)
+        return form.database.facet_branch_keys(table) == frozenset()
+    except Exception:
+        return False
 
 
 # -- the planning entry point ----------------------------------------------------
@@ -352,7 +567,11 @@ def pruning_conjuncts(
         return None, None
     if any(profile_for(m).tier == "opaque" for m in models):
         return None, "plan.policy_pushdown.opaque_fallback"
-    if not all(_canonical_facet_rows(form, m) for m in models):
+    if not all(
+        _canonical_facet_rows(form, m)
+        and all(_facet_free(form, table) for table in profile_for(m).lookups)
+        for m in models
+    ):
         return None, "plan.policy_pushdown.fallback.facet_rows"
     qualify = len(models) > 1
     try:

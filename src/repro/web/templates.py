@@ -191,11 +191,13 @@ class Template:
                 index += 1
             elif token.startswith("{%"):
                 directive = token[2:-2].strip()
+                if not directive:
+                    raise TemplateError(f"empty directive {token!r}")
                 keyword = directive.split()[0]
                 if keyword in stop:
                     return nodes, index
                 if keyword == "for":
-                    match = re.match(r"for\s+(\w+)\s+in\s+(.+)", directive)
+                    match = re.match(r"for\s+(\w+)\s+in\s+(.+)", directive, re.DOTALL)
                     if match is None:
                         raise TemplateError(f"malformed for: {directive!r}")
                     body, index = self._parse(tokens, index + 1, ("endfor",))

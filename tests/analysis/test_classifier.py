@@ -1,8 +1,9 @@
 """Policy-tier tests (repro.analysis.classify).
 
-One inline policy, one opaque policy per reason, the report record, and
-parity between the tier the analyzer reports from source and the tier
-the pushdown planner uses at run time.
+Inline policies (one group or several, lookups on unpolicied models,
+reads of a guarded column), one opaque policy per reason, the report
+record, and parity between the tier the analyzer reports from source and
+the tier the pushdown planner uses at run time.
 """
 
 import importlib
@@ -44,9 +45,9 @@ class Paper(JModel):
 ''')
     assert decision.tier == "inline"
     assert decision.reason is None
-    assert predicate_text(decision.predicate) == (
+    assert [predicate_text(p) for p in decision.predicates] == [
         "(viewer is not None and author_id == viewer.jid)"
-    )
+    ]
 
 
 def test_helper_with_getattr_inlines_to_equality():
@@ -64,10 +65,35 @@ class Paper(JModel):
         return _is_staff(viewer)
 ''')
     assert decision.tier == "inline"
-    assert predicate_text(decision.predicate) == "viewer.level in ('pc', 'chair')"
+    assert [predicate_text(p) for p in decision.predicates] == [
+        "viewer.level in ('pc', 'chair')"
+    ]
 
 
-def test_several_policy_groups_are_opaque():
+def test_several_policy_groups_render_inline_one_predicate_each():
+    decision = _tier('''
+class Paper(JModel):
+    title = CharField()
+    author = ForeignKey("User")
+
+    @staticmethod
+    @label_for("title")
+    def restrict_title(paper, viewer):
+        return viewer is not None
+
+    @staticmethod
+    @label_for("author")
+    def restrict_author(paper, viewer):
+        return viewer is not None and viewer.jid == paper.author_id
+''')
+    assert (decision.tier, decision.reason) == ("inline", None)
+    assert [predicate_text(p) for p in decision.predicates] == [
+        "viewer is not None",
+        "(viewer is not None and author_id == viewer.jid)",
+    ]
+
+
+def test_a_group_with_top_makes_the_model_opaque():
     decision = _tier('''
 class Paper(JModel):
     title = CharField()
@@ -83,8 +109,32 @@ class Paper(JModel):
     def restrict_author(paper, viewer):
         return viewer == paper.author
 ''')
-    assert (decision.tier, decision.predicate) == ("opaque", None)
-    assert decision.reason == "2 policy groups (title, author)"
+    assert (decision.tier, decision.predicates) == ("opaque", None)
+    assert decision.reason == "object compared against a value"
+
+
+def test_lookup_on_an_unpolicied_model_renders_inline():
+    decision = _tier('''
+class Event(JModel):
+    name = CharField()
+
+    @staticmethod
+    @label_for("name")
+    def restrict(event, viewer):
+        if viewer is None:
+            return False
+        return Guest.objects.get(event=event, guest=viewer) is not None
+
+
+class Guest(JModel):
+    event = ForeignKey(Event)
+    guest = ForeignKey("User")
+''')
+    assert decision.tier == "inline"
+    assert [predicate_text(p) for p in decision.predicates] == [
+        "(viewer is not None and jid in Guest(guest_id=viewer).event_id)"
+    ]
+    assert decision.lookups == frozenset({"Guest"})
 
 
 def test_viewer_as_query_filter_is_opaque():
@@ -97,8 +147,8 @@ class Event(JModel):
     def restrict(event, viewer):
         return Guest.objects.get(event=event, guest=viewer) is not None
 ''')
-    assert (decision.tier, decision.predicate) == ("opaque", None)
-    assert decision.reason == "null test on unmodelled operand"
+    assert (decision.tier, decision.predicates) == ("opaque", None)
+    assert decision.reason == "lookup on unknown model 'Guest'"
 
 
 def test_range_on_nullable_column_is_opaque():
@@ -116,7 +166,7 @@ class Doc(JModel):
     assert decision.reason == "no two-valued rendering for score > 3"
 
 
-def test_read_of_own_guarded_column_is_opaque():
+def test_read_of_own_guarded_column_renders_inline():
     decision = _tier('''
 class Doc(JModel):
     owner = CharField()
@@ -126,8 +176,7 @@ class Doc(JModel):
     def restrict(doc, viewer):
         return viewer is not None and doc.owner == viewer.name
 ''')
-    assert decision.tier == "opaque"
-    assert decision.reason == "reads its own guarded column owner"
+    assert (decision.tier, decision.reason) == ("inline", None)
 
 
 def test_tier_record_carries_group_metadata():
@@ -158,17 +207,37 @@ def test_conf_app_policies_classify_as_verified():
     }
     assert tiers == {
         ("ConfUser", "email"): ("inline", None),
-        ("Paper", "author"): ("opaque", "2 policy groups (author, accepted)"),
-        ("Paper", "accepted"): ("opaque", "2 policy groups (author, accepted)"),
-        ("Review", "reviewer"): ("opaque", "2 policy groups (reviewer, contents)"),
-        ("Review", "contents"): ("opaque", "2 policy groups (reviewer, contents)"),
+        ("Paper", "author"): ("inline", None),
+        ("Paper", "accepted"): ("inline", None),
+        ("Review", "reviewer"): ("opaque", "lookup on policied model 'Paper'"),
+        ("Review", "contents"): ("opaque", "lookup on policied model 'Paper'"),
     }
 
 
 def test_calendar_app_membership_policies_are_opaque():
-    tiers = {(r["model"], r["group"]): r["tier"] for r in _app_records("calendar")}
-    assert tiers[("Event", "name")] == "opaque"
-    assert tiers[("EventGuest", "guest")] == "opaque"
+    tiers = {
+        (r["model"], r["group"]): (r["tier"], r["reason"])
+        for r in _app_records("calendar")
+    }
+    assert tiers == {
+        ("Event", "name"): ("opaque", "lookup on policied model 'EventGuest'"),
+        ("EventGuest", "guest"): ("opaque", "lookup on policied model 'EventGuest'"),
+    }
+
+
+def test_course_and_health_tiers_name_their_reasons():
+    tiers = {
+        (r["model"], r["group"]): (r["tier"], r["reason"])
+        for app in ("course", "health") for r in _app_records(app)
+    }
+    nullable = "lookup keyed on nullable column"
+    assert tiers == {
+        ("Course", "instructor"): ("inline", None),
+        ("Submission", "contents"): ("opaque", f"{nullable} assignment_id"),
+        ("Submission", "grade"): ("opaque", f"{nullable} assignment_id"),
+        ("HealthUser", "email"): ("inline", None),
+        ("HealthRecord", "diagnosis"): ("opaque", f"{nullable} patient_id"),
+    }
 
 
 @pytest.mark.parametrize("app", APPS)
@@ -200,5 +269,5 @@ def test_facts_failure_gives_opaque_with_its_reason(monkeypatch):
     monkeypatch.setattr(pushdown, "facts_for_model", lost)
     monkeypatch.delattr(ConfUser._meta, "_pushdown_profile")
     profile = profile_for(ConfUser)
-    assert (profile.tier, profile.predicate) == ("opaque", None)
+    assert (profile.tier, profile.predicates) == ("opaque", None)
     assert "could not get source code" in profile.reason

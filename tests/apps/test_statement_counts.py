@@ -7,10 +7,12 @@ tests capture every statement a warmed page issues with
 runs -- and pin the counts on both backends:
 
 * conf ``/papers`` issues the same number of statements at 8, 64 and 256
-  papers, at most 4 including the session-user load, for a PC member, an
-  author and the chair;
+  papers, for a PC member, an author and the chair: exactly 3, the
+  session-user load, the paper list (pruned in the statement, its
+  conflict lookup a subquery) and the authors' batched load;
 * course ``/courses`` issues the same number at 8 and 64 courses;
-* ``/paper/<jid>`` and ``/user/<jid>`` issue no more than 6 and 4;
+* ``/paper/<jid>`` issues no more than 6, and ``/user/<jid>`` exactly 3:
+  the session user, the profile and the profile's papers;
 * the first ``/paper/<jid>`` after a PC member's ``POST /review`` issues
   the same number at 8 and 64 papers, for a PC member, an author and the
   chair: a write leaves nothing behind that the next read must refill.
@@ -73,10 +75,10 @@ def test_conf_pages_issue_a_constant_number_of_statements(backend):
     for role in ("pc", "author", "chair"):
         papers_counts = {size: counts[role]["papers"] for size, counts in by_size.items()}
         assert len(set(papers_counts.values())) == 1, (role, papers_counts)
-        assert papers_counts[256] <= 4, (role, papers_counts)
+        assert papers_counts[256] == 3, (role, papers_counts)
         for counts in by_size.values():
             assert counts[role]["paper"] <= 6, (role, counts[role])
-            assert counts[role]["user"] <= 4, (role, counts[role])
+            assert counts[role]["user"] == 3, (role, counts[role])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

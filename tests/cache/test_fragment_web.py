@@ -66,7 +66,9 @@ def test_crashing_post_still_invalidates_viewer_caches(fragment_app):
         raise RuntimeError("mid-mutation crash")
 
     client = _client_for(app, created["chair"][0])
-    client.get("/papers")  # warm the label memo
+    # Warm the label memo: the paper page's get() and its reviews prune
+    # in Python (the /papers list is pruned by its statement instead).
+    client.get(f"/paper/{created['papers'][0].jid}")
     assert len(form.caches.labels) > 0
     with pytest.raises(RuntimeError):
         client.post("/explode")

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro.db import Database, MemoryBackend, SqliteBackend
-from repro.db.expr import InSubquery, col, eq, in_subquery
+from repro.db.expr import InSubquery, col, eq, in_subquery, null_safe_eq
 from repro.db.query import Aggregate, Query, _copy, plan_bounded
 from repro.db.schema import ColumnType
 from repro.db.sqlgen import query_to_sql
@@ -324,6 +324,96 @@ def test_not_in_empty_subquery_keeps_null_rows(database):
     assert [row["x"] for row in database.execute(negated)] == [None, 1]
     assert database.count("T", ~in_subquery("x", empty)) == 2
     assert database.delete("T", ~in_subquery("x", empty)) == 2
+
+
+# -- lazy subqueries on the memory engine ----------------------------------------------
+
+
+def _counted_subqueries(monkeypatch, backend):
+    """The tables of the statements ``backend`` runs inside another one."""
+    ran = []
+    execute = backend._execute_query
+
+    def counting(query, *args):
+        ran.append(query.table)
+        return execute(query, *args)
+
+    monkeypatch.setattr(backend, "_execute_query", counting)
+    return ran
+
+
+def test_resolution_is_lazy_under_or_and_not_only():
+    from repro.db.expr import InList, resolve_subqueries
+
+    sub = Query("U").select("y")
+    top, nested = in_subquery("x", sub), ~in_subquery("x", sub) | eq("x", 1)
+    runs = []
+
+    def run(query):
+        runs.append(query.table)
+        return [1, 2]
+
+    eager = resolve_subqueries(top & nested, run)
+    assert isinstance(eager.left, InList) and runs == ["U", "U"]
+    runs.clear()
+    lazy = resolve_subqueries(top & nested, run, lazy=True)
+    # The top-level conjunct is the index planner's probe: it runs now.
+    assert isinstance(lazy.left, InList) and runs == ["U"]
+    member = lazy.right.left.operand
+    assert isinstance(member, InSubquery) and member.members is not None
+    predicate = lazy.compile()
+    assert [predicate({"x": x}) for x in (1, 2, 3)] == [True, False, False]
+    assert runs == ["U", "U"]  # the nested one ran once, for three rows
+    # One subquery object on both sides of an OR runs once.
+    runs.clear()
+    shared = in_subquery("x", sub)
+    both = resolve_subqueries((eq("x", 9) & shared) | ~shared, run, lazy=True)
+    predicate = both.compile()
+    assert [predicate({"x": x}) for x in (1, 3)] == [False, True]
+    assert runs == ["U"]
+
+
+def test_a_nested_subquery_runs_once_when_a_row_reaches_it(monkeypatch):
+    database = Database(MemoryBackend())
+    database.define_table("T", x=ColumnType.INTEGER)
+    database.define_table("U", y=ColumnType.INTEGER)
+    database.insert_many("T", [{"x": x} for x in (1, 2, 3, None)])
+    database.insert_many("U", [{"y": 2}, {"y": 3}])
+    ran = _counted_subqueries(monkeypatch, database.backend)
+    where = eq("x", 1) | in_subquery("x", Query("U").select("y"))
+    with database.observe_statements() as log:
+        rows = database.execute(Query("T").filter(where))
+    assert [row["x"] for row in rows] == [1, 2, 3]
+    assert ran == ["T", "U"] and len(log.statements) == 1
+    # No row reaches the subquery (``x IS 7`` is FALSE, never UNKNOWN,
+    # so AND stops there): it never runs.
+    ran.clear()
+    narrowed = Query("T").filter(null_safe_eq("x", 7)).filter(where)
+    assert database.execute(narrowed) == [] and ran == ["T"]
+
+
+@pytest.mark.parametrize("members", [(), (None,), (2, None), (2, 3)])
+def test_a_lazy_subquery_keeps_the_in_lists_three_valued_result(members):
+    results = {}
+    for kind in ("memory", "sqlite"):
+        database = Database(MemoryBackend() if kind == "memory" else SqliteBackend())
+        database.define_table("T", x=ColumnType.INTEGER)
+        database.define_table("U", y=ColumnType.INTEGER)
+        database.insert_many("T", [{"x": x} for x in (1, 2, None)])
+        database.insert_many("U", [{"y": y} for y in members])
+        sub = Query("U").select("y")
+        shapes = [
+            eq("x", 99) | in_subquery("x", sub),
+            eq("x", 99) | ~in_subquery("x", sub),
+        ]
+        results[kind] = [
+            sorted((row["x"] is None, row["x"] or 0) for row in database.execute(
+                Query("T").filter(shape)
+            ))
+            for shape in shapes
+        ]
+        database.close()
+    assert results["memory"] == results["sqlite"]
 
 
 def test_update_and_delete_with_subquery_where(database):

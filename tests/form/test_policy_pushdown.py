@@ -205,9 +205,9 @@ def test_profiles_classify_the_three_shapes():
 def test_profiles_report_the_symbolic_tier():
     for model in (Doc, Wiki, Badge, Gate):
         assert profile_for(model).tier == "inline", model.__name__
-        assert profile_for(model).predicate is not None, model.__name__
+        assert profile_for(model).predicates is not None, model.__name__
     assert profile_for(Audit).tier == "opaque"  # ORM query in the body: TOP
-    assert profile_for(Audit).predicate is None
+    assert profile_for(Audit).predicates is None
 
 
 def test_fetch_is_one_statement_with_parity(pushdown_form):

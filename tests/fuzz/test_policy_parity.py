@@ -24,6 +24,19 @@ and ``FuzzAudit`` exercises the Python path (its policy queries another
 model), for fetches, counts, ``exists()`` and aggregates alike.
 ``FuzzNote`` is unpolicied, with a foreign key to ``FuzzDoc``: its reads
 filtered on ``doc__title`` carry the joined doc's labels.
+``FuzzSubmission`` has the conference ``Paper``'s shapes and renders
+inline: two policy groups, an early-return ``if`` on the module-level
+``FuzzStage`` (a setter the programs call changes it and bumps the policy
+epoch), a ``FuzzBlock.objects.get(...) is not None`` lookup over an
+unpolicied model whose rows the programs write plainly and under a path
+condition, and a read of the column its own group guards.  Its reads
+fetch and count all rows, the viewer's own (positive facet rows) and the
+ownerless ones (negative facet rows).  Their Projection check stops once a
+program writes a block under a path condition: concretisation runs the
+policy outside any viewer context, where the lookup's ``get()`` returns a
+faceted value that ``is not None`` reads as a hit for every viewer, so
+the Python path itself breaks the theorem there (it does the same for the
+conference ``Paper`` with a guarded ``PaperPCConflict``).
 
 In the ``"off"`` configuration every fetch, count, ``exists()`` and
 aggregate (not ``first()``) also checks the Projection Theorem (the
@@ -57,12 +70,14 @@ import random
 import pytest
 
 from repro import obs
+from repro.cache import bump_policy_epoch
 from repro.cache.config import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend
 from repro.form import (
     FORM,
     QuerySet,
+    BooleanField,
     CharField,
     ForeignKey,
     IntegerField,
@@ -143,7 +158,63 @@ class FuzzNote(JModel):
     body = CharField(max_length=64)
 
 
-MODELS = [FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit, FuzzNote]
+class FuzzStage:
+    """Module-level state the submission policies read, as the conference
+    phase is; setting it bumps the policy epoch."""
+
+    OPEN = "open"
+    CLOSED = "closed"
+    current = OPEN
+
+    @classmethod
+    def set(cls, stage):
+        cls.current = stage
+        bump_policy_epoch()
+
+
+class FuzzSubmission(JModel):
+    """The conference paper's shapes: renders inline, one branch pair per
+    group, its owner group's negative rows tested on the secret row."""
+
+    owner = ForeignKey(FuzzOwner)
+    title = CharField(max_length=64)
+    flagged = BooleanField(default=False)
+
+    @staticmethod
+    def jacqueline_get_public_owner(submission):
+        return None
+
+    @staticmethod
+    @label_for("owner")
+    @jacqueline
+    def jacqueline_restrict_owner(submission, ctxt):
+        if FuzzStage.current == FuzzStage.CLOSED:
+            return True
+        if FuzzBlock.objects.get(submission=submission, owner=ctxt) is not None:
+            return False
+        return ctxt is not None and submission.owner_id == ctxt.jid
+
+    @staticmethod
+    def jacqueline_get_public_flagged(submission):
+        return False
+
+    @staticmethod
+    @label_for("flagged")
+    @jacqueline
+    def jacqueline_restrict_flagged(submission, ctxt):
+        return FuzzStage.current == FuzzStage.CLOSED or getattr(ctxt, "path", None) == "/"
+
+
+class FuzzBlock(JModel):
+    """Unpolicied: hides a submission's owner from one owner."""
+
+    submission = ForeignKey(FuzzSubmission)
+    owner = ForeignKey(FuzzOwner)
+
+
+MODELS = [
+    FuzzOwner, FuzzDoc, FuzzOrgDoc, FuzzAudit, FuzzNote, FuzzSubmission, FuzzBlock,
+]
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 #: the projection check's limit on records holding facet rows: a no-viewer
 #: read of N such records builds up to 2 ** N leaves
@@ -252,18 +323,38 @@ def _gen_program(rng, length=16):
                 ("limited_docs", rng.randrange(4), 1 + rng.randrange(3),
                  ("fetch", "count")[rng.randrange(2)])
             )
-        elif roll < 0.93:
+        elif roll < 0.88:
             program.append(
                 ("read_notes", rng.randrange(4),
                  ("fetch", "count", "exists")[rng.randrange(3)],
                  _gen_note_filter(rng, titles))
             )
-        else:
+        elif roll < 0.91:
             program.append(
                 ("read_audits", rng.randrange(4),
                  ("fetch", "count", "exists", "aggregate")[rng.randrange(4)])
             )
+        else:
+            program.extend(_gen_submission_ops(rng))
     return program
+
+
+def _gen_submission_ops(rng):
+    """A submission create (rarely flagged: a flagged one holds facet rows
+    of both groups, which keeps the table on the Python path), a block
+    written plainly or under a path condition, or a stage change; then a
+    read."""
+    roll = rng.random()
+    if roll < 0.5:
+        write = ("create_submission", rng.randrange(4), f"s{rng.randrange(100)}",
+                 rng.random() < 0.1)
+    elif roll < 0.8:
+        write = ("block", rng.randrange(4), rng.randrange(4), rng.random() < 0.3)
+    else:
+        write = ("set_stage", (FuzzStage.OPEN, FuzzStage.CLOSED)[rng.randrange(2)])
+    read = ("read_submissions", rng.randrange(4), ("fetch", "count")[rng.randrange(2)],
+            ("all", "own", "ownerless")[rng.randrange(3)])
+    return [write, read]
 
 
 # -- program execution ---------------------------------------------------------------
@@ -392,8 +483,14 @@ def _run_program(kind, program, config):
         return doc_rows(fetched)
 
     docs = []
+    submissions = []
+    #: whether a block was written under a path condition (no Projection
+    #: check on submission reads from then on)
+    guarded_blocks = False
     #: doc jid -> its owner's jid, for the note reads' leak check
     doc_owners = {}
+    submission_rows = _rows("jid", "title", "owner_id", "flagged")
+    FuzzStage.current = FuzzStage.OPEN
     with use_form(form):
         for op in program:
             name, args = op[0], op[1:]
@@ -530,8 +627,54 @@ def _run_program(kind, program, config):
                     observables.append(
                         read(op, viewer, notes, verb, "count", observe=_scalar)
                     )
+            elif name == "create_submission":
+                submissions.append(FuzzSubmission.objects.create(
+                    owner=viewer, title=args[1], flagged=args[2]
+                ))
+            elif name == "block":
+                if not submissions:
+                    continue
+                submission = submissions[args[1] % len(submissions)]
+                if args[2]:
+                    guarded_blocks = True
+                    label = Label(hint="fuzzblock")
+                    form.runtime.policy_env.declare(label)
+                    form.runtime.policy_env.restrict(
+                        label,
+                        lambda seen, name=viewer.name: getattr(seen, "name", None) != name,
+                    )
+                    with form.runtime.under_branch(label, True):
+                        FuzzBlock.objects.create(submission=submission, owner=viewer)
+                else:
+                    FuzzBlock.objects.create(submission=submission, owner=viewer)
+            elif name == "set_stage":
+                FuzzStage.set(args[0])
+            elif name == "read_submissions":
+                query_set = {
+                    "all": FuzzSubmission.objects.all(),
+                    "own": FuzzSubmission.objects.filter(owner=viewer),
+                    "ownerless": FuzzSubmission.objects.filter(owner=None),
+                }[args[2]]
+                if args[1] == "fetch":
+                    fetched = read(
+                        op, viewer, query_set, QuerySet.fetch,
+                        observe=None if guarded_blocks else submission_rows,
+                    )
+                    for submission in fetched:
+                        if (
+                            FuzzStage.current == FuzzStage.OPEN
+                            and submission.owner_id not in (None, viewer.jid)
+                        ):
+                            leaks.append((op, submission.jid, submission.owner_id))
+                    observables.append(submission_rows(fetched))
+                else:
+                    observables.append(read(
+                        op, viewer, query_set, QuerySet.count, "count",
+                        observe=None if guarded_blocks else _scalar,
+                    ))
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
+    FuzzStage.current = FuzzStage.OPEN
     database.close()
     return observables, leaks, faults
 

@@ -204,6 +204,23 @@ def test_explain_bumps_no_counter_and_names_the_fallback_the_read_counts(conf):
     assert obs.totals.get("plan.bounded") == 1
 
 
+def test_a_pruned_explain_names_why_its_model_is_opaque(conf):
+    from repro.apps.conf.models import Paper as ConfPaper, Review
+
+    _kind, created = conf
+    with viewer_context(created["pc"][0]):
+        review = Review.objects.all().explain()
+        joined = Review.objects.filter(paper__title="Paper 0").explain()
+        paper = ConfPaper.objects.all().explain()
+    assert (review["mode"], review["fallback_reason"]) == (
+        "pruned", "lookup on policied model 'Paper'"
+    )
+    assert joined["fallback_reason"] == review["fallback_reason"]
+    # The conflict lookup's subquery is no record-key subselect.
+    assert (paper["mode"], paper["plan"]) == ("policy-pushdown", "scan")
+    assert "fallback" not in paper and "fallback_reason" not in paper
+
+
 def test_every_read_explain_carries_the_backend_plan_detail(conf):
     from repro.apps.conf.models import ConfUser, Paper as ConfPaper
 

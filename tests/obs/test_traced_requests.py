@@ -57,12 +57,18 @@ def test_traced_view_all_yields_spans_sql_timings_and_counters(conf):
     for leaf in sql_leaves:
         assert leaf.attributes["sql"]
         assert leaf.duration is not None and leaf.duration >= 0
-    # The faceted-execution cost counters of the request (pruned path).
-    assert trace.counters["policy.evaluations"] > 0
+    # The statements prune: the page evaluates no policy in Python.
+    assert trace.counters["plan.policy_pushdown"] > 0
     assert trace.counters["facet.rows.unmarshalled"] > 0
-    assert trace.counters["labels.resolved"] > 0
+    assert "policy.evaluations" not in trace.counters
     assert trace.counters["db.statements"] == len(sql_leaves)
     assert trace.counters["web.requests"] == 1
+    # A single paper's get() is bounded, so Python prunes it.
+    with obs.tracing():
+        response = client.get(f"/paper/{created['papers'][0].jid}")
+        trace = obs.get_trace(response.headers["X-Trace-Id"])
+    assert trace.counters["policy.evaluations"] > 0
+    assert trace.counters["labels.resolved"] > 0
 
 
 def test_anonymous_view_all_counts_worlds_merged(conf):

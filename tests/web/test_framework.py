@@ -104,6 +104,22 @@ def test_template_errors():
         Template("{% for broken %}{% endfor %}")
 
 
+@pytest.mark.parametrize("source", ["{% %}", "{%%}", "a{%\n%}b"])
+def test_an_empty_directive_is_a_template_error(source):
+    with pytest.raises(TemplateError, match="empty directive"):
+        Template(source)
+
+
+def test_a_for_expression_spans_lines_as_interpolations_do():
+    # The whole remainder is the expression, as in {{ }} and {% if %}: a
+    # name with a newline in it names nothing, so the loop renders nothing.
+    context = {"items": ["a"]}
+    source = "{% for x in items\n.title %}{{ x }}{% endfor %}"
+    assert render_template(source, context) == ""
+    assert render_template("{{ items\n.title }}", context) == ""
+    assert render_template("{% for x in\n items %}{{ x }}{% endfor %}", context) == "a"
+
+
 # -- sessions and auth -------------------------------------------------------------------
 
 
