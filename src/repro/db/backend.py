@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro import obs
 from repro.cache.bus import InvalidationBus
-from repro.db.expr import Expression
+from repro.db.expr import Expression, canonical_branch
 from repro.db.observe import StatementEvent
 from repro.db.query import DeletePlan, Query, UpdatePlan
 from repro.db.schema import TableSchema
@@ -114,7 +114,8 @@ class Backend(abc.ABC):
 
         ``set`` of keys when every faceted row written so far was a
         canonical single-group facet row (``jvars`` exactly
-        ``"{table}.{jid}.{key}={bool}"`` for the row's own ``jid``), so the
+        ``"{table}.{jid}.{key}={bool}"`` for the row's own ``jid``, as
+        :func:`~repro.db.expr.canonical_branch` decides), so the
         empty set means the table holds no faceted row; ``None`` is the
         sticky "exotic" verdict (multi-branch rows, program-counter labels,
         foreign-jid labels, or an update whose new ``jvars`` cannot be
@@ -141,36 +142,12 @@ class Backend(abc.ABC):
         """
         keys: Optional[set] = set()
         for jid, encoded in faceted_rows:
-            key = self._own_branch_key(table, jid, encoded)
-            if key is None:
+            branch = canonical_branch(table, jid, encoded)
+            if branch is None:
                 keys = None
                 break
-            keys.add(key)
+            keys.add(branch[0])
         self._branch_keys[table] = keys
-
-    @staticmethod
-    def _own_branch_key(table: str, jid: Any, encoded: str) -> Optional[str]:
-        """The group key of one canonical facet row's ``jvars``, or ``None``.
-
-        >>> Backend._own_branch_key("Doc", 7, "Doc.7.title=True")
-        'title'
-        >>> Backend._own_branch_key("Doc", 7, "Doc.8.title=True") is None
-        True
-        >>> Backend._own_branch_key("Doc", 7, "Doc.7.title=True,x=False") is None
-        True
-        """
-        if "," in encoded:
-            return None  # multiple branches
-        prefix = f"{table}.{jid}."
-        if not encoded.startswith(prefix):
-            return None  # pc label / ad-hoc label / foreign jid
-        rest = encoded[len(prefix):]
-        for suffix in ("=True", "=False"):
-            if rest.endswith(suffix):
-                key = rest[: -len(suffix)]
-                if key and "." not in key and "=" not in key:
-                    return key
-        return None
 
     def _note_facet_write(self, table: str, rows: Sequence[Dict[str, Any]]) -> None:
         """Record the branch keys of the faceted ``rows`` just written."""
@@ -182,15 +159,12 @@ class Backend(abc.ABC):
             known = branches.get(table)
             if known is None:
                 continue  # exotic (sticky) or unknown
-            key = (
-                self._own_branch_key(table, row["jid"], encoded)
-                if "jid" in row
-                else None  # UPDATE without a row id: unverifiable
-            )
-            if key is None:
+            # An UPDATE's values carry no jid, so its jvars is unverifiable.
+            branch = canonical_branch(table, row.get("jid"), encoded)
+            if branch is None:
                 branches[table] = None
             else:
-                known.add(key)
+                known.add(branch[0])
 
     def facet_branch_keys(self, table: str) -> Optional[frozenset]:
         """The policy-group keys of ``table``'s faceted rows, or ``None``.

@@ -13,7 +13,9 @@ column names, which literals are NULL, ...) and its per-statement
 constants (literal values, ``IN`` member sets, ``LIKE`` matchers).  The
 source of one function is generated per shape and cached process-wide
 (:data:`SHAPE_CACHE_SIZE` shapes), so a statement whose shape was seen
-before only binds its constants.
+before only binds its constants.  A single-table read compiles against
+its table, whose facet-branch index then answers :class:`FacetBranch`
+tests (see :meth:`Expression.compile`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ import datetime
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+
+if TYPE_CHECKING:
+    from repro.db.table import Table
 
 #: A row predicate: SQL's TRUE/FALSE/UNKNOWN as ``True``/``False``/``None``.
 Predicate = Callable[[Dict[str, Any]], Any]
@@ -39,7 +44,7 @@ class Expression:
         """Evaluate against one row: a one-off ``self.compile()(row)``."""
         return self.compile()(row)
 
-    def compile(self) -> Predicate:
+    def compile(self, table: Optional["Table"] = None) -> Predicate:
         """The evaluator of this tree, to call once per row.
 
         The in-memory engine compiles a WHERE tree once per statement.  One
@@ -51,6 +56,13 @@ class Expression:
         whose result is truthy.  Subquery nodes raise :class:`TypeError`
         here: materialise them first with :func:`resolve_subqueries`.
 
+        ``table`` is the memory table whose live rows a single-table read
+        tests.  An unqualified :class:`FacetBranch` then reads the row's
+        primary key against the table's facet-branch index
+        (:meth:`~repro.db.table.Table.branch_index`).  Such a predicate
+        holds the index's live sets, so it is valid only while the backend
+        lock is held, as every read and write that compiles one holds it.
+
         >>> pred = (eq("rank", 1) | eq("name", "ada")).compile()
         >>> pred({"rank": 2, "name": "ada"})
         True
@@ -58,18 +70,19 @@ class Expression:
         True
         """
         constants: List[Any] = []
-        shape = self._shape(constants)
+        shape = self._shape(constants, table)
         factory = _FACTORIES.get(shape)
         if factory is None:
             factory = _cached_factory(shape)
         return factory(*constants)
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         """This node's shape key, appending its constants to ``constants``.
 
         The key starts with the node's class and holds what the generated
         source depends on; the constants are what it reads at run time,
-        in the order :class:`_Writer` numbers them.
+        in the order :class:`_Writer` numbers them.  ``table`` is the table
+        :meth:`compile` binds, or ``None``; each node passes it on.
         """
         raise NotImplementedError
 
@@ -145,7 +158,7 @@ class ColumnRef(Expression):
 
     name: str
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         return (ColumnRef, self.name)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
@@ -161,7 +174,7 @@ class Literal(Expression):
 
     value: Any
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         if self.value is None:
             return (Literal, False)
         constants.append(self.value)
@@ -187,9 +200,12 @@ class Comparison(Expression):
         if self.op not in _OPERATORS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         return (
-            Comparison, self.op, self.left._shape(constants), self.right._shape(constants)
+            Comparison,
+            self.op,
+            self.left._shape(constants, table),
+            self.right._shape(constants, table),
         )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
@@ -232,10 +248,10 @@ class InList(Expression):
     operand: Expression
     values: Tuple[Any, ...]
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         if not self.values:  # no member to compare: FALSE even for NULL
             return (InList,)
-        operand = self.operand._shape(constants)
+        operand = self.operand._shape(constants, table)
         # Hot path of resolved pushdown subqueries: the outer scan tests
         # every row against the list, so membership is a set probe.  Only
         # a non-NULL operand probes it, so a listed NULL may stay in it.
@@ -286,13 +302,13 @@ class InSubquery(Expression):
     #: the subquery's values, run on first use (see :func:`resolve_subqueries`)
     members: Optional["_Members"] = field(default=None, compare=False, repr=False)
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         if self.members is None:
             raise TypeError(
                 "InSubquery cannot be evaluated row-by-row; resolve it first "
                 "with repro.db.expr.resolve_subqueries(expression, run_subquery)"
             )
-        operand = self.operand._shape(constants)
+        operand = self.operand._shape(constants, table)
         constants.append(self.members)
         return (InSubquery, operand)
 
@@ -315,8 +331,10 @@ class AndExpr(Expression):
     left: Expression
     right: Expression
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        return (AndExpr, self.left._shape(constants), self.right._shape(constants))
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
+        return (
+            AndExpr, self.left._shape(constants, table), self.right._shape(constants, table)
+        )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         left_sql, left_params = self.left.to_sql()
@@ -335,8 +353,10 @@ class OrExpr(Expression):
     left: Expression
     right: Expression
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        return (OrExpr, self.left._shape(constants), self.right._shape(constants))
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
+        return (
+            OrExpr, self.left._shape(constants, table), self.right._shape(constants, table)
+        )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         left_sql, left_params = self.left.to_sql()
@@ -354,8 +374,8 @@ class OrExpr(Expression):
 class NotExpr(Expression):
     operand: Expression
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        return (NotExpr, self.operand._shape(constants))
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
+        return (NotExpr, self.operand._shape(constants, table))
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -375,8 +395,8 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        return (IsNull, self.operand._shape(constants), self.negated)
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
+        return (IsNull, self.operand._shape(constants, table), self.negated)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         operand_sql, params = self.operand.to_sql()
@@ -414,11 +434,11 @@ class NullSafeEq(Expression):
     right: Expression
     negated: bool = False
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         return (
             NullSafeEq,
-            self.left._shape(constants),
-            self.right._shape(constants),
+            self.left._shape(constants, table),
+            self.right._shape(constants, table),
             self.negated,
         )
 
@@ -444,13 +464,27 @@ class FacetBranch(Expression):
     the encoded assignment), so the positive/negative branch of a record
     is selected by comparing ``jvars`` against that string built from the
     row's own ``jid``.  Rendered to SQL with the concatenation operator
-    (``jid`` is an INTEGER; ``||`` coerces it to TEXT).
+    (``jid`` is an INTEGER; ``||`` coerces it to TEXT), so a NULL ``jid``
+    or ``jvars`` makes the test UNKNOWN.
+
+    The memory engine has two spellings of the test.  Compiled against the
+    scanned table (:meth:`Expression.compile`), an unqualified branch of
+    that table's own prefix reads the row's primary key against the
+    table's facet-branch index, whose sets hold exactly the rows
+    :func:`canonical_branch` assigns to that key and polarity.  Otherwise
+    -- a join, :meth:`Expression.evaluate`, a forced scan, a foreign
+    prefix -- it builds the string per row.  Compiled against a table that
+    holds no row with a NULL ``jid`` or ``jvars`` (every FORM table),
+    either spelling is two-valued, with no per-row NULL check; otherwise
+    it is UNKNOWN on such rows.
 
     >>> branch = FacetBranch("Doc", "title", True)
     >>> branch.evaluate({"jid": 7, "jvars": "Doc.7.title=True"})
     True
     >>> branch.evaluate({"jid": 7, "jvars": ""})
     False
+    >>> branch.evaluate({"jid": None, "jvars": "Doc.None.title=True"}) is None
+    True
     >>> branch.to_sql()
     ('jvars = (? || jid || ?)', ['Doc.', '.title=True'])
     """
@@ -463,8 +497,18 @@ class FacetBranch(Expression):
     def _column(self, name: str) -> str:
         return f"{self.table}.{name}" if self.qualify else name
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
-        return (FacetBranch, self.table, self.key, self.polarity, self.qualify)
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
+        index = None if table is None or self.qualify else table.branch_index()
+        if index is None:
+            return (FacetBranch, True, self.table, self.key, self.polarity, self.qualify)
+        members = index.members(self.table, self.key, self.polarity)
+        if members is None:
+            return (FacetBranch, bool(index.nulls), self.table, self.key, self.polarity, False)
+        constants.append(members)
+        if index.nulls:
+            constants.append(index.nulls)
+            return (_BRANCH_INDEX, index.pk, True)
+        return (_BRANCH_INDEX, index.pk, False)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         jvars = self._column("jvars")
@@ -476,6 +520,59 @@ class FacetBranch(Expression):
 
     def columns(self) -> List[str]:
         return [self._column("jvars"), self._column("jid")]
+
+
+#: The shape tag of a :class:`FacetBranch` answered by a facet-branch index.
+_BRANCH_INDEX = "FacetBranch index"
+
+
+def canonical_branch(table: str, jid: Any, jvars: Any) -> Optional[Tuple[str, bool]]:
+    """The ``(group key, polarity)`` of a canonical facet row, or ``None``.
+
+    A row is canonical when its ``jvars`` is exactly the single-group
+    encoding ``"{table}.{jid}.{key}={polarity}"`` for its own ``jid``,
+    with a key that can name one group (:func:`is_group_key`).
+    Unfaceted rows (``jvars = ''``), multi-group rows, program-counter and
+    foreign-jid labels, and rows with a NULL ``jid`` or ``jvars`` are not.
+    The one rule behind the backends' facet state
+    (:meth:`~repro.db.backend.Backend.facet_branch_keys`) and the memory
+    engine's facet-branch index: :class:`FacetBranch` ``(table, key,
+    polarity)`` matches a row with non-NULL ``jid`` and ``jvars`` exactly
+    when this returns ``(key, polarity)`` for it, whenever ``key`` is a
+    group key.
+
+    >>> canonical_branch("Doc", 7, "Doc.7.title=True")
+    ('title', True)
+    >>> canonical_branch("Doc", 7, "Doc.8.title=True") is None  # foreign jid
+    True
+    >>> canonical_branch("Doc", 7, "Doc.7.title=True,Doc.7.x=False") is None
+    True
+    >>> canonical_branch("Doc", None, "Doc.None.title=True") is None
+    True
+    """
+    if not jvars or jid is None or not isinstance(jvars, str):
+        return None
+    prefix = f"{table}.{jid}."
+    if not jvars.startswith(prefix):
+        return None  # unfaceted, pc label, ad-hoc label, foreign table or jid
+    key, _, value = jvars[len(prefix):].rpartition("=")
+    if value not in ("True", "False") or not is_group_key(key):
+        return None
+    return key, value == "True"
+
+
+def is_group_key(key: Any) -> bool:
+    """Whether ``key`` can be a canonical row's group key: a non-empty
+    string with no ``.``, ``=`` or ``,``, which would make the encoding
+    ambiguous.
+
+    >>> is_group_key("email"), is_group_key("a.b")
+    (True, False)
+    """
+    return (
+        isinstance(key, str) and bool(key)
+        and "." not in key and "=" not in key and "," not in key
+    )
 
 
 @dataclass(frozen=True)
@@ -502,12 +599,12 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         return (
             Between,
-            self.operand._shape(constants),
-            self.low._shape(constants),
-            self.high._shape(constants),
+            self.operand._shape(constants, table),
+            self.low._shape(constants, table),
+            self.high._shape(constants, table),
         )
 
     def to_sql(self) -> Tuple[str, List[Any]]:
@@ -573,10 +670,10 @@ class Like(Expression):
     pattern: str
     case_sensitive: bool = False
 
-    def _shape(self, constants: List[Any]) -> Tuple[Any, ...]:
+    def _shape(self, constants: List[Any], table: Optional["Table"]) -> Tuple[Any, ...]:
         if self.pattern is None:
             return (Like,)
-        operand = self.operand._shape(constants)
+        operand = self.operand._shape(constants, table)
         translated = "".join(
             ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
             for ch in self.pattern
@@ -850,15 +947,36 @@ class _Writer:
         a, b = self.write(left)[0], self.write(right)[0]
         return f"({a} {'!=' if negated else '=='} {b})", _BOOL
 
-    def facet_branch(self, table: str, key: str, polarity: bool, qualify: bool):
-        """``jvars == f'{table}.{jid}.{key}={polarity}'`` for the row's jid."""
+    def facet_branch(
+        self, nullable: bool, table: str, key: str, polarity: bool, qualify: bool
+    ) -> Tuple[str, str]:
+        """``jvars == f'{table}.{jid}.{key}={polarity}'`` for the row's jid;
+        UNKNOWN when ``nullable`` and either column is NULL."""
         jvars, jid = (f"{table}.jvars", f"{table}.jid") if qualify else ("jvars", "jid")
+        prefix, suffix = _fstring_text(f"{table}."), _fstring_text(f".{key}={polarity}")
+        if nullable:
+            text, number = self.temp(), self.temp()
+            return (
+                f"(None if (({text} := {self.read(repr(jvars))}) is None) "
+                f"| (({number} := {self.read(repr(jid))}) is None) "
+                f"else {text} == f'{prefix}{{{number}}}{suffix}')",
+                _TRI,
+            )
         # An f-string may not quote inside its braces before Python 3.12,
         # so the jid column's name is a factory variable.
         variable = self.names.setdefault(jid, f"n{len(self.names)}")
-        prefix, suffix = _fstring_text(f"{table}."), _fstring_text(f".{key}={polarity}")
         text = f"f'{prefix}{{{self.read(variable)}}}{suffix}'"
         return f"({self.read(repr(jvars))} == {text})", _BOOL
+
+    def branch_index(self, pk: str, nullable: bool) -> Tuple[str, str]:
+        """The row's primary key in the facet-branch index's set; UNKNOWN
+        when ``nullable`` and the key is in the set of rows with a NULL
+        ``jid`` or ``jvars``."""
+        members, key = self.constant(), self.read(repr(pk))
+        if not nullable:
+            return f"({key} in {members})", _BOOL
+        nulls, temp = self.constant(), self.temp()
+        return f"(None if ({temp} := {key}) in {nulls} else {temp} in {members})", _TRI
 
     def between(self, operand, low, high) -> Tuple[str, str]:
         """``operand >= low AND operand <= high``, as SQL defines it."""
@@ -889,6 +1007,7 @@ _WRITERS = {
     IsNull: _Writer.is_null,
     NullSafeEq: _Writer.null_safe_eq,
     FacetBranch: _Writer.facet_branch,
+    _BRANCH_INDEX: _Writer.branch_index,
     Between: _Writer.between,
     Like: _Writer.like,
 }

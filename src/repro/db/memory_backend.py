@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.backend import Backend
 from repro.db.expr import Expression, column_value, resolve_subqueries, subquery_values
@@ -233,8 +233,7 @@ class MemoryBackend(Backend):
                 # The scan reads the live rows: a projection builds fresh
                 # dicts, and an unprojected distinct copies only the rows
                 # it keeps.
-                source = self._source_rows(query, where)
-                predicate = None if where is None else where.compile()
+                source, predicate = self._source_rows(query, where)
                 matching = (
                     row for row in source if predicate is None or predicate(row)
                 )
@@ -316,8 +315,7 @@ class MemoryBackend(Backend):
             return False
         with self._lock:
             where = self._resolved_where(query)
-            source = self._source_rows(query, where)
-            predicate = None if where is None else where.compile()
+            source, predicate = self._source_rows(query, where)
             needed = query.offset + 1
             for row in source:
                 if predicate is None or predicate(row):
@@ -379,7 +377,7 @@ class MemoryBackend(Backend):
             return []
         rows, exact = table.rows_for_path(path, copy=False)
         stop = None if query.limit is None else query.limit + query.offset
-        predicate = None if where is None else where.compile()
+        predicate = None if where is None else where.compile(table)
         matched: List[Dict[str, Any]] = []
         for row in rows:
             if exact or predicate is None or predicate(row):
@@ -388,20 +386,23 @@ class MemoryBackend(Backend):
                     break
         return matched[query.offset:] if query.offset else matched
 
-    def _source_rows(self, query: Query, where) -> Iterable[Dict[str, Any]]:
-        """The FROM/JOIN row set, narrowed by an index when possible.
+    def _source_rows(self, query: Query, where) -> Tuple[Iterable[Dict[str, Any]], Any]:
+        """The FROM/JOIN row set, narrowed by an index when possible, and
+        ``where`` compiled for it (``None`` without a filter).
 
         For single-table queries an indexed equality / IN / IS NULL filter
         (e.g. the resolved ``jid IN (...)`` of a bounded pushdown) reads the
         index buckets instead of the whole heap -- the memory backend's
-        answer to SQLite walking its B-tree index.  Single-table rows are
-        the live row dicts, and joined rows stream (:meth:`_join_rows`),
-        for callers that filter them as they go (to stop early) under the
-        lock.
+        answer to SQLite walking its B-tree index -- and the predicate is
+        compiled against the table, whose facet-branch index then answers
+        ``FacetBranch`` tests.  Single-table rows are the live row dicts,
+        and joined rows stream (:meth:`_join_rows`), for callers that
+        filter them as they go (to stop early) under the lock.
         """
-        if not query.is_join():
-            return self._table(query.table).candidate_rows(where)
-        return self._join_rows(query)
+        if query.is_join():
+            return self._join_rows(query), None if where is None else where.compile()
+        table = self._table(query.table)
+        return table.candidate_rows(where), None if where is None else where.compile(table)
 
     def _matching_rows(self, query: Query, where) -> List[Dict[str, Any]]:
         """The FROM/JOIN rows matching ``where``.

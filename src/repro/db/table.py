@@ -1,6 +1,6 @@
 """In-memory table storage with secondary indexes.
 
-Two index families live beside the row heap:
+Three index families live beside the row heap:
 
 * **hash indexes** (``Column(indexed=True)``): dict buckets serving exact
   ``=`` / ``IN`` / ``IS NULL`` probes;
@@ -8,21 +8,27 @@ Two index families live beside the row heap:
   :class:`~repro.db.schema.IndexSpec`): bisect-maintained sorted entry
   lists serving range predicates (``<`` ``<=`` ``>`` ``>=`` ``BETWEEN``),
   case-sensitive prefix ``LIKE``, and in-order walks for ORDER BY with
-  early exit under LIMIT.
+  early exit under LIMIT;
+* the **facet-branch index** of a table with ``jid`` and ``jvars``
+  columns (:class:`BranchIndex`): the canonical facet rows of each
+  policy-group branch, which a compiled ``FacetBranch`` test probes
+  instead of building a string per row.
 
-Which one (if any) serves a given read is decided by the cost model in
-:mod:`repro.db.planner` from live table statistics; ``use_indexes=False``
-forces the scan path, which is the oracle plan-parity fuzzing compares
-against.
+Which hash or ordered index (if any) serves a given read is decided by
+the cost model in :mod:`repro.db.planner` from live table statistics;
+``use_indexes=False`` forces the scan path and the string spelling of
+``FacetBranch``, which is the oracle plan-parity fuzzing compares against.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import obs
-from repro.db.expr import Expression
+from repro.db.expr import Expression, canonical_branch, is_group_key
 from repro.db.planner import AccessPath, PlanChoice, TableStatistics, choose_plan
 from repro.db.schema import SchemaError, TableSchema, index_name
 
@@ -172,8 +178,78 @@ class OrderedIndex:
         return out
 
 
+#: The members of a branch no row is on.
+_NO_ROWS: AbstractSet[int] = frozenset()
+
+
+class BranchIndex:
+    """The facet-branch index of a table with ``jid`` and ``jvars`` columns.
+
+    Maps ``(group key, polarity)`` to the primary keys of the rows whose
+    ``jvars`` is exactly that branch's canonical encoding for the row's
+    own ``jid`` (:func:`~repro.db.expr.canonical_branch`), so a compiled
+    :class:`~repro.db.expr.FacetBranch` test is one set probe.  ``nulls``
+    holds the primary keys of the rows whose ``jid`` or ``jvars`` is NULL:
+    their branch test is UNKNOWN.  Those rows, and unfaceted, multi-group,
+    program-counter and foreign-jid rows, are in no branch set, so there
+    are at most two sets per policy group, and the index grows with the
+    rows, not with distinct ``jvars`` text.  Rows gain no column.
+    """
+
+    __slots__ = ("table", "pk", "_members", "nulls")
+
+    #: The columns whose assignment moves a row between sets.
+    columns = ("jid", "jvars")
+
+    def __init__(self, table: str, pk: str) -> None:
+        self.table = table
+        #: the primary-key column the sets hold the values of
+        self.pk = pk
+        self._members: Dict[Tuple[str, bool], set] = {}
+        self.nulls: set = set()
+
+    def _set_for(self, row: Dict[str, Any], create: bool) -> Optional[set]:
+        """The set ``row`` belongs in, or ``None`` when it belongs in none."""
+        jid, jvars = row.get("jid"), row.get("jvars")
+        if jid is None or jvars is None:
+            return self.nulls
+        branch = canonical_branch(self.table, jid, jvars)
+        if branch is None:
+            return None
+        members = self._members.get(branch)
+        if members is None and create:
+            members = self._members[branch] = set()
+        return members
+
+    def add(self, row: Dict[str, Any], pk: int) -> None:
+        members = self._set_for(row, True)
+        if members is not None:
+            members.add(pk)
+
+    def remove(self, row: Dict[str, Any], pk: int) -> None:
+        members = self._set_for(row, False)
+        if members is not None:
+            members.discard(pk)
+
+    def clear(self) -> None:
+        self._members.clear()
+        self.nulls.clear()
+
+    def members(self, table: str, key: Any, polarity: Any) -> Optional[AbstractSet[int]]:
+        """The live primary-key set ``FacetBranch(table, key, polarity)``
+        matches among the rows with non-NULL ``jid`` and ``jvars``, or
+        ``None`` when only the string test can tell: another table's
+        prefix, or a key or polarity no canonical row carries."""
+        if table != self.table or polarity.__class__ is not bool:
+            return None
+        found = self._members.get((key, polarity))
+        if found is not None:  # only canonical rows, hence group keys, make sets
+            return found
+        return _NO_ROWS if is_group_key(key) else None
+
+
 class Table:
-    """A heap of rows plus hash and ordered indexes per the schema.
+    """A heap of rows plus hash, ordered and facet-branch indexes.
 
     Rows are stored as dicts keyed by column name; the integer primary key is
     auto-assigned on insert when missing.
@@ -190,6 +266,15 @@ class Table:
         for spec in schema.ordered_indexes():
             name = index_name(schema.name, spec)
             self._ordered[name] = OrderedIndex(name, spec.columns)
+        self._branches: Optional[BranchIndex] = None
+        if schema.has_column("jid") and schema.has_column("jvars"):
+            self._branches = BranchIndex(schema.name, schema.primary_key.name)
+        #: The indexes that take whole rows: each names its ``columns``.
+        self._row_indexes: List[Union[OrderedIndex, BranchIndex]] = list(
+            self._ordered.values()
+        )
+        if self._branches is not None:
+            self._row_indexes.append(self._branches)
         #: ``False`` forces the scan path -- the oracle configuration the
         #: plan-parity fuzz harness runs against.
         self.use_indexes = True
@@ -230,34 +315,50 @@ class Table:
         rows and indexes as they were.  An unknown column raises
         :class:`SchemaError` even when nothing matches; the NOT NULL and
         type checks run only when a row does, as SQL checks them per row.
-        Only the indexes containing an assigned column are maintained;
-        with none, each row costs one ``dict.update``.
+        Only the indexes containing an assigned column are maintained
+        (the facet-branch index reads ``jid`` and ``jvars``); with none,
+        each row costs one ``dict.update``.  Assigning the primary key
+        moves the row in the heap too; a NULL or taken key, or one key
+        for several rows, raises :class:`SchemaError` first, as SQLite
+        refuses it.
         """
         rows = self.matching_rows(where)
         assigned = [(self.schema.column(name), value) for name, value in values.items()]
         if not rows:
             return 0
         coerced = {column.name: column.coerce(value) for column, value in assigned}
+        pk_name = self.schema.primary_key.name
         # Every index entry carries the primary key: assigning it touches all.
-        every = self.schema.primary_key.name in coerced
+        every = pk_name in coerced
+        if every:
+            old_pk, new_pk = rows[0][pk_name], coerced[pk_name]
+            taken = self._rows.get(new_pk, rows[0])
+            if new_pk is None or len(rows) > 1 or taken is not rows[0]:
+                raise SchemaError(
+                    f"cannot set primary key {new_pk!r} on {len(rows)} row(s) "
+                    f"of {self.schema.name!r}"
+                )
         hashes = {
             column: index for column, index in self._indexes.items()
             if every or column in coerced
         }
-        ordered = [
-            index for index in self._ordered.values()
+        keyed = [
+            index for index in self._row_indexes
             if every or not coerced.keys().isdisjoint(index.columns)
         ]
-        if not hashes and not ordered:
+        if not hashes and not keyed:
             # No index to maintain: the two index calls per row would
             # nearly double this statement's cost.
             for row in rows:
                 row.update(coerced)
-            return len(rows)
-        for row in rows:
-            self._index_remove(row, hashes, ordered)
-            row.update(coerced)
-            self._index_add(row, hashes, ordered)
+        else:
+            for row in rows:
+                self._index_remove(row, hashes, keyed)
+                row.update(coerced)
+                self._index_add(row, hashes, keyed)
+        if every:
+            self._rows[new_pk] = self._rows.pop(old_pk)
+            self._next_pk = max(self._next_pk, new_pk + 1)
         return len(rows)
 
     def delete(self, where: Optional[Expression]) -> int:
@@ -283,8 +384,8 @@ class Table:
         self._next_pk = 1
         for index in self._indexes.values():
             index.clear()
-        for ordered in self._ordered.values():
-            ordered.clear()
+        for keyed in self._row_indexes:
+            keyed.clear()
 
     # -- queries ---------------------------------------------------------------------
 
@@ -306,15 +407,15 @@ class Table:
         rows, exact = self._narrowed_rows(where)
         if exact:
             return rows
-        predicate = where.compile()
+        predicate = where.compile(self)
         return [row for row in rows if predicate(row)]
 
     def candidate_rows(self, where: Optional[Expression]) -> List[Dict[str, Any]]:
         """The live rows an index narrows ``where`` down to.
 
         A conservative superset of the matching rows, for readers that
-        filter it themselves with ``where.compile()`` (to stream it, or to
-        stop early).  Equality, ``IN (...)`` lists (the resolved form of a
+        filter it themselves with ``where.compile(table)`` (to stream it, or
+        to stop early).  Equality, ``IN (...)`` lists (the resolved form of a
         jid-subselect pushdown) and ``IS NULL`` probes on a hash-indexed
         column read the hash buckets, and range/``BETWEEN``/prefix-``LIKE``
         probes on an ordered-indexed column read the sorted entries --
@@ -325,6 +426,13 @@ class Table:
         """
         rows, _exact = self._narrowed_rows(where)
         return rows
+
+    def branch_index(self) -> Optional[BranchIndex]:
+        """The facet-branch index a predicate compiled against this table
+        reads (:meth:`Expression.compile`), or ``None``: the table has no
+        ``jid``/``jvars`` columns, or ``use_indexes=False`` forces the
+        string spelling, the reference the indexed one is fuzzed against."""
+        return self._branches if self.use_indexes else None
 
     # -- planning ------------------------------------------------------------------------
 
@@ -432,22 +540,23 @@ class Table:
         self.last_plan = choice
         return self.rows_for_path(choice.chosen, copy=False)
 
-    def _index_add(self, row: Dict[str, Any], hashes=None, ordered=None) -> None:
-        """Enter ``row`` in the ``hashes`` and ``ordered`` indexes (default: all)."""
+    def _index_add(self, row: Dict[str, Any], hashes=None, keyed=None) -> None:
+        """Enter ``row`` in the ``hashes`` indexes and the ``keyed`` (ordered
+        and facet-branch) indexes (default: all)."""
         pk = row[self.schema.primary_key.name]
         for column, index in (self._indexes if hashes is None else hashes).items():
             index.setdefault(row.get(column), set()).add(pk)
-        for index in self._ordered.values() if ordered is None else ordered:
+        for index in self._row_indexes if keyed is None else keyed:
             index.add(row, pk)
 
-    def _index_remove(self, row: Dict[str, Any], hashes=None, ordered=None) -> None:
-        """Drop ``row`` from the ``hashes`` and ``ordered`` indexes (default: all)."""
+    def _index_remove(self, row: Dict[str, Any], hashes=None, keyed=None) -> None:
+        """Drop ``row`` from the ``hashes`` and ``keyed`` indexes (default: all)."""
         pk = row[self.schema.primary_key.name]
         for column, index in (self._indexes if hashes is None else hashes).items():
             bucket = index.get(row.get(column))
             if bucket is not None:
                 bucket.discard(pk)
-        for index in self._ordered.values() if ordered is None else ordered:
+        for index in self._row_indexes if keyed is None else keyed:
             index.remove(row, pk)
 
     def __repr__(self) -> str:

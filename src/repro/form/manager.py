@@ -55,7 +55,7 @@ from repro.form.aggregates import (
     stats_of_values,
     visible_value,
 )
-from repro.form.context import FORM, current_form, current_viewer
+from repro.form.context import FORM, current_form, current_viewer, viewer_context
 from repro.form.fields import ForeignKey
 from repro.form.model import JModel
 from repro.form.policies import evaluate_policy
@@ -1427,12 +1427,25 @@ def label_policy(form: FORM, label: Label) -> Optional[Callable[[Any], Any]]:
     Each FORM installs this as its runtime's ``PolicyEnv.label_policy``,
     so ``runtime.concretize`` finds the policy of every FORM label it meets
     -- the read's own, a joined model's, or one carried in a value facet --
-    and no read registers anything.
+    and no read registers anything.  The policy runs as Early Pruning runs
+    it (:func:`_concretised_label`), so both agree on every viewer: the
+    Projection Theorem.
     """
-    found = form_label(form, label.name)
-    if found is None:
+    if form_label(form, label.name) is None:
         return None
-    return functools.partial(_label_outcome, form, *found)
+    return functools.partial(_concretised_label, form, label.name)
+
+
+def _concretised_label(form: FORM, label_name: str, viewer: Any) -> bool:
+    """Resolve a FORM label for ``viewer`` at concretisation.
+
+    Through :func:`_resolve_label` inside ``viewer_context(viewer)``, with
+    its re-entrancy guard: a read the policy makes (a conflict lookup) is
+    pruned for the viewer, as during Early Pruning, instead of returning a
+    faceted value that ``is not None`` would read as a hit for everyone.
+    """
+    with viewer_context(viewer):
+        return _resolve_label(form, label_name, viewer)
 
 
 def _label_outcome(

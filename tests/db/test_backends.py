@@ -17,7 +17,7 @@ from repro.db import (
     query_to_sql,
     schema_to_sql,
 )
-from repro.db.expr import eq, ne
+from repro.db.expr import FacetBranch, eq, ne
 from repro.db.schema import SchemaError
 from repro.db.sqlgen import django_style_sql, jacqueline_style_sql
 
@@ -111,8 +111,23 @@ def test_failing_update_leaves_rows_and_indexes_unchanged(database):
     _not_null_table(database)
     with pytest.raises(Exception):
         database.update("T", eq("k", 1), k=2, n=None)
+    with pytest.raises(Exception):
+        database.update("T", eq("k", 1), id=9)  # one key for three rows
+    with pytest.raises(Exception):
+        database.update("T", eq("id", 1), id=2, k=2)  # a taken key
     assert sorted(row["id"] for row in database.rows("T", where=eq("k", 1))) == [1, 2, 3]
     assert database.rows("T", where=eq("k", 2)) == []
+
+
+def test_an_update_of_the_primary_key_moves_the_row(database):
+    """The row is found, and deleted, by its new key, and the next key
+    assigned is above it."""
+    _not_null_table(database)
+    assert database.update("T", eq("id", 1), id=10) == 1
+    assert database.get("T", id=10)["n"] == "x" and database.get("T", id=1) is None
+    assert database.insert("T", k=2, n="y") == 11
+    assert database.delete("T", eq("id", 10)) == 1
+    assert sorted(row["id"] for row in database.rows("T")) == [2, 3, 11]
 
 
 def test_update_matching_nothing_checks_columns_not_values(database):
@@ -305,29 +320,100 @@ def _define_doc(database):
     database.define_table("Doc", jid=ColumnType.INTEGER, jvars=ColumnType.TEXT)
 
 
+def _branches(database, nulls=0):
+    """``{(key, polarity): jids}`` of the rows each ``FacetBranch`` of
+    ``Doc`` selects, for the branches that select any.
+
+    On the memory engine the table's facet-branch index must hold exactly
+    the selected rows' ids, and ``nulls`` rows with a NULL ``jid`` or
+    ``jvars``.  Rows keep exactly their columns on both backends.
+    """
+    selected = {
+        (key, polarity): database.rows("Doc", where=FacetBranch("Doc", key, polarity))
+        for key in ("title", "body") for polarity in (True, False)
+    }
+    if isinstance(database.backend, MemoryBackend):
+        table = database.backend._table("Doc")
+        index = table.branch_index()
+        for (key, polarity), rows in selected.items():
+            assert set(index.members("Doc", key, polarity)) == {row["id"] for row in rows}
+        assert len(index.nulls) == nulls
+        assert all(sorted(row) == ["id", "jid", "jvars"] for row in table.rows())
+    assert all(sorted(row) == ["id", "jid", "jvars"] for row in database.rows("Doc"))
+    return {
+        branch: sorted(row["jid"] for row in rows) for branch, rows in selected.items() if rows
+    }
+
+
 def test_facet_state_is_one_record_per_table(database):
+    """The backends' facet state, and the memory engine's facet-branch
+    index, after every write verb, ``clear()``, drop and re-create."""
     assert _facet_state(database, "Doc") == (True, None)  # unknown table
     _define_doc(database)
     assert _facet_state(database, "Doc") == (False, frozenset())
     database.insert("Doc", jid=1, jvars="")
     assert _facet_state(database, "Doc") == (False, frozenset())
+    assert _branches(database) == {}
     database.insert_many("Doc", [{"jid": 2, "jvars": "Doc.2.title=True"}])
     assert _facet_state(database, "Doc") == (True, frozenset({"title"}))
+    assert _branches(database) == {("title", True): [2]}
     database.replace_rows("Doc", eq("jid", 2), [{"jid": 2, "jvars": "Doc.2.body=False"}])
     assert _facet_state(database, "Doc") == (True, frozenset({"title", "body"}))
+    assert _branches(database) == {("body", False): [2]}
+    database.update("Doc", eq("jid", 2), id=50)  # the index follows the row's key
+    assert _branches(database) == {("body", False): [2]}
     # An UPDATE of jvars carries no row id to check the label against.
     database.update("Doc", eq("jid", 1), jvars="Doc.1.title=False")
     assert _facet_state(database, "Doc") == (True, None)
+    assert _branches(database) == {("title", False): [1], ("body", False): [2]}
+    database.update("Doc", eq("jid", 1), jid=7)  # now a foreign jid's label
+    assert _branches(database) == {("body", False): [2]}
+    database.delete("Doc", eq("jid", 2))
+    assert _branches(database) == {}
+    database.insert_many("Doc", [{"jid": 8, "jvars": "Doc.8.title=True"}])
     database.clear()
     assert _facet_state(database, "Doc") == (False, frozenset())
+    assert _branches(database) == {}
     database.insert("Doc", jid=3, jvars="Doc.3.title=True,Doc.3.body=True")  # exotic
     assert _facet_state(database, "Doc") == (True, None)
+    assert _branches(database) == {}
     database.drop_table("Doc")
     assert _facet_state(database, "Doc") == (True, None)
     _define_doc(database)
     assert _facet_state(database, "Doc") == (False, frozenset())
+    database.insert_many("Doc", [{"jid": 4, "jvars": "Doc.4.title=True"}])
+    assert _branches(database) == {("title", True): [4]}
     database.insert("Doc", jid=4, jvars="Doc.5.title=True")  # a foreign jid's label
     assert _facet_state(database, "Doc") == (True, None)
+    # A NULL jid or jvars makes the branch test UNKNOWN: in no set.
+    database.insert_many("Doc", [
+        {"jid": None, "jvars": "Doc.None.title=True"}, {"jid": 4, "jvars": None},
+    ])
+    assert _branches(database, nulls=2) == {("title", True): [4]}
+    database.update("Doc", eq("jvars", "Doc.None.title=True"), jid=9)
+    assert _branches(database, nulls=1) == {("title", True): [4]}
+
+
+@pytest.mark.parametrize(
+    "backend", [MemoryBackend, lambda: MemoryBackend(use_indexes=False), SqliteBackend],
+    ids=["memory", "memory-scan", "sqlite"],
+)
+def test_a_facet_branch_is_unknown_on_a_null_jid_or_jvars(backend):
+    """``jvars = (? || jid || ?)`` is UNKNOWN when either column is NULL,
+    so neither the branch test nor its negation selects such a row."""
+    with Database(backend()) as database:
+        database.define_table("T", jid=ColumnType.INTEGER, jvars=ColumnType.TEXT)
+        database.insert_many("T", [
+            {"id": 1, "jid": None, "jvars": "T.None.k=True"},
+            {"id": 2, "jid": 5, "jvars": "T.5.k=True"},
+            {"id": 3, "jid": None, "jvars": "T.5.k=False"},
+            {"id": 4, "jid": 6, "jvars": None},
+        ])
+        branch = FacetBranch("T", "k", True)
+        assert [
+            sorted(row["id"] for row in database.rows("T", where=where))
+            for where in (branch, ~branch)
+        ] == [[2], []]
 
 
 @pytest.mark.parametrize("label", ["Doc.1.title=True", "pc=True"], ids=["canonical", "exotic"])

@@ -11,6 +11,9 @@ the result carries: a joined model's, or another model's in a value facet.
 import pytest
 
 from repro import obs
+from repro.apps.conf.models import Paper, PaperPCConflict
+from repro.apps.conf.seed import seed_conference
+from repro.apps.conf.views import setup_conf
 from repro.core.errors import PolicyError
 from repro.core.facets import collect_labels, facet_map
 from repro.core.labels import Label
@@ -125,6 +128,42 @@ def test_a_joined_read_concretizes_like_the_viewer_context_read(form):
         assert _titles(form.runtime.concretize(papers, viewer)) == titles
         assert form.runtime.concretize(count, viewer) == seen_count
     assert len(form.runtime.policy_env) == 0  # the reads declared nothing
+
+
+@pytest.mark.parametrize("pushdown", [True, False], ids=["pushdown", "python"])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_a_policy_lookup_concretizes_in_the_viewers_world(kind, pushdown):
+    """A policy's lookup sees the viewer's world at concretisation too.
+
+    The conference ``Paper`` author policy hides the author from a PC
+    member conflicted with the paper, through ``PaperPCConflict.objects
+    .get(...) is not None``.  A conflict written under a branch only other
+    viewers take does not exist for pc0, so pc0 sees the author inside a
+    viewer context and after concretising a no-viewer read alike.  The
+    policy used to run with no viewer context at concretisation, where
+    the lookup returned a faceted value that counted as a hit.
+    """
+    form = setup_conf(Database(MemoryBackend() if kind == "memory" else SqliteBackend()))
+    form.policy_pushdown_enabled = pushdown
+    created = seed_conference(form, papers=2, users=2, pc_members=1)
+    pc0, guarded = created["pc"][0], created["papers"][1]
+    with use_form(form):
+        label = Label(hint="conflictbranch")
+        form.runtime.policy_env.declare(label)
+        form.runtime.policy_env.restrict(
+            label, lambda viewer: getattr(viewer, "jid", None) != pc0.jid
+        )
+        with form.runtime.under_branch(label, True):
+            PaperPCConflict.objects.create(paper=guarded, pc=pc0)
+        with viewer_context(pc0):
+            seen = {paper.jid: paper.author_id for paper in Paper.objects.all().fetch()}
+        faceted = Paper.objects.all().fetch()
+        concrete = {
+            paper.jid: paper.author_id for paper in form.runtime.concretize(faceted, pc0)
+        }
+    assert seen[guarded.jid] == guarded.author_id is not None
+    assert concrete == seen
+    form.database.close()
 
 
 @pytest.mark.parametrize("kind", ["memory", "sqlite"])

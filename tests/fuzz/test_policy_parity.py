@@ -31,12 +31,10 @@ epoch), a ``FuzzBlock.objects.get(...) is not None`` lookup over an
 unpolicied model whose rows the programs write plainly and under a path
 condition, and a read of the column its own group guards.  Its reads
 fetch and count all rows, the viewer's own (positive facet rows) and the
-ownerless ones (negative facet rows).  Their Projection check stops once a
-program writes a block under a path condition: concretisation runs the
-policy outside any viewer context, where the lookup's ``get()`` returns a
-faceted value that ``is not None`` reads as a hit for every viewer, so
-the Python path itself breaks the theorem there (it does the same for the
-conference ``Paper`` with a guarded ``PaperPCConflict``).
+ownerless ones (negative facet rows).  Their Projection check runs after
+a block written under a path condition too: concretisation resolves each
+FORM label inside the viewer's context, so the lookup's ``get()`` sees
+the viewer's world, as during Early Pruning.
 
 In the ``"off"`` configuration every fetch, count, ``exists()`` and
 aggregate (not ``first()``) also checks the Projection Theorem (the
@@ -484,9 +482,6 @@ def _run_program(kind, program, config):
 
     docs = []
     submissions = []
-    #: whether a block was written under a path condition (no Projection
-    #: check on submission reads from then on)
-    guarded_blocks = False
     #: doc jid -> its owner's jid, for the note reads' leak check
     doc_owners = {}
     submission_rows = _rows("jid", "title", "owner_id", "flagged")
@@ -636,7 +631,6 @@ def _run_program(kind, program, config):
                     continue
                 submission = submissions[args[1] % len(submissions)]
                 if args[2]:
-                    guarded_blocks = True
                     label = Label(hint="fuzzblock")
                     form.runtime.policy_env.declare(label)
                     form.runtime.policy_env.restrict(
@@ -657,8 +651,7 @@ def _run_program(kind, program, config):
                 }[args[2]]
                 if args[1] == "fetch":
                     fetched = read(
-                        op, viewer, query_set, QuerySet.fetch,
-                        observe=None if guarded_blocks else submission_rows,
+                        op, viewer, query_set, QuerySet.fetch, observe=submission_rows
                     )
                     for submission in fetched:
                         if (
@@ -669,8 +662,7 @@ def _run_program(kind, program, config):
                     observables.append(submission_rows(fetched))
                 else:
                     observables.append(read(
-                        op, viewer, query_set, QuerySet.count, "count",
-                        observe=None if guarded_blocks else _scalar,
+                        op, viewer, query_set, QuerySet.count, "count", observe=_scalar
                     ))
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
