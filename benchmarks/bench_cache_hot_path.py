@@ -15,6 +15,7 @@ Run ``python benchmarks/bench_cache_hot_path.py`` for the full table.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Callable, Dict, Tuple
 
@@ -27,7 +28,9 @@ from repro.db import Database, MemoryBackend, SqliteBackend
 from repro.form import use_form, viewer_context
 
 BENCH_SIZE = 64
-REPEATS = 5
+#: Timed batches per measurement, and calls per batch.
+BATCHES = 15
+CALLS = 50
 
 BACKENDS: Dict[str, Callable[[], Database]] = {
     "memory": lambda: Database(MemoryBackend()),
@@ -42,23 +45,43 @@ def _stack(backend: str, size: int = BENCH_SIZE):
     return form, created
 
 
-def _time_best(operation: Callable[[], object], repeats: int = REPEATS) -> float:
-    """Best-of-N wall time of one operation (min is robust to scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        operation()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_best(
+    *operations: Callable[[], object], batches: int = BATCHES, calls: int = CALLS
+) -> Tuple[float, ...]:
+    """Per-call wall time of each operation: the fastest of ``batches``
+    batches of ``calls`` calls (the min is robust to scheduler noise).
+
+    The operations' batches run in turn, so a host that slows down or
+    speeds up mid-measurement slows every operation alike.  A batch spreads
+    one stall over many sub-millisecond calls, and the cyclic collector
+    runs before each batch, never inside one, so neither decides the ratio
+    the assertions compare.
+    """
+    best = [float("inf")] * len(operations)
+    for _ in range(batches):
+        for index, operation in enumerate(operations):
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                for _ in range(calls):
+                    operation()
+                best[index] = min(best[index], (time.perf_counter() - start) / calls)
+            finally:
+                if enabled:
+                    gc.enable()
+    return tuple(best)
 
 
 def measure_cold_warm(
     backend: str, operation_name: str, size: int = BENCH_SIZE
 ) -> Tuple[float, float]:
-    """(cold, warm) best-of-N latency of one operation on one backend.
+    """(cold, warm) per-call latency of one operation on one backend.
 
     Cold clears every cache layer before each run -- the paper-faithful
-    path; warm reuses whatever the previous runs populated.
+    path; warm reuses whatever the previous runs populated (each cold
+    batch's last run leaves them warm).
     """
     form, created = _stack(backend, size)
     viewer = created["chair"][0]
@@ -86,10 +109,7 @@ def measure_cold_warm(
         form.caches.clear()
         return operation()
 
-    cold = _time_best(cold_run)
-    operation()  # prime
-    warm = _time_best(operation)
-    return cold, warm
+    return _time_best(cold_run, operation)
 
 
 # -- pytest entries ------------------------------------------------------------------
@@ -126,7 +146,7 @@ def test_cache_disabled_matches_cold_behaviour():
 # -- manual sweep ---------------------------------------------------------------------
 
 
-def main(sizes=(16, 64, 256), repeats=REPEATS) -> None:
+def main(sizes=(16, 64, 256)) -> None:
     for backend in BACKENDS:
         rows = []
         for size in sizes:

@@ -538,5 +538,5 @@ def _instance_from_row(model: Type[Model], values: Dict[str, Any]) -> Model:
     instance = model.__new__(model)
     instance.pk = values.get("id")
     for field in meta.fields.values():
-        instance.__dict__[field.column_name] = field.from_db(values.get(field.column_name))
+        instance.__dict__[field.column_name] = values.get(field.column_name)
     return instance

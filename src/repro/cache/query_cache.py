@@ -1,11 +1,15 @@
 """The faceted query cache.
 
-Entries are keyed by ``(table, normalized query)`` and store the raw
-unmarshalled ``(jid, jvar branches, column values)`` rows of a query result
-*before* Early Pruning runs.  That ordering is what makes the cache safe to
-share across viewers: pruning and policy resolution still happen per
-request, for the actual viewer, against exactly the rows an uncached fetch
-would have produced.  Nothing viewer-specific is ever stored here.
+Entries are keyed by ``(table, normalized query)`` and store a query
+result *before* Early Pruning runs: the finished instance state of each
+row (``jid`` and the field columns, ``id`` and ``jvars`` already
+removed) and, unless the statement pruned its rows itself (policy
+pushdown), each row's jvar branches.  That ordering is what makes the
+cache safe to share across viewers: pruning and policy resolution still
+happen per request, for the actual viewer, against exactly the rows an
+uncached fetch would have produced.  Nothing viewer-specific is ever
+stored here.  A stored state is never handed out: each read builds its
+instances from copies (``QuerySet._fetch_entries``).
 
 The same store caches aggregate plans: an aggregate pushdown's jvars
 partitions (``(branches, per-partition aggregate row)`` pairs) are
@@ -29,8 +33,9 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.cache.bus import InvalidationBus
 from repro.cache.lru import LRUCache, MISSING
 
-#: One cached result row: (jid, jvar branches, unqualified column values).
-CachedEntry = Tuple[int, Tuple[Tuple[str, bool], ...], Dict[str, Any]]
+#: One cached read: the rows' instance states, and their jvar branches
+#: (``None`` for a pushed read).
+CachedRead = Tuple[List[Dict[str, Any]], Optional[List[Tuple[Tuple[str, bool], ...]]]]
 
 #: One cached aggregate partition: (jvar branches, per-partition aggregates).
 AggregateEntry = Tuple[Tuple[Tuple[str, bool], ...], Dict[str, Any]]
@@ -90,18 +95,20 @@ class FacetedQueryCache:
         subqueries)."""
         return bus.tables_stamp(query.tables_read())
 
-    def get(self, key: Hashable, stamp: Hashable) -> Optional[List[CachedEntry]]:
-        """The result stored under ``key`` and ``stamp``, or ``None``."""
+    def get(self, key: Hashable, stamp: Hashable) -> Any:
+        """The result stored under ``key`` and ``stamp``, or ``None``: a
+        :data:`CachedRead` or a list of :data:`AggregateEntry`."""
         value = self._lru.lookup(key, stamp)
         return None if value is MISSING else value
 
-    def put(self, key: Hashable, stamp: Hashable, entries: List[CachedEntry]) -> None:
-        """Store a result beside the stamp taken before it was read.
+    def put(self, key: Hashable, stamp: Hashable, value: Any, rows: int) -> None:
+        """Store a result, built from ``rows`` statement rows, beside the
+        stamp taken before it was read.
 
         Oversized results (more than :data:`QUERY_CACHE_MAX_ROWS` rows) are
         served but not stored, bounding per-entry memory."""
-        if len(entries) <= QUERY_CACHE_MAX_ROWS:
-            self._lru.put(key, entries, stamp)
+        if rows <= QUERY_CACHE_MAX_ROWS:
+            self._lru.put(key, value, stamp)
 
     def clear(self) -> None:
         self._lru.clear()

@@ -310,7 +310,13 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, query: Query) -> List[Dict[str, Any]]:
-        """Run a select query; join results use qualified column keys."""
+        """Run a select query; join results use qualified column keys.
+
+        Every value is its column's Python value (a BOOLEAN is a ``bool``,
+        a DATETIME a ``datetime``), joined rows included.  Each row is a
+        fresh dict that no one else holds, so the caller may keep and
+        change it: the FORM makes each row the state of an instance.
+        """
 
     def aggregate(self, query: Query) -> Any:
         """The value of a one-aggregate selection without GROUP BY.

@@ -138,6 +138,9 @@ class SqliteBackend(Backend):
         #: table -> its (column, decode) pairs for the BOOLEAN/DATETIME
         #: columns, the only ones whose stored form differs from Python's
         self._row_decoders: Dict[str, Tuple[Tuple[str, Callable[[Any], Any]], ...]] = {}
+        #: table -> its stored column names, in order: what ``"T".*``
+        #: returns, which a file created by an older schema may widen
+        self._stored_columns: Dict[str, Tuple[str, ...]] = {}
         self._emit_indexes = emit_indexes
         #: Every CREATE INDEX statement this backend has executed, in order
         #: (the captured-DDL record index-coverage tests assert against).
@@ -204,6 +207,9 @@ class SqliteBackend(Backend):
             self._index_ddl.extend(index_statements)
             self._schemas[schema.name] = schema
             self._row_decoders[schema.name] = _row_decoder(schema)
+            self._stored_columns[schema.name] = tuple(
+                row[1] for row in connection.execute(f'PRAGMA table_info("{schema.name}")')
+            )
             try:
                 self._seed_facet_state(
                     schema.name, self._adopted_facet_rows(connection, schema)
@@ -270,6 +276,7 @@ class SqliteBackend(Backend):
             connection.commit()
             dropped = self._schemas.pop(name, None) is not None
             self._row_decoders.pop(name, None)
+            self._stored_columns.pop(name, None)
         if dropped:
             self._publish_schema_change(name)
 
@@ -461,16 +468,22 @@ class SqliteBackend(Backend):
         if query.is_join():
             columns = self._join_column_names(query)
             rows = [dict(zip(columns, tuple(row))) for row in raw_rows]
+            # Joined rows decode by qualified name, with each table's decoders.
+            decoders = [
+                (f"{table}.{name}", decode)
+                for table in [query.table] + [join.table for join in query.joins]
+                for name, decode in self._row_decoders.get(table, ())
+            ]
         else:
             decoders = self._row_decoders.get(query.table)
             if decoders is None:
                 self.schema(query.table)  # raises SchemaError
             rows = [dict(row) for row in raw_rows]
-            for name, decode in decoders:
-                for row in rows:
-                    value = row.get(name)
-                    if value is not None:
-                        row[name] = decode(value)
+        for name, decode in decoders:
+            for row in rows:
+                value = row.get(name)
+                if value is not None:
+                    row[name] = decode(value)
         return rows
 
     def explain_query(self, query: Query) -> Dict[str, Any]:
@@ -573,14 +586,19 @@ class SqliteBackend(Backend):
         return row
 
     def _join_column_names(self, query: Query) -> List[str]:
-        """Qualified output column names for a join query, in SELECT order."""
+        """Qualified output column names for a join query, in SELECT order.
+
+        ``"T".*`` returns the table's stored columns, so a column the
+        schema no longer declares keeps every later column under its own
+        name.
+        """
         requested = query.qualified_columns()
         if requested:
             return list(requested)
         names: List[str] = []
         for table in [query.table] + [join.table for join in query.joins]:
-            for column in self.schema(table).columns:
-                names.append(f"{table}.{column.name}")
+            self.schema(table)  # raises SchemaError
+            names.extend(f"{table}.{name}" for name in self._stored_columns[table])
         return names
 
 

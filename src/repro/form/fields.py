@@ -58,11 +58,11 @@ class Field:
         )
 
     def to_db(self, value: Any) -> Any:
-        """Convert a Python value to its database representation."""
-        return value
+        """Convert a Python value to its database representation.
 
-    def from_db(self, value: Any) -> Any:
-        """Convert a database value back to its Python representation."""
+        Reads need no converse: every backend returns each column's
+        Python value (SQLite decodes BOOLEAN and DATETIME columns).
+        """
         return value
 
 
@@ -108,9 +108,6 @@ class BooleanField(Field):
     column_type = ColumnType.BOOLEAN
 
     def to_db(self, value: Any) -> Any:
-        return None if value is None else bool(value)
-
-    def from_db(self, value: Any) -> Any:
         return None if value is None else bool(value)
 
 

@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import threading
 import weakref
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import (
     Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type,
 )
@@ -191,10 +191,10 @@ class QuerySet:
         if self.limit is None and viewer is not None:
             form = current_form()
             bounded = self.limited(1, self.offset)
-            entries = bounded._fetch_entries(form, bounded._plan())
-            if not entries:
+            instances, branches = bounded._fetch_entries(form, bounded._plan())
+            if not instances:
                 return None  # no matching record at all: no fallback needed
-            pruned = bounded._pruned(form, entries, viewer)
+            pruned = bounded._pruned(form, instances, branches, viewer)
             if pruned:
                 return pruned[0]
             # The one bounded record exists but is invisible to this viewer:
@@ -519,19 +519,16 @@ class QuerySet:
         if plan.fallback is not None:
             obs.add(plan.fallback)
         with obs.span("form.fetch", model=self.model._meta.table_name):
-            entries = self._fetch_entries(form, plan)
+            result, branches = self._fetch_entries(form, plan)
             if plan.mode == "policy-pushdown":
                 # The statement's pruning predicate already kept exactly the
                 # facet rows visible to this viewer: no label resolution.
                 obs.add("plan.policy_pushdown")
-                result = [instance for _jid, _branches, instance in entries]
             elif plan.mode == "faceted":
-                obs.add("worlds.merged", len(entries))
-                return build_faceted_collection(
-                    [(branches, instance) for _jid, branches, instance in entries]
-                )
+                obs.add("worlds.merged", len(result))
+                return build_faceted_collection(list(zip(branches, result)))
             else:
-                result = self._pruned(form, entries, current_viewer())
+                result = self._pruned(form, result, branches, current_viewer())
             _note_visible_fk_ids(self.model, result)
             return result
 
@@ -550,58 +547,71 @@ class QuerySet:
 
     def _fetch_entries(
         self, form: FORM, plan: _ReadPlan
-    ) -> List[Tuple[int, Tuple[JvarBranch, ...], Any]]:
-        """Run a plan's row-fetching statement and unmarshal rows into
-        ``(jid, branches, instance)`` entries (one per facet row).
+    ) -> Tuple[List[Any], Optional[List[Tuple[JvarBranch, ...]]]]:
+        """Run a plan's row-fetching statement and build one instance per
+        facet row: ``(instances, branches)``, ``branches[i]`` being the jvar
+        branches of ``instances[i]``'s row, or ``None`` for a pushed read.
 
-        Results are served from the FORM's faceted query cache when enabled.
-        The cache stores the raw ``(jid, branches, column values)`` rows --
-        i.e. the pre-pruning result shared by every viewer -- and instances
-        are rebuilt per fetch, so per-request state attached to instances
-        (resolved foreign keys, application mutations) never crosses fetches
-        or viewers.  Policy-pushdown statements embed the viewer's bound
-        values in their inline predicate (and so in the cache key): their
-        already-pruned entries are shared only by viewers binding the same
-        values, which the predicate prunes identically.  A pushed read
-        leaves every entry's branches empty: its rows are the viewer's
-        facet, so nothing reads their ``jvars``.
+        Each row's dict becomes its instance's state (:func:`_states`,
+        :func:`_instances`), so an uncached read copies nothing per row.
+        Results are served from the FORM's faceted query cache when
+        enabled.  The cache stores the finished states and branches -- the
+        pre-pruning result shared by every viewer -- and each read, the one
+        filling the entry included, adopts copies of the states, so
+        per-request state attached to instances (resolved foreign keys,
+        siblings, application mutations) never crosses fetches or viewers.
+        Policy-pushdown statements embed the viewer's bound values in their
+        inline predicate (and so in the cache key): their already-pruned
+        states are shared only by viewers binding the same values, which
+        the predicate prunes identically.  A pushed read parses no
+        ``jvars``: its rows are the viewer's facet.
 
-        Inside a viewer context, entries spanning two or more records share
-        one :class:`_Siblings` (a batched load's own entries excepted): the
-        policies ``_pruned`` evaluates on them can then batch their
-        per-record lookups.
+        Inside a viewer context, instances spanning two or more records
+        share one :class:`_Siblings` (a batched load's own instances
+        excepted): the policies ``_pruned`` evaluates on them can then
+        batch their per-record lookups.
         """
-        meta = self.model._meta
-        joined_tables = plan.joined
-        pushed = plan.mode == "policy-pushdown"
-
-        def unmarshal(rows):
-            raw_entries = []
-            for row in rows:
-                values = self._base_values(meta, row, joined_tables)
-                branches: Tuple[JvarBranch, ...] = ()
-                if not pushed:
-                    parsed = list(parse_jvars(values.get("jvars")))
-                    # Joins contribute the jvars of every joined table (Table 2).
-                    for table in joined_tables:
-                        parsed.extend(parse_jvars(row.get(f"{table}.jvars")))
-                    branches = tuple(dict.fromkeys(parsed))
-                raw_entries.append((int(values.get("jid")), branches, values))
-            return raw_entries
-
         if self.limit is not None or self.offset:
             obs.add("plan.bounded")
-        raw_entries = self._cached(form, self._fetch_query(plan), unmarshal)
-        entries = [
-            (jid, branches, _instance_from_row(self.model, values))
-            for jid, branches, values in self._limit_entries(raw_entries)
-        ]
-        obs.add("facet.rows.unmarshalled", len(entries))
-        if len(entries) > 1 and self._key_filter is None:
+        states, branches = self._cached(
+            form, self._fetch_query(plan), functools.partial(self._read_result, plan)
+        )
+        if self.limit is not None:
+            states, branches = self._limit_entries(states, branches)
+        if form.caches.enabled:
+            # Cached states are shared by every hit: adopt copies.
+            states = list(map(dict.copy, states))
+        siblings = None
+        if len(states) > 1 and self._key_filter is None:
             viewer = current_viewer()
             if viewer is not None:
-                _track_siblings(form, viewer, entries)
-        return entries
+                siblings = _Siblings(form, viewer)
+        instances = _instances(self.model, states, siblings)
+        obs.add("facet.rows.unmarshalled", len(instances))
+        return instances, branches
+
+    def _read_result(
+        self, plan: _ReadPlan, rows: List[Dict[str, Any]]
+    ) -> Tuple[List[Dict[str, Any]], Optional[List[Tuple[JvarBranch, ...]]]]:
+        """A row-fetching statement's rows as ``(states, branches)``: the
+        finished instance states (:func:`_states`) and, unless the
+        statement pruned them (a pushed read), each row's jvar branches,
+        the joined tables' included (Table 2)."""
+        meta = self.model._meta
+        joined = plan.joined
+        branches = None
+        if plan.mode != "policy-pushdown":
+            tables = (meta.table_name, *joined)
+            keys = [f"{table}.jvars" for table in tables] if joined else ["jvars"]
+            branches = [
+                tuple(dict.fromkeys(
+                    branch for key in keys for branch in parse_jvars(row.get(key))
+                ))
+                for row in rows
+            ]
+        if joined:
+            rows = [self._base_values(meta, row) for row in rows]
+        return _states(meta, rows), branches
 
     def _cached(self, form: FORM, query: Query, convert: Callable[[Any], Any]) -> Any:
         """``convert`` of ``query``'s rows, through the faceted query cache
@@ -620,13 +630,14 @@ class QuerySet:
         stamp = cache.stamp_for(form.database.invalidation, query)
         value = cache.get(key, stamp)
         if value is None:
-            value = convert(form.database.execute(query))
-            cache.put(key, stamp, value)
+            rows = form.database.execute(query)
+            value = convert(rows)
+            cache.put(key, stamp, value, len(rows))
         return value
 
     def _limit_entries(
-        self, entries: List[Tuple[int, Tuple[JvarBranch, ...], Any]]
-    ) -> List[Tuple[int, Tuple[JvarBranch, ...], Any]]:
+        self, states: List[Dict[str, Any]], branches: Optional[List[Tuple[JvarBranch, ...]]]
+    ) -> Tuple[List[Dict[str, Any]], Optional[List[Tuple[JvarBranch, ...]]]]:
         """Apply ``self.limit`` per distinct record (jid), not per facet row.
 
         With the jid-subselect pushdown the database already bounds the
@@ -634,9 +645,14 @@ class QuerySet:
         no-op safety net; it still guarantees -- independently of backend
         behaviour -- that a limited result can never undercount records or
         show a viewer the wrong facet of a record.  Record order follows
-        first appearance, which matches the query's ORDER BY.
+        first appearance, which matches the query's ORDER BY.  New lists
+        are returned: the given ones may be a cache entry's.
         """
-        return limit_by_key(entries, lambda entry: entry[0], self.limit)
+        kept = limit_by_key(range(len(states)), lambda i: states[i]["jid"], self.limit)
+        return (
+            [states[i] for i in kept],
+            None if branches is None else [branches[i] for i in kept],
+        )
 
     def _filtered_query(self, meta) -> Tuple[Query, List[str]]:
         """The filter/join part of the query (no ordering, no bound).
@@ -945,11 +961,8 @@ class QuerySet:
         )
 
     @staticmethod
-    def _base_values(meta, row: Dict[str, Any], joined_tables: List[str]) -> Dict[str, Any]:
-        """Extract the base table's columns from a (possibly joined) row."""
-        if not joined_tables:
-            # Both backends return fresh dicts from execute: no copy needed.
-            return row
+    def _base_values(meta, row: Dict[str, Any]) -> Dict[str, Any]:
+        """The base table's columns of a joined row, unqualified."""
         prefix = f"{meta.table_name}."
         return {
             name[len(prefix):]: value for name, value in row.items() if name.startswith(prefix)
@@ -958,11 +971,13 @@ class QuerySet:
     def _pruned(
         self,
         form: FORM,
-        entries: Sequence[Tuple[int, Tuple[JvarBranch, ...], Any]],
+        instances: List[Any],
+        branches: List[Tuple[JvarBranch, ...]],
         viewer: Any,
     ) -> List[Any]:
         """Early Pruning: keep only the facet rows visible to ``viewer``.
 
+        ``branches[i]`` are the jvar branches of ``instances[i]``'s row.
         Policies of *this* model are evaluated against the secret facet
         instance already fetched by the query (when present), so a pruned
         page resolves each policy exactly once per record instead of
@@ -971,15 +986,15 @@ class QuerySet:
         """
         prefix = f"{self.model._meta.table_name}."
         fetched: Dict[int, Any] = {}
-        for jid, branches, instance in entries:
-            own = [polarity for name, polarity in branches if name.startswith(prefix)]
+        for instance, row_branches in zip(instances, branches):
+            own = [polarity for name, polarity in row_branches if name.startswith(prefix)]
             if all(own):
-                fetched.setdefault(jid, instance)
+                fetched.setdefault(instance.jid, instance)
         resolve = self._label_resolver(form, viewer, fetched)
         return [
             instance
-            for _jid, branches, instance in entries
-            if all(resolve(name) == polarity for name, polarity in branches)
+            for instance, row_branches in zip(instances, branches)
+            if all(resolve(name) == polarity for name, polarity in row_branches)
         ]
 
 
@@ -1166,14 +1181,15 @@ class _Siblings:
 
     __slots__ = ("_form", "_viewer", "_thread", "jids", "fk_ids", "memo")
 
-    def __init__(self, form: FORM, viewer: Any, jids: Tuple[int, ...]) -> None:
+    def __init__(self, form: FORM, viewer: Any) -> None:
         self._form = weakref.ref(form)
         try:
             self._viewer = weakref.ref(viewer)
         except TypeError:  # viewers that cannot be weakly referenced
             self._viewer = lambda: viewer
         self._thread = threading.get_ident()
-        self.jids = jids
+        #: the list's distinct jids, in order (set by :func:`_instances`)
+        self.jids: Tuple[int, ...] = ()
         #: foreign-key field name -> the visible members' distinct ids
         self.fk_ids: Dict[str, Tuple[Any, ...]] = {}
         #: lookup key -> (stamp, {key value: visible matches})
@@ -1206,19 +1222,6 @@ class _Siblings:
         if found is _PER_RECORD:
             found = target.objects.get_by_jid(target_jid)
         return found
-
-
-def _track_siblings(
-    form: FORM, viewer: Any, entries: Sequence[Tuple[int, Tuple[JvarBranch, ...], Any]]
-) -> None:
-    """Attach one shared :class:`_Siblings` to every entry's instance when
-    the entries span two or more records."""
-    jids = tuple(dict.fromkeys(map(itemgetter(0), entries)))
-    if len(jids) < 2:
-        return
-    siblings = _Siblings(form, viewer, jids)
-    for _jid, _branches, instance in entries:
-        instance._siblings = siblings
 
 
 def _note_visible_fk_ids(model: Type, visible: List[Any]) -> None:
@@ -1370,18 +1373,58 @@ def _resolving_labels(form: FORM) -> set:
     return labels
 
 
-def _instance_from_row(model: Type, values: Dict[str, Any]) -> Any:
-    """Build a model instance from one database row (already unqualified).
+def _states(meta, rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """One statement's rows of ``meta``'s table as instance states: ``jid``
+    and the model's field columns.
 
-    Fills the instance's ``__dict__`` from the model's unmarshal plan
-    (:attr:`ModelOptions.unmarshal_plan`), built once per model.
+    Every backend returns fresh row dicts
+    (:meth:`repro.db.backend.Backend.execute`), so each row becomes its
+    state in place, its ``id`` and ``jvars`` deleted: a facet row's
+    primary key or branches would tell a viewer which facet it was
+    served.  The columns are checked once, on the first row, since every
+    row of one ``SELECT *`` has the same keys.  When they are not the
+    table schema's -- a SQLite file created by an older model keeps
+    columns the model no longer declares -- each state is built column by
+    column instead, so no instance exposes them.
     """
-    instance = model.__new__(model)
-    state = instance.__dict__
-    state["jid"] = values.get("jid")
-    for column, from_db in model._meta.unmarshal_plan:
-        state[column] = from_db(values.get(column))
-    return instance
+    if rows and rows[0].keys() == meta.row_columns:
+        for row in rows:
+            del row["id"], row["jvars"]
+        return rows
+    columns = meta.state_columns
+    return [{column: row.get(column) for column in columns} for row in rows]
+
+
+def _instances(
+    model: Type, states: List[Dict[str, Any]], siblings: Optional[_Siblings] = None
+) -> List[Any]:
+    """One instance of ``model`` per state, the state becoming the
+    instance's ``__dict__``: the caller hands over states no one else holds.
+
+    With ``siblings``, every instance shares it when the states span two
+    or more records (the jids are collected in the same pass).
+    """
+    new = object.__new__
+    instances: List[Any] = []
+    append = instances.append
+    if siblings is None:
+        for state in states:
+            instance = new(model)
+            instance.__dict__ = state
+            append(instance)
+        return instances
+    jids: Dict[Any, None] = {}
+    for state in states:
+        state["_siblings"] = siblings
+        jids[state["jid"]] = None
+        instance = new(model)
+        instance.__dict__ = state
+        append(instance)
+    siblings.jids = tuple(jids)
+    if len(jids) < 2:  # the facet rows of one record: nothing to batch
+        for state in states:
+            del state["_siblings"]
+    return instances
 
 
 def _secret_instance(model: Type, jid: int, form: FORM) -> Any:
@@ -1394,7 +1437,7 @@ def _secret_instance(model: Type, jid: int, form: FORM) -> Any:
     rows = form.database.find(meta.table_name, jid=jid)
     if not rows:
         return None
-    return _instance_from_row(model, writes.secret_row(rows))
+    return _instances(model, _states(meta, [writes.secret_row(rows)]))[0]
 
 
 def form_label(form: FORM, label_name: str) -> Optional[Tuple[Type, int, Any]]:

@@ -68,11 +68,11 @@ class ModelOptions:
         self.fields = fields
         self.policy_groups: List[PolicyGroup] = []
         self.public_methods: Dict[str, Callable[[Any], Any]] = {}
-        #: ``(column, from_db)`` per field, in field order: how a row
-        #: becomes an instance's attributes, resolved once per model.
-        self.unmarshal_plan: Tuple[Tuple[str, Callable[[Any], Any]], ...] = tuple(
-            (field.column_name, field.from_db) for field in fields.values()
-        )
+        #: the column names :meth:`table_schema` declares: the keys of each
+        #: row a ``SELECT *`` returns from a table the model created
+        self.row_columns = frozenset(column.name for column in self.table_schema().columns)
+        #: the columns of an instance's state: ``jid`` and each field's
+        self.state_columns = ("jid", *(field.column_name for field in fields.values()))
 
     # -- schema -------------------------------------------------------------------
 

@@ -369,7 +369,7 @@ def reconstruct_instance(model, jid: int, rows: Sequence[Dict[str, Any]]):
     the record's secret side (own labels all True); a foreign assignment
     no stored secret row covers resolves to ``None``.
     """
-    from repro.form.manager import _instance_from_row
+    from repro.form.manager import _instances
 
     meta = model._meta
     own_prefix = f"{meta.table_name}.{jid}."
@@ -386,23 +386,19 @@ def reconstruct_instance(model, jid: int, rows: Sequence[Dict[str, Any]]):
         # Every row mentions a negative own label (should not happen for
         # records written by save/bulk_create): best-effort secret row.
         secret_entries = [((), secret_row(rows))]
-    instance = _instance_from_row(model, secret_entries[0][1])
+    state: Dict[str, Any] = {"jid": jid}
     for field in meta.fields.values():
         column = field.column_name
         if all(not foreign for foreign, _row in secret_entries):
-            value = field.from_db(secret_entries[0][1].get(column))
+            state[column] = secret_entries[0][1].get(column)
         else:
             faceted = build_faceted_record(
                 [(foreign, row.get(column)) for foreign, row in secret_entries]
             )
-            value = facet_map(
-                lambda raw, field=field: field.from_db(
-                    None if raw is UNASSIGNED else raw
-                ),
-                faceted,
+            state[column] = facet_map(
+                lambda raw: None if raw is UNASSIGNED else raw, faceted
             )
-        setattr(instance, column, value)
-    return instance
+    return _instances(model, [state])[0]
 
 
 def record_rows(

@@ -10,6 +10,7 @@ from repro.cache import (
     bump_policy_epoch,
     viewer_cache_key,
 )
+from repro.cache.query_cache import QUERY_CACHE_MAX_ROWS
 from repro.db import Database, MemoryBackend, Query
 from repro.db.expr import eq
 from repro.form import FORM
@@ -62,11 +63,25 @@ def test_query_cache_keys_differ_by_query_and_schema_generation():
     assert key_a == cache.key_for("Paper", query_a)
     assert key_a != cache.key_for("Paper", query_b)
     stamp = cache.stamp_for(bus, query_a)
-    cache.put(key_a, stamp, [(1, (), {"title": "x"})])
+    cache.put(key_a, stamp, ([{"jid": 1, "title": "x"}], [()]), 1)
     assert cache.get(key_a, cache.stamp_for(bus, query_a)) is not None
     bus.schema_changed()
     assert cache.stamp_for(bus, query_a) != stamp
     assert cache.get(key_a, cache.stamp_for(bus, query_a)) is None
+
+
+def test_query_cache_stores_no_result_of_more_rows_than_its_bound():
+    """The bound counts the statement's rows, not the stored value's
+    length: a read's value is one ``(states, branches)`` pair."""
+    bus = InvalidationBus()
+    cache = FacetedQueryCache()
+    query = Query(table="Paper")
+    key, stamp = cache.key_for("Paper", query), cache.stamp_for(bus, query)
+    value = ([{"jid": 1}], None)
+    cache.put(key, stamp, value, QUERY_CACHE_MAX_ROWS + 1)
+    assert cache.get(key, stamp) is None
+    cache.put(key, stamp, value, QUERY_CACHE_MAX_ROWS)
+    assert cache.get(key, stamp) == value
 
 
 def test_query_cache_write_through_invalidation_per_table():
@@ -75,8 +90,8 @@ def test_query_cache_write_through_invalidation_per_table():
     paper, review = Query(table="Paper"), Query(table="Review")
     paper_key = cache.key_for("Paper", paper)
     review_key = cache.key_for("Review", review)
-    cache.put(paper_key, cache.stamp_for(bus, paper), [(1, (), {"title": "x"})])
-    cache.put(review_key, cache.stamp_for(bus, review), [(1, (), {"score": 3})])
+    cache.put(paper_key, cache.stamp_for(bus, paper), ([{"jid": 1, "title": "x"}], [()]), 1)
+    cache.put(review_key, cache.stamp_for(bus, review), ([{"jid": 1, "score": 3}], [()]), 1)
     bus.publish("Paper")
     assert cache.get(paper_key, cache.stamp_for(bus, paper)) is None
     assert cache.get(review_key, cache.stamp_for(bus, review)) is not None
@@ -85,8 +100,8 @@ def test_query_cache_write_through_invalidation_per_table():
     # A stale entry is a miss, and the next fill overwrites it.
     stats = cache.stats
     assert (stats.hits, stats.misses, len(cache)) == (1, 2, 2)
-    cache.put(paper_key, cache.stamp_for(bus, paper), [(1, (), {"title": "y"})])
-    assert cache.get(paper_key, cache.stamp_for(bus, paper)) == [(1, (), {"title": "y"})]
+    cache.put(paper_key, cache.stamp_for(bus, paper), ([{"jid": 1, "title": "y"}], [()]), 1)
+    assert cache.get(paper_key, cache.stamp_for(bus, paper)) == ([{"jid": 1, "title": "y"}], [()])
     assert len(cache) == 2
 
 
@@ -95,7 +110,7 @@ def test_query_cache_join_entries_invalidated_by_any_joined_table():
     cache = FacetedQueryCache()
     join_query = Query(table="Guest").join("Event", "event_id", "jid")
     key = cache.key_for("Guest", join_query)
-    cache.put(key, cache.stamp_for(bus, join_query), [(1, (), {"name": "alice"})])
+    cache.put(key, cache.stamp_for(bus, join_query), ([{"jid": 1, "name": "alice"}], [()]), 1)
     bus.publish("Event")  # write to the joined table, not the base table
     assert cache.get(key, cache.stamp_for(bus, join_query)) is None
 
@@ -106,7 +121,7 @@ def test_query_cache_served_from_real_database_bus():
     cache = FacetedQueryCache()
     query = Query(table="T")
     key = cache.key_for("T", query)
-    cache.put(key, cache.stamp_for(db.invalidation, query), [(1, (), {})])
+    cache.put(key, cache.stamp_for(db.invalidation, query), ([{"jid": 1}], [()]), 1)
     assert cache.get(key, cache.stamp_for(db.invalidation, query)) is not None
     db.insert("T")
     assert cache.get(key, cache.stamp_for(db.invalidation, query)) is None
@@ -141,7 +156,7 @@ def test_stale_put_after_concurrent_write_is_never_served():
     key = cache.key_for("Paper", query)
     stamp = cache.stamp_for(bus, query)  # taken before the statement runs
     bus.publish("Paper")  # a writer lands between read and fill
-    cache.put(key, stamp, [(1, (), {"title": "stale"})])
+    cache.put(key, stamp, ([{"jid": 1, "title": "stale"}], [()]), 1)
     assert cache.get(key, cache.stamp_for(bus, query)) is None
 
 

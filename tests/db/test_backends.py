@@ -1,6 +1,7 @@
 """Backend contract tests, run against both the memory engine and SQLite."""
 
 import datetime
+import sqlite3
 from collections import Counter
 
 import pytest
@@ -162,6 +163,40 @@ def test_join_produces_qualified_columns(database):
     assert row["Event.jvars"] == "k=True"
     assert row["Event.name"] == "Party"
     assert row["Guest.name"] == "alice"
+    # Joined BOOLEAN and DATETIME columns hold Python values, as a
+    # single-table read's do, projected or not.
+    starts = datetime.datetime(2026, 6, 16, 19, 0)
+    assert row["Event.private"] is True and row["Event.starts"] == starts
+    projected = db.execute(query.select("Guest.name", "Event.private", "Event.starts"))
+    assert projected == [{"Guest.name": "alice", "Event.private": True, "Event.starts": starts}]
+
+
+def test_a_join_names_the_stored_columns_of_an_older_table(tmp_path):
+    """A SQLite file keeps a column its table's schema no longer declares
+    (``CREATE TABLE IF NOT EXISTS``); a join's ``"T".*`` returns it, and
+    every other column keeps its own name."""
+    path = str(tmp_path / "older.db")
+    connection = sqlite3.connect(path)
+    connection.execute(
+        'CREATE TABLE "Owner" (id INTEGER PRIMARY KEY, legacy TEXT DEFAULT \'old\', name TEXT)'
+    )
+    connection.commit()
+    connection.close()
+    backend = SqliteBackend(path)
+    db = Database(backend)
+    db.define_table("Owner", name=ColumnType.TEXT)
+    db.define_table("Pet", owner_id=ColumnType.INTEGER, tame=ColumnType.BOOLEAN)
+    db.insert_many("Owner", [{"name": "ada"}])
+    db.insert_many("Pet", [{"owner_id": 1, "tame": True}])
+    for query in (
+        db.query("Pet").join("Owner", "owner_id", "id"),
+        db.query("Owner").join("Pet", "id", "owner_id"),
+    ):
+        assert db.execute(query) == [{
+            "Pet.id": 1, "Pet.owner_id": 1, "Pet.tame": True,
+            "Owner.id": 1, "Owner.legacy": "old", "Owner.name": "ada",
+        }]
+    backend.close()
 
 
 def test_join_on_nullable_keys_agrees_across_backends():

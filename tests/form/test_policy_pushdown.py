@@ -488,7 +488,7 @@ def test_no_cross_viewer_leak_with_caches_enabled():
 
 def _field_values(instances):
     """Every instance's jid and column values, in a stable order."""
-    columns = ["jid"] + [column for column, _from_db in Doc._meta.unmarshal_plan]
+    columns = ["jid"] + [field.column_name for field in Doc._meta.fields.values()]
     return sorted(tuple(doc.__dict__[column] for column in columns) for doc in instances)
 
 
