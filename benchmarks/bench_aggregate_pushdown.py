@@ -34,13 +34,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from typing import List, Tuple
+from typing import List
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.bench.timing import time_best  # noqa: E402
 from repro.cache import CacheConfig  # noqa: E402
 from repro.core.facets import facet_map  # noqa: E402
 from repro.db import (  # noqa: E402
@@ -108,16 +108,6 @@ def _build_form(database: Database, rows: int) -> FORM:
     return form
 
 
-def _timed(fn, repeats: int = REPEATS) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _fetch_and_count(viewer: Viewer) -> int:
     """The pre-pushdown path: fetch every matching row, reduce in Python."""
     with viewer_context(viewer):
@@ -145,7 +135,7 @@ def run(rows: int, smoke: bool) -> int:
         with use_form(form):
             if log is not None:
                 log.clear()
-            pushdown_time, pushdown_count = _timed(lambda: _pushdown_count(viewer))
+            pushdown_time, pushdown_count = time_best(lambda: _pushdown_count(viewer), REPEATS)
             if log is not None:
                 per_call = len(log.statements) / REPEATS
                 if per_call != 1:
@@ -158,7 +148,7 @@ def run(rows: int, smoke: bool) -> int:
                         f"sqlite: count() did not use the grouped jvars plan: "
                         f"{log.statements[:1]}"
                     )
-            scan_time, scan_count = _timed(lambda: _fetch_and_count(viewer))
+            scan_time, scan_count = time_best(lambda: _fetch_and_count(viewer), REPEATS)
 
             # Value checks beyond the timed count: filtered count/sum/exists
             # against fetch-and-reduce.

@@ -31,13 +31,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from typing import List, Tuple
+from typing import List
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.bench.timing import time_best  # noqa: E402
 from repro.cache import CacheConfig  # noqa: E402
 from repro.db import (  # noqa: E402
     Database,
@@ -95,16 +95,6 @@ def _build_form(database: Database, rows: int) -> FORM:
     return form
 
 
-def _timed(fn, repeats: int = REPEATS) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _full_scan_titles(viewer: Viewer) -> List[str]:
     """The pre-pushdown path: fetch every matching record, truncate in Python."""
     with viewer_context(viewer):
@@ -135,7 +125,7 @@ def run(rows: int, smoke: bool) -> int:
         with use_form(form):
             if log is not None:
                 log.clear()
-            pushdown_time, pushdown_titles = _timed(lambda: _pushdown_titles(viewer))
+            pushdown_time, pushdown_titles = time_best(lambda: _pushdown_titles(viewer), REPEATS)
             if log is not None:
                 selects = [
                     statement
@@ -152,7 +142,7 @@ def run(rows: int, smoke: bool) -> int:
                     failures.append(
                         f"sqlite: bounded fetch did not use the jid subselect: {selects[:1]}"
                     )
-            scan_time, scan_titles = _timed(lambda: _full_scan_titles(viewer))
+            scan_time, scan_titles = time_best(lambda: _full_scan_titles(viewer), REPEATS)
 
         if pushdown_titles != scan_titles:
             failures.append(

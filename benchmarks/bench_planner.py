@@ -33,13 +33,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from typing import List, Tuple
+from typing import List
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.bench.timing import time_best  # noqa: E402
 from repro.db import (  # noqa: E402
     Column,
     ColumnType,
@@ -91,16 +91,6 @@ def _bounded_query(database: Database, low: int, high: int):
         .ordered_by("score")
         .limited(LIMIT)
     )
-
-
-def _timed(fn, repeats: int = REPEATS) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def run(rows: int, smoke: bool) -> int:
@@ -168,11 +158,13 @@ def run(rows: int, smoke: bool) -> int:
         failures.append(f"sqlite: missing CREATE INDEX DDL for score: {ddl}")
 
     # -- speedup on the memory engine ---------------------------------------------
-    indexed_time, _ = _timed(
-        lambda: engines["indexed"].execute(_bounded_query(engines["indexed"], low, high))
+    indexed_time, _ = time_best(
+        lambda: engines["indexed"].execute(_bounded_query(engines["indexed"], low, high)),
+        REPEATS,
     )
-    scan_time, _ = _timed(
-        lambda: engines["scan"].execute(_bounded_query(engines["scan"], low, high))
+    scan_time, _ = time_best(
+        lambda: engines["scan"].execute(_bounded_query(engines["scan"], low, high)),
+        REPEATS,
     )
     speedup = scan_time / indexed_time if indexed_time else float("inf")
     print(

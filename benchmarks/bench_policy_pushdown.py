@@ -45,7 +45,6 @@ import argparse
 import os
 import subprocess
 import sys
-import time
 from typing import List, Tuple
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,6 +52,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.bench.timing import time_best  # noqa: E402
 from repro.cache import CacheConfig  # noqa: E402
 from repro.db import (  # noqa: E402
     Database,
@@ -113,16 +113,6 @@ def _build_form(backend_factory, rows: int) -> Tuple[FORM, Database, object, obj
             ]
         )
     return form, database, alice, bob
-
-
-def _timed(fn, repeats: int = 3) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def check_conference(papers: int) -> List[str]:
@@ -192,7 +182,7 @@ def run(rows: int, smoke: bool) -> int:
                 count_report = BenchDoc.objects.all().explain("count")
                 if log is not None:
                     log.clear()
-                pushed_fetch_time, pushed_docs = _timed(
+                pushed_fetch_time, pushed_docs = time_best(
                     lambda: BenchDoc.objects.all().fetch(), repeats=1
                 )
                 if log is not None:
@@ -208,7 +198,7 @@ def run(rows: int, smoke: bool) -> int:
                             f"{log.statements!r}"
                         )
                     log.clear()
-                pushed_count_time, pushed_count = _timed(
+                pushed_count_time, pushed_count = time_best(
                     lambda: BenchDoc.objects.all().count()
                 )
                 if log is not None:
@@ -232,10 +222,10 @@ def run(rows: int, smoke: bool) -> int:
             # -- the Python oracle ------------------------------------------
             form.policy_pushdown_enabled = False
             with viewer_context(alice):
-                oracle_fetch_time, oracle_docs = _timed(
+                oracle_fetch_time, oracle_docs = time_best(
                     lambda: BenchDoc.objects.all().fetch(), repeats=1
                 )
-                oracle_count_time, oracle_count = _timed(
+                oracle_count_time, oracle_count = time_best(
                     lambda: BenchDoc.objects.all().count()
                 )
             form.policy_pushdown_enabled = True

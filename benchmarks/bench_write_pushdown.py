@@ -35,13 +35,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Tuple
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.bench.timing import time_best  # noqa: E402
 from repro.cache import CacheConfig  # noqa: E402
 from repro.db import (  # noqa: E402
     Database,
@@ -104,12 +104,6 @@ def _build_form(backend_factory, rows: int) -> Tuple[FORM, Database]:
     return form, database
 
 
-def _timed(fn) -> Tuple[float, object]:
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
 def _snapshot(database: Database) -> List[Tuple]:
     """Table contents modulo row ids (the loop path re-inserts rows)."""
     return sorted(
@@ -155,10 +149,11 @@ def run(rows: int, smoke: bool) -> int:
         with use_form(fast_form):
             if log is not None:
                 log.clear()
-            fast_update_time, changed = _timed(
+            fast_update_time, changed = time_best(
                 lambda: BenchRecord.objects.filter(owner="alice").update(
                     category="archived"
-                )
+                ),
+                repeats=1,
             )
             if log is not None:
                 if len(log.statements) != 1:
@@ -181,7 +176,7 @@ def run(rows: int, smoke: bool) -> int:
                 f"expected {rows * 2} (every facet row of every alice record)"
             )
         with use_form(loop_form):
-            loop_update_time, _count = _timed(lambda: _loop_update(viewer))
+            loop_update_time, _count = time_best(lambda: _loop_update(viewer), repeats=1)
         if _snapshot(fast_db) != _snapshot(loop_db):
             failures.append(
                 f"{backend_name}: set-oriented update diverged from the "
@@ -192,8 +187,8 @@ def run(rows: int, smoke: bool) -> int:
         with use_form(fast_form):
             if log is not None:
                 log.clear()
-            fast_delete_time, deleted = _timed(
-                lambda: BenchRecord.objects.filter(owner="alice").delete()
+            fast_delete_time, deleted = time_best(
+                lambda: BenchRecord.objects.filter(owner="alice").delete(), repeats=1
             )
             if log is not None:
                 deletes = [
@@ -213,7 +208,7 @@ def run(rows: int, smoke: bool) -> int:
                 f"{backend_name}: delete removed {deleted} rows, expected {rows * 2}"
             )
         with use_form(loop_form):
-            loop_delete_time, _count = _timed(lambda: _loop_delete(viewer))
+            loop_delete_time, _count = time_best(lambda: _loop_delete(viewer), repeats=1)
         if _snapshot(fast_db) != _snapshot(loop_db):
             failures.append(
                 f"{backend_name}: set-oriented delete diverged from the "

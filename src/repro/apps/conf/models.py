@@ -48,7 +48,7 @@ class ConferencePhase:
         cls.current = phase
         # The phase is policy-relevant state living outside the database, so
         # the invalidation bus cannot see it change; bumping the policy
-        # epoch expires every memoised label outcome instead.
+        # epoch makes every batched foreign-key load taken before it stale.
         bump_policy_epoch()
 
     @classmethod

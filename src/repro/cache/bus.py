@@ -4,7 +4,7 @@ Database backends publish a table-level event after every successful write
 (insert, update, delete, clear, drop), once the written rows are visible.
 Publishing only bumps counters; no cache is called back.  A cache stores
 each entry beside a *stamp* read from these counters before the entry's
-statement or policy ran, and an entry answers only under an equal stamp
+statement ran, and an entry answers only under an equal stamp
 (:class:`~repro.cache.lru.LRUCache`).  A write that lands before a lookup
 -- even one that raced the fill -- has changed the stamp, so a cached read
 can never observe rows older than the latest committed write: the

@@ -5,8 +5,9 @@ example is the conference phase of the paper's case study, a plain class
 attribute.  Database writes flow through the invalidation bus, but such
 out-of-band policy inputs do not, so anything mutating them must call
 :func:`bump_policy_epoch`.  The epoch is part of the bus's viewer-facing
-stamp (:meth:`repro.cache.bus.InvalidationBus.stamp`), so a bump turns
-every memoised label outcome into a miss.
+stamp (:meth:`repro.cache.bus.InvalidationBus.stamp`), so a bump makes
+every batched foreign-key load taken before it stale
+(``repro.form.manager._batched_lookup``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def policy_epoch() -> int:
 
 
 def bump_policy_epoch() -> int:
-    """Invalidate every entry stamped with an older epoch; returns the new
+    """Make every stamp taken under an older epoch stale; returns the new
     epoch."""
     global _current
     with _lock:

@@ -1,9 +1,8 @@
 """A generic LRU cache with a size bound, stamped entries and statistics.
 
-Every cache in :mod:`repro.cache` (the faceted query cache and the
-label-resolution memo) and the template parse cache are built on this one
-primitive.  Entries are evicted in least-recently-used order once
-``max_entries`` is reached.
+The faceted query cache (:mod:`repro.cache.query_cache`) and the template
+parse cache are built on this one primitive.  Entries are evicted in
+least-recently-used order once ``max_entries`` is reached.
 
 An entry is stored beside a *stamp* and answers only a lookup under an
 equal stamp -- the one staleness rule of the cache subsystem (stamps come
@@ -18,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Tuple
 
 #: Sentinel distinguishing "missing" from cached falsy values (False, None).
 MISSING = object()
@@ -62,12 +61,12 @@ class CacheStats:
 class LRUCache:
     """A thread-safe bounded mapping with LRU eviction and stamped entries.
 
-    ``max_entries`` bounds the number of entries (``None`` means unbounded).
+    ``max_entries`` (at least 1) bounds the number of entries.
     """
 
-    def __init__(self, max_entries: Optional[int] = 1024) -> None:
-        if max_entries is not None and max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, Tuple[Any, Hashable]]" = OrderedDict()
         self._lock = threading.RLock()
@@ -94,24 +93,14 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any, stamp: Hashable = None) -> None:
         """Insert or overwrite an entry, evicting the LRU tail if needed."""
-        if self.max_entries == 0:
-            return
         with self._lock:
             if key in self._entries:
                 del self._entries[key]
             self._entries[key] = (value, stamp)
             self.stats.puts += 1
-            while self.max_entries is not None and len(self._entries) > self.max_entries:
+            if len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-
-    def remove(self, key: Hashable) -> bool:
-        """Invalidate one entry; returns whether it was present."""
-        with self._lock:
-            if self._entries.pop(key, None) is None:
-                return False
-            self.stats.invalidations += 1
-            return True
 
     def clear(self) -> int:
         """Invalidate everything; returns the number of entries dropped."""

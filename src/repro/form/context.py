@@ -37,7 +37,7 @@ class FORM:
     FORM registered for ``Table`` (:func:`repro.form.manager.label_policy`),
     so concretisation needs no per-read policy registration.
 
-    ``cache_config`` switches the policy-aware cache layers (on by default;
+    ``cache_config`` switches the policy-aware query cache (on by default;
     pass ``CacheConfig.disabled()`` for paper-faithful uncached behaviour).
     Every cache entry is stamped from the database's invalidation bus, so
     a write through this FORM -- or directly through the backend -- turns

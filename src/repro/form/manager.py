@@ -29,7 +29,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.cache.label_cache import viewer_cache_key
 from repro.core.facets import Facet, facet_map
 from repro.core.labels import Label
 from repro.db.expr import InList, and_all, col, eq, eq_or_null, subquery_values
@@ -865,39 +864,26 @@ class QuerySet:
     def _label_resolver(
         self, form: FORM, viewer: Any, fetched: Optional[Dict[int, Any]] = None
     ):
-        """A memoised ``label name -> polarity`` resolver for one viewer.
+        """A ``label name -> polarity`` resolver for one viewer, memoised
+        within the call.
 
         The one label-resolution pipeline shared by Early Pruning
         (``_pruned``, which passes the secret facets it fetched) and the
-        aggregate path's visibility filter: per-call memo, then the
-        cross-request label cache, then :func:`_resolve_label`.  Outcomes
-        observed inside an in-flight resolution cycle are never written to
-        the cross-request cache -- the re-entrancy guard reports the label
-        being resolved as optimistically visible, which is only valid
-        within that cycle.  Each lookup's stamp is taken before the policy
-        runs, so an outcome computed while a write raced the resolution
-        never answers a lookup after that write.
+        aggregate path's visibility filter.  Each label resolves once per
+        call through :func:`_resolve_label`, against the system's state at
+        that moment; no outcome outlives the call.
         """
-        viewer_key = viewer_cache_key(viewer) if form.caches.enabled else None
-        label_cache = form.caches.labels if viewer_key is not None else None
-        bus = form.database.invalidation
         model = self.model
         memo: Dict[str, bool] = {}
 
         def resolve(label_name: str) -> bool:
-            if label_name in memo:
-                return memo[label_name]
-            cached = None
-            if label_cache is not None:
-                stamp = bus.stamp()
-                cached = label_cache.get(label_name, viewer_key, stamp)
-            if cached is None:
-                cached = _resolve_label(form, label_name, viewer, model, fetched)
+            outcome = memo.get(label_name)
+            if outcome is None:
+                outcome = memo[label_name] = _resolve_label(
+                    form, label_name, viewer, model, fetched
+                )
                 obs.add("labels.resolved")
-                if label_cache is not None and not _resolving_labels(form):
-                    label_cache.put(label_name, viewer_key, cached, stamp)
-            memo[label_name] = cached
-            return cached
+            return outcome
 
         return resolve
 

@@ -520,10 +520,7 @@ def _canonical_facet_rows(form: Any, model: type) -> bool:
     rows at all.
     """
     meta = model._meta
-    try:
-        branch_keys = form.database.facet_branch_keys(meta.table_name)
-    except Exception:
-        return False
+    branch_keys = form.database.facet_branch_keys(meta.table_name)
     return branch_keys is not None and branch_keys <= {
         group.key for group in meta.policy_groups
     }
@@ -532,12 +529,14 @@ def _canonical_facet_rows(form: Any, model: type) -> bool:
 def _facet_free(form: Any, table: str) -> bool:
     """Whether a lookup's table is registered and holds no facet rows: its
     rows are then exactly what the Python path's ``get()`` sees, which
-    would otherwise resolve the rows' labels."""
+    would otherwise resolve the rows' labels.  An unregistered table
+    demotes the read (``fallback.facet_rows``), whose ``get()`` the FORM
+    then refuses on the Python path as well."""
     try:
         form.model_for(table)
-        return form.database.facet_branch_keys(table) == frozenset()
-    except Exception:
+    except LookupError:
         return False
+    return form.database.facet_branch_keys(table) == frozenset()
 
 
 # -- the planning entry point ----------------------------------------------------

@@ -17,7 +17,7 @@ stacks compared in the paper:
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro import obs
 from repro.core.facets import Facet
@@ -86,7 +86,6 @@ class Application:
         route = self.router.resolve(request)
         if route is None:
             return Response.not_found(f"no route for {request.method} {request.path}")
-        response: Optional[Response] = None
         try:
             with self._request_context(request):
                 with obs.span("web.view", route=route.name):
@@ -94,13 +93,8 @@ class Application:
                 response = self._to_response(request, route, result)
         except HttpError as error:
             response = Response(body=error.message, status=error.status)
-        finally:
-            # Runs even when the view crashes with a non-HTTP error: a
-            # failed non-GET handler may already have mutated state the
-            # caches cannot see, so invalidation must not be skipped.
-            # The session id is re-read because a login view rotates it.
-            request.session_id = request.session.session_id
-            self._finish_request(request, response)
+        # A login view rotates the session id.
+        request.session_id = request.session.session_id
         return response
 
     # -- hooks overridden by the concrete stacks ----------------------------------------
@@ -109,11 +103,6 @@ class Application:
     def _request_context(self, request: Request):
         """Ambient state active while the view runs."""
         yield
-
-    def _finish_request(self, request: Request, response: Optional[Response]) -> None:
-        """Post-dispatch hook: cache invalidation.
-
-        ``response`` is ``None`` when the view raised a non-HTTP error."""
 
     def _prepare_context(self, request: Request, context: Dict[str, Any]) -> Dict[str, Any]:
         """Transform a view's template context before rendering."""
@@ -163,14 +152,6 @@ class JacquelineApp(Application):
                     yield
             else:
                 yield
-
-    def _finish_request(self, request: Request, response: Optional[Response]) -> None:
-        if not request.is_get:
-            # Non-GET handlers may mutate state the invalidation bus cannot
-            # observe (auth, sessions, out-of-band policy inputs), so drop
-            # the viewer-facing cache wholesale -- even when the handler
-            # crashed partway through.
-            self.form.caches.on_external_change()
 
     def _prepare_context(self, request: Request, context: Dict[str, Any]) -> Dict[str, Any]:
         """Concretise every faceted value for the logged-in viewer.

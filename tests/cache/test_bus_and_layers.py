@@ -3,13 +3,7 @@
 import gc
 import weakref
 
-from repro.cache import (
-    FacetedQueryCache,
-    InvalidationBus,
-    LabelResolutionCache,
-    bump_policy_epoch,
-    viewer_cache_key,
-)
+from repro.cache import FacetedQueryCache, InvalidationBus, bump_policy_epoch
 from repro.cache.query_cache import QUERY_CACHE_MAX_ROWS
 from repro.db import Database, MemoryBackend, Query
 from repro.db.expr import eq
@@ -171,74 +165,3 @@ def test_discarded_form_caches_are_collected():
     assert caches() is None
     database.close()
 
-
-def test_viewer_cache_key_identities():
-    class FakeUser:
-        def __init__(self, jid):
-            self.jid = jid
-
-    assert viewer_cache_key(None) == ("<anonymous>",)
-    assert viewer_cache_key(FakeUser(3)) == ("FakeUser", 3)
-    assert viewer_cache_key(FakeUser(3)) == viewer_cache_key(FakeUser(3))
-    assert viewer_cache_key(FakeUser(None)) is None  # unsaved: not cacheable
-    assert viewer_cache_key(object()) is None
-
-
-def test_label_cache_is_per_viewer_and_cleared_on_any_write():
-    bus = InvalidationBus()
-    cache = LabelResolutionCache()
-    stamp = bus.stamp()
-    cache.put("Paper.1.author", ("ConfUser", 1), True, stamp)
-    cache.put("Paper.1.author", ("ConfUser", 2), False, stamp)
-    assert cache.get("Paper.1.author", ("ConfUser", 1), stamp) is True
-    assert cache.get("Paper.1.author", ("ConfUser", 2), stamp) is False
-    assert cache.get("Paper.1.author", ("ConfUser", 3), stamp) is None
-    bus.publish("AnyTableAtAll")
-    assert cache.get("Paper.1.author", ("ConfUser", 1), bus.stamp()) is None
-    # The first use under the newer stamp emptied the memo.
-    assert len(cache) == 0 and cache.stats.invalidations == 2
-
-
-def test_label_cache_entries_expire_on_policy_epoch_bump():
-    bus = InvalidationBus()
-    cache = LabelResolutionCache()
-    cache.put("k", ("U", 1), True, bus.stamp())
-    assert cache.get("k", ("U", 1), bus.stamp()) is True
-    bump_policy_epoch()
-    assert cache.get("k", ("U", 1), bus.stamp()) is None
-
-
-def test_label_cache_rejects_fills_computed_before_an_invalidation():
-    """A resolution that raced a write must not be served after the write,
-    even when another reader already used the memo under the newer stamp."""
-    bus = InvalidationBus()
-    cache = LabelResolutionCache()
-    stamp = bus.stamp()  # taken before "resolving"
-    bus.publish("AnyTable")  # a concurrent write lands mid-resolution
-    assert cache.get("other", ("U", 2), bus.stamp()) is None  # another reader
-    cache.put("k", ("U", 1), True, stamp)
-    assert cache.get("k", ("U", 1), bus.stamp()) is None
-    # A fill with a current stamp goes through.
-    cache.put("k", ("U", 1), True, bus.stamp())
-    assert cache.get("k", ("U", 1), bus.stamp()) is True
-
-
-def test_label_cache_bus_event_also_bumps_generation():
-    """A bus event changes the stamp, so a fill stamped before it is never
-    served after it, whoever uses the memo first."""
-    bus = InvalidationBus()
-    cache = LabelResolutionCache()
-    stamp = bus.stamp()  # taken before "resolving"
-    bus.publish("AnyTable")  # concurrent write mid-resolution
-    assert bus.stamp() > stamp
-    cache.put("k", ("U", 1), True, stamp)
-    assert cache.get("k", ("U", 1), bus.stamp()) is None
-
-
-def test_label_cache_stale_epoch_snapshot_entry_not_served():
-    bus = InvalidationBus()
-    cache = LabelResolutionCache()
-    stamp = bus.stamp()  # taken before "resolving"
-    bump_policy_epoch()  # epoch bump lands mid-resolution
-    cache.put("k", ("U", 1), True, stamp)
-    assert cache.get("k", ("U", 1), bus.stamp()) is None

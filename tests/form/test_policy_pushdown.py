@@ -147,6 +147,33 @@ class Gate(JModel):
         return ctxt is not None and ctxt.name > "m"
 
 
+class Ledger(JModel):
+    """An inline policy whose lookup reads :class:`LedgerShare`, a model
+    the FORM reading ledgers does not register."""
+
+    owner = ForeignKey(Owner)
+    body = CharField(max_length=64)
+
+    @staticmethod
+    def jacqueline_get_public_body(entry):
+        return "[ledger]"
+
+    @staticmethod
+    @label_for("body")
+    @jacqueline
+    def jacqueline_restrict_body(entry, ctxt):
+        if ctxt is None:
+            return False
+        if entry.owner_id == ctxt.jid:
+            return True
+        return LedgerShare.objects.get(ledger=entry, reader=ctxt) is not None
+
+
+class LedgerShare(JModel):
+    ledger = ForeignKey(Ledger)
+    reader = ForeignKey(Owner)
+
+
 MODELS = [Owner, Doc, Audit, Vault, Wiki, Badge, Gate]
 
 
@@ -290,7 +317,7 @@ def _run_counted(form, run):
     return answer, counts
 
 
-def test_runtime_fallbacks_are_counted_with_a_reason(pushdown_form, monkeypatch):
+def test_runtime_fallbacks_are_counted_with_a_reason(pushdown_form):
     ada, _bob = _seed_docs(pushdown_form)
     nameless = Owner.objects.create(name=None)
     Badge.objects.create(code=7, body="lucky")
@@ -299,18 +326,15 @@ def test_runtime_fallbacks_are_counted_with_a_reason(pushdown_form, monkeypatch)
     docs = lambda: sorted(doc.title for doc in Doc.objects.all().fetch())  # noqa: E731
     gates = lambda: [gate.body for gate in Gate.objects.all().fetch()]  # noqa: E731
 
-    def broken_probe(table):
-        raise RuntimeError("probe failed")
-
     with viewer_context(ada):
         # The bound value ("ada", text) cannot probe the int column soundly.
         answer, counts = _run_counted(pushdown_form, badges)
         assert answer == ["[badge]"]
         assert counts == {"bind": 1, "facet_rows": 0, "pushed": 0}
-        with monkeypatch.context() as patch:
-            patch.setattr(pushdown_form.database, "facet_branch_keys", broken_probe)
-            answer, counts = _run_counted(pushdown_form, docs)
-        assert answer == ["[secret]", "[secret]", "t1", "t3"]
+        # A pc-labelled facet row is no canonical branch of Doc's group.
+        _guard_doc(pushdown_form, ada)
+        answer, counts = _run_counted(pushdown_form, docs)
+        assert answer == ["[secret]", "[secret]", "guarded", "t1", "t3"]
         assert counts == {"bind": 0, "facet_rows": 1, "pushed": 0}
         # The viewer-only comparison folds at bind time.
         answer, counts = _run_counted(pushdown_form, gates)
@@ -473,7 +497,7 @@ def test_no_cross_viewer_leak_with_caches_enabled():
     form, database = _make_form("sqlite", cache_config=CacheConfig())
     with use_form(form):
         ada, bob = _seed_docs(form)
-        for _round in range(2):  # second round hits the per-viewer cache
+        for _round in range(2):  # second round hits the query cache
             with viewer_context(ada):
                 ada_titles = sorted(d.title for d in Doc.objects.all().fetch())
             with viewer_context(bob):
@@ -555,6 +579,45 @@ def _branch_label(form, name=None):
         label, lambda viewer: getattr(viewer, "name", None) == "ada"
     )
     return label
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_a_lookup_on_an_unregistered_model_demotes_the_read(kind):
+    database = Database() if kind == "memory" else Database(SqliteBackend())
+    form = FORM(database, cache_config=CacheConfig.disabled())
+    form.register_all([Owner, Ledger])
+    # Another FORM on the same database creates the table, which holds no
+    # facet rows: only the registration check keeps the read in Python.
+    FORM(database, cache_config=CacheConfig.disabled()).register(LedgerShare)
+    assert database.facet_branch_keys("LedgerShare") == frozenset()
+    assert profile_for(Ledger).lookups == {"LedgerShare"}
+    try:
+        with use_form(form):
+            ada = Owner.objects.create(name="ada")
+            bob = Owner.objects.create(name="bob")
+            Ledger.objects.create(owner=ada, body="a0")
+            Ledger.objects.create(owner=ada, body="a1")
+            fetch = lambda: sorted(entry.body for entry in Ledger.objects.all().fetch())  # noqa: E731
+            with viewer_context(ada):
+                report = Ledger.objects.all().explain()
+                with obs.tracing():
+                    bodies = fetch()
+                oracle = _oracle(form, fetch)
+            # Ada owns every entry, so no policy run reaches the lookup.
+            assert bodies == oracle == ["a0", "a1"]
+            # Bob's policy runs reach it, and the FORM refuses the read of
+            # the unregistered table on both paths alike.
+            with viewer_context(bob):
+                with pytest.raises(LookupError, match="LedgerShare"):
+                    fetch()
+                with pytest.raises(LookupError, match="LedgerShare"):
+                    _oracle(form, fetch)
+    finally:
+        database.close()
+    assert report["mode"] == "pruned"
+    assert report["fallback"] == "plan.policy_pushdown.fallback.facet_rows"
+    assert obs.totals.get("plan.policy_pushdown") == 0
+    assert obs.totals.get("plan.policy_pushdown.fallback.facet_rows") == 1
 
 
 def _guard_doc(form, owner):

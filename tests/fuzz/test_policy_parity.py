@@ -11,9 +11,9 @@ backend:
 * ``"off"`` -- the Python Early Pruning path, caches off (the oracle);
 * ``"on"`` -- inline predicates render into the SQL statement;
 * ``"cached"`` -- pushdown on, with the default ``CacheConfig()``: the
-  query cache and the label memo.  The programs interleave writes with
-  reads, so an entry served after a write it depends on shows up as a
-  divergence from the oracle.
+  query cache.  The programs interleave writes with reads, so an entry
+  served after a write it depends on shows up as a divergence from the
+  oracle.
 
 Every configuration must produce the oracle's observables, and none may
 ever leak a secret to the wrong viewer -- checked against the fetched
