@@ -41,7 +41,6 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.bench.timing import time_best  # noqa: E402
-from repro.cache import CacheConfig  # noqa: E402
 from repro.core.facets import facet_map  # noqa: E402
 from repro.db import (  # noqa: E402
     Database,
@@ -94,7 +93,7 @@ class Viewer:
 
 
 def _build_form(database: Database, rows: int) -> FORM:
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all([BenchPlain, BenchSecret])
     with use_form(form):
         BenchPlain.objects.bulk_create(

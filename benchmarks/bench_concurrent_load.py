@@ -7,8 +7,8 @@ drives its own :class:`~repro.web.testclient.WsgiClient` through the full
 per-request path (environ parsing, session cookie, routing, FORM, policy
 resolution, template rendering).
 
-Per configuration (backend x cache) it reports throughput and -- more
-importantly -- verifies integrity under load:
+Per backend it reports throughput and -- more importantly -- verifies
+integrity under load:
 
 * **zero cross-viewer leaks**: a logged-in author's ``/users`` page must
   show their own secret email and never any other user's (the ``email``
@@ -47,7 +47,6 @@ if _SRC not in sys.path:
 
 from repro.apps.conf.models import ConfUser, Paper  # noqa: E402
 from repro.apps.conf.views import build_conf_app, setup_conf  # noqa: E402
-from repro.cache import CacheConfig  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
 from repro.form import use_form  # noqa: E402
 from repro.web import BackgroundServer, WsgiClient  # noqa: E402
@@ -213,17 +212,13 @@ def _check_integrity(form, workers: int, papers_per_author: int,
     return problems
 
 
-def run_config(backend: str, cache_enabled: bool, workers: int, iterations: int,
+def run_config(backend: str, workers: int, iterations: int,
                papers_per_author: int, tmpdir: str) -> Dict[str, Any]:
     if backend == "sqlite":
-        path = os.path.join(
-            tmpdir, f"load-{'cached' if cache_enabled else 'uncached'}.db"
-        )
-        database: Optional[Database] = Database.sqlite(path)
+        database = Database.sqlite(os.path.join(tmpdir, "load.db"))
     else:
         database = Database()
-    cache_config = CacheConfig() if cache_enabled else CacheConfig.disabled()
-    form = setup_conf(database, cache_config=cache_config)
+    form = setup_conf(database)
     _seed(form, workers, papers_per_author)
     app = build_conf_app(form)
 
@@ -256,7 +251,6 @@ def run_config(backend: str, cache_enabled: bool, workers: int, iterations: int,
     form.database.close()
     return {
         "backend": backend,
-        "cache": "cached" if cache_enabled else "uncached",
         "reads": reads,
         "requests": requests,
         "elapsed": elapsed,
@@ -313,22 +307,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="repro-load-") as tmpdir:
         for backend in backends:
-            for cache_enabled in (True, False):
-                outcome = run_config(
-                    backend, cache_enabled, args.threads, args.iterations,
-                    args.papers_per_author, tmpdir,
-                )
-                status = "ok" if not outcome["violations"] else "FAIL"
-                print(
-                    f"  {outcome['backend']:>7} {outcome['cache']:>8} "
-                    f"({outcome['reads']}): "
-                    f"{outcome['requests']:5d} requests in {outcome['elapsed']:6.2f}s "
-                    f"({outcome['rps']:8.1f} req/s)  [{status}]"
-                )
-                for violation in outcome["violations"][:10]:
-                    print(f"      - {violation}")
-                if outcome["violations"]:
-                    failures += 1
+            outcome = run_config(
+                backend, args.threads, args.iterations, args.papers_per_author, tmpdir,
+            )
+            status = "ok" if not outcome["violations"] else "FAIL"
+            print(
+                f"  {outcome['backend']:>7} ({outcome['reads']}): "
+                f"{outcome['requests']:5d} requests in {outcome['elapsed']:6.2f}s "
+                f"({outcome['rps']:8.1f} req/s)  [{status}]"
+            )
+            for violation in outcome["violations"][:10]:
+                print(f"      - {violation}")
+            if outcome["violations"]:
+                failures += 1
     if not args.no_http:
         problems = run_http_check(min(args.threads, 4))
         print(f"  threaded HTTP server: {'ok' if not problems else 'FAIL'}")

@@ -26,7 +26,6 @@ from repro.apps.conf import (
 from repro.apps.course import build_course_app, seed_courses, setup_courses
 from repro.apps.health import build_health_app, seed_health, setup_health
 from repro.bench.report import format_series
-from repro.cache import CacheConfig
 from repro.bench.timing import time_request
 from repro.web import TestClient
 
@@ -35,7 +34,7 @@ SWEEP_SIZES = (8, 16, 32, 64, 128, 256)
 
 
 def _jacqueline_conf_client(papers):
-    form = setup_conf(cache_config=CacheConfig.disabled())
+    form = setup_conf()
     created = seed_conference(form, papers=papers, users=papers, pc_members=4)
     client = TestClient(build_conf_app(form))
     viewer = created["pc"][0]
@@ -53,7 +52,7 @@ def _django_conf_client(papers):
 
 
 def _health_client(patients):
-    form = setup_health(cache_config=CacheConfig.disabled())
+    form = setup_health()
     created = seed_health(form, patients=patients, doctors=4, insurers=2)
     client = TestClient(build_health_app(form))
     viewer = created["doctors"][0]
@@ -62,7 +61,7 @@ def _health_client(patients):
 
 
 def _course_client(courses):
-    form = setup_courses(cache_config=CacheConfig.disabled())
+    form = setup_courses()
     created = seed_courses(form, courses=courses, students_per_course=2)
     client = TestClient(build_course_app(form))
     viewer = created["students"][0]

@@ -38,7 +38,6 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.bench.timing import time_best  # noqa: E402
-from repro.cache import CacheConfig  # noqa: E402
 from repro.db import (  # noqa: E402
     Database,
     MemoryBackend,
@@ -83,7 +82,7 @@ class Viewer:
 
 
 def _build_form(database: Database, rows: int) -> FORM:
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all([BenchRecord])
     with use_form(form):
         BenchRecord.objects.bulk_create(

@@ -111,7 +111,7 @@ def measure(size: int = BENCH_SIZE, repeats: int = REPEATS, rounds: int = ROUNDS
     """(disabled, stripped) warm view_all totals on the memory backend."""
     obs.disable()
     client = _client(size)
-    _page(client)  # warm the caches once; both variants measure warm pages
+    _page(client)  # compile the template and WHERE shapes once: both variants measure warm pages
     disabled = _time_rounds(lambda: _page(client), repeats, rounds)
     with stripped_obs():
         stripped = _time_rounds(lambda: _page(client), repeats, rounds)

@@ -53,7 +53,6 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.bench.timing import time_best  # noqa: E402
-from repro.cache import CacheConfig  # noqa: E402
 from repro.db import (  # noqa: E402
     Database,
     MemoryBackend,
@@ -97,7 +96,7 @@ class BenchDoc(JModel):
 
 def _build_form(backend_factory, rows: int) -> Tuple[FORM, Database, object, object]:
     database = Database(backend_factory())
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all([BenchOwner, BenchDoc])
     with use_form(form):
         alice = BenchOwner.objects.create(name="alice")
@@ -126,7 +125,7 @@ def check_conference(papers: int) -> List[str]:
     ):
         before = len(failures)
         database = Database(backend_factory())
-        form = setup_conf(database, cache_config=CacheConfig.disabled())
+        form = setup_conf(database)
         created = seed_conference(form, papers=papers)
         viewers = {
             "pc": created["pc"][0],

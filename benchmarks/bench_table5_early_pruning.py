@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.apps.course import build_course_app, seed_courses, setup_courses
 from repro.bench.report import format_table
 from repro.bench.timing import time_request
-from repro.cache import CacheConfig
 from repro.web import TestClient
 
 BENCH_SIZE_PRUNED = 64
@@ -26,7 +25,7 @@ BENCH_SIZE_UNPRUNED = 6
 
 
 def _course_clients(courses, early_pruning):
-    form = setup_courses(cache_config=CacheConfig.disabled())
+    form = setup_courses()
     created = seed_courses(form, courses=courses, students_per_course=2)
     app = build_course_app(form, early_pruning=early_pruning)
     client = TestClient(app)
@@ -64,7 +63,7 @@ def test_table5_unpruned_blowup_is_superlinear():
 
 
 def test_table5_pruning_does_not_change_the_rendered_page():
-    form = setup_courses(cache_config=CacheConfig.disabled())
+    form = setup_courses()
     created = seed_courses(form, courses=5, students_per_course=2)
     viewer = created["students"][0]
     bodies = []

@@ -32,13 +32,9 @@ EVENT_DETAIL_TEMPLATE = """
 """
 
 
-def setup_calendar(database: Optional[Database] = None, cache_config=None) -> FORM:
-    """Create a FORM with the calendar schema registered.
-
-    ``cache_config`` is forwarded to the FORM; pass
-    ``CacheConfig.disabled()`` for paper-faithful uncached benchmarks.
-    """
-    form = FORM(database or Database(), cache_config=cache_config)
+def setup_calendar(database: Optional[Database] = None) -> FORM:
+    """Create a FORM with the calendar schema registered."""
+    form = FORM(database or Database())
     form.register_all(CALENDAR_MODELS)
     return form
 

@@ -71,10 +71,10 @@ USER_DETAIL_TEMPLATE = """
 def setup_conf(database: Optional[Database] = None, cache_config=None) -> FORM:
     """Create a FORM with the conference schema registered.
 
-    ``cache_config`` is forwarded to the FORM; pass
-    ``CacheConfig.disabled()`` for paper-faithful uncached benchmarks.
+    ``cache_config`` is ignored: only perfbench still passes it (the FORM
+    caches no reads).
     """
-    form = FORM(database or Database(), cache_config=cache_config)
+    form = FORM(database or Database())
     form.register_all(CONF_MODELS)
     ConferencePhase.reset()
     return form

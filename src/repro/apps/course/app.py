@@ -55,13 +55,9 @@ SUBMISSION_LIST_TEMPLATE = """
 """
 
 
-def setup_courses(database: Optional[Database] = None, cache_config=None) -> FORM:
-    """Create a FORM with the course schema registered.
-
-    ``cache_config`` is forwarded to the FORM; pass
-    ``CacheConfig.disabled()`` for paper-faithful uncached benchmarks.
-    """
-    form = FORM(database or Database(), cache_config=cache_config)
+def setup_courses(database: Optional[Database] = None) -> FORM:
+    """Create a FORM with the course schema registered."""
+    form = FORM(database or Database())
     form.register_all(COURSE_MODELS)
     return form
 

@@ -43,13 +43,9 @@ RECORD_DETAIL_TEMPLATE = """
 """
 
 
-def setup_health(database: Optional[Database] = None, cache_config=None) -> FORM:
-    """Create a FORM with the health schema registered.
-
-    ``cache_config`` is forwarded to the FORM; pass
-    ``CacheConfig.disabled()`` for paper-faithful uncached benchmarks.
-    """
-    form = FORM(database or Database(), cache_config=cache_config)
+def setup_health(database: Optional[Database] = None) -> FORM:
+    """Create a FORM with the health schema registered."""
+    form = FORM(database or Database())
     form.register_all(HEALTH_MODELS)
     return form
 

@@ -18,15 +18,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.db.engine import Database
 from repro.db.expr import eq, eq_or_null
-from repro.db.query import (
-    Aggregate,
-    Query,
-    limit_by_key,
-    plan_aggregate,
-    plan_bounded,
-    plan_delete,
-    plan_update,
-)
+from repro.db.query import Query, limit_by_key, plan_bounded
 from repro.db.schema import Column, ColumnType, TableSchema
 from repro.form.fields import Field
 from repro.baseline.fields import ForeignKey
@@ -298,128 +290,10 @@ class BaselineQuerySet:
         rows = bounded.fetch()
         return rows[0] if rows else None
 
-    def count(self) -> int:
-        """The number of matching records, in one ``COUNT(DISTINCT id)``.
-
-        Counting DISTINCT primary keys (rather than raw rows) keeps the
-        count per *record* under joins, where one record spans one row per
-        join match -- the same record-counting discipline as the FORM's
-        jid-based count.  Bounded query sets keep the fetching path: the
-        bound itself counts records, which a scalar plan cannot see.
-        """
-        if self.limit is not None or self.offset:
-            return len(self.fetch())
-        db = current_baseline_db().database
-        query, _joined = self._build_query(self.model._meta)
-        return db.aggregate(
-            plan_aggregate(query, (), [Aggregate("COUNT", "id", distinct=True)])
-        )
-
-    def exists(self) -> bool:
-        """Whether any record matches, via one ``SELECT EXISTS(...)``.
-
-        The database answers the probe without returning rows: SQLite stops
-        at its first hit and the memory engine early-exits its scan.
-        """
-        if self.limit is not None or self.offset:
-            return bool(self.fetch())
-        db = current_baseline_db().database
-        query, _joined = self._build_query(self.model._meta)
-        return db.aggregate(plan_aggregate(query, (), [Aggregate("EXISTS")]))
-
-    def aggregate(self, field_name: str, function: str) -> Any:
-        """Aggregate a field over the matching rows in one SQL statement.
-
-        ``function`` is COUNT, SUM, AVG, MIN or MAX with SQL's NULL rules
-        (NULLs skipped; SUM/AVG/MIN/MAX of no values is ``None``, COUNT is
-        0).  Under a join the aggregate ranges over the joined rows, like
-        Django's -- a record matched by several join rows contributes each
-        of them.  Bounded query sets reduce the fetched instances instead.
-        """
-        function = function.upper()
-        meta = self.model._meta
-        if field_name in ("id", "pk"):
-            column = "id"
-        else:
-            from repro.form.aggregates import check_aggregate_field
-
-            column = check_aggregate_field(
-                field_name, meta.fields.get(field_name), meta.table_name, function
-            )
-        if self.limit is not None or self.offset:
-            from repro.form.aggregates import stats_of_values
-
-            # Instances expose the primary key as ``pk``, not ``id``.
-            attribute = "pk" if column == "id" else column
-            values = [getattr(instance, attribute, None) for instance in self.fetch()]
-            return stats_of_values(values).finalise(function)
-        db = current_baseline_db().database
-        query, _joined = self._build_query(meta)
-        return db.aggregate(plan_aggregate(query, (), [Aggregate(function, column)]))
-
-    def sum(self, field_name: str) -> Any:
-        """``SUM(field)`` in one statement (``None`` when no values)."""
-        return self.aggregate(field_name, "SUM")
-
-    def avg(self, field_name: str) -> Any:
-        """``AVG(field)`` in one statement (``None`` when no values)."""
-        return self.aggregate(field_name, "AVG")
-
-    def min(self, field_name: str) -> Any:
-        """``MIN(field)`` in one statement (``None`` when no values)."""
-        return self.aggregate(field_name, "MIN")
-
-    def max(self, field_name: str) -> Any:
-        """``MAX(field)`` in one statement (``None`` when no values)."""
-        return self.aggregate(field_name, "MAX")
-
-    def update(self, **values: Any) -> int:
-        """Set columns on every matching record in one UPDATE statement.
-
-        Django semantics: no instances are fetched or saved, and the number
-        of affected rows is returned.  Joined filters and bounds compile to
-        the id-subselect pushdown (``UPDATE t SET ... WHERE id IN (SELECT
-        DISTINCT id ...)``); plain single-table filters apply directly.
-        """
-        if not values:
-            return 0
-        from repro.form.writes import resolve_update_fields
-
-        db = current_baseline_db().database
-        meta = self.model._meta
-        column_values: Dict[str, Any] = {}
-        # Same kwarg-to-field resolution as the FORM's update(); only the
-        # instance marshalling differs (pk here, jid there).
-        for _name, field, value in resolve_update_fields(meta, values):
-            column_values[field.column_name] = (
-                value.pk if isinstance(value, Model) else field.to_db(value)
-            )
-        query, joined = self._raw_query(meta)
-        key = "id" if (joined or self.limit is not None or self.offset) else None
-        return db.execute_update(plan_update(query, column_values, key_column=key))
-
-    def delete(self) -> int:
-        """Delete every matching record in one DELETE statement.
-
-        Replaces the fetch-then-delete-per-row loop: joined or bounded
-        query sets push their filters through the id subselect, plain ones
-        delete directly on their WHERE clause.  Returns the number of rows
-        removed.
-        """
-        db = current_baseline_db().database
-        meta = self.model._meta
-        query, joined = self._raw_query(meta)
-        key = "id" if (joined or self.limit is not None or self.offset) else None
-        return db.execute_delete(plan_delete(query, key_column=key))
-
     # -- internals ---------------------------------------------------------------------------
 
-    def _raw_query(self, meta: BaselineOptions) -> Tuple[Query, List[str]]:
-        """Filters, joins, ordering and the raw bound -- no plan applied.
-
-        Shared input of the read planner (:meth:`_build_query`) and the
-        write planners (``plan_update``/``plan_delete``).
-        """
+    def _build_query(self, meta: BaselineOptions) -> Tuple[Query, List[str]]:
+        """The read statement: filters, joins, ordering and the bound."""
         query = Query(table=meta.table_name)
         joined: List[str] = []
         has_join = any("__" in lookup for lookup in self.filters)
@@ -432,18 +306,14 @@ class BaselineQuerySet:
                 # column of the same name, which SQLite rejects as ambiguous.
                 column = f"{meta.table_name}.{column}"
             query = query.ordered_by(column, ascending)
-        if self.limit is not None or self.offset:
-            query = query.limited(self.limit, self.offset)
-        return query, joined
-
-    def _build_query(self, meta: BaselineOptions) -> Tuple[Query, List[str]]:
-        query, joined = self._raw_query(meta)
-        if joined and (query.limit is not None or query.offset):
+        if self.limit is None and not self.offset:
+            return query, joined
+        if joined:
             # A row LIMIT under a join would count join-duplicated rows, so a
             # bounded joined query compiles to the id-subselect pushdown (the
             # same plan the FORM uses with jid), bounding *records* in SQL.
-            query = plan_bounded(query, "id", query.limit, query.offset)
-        return query, joined
+            return plan_bounded(query, "id", self.limit, self.offset), joined
+        return query.limited(self.limit, self.offset), joined
 
     def _apply_filter(
         self,
@@ -522,15 +392,6 @@ class BaselineManager:
                 f"{self.model.__name__} matching {filters!r} does not exist"
             )
         return found
-
-    def count(self) -> int:
-        return BaselineQuerySet(self.model).count()
-
-    def exists(self) -> bool:
-        return BaselineQuerySet(self.model).exists()
-
-    def aggregate(self, field_name: str, function: str) -> Any:
-        return BaselineQuerySet(self.model).aggregate(field_name, function)
 
 
 def _instance_from_row(model: Type[Model], values: Dict[str, Any]) -> Model:

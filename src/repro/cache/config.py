@@ -1,25 +1,33 @@
-"""Cache subsystem configuration.
+"""Names kept for the benchmark harness only.
 
-A :class:`CacheConfig` travels on the :class:`~repro.form.context.FORM` and
-switches its query cache on or off.  Caching is on by default -- the
-paper-faithful benchmark baselines disable it with
-``CacheConfig.disabled()`` so cold-path numbers keep matching the paper's
-uncached measurements.  The cache's size is a module constant of
-:mod:`repro.cache.query_cache`.
+The FORM keeps no result cache: every read runs its statement and builds
+its instances from the fresh rows.  ``perfbench/`` still passes a
+:class:`CacheConfig` to ``setup_conf`` and reports ``form.caches.stats()``;
+these two names keep it running, and nothing else passes or reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """The one switch of the FORM's faceted query cache."""
+    """Ignored: only perfbench builds one, and ``setup_conf`` drops it."""
 
     enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "CacheConfig":
-        """A configuration with the query cache off (benchmark baselines)."""
         return cls(enabled=False)
+
+
+class FormCaches:
+    """``FORM.caches``, read only by perfbench, whose report still names a
+    query and a label layer: both always read zero."""
+
+    def stats(self) -> Dict[str, Dict[str, Any]]:
+        zero = {"hits": 0, "misses": 0, "puts": 0, "evictions": 0,
+                "invalidations": 0, "hit_rate": 0.0}
+        return {"queries": dict(zero), "labels": dict(zero)}

@@ -28,12 +28,11 @@ from repro.db.schema import TableSchema
 class Backend(abc.ABC):
     """Abstract relational backend.
 
-    Write-through invalidation: every concrete backend publishes a
-    table-level event on its :attr:`invalidation` bus after each successful
-    write, so caches layered above the database, whose entries are stamped
-    from the bus's counters, can never serve rows older than the latest
-    committed write.  The bus is created lazily; publishing is a counter
-    bump.
+    Write events: every concrete backend publishes an event on its
+    :attr:`invalidation` bus after each successful write and schema
+    change, so a result stored beside the bus's stamp (the FORM's batched
+    foreign-key loads) is never used after a write it could miss.  The bus
+    is created lazily; publishing is a counter bump.
 
     Thread-safety contract (relied on by the WSGI serving layer): every
     method may be called from any thread.  Writes serialise internally and
@@ -81,8 +80,8 @@ class Backend(abc.ABC):
         3. publish once on the invalidation bus, if any row ``changed``.
 
         Every write calls this last, after its commit or lock release, so
-        a cache stamp that counts the write is never taken before its rows
-        can be read.
+        a stamp that counts the write is never taken before its rows can be
+        read.
         """
         if started is not None:
             duration = time.perf_counter() - started
@@ -90,20 +89,19 @@ class Backend(abc.ABC):
             self._notify_statement(kind, sql, params, rows, duration)
         if changed:
             self._note_facet_write(table, written)
-            self.invalidation.publish(table)
+            self.invalidation.publish()
 
     def _publish_clear(self) -> None:
         # clear() removes every row, so every table is facet-free again.
-        tables = self.table_names()
         branches = self._branch_keys
-        for name in tables:
+        for name in self.table_names():
             branches[name] = set()
-        self.invalidation.publish_all(tables)
+        self.invalidation.publish()
 
     def _publish_schema_change(self, table: Optional[str] = None) -> None:
         if table is not None:
             self._branch_keys.pop(table, None)
-        self.invalidation.schema_changed(table)
+        self.invalidation.publish()
 
     # -- facet bookkeeping ---------------------------------------------------------
 

@@ -52,7 +52,7 @@ class Database:
 
     @property
     def invalidation(self) -> InvalidationBus:
-        """The backend's write-event bus (write-through cache invalidation)."""
+        """The backend's write-event bus (see :class:`~repro.cache.bus.InvalidationBus`)."""
         return self.backend.invalidation
 
     def observe_statements(self) -> "StatementLog":

@@ -106,8 +106,7 @@ class Expression:
         """The :class:`~repro.db.query.Query` objects nested in this tree.
 
         Used by the in-memory engine (to materialise them before row-by-row
-        evaluation) and by the cache layer (to register every table a query
-        reads for write-through invalidation).
+        evaluation) and by :meth:`~repro.db.query.Query.tables_read`.
         """
         return []
 

@@ -2,10 +2,9 @@
 
 Thread safety: all table access -- reads included -- serialises on one
 coarse re-entrant lock, so request worker threads can share a backend
-without tearing the row dicts or index sets mid-scan.  Invalidation events
+without tearing the row dicts or index sets mid-scan.  Write events
 publish after the lock is released, once the written rows are visible, so
-a cache stamp that counts a write is never taken before its rows can be
-read.
+a stamp that counts a write is never taken before its rows can be read.
 """
 
 from __future__ import annotations

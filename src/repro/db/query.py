@@ -241,11 +241,8 @@ class Query:
         return tuple(qualified)
 
     def tables_read(self) -> Tuple[str, ...]:
-        """Every table this query reads: base, joins and nested subqueries.
-
-        The query cache stamps a cached result with the write generation of
-        each of these, so a write to a table only referenced inside a
-        subquery still makes the entry a miss.
+        """Every table this query reads: base, joins and nested subqueries
+        (reported by :meth:`explain`).
 
         >>> sub = Query("Paper").join("Review", "jid", "paper").select("jid")
         >>> Query("Paper").in_subquery("jid", sub).tables_read()
@@ -540,7 +537,7 @@ def _plan_write_where(query: "Query", key_column: Optional[str]) -> Optional[Exp
     facet row of a record, but the write must cover all of them), and the
     only way a joined or bounded filter can reach a single-table
     UPDATE/DELETE at all.  Without one, the filters apply row-by-row
-    (the baseline ORM's single-row-per-record case).
+    (a table with one row per record).
     """
     from repro.db.expr import ColumnRef, InSubquery
 
@@ -564,11 +561,11 @@ def plan_update(
 ) -> UpdatePlan:
     """Compile a filtered read query to a single-statement UPDATE plan.
 
-    ``key_column`` is the record identity (``jid`` for the FORM, ``id`` for
-    the baseline ORM): when given, the write targets every row of every
-    record with *any* matching row, via the key subselect; joins, ordering
-    and LIMIT/OFFSET on ``query`` are honoured inside the subselect exactly
-    as in :func:`plan_bounded`.
+    ``key_column`` is the record identity (``jid`` for the FORM): when
+    given, the write targets every row of every record with *any* matching
+    row, via the key subselect; joins, ordering and LIMIT/OFFSET on
+    ``query`` are honoured inside the subselect exactly as in
+    :func:`plan_bounded`.
 
     >>> from repro.db.expr import eq
     >>> from repro.db.sqlgen import update_to_sql

@@ -11,7 +11,7 @@ Concurrency model (the serving layer runs requests on worker threads):
   the calling thread's own connection without any framework lock; writes
   serialise on a process-wide write lock and commit before the lock is
   released, so the invalidation bus publishes exactly once per committed
-  write and no cached read can observe rows older than that write.
+  write, after the write's rows can be read.
 * **In-memory databases** cannot be shared between connections, so every
   operation -- reads included -- serialises on the write lock over the one
   shared connection.  That keeps ``:memory:`` correct (tests, benchmarks)

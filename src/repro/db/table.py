@@ -208,7 +208,7 @@ class BranchIndex:
         self._members: Dict[Tuple[str, bool], set] = {}
         self.nulls: set = set()
 
-    def _set_for(self, row: Dict[str, Any], create: bool) -> Optional[set]:
+    def _set_for(self, row: Dict[str, Any]) -> Optional[set]:
         """The set ``row`` belongs in, or ``None`` when it belongs in none."""
         jid, jvars = row.get("jid"), row.get("jvars")
         if jid is None or jvars is None:
@@ -217,18 +217,21 @@ class BranchIndex:
         if branch is None:
             return None
         members = self._members.get(branch)
-        if members is None and create:
+        if members is None:
             members = self._members[branch] = set()
         return members
 
     def add(self, row: Dict[str, Any], pk: int) -> None:
-        members = self._set_for(row, True)
+        members = self._set_for(row)
         if members is not None:
             members.add(pk)
 
     def remove(self, row: Dict[str, Any], pk: int) -> None:
-        members = self._set_for(row, False)
-        if members is not None:
+        # ``pk`` is in at most one set, and there are at most two sets per
+        # policy group: discarding it from each is cheaper than parsing
+        # the row's jvars again to find its set.
+        self.nulls.discard(pk)
+        for members in self._members.values():
             members.discard(pk)
 
     def clear(self) -> None:

@@ -28,7 +28,6 @@ decision, the rewrite and the pc-guard algebra live in
 :mod:`repro.form.writes`.
 """
 
-from repro.cache import CacheConfig
 from repro.form.aggregates import (
     ColumnStats,
     merge_stats,
@@ -60,7 +59,6 @@ from repro.form.marshal import format_jvars, parse_jvars
 from repro.form.migrations import add_metadata_columns, migrate_legacy_rows
 
 __all__ = [
-    "CacheConfig",
     "ColumnStats",
     "merge_stats",
     "visible_value",

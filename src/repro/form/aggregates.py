@@ -58,8 +58,7 @@ NUMERIC_COLUMN_TYPES = (ColumnType.INTEGER, ColumnType.REAL, ColumnType.BOOLEAN)
 def check_aggregate_field(field_name: str, field: Any, table_name: str, function: str) -> str:
     """Validate an ORM aggregate target field; returns its column name.
 
-    The one validation gate shared by the FORM and baseline query sets:
-    unknown fields are an error (a typo would otherwise yield a silent NULL
+    The FORM's one validation gate for aggregate targets: unknown fields are an error (a typo would otherwise yield a silent NULL
     -- or, on SQLite, a double-quoted string literal), and SUM/AVG require
     a numeric column.
 

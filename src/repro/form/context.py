@@ -19,8 +19,7 @@ import functools
 import threading
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
-from repro.cache.config import CacheConfig
-from repro.cache.integration import FormCaches
+from repro.cache.config import FormCaches
 from repro.core.runtime import JeevesRuntime
 from repro.db.engine import Database
 from repro.db.query import Aggregate, Query
@@ -35,20 +34,12 @@ class FORM:
     The FORM creates and owns its runtime, whose policy environment
     resolves every label named ``Table.jid.group`` through the model this
     FORM registered for ``Table`` (:func:`repro.form.manager.label_policy`),
-    so concretisation needs no per-read policy registration.
-
-    ``cache_config`` switches the policy-aware query cache (on by default;
-    pass ``CacheConfig.disabled()`` for paper-faithful uncached behaviour).
-    Every cache entry is stamped from the database's invalidation bus, so
-    a write through this FORM -- or directly through the backend -- turns
-    the entries it could affect into misses.
+    so concretisation needs no per-read policy registration.  Every read
+    runs its statement against the database's current rows: nothing is
+    cached across reads.
     """
 
-    def __init__(
-        self,
-        database: Optional[Database] = None,
-        cache_config: Optional[CacheConfig] = None,
-    ) -> None:
+    def __init__(self, database: Optional[Database] = None) -> None:
         from repro.form.manager import label_policy  # manager imports this module
 
         self.database = database if database is not None else Database()
@@ -71,7 +62,8 @@ class FORM:
         #: hence the resolution cycle) doing the resolving -- a second
         #: request thread must evaluate the policy for real.
         self._resolving_local = threading.local()
-        self.caches = FormCaches(cache_config)
+        #: read only by perfbench; its two layers always read zero
+        self.caches = FormCaches()
         #: compile Early Pruning into SQL where a model's policy renders
         #: inline (:mod:`repro.form.pushdown`); flip off to force the
         #: Python pruning path -- the differential-testing oracle.
@@ -144,7 +136,6 @@ class FORM:
         """Delete all rows and reset jid counters (schemas are kept)."""
         self.database.clear()
         self.runtime.reset()
-        self.caches.clear()
         with self._jid_lock:
             for name in self._jid_counters:
                 self._jid_counters[name] = 0

@@ -296,8 +296,7 @@ class QuerySet:
 
         Returns the number of facet rows the write affected (records span
         several rows; use ``count()`` for record counts).  Either path
-        publishes write-through invalidation on the cache bus via the
-        backend's write event.
+        publishes one event on the database's invalidation bus.
         """
         if not values:
             return 0
@@ -552,18 +551,9 @@ class QuerySet:
         branches of ``instances[i]``'s row, or ``None`` for a pushed read.
 
         Each row's dict becomes its instance's state (:func:`_states`,
-        :func:`_instances`), so an uncached read copies nothing per row.
-        Results are served from the FORM's faceted query cache when
-        enabled.  The cache stores the finished states and branches -- the
-        pre-pruning result shared by every viewer -- and each read, the one
-        filling the entry included, adopts copies of the states, so
-        per-request state attached to instances (resolved foreign keys,
-        siblings, application mutations) never crosses fetches or viewers.
-        Policy-pushdown statements embed the viewer's bound values in their
-        inline predicate (and so in the cache key): their already-pruned
-        states are shared only by viewers binding the same values, which
-        the predicate prunes identically.  A pushed read parses no
-        ``jvars``: its rows are the viewer's facet.
+        :func:`_instances`), so a read copies nothing per row, and no
+        instance shares state with another read's.  A pushed read parses
+        no ``jvars``: its rows are the viewer's facet.
 
         Inside a viewer context, instances spanning two or more records
         share one :class:`_Siblings` (a batched load's own instances
@@ -572,14 +562,11 @@ class QuerySet:
         """
         if self.limit is not None or self.offset:
             obs.add("plan.bounded")
-        states, branches = self._cached(
-            form, self._fetch_query(plan), functools.partial(self._read_result, plan)
+        states, branches = self._read_result(
+            plan, form.database.execute(self._fetch_query(plan))
         )
         if self.limit is not None:
             states, branches = self._limit_entries(states, branches)
-        if form.caches.enabled:
-            # Cached states are shared by every hit: adopt copies.
-            states = list(map(dict.copy, states))
         siblings = None
         if len(states) > 1 and self._key_filter is None:
             viewer = current_viewer()
@@ -612,28 +599,6 @@ class QuerySet:
             rows = [self._base_values(meta, row) for row in rows]
         return _states(meta, rows), branches
 
-    def _cached(self, form: FORM, query: Query, convert: Callable[[Any], Any]) -> Any:
-        """``convert`` of ``query``'s rows, through the faceted query cache
-        when it is enabled.
-
-        Bounded queries carry their jid subselect in the query (and so in
-        the cache key): each (filters, ordering, limit, offset) combination
-        caches its own already-bounded result.  The entry's stamp, taken
-        before the statement runs, covers ``tables_read()`` -- base, joined
-        and subquery tables -- so a write to any of them makes it a miss.
-        """
-        if not form.caches.enabled:
-            return convert(form.database.execute(query))
-        cache = form.caches.queries
-        key = cache.key_for(self.model._meta.table_name, query)
-        stamp = cache.stamp_for(form.database.invalidation, query)
-        value = cache.get(key, stamp)
-        if value is None:
-            rows = form.database.execute(query)
-            value = convert(rows)
-            cache.put(key, stamp, value, len(rows))
-        return value
-
     def _limit_entries(
         self, states: List[Dict[str, Any]], branches: Optional[List[Tuple[JvarBranch, ...]]]
     ) -> Tuple[List[Dict[str, Any]], Optional[List[Tuple[JvarBranch, ...]]]]:
@@ -644,8 +609,7 @@ class QuerySet:
         no-op safety net; it still guarantees -- independently of backend
         behaviour -- that a limited result can never undercount records or
         show a viewer the wrong facet of a record.  Record order follows
-        first appearance, which matches the query's ORDER BY.  New lists
-        are returned: the given ones may be a cache entry's.
+        first appearance, which matches the query's ORDER BY.
         """
         kept = limit_by_key(range(len(states)), lambda i: states[i]["jid"], self.limit)
         return (
@@ -710,11 +674,6 @@ class QuerySet:
         evaluate policies against the fetched secret facets -- the plan's
         fetch runs and its instances reduce with the same SQL NULL rules,
         so both paths agree on every edge case.
-
-        Grouped results are cached in the faceted query cache under the
-        statement's own key, stamped with the write generations of its
-        base and joined tables, so any write to them turns the cached
-        partitions into a miss.
         """
         form = current_form()
         plan = self._plan()
@@ -730,18 +689,13 @@ class QuerySet:
             obs.add(plan.fallback)
         query = self._grouped_query(plan, function, column)
         obs.add("plan.aggregate_pushdown")
-
-        def partitions(rows):
-            groups = []
-            for row in rows:
-                branches: List[JvarBranch] = []
-                for group_column in query.group_by:
-                    branches.extend(parse_jvars(row.get(group_column)))
-                stats = self._stats_from_row(row, query.aggregates)
-                groups.append((tuple(dict.fromkeys(branches)), stats))
-            return groups
-
-        groups = self._cached(form, query, partitions)
+        groups = []
+        for row in form.database.execute(query):
+            branches: List[JvarBranch] = []
+            for group_column in query.group_by:
+                branches.extend(parse_jvars(row.get(group_column)))
+            stats = self._stats_from_row(row, query.aggregates)
+            groups.append((tuple(dict.fromkeys(branches)), stats))
         if plan.mode == "faceted":
             return facet_map(finish, merge_stats(groups))
         resolve = None
@@ -1179,7 +1133,7 @@ class _Siblings:
         #: foreign-key field name -> the visible members' distinct ids
         self.fk_ids: Dict[str, Tuple[Any, ...]] = {}
         #: lookup key -> (stamp, {key value: visible matches})
-        self.memo: Dict[Tuple, Tuple[Tuple[int, int, int], Dict[Any, List[Any]]]] = {}
+        self.memo: Dict[Tuple, Tuple[Tuple[int, int], Dict[Any, List[Any]]]] = {}
 
     def serves(self, form: FORM, viewer: Any) -> bool:
         """Whether a call on this thread, FORM and viewer may use the memo.

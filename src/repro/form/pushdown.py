@@ -132,7 +132,7 @@ def _global_value(source: sym.GlobalAttr, namespace: Dict[str, Any]) -> Any:
     """Resolve a module-level ``Name.a.b`` chain in the policy's globals.
 
     Only a str, int, float, bool or ``None`` binds: the value is folded
-    into the statement text, and so into the query-cache key.
+    into the statement text.
     """
     head, *rest = source.path
     if head not in namespace:

@@ -10,8 +10,8 @@ costs first-class observables:
   to the paper concept it measures (policy evaluations, facet rows
   unmarshalled, worlds merged, ...);
 * :mod:`repro.obs.registry` -- the process-wide registry aggregating recent
-  traces, counter totals and every FORM's cache statistics into one JSON
-  snapshot (the ``/metrics`` endpoint).
+  traces and counter totals into one JSON snapshot (the ``/metrics``
+  endpoint).
 
 Everything is stdlib-only and imported by the db/form/web layers; this
 package imports nothing from them.
@@ -52,7 +52,6 @@ __all__ = [
     "get_registry",
     "get_trace",
     "record_statement",
-    "register_caches",
     "reset",
     "snapshot",
     "span",
@@ -60,11 +59,6 @@ __all__ = [
     "trace",
     "tracing",
 ]
-
-
-def register_caches(caches) -> None:
-    """Register a FormCaches instance with the process-wide registry."""
-    get_registry().register_caches(caches)
 
 
 def get_trace(trace_id: str):

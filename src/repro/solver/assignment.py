@@ -87,41 +87,3 @@ class LabelAssigner:
                 if free not in result:
                     result[free] = assignment.get(free, True)
         return result
-
-    def assign_greedy(
-        self, policies: Mapping[str, Formula], order: Optional[Iterable[str]] = None
-    ) -> Dict[str, bool]:
-        """A direct greedy strategy used as a cross-check for the solver.
-
-        Labels are processed in order; each is tentatively set ``True`` and
-        reverted to ``False`` if the partially evaluated system becomes
-        unsatisfiable under the remaining all-False completion.
-        """
-        names = list(order or policies.keys())
-        for name in policies:
-            if name not in names:
-                names.append(name)
-        assignment: Dict[str, bool] = {}
-
-        def satisfied(candidate: Dict[str, bool]) -> bool:
-            total = {name: candidate.get(name, False) for name in policies}
-            for extra_name in candidate:
-                total.setdefault(extra_name, candidate[extra_name])
-            for label, policy in policies.items():
-                free = policy.free_vars()
-                env = {var: total.get(var, False) for var in free}
-                if total.get(label, False) and not policy.evaluate(env):
-                    return False
-            for extra in self._extra:
-                env = {var: total.get(var, False) for var in extra.free_vars()}
-                if not extra.evaluate(env):
-                    return False
-            return True
-
-        for name in names:
-            assignment[name] = True
-            if not satisfied(assignment):
-                assignment[name] = False
-        if not satisfied(assignment):
-            raise UnsatisfiableError("constraint system is unsatisfiable")
-        return assignment

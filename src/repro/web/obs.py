@@ -5,8 +5,7 @@
 process-wide):
 
 * ``GET /metrics`` -- the :func:`repro.obs.snapshot` payload: counter
-  totals, the registered FORMs' cache statistics summed per layer, and an
-  index of recent traces;
+  totals and an index of recent traces;
 * ``GET /debug/trace/<trace_id>`` -- one stored trace as its full span
   tree (the id a traced response returns in its ``X-Trace-Id`` header).
 

@@ -37,6 +37,7 @@ through ``repr()`` or generated local names.
 
 from __future__ import annotations
 
+import functools
 import html
 import re
 from typing import Any, Dict, List, Optional, Tuple
@@ -226,18 +227,11 @@ class Template:
         return "".join(out)
 
 
-from repro.cache.lru import LRUCache
-
-#: Template cache: template source -> compiled Template.  Bounded (unlike
-#: the previous plain dict) so applications rendering many distinct
-#: template strings cannot grow it without limit.
-_template_cache = LRUCache(max_entries=512)
+#: Template source -> compiled Template, bounded so applications rendering
+#: many distinct template strings cannot grow it without limit.
+_compiled = functools.lru_cache(maxsize=512)(Template)
 
 
 def render_template(source: str, context: Optional[Dict[str, Any]] = None) -> str:
     """Render template source, compiling each source once (cached)."""
-    template = _template_cache.get(source)
-    if template is None:
-        template = Template(source)
-        _template_cache.put(source, template)
-    return template.render(context)
+    return _compiled(source).render(context)

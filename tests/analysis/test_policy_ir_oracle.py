@@ -42,7 +42,6 @@ from repro.apps.conf.models import (
 )
 from repro.apps.course.models import COURSE_MODELS, Course, CourseUser, Enrollment
 from repro.apps.health.models import HEALTH_MODELS, HealthUser, TreatmentRelationship
-from repro.cache import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend
 from repro.form import FORM, use_form, viewer_context
@@ -58,7 +57,7 @@ FACET_ROWS = "plan.policy_pushdown.fallback.facet_rows"
 
 def _form(backend, models):
     database = Database(SqliteBackend()) if backend == "sqlite" else Database()
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all(models)
     return form
 

@@ -23,7 +23,6 @@ from repro.apps.calendar.models import CALENDAR_MODELS, Event, UserProfile
 from repro.apps.conf.models import CONF_MODELS, ConfUser, Paper
 from repro.apps.course.models import COURSE_MODELS, Course, CourseUser
 from repro.apps.health.models import HEALTH_MODELS, HealthRecord, HealthUser
-from repro.cache.config import CacheConfig
 from repro.db import Database
 from repro.form import FORM, use_form, viewer_context
 from repro.analysis.symbolic import contains_top
@@ -128,7 +127,7 @@ def _seed(app, form):
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_every_demo_query_is_counted_pushdown_or_fallback(app):
-    form = FORM(Database(), cache_config=CacheConfig.disabled())
+    form = FORM(Database())
     form.register_all(APPS[app])
     with use_form(form):
         viewer = _seed(app, form)

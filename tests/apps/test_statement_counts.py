@@ -3,8 +3,7 @@
 A per-record lookup made on any member of a viewer-context result list runs
 once for the whole list (batched loading, ``repro.form.manager``).  These
 tests capture every statement a warmed page issues with
-``Database.observe_statements()`` -- caches off, so every statement really
-runs -- and pin the counts on both backends:
+``Database.observe_statements()`` and pin the counts on both backends:
 
 * conf ``/papers`` issues the same number of statements at 8, 64 and 256
   papers, for a PC member, an author and the chair: exactly 3, the
@@ -25,7 +24,6 @@ import pytest
 
 from repro.apps.conf import ConferencePhase, build_conf_app, seed_conference, setup_conf
 from repro.apps.course import build_course_app, seed_courses, setup_courses
-from repro.cache import CacheConfig
 from repro.db import Database, SqliteBackend
 from repro.web import TestClient
 
@@ -46,7 +44,7 @@ def _statements(form, client, path):
 
 
 def _conf_counts(backend, papers):
-    form = setup_conf(_database(backend), cache_config=CacheConfig.disabled())
+    form = setup_conf(_database(backend))
     created = seed_conference(form, papers=papers, users=papers, pc_members=4)
     app = build_conf_app(form)
     viewers = {
@@ -85,7 +83,7 @@ def test_conf_pages_issue_a_constant_number_of_statements(backend):
 def test_courses_page_issues_a_constant_number_of_statements(backend):
     by_size = {}
     for courses in (8, 64):
-        form = setup_courses(_database(backend), cache_config=CacheConfig.disabled())
+        form = setup_courses(_database(backend))
         created = seed_courses(form, courses=courses)
         app = build_course_app(form)
         counts = []
@@ -100,7 +98,7 @@ def test_courses_page_issues_a_constant_number_of_statements(backend):
 
 def _paper_after_review_counts(backend, papers):
     """Statements of each viewer's first ``/paper/<jid>`` after a review."""
-    form = setup_conf(_database(backend), cache_config=CacheConfig.disabled())
+    form = setup_conf(_database(backend))
     created = seed_conference(form, papers=papers, users=papers, pc_members=4)
     app = build_conf_app(form)
     reviewer = TestClient(app)

@@ -1,15 +1,10 @@
-"""Baseline ORM set-oriented writes: ``update()``/``delete()`` pushdown.
-
-The benchmark-parity half of the write API: the baseline ORM compiles the
-same single-statement plans over ``id`` that the FORM compiles over
-``jid``, so Table-style comparisons measure representation, not API shape.
-"""
+"""Baseline ORM record writes: ``Model.save()`` and ``Model.delete()``."""
 
 import pytest
 
 from repro.baseline.fields import ForeignKey
 from repro.baseline.model import BaselineDB, DoesNotExist, Model, use_baseline_db
-from repro.db import Database, MemoryBackend, SqliteBackend, StatementLog
+from repro.db import Database, MemoryBackend, SqliteBackend
 from repro.form.fields import CharField, IntegerField
 
 
@@ -23,71 +18,19 @@ class Player(Model):
     goals = IntegerField(default=0)
 
 
-def _make_db(kind):
-    backend = {
-        "memory": MemoryBackend,
-        "sqlite": SqliteBackend,
-    }[kind]()
-    db = BaselineDB(Database(backend))
-    db.register_all([Team, Player])
-    return db, backend
-
-
 @pytest.fixture(params=["memory", "sqlite"])
 def baseline_db(request):
-    db, _backend = _make_db(request.param)
+    backend = {"memory": MemoryBackend, "sqlite": SqliteBackend}[request.param]()
+    db = BaselineDB(Database(backend))
+    db.register_all([Team, Player])
     with use_baseline_db(db):
         yield db
     if request.param == "sqlite":
         db.database.close()
 
 
-def _seed():
-    red = Team.objects.create(name="red")
-    blue = Team.objects.create(name="blue")
-    for index in range(4):
-        Player.objects.create(team=red if index % 2 == 0 else blue,
-                              name=f"p{index}", goals=index)
-    return red, blue
-
-
-def test_update_sets_matching_rows(baseline_db):
-    red, _blue = _seed()
-    changed = Player.objects.filter(team=red).update(goals=10)
-    assert changed == 2
-    assert {p.goals for p in Player.objects.filter(team=red)} == {10}
-    assert {p.goals for p in Player.objects.filter(name="p1")} == {1}
-
-
-def test_update_via_join_lookup_uses_id_subselect(baseline_db):
-    _seed()
-    changed = Player.objects.filter(team__name="blue").update(goals=7)
-    assert changed == 2
-    assert {p.goals for p in Player.objects.filter(team__name="blue")} == {7}
-
-
-def test_bounded_update_and_delete(baseline_db):
-    _seed()
-    assert Player.objects.all().order_by("-goals").limited(1).update(goals=99) == 1
-    assert Player.objects.filter(goals=99).first().name == "p3"
-    assert Player.objects.all().order_by("goals").limited(2).delete() == 2
-    assert sorted(p.name for p in Player.objects.all()) == ["p2", "p3"]
-
-
-def test_delete_returns_row_count_and_removes_rows(baseline_db):
-    red, _blue = _seed()
-    assert Player.objects.filter(team=red).delete() == 2
-    assert Player.objects.count() == 2
-
-
-def test_update_unknown_field_raises(baseline_db):
-    _seed()
-    with pytest.raises(ValueError):
-        Player.objects.all().update(nope=1)
-
-
 def test_model_delete_clears_pk(baseline_db):
-    red, _blue = _seed()
+    red = Team.objects.create(name="red")
     player = Player.objects.create(team=red, name="temp")
     pk = player.pk
     player.delete()
@@ -97,37 +40,3 @@ def test_model_delete_clears_pk(baseline_db):
     # A later save re-creates the record instead of resurrecting the pk.
     player.save()
     assert player.pk is not None and player.pk != pk
-
-
-def test_writes_are_single_statements_on_sqlite():
-    db, backend = _make_db("sqlite")
-    log = StatementLog(backend)
-    with use_baseline_db(db):
-        _seed()
-        log.clear()
-        Player.objects.filter(team__name="red").update(goals=5)
-        Player.objects.filter(goals=5).delete()
-        assert len(log.statements) == 2
-        update_sql, delete_sql = log.statements
-        assert update_sql.startswith('UPDATE "Player" SET "goals" = ?')
-        assert 'id IN (SELECT DISTINCT "Player"."id" FROM "Player" JOIN "Team"' in update_sql
-        assert delete_sql == 'DELETE FROM "Player" WHERE goals = ?'
-    db.database.close()
-
-
-def test_backend_parity_for_writes():
-    snapshots = []
-    for kind in ("memory", "sqlite"):
-        db, _backend = _make_db(kind)
-        with use_baseline_db(db):
-            _seed()
-            Player.objects.filter(team__name="red").update(goals=5)
-            Player.objects.all().order_by("goals", "name").limited(1).delete()
-            rows = sorted(
-                (row["name"], row["goals"], row["team_id"])
-                for row in db.database.rows("Player")
-            )
-            snapshots.append(rows)
-        if kind == "sqlite":
-            db.database.close()
-    assert snapshots[0] == snapshots[1]

@@ -280,66 +280,49 @@ def test_query_to_sql_round_trips_through_sqlite():
     assert params == ["Dagstuhl"]
 
 
-# -- write-through invalidation events (both backends via the `database` fixture) --
+# -- write events (both backends via the `database` fixture) ----------------------
 
 
-def _counters(db, table="Event"):
-    """The bus counters a write of ``table`` bumps: the events published
-    and the table's write generation."""
-    return db.invalidation.events_published, db.invalidation.write_generation(table)
+def _events(db):
+    """The number of write events the database's bus has published."""
+    return db.invalidation.events_published
 
 
 def test_insert_update_delete_publish_events(database):
     db = seeded(database)
-    events, writes = _counters(db)
+    events = _events(db)
     db.insert("Event", name="x", location="y", attendees=1, jid=9, jvars="")
-    assert _counters(db) == (events + 1, writes + 1)
+    assert _events(db) == events + 1
     db.update("Event", eq("jid", 9), attendees=2)
-    assert _counters(db) == (events + 2, writes + 2)
+    assert _events(db) == events + 2
     db.delete("Event", eq("jid", 9))
-    assert _counters(db) == (events + 3, writes + 3)
+    assert _events(db) == events + 3
 
 
 def test_no_op_writes_publish_nothing(database):
     db = seeded(database)
-    counters = _counters(db)
+    events = _events(db)
     assert db.update("Event", eq("jid", 999), attendees=1) == 0
     assert db.delete("Event", eq("jid", 999)) == 0
-    assert _counters(db) == counters
-
-
-def test_write_generation_counters(database):
-    db = seeded(database)
-    before = db.invalidation.write_generation("Event")
-    db.insert("Event", name="x", location="y", attendees=1, jid=9, jvars="")
-    assert db.invalidation.write_generation("Event") == before + 1
-    assert db.invalidation.write_generation("Guest") >= 0
+    assert _events(db) == events
 
 
 def test_clear_publishes_wildcard(database):
-    """``clear()`` publishes one event that bumps every table's write
-    generation, tables no write ever announced included."""
+    """``clear()`` publishes one event, however many tables it empties."""
     db = seeded(database)
     db.define_table("Unwritten", note=ColumnType.TEXT)
-    tables = ("Event", "Guest", "Unwritten")
-    events = db.invalidation.events_published
-    before = [db.invalidation.write_generation(table) for table in tables]
+    events = _events(db)
     db.clear()
-    assert db.invalidation.events_published == events + 1
-    after = [db.invalidation.write_generation(table) for table in tables]
-    assert after == [generation + 1 for generation in before]
+    assert _events(db) == events + 1
 
 
-def test_schema_changes_bump_schema_generation(database):
+def test_schema_changes_publish_events(database):
     db = seeded(database)
-    generation = db.invalidation.schema_generation
+    events = _events(db)
     db.define_table("Extra", note=ColumnType.TEXT)
-    assert db.invalidation.schema_generation == generation + 1
-    events, writes = _counters(db, "Extra")
+    assert _events(db) == events + 1
     db.drop_table("Extra")
-    assert db.invalidation.schema_generation == generation + 2
-    # dropped data invalidates like a write
-    assert _counters(db, "Extra") == (events + 1, writes + 1)
+    assert _events(db) == events + 2
 
 
 def _facet_state(database, table):
@@ -465,14 +448,14 @@ def test_an_adopted_sqlite_file_keeps_one_facet_record(tmp_path, label):
 
 def test_insert_many_single_event_and_rows_present(database):
     db = seeded(database)
-    events, writes = _counters(db)
+    events = _events(db)
     rows = [
         {"name": f"bulk{i}", "location": "Hall", "attendees": i, "jid": 100 + i, "jvars": ""}
         for i in range(10)
     ]
     pks = db.insert_many("Event", rows)
     assert len(pks) == 10 and len(set(pks)) == 10
-    assert _counters(db) == (events + 1, writes + 1)
+    assert _events(db) == events + 1
     stored = db.find("Event", location="Hall")
     assert sorted(row["name"] for row in stored) == sorted(f"bulk{i}" for i in range(10))
     # Returned primary keys address the inserted rows.
@@ -497,7 +480,7 @@ def test_insert_many_partial_failure_never_leaves_silent_rows(database):
     bus: either nothing is committed (SQLite rolls the transaction back) or
     the committed prefix is announced (memory engine)."""
     db = seeded(database)
-    events, writes = _counters(db)
+    events = _events(db)
     rows = [
         {"id": 200, "name": "ok", "location": "L", "attendees": 0, "jid": 70, "jvars": ""},
         {"id": 200, "name": "dup", "location": "L", "attendees": 0, "jid": 71, "jvars": ""},
@@ -506,9 +489,9 @@ def test_insert_many_partial_failure_never_leaves_silent_rows(database):
         db.insert_many("Event", rows)  # duplicate primary key fails mid-batch
     inserted = db.find("Event", jid=70)
     if inserted:
-        assert _counters(db) == (events + 1, writes + 1)  # committed prefix announced
+        assert _events(db) == events + 1  # committed prefix announced
     else:
-        assert _counters(db) == (events, writes)  # rolled back: nothing to announce
+        assert _events(db) == events  # rolled back: nothing to announce
 
 
 def test_insert_many_pks_correct_after_deleting_max_id_row(database):
@@ -527,9 +510,9 @@ def test_insert_many_pks_correct_after_deleting_max_id_row(database):
 
 def test_insert_many_empty_is_a_no_op(database):
     db = seeded(database)
-    counters = _counters(db)
+    events = _events(db)
     assert db.insert_many("Event", []) == []
-    assert _counters(db) == counters
+    assert _events(db) == events
 
 
 def test_table2_sql_translation_shapes():

@@ -53,7 +53,6 @@ def test_bench_scenario_statements_and_plans_hold(name):
 def test_index_ddl_never_changes_the_statement_stream():
     from repro.db import Database, SqliteBackend, StatementLog
     from repro.form import FORM, CharField, IntegerField, JModel, use_form
-    from repro.cache import CacheConfig
 
     class PlanRegressionNote(JModel):
         title = CharField(max_length=64, ordered=True)
@@ -63,7 +62,7 @@ def test_index_ddl_never_changes_the_statement_stream():
     for emit_indexes in (True, False):
         backend = SqliteBackend(emit_indexes=emit_indexes)
         database = Database(backend)
-        form = FORM(database, cache_config=CacheConfig.disabled())
+        form = FORM(database)
         form.register_all([PlanRegressionNote])
         with use_form(form), StatementLog(backend) as log:
             with use_form(form):

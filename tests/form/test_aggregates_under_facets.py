@@ -3,12 +3,11 @@
 ``count()``, ``exists()`` and ``aggregate()/sum()/avg()/min()/max()`` must
 compile to one grouped SQL statement, merge per-partition aggregates into
 per-world results identical to the row-fetching path, respect policies at
-concretisation, and invalidate their cached plans on writes.
+concretisation, and see every write made before them.
 """
 
 import pytest
 
-from repro.cache import CacheConfig
 from repro.core.facets import Facet, collect_labels, facet_map, project_assignment
 from repro.core.labels import Label
 from repro.db import Database, MemoryBackend, SqliteBackend, StatementLog
@@ -274,7 +273,7 @@ def test_bounded_queryset_count_counts_records(agg_form):
 def test_count_and_exists_issue_one_grouped_statement():
     backend = SqliteBackend()
     log = StatementLog(backend)
-    form = FORM(Database(backend), cache_config=CacheConfig.disabled())
+    form = FORM(Database(backend))
     form.register_all(MODELS)
     with use_form(form):
         author = AggAuthor.objects.create(name="ada")
@@ -296,7 +295,7 @@ def test_count_and_exists_issue_one_grouped_statement():
 def test_joined_count_groups_by_every_jvars_column():
     backend = SqliteBackend()
     log = StatementLog(backend)
-    form = FORM(Database(backend), cache_config=CacheConfig.disabled())
+    form = FORM(Database(backend))
     form.register_all(MODELS)
     with use_form(form):
         ada = AggAuthor.objects.create(name="ada")
@@ -310,38 +309,21 @@ def test_joined_count_groups_by_every_jvars_column():
     backend.close()
 
 
-# -- cache interaction --------------------------------------------------------------------
+# -- read after write ---------------------------------------------------------------------
 
 
 def test_cached_aggregate_plan_invalidated_by_writes(agg_form):
-    # agg_form has caching enabled (default CacheConfig).
     author = AggAuthor.objects.create(name="ada")
     queryset = AggBook.objects.all()
     assert queryset.count() == 0
     AggBook.objects.create(name="b0", pages=10, author=author)
-    assert queryset.count() == 1  # write invalidated the cached plan
+    assert queryset.count() == 1  # each count runs after the write
     AggBook.objects.create(name="b1", pages=20, author=author)
     assert queryset.count() == 2
     assert queryset.sum("pages") == 30
     AggBook.objects.filter(name="b1").delete()
     assert queryset.count() == 1
     assert queryset.sum("pages") == 10
-
-
-def test_cached_aggregate_plan_is_served_from_cache():
-    backend = SqliteBackend()
-    log = StatementLog(backend)
-    form = FORM(Database(backend))  # caches on
-    form.register_all(MODELS)
-    with use_form(form):
-        author = AggAuthor.objects.create(name="ada")
-        AggBook.objects.create(name="b0", pages=10, author=author)
-        queryset = AggBook.objects.all()
-        assert queryset.count() == 1
-        log.clear()
-        assert queryset.count() == 1
-        assert log.statements == []  # warm: no SQL at all
-    backend.close()
 
 
 def test_only_discriminating_labels_surface_in_a_count(agg_form):

@@ -42,7 +42,6 @@ from repro.apps.conf.models import (
     ReviewAssignment,
 )
 from repro.apps.conf.views import setup_conf
-from repro.cache import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend
 from repro.form import use_form, viewer_context, writes
@@ -88,8 +87,7 @@ def _snapshot(instance):
 
 def _world(backend: str, seed: int, rng: random.Random):
     """A seeded conference; returns ``(form, viewers, papers, pcs)``."""
-    cache_config = CacheConfig() if seed % 4 == 1 else CacheConfig.disabled()
-    form = setup_conf(_database(backend), cache_config=cache_config)
+    form = setup_conf(_database(backend))
     with use_form(form):
         chair = ConfUser.objects.create(name="chair", email="chair@conf", level="chair")
         pcs = [
@@ -219,7 +217,7 @@ def test_batched_lookups_equal_the_per_record_path(backend):
 
 
 def _conference(backend="memory"):
-    form = setup_conf(_database(backend), cache_config=CacheConfig.disabled())
+    form = setup_conf(_database(backend))
     with use_form(form):
         pc = ConfUser.objects.create(name="pc", email="pc@conf", level="pc")
         author = ConfUser.objects.create(name="ada", email="ada@conf")

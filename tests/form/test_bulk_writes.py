@@ -209,7 +209,7 @@ def test_policied_update_is_batched_not_per_record():
     with use_form(form), StatementLog(backend) as log:
         author, _papers = _seed(5)
         bus = form.database.invalidation
-        events, writes = bus.events_published, bus.write_generation("Paper")
+        events = bus.events_published
         log.clear()
         Paper.objects.filter(author=author).update(title="X")
         # One projected jid query + one row fetch; the rewrite itself is a
@@ -220,7 +220,7 @@ def test_policied_update_is_batched_not_per_record():
         assert selects[0].startswith('SELECT DISTINCT "jid"')
         assert [e.kind for e in log.events if e.kind == "REPLACE"] == ["REPLACE"]
         # one invalidation event for the batch
-        assert (bus.events_published, bus.write_generation("Paper")) == (events + 1, writes + 1)
+        assert bus.events_published == events + 1
 
 
 def test_batched_update_preserves_value_facets_on_other_columns(paper_form):
@@ -458,10 +458,10 @@ def test_bulk_update_batches_heterogeneous_edits(paper_form):
         paper.score = 100 + index
         paper.status = f"round{index}"
     bus = paper_form.database.invalidation
-    events, writes = bus.events_published, bus.write_generation("Paper")
+    events = bus.events_published
     Paper.objects.bulk_update(fetched)
     # one batched write
-    assert (bus.events_published, bus.write_generation("Paper")) == (events + 1, writes + 1)
+    assert bus.events_published == events + 1
     with viewer_context(author):
         refreshed = Paper.objects.all().order_by("score").fetch()
     assert [p.score for p in refreshed] == [100, 101, 102]

@@ -308,14 +308,13 @@ def test_the_shape_cache_gives_each_thread_its_own_viewers_rows(monkeypatch):
     from repro.apps.conf.models import ConfUser
     from repro.apps.conf.seed import seed_conference
     from repro.apps.conf.views import setup_conf
-    from repro.cache.config import CacheConfig
     from repro.db import expr
     from repro.db.query import Query
     from repro.form.pushdown import pruning_conjuncts
 
     monkeypatch.setattr(expr, "_FACTORIES", {})
     monkeypatch.setattr(expr, "SHAPE_CACHE_SIZE", 4)
-    form = setup_conf(cache_config=CacheConfig.disabled())
+    form = setup_conf()
     viewers = seed_conference(form, papers=16)["users"][:8]
     with use_form(form):
         rows = form.database.execute(Query(table="ConfUser"))

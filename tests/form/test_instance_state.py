@@ -1,12 +1,10 @@
 """What a read hands out: each instance's state.
 
 A read turns each row of its statement into one instance, the row's dict
-becoming the instance's ``__dict__``, and a query-cache hit builds its
-instances from copies of the cached states.  On both backends, with the
-caches on and off, and over every read path (a pushed fetch, the Python
-pruning path, a no-viewer faceted fetch, ``first()`` and ``get()``, a
-join-filtered fetch and a batched foreign-key dereference), each read runs
-twice, the second a query-cache hit when the caches are on.  Every
+becoming the instance's ``__dict__``.  On both backends, and over every
+read path (a pushed fetch, the Python pruning path, a no-viewer faceted
+fetch, ``first()`` and ``get()``, a join-filtered fetch and a batched
+foreign-key dereference), each read runs twice.  Every
 instance's state must hold exactly ``jid`` and the model's field columns,
 plus ``_siblings`` and ``_fk_cache_*`` where those mechanisms set them:
 never a facet row's ``id`` or ``jvars``, which would tell a viewer which
@@ -20,7 +18,6 @@ import sqlite3
 
 import pytest
 
-from repro.cache import CacheConfig
 from repro.core.facets import Facet
 from repro.db import Database, SqliteBackend, schema_to_sql
 from repro.form import (
@@ -161,18 +158,17 @@ def _stored(form):
     )
 
 
-def _form(database, caches):
-    form = FORM(database, cache_config=CacheConfig() if caches else CacheConfig.disabled())
+def _form(database):
+    form = FORM(database)
     form.register_all(MODELS)
     return form
 
 
 @pytest.mark.parametrize("read", sorted(READS))
-@pytest.mark.parametrize("caches", [False, True], ids=["uncached", "cached"])
 @pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_a_read_hands_out_fresh_state_of_the_model_columns(kind, caches, read):
+def test_a_read_hands_out_fresh_state_of_the_model_columns(kind, read):
     database = Database() if kind == "memory" else Database(SqliteBackend())
-    form = _form(database, caches)
+    form = _form(database)
     with use_form(form):
         ada = _seed()
         stored = _stored(form)
@@ -189,13 +185,11 @@ def test_a_read_hands_out_fresh_state_of_the_model_columns(kind, caches, read):
             for column in _columns(instance):
                 setattr(instance, column, "changed")
         assert _stored(form) == stored
-        hits = form.caches.queries.stats.hits
         again = READS[read](form, ada)
         assert not set(map(id, again)) & set(map(id, first))
         for instance in again:
             _check_state(instance)
         assert _values(again) == expected
-        assert (form.caches.queries.stats.hits > hits) == caches
     database.close()
 
 
@@ -211,12 +205,11 @@ def _older_file(path):
     connection.close()
 
 
-@pytest.mark.parametrize("caches", [False, True], ids=["uncached", "cached"])
-def test_a_column_the_model_no_longer_declares_stays_hidden(tmp_path, caches):
+def test_a_column_the_model_no_longer_declares_stays_hidden(tmp_path):
     path = str(tmp_path / "older.db")
     _older_file(path)
     database = Database(SqliteBackend(path))
-    form = _form(database, caches)
+    form = _form(database)
     with use_form(form):
         ada = _seed()
         assert all(row["legacy"] == "old" for row in database.rows("StateItem"))
@@ -236,7 +229,7 @@ def test_a_join_filtered_read_equals_the_plain_read(kind):
     """The join's rows carry the base table's BOOLEAN and DATETIME
     columns: SQLite decodes them as it decodes a single-table read's."""
     database = Database() if kind == "memory" else Database(SqliteBackend())
-    form = _form(database, caches=False)
+    form = _form(database)
     with use_form(form):
         ada = _seed()
         with viewer_context(ada):

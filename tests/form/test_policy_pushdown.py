@@ -15,7 +15,6 @@ Python path's field for field.
 import pytest
 
 from repro import obs
-from repro.cache.config import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend, StatementLog
 from repro.form import (
@@ -186,12 +185,9 @@ def clean_obs():
     obs.reset()
 
 
-def _make_form(kind, cache_config=None):
+def _make_form(kind):
     database = Database() if kind == "memory" else Database(SqliteBackend())
-    form = FORM(
-        database,
-        cache_config=cache_config if cache_config is not None else CacheConfig.disabled(),
-    )
+    form = FORM(database)
     form.register_all(MODELS)
     return form, database
 
@@ -494,10 +490,10 @@ def test_pc_labelled_rows_force_the_python_fallback(pushdown_form):
 
 
 def test_no_cross_viewer_leak_with_caches_enabled():
-    form, database = _make_form("sqlite", cache_config=CacheConfig())
+    form, database = _make_form("sqlite")
     with use_form(form):
         ada, bob = _seed_docs(form)
-        for _round in range(2):  # second round hits the query cache
+        for _round in range(2):  # each viewer reads after the other
             with viewer_context(ada):
                 ada_titles = sorted(d.title for d in Doc.objects.all().fetch())
             with viewer_context(bob):
@@ -549,25 +545,6 @@ def test_a_no_viewer_read_after_a_pushed_read_concretizes_for_every_viewer(pushd
         assert sorted(doc.title for doc in docs) == titles
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_the_python_path_never_reads_a_pushed_cache_entry(kind):
-    form, database = _make_form(kind, cache_config=CacheConfig())
-    with use_form(form):
-        ada, _bob = _seed_docs(form)
-        stats = form.caches.queries.stats
-        with obs.tracing(), viewer_context(ada):
-            pushed = Doc.objects.all().fetch()
-            hits = stats.hits
-            assert _field_values(Doc.objects.all().fetch()) == _field_values(pushed)
-            assert stats.hits == hits + 1  # the pushed entry serves its own query
-            misses = stats.misses
-            python = _oracle(form, lambda: Doc.objects.all().fetch())
-            assert stats.hits == hits + 1 and stats.misses > misses
-    assert obs.totals.get("plan.policy_pushdown") == 2
-    assert _field_values(python) == _field_values(pushed)
-    database.close()
-
-
 # -- one decision per read -----------------------------------------------------------
 
 
@@ -584,11 +561,11 @@ def _branch_label(form, name=None):
 @pytest.mark.parametrize("kind", ["memory", "sqlite"])
 def test_a_lookup_on_an_unregistered_model_demotes_the_read(kind):
     database = Database() if kind == "memory" else Database(SqliteBackend())
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all([Owner, Ledger])
     # Another FORM on the same database creates the table, which holds no
     # facet rows: only the registration check keeps the read in Python.
-    FORM(database, cache_config=CacheConfig.disabled()).register(LedgerShare)
+    FORM(database).register(LedgerShare)
     assert database.facet_branch_keys("LedgerShare") == frozenset()
     assert profile_for(Ledger).lookups == {"LedgerShare"}
     try:
@@ -673,7 +650,7 @@ def test_each_count_exists_and_aggregate_counts_its_fallback_once(
 def test_an_adopted_sqlite_file_knows_its_facet_state(tmp_path, guarded):
     path = str(tmp_path / "docs.sqlite")
     database = Database(SqliteBackend(path))
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all(MODELS)
     with use_form(form):
         ada, _bob = _seed_docs(form)
@@ -681,7 +658,7 @@ def test_an_adopted_sqlite_file_knows_its_facet_state(tmp_path, guarded):
     database.close()
     # Reopening adopts the file's tables and their rows.
     database = Database(SqliteBackend(path))
-    form = FORM(database, cache_config=CacheConfig.disabled())
+    form = FORM(database)
     form.register_all(MODELS)
     try:
         if guarded:

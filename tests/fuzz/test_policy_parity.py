@@ -8,12 +8,8 @@ counts, ``exists()`` and aggregates -- from a seeded stdlib
 ``random.Random``, then runs it once per configuration on the same
 backend:
 
-* ``"off"`` -- the Python Early Pruning path, caches off (the oracle);
-* ``"on"`` -- inline predicates render into the SQL statement;
-* ``"cached"`` -- pushdown on, with the default ``CacheConfig()``: the
-  query cache.  The programs interleave writes with reads, so an entry
-  served after a write it depends on shows up as a divergence from the
-  oracle.
+* ``"off"`` -- the Python Early Pruning path (the oracle);
+* ``"on"`` -- inline predicates render into the SQL statement.
 
 Every configuration must produce the oracle's observables, and none may
 ever leak a secret to the wrong viewer -- checked against the fetched
@@ -45,11 +41,10 @@ the program.  A no-viewer read of N records holding facet rows builds up
 to 2 ** N leaves, so the check is skipped once more than
 :data:`MAX_FACETED_RECORDS` such records exist.
 
-In the ``"on"`` configuration (not ``"cached"``, where a cache hit runs
-no statement) every read is first explained, inside the traced region:
-``explain()`` must run no statement and bump no counter, its ``sql`` must
-be among the statements the read runs, and the pushdown counters the read
-bumps must be exactly the one the report names -- one
+In the ``"on"`` configuration every read is first explained, inside the
+traced region: ``explain()`` must run no statement and bump no counter,
+its ``sql`` must be among the statements the read runs, and the pushdown
+counters the read bumps must be exactly the one the report names -- one
 ``plan.policy_pushdown`` for ``"policy-pushdown"``, the reported
 ``fallback`` (or nothing, when it reports none) for ``"pruned"``.
 
@@ -69,7 +64,6 @@ import pytest
 
 from repro import obs
 from repro.cache import bump_policy_epoch
-from repro.cache.config import CacheConfig
 from repro.core.labels import Label
 from repro.db import Database, SqliteBackend
 from repro.form import (
@@ -219,7 +213,7 @@ AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 MAX_FACETED_RECORDS = 8
 ORG_PATHS = ("/", "/eng", "/eng/db", "/ops")
 #: configurations compared against the "off" oracle
-CONFIGS = ("off", "on", "cached")
+CONFIGS = ("off", "on")
 #: the counter a pushed read bumps, then the counters a read that falls
 #: back to the Python path bumps, one per reason
 PUSHDOWN_COUNTERS = (
@@ -394,8 +388,7 @@ def _run_program(kind, program, config):
     creates) -- identically in every configuration, so parity is
     unaffected."""
     database = Database() if kind == "memory" else Database(SqliteBackend())
-    cache_config = CacheConfig() if config == "cached" else CacheConfig.disabled()
-    form = FORM(database, cache_config=cache_config)
+    form = FORM(database)
     form.register_all(MODELS)
     form.policy_pushdown_enabled = config != "off"
     observables = []

@@ -170,13 +170,12 @@ def test_explain_executes_nothing(form):
 
 @pytest.fixture(params=["memory", "sqlite"])
 def conf(request):
-    """The conference app, seeded, on each backend (caches off)."""
+    """The conference app, seeded, on each backend."""
     from repro.apps.conf.seed import seed_conference
     from repro.apps.conf.views import setup_conf
-    from repro.cache.config import CacheConfig
 
     database = Database() if request.param == "memory" else Database(SqliteBackend())
-    form = setup_conf(database, cache_config=CacheConfig.disabled())
+    form = setup_conf(database)
     created = seed_conference(form, papers=4)
     with use_form(form):
         yield request.param, created

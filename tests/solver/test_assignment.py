@@ -58,12 +58,6 @@ def test_extra_constraints_can_make_unsat():
         assigner.assign({"k": TRUE})
 
 
-def test_greedy_strategy_matches_solver_on_independent_policies():
-    policies = {"a": TRUE, "b": FALSE, "c": TRUE}
-    assigner = LabelAssigner()
-    assert assigner.assign(policies) == assigner.assign_greedy(policies)
-
-
 _label_names = ["k1", "k2", "k3"]
 
 
