@@ -16,7 +16,7 @@ single interface:
 translation between Django-style and Jacqueline-style queries.
 """
 
-from repro.db.schema import Column, ColumnType, IndexSpec, TableSchema, index_name
+from repro.db.schema import Column, ColumnType, TableSchema
 from repro.db.expr import (
     AndExpr,
     Between,
@@ -41,12 +41,7 @@ from repro.db.expr import (
     prefix_range,
     string_successor,
 )
-from repro.db.planner import (
-    AccessPath,
-    PlanChoice,
-    TableStatistics,
-    choose_plan,
-)
+from repro.db.planner import AccessPath, choose_plan
 from repro.db.query import (
     Aggregate,
     DeletePlan,
@@ -71,9 +66,7 @@ from repro.db.sqlgen import delete_to_sql, query_to_sql, schema_to_sql, update_t
 __all__ = [
     "Column",
     "ColumnType",
-    "IndexSpec",
     "TableSchema",
-    "index_name",
     "Expression",
     "ColumnRef",
     "Literal",
@@ -95,8 +88,6 @@ __all__ = [
     "prefix_range",
     "string_successor",
     "AccessPath",
-    "PlanChoice",
-    "TableStatistics",
     "choose_plan",
     "Query",
     "Join",

@@ -320,8 +320,8 @@ class Backend(abc.ABC):
         """The value of a one-aggregate selection without GROUP BY.
 
         Runs the selection through :meth:`execute` -- one statement on both
-        backends, the ``EXISTS`` probe included -- and reads its one result
-        row.  A grouped selection is read with :meth:`execute`.
+        backends -- and reads its one result row.  A grouped selection is
+        read with :meth:`execute`.
 
         >>> from repro.db import Database
         >>> from repro.db.query import Aggregate
@@ -343,9 +343,9 @@ class Backend(abc.ABC):
     def explain_query(self, query: Query) -> Dict[str, Any]:
         """Backend-specific plan detail merged into ``Query.explain()``.
 
-        The memory engine reports the access path its cost model would
-        choose (``chosen_plan`` / ``considered_plans``); SQLite reports its
-        own ``EXPLAIN QUERY PLAN`` rows.  Must not execute the query or
+        The memory engine reports the access path the read takes
+        (``chosen_plan``: a hash probe or the full scan); SQLite reports
+        its own ``EXPLAIN QUERY PLAN`` rows.  Must not execute the query or
         emit statement-observer events.  Default: nothing to add.
         """
         return {}

@@ -230,24 +230,6 @@ class Database:
         query = Query(table=table, where=where).select_aggregates(Aggregate("COUNT"))
         return self.aggregate(query)
 
-    def count_distinct(
-        self, table: str, column: str, where: Optional[Expression] = None
-    ) -> int:
-        """``COUNT(DISTINCT column)`` in one statement (NULLs skipped).
-
-        The record-counting primitive behind the ORMs' ``count()``
-        pushdown: one logical record spans several rows sharing a key
-        (``jid``/``id``), so records are counted as distinct keys.
-
-        >>> with Database() as db:
-        ...     _ = db.define_table("Paper", jid=ColumnType.INTEGER)
-        ...     _ = db.insert_many("Paper", [{"jid": 1}, {"jid": 1}, {"jid": 2}])
-        ...     db.count_distinct("Paper", "jid")
-        2
-        """
-        count = Aggregate("COUNT", column, distinct=True)
-        return self.aggregate(Query(table=table, where=where).select_aggregates(count))
-
     def may_have_facets(self, table: str) -> bool:
         """Whether ``table`` may hold faceted rows (write-maintained state).
 
@@ -281,23 +263,6 @@ class Database:
         """
         return self.backend.facet_branch_keys(table)
 
-    def exists(self, table: str, where: Optional[Expression] = None) -> bool:
-        """``SELECT EXISTS(...)``: any matching row, without fetching rows.
-
-        One statement on both backends -- SQLite stops at the first hit,
-        the memory engine early-exits its scan -- so probing a huge table
-        never fetches (or counts) its rows.
-
-        >>> with Database() as db:
-        ...     _ = db.define_table("Paper", title=ColumnType.TEXT)
-        ...     before = db.exists("Paper")
-        ...     _ = db.insert("Paper", title="facets")
-        ...     (before, db.exists("Paper"))
-        (False, True)
-        """
-        query = Query(table=table, where=where).select_aggregates(Aggregate("EXISTS"))
-        return self.aggregate(query)
-
     def execute(self, query: Query) -> List[Dict[str, Any]]:
         return self.backend.execute(query)
 
@@ -306,21 +271,25 @@ class Database:
 
         :meth:`Query.explain` (plan shape + SQL that string-equals the
         executed statement) merged with the backend's own plan detail: the
-        memory engine's cost-model choice (``chosen_plan`` /
-        ``considered_plans``), SQLite's ``EXPLAIN QUERY PLAN`` rows.
-        Nothing is executed and no statement event is emitted.
+        memory engine's ``chosen_plan`` (a hash probe or the full scan),
+        SQLite's ``EXPLAIN QUERY PLAN`` rows.  Nothing is executed and no
+        statement event is emitted.
 
+        >>> from repro.db.expr import eq, gt
         >>> from repro.db.schema import Column
         >>> with Database() as db:
         ...     schema = TableSchema("Paper", (
         ...         Column("id", ColumnType.INTEGER, primary_key=True),
-        ...         Column("score", ColumnType.INTEGER, ordered=True)))
+        ...         Column("jid", ColumnType.INTEGER, indexed=True),
+        ...         Column("score", ColumnType.INTEGER)))
         ...     db.create_table(schema)
-        ...     _ = db.insert_many("Paper", [{"score": n} for n in range(8)])
-        ...     from repro.db.expr import between
-        ...     plan = db.explain(db.query("Paper").filter(between("score", 2, 4)))
-        ...     plan["chosen_plan"]["access"]
-        'ordered-range'
+        ...     _ = db.insert_many("Paper", [{"jid": n, "score": n} for n in range(8)])
+        ...     probe = db.explain(db.query("Paper").filter(eq("jid", 2)))
+        ...     scan = db.explain(db.query("Paper").filter(gt("score", 2)))
+        >>> probe["chosen_plan"]
+        {'access': 'hash-probe', 'index': 'hash:jid', 'column': 'jid', 'exact': True}
+        >>> scan["chosen_plan"]
+        {'access': 'full-scan'}
         """
         report = query.explain()
         report.update(self.backend.explain_query(query))

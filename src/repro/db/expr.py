@@ -649,8 +649,7 @@ class Like(Expression):
     The default follows SQLite's LIKE: case-insensitive for ASCII letters
     only.  ``case_sensitive=True`` matches exactly -- rendered to SQL as
     ``GLOB`` with a translated pattern, because SQLite's LIKE operator
-    cannot be made case-sensitive per-expression -- and is the form an
-    ordered index can serve with a prefix range probe.  A NULL operand or
+    cannot be made case-sensitive per-expression.  A NULL operand or
     pattern is UNKNOWN, as in SQL.
 
     >>> like("path", "/eng/%", case_sensitive=True).evaluate({"path": "/eng/a"})
@@ -694,26 +693,6 @@ class Like(Expression):
             for ch in self.pattern
         )
         return f"{operand_sql} GLOB ?", params + [glob]
-
-    def literal_prefix(self) -> Tuple[str, bool]:
-        """The pattern's leading literal text, and whether it is *pure*.
-
-        A pure prefix pattern is ``literal + '%'`` exactly -- every string
-        in the half-open range ``[prefix, successor(prefix))`` matches, so
-        a case-sensitive index probe over that range is exact.
-
-        >>> like("p", "/eng/%").literal_prefix()
-        ('/eng/', True)
-        >>> like("p", "a_c%").literal_prefix()
-        ('a', False)
-        """
-        prefix = []
-        for index, ch in enumerate(self.pattern):
-            if ch in "%_":
-                rest = self.pattern[index:]
-                return "".join(prefix), rest == "%"
-            prefix.append(ch)
-        return "".join(prefix), False
 
     def columns(self) -> List[str]:
         return self.operand.columns()
@@ -1275,7 +1254,7 @@ def like(column: str, pattern: str, case_sensitive: bool = False) -> Like:
 def string_successor(text: str) -> Optional[str]:
     """The smallest string greater than every string prefixed by ``text``.
 
-    The upper bound of a prefix range probe: increment the last code point,
+    The upper bound of :func:`prefix_range`: increment the last code point,
     carrying past ``chr(0x10FFFF)``.  ``None`` means "no finite bound"
     (empty input or all-maximal code points).  Valid for both backends
     because UTF-8 byte order equals code-point order.
@@ -1296,10 +1275,10 @@ def prefix_range(column: str, prefix: str) -> Expression:
 
     The rewrite SQLite's own LIKE optimisation applies to
     ``column LIKE 'prefix%'``: a half-open range ``[prefix,
-    successor(prefix))`` that ordinary ordered indexes serve on both
-    backends.  Case-sensitive by construction (range comparisons are), so
-    it is the indexable spelling of the org-tree ``path LIKE :prefix ||
-    '%'`` policy shape.
+    successor(prefix))`` that SQLite's B-tree indexes serve.
+    Case-sensitive by construction (range comparisons are), so it is the
+    indexable spelling of the org-tree ``path LIKE :prefix || '%'`` policy
+    shape.
 
     >>> prefix_range("path", "/eng/").to_sql()
     ('(path >= ? AND path < ?)', ['/eng/', '/eng0'])

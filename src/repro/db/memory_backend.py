@@ -219,8 +219,6 @@ class MemoryBackend(Backend):
         self, query: Query, members: Optional[Dict[int, Any]] = None
     ) -> List[Dict[str, Any]]:
         if query.aggregates:
-            if query.aggregates[0].function.upper() == "EXISTS":
-                return [{"EXISTS": self._exists(query)}]
             return self._aggregate_rows(query)
         columns = query.qualified_columns() if query.is_join() else query.columns
         with self._lock:
@@ -262,18 +260,6 @@ class MemoryBackend(Backend):
                         for row in dedupe_rows(matching, stop_after=stop_after)
                     ]
                 return rows[query.offset:] if query.offset else rows
-            if not query.is_join() and not query.distinct and query.order_by:
-                # Ask the cost model whether an ordered index can serve the
-                # ORDER BY directly: rows then stream out pre-sorted with an
-                # early exit at offset+limit matches, no sort pass at all.
-                table = self._table(query.table)
-                choice = table.plan(where, query.order_by, query.limit, query.offset)
-                table.last_plan = choice
-                if choice.chosen.serves_order:
-                    rows = self._serve_in_order(table, choice.chosen, where, query)
-                    if columns:
-                        rows = [self._pick_columns(row, columns) for row in rows]
-                    return rows
             rows = self._matching_rows(query, where)
             if not query.is_join():
                 # Copy only the matches: they outlive the lock.
@@ -300,28 +286,6 @@ class MemoryBackend(Backend):
             if columns:
                 rows = [self._pick_columns(row, columns) for row in rows]
         return rows
-
-    def _exists(self, query: Query) -> bool:
-        """The ``SELECT EXISTS(...)`` probe, with an early exit.
-
-        Stops scanning the index-narrowed candidates once enough matches
-        are seen, like the database behind the probe.  LIMIT/OFFSET stay
-        inside the SQL subselect, so they are honoured here too: the window
-        is non-empty iff more than ``offset`` rows match (and the limit
-        allows at least one row through).
-        """
-        if query.limit is not None and query.limit <= 0:
-            return False
-        with self._lock:
-            where = self._resolved_where(query)
-            source, predicate = self._source_rows(query, where)
-            needed = query.offset + 1
-            for row in source:
-                if predicate is None or predicate(row):
-                    needed -= 1
-                    if needed == 0:
-                        return True
-            return False
 
     def _aggregate_rows(self, query: Query) -> List[Dict[str, Any]]:
         """Grouped aggregate selections: one result row per group.
@@ -364,27 +328,6 @@ class MemoryBackend(Backend):
         result = apply_order(result, query.order_by)
         return apply_limit(result, query.limit, query.offset)
 
-    def _serve_in_order(self, table: Table, path, where, query: Query):
-        """Stream an order-serving access path: filter, stop early, copy.
-
-        The path hands back candidates already in ORDER BY order (the
-        planner only claims ``serves_order`` when the index's order is
-        scan-identical, NULL placement and tie-breaks included), so the
-        first ``offset + limit`` matches *are* the result window.
-        """
-        if query.limit is not None and query.limit <= 0:
-            return []
-        rows, exact = table.rows_for_path(path, copy=False)
-        stop = None if query.limit is None else query.limit + query.offset
-        predicate = None if where is None else where.compile(table)
-        matched: List[Dict[str, Any]] = []
-        for row in rows:
-            if exact or predicate is None or predicate(row):
-                matched.append(dict(row))
-                if stop is not None and len(matched) >= stop:
-                    break
-        return matched[query.offset:] if query.offset else matched
-
     def _source_rows(self, query: Query, where) -> Tuple[Iterable[Dict[str, Any]], Any]:
         """The FROM/JOIN row set, narrowed by an index when possible, and
         ``where`` compiled for it (``None`` without a filter).
@@ -420,29 +363,21 @@ class MemoryBackend(Backend):
         return [row for row in rows if predicate(row)]
 
     def explain_query(self, query: Query) -> Dict[str, Any]:
-        """The access path the cost model chooses for this query, unexecuted.
+        """The access path a single-table read takes, unexecuted.
 
-        Single-table reads report ``chosen_plan`` / ``considered_plans``
-        (the same :func:`repro.db.planner.choose_plan` call the executor
-        makes, over live statistics, so explain == execution); joins scan.
-        Subqueries are left unresolved -- planning must not execute them.
+        ``chosen_plan`` describes the hash probe or full scan the table's
+        :meth:`~repro.db.table.Table.plan` picks -- the same call the read
+        makes -- as ``access`` plus, for a probe, ``index``, ``column`` and
+        ``exact``; joins scan and report nothing.  Subqueries are left
+        unresolved, since planning must not execute them: an
+        ``InSubquery`` conjunct contributes no probe, while sibling
+        conjuncts plan exactly as execution will.
         """
         if query.is_join() or not self.has_table(query.table):
             return {}
         with self._lock:
-            table = self._table(query.table)
-            # Subqueries stay unresolved (planning never executes them): an
-            # InSubquery conjunct simply contributes no probe, while sibling
-            # conjuncts still plan exactly as execution will.
-            choice = table.plan(
-                query.where, query.order_by, query.limit, query.offset
-            )
-        return choice.describe()
-
-    def last_plan(self, table: str):
-        """The :class:`~repro.db.planner.PlanChoice` behind the most recent
-        planned read of ``table`` (test/debug introspection)."""
-        return self._table(table).last_plan
+            path = self._table(query.table).plan(query.where)
+        return {"chosen_plan": path.describe()}
 
     def clear(self) -> None:
         with self._lock:
@@ -539,7 +474,7 @@ class MemoryBackend(Backend):
 
         Each joined table is hashed on its join column first; the base rows
         then pass through the joins one at a time, so a reader that stops
-        early (:meth:`_exists`) joins no more base rows than it scans.
+        early (a bounded DISTINCT) joins no more base rows than it scans.
         Joined rows are fresh dicts with qualified keys (``Table.column``),
         matching the SQLite backend.  A NULL key is left out of the hash, so
         it matches nothing on either side, as SQL's ``=`` never matches NULL.

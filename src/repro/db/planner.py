@@ -1,136 +1,71 @@
-"""Cost-aware access-path planning for the relational substrate.
+"""Access-path choice for the memory engine.
 
-The planner chooses *how* a single-table predicate is evaluated: a full
-scan, an exact hash-index probe (``=`` / ``IN`` / ``IS NULL``), an ordered
-range probe (``<`` ``<=`` ``>`` ``>=`` ``BETWEEN`` and case-sensitive
-prefix ``LIKE``), or an ordered index scan that serves ORDER BY with an
-early exit.  Costs are estimated from :class:`TableStatistics` -- row
-count plus per-index key cardinality -- with the classic System R default
-selectivities for range predicates (1/4 when bounded on both sides, 1/3
-half-open).  The same function drives the memory engine's execution *and*
-``explain()``, so the reported plan is always the plan that runs.
+A read of one table takes one of two paths: a hash probe, which reads the
+buckets of a hash-indexed column for an ``= literal``, ``IN (...)``,
+``IS NULL`` or ``IS literal`` test, or the full scan.  The rule is fixed:
+the probe whenever :func:`equality_probe` finds one, the scan otherwise.
+Probe buckets are never larger than the table, so no estimate could prefer
+the scan; ordered access (ranges, prefixes, ORDER BY) is SQLite's B-trees'
+business, not the memory engine's.  The same function drives the memory
+engine's execution *and* ``explain()``, so the reported path is always
+the path that runs.
 
->>> stats = TableStatistics(
-...     row_count=10000,
-...     hash_indexes={"jid": 2500},
-...     ordered_indexes={"idx_T_score": ("score",)},
-...     ordered_cardinality={"idx_T_score": 90},
-... )
->>> from repro.db.expr import between
->>> choice = choose_plan(between("score", 10, 20), statistics=stats)
->>> choice.chosen.kind
-'ordered-range'
->>> from repro.db.expr import eq
->>> choose_plan(eq("jid", 7), statistics=stats).chosen.kind
-'hash-probe'
->>> choose_plan(None, statistics=stats).chosen.kind
+>>> from repro.db.expr import AndExpr, eq, gt
+>>> choose_plan(eq("jid", 7), {"jid"}).describe()
+{'access': 'hash-probe', 'index': 'hash:jid', 'column': 'jid', 'exact': True}
+>>> choose_plan(AndExpr(eq("jid", 7), gt("score", 2)), {"jid"}).exact
+False
+>>> choose_plan(gt("score", 2), {"jid"}).describe()
+{'access': 'full-scan'}
+>>> choose_plan(eq("jid", 7), {"jid"}, use_indexes=False).kind
 'full-scan'
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Collection, Dict, Optional, Tuple
 
 from repro.db.expr import (
     AndExpr,
-    Between,
     ColumnRef,
     Comparison,
     Expression,
     InList,
     IsNull,
-    Like,
     Literal,
     NullSafeEq,
-    string_successor,
 )
-
-#: System R default selectivity of a range bounded on both sides.
-BOUNDED_RANGE_SELECTIVITY = 0.25
-#: System R default selectivity of a half-open range.
-OPEN_RANGE_SELECTIVITY = 1.0 / 3.0
-#: Assumed selectivity of an arbitrary residual filter under an ordered scan.
-RESIDUAL_FILTER_SELECTIVITY = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class TableStatistics:
-    """The statistics the cost model consumes, as one immutable snapshot.
-
-    ``hash_indexes`` maps hash-indexed columns to their key cardinality;
-    ``ordered_indexes`` maps each ordered index's name to its column tuple
-    (most-significant first); ``ordered_cardinality`` maps the same names
-    to the distinct count of their leading column.
-    """
-
-    row_count: int
-    hash_indexes: Mapping[str, int] = field(default_factory=dict)
-    ordered_indexes: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    ordered_cardinality: Mapping[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class AccessPath:
-    """One way of producing a table's candidate rows, with its cost.
+    """How a read produces its candidate rows.
 
-    ``exact`` means the candidates are precisely the matching rows (no
-    per-row re-evaluation needed); ``serves_order`` means the rows come
-    out already in the query's ORDER BY order (no sort, early exit under
-    LIMIT).  The probe payload (``values`` for hash probes, ``low``/
-    ``high`` ``(value, inclusive)`` bounds for range probes,
-    ``descending`` for index scans) is what the executor consumes.
+    ``kind`` is ``"hash-probe"`` or ``"full-scan"``.  A hash probe reads
+    the buckets of ``values`` in ``column``'s hash index; ``exact`` means
+    those buckets hold precisely the matching rows, so no row needs the
+    predicate again.
     """
 
-    kind: str  # "full-scan" | "hash-probe" | "ordered-range" | "ordered-scan"
-    cost: float
-    estimated_rows: float
-    index: Optional[str] = None
+    kind: str
     column: Optional[str] = None
+    values: Tuple[Any, ...] = ()
     exact: bool = False
-    serves_order: bool = False
-    reason: str = ""
-    values: Optional[Tuple[Any, ...]] = None
-    low: Optional[Tuple[Any, bool]] = None
-    high: Optional[Tuple[Any, bool]] = None
-    descending: bool = False
-    empty: bool = False
 
     def describe(self) -> Dict[str, Any]:
         """The explain()-facing summary of this path."""
-        description: Dict[str, Any] = {
-            "access": self.kind,
-            "cost": round(self.cost, 3),
-            "estimated_rows": round(self.estimated_rows, 3),
-        }
-        if self.index is not None:
-            description["index"] = self.index
-        if self.column is not None:
-            description["column"] = self.column
-        if self.exact:
-            description["exact"] = True
-        if self.serves_order:
-            description["serves_order"] = True
-        if self.reason:
-            description["reason"] = self.reason
-        return description
-
-
-@dataclass(frozen=True)
-class PlanChoice:
-    """The chosen access path plus every alternative the planner costed."""
-
-    chosen: AccessPath
-    considered: Tuple[AccessPath, ...]
-
-    def describe(self) -> Dict[str, Any]:
+        if self.column is None:
+            return {"access": self.kind}
         return {
-            "chosen_plan": self.chosen.describe(),
-            "considered_plans": [path.describe() for path in self.considered],
+            "access": self.kind,
+            "index": f"hash:{self.column}",
+            "column": self.column,
+            "exact": self.exact,
         }
 
 
-# -- probe detection --------------------------------------------------------------
+FULL_SCAN = AccessPath("full-scan")
 
 
 def _bare(name: str) -> str:
@@ -190,301 +125,18 @@ def equality_probe(
     return None
 
 
-@dataclass
-class _RangeAtom:
-    column: str
-    low: Optional[Tuple[Any, bool]]
-    high: Optional[Tuple[Any, bool]]
-    exact_leaf: bool
-    empty: bool
-
-
-def _atomic_range(expression: Expression, columns) -> Optional[_RangeAtom]:
-    """One range-shaped leaf over an ordered column, or ``None``."""
-    if isinstance(expression, Comparison):
-        op, left, right = expression.op, expression.left, expression.right
-        if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            name, value = _bare(left.name), right.value
-        elif isinstance(left, Literal) and isinstance(right, ColumnRef):
-            # Flip "literal op column" into "column op' literal".
-            name, value = _bare(right.name), left.value
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        else:
-            return None
-        if name not in columns:
-            return None
-        if op == "=":
-            if value is None:
-                return _RangeAtom(name, None, None, True, True)
-            return _RangeAtom(name, (value, True), (value, True), True, False)
-        if op not in ("<", "<=", ">", ">="):
-            return None
-        if value is None:  # comparison with NULL is UNKNOWN for every row
-            return _RangeAtom(name, None, None, True, True)
-        if op == "<":
-            return _RangeAtom(name, None, (value, False), True, False)
-        if op == "<=":
-            return _RangeAtom(name, None, (value, True), True, False)
-        if op == ">":
-            return _RangeAtom(name, (value, False), None, True, False)
-        return _RangeAtom(name, (value, True), None, True, False)
-    if isinstance(expression, Between):
-        if not isinstance(expression.operand, ColumnRef):
-            return None
-        name = _bare(expression.operand.name)
-        if name not in columns:
-            return None
-        if not isinstance(expression.low, Literal) or not isinstance(
-            expression.high, Literal
-        ):
-            return None
-        low, high = expression.low.value, expression.high.value
-        if low is None or high is None:
-            # One NULL bound can still fail definitely on the other side,
-            # but never *match*: BETWEEN is >= AND <=, and an AND with an
-            # UNKNOWN side is never TRUE.
-            return _RangeAtom(name, None, None, True, True)
-        return _RangeAtom(name, (low, True), (high, True), True, False)
-    if isinstance(expression, Like) and expression.case_sensitive:
-        if not isinstance(expression.operand, ColumnRef):
-            return None
-        name = _bare(expression.operand.name)
-        if name not in columns:
-            return None
-        prefix, pure = expression.literal_prefix()
-        if not prefix:
-            return None
-        upper = string_successor(prefix)
-        high = (upper, False) if upper is not None else None
-        # A pure "prefix%" pattern matches exactly the strings in the
-        # half-open range; anything fancier needs per-row re-evaluation.
-        return _RangeAtom(name, (prefix, True), high, pure, False)
-    return None
-
-
-def _gather_ranges(
-    expression: Expression, columns, atoms: List[_RangeAtom]
-) -> bool:
-    """Collect range atoms from an AND-tree; returns whether *every* node
-    of the tree was such an atom (the precondition for exactness)."""
-    atom = _atomic_range(expression, columns)
-    if atom is not None:
-        atoms.append(atom)
-        return atom.exact_leaf
-    if isinstance(expression, AndExpr):
-        left = _gather_ranges(expression.left, columns, atoms)
-        right = _gather_ranges(expression.right, columns, atoms)
-        return left and right
-    return False
-
-
-def _tighter_low(
-    a: Optional[Tuple[Any, bool]], b: Optional[Tuple[Any, bool]]
-) -> Optional[Tuple[Any, bool]]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] == b[0]:
-        return (a[0], a[1] and b[1])
-    return a if a[0] > b[0] else b
-
-
-def _tighter_high(
-    a: Optional[Tuple[Any, bool]], b: Optional[Tuple[Any, bool]]
-) -> Optional[Tuple[Any, bool]]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] == b[0]:
-        return (a[0], a[1] and b[1])
-    return a if a[0] < b[0] else b
-
-
-def range_probes(
-    where: Expression, columns
-) -> Dict[str, Tuple[Optional[Tuple[Any, bool]], Optional[Tuple[Any, bool]], bool, bool]]:
-    """Per-column combined range constraints extracted from ``where``.
-
-    Returns ``{column: (low, high, exact, empty)}`` where bounds are
-    ``(value, inclusive)`` or ``None`` for unbounded.  ``exact`` holds
-    when the whole tree is range atoms on that single column, so range
-    membership *is* the predicate; ``empty`` flags a provably
-    unsatisfiable conjunct (a NULL bound: that comparison is UNKNOWN for
-    every row, and an AND over UNKNOWN is never TRUE).
-    """
-    atoms: List[_RangeAtom] = []
-    pure = _gather_ranges(where, columns, atoms)
-    combined: Dict[str, Tuple[Any, Any, bool, bool]] = {}
-    touched = {atom.column for atom in atoms}
-    for atom in atoms:
-        exact = pure and len(touched) == 1
-        entry = combined.get(atom.column)
-        if entry is None:
-            combined[atom.column] = (atom.low, atom.high, exact, atom.empty)
-            continue
-        low, high, _exact, empty = entry
-        try:
-            low = _tighter_low(low, atom.low)
-            high = _tighter_high(high, atom.high)
-        except TypeError:
-            # Incomparable bound types (mixed-type literals): keep the
-            # first interval, which is still a valid superset.
-            combined[atom.column] = (entry[0], entry[1], False, empty or atom.empty)
-            continue
-        combined[atom.column] = (low, high, exact, empty or atom.empty)
-    return combined
-
-
-# -- cost model -------------------------------------------------------------------
-
-
-def _range_selectivity(low, high, empty: bool) -> float:
-    if empty:
-        return 0.0
-    if low is not None and high is not None:
-        if low[0] == high[0]:
-            return 0.05  # equality-as-range: a single key
-        return BOUNDED_RANGE_SELECTIVITY
-    return OPEN_RANGE_SELECTIVITY
-
-
 def choose_plan(
     where: Optional[Expression],
-    order_by: Sequence[Any] = (),
-    limit: Optional[int] = None,
-    offset: int = 0,
-    *,
-    statistics: TableStatistics,
+    hash_columns: Collection[str],
     use_indexes: bool = True,
-) -> PlanChoice:
-    """Cost every applicable access path and pick the cheapest.
-
-    ``order_by`` is a sequence of :class:`repro.db.query.Order` terms.
-    Ties break deterministically by kind: hash probe, then ordered range,
-    then ordered scan, then full scan.  With ``use_indexes=False`` (the
-    forced-scan mode plan-parity fuzzing runs against) the full scan is
-    chosen regardless, but alternatives are still listed as considered.
-    """
-    rows = float(statistics.row_count)
-    order_columns = [(_bare(term.column), term.ascending) for term in order_by]
-    sortable = bool(order_by)
-
-    paths: List[AccessPath] = []
-    scan_cost = rows + (rows if sortable else 0.0)
-    paths.append(
-        AccessPath(
-            kind="full-scan",
-            cost=scan_cost,
-            estimated_rows=rows,
-            reason="every row is examined"
-            + (", then sorted" if sortable else ""),
-        )
-    )
-
-    if where is not None:
-        hit = equality_probe(where, statistics.hash_indexes)
+) -> AccessPath:
+    """The hash probe :func:`equality_probe` finds over ``hash_columns``,
+    or the full scan when it finds none, ``where`` is ``None`` or
+    ``use_indexes=False`` forces the scan (the oracle configuration
+    plan-parity fuzzing runs against)."""
+    if use_indexes and where is not None:
+        hit = equality_probe(where, hash_columns)
         if hit is not None:
             column, values, exact = hit
-            cardinality = max(1, statistics.hash_indexes.get(column) or 1)
-            estimated = min(rows, len(values) * rows / cardinality)
-            cost = estimated + (estimated if sortable else 0.0)
-            paths.append(
-                AccessPath(
-                    kind="hash-probe",
-                    cost=cost,
-                    estimated_rows=estimated,
-                    index=f"hash:{column}",
-                    column=column,
-                    exact=exact,
-                    reason=(
-                        f"{len(values)} key(s) against ~{cardinality} "
-                        "distinct values"
-                    ),
-                    values=values,
-                )
-            )
-
-    first_column_to_index: Dict[str, str] = {}
-    for name, index_columns in statistics.ordered_indexes.items():
-        first_column_to_index.setdefault(index_columns[0], name)
-
-    probes: Dict[str, Any] = {}
-    if where is not None and first_column_to_index:
-        probes = range_probes(where, first_column_to_index)
-        for column, (low, high, exact, empty) in probes.items():
-            if low is None and high is None and not empty:
-                continue
-            index = first_column_to_index[column]
-            selectivity = _range_selectivity(low, high, empty)
-            estimated = rows * selectivity
-            # Only a single-column index serves ORDER BY scan-identically:
-            # a composite index breaks value ties by its later columns,
-            # where the scan path's stable sort keeps heap (pk) order.
-            serves = (
-                len(order_columns) == 1
-                and order_columns[0][0] == column
-                and len(statistics.ordered_indexes[index]) == 1
-            )
-            cost = estimated + (estimated if sortable and not serves else 0.0)
-            paths.append(
-                AccessPath(
-                    kind="ordered-range",
-                    cost=cost,
-                    estimated_rows=estimated,
-                    index=index,
-                    column=column,
-                    exact=exact,
-                    serves_order=serves,
-                    descending=serves and not order_columns[0][1],
-                    reason=f"range probe, selectivity ~{selectivity:.2f}",
-                    low=low,
-                    high=high,
-                    empty=empty,
-                )
-            )
-
-    if (
-        len(order_columns) == 1
-        and order_columns[0][0] in first_column_to_index
-        # A range atom on the order column makes the ordered-range path
-        # the same in-order walk, started at the bound instead of the
-        # index head -- it strictly dominates, so don't offer the scan.
-        and order_columns[0][0] not in probes
-        and len(
-            statistics.ordered_indexes[first_column_to_index[order_columns[0][0]]]
-        )
-        == 1
-    ):
-        column, ascending = order_columns[0]
-        index = first_column_to_index[column]
-        if limit is not None:
-            needed = limit + offset
-            selectivity = 1.0 if where is None else RESIDUAL_FILTER_SELECTIVITY
-            cost = min(rows, needed / max(selectivity, 1e-9))
-        else:
-            cost = rows  # in-order walk, but no sort afterwards
-        paths.append(
-            AccessPath(
-                kind="ordered-scan",
-                cost=cost,
-                estimated_rows=rows,
-                index=index,
-                column=column,
-                serves_order=True,
-                descending=not ascending,
-                reason=(
-                    "in-order walk with early exit"
-                    if limit is not None
-                    else "in-order walk, no sort"
-                ),
-            )
-        )
-
-    priority = {"hash-probe": 0, "ordered-range": 1, "ordered-scan": 2, "full-scan": 3}
-    if use_indexes:
-        chosen = min(paths, key=lambda path: (path.cost, priority[path.kind]))
-    else:
-        chosen = next(path for path in paths if path.kind == "full-scan")
-    return PlanChoice(chosen=chosen, considered=tuple(paths))
+            return AccessPath("hash-probe", column, values, exact)
+    return FULL_SCAN

@@ -39,30 +39,21 @@ class Aggregate:
     ``COUNT``, ``SUM``, ``AVG``, ``MIN`` and ``MAX`` follow SQL's NULL
     rules on both backends: NULL values are skipped, ``COUNT`` of no
     values is 0, and every other function over no values is NULL.
-    ``distinct`` selects ``COUNT(DISTINCT column)`` and friends -- the
-    record-counting form of the FORM's ``count()`` pushdown, where one
-    logical record spans several facet rows sharing a ``jid``.
-    ``EXISTS`` is the whole-query membership test (``SELECT EXISTS(...)``);
-    it takes no column and is the only aggregate of its selection.
 
-    >>> Aggregate("COUNT", "jid", distinct=True).result_key()
-    'COUNT(DISTINCT jid)'
-    >>> Aggregate("EXISTS").result_key()
-    'EXISTS'
+    >>> Aggregate("COUNT").result_key()
+    'COUNT(*)'
+    >>> Aggregate("MEDIAN", "score")
+    Traceback (most recent call last):
+        ...
+    ValueError: unknown aggregate function 'MEDIAN'
     """
 
     function: str
     column: str = "*"
-    distinct: bool = False
 
     def __post_init__(self) -> None:
-        function = self.function.upper()
-        if function not in {"COUNT", "SUM", "AVG", "MIN", "MAX", "EXISTS"}:
+        if self.function.upper() not in {"COUNT", "SUM", "AVG", "MIN", "MAX"}:
             raise ValueError(f"unknown aggregate function {self.function!r}")
-        if self.distinct and self.column == "*":
-            raise ValueError("DISTINCT aggregates need an explicit column")
-        if function == "EXISTS" and (self.distinct or self.column != "*"):
-            raise ValueError("EXISTS takes neither a column nor DISTINCT")
 
     def result_key(self) -> str:
         """The result-row key (and SQL alias) of this aggregate selection.
@@ -73,11 +64,7 @@ class Aggregate:
         >>> Aggregate("SUM", "score").result_key()
         'SUM(score)'
         """
-        function = self.function.upper()
-        if function == "EXISTS":
-            return "EXISTS"
-        prefix = "DISTINCT " if self.distinct else ""
-        return f"{function}({prefix}{self.column})"
+        return f"{self.function.upper()}({self.column})"
 
 
 @dataclass(frozen=True)
@@ -109,17 +96,6 @@ class Query:
     #: form: the FORM's per-jvars-partition aggregates ride on it, and
     #: :meth:`Backend.aggregate` reads the value of a one-aggregate one.
     aggregates: Tuple[Aggregate, ...] = ()
-
-    def __post_init__(self) -> None:
-        # EXISTS probes the whole query (SELECT EXISTS(SELECT 1 ...)), so
-        # it has no grouped or multi-aggregate form: both backends reject
-        # such a selection here, where it is built.
-        if self.aggregates and (len(self.aggregates) > 1 or self.group_by) and any(
-            aggregate.function.upper() == "EXISTS" for aggregate in self.aggregates
-        ):
-            raise ValueError(
-                "EXISTS must be a selection's only aggregate, without GROUP BY"
-            )
 
     # -- fluent builders --------------------------------------------------------------
 
@@ -206,10 +182,6 @@ class Query:
         ...      .grouped_by("jvars"))
         >>> [a.result_key() for a in q.aggregates]
         ['COUNT(*)']
-        >>> Query("Paper").select_aggregates(Aggregate("EXISTS")).grouped_by("jvars")
-        Traceback (most recent call last):
-            ...
-        ValueError: EXISTS must be a selection's only aggregate, without GROUP BY
         """
         return _copy(self, aggregates=tuple(aggregates))
 
@@ -301,12 +273,13 @@ def _has_key_subselect(where: Optional[Expression]) -> bool:
     return isinstance(where, InSubquery)
 
 
-def _field_spec(cls: type) -> Tuple[Tuple[str, ...], Any]:
+def _field_spec(cls: type) -> Tuple[Tuple[str, ...], Any, Any]:
     names = tuple(field.name for field in fields(cls))
-    return names, attrgetter(*names)
+    return names, attrgetter(*names), getattr(cls, "__post_init__", None)
 
 
-#: Each copied class's field names, in order, and a getter of their values.
+#: Each copied class's field names, in order, a getter of their values and
+#: its ``__post_init__`` check, if it has one.
 _FIELDS = {cls: _field_spec(cls) for cls in (Query, Aggregate)}
 _setattr = object.__setattr__
 
@@ -319,18 +292,20 @@ def _copy(instance: Any, **changes: Any) -> Any:
     The copy's fields are set one by one in field order, as ``__init__``
     sets them.  Filling its ``__dict__`` wholesale would be faster still,
     but CPython then reads every attribute of the copy, and of the
-    original, through that dict, at several times the cost.  The
-    ``__post_init__`` check still runs.  ``changes`` name fields only.
+    original, through that dict, at several times the cost.  An
+    :class:`Aggregate`'s ``__post_init__`` check still runs.  ``changes``
+    name fields only.
 
     >>> _copy(Query("Paper"), limit=3) == Query("Paper", limit=3)
     True
     """
-    names, values = _FIELDS[type(instance)]
+    names, values, check = _FIELDS[type(instance)]
     copy = object.__new__(type(instance))
     change = changes.get
     for name, value in zip(names, values(instance)):
         _setattr(copy, name, change(name, value))
-    copy.__post_init__()
+    if check is not None:
+        check(copy)
     return copy
 
 
@@ -527,28 +502,19 @@ def plan_keys(query: "Query", key_column: str) -> "Query":
     )
 
 
-def _plan_write_where(query: "Query", key_column: Optional[str]) -> Optional[Expression]:
+def _plan_write_where(query: "Query", key_column: str) -> Optional[Expression]:
     """The WHERE clause of a set-oriented write compiled from a read query.
 
-    With a ``key_column`` the filters are pushed through the same
-    ``key IN (SELECT DISTINCT key ...)`` machinery as :func:`plan_bounded`:
-    the write then affects *whole records* -- every row sharing a matched
-    key -- which is what faceted tables need (a filter may match only one
-    facet row of a record, but the write must cover all of them), and the
-    only way a joined or bounded filter can reach a single-table
-    UPDATE/DELETE at all.  Without one, the filters apply row-by-row
-    (a table with one row per record).
+    The filters are pushed through the same ``key IN (SELECT DISTINCT key
+    ...)`` machinery as :func:`plan_bounded`: the write then affects *whole
+    records* -- every row sharing a matched key -- which is what faceted
+    tables need (a filter may match only one facet row of a record, but
+    the write must cover all of them), and the only way a joined or
+    bounded filter can reach a single-table UPDATE/DELETE at all.
     """
     from repro.db.expr import ColumnRef, InSubquery
 
     bounded = query.limit is not None or bool(query.offset)
-    if key_column is None:
-        if query.is_join() or bounded:
-            raise ValueError(
-                "joined or bounded write plans need a key column to push "
-                "their filters through a subselect"
-            )
-        return query.where
     if query.where is None and not query.is_join() and not bounded:
         # Every row of every record matches: the subselect would be a no-op.
         return None
@@ -556,16 +522,13 @@ def _plan_write_where(query: "Query", key_column: Optional[str]) -> Optional[Exp
     return InSubquery(ColumnRef(key_column.rsplit(".", 1)[-1]), subquery)
 
 
-def plan_update(
-    query: "Query", values: Dict[str, Any], key_column: Optional[str] = None
-) -> UpdatePlan:
+def plan_update(query: "Query", values: Dict[str, Any], key_column: str) -> UpdatePlan:
     """Compile a filtered read query to a single-statement UPDATE plan.
 
-    ``key_column`` is the record identity (``jid`` for the FORM): when
-    given, the write targets every row of every record with *any* matching
-    row, via the key subselect; joins, ordering and LIMIT/OFFSET on
-    ``query`` are honoured inside the subselect exactly as in
-    :func:`plan_bounded`.
+    ``key_column`` is the record identity (``jid`` for the FORM): the
+    write targets every row of every record with *any* matching row, via
+    the key subselect; joins, ordering and LIMIT/OFFSET on ``query`` are
+    honoured inside the subselect exactly as in :func:`plan_bounded`.
 
     >>> from repro.db.expr import eq
     >>> from repro.db.sqlgen import update_to_sql
@@ -576,7 +539,7 @@ def plan_update(
     UPDATE "Paper" SET "decided" = ? WHERE jid IN (SELECT DISTINCT "jid" FROM "Paper" WHERE accepted = ?)
     >>> params
     [True, True]
-    >>> plan_update(Query("Paper"), {})
+    >>> plan_update(Query("Paper"), {}, "jid")
     Traceback (most recent call last):
         ...
     ValueError: plan_update needs at least one column assignment
@@ -588,19 +551,19 @@ def plan_update(
     return UpdatePlan(query.table, dict(values), _plan_write_where(query, key_column))
 
 
-def plan_delete(query: "Query", key_column: Optional[str] = None) -> DeletePlan:
+def plan_delete(query: "Query", key_column: str) -> DeletePlan:
     """Compile a filtered read query to a single-statement DELETE plan.
 
-    Mirrors :func:`plan_update`: with a ``key_column`` the delete removes
-    every row of every matching record in one statement -- the set-oriented
-    replacement for the fetch-then-delete-per-record loop.
+    Mirrors :func:`plan_update`: the delete removes every row of every
+    matching record in one statement -- the set-oriented replacement for
+    the fetch-then-delete-per-record loop.
 
     >>> from repro.db.expr import eq
     >>> from repro.db.sqlgen import delete_to_sql
     >>> plan = plan_delete(Query("Paper").filter(eq("withdrawn", True)), "jid")
     >>> print(delete_to_sql(plan)[0])
     DELETE FROM "Paper" WHERE jid IN (SELECT DISTINCT "jid" FROM "Paper" WHERE withdrawn = ?)
-    >>> plan_delete(Query("Paper")).where is None   # unfiltered: no subselect
+    >>> plan_delete(Query("Paper"), "jid").where is None   # unfiltered: no subselect
     True
     """
     return DeletePlan(query.table, _plan_write_where(query, key_column))
@@ -786,8 +749,6 @@ def compute_aggregate(rows: List[Dict[str, Any]], aggregate: Aggregate) -> Any:
     1
     >>> compute_aggregate([{"v": None}], Aggregate("SUM", "v")) is None
     True
-    >>> compute_aggregate([{"v": 2}, {"v": 2}], Aggregate("SUM", "v", distinct=True))
-    2
     """
     function = aggregate.function.upper()
     if function == "COUNT" and aggregate.column == "*":
@@ -797,11 +758,6 @@ def compute_aggregate(rows: List[Dict[str, Any]], aggregate: Aggregate) -> Any:
         for row in rows
         if (value := column_value(row, aggregate.column, None)) is not None
     ]
-    if aggregate.distinct:
-        try:
-            values = list(dict.fromkeys(values))
-        except TypeError:  # unhashable values: quadratic fallback
-            values = [v for i, v in enumerate(values) if v not in values[:i]]
     if function == "COUNT":
         return len(values)
     if not values:

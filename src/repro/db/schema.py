@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import datetime
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 class ColumnType(enum.Enum):
@@ -55,11 +55,7 @@ class Column:
     """A single column definition.
 
     ``indexed`` requests a hash index on the memory engine (exact
-    ``=``/``IN``/``IS NULL`` probes) and a ``CREATE INDEX`` on SQLite;
-    ``ordered`` additionally requests an *ordered* index serving range
-    predicates, prefix matches and ORDER BY (SQLite's B-tree indexes are
-    ordered already, so there it only adds the DDL when ``indexed`` is
-    unset).
+    ``=``/``IN``/``IS NULL`` probes) and a ``CREATE INDEX`` on SQLite.
     """
 
     name: str
@@ -68,7 +64,6 @@ class Column:
     nullable: bool = True
     default: Any = None
     indexed: bool = False
-    ordered: bool = False
 
     def coerce(self, value: Any) -> Any:
         if value is None:
@@ -76,40 +71,6 @@ class Column:
                 raise ValueError(f"column {self.name!r} is not nullable")
             return None
         return self.type.coerce(value)
-
-
-@dataclass(frozen=True)
-class IndexSpec:
-    """A (possibly composite) ordered secondary index declaration.
-
-    ``columns`` are ordered most-significant first, like SQL composite
-    indexes: a range or prefix probe on ``columns[0]`` can always be
-    served, and the index orders rows by the full column tuple.  The name
-    defaults to ``idx_<table>_<col1>_<col2>`` at DDL-emission time (see
-    :func:`index_name`), keeping SQLite's per-database index namespace
-    collision-free.
-
-    >>> IndexSpec(("score", "jid")).columns
-    ('score', 'jid')
-    """
-
-    columns: Tuple[str, ...]
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.columns:
-            raise SchemaError("an index needs at least one column")
-        if len(self.columns) != len(set(self.columns)):
-            raise SchemaError(f"index has duplicate columns: {self.columns!r}")
-
-
-def index_name(table: str, spec: IndexSpec) -> str:
-    """The DDL name of an index (explicit, or derived from its columns).
-
-    >>> index_name("Task", IndexSpec(("path", "jid")))
-    'idx_Task_path_jid'
-    """
-    return spec.name or "idx_{}_{}".format(table, "_".join(spec.columns))
 
 
 class SchemaError(Exception):
@@ -122,13 +83,19 @@ class TableSchema:
 
     The primary key must be an INTEGER column; both backends auto-assign it
     on insert when left unset (mirroring Django's implicit ``id``).
+
+    >>> schema = TableSchema("Paper", (
+    ...     Column("id", ColumnType.INTEGER, primary_key=True),
+    ...     Column("jid", ColumnType.INTEGER, indexed=True),
+    ...     Column("title", ColumnType.TEXT)))
+    >>> [column.name for column in schema.indexed_columns()]
+    ['jid']
+    >>> schema.validate_row({"title": "facets"})
+    {'id': None, 'jid': None, 'title': 'facets'}
     """
 
     name: str
     columns: Tuple[Column, ...]
-    #: Explicit (possibly composite) ordered-index declarations, beyond the
-    #: single-column indexes implied by ``Column.indexed``/``Column.ordered``.
-    indexes: Tuple[IndexSpec, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -143,13 +110,6 @@ class TableSchema:
             raise SchemaError(f"primary key of {self.name!r} must be INTEGER")
         self._by_name: Dict[str, Column] = {column.name: column for column in self.columns}
         self._primary_key: Column = primary[0]
-        for spec in self.indexes:
-            for column in spec.columns:
-                if column not in self._by_name:
-                    raise SchemaError(
-                        f"index {index_name(self.name, spec)!r} references "
-                        f"unknown column {column!r}"
-                    )
 
     # -- queries ---------------------------------------------------------------
 
@@ -173,26 +133,6 @@ class TableSchema:
 
     def indexed_columns(self) -> List[Column]:
         return [column for column in self.columns if column.indexed]
-
-    def ordered_indexes(self) -> List[IndexSpec]:
-        """Every ordered index of this table, single-column and composite.
-
-        ``Column(ordered=True)`` contributes a single-column spec; the
-        schema's explicit :attr:`indexes` follow (duplicate column tuples
-        collapse, first declaration wins).
-        """
-        specs: List[IndexSpec] = [
-            IndexSpec((column.name,)) for column in self.columns if column.ordered
-        ]
-        specs.extend(self.indexes)
-        seen: Dict[Tuple[str, ...], None] = {}
-        unique = []
-        for spec in specs:
-            if spec.columns in seen:
-                continue
-            seen[spec.columns] = None
-            unique.append(spec)
-        return unique
 
     # -- row helpers -------------------------------------------------------------
 
@@ -226,4 +166,4 @@ class TableSchema:
         """
         existing = set(self.column_names())
         appended = tuple(column for column in extra if column.name not in existing)
-        return TableSchema(self.name, self.columns + appended, self.indexes)
+        return TableSchema(self.name, self.columns + appended)

@@ -16,7 +16,6 @@ from repro.db.query import (
     DeletePlan,
     Query,
     UpdatePlan,
-    _copy,
     order_outside_selection,
 )
 from repro.db.schema import TableSchema
@@ -36,9 +35,7 @@ def schema_to_sql(schema: TableSchema) -> str:
     return f'CREATE TABLE IF NOT EXISTS "{schema.name}" ({body})'
 
 
-def query_to_sql(
-    query: Query, qualify: bool = False, _select: Optional[str] = None
-) -> Tuple[str, List[Any]]:
+def query_to_sql(query: Query, qualify: bool = False) -> Tuple[str, List[Any]]:
     """Render a query to a SELECT statement and its bound parameters.
 
     The bounded-query pushdown renders as a jid subselect -- the LIMIT sits
@@ -67,28 +64,16 @@ def query_to_sql(
 
     Aggregate selections render the same way on both backends, each
     aggregate aliased with its ``result_key`` so result rows are keyed
-    identically everywhere -- grouped, scalar (``COUNT(DISTINCT jid)``)
-    or the ``EXISTS`` probe, which wraps the whole query:
+    identically everywhere, grouped or scalar:
 
     >>> grouped = (Query("Paper").select_aggregates(Aggregate("SUM", "score"))
     ...            .grouped_by("jvars"))
     >>> print(query_to_sql(grouped)[0])
     SELECT "jvars" AS "jvars", SUM("score") AS "SUM(score)" FROM "Paper" GROUP BY "jvars"
-    >>> print(query_to_sql(Query("Paper").select_aggregates(Aggregate("COUNT", "jid", distinct=True)))[0])
-    SELECT COUNT(DISTINCT "jid") AS "COUNT(DISTINCT jid)" FROM "Paper"
-    >>> print(query_to_sql(Query("Paper").select_aggregates(Aggregate("EXISTS")))[0])
-    SELECT EXISTS(SELECT 1 FROM "Paper") AS "EXISTS"
+    >>> print(query_to_sql(Query("Paper").select_aggregates(Aggregate("COUNT", "jid")))[0])
+    SELECT COUNT("jid") AS "COUNT(jid)" FROM "Paper"
     """
     params: List[Any] = []
-
-    if query.aggregates and query.aggregates[0].function.upper() == "EXISTS":
-        # EXISTS (a selection's only aggregate) wraps the whole query: the
-        # database answers the membership probe without returning any row.
-        # DISTINCT and ORDER BY cannot change whether any row exists, so
-        # they are dropped from the subselect (LIMIT/OFFSET can, and stay).
-        inner = _copy(query, aggregates=(), distinct=False, order_by=())
-        inner_sql, inner_params = query_to_sql(inner, qualify=qualify, _select="1")
-        return f'SELECT EXISTS({inner_sql}) AS "EXISTS"', inner_params
 
     # A distinct query ordered by non-selected columns evaluates in grouped
     # form (see order_outside_selection): DISTINCT becomes GROUP BY over
@@ -96,9 +81,7 @@ def query_to_sql(
     grouped_order = order_outside_selection(query)
     names: Optional[Sequence[str]] = None
 
-    if _select is not None:
-        select_clause = _select
-    elif query.aggregates:
+    if query.aggregates:
         parts = [f'{_quote_name(name)} AS "{name}"' for name in query.group_by]
         parts.extend(
             f'{_render_aggregate(aggregate)} AS "{aggregate.result_key()}"'
@@ -221,11 +204,9 @@ def delete_to_sql(plan: DeletePlan) -> Tuple[str, List[Any]]:
 
 
 def _render_aggregate(aggregate: Aggregate) -> str:
-    """``COUNT(*)`` / ``SUM("score")`` / ``COUNT(DISTINCT "jid")``."""
+    """``COUNT(*)`` / ``SUM("score")``."""
     column = aggregate.column
     target = column if column == "*" else _quote_name(column)
-    if aggregate.distinct:
-        target = f"DISTINCT {target}"
     return f"{aggregate.function.upper()}({target})"
 
 

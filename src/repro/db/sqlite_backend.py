@@ -31,7 +31,7 @@ from repro.db.backend import Backend
 from repro.db.expr import Expression
 from repro.db.observe import insert_summary, replace_summary
 from repro.db.query import DeletePlan, Query, UpdatePlan
-from repro.db.schema import Column, ColumnType, SchemaError, TableSchema, index_name
+from repro.db.schema import Column, ColumnType, SchemaError, TableSchema
 from repro.db.sqlgen import delete_to_sql, query_to_sql, schema_to_sql, update_to_sql
 
 
@@ -222,33 +222,16 @@ class SqliteBackend(Backend):
     def _index_statements(schema: TableSchema) -> List[str]:
         """Every ``CREATE INDEX`` statement a table's schema calls for.
 
-        Hash-indexed columns (``indexed=True``) and ordered indexes
-        (``ordered=True`` columns plus explicit :class:`IndexSpec`\\ s,
-        composite included) both become plain B-tree indexes here --
-        SQLite's indexes are ordered already, so the two memory-engine
-        index families collapse into one DDL form.  A column that is both
-        ``indexed`` and ``ordered`` gets a single index.
+        Each hash-indexed column (``indexed=True``) becomes a plain B-tree
+        index here: it serves the equality probes the memory engine's hash
+        index serves, and SQLite's own planner uses it for ranges and
+        ORDER BY besides.
         """
-        statements: List[str] = []
-        emitted = set()
-        for column in schema.indexed_columns():
-            name = f"idx_{schema.name}_{column.name}"
-            emitted.add(name)
-            statements.append(
-                f'CREATE INDEX IF NOT EXISTS "{name}" '
-                f'ON "{schema.name}" ("{column.name}")'
-            )
-        for spec in schema.ordered_indexes():
-            name = index_name(schema.name, spec)
-            if name in emitted:
-                continue
-            emitted.add(name)
-            columns_sql = ", ".join(f'"{c}"' for c in spec.columns)
-            statements.append(
-                f'CREATE INDEX IF NOT EXISTS "{name}" '
-                f'ON "{schema.name}" ({columns_sql})'
-            )
-        return statements
+        return [
+            f'CREATE INDEX IF NOT EXISTS "idx_{schema.name}_{column.name}" '
+            f'ON "{schema.name}" ("{column.name}")'
+            for column in schema.indexed_columns()
+        ]
 
     def index_ddl(self) -> List[str]:
         """The ``CREATE INDEX`` statements executed so far, in order."""
@@ -567,21 +550,17 @@ class SqliteBackend(Backend):
 
         Group columns and MIN/MAX results decode through their source
         column's type (MIN/MAX return one of the stored values, so
-        BOOLEAN/DATETIME columns decode exactly like a plain row read), and
-        the stored 0/1 of ``EXISTS`` becomes a ``bool``.
+        BOOLEAN/DATETIME columns decode exactly like a plain row read).
         """
         for name in query.group_by:
             column = self._source_column(query, name)
             if column is not None:
                 row[name] = self._decode_value(column, row.get(name))
         for aggregate in query.aggregates:
-            function = aggregate.function.upper()
-            key = aggregate.result_key()
-            if function == "EXISTS":
-                row[key] = bool(row[key])
-            elif function in ("MIN", "MAX"):
+            if aggregate.function.upper() in ("MIN", "MAX"):
                 column = self._source_column(query, aggregate.column)
                 if column is not None:
+                    key = aggregate.result_key()
                     row[key] = self._decode_value(column, row.get(key))
         return row
 

@@ -1,181 +1,28 @@
 """In-memory table storage with secondary indexes.
 
-Three index families live beside the row heap:
+Two index families live beside the row heap:
 
 * **hash indexes** (``Column(indexed=True)``): dict buckets serving exact
   ``=`` / ``IN`` / ``IS NULL`` probes;
-* **ordered indexes** (``Column(ordered=True)`` or an explicit
-  :class:`~repro.db.schema.IndexSpec`): bisect-maintained sorted entry
-  lists serving range predicates (``<`` ``<=`` ``>`` ``>=`` ``BETWEEN``),
-  case-sensitive prefix ``LIKE``, and in-order walks for ORDER BY with
-  early exit under LIMIT;
 * the **facet-branch index** of a table with ``jid`` and ``jvars``
   columns (:class:`BranchIndex`): the canonical facet rows of each
   policy-group branch, which a compiled ``FacetBranch`` test probes
   instead of building a string per row.
 
-Which hash or ordered index (if any) serves a given read is decided by
-the cost model in :mod:`repro.db.planner` from live table statistics;
+A read probes a hash index whenever its WHERE holds a probe on an indexed
+column, and scans otherwise (:func:`repro.db.planner.choose_plan`);
 ``use_indexes=False`` forces the scan path and the string spelling of
 ``FacetBranch``, which is the oracle plan-parity fuzzing compares against.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import (
-    AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.db.expr import Expression, canonical_branch, is_group_key
-from repro.db.planner import AccessPath, PlanChoice, TableStatistics, choose_plan
-from repro.db.schema import SchemaError, TableSchema, index_name
-
-
-class _Top:
-    """A sentinel comparing greater than every value; used as a bisect
-    probe suffix to land *after* all entries sharing a key prefix."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __le__(self, other: Any) -> bool:
-        return other is self
-
-    def __gt__(self, other: Any) -> bool:
-        return True
-
-    def __ge__(self, other: Any) -> bool:
-        return True
-
-    def __eq__(self, other: Any) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:  # pragma: no cover - never stored
-        return 0
-
-
-_TOP = _Top()
-
-#: NULL sort component: ``(1,)`` orders after every ``(0, value)``, so an
-#: ascending entry walk yields non-NULL values first and NULLs last --
-#: exactly the engine's pinned ORDER BY NULL convention.
-_NULL_COMPONENT: Tuple[int, ...] = (1,)
-
-
-def _component(value: Any) -> Tuple[Any, ...]:
-    return _NULL_COMPONENT if value is None else (0, value)
-
-
-class OrderedIndex:
-    """A sorted-list ordered index over one or more columns.
-
-    Entries are tuples ``(enc(v1), ..., enc(vn), pk)`` where ``enc``
-    wraps each column value so NULLs order after non-NULLs and the
-    primary key breaks ties deterministically (stable-sort order).  All
-    probes are tuple-prefix bisections, so lookups are O(log n) and range
-    reads O(log n + matches).
-    """
-
-    __slots__ = ("name", "columns", "_entries", "_first_counts")
-
-    def __init__(self, name: str, columns: Tuple[str, ...]) -> None:
-        self.name = name
-        self.columns = columns
-        self._entries: List[Tuple[Any, ...]] = []
-        # Distinct leading-component counts feed the planner's cardinality
-        # estimate without an O(n) walk per plan.
-        self._first_counts: Dict[Tuple[Any, ...], int] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def key_for(self, row: Dict[str, Any], pk: int) -> Tuple[Any, ...]:
-        return tuple(_component(row.get(c)) for c in self.columns) + (pk,)
-
-    def add(self, row: Dict[str, Any], pk: int) -> None:
-        key = self.key_for(row, pk)
-        bisect.insort(self._entries, key)
-        first = key[0]
-        self._first_counts[first] = self._first_counts.get(first, 0) + 1
-
-    def remove(self, row: Dict[str, Any], pk: int) -> None:
-        key = self.key_for(row, pk)
-        position = bisect.bisect_left(self._entries, key)
-        if position < len(self._entries) and self._entries[position] == key:
-            del self._entries[position]
-            first = key[0]
-            count = self._first_counts.get(first, 0) - 1
-            if count <= 0:
-                self._first_counts.pop(first, None)
-            else:
-                self._first_counts[first] = count
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._first_counts.clear()
-
-    def cardinality(self) -> int:
-        return len(self._first_counts)
-
-    # -- probes -------------------------------------------------------------------
-
-    def range_pks(
-        self,
-        low: Optional[Tuple[Any, bool]],
-        high: Optional[Tuple[Any, bool]],
-        descending: bool = False,
-    ) -> List[int]:
-        """Primary keys of rows whose leading column lies in the range.
-
-        Bounds are ``(value, inclusive)`` or ``None`` for unbounded.  NULL
-        leading values never qualify (a SQL range comparison with NULL is
-        UNKNOWN).  Ascending output is (value, pk)-ordered; descending
-        output walks value groups in reverse while keeping ascending pk
-        order inside each group, matching a stable reverse sort.
-        """
-        entries = self._entries
-        if low is None:
-            start = 0
-        elif low[1]:
-            start = bisect.bisect_left(entries, (_component(low[0]),))
-        else:
-            start = bisect.bisect_left(entries, (_component(low[0]), _TOP))
-        if high is None:
-            stop = bisect.bisect_left(entries, (_NULL_COMPONENT,))
-        elif high[1]:
-            stop = bisect.bisect_left(entries, (_component(high[0]), _TOP))
-        else:
-            stop = bisect.bisect_left(entries, (_component(high[0]),))
-        segment = entries[start:stop]
-        if not descending:
-            return [entry[-1] for entry in segment]
-        return self._descending_pks(segment)
-
-    def scan_pks(self, descending: bool = False) -> List[int]:
-        """Every primary key in index order (NULLs last ascending, first
-        descending -- the engine's ORDER BY NULL convention)."""
-        if not descending:
-            return [entry[-1] for entry in self._entries]
-        return self._descending_pks(self._entries)
-
-    @staticmethod
-    def _descending_pks(segment: Sequence[Tuple[Any, ...]]) -> List[int]:
-        # Walk equal-leading-value groups back to front, keeping ascending
-        # pk order inside each group: the exact row order of a stable
-        # reverse=True sort, so index-served DESC is scan-identical.
-        out: List[int] = []
-        i = len(segment)
-        while i > 0:
-            j = i
-            first = segment[i - 1][0]
-            while i > 0 and segment[i - 1][0] == first:
-                i -= 1
-            out.extend(entry[-1] for entry in segment[i:j])
-        return out
+from repro.db.planner import AccessPath, choose_plan
+from repro.db.schema import SchemaError, TableSchema
 
 
 #: The members of a branch no row is on.
@@ -252,7 +99,7 @@ class BranchIndex:
 
 
 class Table:
-    """A heap of rows plus hash, ordered and facet-branch indexes.
+    """A heap of rows plus hash and facet-branch indexes.
 
     Rows are stored as dicts keyed by column name; the integer primary key is
     auto-assigned on insert when missing.
@@ -265,25 +112,16 @@ class Table:
         self._indexes: Dict[str, Dict[Any, set]] = {
             column.name: {} for column in schema.indexed_columns()
         }
-        self._ordered: Dict[str, OrderedIndex] = {}
-        for spec in schema.ordered_indexes():
-            name = index_name(schema.name, spec)
-            self._ordered[name] = OrderedIndex(name, spec.columns)
         self._branches: Optional[BranchIndex] = None
         if schema.has_column("jid") and schema.has_column("jvars"):
             self._branches = BranchIndex(schema.name, schema.primary_key.name)
         #: The indexes that take whole rows: each names its ``columns``.
-        self._row_indexes: List[Union[OrderedIndex, BranchIndex]] = list(
-            self._ordered.values()
+        self._row_indexes: List[BranchIndex] = (
+            [] if self._branches is None else [self._branches]
         )
-        if self._branches is not None:
-            self._row_indexes.append(self._branches)
         #: ``False`` forces the scan path -- the oracle configuration the
         #: plan-parity fuzz harness runs against.
         self.use_indexes = True
-        #: The :class:`~repro.db.planner.PlanChoice` behind the most recent
-        #: planned read, recorded for ``explain()``/test introspection.
-        self.last_plan: Optional[PlanChoice] = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -402,9 +240,9 @@ class Table:
     def matching_rows(self, where: Optional[Expression]) -> List[Dict[str, Any]]:
         """The live rows matching ``where`` (every row when ``None``).
 
-        The rows every write mutates.  The cost model narrows the heap to
-        an access path's candidates; the compiled predicate then filters
-        them, unless the path is exact.  The rows stay live: callers hold
+        The rows every write mutates.  A hash probe narrows the heap to
+        its buckets' rows; the compiled predicate then filters the
+        candidates, unless the probe is exact.  The rows stay live: callers hold
         the backend lock and must copy any row that escapes it.
         """
         rows, exact = self._narrowed_rows(where)
@@ -420,12 +258,10 @@ class Table:
         filter it themselves with ``where.compile(table)`` (to stream it, or
         to stop early).  Equality, ``IN (...)`` lists (the resolved form of a
         jid-subselect pushdown) and ``IS NULL`` probes on a hash-indexed
-        column read the hash buckets, and range/``BETWEEN``/prefix-``LIKE``
-        probes on an ordered-indexed column read the sorted entries --
-        which is what keeps the memory backend's streaming DISTINCT and
-        EXISTS paths O(matches) instead of O(table).  Like
-        :meth:`matching_rows`, the rows stay live: callers hold the backend
-        lock and must copy any row that escapes it.
+        column read the hash buckets -- which is what keeps the memory
+        backend's streaming DISTINCT path O(matches) instead of O(table).
+        Like :meth:`matching_rows`, the rows stay live: callers hold the
+        backend lock and must copy any row that escapes it.
         """
         rows, _exact = self._narrowed_rows(where)
         return rows
@@ -439,88 +275,9 @@ class Table:
 
     # -- planning ------------------------------------------------------------------------
 
-    def statistics(self) -> TableStatistics:
-        """A live snapshot of the statistics the cost model consumes."""
-        return TableStatistics(
-            row_count=len(self._rows),
-            hash_indexes={
-                column: len(index) for column, index in self._indexes.items()
-            },
-            ordered_indexes={
-                name: index.columns for name, index in self._ordered.items()
-            },
-            ordered_cardinality={
-                name: index.cardinality() for name, index in self._ordered.items()
-            },
-        )
-
-    def plan(
-        self,
-        where: Optional[Expression],
-        order_by: Sequence[Any] = (),
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> PlanChoice:
-        """Cost the access paths for a read over this table."""
-        return choose_plan(
-            where,
-            order_by,
-            limit,
-            offset,
-            statistics=self.statistics(),
-            use_indexes=self.use_indexes,
-        )
-
-    def rows_for_path(
-        self, path: AccessPath, copy: bool = True
-    ) -> Tuple[List[Dict[str, Any]], bool]:
-        """Execute an access path, returning ``(candidate rows, exact)``.
-
-        ``exact`` means the candidates are precisely the rows matching the
-        predicate the path was planned for, so callers may skip per-row
-        evaluation.  Rows arrive in index order when ``path.serves_order``
-        (respecting ``path.descending``), heap order otherwise.  Records
-        the served path in the ``plan.index.*`` observability counters.
-        """
-        rows, exact = self._path_rows(path)
-        obs.add(_PATH_COUNTERS[path.kind])
-        if copy:
-            rows = [dict(row) for row in rows]
-        return rows, exact
-
-    def _path_rows(self, path: AccessPath) -> Tuple[List[Dict[str, Any]], bool]:
-        if path.kind == "hash-probe":
-            index = self._indexes.get(path.column, {})
-            pks: set = set()
-            for value in path.values or ():
-                pks |= index.get(value, set())
-            return [self._rows[pk] for pk in sorted(pks) if pk in self._rows], path.exact
-        if path.kind == "ordered-range":
-            if path.empty:
-                # A NULL bound makes that conjunct UNKNOWN for every row:
-                # nothing can match, exactly.
-                return [], True
-            ordered = self._ordered[path.index]
-            try:
-                pks = ordered.range_pks(path.low, path.high, path.descending)
-            except TypeError:
-                # Probe literal incomparable with stored values (mixed-type
-                # query): fall back to the scan the planner would otherwise
-                # have chosen.
-                return list(self._rows.values()), False
-            if not path.serves_order:
-                # Without an ORDER BY to serve, candidates keep primary-key
-                # order -- the same order the scan and hash paths produce,
-                # so enabling the index never changes observable row order.
-                pks = sorted(pks)
-            return [self._rows[pk] for pk in pks if pk in self._rows], path.exact
-        if path.kind == "ordered-scan":
-            ordered = self._ordered[path.index]
-            pks = ordered.scan_pks(path.descending)
-            return [self._rows[pk] for pk in pks if pk in self._rows], False
-        return list(self._rows.values()), False
-
-    # -- indexes ------------------------------------------------------------------------
+    def plan(self, where: Optional[Expression]) -> AccessPath:
+        """The access path a read of this table filtered by ``where`` takes."""
+        return choose_plan(where, self._indexes, self.use_indexes)
 
     def _narrowed_rows(
         self, where: Optional[Expression]
@@ -528,24 +285,31 @@ class Table:
         """Index-narrowed candidate rows plus an exactness flag.
 
         ``exact`` means the candidates are precisely the rows matching
-        ``where`` -- the whole filter is one indexed probe whose bucket (or
-        range) membership *is* the predicate -- so callers may skip per-row
+        ``where`` -- the whole filter is one hash probe whose bucket
+        membership *is* the predicate -- so callers may skip per-row
         evaluation.  This is the narrowing behind set-oriented writes: the
         resolved ``jid IN (...)`` of a write plan mutates exactly its index
-        buckets, O(matches) with no per-row predicate work.  The access
-        path is chosen by the cost model in :mod:`repro.db.planner`.
+        buckets, O(matches) with no per-row predicate work.  Each filtered
+        read counts its path under the ``plan.index.*`` counters; a hash
+        probe returns its rows in primary-key order.
         """
         if where is None:
             return list(self._rows.values()), True
-        if not self.use_indexes:
+        path = self.plan(where)
+        obs.add(_PATH_COUNTERS[path.kind])
+        if path.column is None:
             return list(self._rows.values()), False
-        choice = self.plan(where)
-        self.last_plan = choice
-        return self.rows_for_path(choice.chosen, copy=False)
+        index = self._indexes[path.column]
+        pks: set = set()
+        for value in path.values:
+            pks |= index.get(value, set())
+        return [self._rows[pk] for pk in sorted(pks) if pk in self._rows], path.exact
+
+    # -- indexes ------------------------------------------------------------------------
 
     def _index_add(self, row: Dict[str, Any], hashes=None, keyed=None) -> None:
-        """Enter ``row`` in the ``hashes`` indexes and the ``keyed`` (ordered
-        and facet-branch) indexes (default: all)."""
+        """Enter ``row`` in the ``hashes`` indexes and the ``keyed``
+        (facet-branch) indexes (default: all)."""
         pk = row[self.schema.primary_key.name]
         for column, index in (self._indexes if hashes is None else hashes).items():
             index.setdefault(row.get(column), set()).add(pk)
@@ -569,7 +333,5 @@ class Table:
 #: Observability counter per executed access-path kind.
 _PATH_COUNTERS = {
     "hash-probe": "plan.index.hash_probe",
-    "ordered-range": "plan.index.range_probe",
-    "ordered-scan": "plan.index.ordered_scan",
     "full-scan": "plan.index.full_scan",
 }

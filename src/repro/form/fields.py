@@ -26,16 +26,10 @@ class Field:
         nullable: bool = True,
         default: Any = None,
         indexed: bool = False,
-        ordered: bool = False,
     ) -> None:
         self.nullable = nullable
         self.default = default
         self.indexed = indexed
-        #: ``ordered=True`` requests an *ordered* secondary index: range
-        #: predicates, prefix matches and ORDER BY on this field become
-        #: index probes (plus a composite ``(column, jid)`` index for
-        #: keyset-style bounded scans over whole faceted records).
-        self.ordered = ordered
         self.name: str = ""
         self.model: Optional[type] = None
 
@@ -54,7 +48,6 @@ class Field:
             nullable=self.nullable,
             default=self.default,
             indexed=self.indexed,
-            ordered=self.ordered,
         )
 
     def to_db(self, value: Any) -> Any:

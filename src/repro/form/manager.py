@@ -227,8 +227,7 @@ class QuerySet:
 
         Not a bare ``SELECT EXISTS``: a row's existence in the database
         does not mean every world sees it, so existence is per label
-        assignment.  (The relational layer's ``EXISTS`` pushdown serves the
-        baseline ORM, where rows are world-independent.)
+        assignment.
         """
         return self._aggregate("COUNT", None, lambda stats: stats.count > 0)
 
@@ -390,7 +389,7 @@ class QuerySet:
         is opaque (:func:`repro.form.pushdown.profile_for`).  Like
         :meth:`repro.db.Database.explain`, a read's report
         carries the backend's plan detail (the memory engine's
-        ``chosen_plan``/``considered_plans``, SQLite's ``sqlite_plan``).
+        ``chosen_plan``, SQLite's ``sqlite_plan``).
         Explaining runs no statement and bumps no counter.  A write reports
         what :meth:`_update_plan` / :meth:`_delete_plan` return, the
         helpers its verb runs.  ``operation`` selects the entry point:

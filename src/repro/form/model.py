@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import obs
 from repro.core.facets import Facet
-from repro.db.schema import Column, ColumnType, IndexSpec, TableSchema
+from repro.db.schema import Column, ColumnType, TableSchema
 from repro.form import writes
 from repro.form.context import FORM, current_form
 from repro.form.fields import Field, ForeignKey
@@ -77,22 +77,12 @@ class ModelOptions:
     # -- schema -------------------------------------------------------------------
 
     def table_schema(self) -> TableSchema:
-        """The augmented schema: application columns plus ``jid``/``jvars``.
-
-        An ``ordered=True`` field additionally declares a composite
-        ``(column, jid)`` index: bounded and keyset-style scans ordered by
-        that field walk the index straight to whole faceted records
-        (``WHERE (col, jid) > (:last_col, :last_jid)``) instead of sorting.
-        """
+        """The augmented schema: application columns plus ``jid``/``jvars``."""
         columns: List[Column] = [Column("id", ColumnType.INTEGER, primary_key=True)]
-        composites: List[IndexSpec] = []
-        for field in self.fields.values():
-            columns.append(field.to_column())
-            if field.ordered:
-                composites.append(IndexSpec((field.column_name, "jid")))
+        columns.extend(field.to_column() for field in self.fields.values())
         columns.append(Column("jid", ColumnType.INTEGER, indexed=True))
         columns.append(Column("jvars", ColumnType.TEXT, default=""))
-        return TableSchema(self.table_name, tuple(columns), indexes=tuple(composites))
+        return TableSchema(self.table_name, tuple(columns))
 
     # -- policies ------------------------------------------------------------------
 

@@ -89,17 +89,9 @@ COUNTER_GLOSSARY: Dict[str, str] = {
         "memory-engine reads served by a hash-index bucket probe "
         "(=, IN, IS NULL on an indexed column)"
     ),
-    "plan.index.range_probe": (
-        "memory-engine reads served by an ordered-index range probe "
-        "(<, <=, >, >=, BETWEEN, prefix LIKE on an ordered column)"
-    ),
-    "plan.index.ordered_scan": (
-        "memory-engine reads served by an in-order ordered-index walk "
-        "(ORDER BY without a sort, early exit under LIMIT)"
-    ),
     "plan.index.full_scan": (
-        "memory-engine reads where the cost model chose (or was forced "
-        "to) a full heap scan"
+        "filtered memory-engine reads that scan the whole heap: no hash "
+        "probe applies, or use_indexes=False forces the scan"
     ),
     "analysis.read_set.failed": (
         "public read-set inferences on a live model that raised, taken as "

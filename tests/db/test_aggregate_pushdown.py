@@ -1,10 +1,10 @@
 """The aggregate-pushdown layer of ``repro.db``: rendering and evaluation.
 
-Covers :class:`~repro.db.query.Aggregate` selections (COUNT DISTINCT,
-EXISTS, grouped multi-aggregates), the ``plan_aggregate`` compiler, SQL
-NULL semantics, the memory backend's index-narrowed scans, and backend
-parity -- the memory engine must return exactly what SQLite returns for
-every aggregate shape.
+Covers :class:`~repro.db.query.Aggregate` selections (scalar and grouped
+multi-aggregates), the ``plan_aggregate`` compiler, SQL NULL semantics,
+the memory backend's index-narrowed scans, and backend parity -- the
+memory engine must return exactly what SQLite returns for every aggregate
+shape.
 """
 
 import datetime
@@ -16,7 +16,6 @@ from repro.db import (
     Database,
     MemoryBackend,
     SqliteBackend,
-    StatementLog,
 )
 from repro.db.expr import InList, col, eq
 from repro.db.query import Query, plan_aggregate
@@ -44,42 +43,13 @@ def _seed_scores(database: Database) -> None:
 
 
 def test_aggregate_validation():
-    with pytest.raises(ValueError, match="DISTINCT"):
-        Aggregate("COUNT", distinct=True)
-    with pytest.raises(ValueError, match="EXISTS"):
-        Aggregate("EXISTS", "points")
     with pytest.raises(ValueError, match="unknown aggregate"):
         Aggregate("MEDIAN", "points")
-
-
-def test_exists_with_group_by_rejected_identically(database):
-    # EXISTS has no grouped form in SQL; the selection is rejected where it
-    # is built, so neither backend ever sees it.
-    _seed_scores(database)
-    with pytest.raises(ValueError, match="GROUP BY"):
-        Query("Score").select_aggregates(Aggregate("EXISTS")).grouped_by("jid")
-    with pytest.raises(ValueError, match="GROUP BY"):
-        plan_aggregate(Query("Score"), ["jid"], [Aggregate("EXISTS")])
-    with pytest.raises(ValueError, match="only aggregate"):
-        Query("Score").select_aggregates(Aggregate("EXISTS"), Aggregate("COUNT"))
-    assert database.aggregate(Query("Score").select_aggregates(Aggregate("EXISTS"))) is True
+    with pytest.raises(ValueError, match="unknown aggregate"):
+        Aggregate("EXISTS")
 
 
 # -- SQL rendering ------------------------------------------------------------------------
-
-
-def test_count_distinct_renders_one_statement():
-    query = plan_aggregate(Query("Score"), (), [Aggregate("COUNT", "jid", distinct=True)])
-    statement, params = query_to_sql(query)
-    assert statement == 'SELECT COUNT(DISTINCT "jid") AS "COUNT(DISTINCT jid)" FROM "Score"'
-    assert params == []
-
-
-def test_exists_renders_wrapped_subselect_with_params():
-    query = plan_aggregate(Query("Score").filter(eq("points", 7)), (), [Aggregate("EXISTS")])
-    statement, params = query_to_sql(query)
-    assert statement == 'SELECT EXISTS(SELECT 1 FROM "Score" WHERE points = ?) AS "EXISTS"'
-    assert params == [7]
 
 
 def test_plan_scalar_aggregate_strips_row_shaping():
@@ -119,33 +89,6 @@ def test_plan_aggregate_qualifies_group_columns_under_joins():
 
 
 # -- evaluation on both backends ----------------------------------------------------------
-
-
-def test_count_distinct_skips_duplicate_and_null_keys(database):
-    database.define_table("D", jid=ColumnType.INTEGER)
-    database.insert_many("D", [{"jid": 1}, {"jid": 1}, {"jid": 2}, {"jid": None}])
-    assert database.count_distinct("D", "jid") == 2
-
-
-def test_exists_honours_limit_and_offset(database):
-    # sqlgen keeps LIMIT/OFFSET inside SELECT EXISTS(...), so the memory
-    # engine's early exit must honour them too: the window is non-empty iff
-    # more than ``offset`` rows match and the limit admits at least one.
-    _seed_scores(database)
-    base = Query("Score").select_aggregates(Aggregate("EXISTS"))
-    assert database.aggregate(base) is True
-    assert database.aggregate(base.limited(0)) is False
-    assert database.aggregate(base.limited(None, offset=3)) is True
-    assert database.aggregate(base.limited(None, offset=4)) is False
-    assert database.aggregate(base.limited(2, offset=5)) is False
-
-
-def test_exists_true_false_and_empty_table(database):
-    _seed_scores(database)
-    assert database.exists("Score", eq("points", 7)) is True
-    assert database.exists("Score", eq("points", 99)) is False
-    database.define_table("Empty", value=ColumnType.TEXT)
-    assert database.exists("Empty") is False
 
 
 def _scalar(database, query, function, column="*"):
@@ -237,23 +180,10 @@ def test_grouped_aggregates_under_joins(database):
     ]
 
 
-def test_count_distinct_under_joins(database):
-    database.define_table("Author", name=ColumnType.TEXT)
-    database.define_table("Book", author_id=ColumnType.INTEGER)
-    database.insert("Author", name="ada")
-    database.insert_many("Book", [{"author_id": 1}, {"author_id": 1}])
-    # Two books join one author: distinct author ids collapse to 1.
-    query = plan_aggregate(
-        Query("Author").join("Book", "id", "author_id"), (),
-        [Aggregate("COUNT", "id", distinct=True)],
-    )
-    assert database.aggregate(query) == 1
-
-
-def test_memory_joined_exists_stops_at_its_first_match(monkeypatch):
-    """The memory engine streams a join's base rows, so a joined EXISTS
-    joins no more base rows than it scans up to its first match, while a
-    joined COUNT still joins every one."""
+def test_memory_joined_bounded_distinct_stops_at_its_first_match(monkeypatch):
+    """The memory engine streams a join's base rows, so a joined
+    ``SELECT DISTINCT ... LIMIT`` joins no more base rows than it scans up
+    to its last kept match, while a joined COUNT still joins every one."""
     database = Database(MemoryBackend())
     database.define_table("Author", name=ColumnType.TEXT)
     database.define_table("Book", author_id=ColumnType.INTEGER)
@@ -268,19 +198,16 @@ def test_memory_joined_exists_stops_at_its_first_match(monkeypatch):
 
     monkeypatch.setattr(MemoryBackend, "_qualify", staticmethod(counting_qualify))
     query = Query("Book").join("Author", "author_id", "id")
-    exists = Aggregate("EXISTS")
-    assert database.aggregate(query.filter(eq("Author.name", "a2")).select_aggregates(exists))
+    first = query.filter(eq("Author.name", "a2")).select("Book.id").distinct_rows()
+    assert database.execute(first.limited(1)) == [{"Book.id": 3}]
     assert joined_tables.count("Book") == 3  # books 1 and 2 join a0 and a1
     assert joined_tables.count("Author") == 10
     joined_tables.clear()
-    assert database.aggregate(
-        query.filter(eq("Author.name", "a2")).select_aggregates(exists).limited(None, offset=1)
-    )
+    assert database.execute(first.limited(1, offset=1)) == [{"Book.id": 13}]
     assert joined_tables.count("Book") == 13
     joined_tables.clear()
-    assert not database.aggregate(
-        query.filter(eq("Author.name", "zz")).select_aggregates(exists)
-    )
+    none = query.filter(eq("Author.name", "zz")).select("Book.id").distinct_rows()
+    assert database.execute(none.limited(1)) == []
     assert joined_tables.count("Book") == 1000
     joined_tables.clear()
     count = _scalar(database, query.filter(eq("Author.name", "a2")), "COUNT")
@@ -323,21 +250,6 @@ def test_grouped_dict_aggregate_still_works(database):
     assert {row["jid"]: row["COUNT(*)"] for row in rows} == {1: 2, 2: 1, 3: 1}
     with pytest.raises(ValueError, match="GROUP BY"):
         database.aggregate(grouped)
-
-
-def test_exists_is_single_statement_on_sqlite():
-    backend = SqliteBackend()
-    log = StatementLog(backend)
-    database = Database(backend)
-    _seed_scores(database)
-    log.clear()
-    assert database.exists("Score", eq("points", 7)) is True
-    assert database.count_distinct("Score", "jid") == 3
-    assert log.statements == [
-        'SELECT EXISTS(SELECT 1 FROM "Score" WHERE points = ?) AS "EXISTS"',
-        'SELECT COUNT(DISTINCT "jid") AS "COUNT(DISTINCT jid)" FROM "Score"',
-    ]
-    database.close()
 
 
 # -- memory index narrowing ---------------------------------------------------------------

@@ -4,7 +4,8 @@ Pre-existing divergence (ROADMAP): the memory engine sorts ``None`` last
 ascending (first descending) while bare SQLite sorts NULL first ascending.
 ``query_to_sql`` now renders a ``(col IS NULL)`` sort flag ahead of every
 plain order term, pinning SQLite to the memory convention -- the same
-discipline the bounded subquery's grouped ordering already used.
+discipline the bounded subquery's grouped ordering already used.  Within
+ties of the order key the memory engine keeps primary-key order.
 """
 
 from repro.db import Database, MemoryBackend, SqliteBackend
@@ -69,3 +70,27 @@ def test_ordered_limit_keeps_same_rows_on_both_backends():
         database.close()
     # Without the flag SQLite would keep the NULL-ranked row first.
     assert kept["memory"] == kept["sqlite"] == [1, 2]
+
+
+def test_memory_order_by_keeps_primary_key_order_within_ties():
+    """Duplicate ORDER BY keys keep ascending primary-key order, ascending
+    and descending, bounded or not, with indexes or forced to scan: the
+    memory engine's sort is stable."""
+    expected = {
+        True: [1, 3, 6, 2, 5, 8, 4, 7],
+        False: [4, 7, 2, 5, 8, 1, 3, 6],
+    }
+    for use_indexes in (True, False):
+        database = Database(MemoryBackend(use_indexes=use_indexes))
+        database.define_table("T", rank=ColumnType.INTEGER)
+        database.insert_many(
+            "T", [{"rank": rank} for rank in (1, 2, 1, None, 2, 1, None, 2)]
+        )
+        for ascending in (True, False):
+            for limit in (None, 4):
+                query = Query("T").ordered_by("rank", ascending=ascending)
+                if limit is not None:
+                    query = query.limited(limit)
+                ids = [row["id"] for row in database.execute(query)]
+                assert ids == expected[ascending][:limit], (use_indexes, ascending, limit)
+        database.close()

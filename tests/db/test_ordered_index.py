@@ -1,9 +1,12 @@
-"""Property tests: ordered-index probes agree with the scan and with SQLite.
+"""Property tests: ordered reads agree across the engines and with an oracle.
 
-Randomized rows (NULLs, heavy duplicates, case-varied text) are pushed
-through range / BETWEEN / prefix-LIKE / ORDER BY queries on four engines:
+The memory engine keeps no ordered indexes: range, BETWEEN, prefix-LIKE
+and ORDER BY reads are served by its full scan plus a stable sort, and
+equality reads by its hash probes.  Randomized rows (NULLs, heavy
+duplicates, case-varied text) are pushed through such queries on four
+engines:
 
-* the memory engine with indexes on (probes + the cost model),
+* the memory engine with its hash indexes on,
 * the memory engine forced to scan (``use_indexes=False``),
 * SQLite (with its own ``CREATE INDEX`` DDL),
 * a naive Python oracle -- ``Expression.evaluate`` over the raw row dicts
@@ -26,7 +29,6 @@ from repro.db import (
     Column,
     ColumnType,
     Database,
-    IndexSpec,
     MemoryBackend,
     SqliteBackend,
     TableSchema,
@@ -39,7 +41,6 @@ from repro.db import (
 )
 from repro.db.expr import eq
 from repro.db.query import Order, apply_order
-from repro.db.table import OrderedIndex
 
 
 def _schema():
@@ -47,12 +48,11 @@ def _schema():
         "T",
         (
             Column("id", ColumnType.INTEGER, primary_key=True),
-            Column("score", ColumnType.INTEGER, ordered=True),
-            Column("rank", ColumnType.INTEGER, ordered=True),
-            Column("name", ColumnType.TEXT, ordered=True),
+            Column("score", ColumnType.INTEGER, indexed=True),
+            Column("rank", ColumnType.INTEGER),
+            Column("name", ColumnType.TEXT),
             Column("tag", ColumnType.TEXT, indexed=True),
         ),
-        indexes=(IndexSpec(("score", "id")),),
     )
 
 
@@ -183,7 +183,7 @@ def test_randomized_rows_agree_across_engines_and_oracle(engines, seed):
 
 
 def test_write_churn_keeps_indexes_consistent(engines):
-    """Updates and deletes must maintain the ordered entries exactly."""
+    """Updates and deletes must maintain the hash index entries exactly."""
     rng = random.Random(7)
     rows = _random_rows(rng, 80)
     for database in engines.values():
@@ -198,6 +198,11 @@ def test_write_churn_keeps_indexes_consistent(engines):
         for name, database in engines.items()
     }
     assert results["indexed"] == results["scan"] == results["sqlite"]
+    probed = {
+        name: _canonical(_fetch(database, eq("score", 1), order), order)
+        for name, database in engines.items()
+    }
+    assert probed["indexed"] == probed["scan"] == probed["sqlite"]
 
 
 def test_null_range_bound_is_unknown_everywhere(engines):
@@ -206,67 +211,3 @@ def test_null_range_bound_is_unknown_everywhere(engines):
     for where in (between("score", None, 5), gt("score", None), lte("score", None)):
         for name, database in engines.items():
             assert _fetch(database, where, ()) == [], name
-
-
-def test_memory_tie_order_matches_scan_without_tiebreak():
-    """Within the memory engine, index-served descending ORDER BY with
-    duplicate keys must keep the stable sort's tie order (ascending pk),
-    even under LIMIT -- exact row-for-row, no canonicalization."""
-    indexed = Database(MemoryBackend())
-    scan = Database(MemoryBackend(use_indexes=False))
-    for database in (indexed, scan):
-        database.create_table(_schema())
-        database.insert_many(
-            "T", [{"rank": rank} for rank in (1, 2, 1, None, 2, 1, None, 2)]
-        )
-    for ascending in (True, False):
-        for limit in (None, 4):
-            left = _fetch(indexed, None, (("rank", ascending),), limit=limit)
-            right = _fetch(scan, None, (("rank", ascending),), limit=limit)
-            assert [row["id"] for row in left] == [row["id"] for row in right]
-    indexed.close()
-    scan.close()
-
-
-def test_nulls_last_ascending_first_descending_through_the_index():
-    database = Database(MemoryBackend())
-    database.create_table(_schema())
-    database.insert_many("T", [{"score": s} for s in (3, None, 1, None, 2)])
-    ascending = [row["score"] for row in _fetch(database, None, (("score", True),))]
-    descending = [row["score"] for row in _fetch(database, None, (("score", False),))]
-    assert ascending == [1, 2, 3, None, None]
-    assert descending == [None, None, 3, 2, 1]
-    database.close()
-
-
-# -- the structure itself --------------------------------------------------------------
-
-
-def test_ordered_index_add_remove_and_cardinality():
-    index = OrderedIndex("idx", ("score",))
-    rows = [({"score": value}, pk) for pk, value in enumerate([5, 2, 5, None, 8], 1)]
-    for row, pk in rows:
-        index.add(row, pk)
-    assert len(index) == 5
-    assert index.cardinality() == 4  # 5, 2, None, 8
-    assert index.scan_pks() == [2, 1, 3, 5, 4]  # 2, 5, 5, 8, then NULL last
-    index.remove({"score": 5}, 1)
-    assert index.scan_pks() == [2, 3, 5, 4]
-    assert index.cardinality() == 4
-    index.remove({"score": 5}, 3)
-    assert index.cardinality() == 3
-
-
-def test_ordered_index_range_probe_bounds():
-    index = OrderedIndex("idx", ("score",))
-    for pk, value in enumerate([1, 3, 3, 7, None], 1):
-        index.add({"score": value}, pk)
-    assert index.range_pks((7, True), (3, True)) == []  # inverted range
-    assert index.range_pks((3, True), (7, True)) == [2, 3, 4]
-    assert index.range_pks((3, False), (7, True)) == [4]
-    assert index.range_pks((3, True), (7, False)) == [2, 3]
-    # Unbounded ends never pick up the NULL tail.
-    assert index.range_pks(None, None) == [1, 2, 3, 4]
-    assert index.range_pks((3, True), None) == [2, 3, 4]
-    # Descending keeps ascending pk inside equal-value groups.
-    assert index.range_pks((1, True), (7, True), descending=True) == [4, 2, 3, 1]

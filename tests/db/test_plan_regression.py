@@ -1,17 +1,16 @@
-"""Plan-regression gate: the planner must not change any bench's statements.
+"""Plan-regression gate: index choice must not change any bench's statements.
 
 Every statement-shape benchmark (``benchmarks/bench_*.py`` with a
 ``run(rows, smoke)`` gate) already asserts its scenario's captured SQL --
 one SELECT per bounded fetch, the jid subselect, the pushed-down
 aggregate, the single-statement writes.  Replaying them here, CI-sized,
-under the cost-aware planner proves the ordered indexes added no extra
-statements and no worse plan to any pre-existing scenario: a planner
+proves no extra statement and no worse plan crept into any scenario: a
 regression turns a bench's internal assertions red, which turns this
 tier-1 test red.
 
 A direct FORM-level check rides along: with index DDL enabled vs
-suppressed, an ordered-field workload must produce byte-identical
-statement sequences on SQLite -- planning is invisible in the SQL.
+suppressed, an indexed-field workload must produce byte-identical
+statement sequences on SQLite -- indexes are invisible in the SQL.
 """
 
 import importlib.util
@@ -27,7 +26,6 @@ GATED_BENCHES = [
     "bench_aggregate_pushdown",
     "bench_write_pushdown",
     "bench_policy_pushdown",
-    "bench_planner",
 ]
 
 
@@ -45,8 +43,8 @@ def _load_bench(name):
 def test_bench_scenario_statements_and_plans_hold(name):
     module = _load_bench(name)
     assert module.run(rows=120, smoke=True) == 0, (
-        f"{name} regressed under the cost-aware planner; its own stderr "
-        "lists the violated statement/plan assertions"
+        f"{name} regressed; its own stderr lists the violated "
+        "statement/plan assertions"
     )
 
 
@@ -55,8 +53,8 @@ def test_index_ddl_never_changes_the_statement_stream():
     from repro.form import FORM, CharField, IntegerField, JModel, use_form
 
     class PlanRegressionNote(JModel):
-        title = CharField(max_length=64, ordered=True)
-        score = IntegerField(ordered=True)
+        title = CharField(max_length=64, indexed=True)
+        score = IntegerField(indexed=True)
 
     streams = {}
     for emit_indexes in (True, False):

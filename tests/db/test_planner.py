@@ -1,28 +1,41 @@
-"""The cost-aware planner: path choice, explain() reporting, and counters.
+"""The memory engine's access-path rule, end to end.
 
-The planner must (a) pick the cheapest access path from live table
-statistics, (b) report that choice -- and every alternative it costed --
-through ``explain()`` without executing anything, and (c) account for
-each served read under the ``plan.index.*`` counters in the glossary.
+The rule: a read probes a hash index when its WHERE holds an ``= literal``,
+``IN (...)``, ``IS NULL`` or ``IS literal`` test of a hash-indexed column,
+directly or under AND, and scans the heap otherwise.  The probe is *exact*
+(its buckets are the matching rows) only when that test is the whole WHERE
+and is not ``= NULL``.  One table of WHERE shapes runs through
+:func:`repro.db.planner.choose_plan`, through ``Database.explain()`` and
+through one executed read, whose ``plan.index.*`` counter must name the
+same path and whose rows must equal the forced scan's.  SQLite's index DDL
+and ``explain()``'s freedom from side effects ride along.
 """
+
+import pytest
 
 from repro import obs
 from repro.db import (
     Column,
     ColumnType,
     Database,
-    IndexSpec,
     MemoryBackend,
     SqliteBackend,
     TableSchema,
-    TableStatistics,
     between,
     choose_plan,
-    gte,
-    like,
+    gt,
 )
-from repro.db.expr import eq
-from repro.db.query import Order
+from repro.db.expr import (
+    AndExpr,
+    Comparison,
+    InList,
+    IsNull,
+    Literal,
+    NullSafeEq,
+    OrExpr,
+    col,
+    eq,
+)
 from repro.obs.metrics import COUNTER_GLOSSARY
 
 
@@ -31,140 +44,107 @@ def _schema():
         "T",
         (
             Column("id", ColumnType.INTEGER, primary_key=True),
-            Column("score", ColumnType.INTEGER, ordered=True),
-            Column("name", ColumnType.TEXT, ordered=True),
             Column("tag", ColumnType.TEXT, indexed=True),
+            Column("score", ColumnType.INTEGER),
         ),
-        indexes=(IndexSpec(("score", "id")),),
     )
 
 
-def _stats(rows=1000):
-    return TableStatistics(
-        row_count=rows,
-        hash_indexes={"tag": 4},
-        ordered_indexes={
-            "idx_T_score": ("score",),
-            "idx_T_name": ("name",),
-            "idx_T_score_id": ("score", "id"),
-        },
-        ordered_cardinality={
-            "idx_T_score": 10,
-            "idx_T_name": 50,
-            "idx_T_score_id": 1000,
-        },
-    )
+ROWS = [
+    {"tag": tag, "score": n % 4}
+    for n, tag in enumerate(["x", "y", None, "x", "z", "y", None, "x", "x"])
+]
+
+PROBE = ("hash-probe", "tag", True)
+SUPERSET = ("hash-probe", "tag", False)
+SCAN = ("full-scan", None, False)
+
+#: The bare probe shapes: (id, WHERE, the path it takes alone).
+LEAVES = [
+    ("eq-literal", eq("tag", "x"), PROBE),
+    ("eq-null", Comparison("=", col("tag"), Literal(None)), SUPERSET),
+    ("in-with-null", InList(col("tag"), ("x", None, "z")), PROBE),
+    ("in-unhashable", InList(col("tag"), ("x", ["y"])), SCAN),
+    ("is-null", IsNull(col("tag")), PROBE),
+    ("is-literal", NullSafeEq(col("tag"), Literal("y")), PROBE),
+]
+
+#: Every shape: each leaf bare and under AND (where its probe stays but is
+#: no longer exact), plus the shapes no probe serves.
+SHAPES = (
+    LEAVES
+    + [
+        (f"and-{name}", AndExpr(gt("score", 0), where), SCAN if path == SCAN else SUPERSET)
+        for name, where, path in LEAVES
+    ]
+    + [
+        ("or", OrExpr(eq("tag", "x"), eq("tag", "y")), SCAN),
+        ("range", between("tag", "x", "y"), SCAN),
+        ("unindexed-column", eq("score", 2), SCAN),
+        ("no-where", None, SCAN),
+    ]
+)
 
 
-# -- choose_plan over synthetic statistics ---------------------------------------------
+def _loaded(backend):
+    database = Database(backend)
+    database.create_table(_schema())
+    database.insert_many("T", ROWS)
+    return database
 
 
-def test_bounded_range_beats_the_scan():
-    choice = choose_plan(between("score", 2, 7), statistics=_stats())
-    assert choice.chosen.kind == "ordered-range"
-    assert choice.chosen.column == "score"
-    assert choice.chosen.cost < _stats().row_count
-    assert {path.kind for path in choice.considered} >= {"ordered-range", "full-scan"}
+@pytest.mark.parametrize("use_indexes", [True, False], ids=["indexed", "forced-scan"])
+@pytest.mark.parametrize(
+    "where, path", [shape[1:] for shape in SHAPES], ids=[shape[0] for shape in SHAPES]
+)
+def test_each_shape_takes_the_path_the_rule_names(where, path, use_indexes):
+    access, column, exact = path if use_indexes else SCAN
+    chosen = choose_plan(where, {"tag"}, use_indexes)
+    assert (chosen.kind, chosen.column, chosen.exact) == (access, column, exact)
+
+    with _loaded(MemoryBackend(use_indexes=use_indexes)) as database, \
+            _loaded(MemoryBackend(use_indexes=False)) as oracle:
+        query = database.query("T")
+        if where is not None:
+            query = query.filter(where)
+        reported = database.explain(query)["chosen_plan"]
+        assert reported == chosen.describe()
+        assert reported["access"] == access
+        if column is not None:
+            assert (reported["column"], reported["exact"]) == (column, exact)
+            assert reported["index"] == f"hash:{column}"
+
+        obs.reset()
+        with obs.tracing():
+            rows = database.execute(query)
+        counted = {
+            name: obs.totals.get(f"plan.index.{name}")
+            for name in ("hash_probe", "full_scan")
+        }
+        obs.reset()
+        if where is None:  # a read without WHERE plans nothing
+            assert counted == {"hash_probe": 0, "full_scan": 0}
+        else:
+            assert counted[access.replace("-", "_")] == 1
+            assert sum(counted.values()) == 1
+        assert rows == oracle.execute(query)
 
 
-def test_hash_probe_beats_the_range():
-    choice = choose_plan(eq("tag", "x"), statistics=_stats())
-    assert choice.chosen.kind == "hash-probe"
-    assert choice.chosen.column == "tag"
+def test_every_access_path_counter_is_in_the_glossary():
+    for name in ("plan.index.hash_probe", "plan.index.full_scan"):
+        assert name in COUNTER_GLOSSARY
 
 
-def test_forced_scan_still_reports_the_alternatives():
-    choice = choose_plan(
-        between("score", 2, 7), statistics=_stats(), use_indexes=False
-    )
-    assert choice.chosen.kind == "full-scan"
-    assert any(path.kind == "ordered-range" for path in choice.considered)
-
-
-def test_null_bound_plans_an_empty_range():
-    choice = choose_plan(between("score", None, 7), statistics=_stats())
-    assert choice.chosen.kind == "ordered-range"
-    assert choice.chosen.empty
-    assert choice.chosen.estimated_rows == 0
-
-
-def test_single_column_index_serves_order_but_composite_does_not():
-    served = choose_plan(
-        gte("score", 5), order_by=(Order("score"),), statistics=_stats()
-    )
-    assert served.chosen.kind == "ordered-range"
-    assert served.chosen.serves_order
-    # Only name-ordered paths could serve ORDER BY name; a range on score
-    # cannot, so the plan pays the sort surcharge instead of lying.
-    unserved = choose_plan(
-        gte("score", 5), order_by=(Order("name"),), statistics=_stats()
-    )
-    assert not unserved.chosen.serves_order
-
-
-def test_ordered_scan_wins_for_bounded_order_by_without_filter():
-    choice = choose_plan(
-        None, order_by=(Order("score"),), limit=5, statistics=_stats()
-    )
-    assert choice.chosen.kind == "ordered-scan"
-    assert choice.chosen.serves_order
-    assert choice.chosen.cost < _stats().row_count
-
-
-def test_prefix_like_plans_a_range_on_the_name_index():
-    choice = choose_plan(
-        like("name", "al%", case_sensitive=True), statistics=_stats()
-    )
-    assert choice.chosen.kind == "ordered-range"
-    assert choice.chosen.column == "name"
-    assert choice.chosen.exact  # pure prefix: the probe range is the match set
-
-
-# -- explain() against live engines ----------------------------------------------------
-
-
-def test_memory_explain_reports_chosen_and_considered_plans():
-    with Database(MemoryBackend()) as database:
-        database.create_table(_schema())
-        database.insert_many("T", [{"score": n % 10, "tag": "x"} for n in range(50)])
-        report = database.explain(
-            database.query("T").filter(between("score", 2, 4))
-        )
-        assert report["chosen_plan"]["access"] == "ordered-range"
-        assert report["chosen_plan"]["index"] == "idx_T_score"
-        assert any(
-            path["access"] == "full-scan" for path in report["considered_plans"]
-        )
-        assert report["sql"].startswith('SELECT * FROM "T"')
-
-
-def test_memory_last_plan_reflects_the_executed_read():
-    backend = MemoryBackend()
-    with Database(backend) as database:
-        database.create_table(_schema())
-        database.insert_many("T", [{"score": n, "tag": "x"} for n in range(20)])
-        database.execute(database.query("T").filter(eq("tag", "x")))
-        assert backend.last_plan("T").chosen.kind == "hash-probe"
-        database.execute(database.query("T").filter(between("score", 3, 8)))
-        assert backend.last_plan("T").chosen.kind == "ordered-range"
-        database.execute(database.query("T").filter(like("name", "%odd%")))
-        assert backend.last_plan("T").chosen.kind == "full-scan"
+# -- SQLite and explain() --------------------------------------------------------------
 
 
 def test_sqlite_explain_reports_index_backed_plan_and_ddl():
-    with Database(SqliteBackend()) as database:
-        database.create_table(_schema())
-        database.insert_many("T", [{"score": n % 10, "tag": "x"} for n in range(50)])
-        report = database.explain(
-            database.query("T").filter(between("score", 2, 4))
-        )
-        assert any("idx_T_score" in line for line in report["sqlite_plan"])
-        ddl = report["index_ddl"]
-        assert any('"idx_T_score" ON "T" ("score")' in statement for statement in ddl)
-        assert any(
-            '"idx_T_score_id" ON "T" ("score", "id")' in statement
-            for statement in ddl
-        )
+    with _loaded(SqliteBackend()) as database:
+        report = database.explain(database.query("T").filter(eq("tag", "x")))
+        assert any("idx_T_tag" in line for line in report["sqlite_plan"])
+        assert report["index_ddl"] == [
+            'CREATE INDEX IF NOT EXISTS "idx_T_tag" ON "T" ("tag")'
+        ]
 
 
 def test_sqlite_forced_scan_emits_no_index_ddl():
@@ -176,39 +156,7 @@ def test_sqlite_forced_scan_emits_no_index_ddl():
 
 def test_explain_executes_nothing_and_emits_no_statement_events():
     for backend in (MemoryBackend(), SqliteBackend()):
-        with Database(backend) as database:
-            database.create_table(_schema())
-            database.insert_many("T", [{"score": n} for n in range(10)])
+        with _loaded(backend) as database:
             with database.observe_statements() as log:
-                database.explain(database.query("T").filter(gte("score", 5)))
+                database.explain(database.query("T").filter(eq("tag", "x")))
             assert log.statements == []
-
-
-# -- the plan.index.* counters ---------------------------------------------------------
-
-
-def test_every_access_path_counter_is_in_the_glossary():
-    for name in (
-        "plan.index.hash_probe",
-        "plan.index.range_probe",
-        "plan.index.ordered_scan",
-        "plan.index.full_scan",
-    ):
-        assert name in COUNTER_GLOSSARY
-
-
-def test_served_reads_bump_the_access_path_counters():
-    obs.reset()
-    with obs.tracing():
-        with Database(MemoryBackend()) as database:
-            database.create_table(_schema())
-            database.insert_many("T", [{"score": n, "tag": "x"} for n in range(20)])
-            database.execute(database.query("T").filter(eq("tag", "x")))
-            database.execute(database.query("T").filter(between("score", 3, 8)))
-            database.execute(database.query("T").ordered_by("score").limited(3))
-            database.execute(database.query("T").filter(like("name", "%odd%")))
-    assert obs.totals.get("plan.index.hash_probe") >= 1
-    assert obs.totals.get("plan.index.range_probe") >= 1
-    assert obs.totals.get("plan.index.ordered_scan") >= 1
-    assert obs.totals.get("plan.index.full_scan") >= 1
-    obs.reset()

@@ -82,13 +82,6 @@ def test_plan_update_rejects_empty_assignments():
         plan_update(Query("Doc"), {}, "jid")
 
 
-def test_joined_or_bounded_plans_require_key_column():
-    with pytest.raises(ValueError):
-        plan_delete(Query("Doc").join("Review", "jid", "doc"))
-    with pytest.raises(ValueError):
-        plan_update(Query("Doc").limited(2), {"owner": "eve"})
-
-
 def test_plans_report_tables_read():
     plan = plan_delete(Query("Doc").join("Review", "jid", "doc"), "jid")
     assert plan.tables_read() == ("Doc", "Review")
@@ -114,12 +107,6 @@ def test_execute_delete_covers_whole_records(database):
     assert database.execute_delete(plan) == 2
     assert database.find("Doc", jid=2) == []
     assert database.count("Doc") == 4
-
-
-def test_execute_delete_without_key_is_row_oriented(database):
-    plan = plan_delete(database.query("Doc").filter(eq("title", "secret3")))
-    assert database.execute_delete(plan) == 1  # only the matching row
-    assert len(database.find("Doc", jid=3)) == 1
 
 
 def test_bounded_execute_delete_removes_first_records_only(database):

@@ -94,7 +94,7 @@ class Vault(JModel):
 
 class Wiki(JModel):
     """Prefix-on-viewer policy over a non-nullable column: an inline
-    predicate with a range atom, servable from an ordered index."""
+    predicate with a range atom, servable from SQLite's B-tree index."""
 
     path = CharField(max_length=64, nullable=False, default="/")
     body = CharField(max_length=64)
@@ -272,7 +272,7 @@ def test_join_with_an_unpolicied_table_is_one_statement_with_parity(pushdown_for
 
 
 def test_indexable_tier_compiles_prefix_policies_to_ranges(pushdown_form):
-    """Prefix and range atoms render inline, servable from an ordered index."""
+    """Prefix and range atoms render inline, servable from a B-tree index."""
     ada, _bob = _seed_docs(pushdown_form)
     Wiki.objects.create(path="ada/notes", body="ada's notes")
     Wiki.objects.create(path="bob/notes", body="bob's notes")

@@ -73,9 +73,9 @@ SCHEMA = TableSchema(
     "ExprRow",
     (
         Column("id", ColumnType.INTEGER, primary_key=True),
-        Column("n", ColumnType.INTEGER, ordered=True),
+        Column("n", ColumnType.INTEGER, indexed=True),
         Column("m", ColumnType.INTEGER, indexed=True),
-        Column("t", ColumnType.TEXT, ordered=True),
+        Column("t", ColumnType.TEXT, indexed=True),
         Column("s", ColumnType.TEXT, indexed=True),
         Column("b", ColumnType.BOOLEAN, indexed=True),
         Column("jid", ColumnType.INTEGER),

@@ -2,15 +2,24 @@
 
 Each iteration draws a random *program* -- batch inserts, updates of any
 indexed column and deletes over range predicates, fetches with
-range/BETWEEN/prefix-LIKE predicates, ORDER BY (asc/desc, with NULLs and
-duplicates), LIMIT/OFFSET, counts, and every aggregate-selection shape:
-scalar and ``COUNT(DISTINCT col)`` values, one-column GROUP BY rows read
-through ``execute()``, and ``EXISTS`` under LIMIT/OFFSET -- from a seeded stdlib
-``random.Random``, then runs it twice on the same backend: once with the
-cost-aware planner free to use the ordered/hash indexes, and once forced
-to scan (the oracle;
-``MemoryBackend(use_indexes=False)`` / ``SqliteBackend(emit_indexes=False)``).
-Access-path choice must never change observable results.
+``=``/``IN``/``IS NULL``/range/BETWEEN/LIKE predicates, ORDER BY
+(asc/desc, with NULLs and duplicates), LIMIT/OFFSET, counts, and every
+aggregate-selection shape: scalar values and one-column GROUP BY rows
+read through ``execute()`` -- from a seeded stdlib ``random.Random``,
+then runs it in three configurations, each a pair of runs whose
+observables must agree:
+
+* ``memory``: the memory engine free to probe its hash indexes, and once
+  forced to scan (``MemoryBackend(use_indexes=False)``, the oracle);
+* ``sqlite``: SQLite with its ``CREATE INDEX`` DDL, and once without
+  (``SqliteBackend(emit_indexes=False)``);
+* ``memory-vs-sqlite``: the indexed memory engine against indexed
+  SQLite, so range and LIKE predicates, NULL bounds, NULL placement under
+  ORDER BY and bounded windows agree across the two engines.
+
+Access-path choice must never change observable results, and neither may
+the engine.  Every filtered column is hash-indexed, so the indexed runs
+probe whenever a program filters by ``=``, ``IN`` or ``IS NULL``.
 
 Ordered fetches are compared as (order-key sequence, sorted row multiset)
 so legitimate tie-order freedom never reads as a divergence (grouped
@@ -22,7 +31,7 @@ On failure the seed is printed, the failing program is greedily shrunk,
 and the repro is emitted as a paste-able test case calling
 :func:`_assert_parity`.
 
-``FUZZ_ITERATIONS`` (default 20 per backend; CI runs 200) and
+``FUZZ_ITERATIONS`` (default 20 per configuration; CI runs 200) and
 ``FUZZ_SEED`` tune the sweep from the environment.
 """
 
@@ -36,7 +45,6 @@ from repro.db import (
     Column,
     ColumnType,
     Database,
-    IndexSpec,
     MemoryBackend,
     SqliteBackend,
     TableSchema,
@@ -54,12 +62,11 @@ SCHEMA = TableSchema(
     "FuzzRow",
     (
         Column("id", ColumnType.INTEGER, primary_key=True),
-        Column("score", ColumnType.INTEGER, ordered=True),
-        Column("rank", ColumnType.INTEGER, ordered=True),
-        Column("name", ColumnType.TEXT, ordered=True),
+        Column("score", ColumnType.INTEGER, indexed=True),
+        Column("rank", ColumnType.INTEGER, indexed=True),
+        Column("name", ColumnType.TEXT, indexed=True),
         Column("tag", ColumnType.TEXT, indexed=True),
     ),
-    indexes=(IndexSpec(("score", "id")),),
 )
 
 COLUMNS = ("id", "score", "rank", "name", "tag")
@@ -67,13 +74,13 @@ SCORES = list(range(10)) + [None]
 RANKS = [0, 1, 2, None]  # heavy duplicates: ORDER BY ties are the point
 NAMES = ["alpha", "Alpha", "alps", "beta", "Beta", "bet", "gamma", "ga_ma", None]
 TAGS = ["x", "y", "z", None]
-#: The value pool of each column an ``update`` op may assign: a composite
-#: ordered index (score, id), single-column ordered indexes and a hash index.
+#: The value pool of each hash-indexed column an ``update`` op may assign
+#: and an ``eq`` filter may test.
 POOLS = {"score": SCORES, "rank": RANKS, "name": NAMES, "tag": TAGS}
 PATTERNS = ["al%", "Al%", "BE%", "b_t%", "ga%", "%ma", "alp%"]
 RANGE_COLUMNS = ("score", "rank", "name")
 AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
-#: the columns a COUNT(DISTINCT col) counts and a grouped selection groups by
+#: the columns a COUNT(col) counts and a grouped selection groups by
 GROUP_COLUMNS = ("score", "rank", "name", "tag")
 
 
@@ -113,7 +120,8 @@ def _gen_where(rng, depth=0):
             rng.random() < 0.5,
         )
     if roll < 0.68:
-        return ("eq", "tag", TAGS[rng.randrange(len(TAGS))])
+        column = tuple(POOLS)[rng.randrange(len(POOLS))]
+        return ("eq", column, POOLS[column][rng.randrange(len(POOLS[column]))])
     if roll < 0.76:
         return ("isnull", column)
     if roll < 0.84:
@@ -166,27 +174,20 @@ def _gen_program(rng, length=14):
             program.append(("fetch", where, order, limit, offset))
         elif roll < 0.82:
             program.append(("count", _gen_where(rng)))
-        elif roll < 0.88:
+        elif roll < 0.91:
             where = _gen_where(rng)
             if rng.random() < 0.3:
                 column = GROUP_COLUMNS[rng.randrange(len(GROUP_COLUMNS))]
-                program.append(("agg", where, "COUNT", column, True))
+                program.append(("agg", where, "COUNT", column))
             else:
                 function = AGG_FUNCTIONS[rng.randrange(len(AGG_FUNCTIONS))]
-                program.append(("agg", where, function, "score", False))
-        elif roll < 0.94:
+                program.append(("agg", where, function, "score"))
+        else:
             program.append(
                 ("group", _gen_where(rng),
                  AGG_FUNCTIONS[rng.randrange(len(AGG_FUNCTIONS))], "score",
                  GROUP_COLUMNS[rng.randrange(len(GROUP_COLUMNS))])
             )
-        else:
-            # EXISTS keeps LIMIT/OFFSET inside its probe, and the memory
-            # engine's early exit walks index-narrowed candidates.
-            where = _gen_where(rng) if rng.random() < 0.8 else None
-            limit = rng.randrange(0, 4) if rng.random() < 0.5 else None
-            offset = rng.randrange(0, 6) if rng.random() < 0.5 else 0
-            program.append(("exists", where, limit, offset))
     return program
 
 
@@ -240,7 +241,7 @@ def _filtered(database, where):
     return query if where is None else query.filter(_build_where(where))
 
 
-def _run_program(kind, program, indexed):
+def _run_program(kind, indexed, program):
     """Execute ``program``, returning its observables."""
     if kind == "memory":
         backend = MemoryBackend(use_indexes=indexed)
@@ -284,9 +285,9 @@ def _run_program(kind, program, indexed):
                     database.count("FuzzRow", _build_where(args[0]))
                 )
             elif name == "agg":
-                where, function, column, distinct = args
+                where, function, column = args
                 query = plan_aggregate(
-                    _filtered(database, where), (), [Aggregate(function, column, distinct)]
+                    _filtered(database, where), (), [Aggregate(function, column)]
                 )
                 observables.append(_rounded(database.aggregate(query)))
             elif name == "group":
@@ -300,70 +301,78 @@ def _run_program(kind, program, indexed):
                 observables.append(
                     sorted(rows, key=lambda row: tuple(_orderable(v) for v in row))
                 )
-            elif name == "exists":
-                where, limit, offset = args
-                query = _filtered(database, where).select_aggregates(Aggregate("EXISTS"))
-                if limit is not None or offset:
-                    query = query.limited(limit, offset=offset)
-                observables.append(database.aggregate(query))
             else:  # pragma: no cover - generator and runner must agree
                 raise ValueError(f"unknown op {name!r}")
     return observables
 
 
-def _failure(kind, program):
-    """The plan-parity violation this program exposes, or ``None``."""
-    indexed = _run_program(kind, program, True)
-    oracle = _run_program(kind, program, False)
-    if indexed != oracle:
-        for index, (left, right) in enumerate(zip(indexed, oracle)):
+#: Each configuration's pair of runs, as ``(backend kind, indexed)``.
+CONFIGS = {
+    "memory": (("memory", True), ("memory", False)),
+    "sqlite": (("sqlite", True), ("sqlite", False)),
+    "memory-vs-sqlite": (("memory", True), ("sqlite", True)),
+}
+
+
+def _describe(run):
+    kind, indexed = run
+    return f"{kind}-{'indexed' if indexed else 'forced-scan'}"
+
+
+def _failure(config, program):
+    """The parity violation this program exposes, or ``None``."""
+    first, second = CONFIGS[config]
+    left_run = _run_program(*first, program)
+    right_run = _run_program(*second, program)
+    if left_run != right_run:
+        for index, (left, right) in enumerate(zip(left_run, right_run)):
             if left != right:
                 return (
                     f"observable #{index} ({program[index][0]}) diverges: "
-                    f"indexed={left!r} forced-scan={right!r}"
+                    f"{_describe(first)}={left!r} {_describe(second)}={right!r}"
                 )
-        return f"observable counts diverge: {len(indexed)} vs {len(oracle)}"
+        return f"observable counts diverge: {len(left_run)} vs {len(right_run)}"
     return None
 
 
-def _shrink(kind, program):
+def _shrink(config, program):
     """Greedily drop ops while the failure persists (1-minimal repro)."""
     changed = True
     while changed:
         changed = False
         for index in range(len(program)):
             candidate = program[:index] + program[index + 1:]
-            if candidate and _failure(kind, candidate) is not None:
+            if candidate and _failure(config, candidate) is not None:
                 program = candidate
                 changed = True
                 break
     return program
 
 
-def _assert_parity(kind, program):
+def _assert_parity(config, program):
     """Entry point for paste-able repros emitted on fuzz failures."""
-    failure = _failure(kind, program)
+    failure = _failure(config, program)
     assert failure is None, failure
 
 
 # -- the harness ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-def test_differential_fuzz_plan_parity(kind):
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_differential_fuzz_plan_parity(config):
     iterations = int(os.environ.get("FUZZ_ITERATIONS", "20"))
     base_seed = int(os.environ.get("FUZZ_SEED", "20160613"))
     for index in range(iterations):
         seed = base_seed + index
         program = _gen_program(random.Random(seed))
-        failure = _failure(kind, program)
+        failure = _failure(config, program)
         if failure is not None:
-            shrunk = _shrink(kind, program)
-            failure = _failure(kind, shrunk) or failure
+            shrunk = _shrink(config, program)
+            failure = _failure(config, shrunk) or failure
             pytest.fail(
-                f"plan parity violated (seed={seed}, backend={kind}):\n"
+                f"plan parity violated (seed={seed}, configuration={config}):\n"
                 f"  {failure}\n"
                 "paste-able repro:\n"
                 f"def test_repro_seed_{seed}():\n"
-                f"    _assert_parity({kind!r}, {shrunk!r})"
+                f"    _assert_parity({config!r}, {shrunk!r})"
             )

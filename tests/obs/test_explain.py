@@ -225,7 +225,7 @@ def test_every_read_explain_carries_the_backend_plan_detail(conf):
 
     kind, created = conf
     detail = (
-        {"chosen_plan", "considered_plans"} if kind == "memory"
+        {"chosen_plan"} if kind == "memory"
         else {"sqlite_plan", "index_ddl"}
     )
     with viewer_context(created["users"][0]):
